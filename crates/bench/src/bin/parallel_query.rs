@@ -5,6 +5,10 @@
 //! 1. *Intra-query parallelism*: a hierarchy scan with a residual
 //!    predicate over >10k objects, executed with 1 vs 4 worker threads
 //!    against the same plan and database.
+//!    Then *work per candidate row* on data four times the buffer pool:
+//!    object fetches and snapshot reads per row scanned, pool misses
+//!    per query against heap pages, and the degree the executor chose
+//!    (CI gates the counts; the two timings are for the record).
 //! 2. *Inter-query concurrency*: aggregate throughput of 4 reader
 //!    threads on the shared (RwLock) runtime vs the same workload with
 //!    every execution serialized behind one global mutex — an emulation
@@ -67,7 +71,7 @@ fn main() {
     // --- 1. Serial vs 4-thread execution of one query -----------------
     let run_with = |opts: &ExecOptions| {
         db.with_catalog(|cat| {
-            execute_with(cat, &SourceView::new(db), &planned, opts).expect("execute").len()
+            execute_with(cat, &SourceView::new(db, cat), &planned, opts).expect("execute").len()
         })
     };
     let run = |threads: usize| run_with(&ExecOptions::with_threads(threads));
@@ -89,7 +93,11 @@ fn main() {
     // producing a nonsensical negative overhead.
     let exec_metrics = Arc::new(ExecMetrics::default());
     let opts_off = ExecOptions::with_threads(1);
-    let opts_on = ExecOptions { threads: 1, metrics: Some(Arc::clone(&exec_metrics)) };
+    let opts_on = ExecOptions {
+        threads: 1,
+        metrics: Some(Arc::clone(&exec_metrics)),
+        ..ExecOptions::default()
+    };
     const INSTR_REPEATS: usize = 9;
     let mut off_samples = Vec::with_capacity(INSTR_REPEATS);
     let mut on_samples = Vec::with_capacity(INSTR_REPEATS);
@@ -108,6 +116,54 @@ fn main() {
     println!(
         "instrumentation ({INSTR_REPEATS} interleaved repeats, medians): \
          metrics off {metrics_off:?}, on {metrics_on:?} ({overhead_pct:+.2}% overhead)"
+    );
+
+    // --- 1c. Work per candidate row, on data larger than the pool ------
+    // Counts, not clocks, so the gate holds on any host: a scan decodes
+    // each candidate at most once however many paths the residual has,
+    // resolves it through MVCC once, and reads each heap page about
+    // once per query although the pool holds a fraction of them. The
+    // database runs its default configuration, so the degree recorded
+    // is the one the executor picked for this host and this extent.
+    const WORK_POOL_PAGES: usize = 64;
+    const WORK_QUERIES: u64 = 5;
+    let small_pool =
+        fleet(N_OBJECTS, 4, DbConfig { buffer_pages: WORK_POOL_PAGES, ..DbConfig::default() });
+    let wdb = &small_pool.db;
+    let work_plan = wdb.prepare_query(&wdb.begin(), QUERY).expect("plan");
+    wdb.execute_prepared(&work_plan).expect("warm-up");
+    wdb.reset_metrics();
+    for _ in 0..WORK_QUERIES {
+        assert_eq!(wdb.execute_prepared(&work_plan).expect("execute").len(), len_serial);
+    }
+    let work = wdb.stats();
+    let heap_pages = wdb.engine().disk().page_count();
+    let per_row = |count: u64| count as f64 / work.exec.rows_scanned as f64;
+    let fetches_per_row = per_row(work.fetches);
+    let snapshot_reads_per_row = per_row(work.mvcc.snapshot_reads);
+    let misses_per_query = work.pool.misses as f64 / WORK_QUERIES as f64;
+    let degree = work.exec.last_parallelism;
+    // The chosen degree must not lose to one worker: same plan, same
+    // database, interleaved, medians.
+    let timed = |threads: usize| {
+        let start = Instant::now();
+        wdb.with_catalog(|cat| {
+            let opts = ExecOptions::with_threads(threads);
+            execute_with(cat, &SourceView::new(wdb, cat), &work_plan, &opts).expect("execute");
+        });
+        start.elapsed()
+    };
+    let (mut auto_samples, mut one_samples) = (Vec::new(), Vec::new());
+    for _ in 0..INSTR_REPEATS {
+        auto_samples.push(timed(0));
+        one_samples.push(timed(1));
+    }
+    let (auto_degree, one_worker) = (median(auto_samples), median(one_samples));
+    println!(
+        "work per row ({heap_pages} heap pages, {WORK_POOL_PAGES}-page pool): \
+         {fetches_per_row:.3} fetches/row, {snapshot_reads_per_row:.3} snapshot reads/row, \
+         {misses_per_query:.0} pool misses/query, degree {degree} \
+         (auto {auto_degree:?} vs one worker {one_worker:?})"
     );
 
     // --- 2. 4 readers: shared runtime vs global-mutex emulation -------
@@ -416,6 +472,13 @@ fn main() {
          \"available_parallelism\": {cpus}{note},\n  \
          \"single_query\": {{\n    \"serial_ms\": {:.3},\n    \"threads4_ms\": {:.3},\n    \
          \"speedup\": {:.3},\n    \"rows\": {len_serial}\n  }},\n  \
+         \"work_per_row\": {{\n    \"pool_pages\": {WORK_POOL_PAGES},\n    \
+         \"heap_pages\": {heap_pages},\n    \"queries\": {WORK_QUERIES},\n    \
+         \"fetches_per_row\": {fetches_per_row:.4},\n    \
+         \"snapshot_reads_per_row\": {snapshot_reads_per_row:.4},\n    \
+         \"pool_misses_per_query\": {misses_per_query:.1},\n    \
+         \"degree\": {degree},\n    \"auto_degree_ms\": {:.3},\n    \
+         \"one_worker_ms\": {:.3}\n  }},\n  \
          \"concurrent_readers\": {{\n    \"readers\": {READERS},\n    \
          \"queries_per_reader\": {QUERIES_PER_READER},\n    \
          \"shared_runtime_ms\": {:.3},\n    \"global_mutex_ms\": {:.3},\n    \
@@ -448,6 +511,8 @@ fn main() {
         serial.as_secs_f64() * 1e3,
         par4.as_secs_f64() * 1e3,
         speedup,
+        auto_degree.as_secs_f64() * 1e3,
+        one_worker.as_secs_f64() * 1e3,
         shared.as_secs_f64() * 1e3,
         mutexed.as_secs_f64() * 1e3,
         agg_speedup,

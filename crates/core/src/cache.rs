@@ -470,10 +470,30 @@ impl ShardedCache {
     }
 
     /// The resident record for `oid` with no stats or recency side
-    /// effects (the read-concurrent probe).
+    /// effects (the pre-image probe).
     pub(crate) fn peek(&self, oid: Oid) -> Option<Arc<ObjectRecord>> {
         let c = self.shard(oid).lock();
         c.peek(oid).cloned()
+    }
+
+    /// [`ShardedCache::peek`] for a batch: fills `out[i]` for every
+    /// resident `oids[i]` that `wanted` selects, locking each shard
+    /// once instead of once per object.
+    pub(crate) fn peek_batch(
+        &self,
+        oids: &[Oid],
+        wanted: impl Fn(usize) -> bool,
+        out: &mut [Option<Arc<ObjectRecord>>],
+    ) {
+        let groups = crate::runtime::group_by_shard(oids.len(), self.shards.len(), |i| {
+            self.shard_idx(oids[i])
+        });
+        for (shard, group) in self.shards.iter().zip(&groups).filter(|(_, g)| !g.is_empty()) {
+            let cache = shard.lock();
+            for i in group.iter().map(|&i| i as usize).filter(|&i| wanted(i)) {
+                out[i] = cache.peek(oids[i]).cloned();
+            }
+        }
     }
 
     /// Is `oid` resident? (No side effects.)

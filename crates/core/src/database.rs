@@ -271,6 +271,18 @@ pub struct Database {
     pub(crate) metrics: DbMetrics,
 }
 
+/// Lazy schema adaptation: hide the attributes of `record` that
+/// evolution has dropped from its class (`resolved`).
+pub(crate) fn adapt_to(resolved: &orion_schema::ResolvedClass, record: &mut ObjectRecord) {
+    if record.schema_version == resolved.version {
+        return;
+    }
+    record
+        .attrs
+        .retain(|(id, _)| sysattr::is_reserved(*id) || resolved.attr_by_id(*id).is_some());
+    record.schema_version = resolved.version;
+}
+
 impl Database {
     /// A fresh in-memory database with default configuration.
     #[deprecated(note = "use `Database::open_in_memory()` or `Database::open(path)`")]
@@ -748,7 +760,11 @@ impl Database {
         let bytes = self.engine.read(rid)?;
         let mut record = ObjectRecord::decode(&bytes)?;
         rt.fetches.fetch_add(1, Ordering::Relaxed);
-        self.adapt_record(catalog, &mut record)?;
+        // Lazy schema adaptation (a class dropped with extant instances
+        // adapts nothing).
+        if let Ok(resolved) = catalog.resolve(record.oid.class()) {
+            adapt_to(&resolved, &mut record);
+        }
         rt.cache.admit(record.clone());
         Ok(Arc::new(record))
     }
@@ -762,86 +778,6 @@ impl Database {
         oid: Oid,
     ) -> Option<Arc<ObjectRecord>> {
         self.load_record(rt, catalog, oid).ok()
-    }
-
-    /// Load the record for `oid` without touching cache recency or
-    /// admission — the read-concurrent query path. Cache residents are
-    /// served as shared handles; misses decode straight from storage and
-    /// are **not** admitted (the query executor's per-query memo
-    /// supplies repeat-access locality instead, and the read path must
-    /// not perturb eviction order). `None` for dangling OIDs or
-    /// unreadable records, mirroring [`Database::try_load_record`].
-    pub(crate) fn read_record(
-        &self,
-        rt: &Runtime,
-        catalog: &Catalog,
-        oid: Oid,
-    ) -> Option<Arc<ObjectRecord>> {
-        if let Some(rec) = rt.cache.peek(oid) {
-            return Some(rec);
-        }
-        if let Some(rec) = rt.foreign_store.read().get(&oid) {
-            return Some(Arc::clone(rec));
-        }
-        let rid = rt.directory.get(oid)?;
-        let bytes = self.engine.read(rid).ok()?;
-        let mut record = ObjectRecord::decode(&bytes).ok()?;
-        rt.fetches.fetch_add(1, Ordering::Relaxed);
-        self.adapt_record(catalog, &mut record).ok()?;
-        Some(Arc::new(record))
-    }
-
-    /// Snapshot read: the newest version of `oid` visible at commit
-    /// timestamp `ts`, for reading transaction `reader`. Serves from
-    /// the version chain when one exists; otherwise the in-place state
-    /// *is* the committed truth — with one subtlety: a writer may stage
-    /// a chain between our resolution and the in-place read, so a
-    /// `Current` answer is confirmed by re-checking for a chain after
-    /// the read (stage-before-mutate makes the second resolution see
-    /// the pre-image the snapshot needs).
-    pub(crate) fn read_record_at(
-        &self,
-        rt: &Runtime,
-        catalog: &Catalog,
-        oid: Oid,
-        ts: u64,
-        reader: u64,
-    ) -> Option<Arc<ObjectRecord>> {
-        use crate::mvcc::Resolution;
-        self.mvcc.metrics.snapshot_reads.inc();
-        loop {
-            match self.mvcc.resolve(oid, ts, reader) {
-                Resolution::Visible(rec) => return Some(rec),
-                Resolution::Invisible => return None,
-                // Own in-flight write: the in-place state is exactly
-                // what this transaction wrote.
-                Resolution::Own => return self.read_record(rt, catalog, oid),
-                Resolution::Current => {
-                    let rec = self.read_record(rt, catalog, oid);
-                    if !self.mvcc.has_chain(oid) {
-                        return rec;
-                    }
-                    // Lost the race with a writer's staging; the chain
-                    // is authoritative now — resolve again.
-                }
-            }
-        }
-    }
-
-    /// Lazy schema adaptation: hide attributes dropped by evolution.
-    fn adapt_record(&self, catalog: &Catalog, record: &mut ObjectRecord) -> DbResult<()> {
-        let resolved = match catalog.resolve(record.oid.class()) {
-            Ok(r) => r,
-            Err(_) => return Ok(()), // class dropped with extant instances
-        };
-        if record.schema_version == resolved.version {
-            return Ok(());
-        }
-        record
-            .attrs
-            .retain(|(id, _)| sysattr::is_reserved(*id) || resolved.attr_by_id(*id).is_some());
-        record.schema_version = resolved.version;
-        Ok(())
     }
 
     /// The committed pre-image of `oid`, for version-chain staging.

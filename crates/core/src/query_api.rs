@@ -55,24 +55,24 @@ impl Database {
 
     /// Execute a planned query for `reader`, under a pinned snapshot
     /// when MVCC reads are on. The snapshot guard spans the whole
-    /// execution — chunk-parallel workers share the one timestamp
-    /// captured here, so parallel results are byte-identical to serial.
+    /// execution — every worker reads at the one timestamp captured
+    /// here, so parallel results are byte-identical to serial. So does
+    /// this catalog guard, and it is the only one: the source works
+    /// under the reference it is handed and never re-enters the lock.
     fn run_planned(&self, planned: &PlannedQuery, reader: u64) -> DbResult<QueryResult> {
         let catalog = self.catalog.read();
-        if self.config.mvcc_reads {
-            let snapshot = self.mvcc.begin_snapshot(reader);
-            let source = SourceView::with_snapshot(self, snapshot.ts(), snapshot.reader());
-            execute_with(&catalog, &source, planned, &self.exec_options())
-        } else {
-            let source = SourceView::new(self);
-            execute_with(&catalog, &source, planned, &self.exec_options())
-        }
-    }
-
-    fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
+        let opts = ExecOptions {
             threads: self.config.query_threads,
             metrics: Some(Arc::clone(&self.metrics.exec)),
+            ..ExecOptions::default()
+        };
+        if self.config.mvcc_reads {
+            let snapshot = self.mvcc.begin_snapshot(reader);
+            let source =
+                SourceView::with_snapshot(self, &catalog, snapshot.ts(), snapshot.reader());
+            execute_with(&catalog, &source, planned, &opts)
+        } else {
+            execute_with(&catalog, &SourceView::new(self, &catalog), planned, &opts)
         }
     }
 
@@ -117,8 +117,7 @@ impl Database {
         }
 
         let catalog = self.catalog.read();
-        let source = SourceView::new(self);
-        let planned = plan(&catalog, &source, query)?;
+        let planned = plan(&catalog, &SourceView::new(self, &catalog), query)?;
         match planned.access {
             AccessPath::Scan => self.metrics.exec.scan_picks.inc(),
             _ => self.metrics.exec.index_picks.inc(),
@@ -147,8 +146,7 @@ impl Database {
         }
         // Validate by planning against the current schema.
         let catalog = self.catalog.read();
-        let source = SourceView::new(self);
-        plan(&catalog, &source, parsed)?;
+        plan(&catalog, &SourceView::new(self, &catalog), parsed)?;
         drop(catalog);
         self.views.write().insert(name.to_owned(), body.to_owned());
         self.persist_system_state()

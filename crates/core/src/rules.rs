@@ -177,12 +177,15 @@ impl Database {
     fn build_edb(&self) -> DbResult<FactStore> {
         let mut store = FactStore::default();
         let catalog = self.catalog.read();
-        let source = SourceView::new(self);
+        let source = SourceView::new(self, &catalog);
         let classes: Vec<_> = catalog.classes().map(|c| (c.id, c.name.clone())).collect();
         for (class_id, _name) in &classes {
             let oids = source.scan_class(*class_id)?;
             let resolved = catalog.resolve(*class_id)?;
-            for oid in oids {
+            // Resolved attributes are kept in ascending id order.
+            let attr_ids: Vec<u32> = resolved.attrs.iter().map(|a| a.id).collect();
+            let records = source.fetch(&oids, &attr_ids)?;
+            for (oid, record) in oids.into_iter().zip(records) {
                 // Unary class predicates, subclass-aware: the instance
                 // belongs to its class and every ancestor.
                 store.insert(&resolved.name, vec![KeyVal(Value::Ref(oid))]);
@@ -192,9 +195,11 @@ impl Database {
                 }
                 // Binary attribute predicates.
                 for attr in &resolved.attrs {
-                    let value = source.get_attr_value(oid, attr.id)?;
-                    let effective = if value.is_null() { attr.default.clone() } else { value };
-                    for leaf in crate::indexing::keys_of(&effective) {
+                    let effective = match record.as_deref().and_then(|r| r.get(attr.id)) {
+                        Some(value) if !value.is_null() => value,
+                        _ => &attr.default,
+                    };
+                    for leaf in crate::indexing::keys_of(effective) {
                         store.insert(
                             &attr.name,
                             vec![KeyVal(Value::Ref(oid)), KeyVal(leaf)],

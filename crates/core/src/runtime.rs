@@ -24,13 +24,22 @@
 //! 1. **2PL locks** (`LockManager`) — the only locks a thread may
 //!    *block on* indefinitely. Never requested while anything below is
 //!    held.
-//! 2. **Catalog guard** (`Database.catalog`).
+//! 2. **Catalog guard** (`Database.catalog`). Taken **once** per
+//!    operation and never re-entered underneath itself: a queued
+//!    writer blocks every later reader, so a second `read()` below an
+//!    outstanding one deadlocks as soon as DDL arrives in between.
+//!    Code that runs below a guard is handed the `&Catalog` instead —
+//!    the query executor's record source ([`crate::SourceView`]) is
+//!    built with the reference `run_planned` holds, and its worker
+//!    threads never touch this lock.
 //! 3. **Maintenance gate** (`Database.rt: RwLock<Runtime>`) — DML,
 //!    queries, and reads take it *shared*; only operations that tear
 //!    down and rebuild all derived state at once take it exclusively
 //!    (rollback, crash recovery, cold restart, index DDL, foreign
-//!    attach). The gate is what makes `rebuild_runtime` observe a
-//!    quiescent component set without per-component coordination.
+//!    attach). The same no-re-entry rule applies (a query takes it
+//!    once per batch of records, not per record). The gate is what
+//!    makes `rebuild_runtime` observe a quiescent component set
+//!    without per-component coordination.
 //! 4. **Component locks** (fields of [`Runtime`]), two levels:
 //!    - `indexes` — the only component guard ever *held across* other
 //!      component acquisitions (nested-index re-keying faults records
@@ -39,7 +48,9 @@
 //!      `reverse` shards, `composite_owner`, cache shards,
 //!      `foreign_classes`, `foreign_store`, `system_rid`) — leaf
 //!      locks: acquired and released within a single accessor, never
-//!      held while requesting any other lock. In particular, at most
+//!      held while requesting any other lock (batch accessors visit
+//!      the shards of one component one after another, still one at a
+//!      time). In particular, at most
 //!      one cache shard lock is held at a time (cross-shard swizzle
 //!      hops release the source shard before probing the target), and
 //!      a `foreign_store` guard is dropped before the extents are
@@ -80,6 +91,21 @@ fn shard_of(oid: Oid) -> usize {
     // fold the class in so single-class and multi-class workloads both
     // distribute.
     ((oid.serial() ^ ((oid.class().0 as u64) << 3)) as usize) & (OID_SHARDS - 1)
+}
+
+/// The indices `0..n` grouped by the shard `shard_of` assigns each — so
+/// a batch operation on a sharded structure locks each shard once.
+pub(crate) fn group_by_shard(
+    n: usize,
+    shards: usize,
+    shard_of: impl Fn(usize) -> usize,
+) -> Vec<Vec<u32>> {
+    let mut groups: Vec<Vec<u32>> =
+        (0..shards).map(|_| Vec::with_capacity(2 * n / shards + 1)).collect();
+    for i in 0..n {
+        groups[shard_of(i)].push(i as u32);
+    }
+    groups
 }
 
 /// An OID-sharded hash map: one `RwLock`ed shard per hash slice, so
@@ -139,6 +165,21 @@ impl<V> OidMap<V> {
 impl<V: Copy> OidMap<V> {
     pub fn get(&self, oid: Oid) -> Option<V> {
         self.shard(oid).read().get(&oid).copied()
+    }
+
+    /// [`OidMap::get`] for a batch: calls `found(i, value)` for every
+    /// present `oids[i]`, locking each shard once instead of once per
+    /// object.
+    pub fn get_batch(&self, oids: &[Oid], mut found: impl FnMut(usize, V)) {
+        let groups = group_by_shard(oids.len(), OID_SHARDS, |i| shard_of(oids[i]));
+        for (shard, group) in self.shards.iter().zip(&groups).filter(|(_, g)| !g.is_empty()) {
+            let map = shard.read();
+            for &i in group {
+                if let Some(value) = map.get(&oids[i as usize]) {
+                    found(i as usize, *value);
+                }
+            }
+        }
     }
 }
 

@@ -1,50 +1,77 @@
 //! The facade's [`DataSource`] implementation: how declarative queries
 //! see stored (and federated) objects.
 
-use crate::database::Database;
+use crate::database::{adapt_to, Database};
+use crate::mvcc::Resolution;
+use crate::runtime::Runtime;
+use crate::sysattr;
 use orion_index::IndexDef;
 use orion_query::DataSource;
+use orion_schema::Catalog;
+use orion_storage::{Rid, SlotRead};
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbError, DbResult, Oid, Value};
 use std::ops::Bound;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// A lightweight view of the database for the query processor. Methods
-/// take the maintenance gate *shared* briefly per call plus the
-/// component lock they need (extents for scans, the index set for
-/// lookups, cache shards for attribute reads) — any number of queries
-/// proceed concurrently with each other and with DML. The executor
-/// holds no locks across calls, so navigation can fault objects in
-/// freely.
+/// A lightweight view of the database for the query processor. Each
+/// method takes the maintenance gate *shared* once per call plus the
+/// component locks it needs (extents for scans, the index set for
+/// lookups; for a batch of records the cache and directory shards, each
+/// locked once per batch) — any number of queries proceed concurrently
+/// with each other and with DML. The view never takes the catalog
+/// lock: it works under the catalog reference it is built with, which
+/// its maker already holds for the view's whole life (taking the lock
+/// again underneath that guard would deadlock behind a waiting schema
+/// change).
 ///
 /// Isolation comes in two flavors:
 /// * **Snapshot** (the default): [`SourceView::with_snapshot`] pins a
 ///   commit timestamp; scans merge back concurrently deleted objects,
-///   visibility-filter the candidates, and attribute reads resolve
+///   visibility-filter the candidates, and record reads resolve
 ///   through the version store — no 2PL locks at all.
 /// * **Legacy** ([`SourceView::new`]): raw in-place reads; callers rely
 ///   on the `S` class locks the query API takes at prepare time.
 pub struct SourceView<'a> {
     db: &'a Database,
+    catalog: &'a Catalog,
     /// `(snapshot commit-ts, reading txn)` when reading under MVCC.
     snapshot: Option<(u64, u64)>,
 }
 
+/// What a snapshot read of one object still has to do.
+#[derive(Clone, Copy, PartialEq)]
+enum Pending {
+    /// Served from its version chain (or invisible): nothing.
+    Settled,
+    /// The in-place state is the reader's own uncommitted write.
+    InPlace,
+    /// No chain was found: read in place, then confirm that none
+    /// appeared meanwhile.
+    Confirm,
+}
+
 impl<'a> SourceView<'a> {
-    /// Wrap a database (legacy in-place reads).
-    pub fn new(db: &'a Database) -> Self {
-        SourceView { db, snapshot: None }
+    /// Wrap a database (legacy in-place reads). `catalog` is the
+    /// caller's guard on `db`'s catalog ([`Database::with_catalog`]).
+    pub fn new(db: &'a Database, catalog: &'a Catalog) -> Self {
+        SourceView { db, catalog, snapshot: None }
     }
 
     /// Wrap a database pinned at snapshot `ts` for transaction
     /// `reader` (see [`Database::query`]).
-    pub(crate) fn with_snapshot(db: &'a Database, ts: u64, reader: u64) -> Self {
-        SourceView { db, snapshot: Some((ts, reader)) }
+    pub(crate) fn with_snapshot(
+        db: &'a Database,
+        catalog: &'a Catalog,
+        ts: u64,
+        reader: u64,
+    ) -> Self {
+        SourceView { db, catalog, snapshot: Some((ts, reader)) }
     }
 
     /// Is `oid` part of the extent at the pinned snapshot?
     fn visible(&self, oid: Oid, ts: u64, reader: u64) -> bool {
-        use crate::mvcc::Resolution;
         match self.db.mvcc.resolve(oid, ts, reader) {
             // No chain / committed-visible: the candidate stands.
             Resolution::Current | Resolution::Visible(_) => true,
@@ -55,6 +82,132 @@ impl<'a> SourceView<'a> {
             Resolution::Own => self.db.rt_read().directory.contains(oid),
         }
     }
+
+    /// The records of `oids` as this view's flavor sees them (`None`:
+    /// dangling, invisible, or unreadable).
+    ///
+    /// Snapshot flavor, per object: the newest version visible at the
+    /// snapshot. An object with a version chain is served from it;
+    /// otherwise the in-place state *is* the committed truth — with one
+    /// subtlety: a writer may stage a chain between the resolution and
+    /// the in-place read, so every such read is confirmed by checking
+    /// for a chain afterwards (stage-before-mutate makes a second
+    /// resolution see the pre-image the snapshot needs). The in-place
+    /// reads of a batch are done together, page by page; the protocol
+    /// stays per object, and an object that lost the race is simply
+    /// read again on its own.
+    fn read_batch(
+        &self,
+        rt: &Runtime,
+        oids: &[Oid],
+        attrs: &[u32],
+    ) -> Vec<Option<Arc<ObjectRecord>>> {
+        let mut out = vec![None; oids.len()];
+        let Some((ts, reader)) = self.snapshot else {
+            self.read_in_place(rt, oids, |_| true, attrs, &mut out);
+            return out;
+        };
+        let mvcc = &self.db.mvcc;
+        let mut pending = vec![Pending::Confirm; oids.len()];
+        if !mvcc.quiescent() {
+            for (i, oid) in oids.iter().enumerate() {
+                pending[i] = match mvcc.resolve(*oid, ts, reader) {
+                    Resolution::Visible(record) => {
+                        out[i] = Some(record);
+                        Pending::Settled
+                    }
+                    Resolution::Invisible => Pending::Settled,
+                    Resolution::Own => Pending::InPlace,
+                    Resolution::Current => Pending::Confirm,
+                };
+            }
+        }
+        self.read_in_place(rt, oids, |i| pending[i] != Pending::Settled, attrs, &mut out);
+        for (i, oid) in oids.iter().enumerate() {
+            if pending[i] == Pending::Confirm && mvcc.has_chain(*oid) {
+                // Lost the race with a writer's staging (the read may
+                // have failed outright if the record moved); the chain
+                // is authoritative now — resolve again.
+                out[i] = self.read_batch(rt, &[*oid], attrs).pop().flatten();
+            }
+        }
+        out
+    }
+
+    /// Fill `out[i]` with the in-place record of each `oids[i]` that
+    /// `wanted` selects, without touching cache recency or admission
+    /// (the read path must not perturb eviction order). Cache residents
+    /// and foreign objects are served as shared handles; the rest are
+    /// resolved to record ids, grouped by page, and each page is read
+    /// once. Only `attrs` and the system attributes are decoded.
+    /// Dangling OIDs and unreadable records stay `None`.
+    fn read_in_place(
+        &self,
+        rt: &Runtime,
+        oids: &[Oid],
+        wanted: impl Fn(usize) -> bool,
+        attrs: &[u32],
+        out: &mut [Option<Arc<ObjectRecord>>],
+    ) {
+        rt.cache.peek_batch(oids, &wanted, out);
+        {
+            let foreign = rt.foreign_store.read();
+            if !foreign.is_empty() {
+                for (i, oid) in oids.iter().enumerate() {
+                    if wanted(i) && out[i].is_none() {
+                        out[i] = foreign.get(oid).cloned();
+                    }
+                }
+            }
+        }
+        let mut located: Vec<(Rid, usize)> = Vec::new();
+        rt.directory.get_batch(oids, |i, rid| {
+            if wanted(i) && out[i].is_none() {
+                located.push((rid, i));
+            }
+        });
+        located.sort_unstable();
+
+        let keep = |id: u32| sysattr::is_reserved(id) || attrs.binary_search(&id).is_ok();
+        let engine = &self.db.engine;
+        // The batch's classes, resolved once each (lazy adaptation).
+        let mut classes: Vec<(ClassId, Option<Arc<orion_schema::ResolvedClass>>)> = Vec::new();
+        let (mut buf, mut cells, mut slots) = (Vec::new(), Vec::new(), Vec::new());
+        let mut fetched = 0;
+        for page in located.chunk_by(|a, b| a.0.page == b.0.page) {
+            slots.clear();
+            slots.extend(page.iter().map(|(rid, _)| rid.slot));
+            buf.clear();
+            cells.clear();
+            if engine.read_slots(page[0].0.page, &slots, &mut buf, &mut cells).is_err() {
+                continue;
+            }
+            for (&(rid, i), cell) in page.iter().zip(&cells) {
+                let decoded = match cell {
+                    SlotRead::Whole(range) => {
+                        ObjectRecord::decode_projected(&buf[range.clone()], keep)
+                    }
+                    SlotRead::Chained => engine
+                        .read(rid)
+                        .and_then(|bytes| ObjectRecord::decode_projected(&bytes, keep)),
+                    SlotRead::Absent => continue,
+                };
+                let Ok(mut record) = decoded else { continue };
+                fetched += 1;
+                let class = record.oid.class();
+                let known = classes.iter().position(|(c, _)| *c == class).unwrap_or_else(|| {
+                    classes.push((class, self.catalog.resolve(class).ok()));
+                    classes.len() - 1
+                });
+                // A class dropped with extant instances adapts nothing.
+                if let Some(resolved) = &classes[known].1 {
+                    adapt_to(resolved, &mut record);
+                }
+                out[i] = Some(Arc::new(record));
+            }
+        }
+        rt.fetches.fetch_add(fetched, Ordering::Relaxed);
+    }
 }
 
 impl DataSource for SourceView<'_> {
@@ -62,7 +215,7 @@ impl DataSource for SourceView<'_> {
         // Foreign classes refresh their materialized extent on scan.
         let adapter_name = self.db.rt_read().foreign_classes.read().get(&class).cloned();
         if let Some(name) = adapter_name {
-            self.db.refresh_foreign_extent(&name, class)?;
+            self.db.refresh_foreign_extent(self.catalog, &name, class)?;
         }
         let mut oids = self.db.rt_read().extents.snapshot(class);
         if let Some((ts, reader)) = self.snapshot {
@@ -87,26 +240,34 @@ impl DataSource for SourceView<'_> {
         self.db.rt_read().extents.len_of(class)
     }
 
-    fn get_attr_value(&self, oid: Oid, attr: u32) -> DbResult<Value> {
-        let catalog = self.db.catalog.read();
+    fn fetch(&self, oids: &[Oid], attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
+        // One shared gate guard and one counter update per batch.
         let rt = self.db.rt_read();
-        let read = |oid: Oid| match self.snapshot {
-            Some((ts, reader)) => self.db.read_record_at(&rt, &catalog, oid, ts, reader),
-            None => self.db.read_record(&rt, &catalog, oid),
-        };
-        let record = match read(oid) {
-            Some(r) => r,
-            None => return Ok(Value::Null), // dangling reference
-        };
+        let mut out = self.read_batch(&rt, oids, attrs);
+        let mut reads = oids.len() as u64;
         // Generic objects answer through their default version.
-        if let Some(Value::Ref(default)) = record.get(crate::sysattr::ATTR_DEFAULT_VERSION) {
-            let default = *default;
-            return Ok(match read(default) {
-                Some(fwd) => fwd.get(attr).cloned().unwrap_or(Value::Null),
-                None => Value::Null,
-            });
+        for slot in &mut out {
+            let default = match slot.as_deref().and_then(|r| r.get(sysattr::ATTR_DEFAULT_VERSION)) {
+                Some(Value::Ref(default)) => *default,
+                _ => continue,
+            };
+            *slot = self.read_batch(&rt, &[default], attrs).pop().flatten();
+            reads += 1;
         }
-        Ok(record.get(attr).cloned().unwrap_or(Value::Null))
+        if self.snapshot.is_some() {
+            self.db.mvcc.metrics.snapshot_reads.add(reads);
+        }
+        Ok(out)
+    }
+
+    fn fetch_order(&self, oids: &[Oid]) -> Option<Vec<u32>> {
+        // Heap address order; objects with no stored record (foreign,
+        // or deleted since the snapshot) go last.
+        let mut rids: Vec<Option<Rid>> = vec![None; oids.len()];
+        self.db.rt_read().directory.get_batch(oids, |i, rid| rids[i] = Some(rid));
+        let mut order: Vec<u32> = (0..oids.len() as u32).collect();
+        order.sort_unstable_by_key(|&i| (rids[i as usize].is_none(), rids[i as usize], i));
+        Some(order)
     }
 
     fn indexes(&self) -> Vec<IndexDef> {
@@ -162,12 +323,16 @@ impl DataSource for SourceView<'_> {
 
 impl Database {
     /// Re-materialize a foreign class's extent from its adapter.
-    pub(crate) fn refresh_foreign_extent(&self, adapter: &str, class: ClassId) -> DbResult<()> {
+    pub(crate) fn refresh_foreign_extent(
+        &self,
+        catalog: &Catalog,
+        adapter: &str,
+        class: ClassId,
+    ) -> DbResult<()> {
         let adapters = self.adapters.read();
         let ad = adapters
             .get(adapter)
             .ok_or_else(|| DbError::Foreign(format!("no adapter `{adapter}`")))?;
-        let catalog = self.catalog.read();
         let resolved = catalog.resolve(class)?;
         let rows = ad.scan(&resolved.name)?;
         // Decode off-lock, then swap the store and extent in two short

@@ -559,13 +559,13 @@ impl DbStats {
         render::counter(
             &mut out,
             "orion_exec_memo_hits_total",
-            "Path-memo hits",
+            "Reference steps served from the per-query referenced-object cache",
             self.exec.memo_hits,
         );
         render::counter(
             &mut out,
             "orion_exec_memo_lookups_total",
-            "Path-memo lookups",
+            "Reference steps taken by query evaluation",
             self.exec.memo_lookups,
         );
         render::counter(

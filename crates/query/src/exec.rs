@@ -9,28 +9,27 @@
 //! null value is simply false (`is null` exists to test absence
 //! explicitly). Set-valued steps quantify existentially.
 //!
-//! Evaluation is data-parallel: the candidate vector is partitioned
-//! into contiguous chunks, one scoped thread per chunk, and per-chunk
-//! outputs are concatenated *in chunk order* — so the parallel and
-//! serial executors produce byte-identical results (including
-//! `order by` tie handling) regardless of scheduling. A per-query
-//! `(object, path) → values` memo shared by all workers fetches each
-//! attribute path once across the residual, order, and projection
-//! phases.
+//! Evaluation is a batch pipeline ([`crate::batch`]): the candidates are
+//! walked in contiguous batches, the source serves each batch's records
+//! in one [`DataSource::fetch`] call, and the residual, order key and
+//! projection are evaluated against that one record per candidate. The
+//! walk follows [`DataSource::fetch_order`] (storage order, so a scan
+//! reads each page once) but every outcome is keyed by its candidate
+//! position and merged back in candidate order — so the result is
+//! byte-identical whatever the walk order, batch size or worker count,
+//! including `order by` tie handling.
 
 use crate::ast::{CmpOp, Expr, Path, Query, SelectItem};
+use crate::batch::{run_pass, Hit, Pass, Program, BATCH};
 use crate::plan::{literal_value, AccessPath, PlannedQuery};
 use crate::source::DataSource;
 use orion_obs::{Counter, Gauge};
 use orion_schema::Catalog;
 use orion_types::{ClassId, DbResult, Oid, Value};
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::ops::Bound;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// A query result: one row per match (or one row for `count(*)`).
 #[derive(Debug, Clone, PartialEq)]
@@ -57,9 +56,13 @@ impl QueryResult {
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// Worker threads for candidate evaluation: `0` sizes to the
-    /// machine's available parallelism (for large candidate sets),
-    /// `1` forces the serial path, `n > 1` forces `n` workers.
+    /// machine's available parallelism and the candidate count,
+    /// `1` forces one worker, `n > 1` forces `n` workers.
     pub threads: usize,
+    /// Candidates per [`DataSource::fetch`] call; `0` (the default)
+    /// uses the built-in size. Results never depend on it — tests
+    /// shrink it to put batch boundaries everywhere.
+    pub batch: usize,
     /// Cross-query metrics sink shared by every plan executed with
     /// these options (a `Database` attaches its own). `None` disables
     /// global accounting; the per-plan [`ExecStats`] is always kept.
@@ -69,7 +72,7 @@ pub struct ExecOptions {
 impl ExecOptions {
     /// Options with an explicit worker count and no metrics sink.
     pub fn with_threads(threads: usize) -> Self {
-        ExecOptions { threads, metrics: None }
+        ExecOptions { threads, ..ExecOptions::default() }
     }
 }
 
@@ -86,9 +89,11 @@ pub struct ExecMetrics {
     pub rows_scanned: Counter,
     /// Objects that survived the residual predicate.
     pub rows_matched: Counter,
-    /// Path-memo hits, summed across executions.
+    /// Reference steps served from a worker's referenced-object cache,
+    /// summed across executions.
     pub memo_hits: Counter,
-    /// Path-memo lookups, summed across executions.
+    /// Reference steps taken (each is a cache lookup), summed across
+    /// executions.
     pub memo_lookups: Counter,
     /// Plans that chose an index access path (counted at prepare time).
     pub index_picks: Counter,
@@ -137,9 +142,9 @@ pub struct ExecSnapshot {
     pub rows_scanned: u64,
     /// Objects that survived the residual predicate.
     pub rows_matched: u64,
-    /// Path-memo hits.
+    /// Reference steps served from the referenced-object cache.
     pub memo_hits: u64,
-    /// Path-memo lookups.
+    /// Reference steps taken.
     pub memo_lookups: u64,
     /// Plans that chose an index access path.
     pub index_picks: u64,
@@ -157,141 +162,25 @@ pub struct ExecStats {
     pub executions: AtomicU64,
     /// Worker threads used by the last execution.
     pub parallelism: AtomicUsize,
-    /// Path-memo hits during the last execution.
+    /// Referenced-object cache hits during the last execution.
     pub memo_hits: AtomicU64,
-    /// Path-memo lookups during the last execution.
+    /// Reference steps taken during the last execution.
     pub memo_lookups: AtomicU64,
 }
 
-/// Below this many candidates per worker, another thread does not pay
-/// for its spawn (auto sizing only; explicit thread counts are obeyed).
-const PAR_MIN_PER_THREAD: usize = 64;
+/// Fewest candidates a worker must be given before a further thread
+/// pays for its spawn and for sharing the source's page cache (auto
+/// sizing only; explicit thread counts are obeyed). Sized by
+/// measurement: see `BENCH_parallel_query.json`.
+const PAR_MIN_PER_WORKER: usize = 4096;
 
+/// The degree of parallelism for `items` candidates.
 fn resolve_threads(requested: usize, items: usize) -> usize {
     if requested > 0 {
         return requested.min(items.max(1));
     }
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    hw.min(items / PAR_MIN_PER_THREAD).max(1)
-}
-
-/// Map `f` over `items` on `threads` scoped workers, preserving item
-/// order in the output: chunks are contiguous slices and per-chunk
-/// outputs are concatenated in chunk order, so the result is the same
-/// vector a sequential map would produce.
-fn par_chunks<T, R, F>(items: &[T], threads: usize, f: &F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| s.spawn(move || slice.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("query worker panicked"))
-            .collect()
-    })
-}
-
-// ---------------------------------------------------------------------
-// Per-query path memo
-// ---------------------------------------------------------------------
-
-const MEMO_SHARDS: usize = 16;
-
-/// One memo shard: `(object, interned path index) → shared value list`.
-type MemoShard = Mutex<HashMap<(Oid, usize), Arc<Vec<Value>>>>;
-
-/// Per-query cache of `(object, path) → reachable values`. The
-/// residual, order, and projection phases often walk the same attribute
-/// path for the same object; each distinct pair is fetched from the
-/// source once and shared (behind an `Arc`) afterwards. Sharded so
-/// parallel workers rarely contend on one map.
-struct QueryMemo {
-    /// The query's distinct paths, interned to indices.
-    paths: Vec<Path>,
-    shards: Vec<MemoShard>,
-    hits: AtomicU64,
-    lookups: AtomicU64,
-}
-
-fn intern(paths: &mut Vec<Path>, p: &Path) {
-    if !paths.iter().any(|q| q == p) {
-        paths.push(p.clone());
-    }
-}
-
-fn expr_paths(expr: &Expr, paths: &mut Vec<Path>) {
-    match expr {
-        Expr::Cmp { path, .. } | Expr::Contains { path, .. } | Expr::IsNull { path } => {
-            intern(paths, path);
-        }
-        Expr::IsA { .. } => {}
-        Expr::And(a, b) | Expr::Or(a, b) => {
-            expr_paths(a, paths);
-            expr_paths(b, paths);
-        }
-        Expr::Not(e) => expr_paths(e, paths),
-    }
-}
-
-impl QueryMemo {
-    fn for_plan(plan: &PlannedQuery) -> Self {
-        let mut paths = Vec::new();
-        if let Some(expr) = &plan.residual {
-            expr_paths(expr, &mut paths);
-        }
-        if let Some((p, _)) = &plan.query.order_by {
-            intern(&mut paths, p);
-        }
-        for item in &plan.query.select {
-            if let SelectItem::Path(p) = item {
-                intern(&mut paths, p);
-            }
-        }
-        QueryMemo {
-            paths,
-            shards: (0..MEMO_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-        }
-    }
-
-    fn values(
-        &self,
-        catalog: &Catalog,
-        source: &dyn DataSource,
-        oid: Oid,
-        path: &Path,
-    ) -> DbResult<Arc<Vec<Value>>> {
-        let Some(idx) = self.paths.iter().position(|p| p == path) else {
-            return path_values(catalog, source, oid, path).map(Arc::new);
-        };
-        self.lookups.fetch_add(1, Relaxed);
-        let mut h = DefaultHasher::new();
-        (oid, idx).hash(&mut h);
-        let shard = &self.shards[h.finish() as usize % MEMO_SHARDS];
-        if let Some(hit) = shard.lock().unwrap_or_else(|e| e.into_inner()).get(&(oid, idx)) {
-            self.hits.fetch_add(1, Relaxed);
-            return Ok(Arc::clone(hit));
-        }
-        // Compute outside the shard lock; a racing duplicate fetch is
-        // harmless (last insert wins, values are equal).
-        let computed = Arc::new(path_values(catalog, source, oid, path)?);
-        shard
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert((oid, idx), Arc::clone(&computed));
-        Ok(computed)
-    }
+    hw.min(items / PAR_MIN_PER_WORKER).max(1)
 }
 
 /// Evaluate `path` from `oid`, returning every reachable leaf value.
@@ -299,6 +188,10 @@ impl QueryMemo {
 /// Attribute resolution is by *name through the actual class of each
 /// object encountered*, so polymorphic references (a `Vehicle` attribute
 /// holding a `Truck`) read the right attribute even under shadowing.
+///
+/// This and [`eval_expr`] are the executor's *reference semantics*: one
+/// object and one attribute at a time, no batching, no caching. The
+/// batch pipeline must agree with them (the property tests compare).
 pub fn path_values(
     catalog: &Catalog,
     source: &dyn DataSource,
@@ -312,7 +205,8 @@ pub fn path_values(
             let Value::Ref(o) = v else { continue };
             let Ok(resolved) = catalog.resolve(o.class()) else { continue };
             let Some(attr) = resolved.attr(step) else { continue };
-            let mut value = source.get_attr_value(*o, attr.id)?;
+            let record = source.fetch(&[*o], &[attr.id])?.pop().flatten();
+            let mut value = record.and_then(|r| r.get(attr.id).cloned()).unwrap_or(Value::Null);
             if value.is_null() && !attr.default.is_null() {
                 value = attr.default.clone();
             }
@@ -356,88 +250,63 @@ pub fn like_match(pattern: &str, text: &str) -> bool {
     true
 }
 
-/// Shared, immutable evaluation context: catalog, source, and the
-/// optional per-query memo. One instance serves every worker thread.
-struct EvalCtx<'a> {
-    catalog: &'a Catalog,
-    source: &'a dyn DataSource,
-    memo: Option<&'a QueryMemo>,
-}
-
-impl EvalCtx<'_> {
-    fn values(&self, oid: Oid, path: &Path) -> DbResult<Arc<Vec<Value>>> {
-        match self.memo {
-            Some(m) => m.values(self.catalog, self.source, oid, path),
-            None => path_values(self.catalog, self.source, oid, path).map(Arc::new),
-        }
+/// Does the stored value `v` satisfy `v <op> want`? (A null
+/// `v` satisfies nothing: comparisons are two-valued.)
+pub(crate) fn cmp_holds(op: CmpOp, v: &Value, want: &Value) -> bool {
+    if v.is_null() {
+        return false;
     }
-
-    fn eval(&self, oid: Oid, expr: &Expr) -> DbResult<bool> {
-        match expr {
-            Expr::Cmp { path, op, value } => {
-                let want = literal_value(value);
-                if want.is_null() {
-                    // Comparisons against null are false; `is null` tests absence.
-                    return Ok(false);
-                }
-                let values = self.values(oid, path)?;
-                Ok(values.iter().any(|v| {
-                    if v.is_null() {
-                        return false;
-                    }
-                    match op {
-                        CmpOp::Eq => v.eq_total(&want),
-                        CmpOp::Ne => !v.eq_total(&want),
-                        CmpOp::Lt => v.cmp_total(&want) == Ordering::Less,
-                        CmpOp::Le => v.cmp_total(&want) != Ordering::Greater,
-                        CmpOp::Gt => v.cmp_total(&want) == Ordering::Greater,
-                        CmpOp::Ge => v.cmp_total(&want) != Ordering::Less,
-                        CmpOp::Like => match (v.as_str(), want.as_str()) {
-                            (Some(text), Some(pattern)) => like_match(pattern, text),
-                            _ => false,
-                        },
-                    }
-                }))
-            }
-            Expr::Contains { path, value } => {
-                let want = literal_value(value);
-                let values = self.values(oid, path)?;
-                Ok(values.iter().any(|v| v.eq_total(&want)))
-            }
-            Expr::IsNull { path } => {
-                let values = self.values(oid, path)?;
-                Ok(values.iter().all(|v| v.is_null()) || values.is_empty())
-            }
-            Expr::IsA { class } => {
-                let cid = self.catalog.class_id(class)?;
-                Ok(self.catalog.is_subclass(oid.class(), cid))
-            }
-            Expr::And(a, b) => Ok(self.eval(oid, a)? && self.eval(oid, b)?),
-            Expr::Or(a, b) => Ok(self.eval(oid, a)? || self.eval(oid, b)?),
-            Expr::Not(e) => Ok(!self.eval(oid, e)?),
-        }
+    match op {
+        CmpOp::Eq => v.eq_total(want),
+        CmpOp::Ne => !v.eq_total(want),
+        CmpOp::Lt => v.cmp_total(want) == Ordering::Less,
+        CmpOp::Le => v.cmp_total(want) != Ordering::Greater,
+        CmpOp::Gt => v.cmp_total(want) == Ordering::Greater,
+        CmpOp::Ge => v.cmp_total(want) != Ordering::Less,
+        CmpOp::Like => match (v.as_str(), want.as_str()) {
+            (Some(text), Some(pattern)) => like_match(pattern, text),
+            _ => false,
+        },
     }
 }
 
-/// Evaluate a predicate for one object.
+/// Evaluate a predicate for one object (the reference semantics; see
+/// [`path_values`]).
 pub fn eval_expr(
     catalog: &Catalog,
     source: &dyn DataSource,
     oid: Oid,
     expr: &Expr,
 ) -> DbResult<bool> {
-    EvalCtx { catalog, source, memo: None }.eval(oid, expr)
+    let values = |path| path_values(catalog, source, oid, path);
+    let eval = |e| eval_expr(catalog, source, oid, e);
+    match expr {
+        Expr::Cmp { path, op, value } => {
+            let want = literal_value(value);
+            // Comparisons against null are false; `is null` tests absence.
+            Ok(!want.is_null() && values(path)?.iter().any(|v| cmp_holds(*op, v, &want)))
+        }
+        Expr::Contains { path, value } => {
+            let want = literal_value(value);
+            Ok(values(path)?.iter().any(|v| v.eq_total(&want)))
+        }
+        Expr::IsNull { path } => Ok(values(path)?.iter().all(|v| v.is_null())),
+        Expr::IsA { class } => Ok(catalog.is_subclass(oid.class(), catalog.class_id(class)?)),
+        Expr::And(a, b) => Ok(eval(a)? && eval(b)?),
+        Expr::Or(a, b) => Ok(eval(a)? || eval(b)?),
+        Expr::Not(e) => Ok(!eval(e)?),
+    }
 }
 
-/// One `order by` sort key with its original position. The ordering
+/// One `order by` sort key with its match's position. The ordering
 /// reproduces the reference semantics exactly: ascending is a stable
 /// sort by key (ties keep candidate order), descending is that sort
 /// *reversed* (ties in reverse candidate order) — so descending
 /// compares both key and position reversed.
 struct SortEntry {
     key: Value,
+    /// Index into the matches, which are in candidate order.
     pos: usize,
-    oid: Oid,
     asc: bool,
 }
 
@@ -477,12 +346,12 @@ pub fn execute(
 
 /// Execute a planned query.
 ///
-/// The parallel path (`threads > 1`) partitions work by candidate
-/// position and merges in candidate order, so its `QueryResult` is
-/// byte-identical to the serial path's — including error selection
-/// (the first failing candidate in order wins) and the `limit`
-/// early-exit semantics (errors past the point where the serial
-/// executor would have stopped are discarded, not surfaced).
+/// Work is partitioned by position in the walk and merged by candidate
+/// position, so the `QueryResult` is byte-identical for every thread
+/// count and batch size — including error selection (the first failing
+/// candidate in candidate order wins) and the `limit` early-exit
+/// semantics (errors past the point where an in-order serial walk
+/// would have stopped are discarded, not surfaced).
 pub fn execute_with(
     catalog: &Catalog,
     source: &dyn DataSource,
@@ -501,17 +370,7 @@ pub fn execute_with(
         }
         AccessPath::IndexEq { index, key } => source.index_lookup_eq(*index, key, Some(scope))?,
         AccessPath::IndexRange { index, lower, upper } => {
-            let lower = match lower {
-                Bound::Included(v) => Bound::Included(v),
-                Bound::Excluded(v) => Bound::Excluded(v),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            let upper = match upper {
-                Bound::Included(v) => Bound::Included(v),
-                Bound::Excluded(v) => Bound::Excluded(v),
-                Bound::Unbounded => Bound::Unbounded,
-            };
-            source.index_lookup_range(*index, lower, upper, Some(scope))?
+            source.index_lookup_range(*index, lower.as_ref(), upper.as_ref(), Some(scope))?
         }
     };
     // Index results may contain classes outside scope for single-class
@@ -519,53 +378,51 @@ pub fn execute_with(
     candidates.retain(|o| scope.binary_search(&o.class()).is_ok());
     let scanned = candidates.len();
 
-    let threads = resolve_threads(opts.threads, candidates.len());
-    let memo = QueryMemo::for_plan(plan);
-    let ctx = EvalCtx { catalog, source, memo: Some(&memo) };
-
-    // Early exit: no ordering means any `limit` objects do.
-    let early_limit = if plan.query.order_by.is_none() && !is_count(&plan.query) {
-        plan.query.limit
+    // The plan's compiled form, unless the schema moved under it.
+    let recompiled;
+    let program = if plan.program.schema_version == catalog.version() {
+        &*plan.program
     } else {
-        None
+        recompiled = Program::compile(catalog, &plan.query, plan.residual.as_ref())?;
+        &recompiled
+    };
+    let mut run = Run {
+        catalog,
+        source,
+        program,
+        requested_threads: opts.threads,
+        threads: resolve_threads(opts.threads, scanned),
+        batch: if opts.batch > 0 { opts.batch } else { BATCH },
+        ref_hits: 0,
+        ref_lookups: 0,
+    };
+    let count = is_count(&plan.query);
+    let ordered = plan.query.order_by.is_some() && !count;
+    let limit = plan.query.limit;
+    // Early exit: no ordering means any `limit` objects do.
+    let early_limit = if ordered || count { None } else { limit };
+    // A bounded `order by` keeps a handful of the matches: those are
+    // projected in a second pass over just them, not for every match.
+    let project_late = ordered && limit.is_some();
+    let pass = Pass {
+        filter: program.has_residual(),
+        key: ordered,
+        rows: !count && !project_late && program.projects_paths(),
     };
 
-    // 2. Residual predicate.
-    let mut matches: Vec<Oid> = Vec::new();
-    match &plan.residual {
-        None => {
-            matches = candidates;
-            if let Some(limit) = early_limit {
-                matches.truncate(limit);
-            }
-        }
-        Some(expr) => {
-            if threads <= 1 {
-                for oid in candidates {
-                    if ctx.eval(oid, expr)? {
-                        matches.push(oid);
-                        if early_limit.is_some_and(|l| matches.len() >= l) {
-                            break;
-                        }
-                    }
-                }
-            } else {
-                let evals = par_chunks(&candidates, threads, &|&oid| ctx.eval(oid, expr));
-                for (oid, keep) in candidates.iter().zip(evals) {
-                    if keep? {
-                        matches.push(*oid);
-                        if early_limit.is_some_and(|l| matches.len() >= l) {
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    // 2. One pass over the candidates: residual, order key, projection.
+    let (mut matches, mut hits): (Vec<Oid>, Vec<Hit>) = if pass.filter || pass.key || pass.rows {
+        let passed = run.pass(pass, &candidates, early_limit)?;
+        passed.into_iter().map(|(pos, hit)| (candidates[pos], hit)).unzip()
+    } else {
+        // Nothing to read: every candidate matches as it stands.
+        candidates.truncate(early_limit.unwrap_or(usize::MAX));
+        (candidates, Vec::new())
+    };
 
-    // 3. count(*) short-circuits projection.
-    if is_count(&plan.query) {
-        finish_stats(plan, &memo, threads, opts, scanned, matches.len());
+    // 3. count(*) short-circuits ordering and projection.
+    if count {
+        run.finish(plan, opts, scanned, matches.len());
         return Ok(QueryResult {
             rows: vec![vec![Value::Int(matches.len() as i64)]],
             oids: Vec::new(),
@@ -573,19 +430,17 @@ pub fn execute_with(
     }
 
     // 4. Order (bounded top-K when a limit is present).
-    if let Some((path, asc)) = &plan.query.order_by {
-        let order_key =
-            |oid: &Oid| ctx.values(*oid, path).map(|v| v.first().cloned().unwrap_or(Value::Null));
-        let keys = par_chunks(&matches, threads, &order_key);
-        let mut entries: Vec<SortEntry> = Vec::with_capacity(matches.len());
-        for (pos, (oid, key)) in matches.iter().zip(keys).enumerate() {
-            entries.push(SortEntry { key: key?, pos, oid: *oid, asc: *asc });
-        }
-        matches = match plan.query.limit {
+    if let Some((_, asc)) = &plan.query.order_by {
+        let entries = hits.iter_mut().enumerate().map(|(pos, hit)| SortEntry {
+            key: std::mem::replace(&mut hit.key, Value::Null),
+            pos,
+            asc: *asc,
+        });
+        let sorted = match limit {
             // A full sort of N matches to keep K is wasted work: a
             // bounded max-heap of K entries evicts the current worst as
             // it goes, then drains in final order.
-            Some(limit) if limit < entries.len() => {
+            Some(limit) if limit < matches.len() => {
                 let mut heap: BinaryHeap<SortEntry> = BinaryHeap::with_capacity(limit + 1);
                 for e in entries {
                     heap.push(e);
@@ -593,69 +448,117 @@ pub fn execute_with(
                         heap.pop();
                     }
                 }
-                heap.into_sorted_vec().into_iter().map(|e| e.oid).collect()
+                heap.into_sorted_vec()
             }
             _ => {
+                let mut entries: Vec<SortEntry> = entries.collect();
                 entries.sort();
-                entries.into_iter().map(|e| e.oid).collect()
+                entries
             }
         };
+        matches = sorted.iter().map(|e| matches[e.pos]).collect();
+        if pass.rows {
+            hits = sorted
+                .iter()
+                .map(|e| Hit { key: Value::Null, row: std::mem::take(&mut hits[e.pos].row) })
+                .collect();
+        }
     }
 
     // 5. Limit.
-    if let Some(limit) = plan.query.limit {
+    if let Some(limit) = limit {
         matches.truncate(limit);
+        hits.truncate(limit);
     }
 
     // 6. Project.
-    let project = |oid: &Oid| -> DbResult<Vec<Value>> {
-        let mut row = Vec::with_capacity(plan.query.select.len());
-        for item in &plan.query.select {
-            match item {
-                SelectItem::Object => row.push(Value::Ref(*oid)),
-                SelectItem::Path(path) => {
-                    let values = ctx.values(*oid, path)?;
-                    row.push(match values.len() {
-                        0 => Value::Null,
-                        1 => values[0].clone(),
-                        _ => Value::set(values.as_ref().clone()),
-                    });
-                }
-                SelectItem::Count => unreachable!("count handled above"),
-            }
-        }
-        Ok(row)
+    let rows: Vec<Vec<Value>> = if pass.rows {
+        hits.into_iter().map(|hit| hit.row).collect()
+    } else if program.projects_paths() {
+        let rows_only = Pass { filter: false, key: false, rows: true };
+        run.pass(rows_only, &matches, None)?.into_iter().map(|(_, hit)| hit.row).collect()
+    } else {
+        matches.iter().map(|oid| vec![Value::Ref(*oid); plan.query.select.len()]).collect()
     };
-    let rows = par_chunks(&matches, threads, &project)
-        .into_iter()
-        .collect::<DbResult<Vec<_>>>()?;
 
-    finish_stats(plan, &memo, threads, opts, scanned, matches.len());
+    run.finish(plan, opts, scanned, matches.len());
     Ok(QueryResult { rows, oids: matches })
 }
 
-fn finish_stats(
-    plan: &PlannedQuery,
-    memo: &QueryMemo,
+/// One execution's fixed context and its running counters.
+struct Run<'a> {
+    catalog: &'a Catalog,
+    source: &'a dyn DataSource,
+    program: &'a Program,
+    requested_threads: usize,
+    /// The degree chosen for the candidate pass (what gets reported).
     threads: usize,
-    opts: &ExecOptions,
-    scanned: usize,
-    matched: usize,
-) {
-    let stats = &plan.exec_stats;
-    let hits = memo.hits.load(Relaxed);
-    let lookups = memo.lookups.load(Relaxed);
-    stats.parallelism.store(threads, Relaxed);
-    stats.memo_hits.store(hits, Relaxed);
-    stats.memo_lookups.store(lookups, Relaxed);
-    stats.executions.fetch_add(1, Relaxed);
-    if let Some(metrics) = &opts.metrics {
-        metrics.queries.inc();
-        metrics.rows_scanned.add(scanned as u64);
-        metrics.rows_matched.add(matched as u64);
-        metrics.memo_hits.add(hits);
-        metrics.memo_lookups.add(lookups);
-        metrics.last_parallelism.set(threads as u64);
+    batch: usize,
+    ref_hits: u64,
+    ref_lookups: u64,
+}
+
+impl Run<'_> {
+    /// Evaluate `pass` over `oids` and merge the outcomes back into
+    /// `oids` order: the surviving `(position, values)` pairs, or the
+    /// first error in that order. With `stop_after`, the merge ends at
+    /// that many survivors (and an error beyond them is never seen).
+    fn pass(
+        &mut self,
+        pass: Pass,
+        oids: &[Oid],
+        stop_after: Option<usize>,
+    ) -> DbResult<Vec<(usize, Hit)>> {
+        // Walk in storage order when records are read at all, there is
+        // more than one batch to order, and no early exit that depends
+        // on walking in sequence.
+        let reads = self.program.reads_records(pass);
+        let walk = if reads && stop_after.is_none() && oids.len() > self.batch {
+            self.source.fetch_order(oids)
+        } else {
+            None
+        };
+        let threads = resolve_threads(self.requested_threads, oids.len());
+        let mut result = run_pass(
+            self.catalog,
+            self.source,
+            self.program,
+            pass,
+            oids,
+            walk.as_deref(),
+            threads,
+            self.batch,
+            stop_after,
+        );
+        self.ref_hits += result.ref_hits;
+        self.ref_lookups += result.ref_lookups;
+        if walk.is_some() {
+            result.outcomes.sort_unstable_by_key(|(pos, _)| *pos);
+        }
+        let mut survivors = Vec::with_capacity(result.outcomes.len());
+        for (pos, outcome) in result.outcomes {
+            if stop_after.is_some_and(|limit| survivors.len() >= limit) {
+                break;
+            }
+            survivors.push((pos as usize, outcome?));
+        }
+        Ok(survivors)
+    }
+
+    fn finish(&self, plan: &PlannedQuery, opts: &ExecOptions, scanned: usize, matched: usize) {
+        let stats = &plan.exec_stats;
+        stats.parallelism.store(self.threads, Relaxed);
+        stats.memo_hits.store(self.ref_hits, Relaxed);
+        stats.memo_lookups.store(self.ref_lookups, Relaxed);
+        stats.executions.fetch_add(1, Relaxed);
+        if let Some(metrics) = &opts.metrics {
+            metrics.queries.inc();
+            metrics.rows_scanned.add(scanned as u64);
+            metrics.rows_matched.add(matched as u64);
+            metrics.memo_hits.add(self.ref_hits);
+            metrics.memo_lookups.add(self.ref_lookups);
+            metrics.last_parallelism.set(self.threads as u64);
+        }
     }
 }
 
@@ -690,17 +593,6 @@ mod tests {
         assert_eq!(resolve_threads(1, 1000), 1);
         // Auto sizing refuses to spawn for small inputs.
         assert_eq!(resolve_threads(0, 10), 1);
-        assert_eq!(resolve_threads(0, PAR_MIN_PER_THREAD - 1), 1);
-    }
-
-    #[test]
-    fn par_chunks_preserves_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        let doubled = par_chunks(&items, 7, &|&x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        // Degenerate shapes.
-        assert_eq!(par_chunks(&items[..1], 4, &|&x| x), vec![0]);
-        let empty: Vec<u64> = Vec::new();
-        assert_eq!(par_chunks(&empty, 4, &|&x| x), empty);
+        assert_eq!(resolve_threads(0, 2 * PAR_MIN_PER_WORKER - 1), 1);
     }
 }

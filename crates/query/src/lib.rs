@@ -12,13 +12,14 @@
 //! * [`plan()`] — binding plus a cost-based optimizer choosing among
 //!   extent scan, single-class index, class-hierarchy index, and
 //!   nested-attribute index,
-//! * [`exec`] — evaluation over any [`DataSource`], with existential
-//!   semantics for set-valued path steps,
+//! * [`exec`] — batch-at-a-time evaluation over any [`DataSource`],
+//!   with existential semantics for set-valued path steps,
 //! * [`MemSource`] — an in-memory source for tests and benches.
 //!
 //! End-to-end convenience: [`run`] parses, plans, and executes.
 
 pub mod ast;
+mod batch;
 pub mod exec;
 pub mod lexer;
 pub mod parser;
@@ -118,6 +119,12 @@ mod tests {
         (cat, src, company, vehicle, auto, truck)
     }
 
+    /// One stored attribute value (index population in these tests).
+    fn stored(src: &MemSource, oid: Oid, attr: u32) -> Value {
+        let record = src.fetch(&[oid], &[attr]).unwrap().pop().flatten().unwrap();
+        record.get(attr).cloned().unwrap()
+    }
+
     #[test]
     fn figure1_query_end_to_end() {
         let (cat, src, ..) = fixture();
@@ -205,7 +212,7 @@ mod tests {
         // Populate index entries for all 8 vehicles.
         for class in cat.subtree(vehicle).unwrap().iter() {
             for oid in src.scan_class(*class).unwrap() {
-                let w = src.get_attr_value(oid, weight_id).unwrap();
+                let w = stored(&src, oid, weight_id);
                 src.index_insert(7, w, oid);
             }
         }
@@ -249,7 +256,7 @@ mod tests {
             path: vec![weight_id],
         });
         for oid in src.scan_class(truck).unwrap() {
-            let w = src.get_attr_value(oid, weight_id).unwrap();
+            let w = stored(&src, oid, weight_id);
             src.index_insert(3, w, oid);
         }
         // Hierarchy query cannot use the single-class index.
@@ -277,7 +284,7 @@ mod tests {
         });
         for class in cat.subtree(vehicle).unwrap().iter() {
             for oid in src.scan_class(*class).unwrap() {
-                let w = src.get_attr_value(oid, weight_id).unwrap();
+                let w = stored(&src, oid, weight_id);
                 src.index_insert(1, w, oid);
             }
         }

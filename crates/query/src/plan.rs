@@ -11,6 +11,7 @@
 //! and nested-attribute index by estimated cost (experiment E4).
 
 use crate::ast::{CmpOp, Expr, Literal, Path, Query};
+use crate::batch::Program;
 use crate::exec::ExecStats;
 use crate::source::DataSource;
 use orion_index::{IndexDef, IndexKind};
@@ -70,6 +71,9 @@ pub struct PlannedQuery {
     pub residual: Option<Expr>,
     /// Estimated result cardinality (diagnostics).
     pub estimated_candidates: usize,
+    /// `query` and `residual` compiled for the batch executor: paths
+    /// interned, literals converted, readable attribute ids collected.
+    pub(crate) program: Arc<Program>,
     /// Counters from the most recent execution of this plan (shared
     /// across clones; filled by [`crate::exec::execute_with`]).
     pub exec_stats: Arc<ExecStats>,
@@ -79,7 +83,7 @@ impl PlannedQuery {
     /// A structured description of the plan: the chosen access path,
     /// scope width, cardinality estimate, residual predicate, and —
     /// once the plan has run — the last execution's parallelism and
-    /// path-memo hit rate. Its `Display` is the classic one-line
+    /// referenced-object cache hit rate. Its `Display` is the classic one-line
     /// explain text (experiment E4 asserts on it).
     pub fn report(&self) -> ExplainReport {
         let last_run = if self.exec_stats.executions.load(Relaxed) > 0 {
@@ -130,14 +134,14 @@ pub struct ExplainReport {
 pub struct RunStats {
     /// Worker threads used.
     pub parallelism: usize,
-    /// Path-memo hits.
+    /// Reference steps served from the referenced-object cache.
     pub memo_hits: u64,
-    /// Path-memo lookups.
+    /// Reference steps taken.
     pub memo_lookups: u64,
 }
 
 impl RunStats {
-    /// Memo hit rate in whole percent (0 when there were no lookups).
+    /// Cache hit rate in whole percent (0 when there were no lookups).
     pub fn memo_hit_pct(&self) -> u64 {
         (self.memo_hits * 100).checked_div(self.memo_lookups).unwrap_or(0)
     }
@@ -454,6 +458,7 @@ pub fn plan(catalog: &Catalog, source: &dyn DataSource, query: Query) -> DbResul
             .collect(),
     );
 
+    let program = Arc::new(Program::compile(catalog, &query, residual.as_ref())?);
     Ok(PlannedQuery {
         query,
         target,
@@ -461,6 +466,7 @@ pub fn plan(catalog: &Catalog, source: &dyn DataSource, query: Query) -> DbResul
         access,
         residual,
         estimated_candidates: estimated,
+        program,
         exec_stats: Arc::new(ExecStats::default()),
     })
 }

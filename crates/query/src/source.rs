@@ -1,21 +1,23 @@
 //! The `DataSource` abstraction the planner and executor run against.
 //!
-//! Query processing needs four capabilities — extent scans, attribute
-//! access, index metadata, and index lookups — and nothing else. Keeping
+//! Query processing needs four capabilities — extent scans, batched
+//! record access, index metadata, and index lookups — and nothing else. Keeping
 //! them behind a trait decouples this crate from the object manager
 //! (`orion-core` implements it over the buffer pool, object cache, and
 //! lock manager; tests and benches implement it in memory).
 
 use orion_index::IndexDef;
+use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbResult, Oid, Value};
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// What the query processor requires from the layers below.
 ///
 /// `Sync` is a supertrait: the parallel executor shares one source
 /// across its scoped worker threads, so implementations must be safe
-/// to call concurrently (`orion-core`'s view takes the runtime's
-/// shared lock per call; `MemSource` is immutable during execution).
+/// to call concurrently (`orion-core`'s view takes the maintenance gate
+/// shared once per call; `MemSource` is immutable during execution).
 pub trait DataSource: Sync {
     /// All instances of exactly `class` (not its subclasses).
     fn scan_class(&self, class: ClassId) -> DbResult<Vec<Oid>>;
@@ -23,10 +25,31 @@ pub trait DataSource: Sync {
     /// Cardinality of `class`'s own extent (optimizer input).
     fn extent_size(&self, class: ClassId) -> usize;
 
-    /// The stored value of attribute `attr` on `oid`; `Value::Null` when
-    /// unset. Implementations resolve through the object cache, so this
-    /// is also where fetch accounting happens.
-    fn get_attr_value(&self, oid: Oid, attr: u32) -> DbResult<Value>;
+    /// The records of `oids`: one entry per OID, in the same order.
+    /// `None` stands for an object with no readable record (a dangling
+    /// reference, or an object the reader may not see); every attribute
+    /// of such an object reads as unset. A generic object answers with
+    /// its default version's record, so a record's own `oid` field need
+    /// not equal the OID it was asked for.
+    ///
+    /// `attrs` (ascending attribute ids) is everything the caller will
+    /// read: an implementation may leave any other attribute out of the
+    /// records it returns.
+    ///
+    /// This is the only way the executor touches object state, once per
+    /// batch of candidates, so it is also where fetch accounting and
+    /// per-call synchronisation happen.
+    fn fetch(&self, oids: &[Oid], attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>>;
+
+    /// A permutation of `0..oids.len()` visiting `oids` in the order
+    /// the source stores them, so that consecutive [`DataSource::fetch`]
+    /// batches touch neighbouring storage and each page is read once
+    /// per scan. `None` when order makes no difference to the source.
+    /// Only the walk follows it — results keep candidate order.
+    fn fetch_order(&self, oids: &[Oid]) -> Option<Vec<u32>> {
+        let _ = oids;
+        None
+    }
 
     /// Descriptors of every live index.
     fn indexes(&self) -> Vec<IndexDef>;
@@ -58,7 +81,7 @@ pub trait DataSource: Sync {
 /// A simple in-memory [`DataSource`] for tests, benches, and examples.
 #[derive(Debug, Default)]
 pub struct MemSource {
-    objects: std::collections::HashMap<Oid, std::collections::HashMap<u32, Value>>,
+    objects: std::collections::HashMap<Oid, Arc<ObjectRecord>>,
     extents: std::collections::HashMap<ClassId, Vec<Oid>>,
     indexes: Vec<orion_index::IndexInstance>,
 }
@@ -72,7 +95,7 @@ impl MemSource {
     /// Add an object with `(attr id, value)` pairs.
     pub fn add_object(&mut self, oid: Oid, attrs: Vec<(u32, Value)>) {
         self.extents.entry(oid.class()).or_default().push(oid);
-        self.objects.insert(oid, attrs.into_iter().collect());
+        self.objects.insert(oid, Arc::new(ObjectRecord::new(oid, 0, attrs)));
     }
 
     /// Register an index; entries must be added via [`MemSource::index_insert`].
@@ -100,13 +123,8 @@ impl DataSource for MemSource {
         self.extents.get(&class).map_or(0, |v| v.len())
     }
 
-    fn get_attr_value(&self, oid: Oid, attr: u32) -> DbResult<Value> {
-        Ok(self
-            .objects
-            .get(&oid)
-            .and_then(|attrs| attrs.get(&attr))
-            .cloned()
-            .unwrap_or(Value::Null))
+    fn fetch(&self, oids: &[Oid], _attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
+        Ok(oids.iter().map(|oid| self.objects.get(oid).cloned()).collect())
     }
 
     fn indexes(&self) -> Vec<IndexDef> {

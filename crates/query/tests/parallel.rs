@@ -1,7 +1,7 @@
 //! The parallel executor must be indistinguishable from the serial one:
 //! same rows, same oids, same order — including `order by` ties — for
-//! every query shape. Chunked evaluation with in-order concatenation
-//! makes this hold by construction; these tests pin it down.
+//! every query shape. Batched evaluation merged back by candidate
+//! position makes this hold by construction; these tests pin it down.
 
 use orion_query::exec::{execute_with, ExecOptions};
 use orion_query::{parse, plan, MemSource};
@@ -119,15 +119,19 @@ fn desc_ties_reproduce_reversed_stable_order() {
 }
 
 #[test]
-fn explain_reports_parallelism_and_memo_rate() {
+fn explain_reports_parallelism_and_ref_cache_rate() {
     let (cat, src, _) = fixture(600);
-    // Weight appears in the residual, the order key, and the projection:
-    // the memo collapses three walks per object into one.
+    // The manufacturer is reached through a reference step in the
+    // residual and again in the projection: three companies serve all
+    // six hundred vehicles from each worker's cache.
     let planned = plan(
         &cat,
         &src,
-        parse("select v.weight from Vehicle* v where v.weight >= 0 order by v.weight asc")
-            .unwrap(),
+        parse(
+            "select v.manufacturer.location from Vehicle* v \
+             where v.manufacturer.location != \"Nowhere\" order by v.weight asc",
+        )
+        .unwrap(),
     )
     .unwrap();
     assert!(planned.report().last_run.is_none(), "no run recorded before execution");
@@ -135,13 +139,14 @@ fn explain_reports_parallelism_and_memo_rate() {
     let report = planned.report();
     let run = report.last_run.expect("execution recorded");
     assert_eq!(run.parallelism, 4);
-    // 600 objects × 3 phases = 1800 lookups, only 600 misses.
-    assert_eq!(run.memo_lookups, 1800);
-    assert_eq!(run.memo_hits, 1200);
-    assert_eq!(run.memo_hit_pct(), 66);
+    // 600 objects × 2 reference steps; each of 4 workers misses each
+    // of the 3 companies once.
+    assert_eq!(run.memo_lookups, 1200);
+    assert_eq!(run.memo_hits, 1200 - 12);
+    assert_eq!(run.memo_hit_pct(), 99);
     let text = report.to_string();
     assert!(text.contains("parallelism=4"), "missing thread count: {text}");
-    assert!(text.contains("memo hits 1200/1800 (66%)"), "missing memo stats: {text}");
+    assert!(text.contains("memo hits 1188/1200 (99%)"), "missing cache stats: {text}");
     // The deprecated string API renders the identical line.
     #[allow(deprecated)]
     let legacy = planned.explain();
@@ -155,7 +160,8 @@ fn exec_metrics_accumulate_across_queries() {
 
     let (cat, src, _) = fixture(300);
     let metrics = Arc::new(ExecMetrics::default());
-    let opts = ExecOptions { threads: 2, metrics: Some(Arc::clone(&metrics)) };
+    let opts =
+        ExecOptions { threads: 2, metrics: Some(Arc::clone(&metrics)), ..Default::default() };
 
     let planned = plan(
         &cat,

@@ -5,11 +5,15 @@
 
 use orion_index::{IndexDef, IndexKind};
 use orion_query::ast::{CmpOp, Expr, Literal, Path, Query, SelectItem};
-use orion_query::{eval_expr, execute, plan, DataSource, MemSource};
+use orion_query::exec::{execute_with, ExecOptions};
+use orion_query::{eval_expr, execute, path_values, plan, DataSource, MemSource, QueryResult};
 use orion_schema::{AttrSpec, Catalog};
-use orion_types::{ClassId, Domain, Oid, PrimitiveType, Value};
+use orion_types::codec::ObjectRecord;
+use orion_types::{ClassId, DbError, DbResult, Domain, Oid, PrimitiveType, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// Three-class hierarchy: Base <- Mid <- Leaf, attrs `num` (int) and
 /// `tag` (string), plus a reference `buddy` to Base for nested paths.
@@ -173,8 +177,212 @@ fn to_expr(shape: &PredShape) -> Expr {
     }
 }
 
+/// A source whose fetches fail for poisoned objects and which asks to
+/// be walked back to front: errors and walk order are the two things a
+/// plain `MemSource` never exercises.
+struct Shaky<'a> {
+    inner: &'a MemSource,
+    poisoned: HashSet<Oid>,
+    backwards: bool,
+}
+
+impl DataSource for Shaky<'_> {
+    fn scan_class(&self, class: ClassId) -> DbResult<Vec<Oid>> {
+        self.inner.scan_class(class)
+    }
+    fn extent_size(&self, class: ClassId) -> usize {
+        self.inner.extent_size(class)
+    }
+    fn fetch(&self, oids: &[Oid], attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
+        match oids.iter().find(|o| self.poisoned.contains(o)) {
+            Some(bad) => Err(DbError::Storage(format!("poisoned {bad}"))),
+            None => self.inner.fetch(oids, attrs),
+        }
+    }
+    fn fetch_order(&self, oids: &[Oid]) -> Option<Vec<u32>> {
+        self.backwards.then(|| (0..oids.len() as u32).rev().collect())
+    }
+    fn indexes(&self) -> Vec<IndexDef> {
+        self.inner.indexes()
+    }
+    fn index_stats(&self, id: u32) -> (usize, usize) {
+        self.inner.index_stats(id)
+    }
+    fn index_lookup_eq(
+        &self,
+        id: u32,
+        key: &Value,
+        scope: Option<&[ClassId]>,
+    ) -> DbResult<Vec<Oid>> {
+        self.inner.index_lookup_eq(id, key, scope)
+    }
+    fn index_lookup_range(
+        &self,
+        id: u32,
+        lower: Bound<&Value>,
+        upper: Bound<&Value>,
+        scope: Option<&[ClassId]>,
+    ) -> DbResult<Vec<Oid>> {
+        self.inner.index_lookup_range(id, lower, upper, scope)
+    }
+}
+
+fn reads_a_path(expr: &Expr) -> bool {
+    match expr {
+        Expr::IsA { .. } => false,
+        Expr::And(a, b) | Expr::Or(a, b) => reads_a_path(a) || reads_a_path(b),
+        Expr::Not(e) => reads_a_path(e),
+        Expr::Cmp { .. } | Expr::Contains { .. } | Expr::IsNull { .. } => true,
+    }
+}
+
+/// What a scan query means, one object and one attribute at a time over
+/// `eval_expr` / `path_values`: candidates in scan order; each one is
+/// fetched (if anything of it is read), filtered, keyed and projected
+/// before the next, so the first failing candidate decides the error;
+/// an unordered `limit` stops the scan; a bounded `order by` projects
+/// only its winners, afterwards.
+fn reference(catalog: &Catalog, source: &dyn DataSource, q: &Query) -> DbResult<QueryResult> {
+    let target = catalog.class_id(&q.target)?;
+    let scope: Vec<ClassId> =
+        if q.hierarchy { catalog.subtree(target)?.as_ref().clone() } else { vec![target] };
+    let count = matches!(q.select.as_slice(), [SelectItem::Count]);
+    let has_paths = q.select.iter().any(|i| matches!(i, SelectItem::Path(_)));
+    let order = q.order_by.as_ref().filter(|_| !count);
+    let late = order.is_some() && q.limit.is_some();
+    let early = if order.is_some() || count { None } else { q.limit };
+    let project = |oid: Oid| -> DbResult<Vec<Value>> {
+        q.select
+            .iter()
+            .map(|item| match item {
+                SelectItem::Path(p) => {
+                    let mut values = path_values(catalog, source, oid, p)?;
+                    Ok(match values.len() {
+                        0 | 1 => values.pop().unwrap_or(Value::Null),
+                        _ => Value::set(values),
+                    })
+                }
+                _ => Ok(Value::Ref(oid)),
+            })
+            .collect()
+    };
+    let rows_in_scan = !count && !late && has_paths;
+    let reads = q.predicate.as_ref().is_some_and(reads_a_path) || order.is_some() || rows_in_scan;
+
+    let mut matches: Vec<(Oid, Value, Vec<Value>)> = Vec::new();
+    'scan: for class in scope {
+        for oid in source.scan_class(class)? {
+            if early.is_some_and(|l| matches.len() >= l) {
+                break 'scan;
+            }
+            if reads {
+                source.fetch(&[oid], &[])?;
+            }
+            if let Some(pred) = &q.predicate {
+                if !eval_expr(catalog, source, oid, pred)? {
+                    continue;
+                }
+            }
+            let mut key = Value::Null;
+            if let Some((p, _)) = order {
+                key = path_values(catalog, source, oid, p)?.into_iter().next().unwrap_or(key);
+            }
+            let row = if rows_in_scan { project(oid)? } else { Vec::new() };
+            matches.push((oid, key, row));
+        }
+    }
+    if count {
+        let rows = vec![vec![Value::Int(matches.len() as i64)]];
+        return Ok(QueryResult { rows, oids: Vec::new() });
+    }
+    if let Some((_, asc)) = order {
+        // Ascending is a stable sort; descending is that sort reversed.
+        matches.sort_by(|a, b| a.1.cmp_total(&b.1));
+        if !asc {
+            matches.reverse();
+        }
+    }
+    matches.truncate(q.limit.unwrap_or(usize::MAX));
+    let mut result = QueryResult { rows: Vec::new(), oids: Vec::new() };
+    for (oid, _, row) in matches {
+        result.rows.push(if rows_in_scan { row } else { project(oid)? });
+        result.oids.push(oid);
+    }
+    Ok(result)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The batch pipeline is the reference semantics, whatever the
+    /// batch size, worker count and walk order — rows, their order
+    /// (including `order by` ties), `limit` early exit, and which error
+    /// a failing fetch surfaces as.
+    #[test]
+    fn batch_execution_matches_reference(
+        rows in proptest::collection::vec(
+            (any::<u8>(), -6i64..6, any::<u8>(), proptest::option::of(any::<u8>())),
+            1..40,
+        ),
+        pred in proptest::option::of(arb_pred()),
+        hierarchy in any::<bool>(),
+        shape in 0u8..5,
+        order in proptest::option::of((any::<bool>(), any::<bool>())),
+        limit in proptest::option::of(0usize..12),
+        poisoned in proptest::collection::vec(any::<u8>(), 0..3),
+        poison in any::<bool>(),
+        backwards in any::<bool>(),
+    ) {
+        let fx = build(&rows, false, false);
+        let path = |steps: &[&str]| Path::new(steps.to_vec());
+        let query = Query {
+            select: match shape {
+                0 => vec![SelectItem::Count],
+                1 => vec![SelectItem::Object],
+                2 => vec![SelectItem::Path(path(&["num"]))],
+                3 => vec![SelectItem::Object, SelectItem::Path(path(&["buddy", "tag"]))],
+                _ => vec![SelectItem::Path(path(&["buddy", "buddy", "num"])), SelectItem::Object],
+            },
+            target: "Base".into(),
+            hierarchy,
+            var: "x".into(),
+            predicate: pred.as_ref().map(to_expr),
+            // Few distinct keys over up to 40 rows: ties everywhere.
+            order_by: order.map(|(by_buddy, asc)| {
+                (if by_buddy { path(&["buddy", "num"]) } else { path(&["num"]) }, asc)
+            }),
+            limit,
+        };
+        let all: Vec<Oid> = fx
+            .catalog
+            .subtree(fx.base)
+            .unwrap()
+            .iter()
+            .flat_map(|c| fx.source.scan_class(*c).unwrap())
+            .collect();
+        let source = Shaky {
+            inner: &fx.source,
+            poisoned: if poison {
+                poisoned.iter().map(|p| all[*p as usize % all.len()]).collect()
+            } else {
+                HashSet::new()
+            },
+            backwards,
+        };
+        let planned = plan(&fx.catalog, &source, query.clone()).unwrap();
+        let want = reference(&fx.catalog, &source, &query);
+        for batch in [1, 7, 1000] {
+            for threads in [1, 2, 4] {
+                let opts = ExecOptions { threads, batch, ..ExecOptions::default() };
+                let got = execute_with(&fx.catalog, &source, &planned, &opts);
+                prop_assert_eq!(
+                    &got, &want,
+                    "batch {} on {} thread(s) diverged from the reference for {:?}",
+                    batch, threads, query
+                );
+            }
+        }
+    }
 
     #[test]
     fn planned_execution_matches_brute_force(

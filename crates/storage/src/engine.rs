@@ -57,6 +57,19 @@ pub struct RecoveryStats {
     pub pages_repaired: u64,
 }
 
+/// What [`StorageEngine::read_slots`] found in one slot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SlotRead {
+    /// A whole record; its bytes are this range of the caller's buffer.
+    Whole(std::ops::Range<usize>),
+    /// The head of an overflow chain: read it with
+    /// [`StorageEngine::read`].
+    Chained,
+    /// No record lives here (deleted, moved away, or a chain's tail
+    /// segment).
+    Absent,
+}
+
 /// The transactional storage engine.
 pub struct StorageEngine {
     disk: Arc<dyn StorageBackend>,
@@ -606,6 +619,35 @@ impl StorageEngine {
             }
             _ => Err(DbError::Storage(format!("{rid} is an overflow segment, not a record"))),
         }
+    }
+
+    /// Read several records of one page under a single pool access:
+    /// one [`SlotRead`] is pushed onto `cells` per entry of `slots`, in
+    /// order, and the bytes of whole records are appended to `buf`
+    /// (both are the caller's, so a scan reuses them page after page).
+    /// Heads of overflow chains are only reported — their segments live
+    /// on other pages, so the caller reassembles them with
+    /// [`StorageEngine::read`].
+    pub fn read_slots(
+        &self,
+        page: PageId,
+        slots: &[u16],
+        buf: &mut Vec<u8>,
+        cells: &mut Vec<SlotRead>,
+    ) -> DbResult<()> {
+        self.pool.with_page(page, |bytes| {
+            for &slot in slots {
+                cells.push(match slotted::get(bytes, slot) {
+                    Some([Self::TAG_WHOLE, payload @ ..]) => {
+                        let start = buf.len();
+                        buf.extend_from_slice(payload);
+                        SlotRead::Whole(start..buf.len())
+                    }
+                    Some([Self::TAG_HEAD, ..]) => SlotRead::Chained,
+                    _ => SlotRead::Absent,
+                });
+            }
+        })
     }
 
     /// Does a live record (head) exist at `rid`?
@@ -1172,6 +1214,42 @@ mod tests {
         let mut count = 0;
         engine.scan_all(|_, _| count += 1).unwrap();
         assert_eq!(count, 1);
+    }
+
+    #[test]
+    fn read_slots_serves_a_page_in_one_access() {
+        let engine = StorageEngine::new(8);
+        let txn = engine.begin();
+        let a = engine.insert(txn, b"alpha", None).unwrap();
+        let b = engine.insert(txn, b"", Some(a.page)).unwrap();
+        let gone = engine.insert(txn, b"doomed", Some(a.page)).unwrap();
+        let blob = vec![7u8; 2 * slotted::MAX_RECORD];
+        let head = engine.insert(txn, &blob, None).unwrap();
+        engine.delete(txn, gone).unwrap();
+        engine.commit(txn).unwrap();
+        assert_eq!((a.page, a.page), (b.page, gone.page), "the hints co-located them");
+
+        engine.pool().reset_stats();
+        let (mut buf, mut cells) = (b"earlier page".to_vec(), Vec::new());
+        engine.read_slots(a.page, &[b.slot, gone.slot, a.slot, 999], &mut buf, &mut cells).unwrap();
+        let stats = engine.pool().stats();
+        assert_eq!(stats.hits + stats.misses, 1, "one pool access for the whole page");
+        assert_eq!(cells.len(), 4);
+        let SlotRead::Whole(empty) = &cells[0] else { panic!("{:?}", cells[0]) };
+        assert!(empty.is_empty(), "an empty record is still a record");
+        assert_eq!(cells[1], SlotRead::Absent, "deleted");
+        let SlotRead::Whole(range) = &cells[2] else { panic!("{:?}", cells[2]) };
+        assert_eq!(&buf[range.clone()], b"alpha", "appended after what the buffer held");
+        assert_eq!(cells[3], SlotRead::Absent, "slot out of range");
+
+        // A chain's head is reported, its tail segment is not a record.
+        cells.clear();
+        engine.read_slots(head.page, &[head.slot], &mut buf, &mut cells).unwrap();
+        assert_eq!(cells, vec![SlotRead::Chained]);
+        let tail = engine.chain_rids(head).unwrap()[1];
+        cells.clear();
+        engine.read_slots(tail.page, &[tail.slot], &mut buf, &mut cells).unwrap();
+        assert_eq!(cells, vec![SlotRead::Absent]);
     }
 
     #[test]

@@ -32,7 +32,41 @@ fn arb_page_ops() -> impl Strategy<Value = Vec<PageOp>> {
     )
 }
 
+/// The byte-at-a-time CRC-32 loop (bitwise, no table) that the sliced
+/// implementation must equal.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
 proptest! {
+    /// Slice-by-8 `crc32` equals the bytewise loop at every length and
+    /// alignment: `tail` pins the remainder length (0..7 all occur),
+    /// `skip` the alignment of the first 8-byte word.
+    #[test]
+    fn crc32_sliced_equals_bytewise(
+        data in proptest::collection::vec(any::<u8>(), 0..=8_200),
+        skip in 0usize..8,
+        tail in 0usize..8,
+    ) {
+        prop_assert_eq!(orion_storage::crc32(&data), crc32_bytewise(&data));
+        let start = skip.min(data.len());
+        let body = &data[start..];
+        let cut = &body[..body.len() - body.len() % 8 + tail.min(body.len() % 8)];
+        prop_assert_eq!(orion_storage::crc32(cut), crc32_bytewise(cut));
+        // Short inputs: every remainder length with zero or one word.
+        let short = &data[..data.len().min(8 + tail)];
+        prop_assert_eq!(orion_storage::crc32(short), crc32_bytewise(short));
+        let tiny = &data[..data.len().min(tail)];
+        prop_assert_eq!(orion_storage::crc32(tiny), crc32_bytewise(tiny));
+    }
+
     /// The slotted page behaves like a map from slot to bytes.
     #[test]
     fn slotted_page_matches_model(ops in arb_page_ops()) {

@@ -134,6 +134,34 @@ pub fn decode_value(buf: &mut &[u8]) -> DbResult<Value> {
     }
 }
 
+/// Step over one encoded value at the front of `buf` without
+/// materializing it: fixed-width values and length-prefixed payloads
+/// are skipped by their length, collections element by element.
+pub fn skip_value(buf: &mut &[u8]) -> DbResult<()> {
+    need(buf, 1)?;
+    let tag = buf.get_u8();
+    let fixed = match tag {
+        TAG_NULL => 0,
+        TAG_INT | TAG_FLOAT | TAG_REF => 8,
+        TAG_BOOL => 1,
+        TAG_STR | TAG_BLOB => {
+            need(buf, 4)?;
+            buf.get_u32_le() as usize
+        }
+        TAG_SET | TAG_LIST => {
+            need(buf, 4)?;
+            for _ in 0..buf.get_u32_le() {
+                skip_value(buf)?;
+            }
+            0
+        }
+        other => return Err(DbError::Storage(format!("unknown value tag {other}"))),
+    };
+    need(buf, fixed)?;
+    buf.advance(fixed);
+    Ok(())
+}
+
 /// A decoded object record: identity, schema version, and attribute
 /// values keyed by catalog-assigned attribute id.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,7 +220,18 @@ impl ObjectRecord {
     }
 
     /// Deserialize from the on-page byte form.
-    pub fn decode(mut buf: &[u8]) -> DbResult<ObjectRecord> {
+    pub fn decode(buf: &[u8]) -> DbResult<ObjectRecord> {
+        Self::decode_projected(buf, |_| true)
+    }
+
+    /// Deserialize only the attributes `keep` accepts; the others are
+    /// stepped over by length (a scan that reads two attributes of a
+    /// wide record allocates for two). The result equals
+    /// [`ObjectRecord::decode`]'s with the rejected attributes removed.
+    pub fn decode_projected(
+        mut buf: &[u8],
+        keep: impl Fn(u32) -> bool,
+    ) -> DbResult<ObjectRecord> {
         let buf = &mut buf;
         need(buf, 14)?;
         let oid = Oid::from_raw(buf.get_u64_le());
@@ -202,7 +241,11 @@ impl ObjectRecord {
         for _ in 0..count {
             need(buf, 4)?;
             let attr_id = buf.get_u32_le();
-            attrs.push((attr_id, decode_value(buf)?));
+            if keep(attr_id) {
+                attrs.push((attr_id, decode_value(buf)?));
+            } else {
+                skip_value(buf)?;
+            }
         }
         Ok(ObjectRecord { oid, schema_version, attrs })
     }
@@ -285,6 +328,39 @@ mod tests {
         assert_eq!(decoded, rec);
         assert_eq!(decoded.oid, oid);
         assert_eq!(decoded.schema_version, 2);
+    }
+
+    #[test]
+    fn projected_decode_keeps_only_the_named_attributes() {
+        let oid = Oid::new(ClassId(3), 10);
+        let rec = ObjectRecord::new(
+            oid,
+            7,
+            vec![
+                (1, Value::str("a long name nobody asked for")),
+                (2, Value::Int(4200)),
+                (3, Value::List(vec![Value::set(vec![Value::Int(1)]), Value::str("x")])),
+                (4, Value::Ref(Oid::new(ClassId(1), 5))),
+                (5, Value::Blob(vec![9; 300])),
+                (6, Value::Bool(true)),
+                (7, Value::Float(0.5)),
+                (8, Value::Null),
+                (u32::MAX - 1, Value::Ref(oid)),
+            ],
+        );
+        let bytes = rec.encode();
+        for wanted in [vec![], vec![2u32, 4], vec![1, 3, 5, 8], (1..=8).collect()] {
+            let keep = |id: u32| id > 1000 || wanted.contains(&id);
+            let got = ObjectRecord::decode_projected(&bytes, keep).expect("decode");
+            let mut want = rec.clone();
+            want.attrs.retain(|(id, _)| keep(*id));
+            assert_eq!(got, want, "projection {wanted:?}");
+        }
+        // Skipping validates as strictly as decoding: every truncation
+        // is an error under every projection.
+        for cut in 0..bytes.len() {
+            assert!(ObjectRecord::decode_projected(&bytes[..cut], |_| false).is_err(), "cut {cut}");
+        }
     }
 
     #[test]

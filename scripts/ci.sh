@@ -8,6 +8,9 @@
 # mode), and two bench smoke runs:
 # parallel_query regenerates BENCH_parallel_query.json (its
 # instrumentation-overhead measurement must stay within the 5% budget,
+# its work_per_row section feeds the scan work gate: at most 1.1 object
+# fetches and 1.1 snapshot reads per candidate row and 1.25 pool misses
+# per heap page per query — counts, so they hold on any host —
 # and its mixed_read_write section feeds the MVCC regression gate:
 # ~0 pure-read lock acquisitions, reader throughput within 20% as
 # writers are added on multi-core hosts, and its commit_throughput
@@ -19,6 +22,9 @@
 # smoke runs the cluster tests (2PC participant/coordinator crash
 # recovery, fan-out merge fidelity), and the net bench's sharded
 # section feeds the passthrough-overhead gate (< 3x a direct client).
+# The benchmark package (benchmark/, its own workspace) is covered from
+# outside: its unit tests, then a smoke run of all four workloads whose
+# results its own validator checks against BENCHMARK.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,6 +59,39 @@ scripts/lint.sh
 
 echo "==> bench smoke: parallel_query"
 cargo run -p orion-bench --release --bin parallel_query
+
+echo "==> scan work-per-row gate"
+# A hierarchy scan with a two-path residual over data larger than the
+# pool fetches and snapshot-reads each candidate once (not once per
+# path) and reads each heap page about once per query (not once per
+# class in scope).
+work_json=BENCH_parallel_query.json
+work_field() {
+  sed -n "/\"work_per_row\"/,/}/s/.*\"$1\": \([0-9.][0-9.]*\).*/\1/p" "$work_json"
+}
+fetches_row=$(work_field fetches_per_row)
+reads_row=$(work_field snapshot_reads_per_row)
+misses_query=$(work_field pool_misses_per_query)
+heap_pages=$(work_field heap_pages)
+degree=$(work_field degree)
+if [ -z "$fetches_row" ] || [ -z "$reads_row" ] || [ -z "$misses_query" ] || [ -z "$heap_pages" ] || [ -z "$degree" ]; then
+  echo "FAIL: could not parse work_per_row fields from $work_json" >&2
+  exit 1
+fi
+if ! awk -v f="$fetches_row" 'BEGIN { exit !(f <= 1.1) }'; then
+  echo "FAIL: scan fetched $fetches_row objects per candidate row (budget: 1.1)" >&2
+  exit 1
+fi
+if ! awk -v r="$reads_row" 'BEGIN { exit !(r <= 1.1) }'; then
+  echo "FAIL: scan made $reads_row snapshot reads per candidate row (budget: 1.1)" >&2
+  exit 1
+fi
+if ! awk -v m="$misses_query" -v p="$heap_pages" 'BEGIN { exit !(m <= 1.25 * p) }'; then
+  echo "FAIL: scan missed the pool $misses_query times per query over $heap_pages heap pages (budget: 1.25x)" >&2
+  exit 1
+fi
+echo "    per candidate row: $fetches_row fetches, $reads_row snapshot reads (budget: 1.1 each)"
+echo "    pool misses per query: $misses_query over $heap_pages heap pages (budget: 1.25x), degree $degree"
 
 echo "==> mixed_read_write regression gate"
 # MVCC snapshot reads must keep a pure-read workload off the lock
@@ -146,5 +185,10 @@ if [ "$conc_enforced" = "true" ]; then
 else
   echo "    loaded-tail gate skipped: host is core-bound (p99 was ${loaded_p99}ms vs p50 ${base_p50}ms)"
 fi
+
+echo "==> benchmark package: unit tests, smoke run of every workload, validation"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --all --smoke
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- validate .bench_out/results.json
 
 echo "==> ci.sh: all gates passed"

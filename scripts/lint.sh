@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Workspace lint gate: clippy over every target (libs, bins, tests,
-# benches, examples) with warnings promoted to errors, plus a grep
+# benches, examples) with warnings promoted to errors — the workspace
+# and the benchmark package (a workspace of its own) — plus a grep
 # deny that keeps sleep-based polling out of the evented network
 # core's hot paths. Run from anywhere inside the repo; CI and
 # pre-commit should call exactly this.
@@ -16,4 +17,5 @@ if grep -rn "thread::sleep" crates/net/src --include='*.rs' | grep -v '^crates/n
   exit 1
 fi
 
-exec cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
+exec cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings

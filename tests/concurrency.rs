@@ -478,3 +478,72 @@ fn snapshot_readers_do_not_block_schema_change() {
     assert_eq!(r.rows[0][0], Value::Int(1));
     db.commit(tx).unwrap();
 }
+
+/// A scan running while classes are created must not deadlock: the
+/// query API holds the catalog guard for the whole execution, a
+/// `create_class` queues for the write side, and any further read
+/// acquisition underneath the query's own guard would then wait behind
+/// that writer forever (the record source used to take one per
+/// attribute). Both sides keep going until the other has finished its
+/// share too, so the executions overlap; a watchdog turns a hang into a
+/// failure.
+#[test]
+fn scans_and_class_creation_overlap_without_deadlock() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+
+    const SCANS: usize = 40;
+    const CLASSES: usize = 40;
+    let db = Arc::new(Database::open_in_memory());
+    let int = || Domain::Primitive(PrimitiveType::Int);
+    db.create_class("Vehicle", &[], vec![AttrSpec::new("weight", int())]).unwrap();
+    for sub in ["Truck", "Bus"] {
+        db.create_class(sub, &["Vehicle"], vec![]).unwrap();
+    }
+    let tx = db.begin();
+    for i in 0..6_000 {
+        let class = if i % 2 == 0 { "Truck" } else { "Bus" };
+        db.create_object(&tx, class, vec![("weight", Value::Int(i))]).unwrap();
+    }
+    db.commit(tx).unwrap();
+
+    let scans = Arc::new(AtomicUsize::new(0));
+    let classes = Arc::new(AtomicUsize::new(0));
+    let (done, finished) = mpsc::channel();
+    // Detached on purpose: if they deadlock, the watchdog below fails
+    // the test and the process exit reaps them.
+    {
+        let (db, scans, classes, done) =
+            (Arc::clone(&db), Arc::clone(&scans), Arc::clone(&classes), done.clone());
+        std::thread::spawn(move || {
+            while scans.load(Ordering::SeqCst) < SCANS || classes.load(Ordering::SeqCst) < CLASSES {
+                let tx = db.begin();
+                let r = db.query(&tx, "select count(*) from Vehicle* v where v.weight > 5");
+                assert_eq!(r.unwrap().rows[0][0], Value::Int(5_994));
+                db.commit(tx).unwrap();
+                scans.fetch_add(1, Ordering::SeqCst);
+            }
+            done.send("scanner").unwrap();
+        });
+    }
+    {
+        let (db, scans, classes) = (Arc::clone(&db), Arc::clone(&scans), Arc::clone(&classes));
+        std::thread::spawn(move || {
+            while scans.load(Ordering::SeqCst) < SCANS || classes.load(Ordering::SeqCst) < CLASSES {
+                let n = classes.load(Ordering::SeqCst);
+                db.create_class(&format!("Side{n}"), &[], vec![AttrSpec::new("n", int())]).unwrap();
+                classes.fetch_add(1, Ordering::SeqCst);
+            }
+            done.send("class creator").unwrap();
+        });
+    }
+    for _ in 0..2 {
+        finished.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|_| {
+            panic!(
+                "deadlock: after {} scans and {} classes neither thread makes progress",
+                scans.load(Ordering::SeqCst),
+                classes.load(Ordering::SeqCst)
+            )
+        });
+    }
+}

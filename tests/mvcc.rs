@@ -385,3 +385,82 @@ fn index_assisted_snapshot_query_can_miss_a_moving_row() {
     writer.join().unwrap();
     assert_eq!(tears, 0, "index-assisted snapshot reads tore {tears} times");
 }
+
+/// A scan's batched in-place reads race a writer that does everything
+/// that can pull a record out from under them: each round rewrites
+/// every object with a longer body (records outgrow their page and move
+/// to a new record id), deletes one object and creates a replacement.
+/// Every committed state holds exactly `DOCS` objects all stamped with
+/// the same round, so a scan that returns any other count, or two
+/// different stamps, read something its snapshot must not see — a moved
+/// record's emptied slot taken for a deleted object, or a half-applied
+/// round.
+#[test]
+fn snapshot_scan_survives_records_moving_vanishing_and_reappearing() {
+    const DOCS: usize = 300;
+    const ROUNDS: i64 = 40;
+    let db = Arc::new(Database::open_in_memory());
+    db.create_class(
+        "Doc",
+        &[],
+        vec![
+            AttrSpec::new("round", Domain::Primitive(PrimitiveType::Int)),
+            AttrSpec::new("body", Domain::Primitive(PrimitiveType::Str)),
+        ],
+    )
+    .unwrap();
+    let tx = db.begin();
+    let mut docs: Vec<Oid> = (0..DOCS)
+        .map(|_| db.create_object(&tx, "Doc", vec![("round", Value::Int(0))]).unwrap())
+        .collect();
+    db.commit(tx).unwrap();
+
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let db_w = Arc::clone(&db);
+        let stop = &stop;
+        s.spawn(move || {
+            for round in 1..=ROUNDS {
+                let tx = db_w.begin();
+                let body = Value::Str("b".repeat(round as usize * 50));
+                let doomed = docs.remove(round as usize % DOCS);
+                db_w.delete_object(&tx, doomed).unwrap();
+                for doc in &docs {
+                    db_w.set(&tx, *doc, "body", body.clone()).unwrap();
+                    db_w.set(&tx, *doc, "round", Value::Int(round)).unwrap();
+                }
+                let fresh = db_w
+                    .create_object(&tx, "Doc", vec![("round", Value::Int(round)), ("body", body)])
+                    .unwrap();
+                docs.push(fresh);
+                db_w.commit(tx).unwrap();
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+
+        for reader in 0..2 {
+            let db_r = Arc::clone(&db);
+            s.spawn(move || {
+                let mut last = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let tx = db_r.begin();
+                    let r = db_r.query(&tx, "select d.round from Doc d where d.round >= 0").unwrap();
+                    db_r.commit(tx).unwrap();
+                    assert_eq!(r.rows.len(), DOCS, "reader {reader}: wrong extent at its snapshot");
+                    let stamp = r.rows[0][0].as_int().unwrap();
+                    assert!(
+                        r.rows.iter().all(|row| row[0] == Value::Int(stamp)),
+                        "reader {reader}: torn snapshot around round {stamp}"
+                    );
+                    assert!(stamp >= last, "reader {reader}: snapshot went backwards");
+                    last = stamp;
+                }
+            });
+        }
+    });
+
+    let tx = db.begin();
+    let r = db.query(&tx, &format!("select count(*) from Doc d where d.round = {ROUNDS}")).unwrap();
+    assert_eq!(r.rows[0][0], Value::Int(DOCS as i64));
+    db.commit(tx).unwrap();
+}
