@@ -22,12 +22,18 @@
 //! (and, multi-core only, on the loaded tail staying under the
 //! uncrowded 4-client median).
 //!
+//! A fourth phase closes ROADMAP gap (d), request overhead: the same
+//! autocommit `Get` embedded, over a socket one at a time, and through
+//! `Client::pipeline()` eight deep, with the event-loop wakeups and
+//! executor turns each request cost. It lands as `"request_overhead"`;
+//! CI gates on the two counts, which hold on any host.
+//!
 //! `--smoke` shrinks the workload to a ~2 second CI sanity run (the
 //! connection crowd stays at full size so the gate stays meaningful).
 
 use orion_bench::fleet;
 use orion_core::{AttrSpec, Database, DbConfig, Domain, PrimitiveType, Value};
-use orion_net::{Client, Server, ServerConfig};
+use orion_net::{Client, Request, Response, Server, ServerConfig};
 use orion_shard::{ExplicitPlacement, RouterConfig, ShardRouter};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -165,6 +171,18 @@ fn sharded_section(smoke: bool) -> String {
     )
 }
 
+/// A database holding one hot object, `KV.v = 7`: the point-read
+/// target of the connection-crowd and request-overhead phases.
+fn kv_db() -> (Arc<Database>, orion_core::Oid) {
+    let db = Database::open_in_memory();
+    db.create_class("KV", &[], vec![AttrSpec::new("v", Domain::Primitive(PrimitiveType::Int))])
+        .expect("ddl");
+    let tx = db.begin();
+    let oid = db.create_object(&tx, "KV", vec![("v", Value::Int(7))]).expect("seed");
+    db.commit(tx).expect("commit");
+    (Arc::new(db), oid)
+}
+
 /// The concurrent-connections phase: park ~1.1k mostly-idle sessions
 /// on one server's event loops, then drive a 4-client point-read
 /// workload through the crowd. The evented core's promise is that
@@ -177,12 +195,7 @@ fn concurrent_section(smoke: bool, baseline_4client_p50: Duration) -> String {
     let loaded_clients = 4usize;
     let requests = if smoke { 100 } else { 400 };
 
-    let db = Arc::new(Database::open_in_memory());
-    db.create_class("KV", &[], vec![AttrSpec::new("v", Domain::Primitive(PrimitiveType::Int))])
-        .expect("ddl");
-    let tx = db.begin();
-    let oid = db.create_object(&tx, "KV", vec![("v", Value::Int(7))]).expect("seed");
-    db.commit(tx).expect("commit");
+    let (db, oid) = kv_db();
 
     let server = Server::bind(
         Arc::clone(&db),
@@ -257,6 +270,95 @@ fn concurrent_section(smoke: bool, baseline_4client_p50: Duration) -> String {
         loaded_p50.as_secs_f64() * 1e3,
         loaded_p99.as_secs_f64() * 1e3,
         baseline_4client_p50.as_secs_f64() * 1e3,
+    )
+}
+
+/// The request-overhead phase: one autocommit `Get` of one hot object,
+/// run embedded, over a socket at depth 1, and pipelined at depth 8
+/// (a sliding window: one send per reply received). The time columns
+/// are the wire's price per request on this host; the two count
+/// columns — event-loop wakeups and executor turns per request — are
+/// work per operation and do not depend on the host. Returns the
+/// `"request_overhead"` JSON object (keys on single lines for the sed
+/// gates).
+fn request_overhead_section(smoke: bool) -> String {
+    const DEPTH: usize = 8;
+    let requests = if smoke { 4_000 } else { 40_000 };
+
+    let (db, oid) = kv_db();
+
+    let embedded = {
+        let started = Instant::now();
+        for _ in 0..requests {
+            let tx = db.begin();
+            assert_eq!(db.get(&tx, oid, "v").expect("get"), Value::Int(7));
+            db.commit(tx).expect("commit");
+        }
+        started.elapsed()
+    };
+
+    let server =
+        Server::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client.ping().expect("warm");
+    // (elapsed, wakeups per request, executor turns per request) of
+    // whatever `run` sends, from the server's own counters.
+    let mut measure = |run: &mut dyn FnMut(&mut Client)| {
+        let before = db.stats().net;
+        let started = Instant::now();
+        run(&mut client);
+        let elapsed = started.elapsed();
+        let after = db.stats().net;
+        let served = after.requests - before.requests;
+        assert_eq!(served, requests as u64, "every request was counted once");
+        (
+            elapsed,
+            (after.readiness_wakeups - before.readiness_wakeups) as f64 / served as f64,
+            (after.executor_turns - before.executor_turns) as f64 / served as f64,
+        )
+    };
+    let (depth1, depth1_wakeups, depth1_turns) = measure(&mut |client| {
+        for _ in 0..requests {
+            assert_eq!(client.get(oid, "v").expect("get"), Value::Int(7));
+        }
+    });
+    let (depth8, depth8_wakeups, depth8_turns) = measure(&mut |client| {
+        let get = Request::Get { oid, attr: "v".into() };
+        let mut pipe = client.pipeline().expect("pipeline");
+        for _ in 0..requests {
+            if pipe.outstanding() == DEPTH {
+                assert!(matches!(pipe.recv().expect("recv"), Response::Value(Value::Int(7))));
+            }
+            pipe.send(&get).expect("send");
+        }
+        while pipe.outstanding() > 0 {
+            assert!(matches!(pipe.recv().expect("recv"), Response::Value(Value::Int(7))));
+        }
+    });
+    server.shutdown();
+
+    let ns = |d: Duration| d.as_nanos() as f64 / requests as f64;
+    println!(
+        "request overhead: embedded {:.0} ns, depth 1 {:.0} ns ({depth1_wakeups:.2} wakeups, \
+         {depth1_turns:.2} turns per request), depth {DEPTH} {:.0} ns ({depth8_wakeups:.2} \
+         wakeups, {depth8_turns:.2} turns per request)",
+        ns(embedded),
+        ns(depth1),
+        ns(depth8),
+    );
+    format!(
+        "{{\n    \"requests\": {requests},\n    \"pipeline_depth\": {DEPTH},\n    \
+         \"embedded_ns_per_request\": {:.0},\n    \"depth1_ns_per_request\": {:.0},\n    \
+         \"depth1_wire_overhead_ns\": {:.0},\n    \
+         \"depth1_wakeups_per_request\": {depth1_wakeups:.3},\n    \
+         \"depth1_turns_per_request\": {depth1_turns:.3},\n    \
+         \"depth8_ns_per_request\": {:.0},\n    \
+         \"depth8_wakeups_per_request\": {depth8_wakeups:.3},\n    \
+         \"depth8_turns_per_request\": {depth8_turns:.3}\n  }}",
+        ns(embedded),
+        ns(depth1),
+        ns(depth1) - ns(embedded),
+        ns(depth8),
     )
 }
 
@@ -354,6 +456,7 @@ fn main() {
 
     let sharded = sharded_section(smoke);
     let concurrent = concurrent_section(smoke, p50);
+    let overhead = request_overhead_section(smoke);
 
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let note = if cpus < load.clients {
@@ -377,7 +480,8 @@ fn main() {
          \"server\": {{\n    \"requests\": {},\n    \"connections_total\": {},\n    \
          \"errors\": {},\n    \"timeouts\": {},\n    \"busy_rejections\": {}\n  }},\n  \
          \"sharded\": {sharded},\n  \
-         \"concurrent_connections\": {concurrent}\n}}\n",
+         \"concurrent_connections\": {concurrent},\n  \
+         \"request_overhead\": {overhead}\n}}\n",
         load.objects,
         load.clients,
         load.requests_per_client,

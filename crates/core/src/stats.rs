@@ -102,6 +102,9 @@ pub struct NetMetrics {
     pub requests_shed: Counter,
     /// Event-loop wakeups (poll returns) across all I/O threads.
     pub readiness_wakeups: Counter,
+    /// Executor turns: times an executor took a connection's lane (one
+    /// turn runs every request queued on it, up to the turn cap).
+    pub executor_turns: Counter,
     /// Recent event-loop wakeup rate (per second, ~1s window).
     pub readiness_wakeups_per_sec: Gauge,
     /// Open connections per event-loop thread (ceiling of the mean).
@@ -122,6 +125,7 @@ impl NetMetrics {
             pipeline_depth: self.pipeline_depth.snapshot(),
             requests_shed: self.requests_shed.get(),
             readiness_wakeups: self.readiness_wakeups.get(),
+            executor_turns: self.executor_turns.get(),
             readiness_wakeups_per_sec: self.readiness_wakeups_per_sec.get(),
             connections_per_worker: self.connections_per_worker.get(),
         }
@@ -139,6 +143,7 @@ impl NetMetrics {
         self.pipeline_depth.reset();
         self.requests_shed.reset();
         self.readiness_wakeups.reset();
+        self.executor_turns.reset();
         self.readiness_wakeups_per_sec.reset();
         self.connections_per_worker.reset();
     }
@@ -228,6 +233,8 @@ pub struct NetStats {
     pub requests_shed: u64,
     /// Event-loop wakeups across all I/O threads.
     pub readiness_wakeups: u64,
+    /// Executor turns (one turn runs a connection's queued requests).
+    pub executor_turns: u64,
     /// Recent event-loop wakeup rate (per second).
     pub readiness_wakeups_per_sec: u64,
     /// Open connections per event-loop thread.
@@ -675,6 +682,12 @@ impl DbStats {
             "orion_net_readiness_wakeups_total",
             "Event-loop wakeups across all I/O threads",
             self.net.readiness_wakeups,
+        );
+        render::counter(
+            &mut out,
+            "orion_net_executor_turns_total",
+            "Executor turns: times an executor took a connection's lane",
+            self.net.executor_turns,
         );
         render::gauge(
             &mut out,

@@ -11,11 +11,11 @@
 //! inside an explicit transaction never retry (the first attempt may
 //! have taken effect server-side).
 
-use crate::frame::{self, read_frame, write_frame};
+use crate::frame::{self, FrameDecoder};
 use crate::wire::{Request, Response, WorkspaceEntry};
 use orion_core::{AttrSpec, IndexKind, QueryResult};
 use orion_types::{DbError, DbResult, Oid, Value};
-use std::io::BufWriter;
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -101,11 +101,54 @@ impl Default for ClientConfig {
     }
 }
 
+/// One dialed connection: the socket, the frame being sent, and the
+/// reply bytes read off it but not yet handed out. A re-dial replaces
+/// all three, so stale bytes never outlive their session.
+struct Wire {
+    stream: TcpStream,
+    /// The outgoing frame, assembled here so prefix and payload leave
+    /// in one `write` (two would be two syscalls and, with
+    /// `TCP_NODELAY`, two segments) without an allocation per request.
+    out: Vec<u8>,
+    /// One `read` may return many pipelined replies; the rest wait here.
+    replies: FrameDecoder,
+}
+
+impl Wire {
+    fn send(&mut self, request: &Request) -> DbResult<()> {
+        self.out.clear();
+        frame::append_frame(&mut self.out, &request.encode());
+        self.stream.write_all(&self.out).map_err(|e| frame::io_err("send", &e))
+    }
+
+    /// The next reply, blocking under the stream's read timeout. Every
+    /// transport failure is a [`DbError::Net`]; any other error means a
+    /// frame was consumed but did not decode.
+    fn recv(&mut self, request_timeout: Duration) -> DbResult<Response> {
+        loop {
+            match self.replies.next_frame() {
+                Ok(Some(payload)) => return Response::decode(&payload),
+                Ok(None) => {}
+                Err(e) => return Err(DbError::Net(format!("recv: {e}"))),
+            }
+            match self.replies.read_from(&mut self.stream) {
+                Ok(0) => return Err(DbError::Net("server closed the connection".into())),
+                Ok(_) => {}
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Err(DbError::Net(format!("reply timed out after {request_timeout:?}")))
+                }
+                Err(e) => return Err(frame::io_err("recv", &e)),
+            }
+        }
+    }
+}
+
 /// A blocking connection to an orion server.
 pub struct Client {
     addr: SocketAddr,
     config: ClientConfig,
-    conn: Option<TcpStream>,
+    conn: Option<Wire>,
     /// True between a successful `begin()` and the following
     /// `commit()`/`rollback()`: retries are forbidden because the
     /// transaction lives on the (possibly dead) old connection.
@@ -146,7 +189,11 @@ impl Client {
         stream
             .set_write_timeout(Some(self.config.request_timeout))
             .map_err(|e| frame::io_err("write timeout", &e))?;
-        let mut conn = Some(stream);
+        let mut conn = Some(Wire {
+            stream,
+            out: Vec::new(),
+            replies: FrameDecoder::new(self.config.max_frame),
+        });
         let hello = Request::Hello { principal: self.config.principal.clone() };
         match exchange(&mut conn, &self.config, &hello)? {
             Response::Hello { .. } => {
@@ -456,18 +503,18 @@ pub struct Pipeline<'a> {
 impl Pipeline<'_> {
     /// Write one request without waiting for its reply.
     pub fn send(&mut self, request: &Request) -> DbResult<()> {
-        let stream = match self.client.conn.as_mut() {
-            Some(s) => s,
+        let wire = match self.client.conn.as_mut() {
+            Some(w) => w,
             None => return Err(DbError::Net("pipeline connection lost".into())),
         };
-        match write_frame(stream, &request.encode()) {
+        match wire.send(request) {
             Ok(()) => {
                 self.outstanding += 1;
                 Ok(())
             }
             Err(e) => {
                 self.client.conn = None;
-                Err(frame::io_err("pipeline send", &e))
+                Err(e)
             }
         }
     }
@@ -478,34 +525,18 @@ impl Pipeline<'_> {
         if self.outstanding == 0 {
             return Err(DbError::Protocol("pipeline recv with no outstanding request".into()));
         }
-        let stream = match self.client.conn.as_mut() {
-            Some(s) => s,
+        let wire = match self.client.conn.as_mut() {
+            Some(w) => w,
             None => return Err(DbError::Net("pipeline connection lost".into())),
         };
-        match read_frame(stream, self.client.config.max_frame) {
-            Ok(Some(payload)) => {
+        match wire.recv(self.client.config.request_timeout) {
+            Err(e @ DbError::Net(_)) => {
+                self.client.conn = None;
+                Err(e)
+            }
+            reply => {
                 self.outstanding -= 1;
-                Response::decode(&payload)
-            }
-            Ok(None) => {
-                self.client.conn = None;
-                Err(DbError::Net("server closed the connection mid-pipeline".into()))
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                self.client.conn = None;
-                Err(DbError::Net(format!(
-                    "pipelined reply timed out after {:?}",
-                    self.client.config.request_timeout
-                )))
-            }
-            Err(e) => {
-                self.client.conn = None;
-                Err(frame::io_err("pipeline recv", &e))
+                reply
             }
         }
     }
@@ -533,43 +564,26 @@ impl Pipeline<'_> {
 
 impl Drop for Pipeline<'_> {
     fn drop(&mut self) {
-        if self.outstanding > 0 {
-            // Unread replies are still in flight: the stream is
-            // desynchronized for request/response use. Poison it; the
-            // client re-dials next time.
+        let stray = self.client.conn.as_ref().is_some_and(|w| w.replies.mid_frame());
+        if self.outstanding > 0 || stray {
+            // Unread replies are still in flight (or bytes nobody asked
+            // for sit in the read buffer): the stream is desynchronized
+            // for request/response use. Poison it; the client re-dials
+            // next time.
             self.client.conn = None;
         }
     }
 }
 
-/// Write `request`, read one frame, decode the response. On transport
-/// failure the connection is dropped so the caller can re-dial.
+/// Write `request`, read one reply. On transport failure the
+/// connection is dropped so the caller can re-dial.
 fn exchange(
-    conn: &mut Option<TcpStream>,
+    conn: &mut Option<Wire>,
     config: &ClientConfig,
     request: &Request,
 ) -> DbResult<Response> {
-    let stream = conn.as_mut().ok_or_else(|| DbError::Net("not connected".into()))?;
-    let result = (|| {
-        let mut w = BufWriter::new(&mut *stream);
-        write_frame(&mut w, &request.encode()).map_err(|e| frame::io_err("send", &e))?;
-        drop(w);
-        match read_frame(stream, config.max_frame) {
-            Ok(Some(payload)) => Response::decode(&payload),
-            Ok(None) => Err(DbError::Net("server closed the connection".into())),
-            Err(e) if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) =>
-            {
-                Err(DbError::Net(format!(
-                    "request timed out after {:?}",
-                    config.request_timeout
-                )))
-            }
-            Err(e) => Err(frame::io_err("recv", &e)),
-        }
-    })();
+    let wire = conn.as_mut().ok_or_else(|| DbError::Net("not connected".into()))?;
+    let result = wire.send(request).and_then(|()| wire.recv(config.request_timeout));
     if matches!(result, Err(DbError::Net(_))) {
         *conn = None;
     }

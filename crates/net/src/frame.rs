@@ -7,13 +7,13 @@
 //! cost at most `max_frame` bytes of buffering, never an unbounded
 //! allocation.
 //!
-//! Two read paths share the format: the blocking [`read_frame`] used
-//! by the client (one request, one response), and the incremental
-//! [`FrameDecoder`] used by the server's event loop — bytes are fed in
-//! whenever a nonblocking read returns them, and complete frames are
-//! popped out, however the peer happened to fragment or coalesce them
-//! on the wire (pipelined clients routinely pack many frames into one
-//! segment).
+//! Two read paths share the format: the blocking [`read_frame`] (one
+//! frame per call, for raw streams), and the incremental
+//! [`FrameDecoder`] used by the server's event loop and by the client's
+//! per-connection read buffer — bytes are fed in as a read returns
+//! them, and complete frames are popped out, however the peer happened
+//! to fragment or coalesce them on the wire (both ends routinely pack
+//! many pipelined frames into one segment).
 
 use orion_types::{DbError, DbResult};
 use std::io::{ErrorKind, Read, Write};
@@ -22,11 +22,13 @@ use std::io::{ErrorKind, Read, Write};
 /// realistic query result, small enough to bound per-connection memory.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Write one frame (length prefix + payload) and flush.
+/// Write one frame (length prefix + payload) and flush. Prefix and
+/// payload go out in a single `write`: on an unbuffered socket with
+/// `TCP_NODELAY` two writes would be two syscalls and two segments.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = (payload.len() as u32).to_le_bytes();
-    w.write_all(&len)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    append_frame(&mut frame, payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -83,12 +85,31 @@ impl FrameDecoder {
 
     /// Append bytes read from the wire.
     pub fn feed(&mut self, data: &[u8]) {
-        // Compact before growing: everything before `pos` is consumed.
+        self.compact();
+        self.buf.extend_from_slice(data);
+    }
+
+    /// One `read` from `r`, straight into the buffer (no intermediate
+    /// chunk to keep or copy from). It reads into the buffer's spare
+    /// capacity: 4 KiB for a connection that only sees small frames,
+    /// more as large ones make the buffer grow. Returns what `read`
+    /// returned: the byte count, 0 at EOF.
+    pub fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        self.compact();
+        let filled = self.buf.len();
+        let room = (self.buf.capacity() - filled).clamp(4 * 1024, 64 * 1024);
+        self.buf.resize(filled + room, 0);
+        let read = r.read(&mut self.buf[filled..]);
+        self.buf.truncate(filled + *read.as_ref().unwrap_or(&0));
+        read
+    }
+
+    /// Before growing: everything before `pos` is consumed.
+    fn compact(&mut self) {
         if self.pos > 0 && (self.pos == self.buf.len() || self.pos >= 64 * 1024) {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
-        self.buf.extend_from_slice(data);
     }
 
     /// Pop the next complete frame payload, or `None` if the buffer
@@ -202,6 +223,23 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 100);
+    }
+
+    #[test]
+    fn decoder_reads_straight_from_a_stream() {
+        let mut wire = Vec::new();
+        append_frame(&mut wire, b"alpha");
+        append_frame(&mut wire, &[7u8; 40_000]); // spans several reads
+        let mut r = Cursor::new(wire);
+        let mut dec = FrameDecoder::new(MAX_FRAME);
+        let mut frames = Vec::new();
+        while dec.read_from(&mut r).expect("read") > 0 {
+            while let Some(f) = dec.next_frame().expect("decode") {
+                frames.push(f);
+            }
+        }
+        assert_eq!(frames, vec![b"alpha".to_vec(), vec![7u8; 40_000]]);
+        assert!(!dec.mid_frame(), "EOF left nothing behind");
     }
 
     #[test]

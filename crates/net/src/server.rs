@@ -1,21 +1,28 @@
 //! The evented multi-client server: readiness-based I/O, request
 //! pipelining, and admission control.
 //!
-//! Connections no longer own threads. A small set of event-loop
-//! threads (`io_threads`) multiplexes every connection over
-//! nonblocking sockets and a [`crate::poller::Poller`]; a fixed
-//! executor pool (`workers`) runs the actual database requests. Each
-//! connection is a state machine — read-accumulate → decode → execute
-//! → write-drain — so hundreds of idle sessions cost zero wakeups and
-//! a busy one costs exactly the syscalls its bytes require.
+//! Connections do not own threads. A small set of event-loop threads
+//! (`io_threads`) multiplexes every connection over nonblocking
+//! sockets and a [`crate::poller::Poller`]; a fixed executor pool
+//! (`workers`) runs the actual database requests. The two meet in the
+//! connection's **lane**: the loop reads, decodes and admits requests
+//! onto the lane's FIFO and hands the lane to the executors when it
+//! goes from empty to non-empty; the executor that takes it runs the
+//! requests in order to completion and writes their replies to the
+//! socket itself. A burst of pipelined requests therefore costs one
+//! thread hand-off, a reply costs none, and hundreds of idle sessions
+//! cost the loop no lock and no syscall.
 //!
 //! **Pipelining.** A client may send any number of request frames
 //! before reading replies. The server decodes them all, admits up to
 //! `max_pipeline` per connection, and answers strictly in FIFO order:
-//! at most one request per connection executes at a time (preserving
-//! the session's sequential transaction semantics), queued requests
-//! wait their turn, and synthesized replies (decode errors, shed
-//! requests) occupy their arrival position in the reply stream.
+//! one executor at a time holds a lane's turn (preserving the
+//! session's sequential transaction semantics), and synthesized
+//! replies (decode errors, shed requests) occupy their arrival
+//! position in the reply stream. A turn is capped at `max_pipeline`
+//! entries, after which the lane goes to the back of the executor
+//! queue, so a connection that keeps its pipeline full cannot starve
+//! the others.
 //!
 //! **Admission control.** Load sheds *before* latency collapses, and
 //! it sheds the newest work first: a request that would push the
@@ -25,6 +32,13 @@
 //! never at the expense of a request already admitted. Whole
 //! connections shed at the door the same way when `max_connections`
 //! or a loop's `accept_queue` is exceeded.
+//!
+//! **Backpressure.** An executor never waits on a peer: what the
+//! nonblocking socket will not take becomes the lane's backlog, which
+//! the event loop drains on writability. A backlog past
+//! `WRITE_HIGHWATER` parks the lane (no further request runs) and
+//! stops the loop reading that connection until the peer drains it or
+//! `write_timeout` disconnects it.
 //!
 //! Behavior contracts carried over from the threaded server: one
 //! explicit transaction per session, rolled back when the session
@@ -53,9 +67,9 @@ use std::time::{Duration, Instant};
 /// start above it.
 const WAKE_TOKEN: u64 = 0;
 
-/// Per-connection write-buffer backlog above which the loop stops
-/// reading that connection (backpressure: a peer that will not drain
-/// its replies may not keep submitting work).
+/// Per-connection reply backlog at which the lane parks and the loop
+/// stops reading that connection (backpressure: a peer that will not
+/// drain its replies may neither run nor submit further work).
 const WRITE_HIGHWATER: usize = 256 * 1024;
 
 /// Bytes one connection may read per readiness event before yielding
@@ -63,16 +77,26 @@ const WRITE_HIGHWATER: usize = 256 * 1024;
 /// immediately if more input is pending).
 const READ_QUANTUM: usize = 64 * 1024;
 
+/// Encoded replies an executor accumulates before writing mid-turn (a
+/// lane that runs dry is written at once, whatever the size).
+const REPLY_FLUSH: usize = 64 * 1024;
+
+/// A turn that has not written for this long writes after its next
+/// request, whatever is buffered: a finished reply waits at most this
+/// plus one request's run time, so a burst of slow requests is answered
+/// one by one and only requests far quicker than a `write` share one.
+const REPLY_LINGER: Duration = Duration::from_micros(250);
+
 /// Tuning knobs for [`Server`]. The defaults suit tests and small
 /// deployments; production sizes `workers` to the database's useful
 /// concurrency and `exec_queue_depth` to the queueing delay it is
 /// willing to trade against shedding.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Executor threads: how many requests run concurrently. This no
-    /// longer caps concurrent *sessions* — connections are multiplexed
-    /// on the event loops and only occupy a worker while a request of
-    /// theirs is executing.
+    /// Executor threads: how many connections' requests run
+    /// concurrently. This does not cap concurrent *sessions* —
+    /// connections are multiplexed on the event loops and only occupy
+    /// a worker while requests of theirs are executing.
     pub workers: usize,
     /// Event-loop threads multiplexing the connections. `0` sizes
     /// automatically (min(available cores, 4)).
@@ -86,7 +110,8 @@ pub struct ServerConfig {
     /// Per-connection pipeline depth: decoded requests a connection may
     /// have admitted-but-unanswered before further ones are shed with
     /// [`DbError::ServerBusy`] (tail-drop: the newest request sheds,
-    /// admitted ones always finish).
+    /// admitted ones always finish). Also the most entries one
+    /// executor turn runs before the lane yields to other connections.
     pub max_pipeline: usize,
     /// Global cap on admitted requests awaiting or undergoing
     /// execution, across all connections (the executor queue bound).
@@ -98,22 +123,13 @@ pub struct ServerConfig {
     /// A connection whose reply backlog makes no progress for this
     /// long is disconnected.
     pub write_timeout: Duration,
-    /// A session with no new request for this long is evicted (its open
-    /// transaction, if any, is rolled back).
+    /// A session idle this long — nothing admitted, nothing running,
+    /// every reply drained — is evicted (its open transaction, if any,
+    /// is rolled back). The clock starts when the last reply is
+    /// written, not when its request was read.
     pub idle_timeout: Duration,
     /// Maximum frame payload accepted from a client.
     pub max_frame: usize,
-    /// Unused since the polling frame reader was replaced by
-    /// readiness-based I/O (reads now wake exactly when bytes arrive).
-    /// Still validated as nonzero so configurations written against
-    /// the old server keep their meaning checked.
-    #[deprecated(note = "the evented server does not poll; this knob has no effect")]
-    pub frame_poll_interval: Duration,
-    /// Unused since the accept-queue busy-wait was replaced by condvar
-    /// and waker wakeups. Still validated as nonzero (see
-    /// `frame_poll_interval`).
-    #[deprecated(note = "the evented server does not poll; this knob has no effect")]
-    pub queue_poll_interval: Duration,
     /// Observation hook invoked with every decoded request before
     /// dispatch. A fault-injection seam for tests (a panicking hook
     /// exercises the executor's panic isolation); `None` in production.
@@ -142,7 +158,6 @@ impl std::fmt::Debug for ServerConfig {
 }
 
 impl Default for ServerConfig {
-    #[allow(deprecated)] // the aliases must still be constructible
     fn default() -> Self {
         ServerConfig {
             workers: 4,
@@ -155,8 +170,6 @@ impl Default for ServerConfig {
             write_timeout: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(60),
             max_frame: frame::MAX_FRAME,
-            frame_poll_interval: Duration::from_millis(50),
-            queue_poll_interval: Duration::from_millis(100),
             request_hook: None,
         }
     }
@@ -188,10 +201,6 @@ impl ServerConfig {
         if self.max_frame == 0 {
             return Err(DbError::Config("server max_frame must be nonzero".into()));
         }
-        #[allow(deprecated)] // deprecated aliases stay validated
-        if self.frame_poll_interval.is_zero() || self.queue_poll_interval.is_zero() {
-            return Err(DbError::Config("server poll intervals must be nonzero".into()));
-        }
         Ok(())
     }
 
@@ -203,32 +212,107 @@ impl ServerConfig {
     }
 }
 
-/// One admitted request from one connection, handed to the executor
-/// pool. At most one is outstanding per connection at a time — that is
-/// what keeps a session's requests (and its transaction) sequential.
-struct ExecTask {
-    loop_idx: usize,
-    token: u64,
-    conn: Arc<ConnShared>,
-    request: Request,
+/// FIFO entries on a lane. `Execute` holds an admitted request
+/// awaiting its turn; `Reply` is a response synthesized at decode time
+/// (decode error, shed request) that must still be delivered in
+/// arrival order.
+enum Work {
+    Execute(Request),
+    Reply(Response),
 }
 
-/// The slice of connection state the executors touch: the session
-/// (locked for the duration of a dispatch, so session semantics stay
-/// sequential) and the completed-reply slot the event loop harvests.
+/// A connection's admitted FIFO and reply backlog: the one structure
+/// its event loop and the executors share. The loop pushes and
+/// schedules; the executor holding the turn pops, runs and writes.
+/// Whoever may write the socket is decided here, under the lock: the
+/// turn holder while `backlog() == 0`, the loop (from `out`) otherwise
+/// — never both, so replies reach the wire in order.
+struct Lane {
+    queue: VecDeque<Work>,
+    /// `Work::Execute` entries currently in `queue`. The pipeline-depth
+    /// admission check counts these (plus the executing request), not
+    /// `queue.len()`: synthesized `Work::Reply` entries are already
+    /// answered and must not inflate the depth into spurious shedding.
+    pending_exec: usize,
+    /// The turn holder is running a request popped from `queue`.
+    executing: bool,
+    /// An executor holds this lane's turn, or the lane sits in
+    /// `exec_queue` waiting for one. Set by the loop, cleared by the
+    /// turn holder when the lane runs dry or parks on backpressure.
+    scheduled: bool,
+    /// Encoded replies the socket would not take; `out_pos` marks the
+    /// drained prefix. Appended by the turn holder, drained by the loop.
+    out: Vec<u8>,
+    out_pos: usize,
+    /// When the lane last went idle (turn released, or backlog
+    /// drained): the start of the `idle_timeout` clock.
+    idle_since: Instant,
+}
+
+impl Lane {
+    fn backlog(&self) -> usize {
+        self.out.len() - self.out_pos
+    }
+
+    fn idle(&self) -> bool {
+        !self.scheduled && self.queue.is_empty() && self.backlog() == 0
+    }
+
+    /// Admission control: decode the frame, then either queue it for
+    /// execution or shed it with `ServerBusy` — in FIFO position
+    /// either way.
+    fn admit(&mut self, payload: &[u8], shared: &Shared) {
+        shared.metrics.requests.inc();
+        let request = match Request::decode(payload) {
+            Ok(r) => r,
+            Err(e) => {
+                shared.metrics.errors.inc();
+                self.queue.push_back(Work::Reply(Response::Err(e)));
+                return;
+            }
+        };
+        let depth = self.pending_exec + usize::from(self.executing) + 1;
+        shared.metrics.pipeline_depth.observe_micros(depth as u64);
+        if depth > shared.config.max_pipeline
+            || shared.inflight.load(Ordering::Acquire) >= shared.config.exec_queue_depth
+        {
+            shared.metrics.requests_shed.inc();
+            shared.metrics.errors.inc();
+            self.queue.push_back(Work::Reply(Response::Err(DbError::ServerBusy)));
+            return;
+        }
+        shared.inflight.fetch_add(1, Ordering::AcqRel);
+        self.pending_exec += 1;
+        self.queue.push_back(Work::Execute(request));
+    }
+}
+
+/// Everything of a connection that outlives one side's view of it: the
+/// socket (read by the loop, written per the [`Lane`] rule), the lane,
+/// and the session. The lane lock and the session lock are never held
+/// together.
 struct ConnShared {
+    stream: TcpStream,
+    /// The event loop this connection is registered on (whom to wake).
+    loop_idx: usize,
+    lane: Mutex<Lane>,
+    /// Locked for the duration of a dispatch, so session semantics
+    /// stay sequential.
     session: Mutex<SessionState>,
-    reply: Mutex<Option<Response>>,
-    /// Set when a handler panicked: the loop flushes the `Internal`
-    /// error reply and then closes the connection.
-    panicked: AtomicBool,
-    /// Set at teardown when the connection died with a request still on
-    /// the executors. The executor observes it under the session lock
-    /// and settles the session itself (skipping the request if it has
-    /// not started — its reply is undeliverable and the disconnect
-    /// contract says the transaction rolls back); the event loop's
-    /// done-harvest settles it from the other side if the executor had
-    /// already finished before the flag was raised.
+    /// No more reads (peer EOF, protocol error, handler panic, or
+    /// server shutdown): the lane drains, the backlog flushes, then the
+    /// loop closes the connection. Raised by either side; a turn that
+    /// ends with it raised wakes the loop, which gets no wake-up for an
+    /// ordinary reply.
+    closing: AtomicBool,
+    /// Nothing more runs and nothing more is delivered. Raised by
+    /// teardown, under the lane lock, as it empties the FIFO — or ahead
+    /// of it by a turn holder whose write failed, which sends the loop
+    /// to tear down. A turn holder that finds it stops, and — because
+    /// it must come back to the lane to release the turn — is the one
+    /// that settles the session; with no turn outstanding teardown
+    /// settles it inline. Exactly one of the two rolls the transaction
+    /// back, and always after the last request that ran.
     defunct: AtomicBool,
 }
 
@@ -240,13 +324,12 @@ struct SessionState {
     tx: Option<Tx>,
 }
 
-/// The event loops' mailboxes. The acceptor and the executors write
-/// here and wake the loop; the loop drains on wakeup.
+/// One event loop's mailbox: the acceptor hands connections over here
+/// and wakes the loop. Executors only wake it — for a backlog handed
+/// back, or a closing lane gone idle.
 struct LoopHandle {
     /// Freshly accepted connections awaiting registration.
     inbox: Mutex<Vec<TcpStream>>,
-    /// Tokens whose executor reply is ready in `ConnShared::reply`.
-    done: Mutex<Vec<u64>>,
     wake: crate::poller::WakeHandle,
     /// Connections currently registered on this loop (least-loaded
     /// assignment).
@@ -260,12 +343,13 @@ struct Shared {
     metrics: Arc<NetMetrics>,
     io_threads: usize,
     loops: Vec<LoopHandle>,
-    exec_queue: Mutex<VecDeque<ExecTask>>,
+    /// Lanes with work and no turn holder, in the order they asked.
+    exec_queue: Mutex<VecDeque<Arc<ConnShared>>>,
     exec_cv: Condvar,
     /// Admitted requests not yet finished executing. The executor
-    /// frees the slot when it completes a request (not the reply
-    /// harvest), so a dying event loop can never strand it; slots for
-    /// requests admitted but never dispatched free at teardown.
+    /// frees the slot when it completes a request, so a dying event
+    /// loop can never strand it; slots for requests admitted but never
+    /// run free at teardown.
     inflight: AtomicUsize,
     /// Stops accepting and reading; admitted work still drains.
     shutdown: AtomicBool,
@@ -289,12 +373,21 @@ impl Shared {
         self.metrics.connections_per_worker.set(now.div_ceil(self.io_threads) as u64);
     }
 
-    fn enqueue(&self, task: ExecTask) {
-        self.exec_queue.lock().push_back(task);
+    /// Give the lane a turn if it has work, nobody holds its turn, and
+    /// its backlog leaves room. Called under the lane lock by the loop,
+    /// after admitting and after draining.
+    fn schedule(&self, conn: &Arc<ConnShared>, lane: &mut Lane) {
+        if !lane.scheduled && !lane.queue.is_empty() && lane.backlog() < WRITE_HIGHWATER {
+            lane.scheduled = true;
+            self.enqueue(Arc::clone(conn));
+        }
+    }
+
+    fn enqueue(&self, conn: Arc<ConnShared>) {
+        self.exec_queue.lock().push_back(conn);
         self.exec_cv.notify_one();
     }
 }
-
 /// A running database server. Bind with [`Server::bind`], stop with
 /// [`Server::shutdown`] (drains in-flight requests) — dropping without
 /// shutting down does the same.
@@ -326,7 +419,6 @@ impl Server {
             let waker = Waker::new().map_err(|e| frame::io_err("waker", &e))?;
             loops.push(LoopHandle {
                 inbox: Mutex::new(Vec::new()),
-                done: Mutex::new(Vec::new()),
                 wake: waker.handle().map_err(|e| frame::io_err("waker", &e))?,
                 conns: AtomicUsize::new(0),
             });
@@ -411,8 +503,8 @@ impl Server {
         for h in self.io_handles.drain(..) {
             let _ = h.join();
         }
-        // Loops are done: every admitted task is in the queue (dead
-        // sessions settle as their tasks finish, via the defunct
+        // Loops are done: any lane still owed a turn is in the queue or
+        // on an executor (dead sessions settle there, via the defunct
         // flag). Executors drain the queue, then exit.
         self.shared.exec_shutdown.store(true, Ordering::Release);
         self.shared.exec_cv.notify_all();
@@ -499,132 +591,140 @@ fn reject_busy(mut stream: TcpStream) {
 // Connection state machine
 // ---------------------------------------------------------------------
 
-/// FIFO queue entries behind a connection. `Execute` holds an admitted
-/// request awaiting its turn on the executors; `Reply` is a response
-/// synthesized at decode time (decode error, shed request) that must
-/// still be delivered in arrival order.
-enum Work {
-    Execute(Request),
-    Reply(Response),
-}
-
+/// The event loop's own view of a connection. Nothing here is shared:
+/// what the loop knows of the lane (`busy`, `backlog`, `idle_since`)
+/// is a copy it refreshes under the lane lock, and only while `busy` —
+/// an idle connection is surveyed without a lock or a syscall.
 struct Conn {
-    stream: TcpStream,
     shared: Arc<ConnShared>,
     decoder: FrameDecoder,
-    /// Encoded replies awaiting the socket; `out_pos` marks the drained
-    /// prefix.
-    out: Vec<u8>,
-    out_pos: usize,
-    queue: VecDeque<Work>,
-    /// `Work::Execute` entries currently in `queue`. The pipeline-depth
-    /// admission check counts these (plus the executing request), not
-    /// `queue.len()`: synthesized `Work::Reply` entries (decode errors,
-    /// earlier shed replies) are already answered and must not inflate
-    /// the measured depth into spurious shedding.
-    pending_exec: usize,
-    /// One request of this connection is on (or in line for) the
-    /// executors; its reply has not been harvested yet. FIFO order
-    /// hinges on this: nothing behind it advances until it answers.
-    executing: bool,
-    /// No more reads (peer EOF, protocol error, or server shutdown);
-    /// drain the queue and the write buffer, then close.
-    closing: bool,
+    /// The lane may hold work, a turn holder or a backlog: set when
+    /// the loop admits, cleared when it observes the lane idle.
+    busy: bool,
+    /// The lane's backlog as of the last [`Conn::observe`].
+    backlog: usize,
     /// Transport failure: close immediately, nothing can be delivered.
     dead: bool,
-    /// Last read progress (feeds the idle and mid-frame stall clocks).
-    last_activity: Instant,
+    /// Last read progress (the mid-frame stall clock).
+    last_read: Instant,
+    /// When the lane was last seen going idle (the idle clock).
+    idle_since: Instant,
     /// When the reply backlog first failed to make progress.
     write_blocked_since: Option<Instant>,
     interest: Interest,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, max_frame: usize) -> Conn {
+    fn new(stream: TcpStream, loop_idx: usize, max_frame: usize) -> Conn {
+        let now = Instant::now();
         Conn {
-            stream,
             shared: Arc::new(ConnShared {
+                stream,
+                loop_idx,
+                lane: Mutex::new(Lane {
+                    queue: VecDeque::new(),
+                    pending_exec: 0,
+                    executing: false,
+                    scheduled: false,
+                    out: Vec::new(),
+                    out_pos: 0,
+                    idle_since: now,
+                }),
                 session: Mutex::new(SessionState {
                     handshaken: false,
                     principal: None,
                     tx: None,
                 }),
-                reply: Mutex::new(None),
-                panicked: AtomicBool::new(false),
+                closing: AtomicBool::new(false),
                 defunct: AtomicBool::new(false),
             }),
             decoder: FrameDecoder::new(max_frame),
-            out: Vec::new(),
-            out_pos: 0,
-            queue: VecDeque::new(),
-            pending_exec: 0,
-            executing: false,
-            closing: false,
+            busy: false,
+            backlog: 0,
             dead: false,
-            last_activity: Instant::now(),
+            last_read: now,
+            idle_since: now,
             write_blocked_since: None,
             interest: Interest { readable: true, writable: false },
         }
     }
 
-    fn out_backlog(&self) -> usize {
-        self.out.len() - self.out_pos
+    fn closing(&self) -> bool {
+        self.shared.closing.load(Ordering::Acquire)
+    }
+
+    /// Refresh the loop's copy of a busy lane's state. Runs once per
+    /// loop pass, before the loop blocks: a `closing` raised by the
+    /// loop earlier in the pass is therefore either seen by the turn
+    /// holder when it releases the turn (it wakes the loop) or the
+    /// lane is already idle here.
+    fn observe(&mut self, now: Instant) {
+        if !self.busy {
+            return;
+        }
+        let lane = self.shared.lane.lock();
+        self.backlog = lane.backlog();
+        if lane.idle() {
+            self.busy = false;
+            self.idle_since = lane.idle_since;
+        }
+        drop(lane);
+        if self.backlog == 0 {
+            self.write_blocked_since = None;
+        } else {
+            self.write_blocked_since.get_or_insert(now);
+        }
     }
 
     /// Nothing left to do: safe to tear down.
     fn finished(&self) -> bool {
-        self.dead
-            || (self.closing && self.queue.is_empty() && !self.executing && self.out_backlog() == 0)
+        self.dead || (self.closing() && !self.busy) || self.shared.defunct.load(Ordering::Acquire)
     }
 
     fn desired_interest(&self) -> Interest {
         Interest {
-            readable: !self.closing && !self.dead && self.out_backlog() < WRITE_HIGHWATER,
-            writable: self.out_backlog() > 0,
+            readable: !self.closing() && !self.dead && self.backlog < WRITE_HIGHWATER,
+            writable: self.backlog > 0,
         }
     }
 
     /// The soonest moment one of this connection's clocks fires, if
-    /// any: write stall, mid-frame read stall, or idleness.
-    fn deadline(&self, config: &ServerConfig) -> Option<Instant> {
-        let mut soonest: Option<Instant> = None;
-        let mut consider = |d: Instant| match soonest {
-            Some(s) if s <= d => {}
-            _ => soonest = Some(d),
+    /// any: write stall, mid-frame read stall, or idleness. A busy
+    /// lane goes idle without waking the loop, so its idle clock is
+    /// armed at the earliest it could fire and re-read from the lane's
+    /// own stamp then.
+    fn deadline(&self, config: &ServerConfig, now: Instant) -> Option<Instant> {
+        let stall = self.write_blocked_since.map(|blocked| blocked + config.write_timeout);
+        let quiet = if self.decoder.mid_frame() {
+            Some(self.last_read + config.read_timeout)
+        } else if self.busy {
+            Some(now + config.idle_timeout)
+        } else if !self.closing() {
+            Some(self.idle_since + config.idle_timeout)
+        } else {
+            None
         };
-        if let Some(blocked) = self.write_blocked_since {
-            consider(blocked + config.write_timeout);
-        }
-        if self.decoder.mid_frame() {
-            consider(self.last_activity + config.read_timeout);
-        } else if !self.closing
-            && self.queue.is_empty()
-            && !self.executing
-            && self.out_backlog() == 0
-        {
-            consider(self.last_activity + config.idle_timeout);
-        }
-        soonest
+        [stall, quiet].into_iter().flatten().min()
     }
 
     /// Drain the socket into the decoder, then admit or shed every
-    /// complete frame.
+    /// complete frame and give the lane a turn.
     fn handle_readable(&mut self, shared: &Shared, now: Instant) {
-        if self.closing || self.dead {
+        if self.dead || self.closing() {
             return;
         }
         let mut chunk = [0u8; 16 * 1024];
         let mut taken = 0usize;
         loop {
-            match self.stream.read(&mut chunk) {
+            match (&self.shared.stream).read(&mut chunk) {
                 Ok(0) => {
                     // Peer EOF (possibly a half-close): answer what was
                     // already pipelined, then close.
-                    self.closing = true;
+                    self.shared.closing.store(true, Ordering::Release);
                     break;
                 }
                 Ok(n) => {
-                    self.last_activity = now;
+                    self.last_read = now;
                     self.decoder.feed(&chunk[..n]);
                     taken += n;
                     if taken >= READ_QUANTUM {
@@ -639,104 +739,63 @@ impl Conn {
                 }
             }
         }
+        let mut lane = self.shared.lane.lock();
         loop {
             match self.decoder.next_frame() {
-                Ok(Some(payload)) => self.admit(&payload, shared),
+                Ok(Some(payload)) => lane.admit(&payload, shared),
                 Ok(None) => break,
                 Err(e) => {
                     // Unrecoverable framing (oversized length prefix):
                     // the decoder cannot resynchronize. Answer, then
                     // close.
                     shared.metrics.errors.inc();
-                    self.queue.push_back(Work::Reply(Response::Err(e)));
-                    self.closing = true;
+                    lane.queue.push_back(Work::Reply(Response::Err(e)));
+                    self.shared.closing.store(true, Ordering::Release);
                     break;
                 }
             }
         }
+        self.busy |= !lane.queue.is_empty();
+        shared.schedule(&self.shared, &mut lane);
     }
 
-    /// Admission control: decode the frame, then either queue it for
-    /// execution or shed it with `ServerBusy` — in FIFO position
-    /// either way.
-    fn admit(&mut self, payload: &[u8], shared: &Shared) {
-        shared.metrics.requests.inc();
-        let request = match Request::decode(payload) {
-            Ok(r) => r,
-            Err(e) => {
-                shared.metrics.errors.inc();
-                self.queue.push_back(Work::Reply(Response::Err(e)));
-                return;
-            }
-        };
-        let depth = self.pending_exec + usize::from(self.executing) + 1;
-        shared.metrics.pipeline_depth.observe_micros(depth as u64);
-        if depth > shared.config.max_pipeline
-            || shared.inflight.load(Ordering::Acquire) >= shared.config.exec_queue_depth
-        {
-            shared.metrics.requests_shed.inc();
-            shared.metrics.errors.inc();
-            self.queue.push_back(Work::Reply(Response::Err(DbError::ServerBusy)));
-            return;
-        }
-        shared.inflight.fetch_add(1, Ordering::AcqRel);
-        self.pending_exec += 1;
-        self.queue.push_back(Work::Execute(request));
-    }
-
-    /// Advance the FIFO: emit synthesized replies until the head is an
-    /// admitted request, then hand that to the executors. Stalls while
-    /// a reply is outstanding — that is what keeps replies in order.
-    fn pump(&mut self, shared: &Shared, loop_idx: usize, token: u64) {
-        while !self.executing && !self.dead {
-            match self.queue.pop_front() {
-                Some(Work::Reply(response)) => self.push_response(&response),
-                Some(Work::Execute(request)) => {
-                    self.pending_exec -= 1;
-                    self.executing = true;
-                    shared.enqueue(ExecTask {
-                        loop_idx,
-                        token,
-                        conn: Arc::clone(&self.shared),
-                        request,
-                    });
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn push_response(&mut self, response: &Response) {
-        frame::append_frame(&mut self.out, &response.encode());
-    }
-
-    /// Drain the write buffer as far as the socket allows.
-    fn flush(&mut self, now: Instant) {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => {
-                    self.out_pos += n;
+    /// The loop's write side: drain the backlog as far as the socket
+    /// allows, under the lane lock so the turn holder appends behind
+    /// it, and un-park the lane once there is room again.
+    fn flush(&mut self, shared: &Shared, now: Instant) {
+        let mut lane = self.shared.lane.lock();
+        match write_some(&self.shared.stream, &lane.out[lane.out_pos..]) {
+            Ok(n) => {
+                if n > 0 {
                     self.write_blocked_since = None;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    self.write_blocked_since.get_or_insert(now);
-                    return;
+                lane.out_pos += n;
+                if lane.backlog() == 0 {
+                    lane.out.clear();
+                    lane.out_pos = 0;
+                    lane.idle_since = now;
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
+                shared.schedule(&self.shared, &mut lane);
             }
+            Err(_) => self.dead = true,
         }
-        self.out.clear();
-        self.out_pos = 0;
-        self.write_blocked_since = None;
     }
+}
+
+/// Write as much of `bytes` as the nonblocking socket takes right now.
+/// `Err` means the transport is gone.
+fn write_some(mut stream: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+    let mut pos = 0;
+    while pos < bytes.len() {
+        match stream.write(&bytes[pos..]) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => pos += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(pos)
 }
 
 // ---------------------------------------------------------------------
@@ -747,13 +806,6 @@ fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker) {
     let mut poller = Poller::new();
     poller.register(WAKE_TOKEN, waker.fd(), Interest { readable: true, writable: false });
     let mut conns: HashMap<u64, Conn> = HashMap::new();
-    // Sessions of connections torn down while a request of theirs was
-    // still with the executors. The done-harvest settles (rolls back)
-    // each one when its request completes; the executor settles it
-    // itself via `ConnShared::defunct` if it finishes after the loop
-    // is gone — `tx.take()` under the session mutex makes the paths
-    // idempotent.
-    let mut orphans: HashMap<u64, Arc<ConnShared>> = HashMap::new();
     let mut next_token: u64 = WAKE_TOKEN + 1;
     let mut events = Vec::new();
     // Wakeups-per-second gauge: each loop periodically publishes the
@@ -768,13 +820,14 @@ fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker) {
         let mut to_close: Vec<(u64, bool)> = Vec::new();
         for (&token, conn) in conns.iter_mut() {
             if shutting_down {
-                conn.closing = true;
+                conn.shared.closing.store(true, Ordering::Release);
             }
+            conn.observe(now);
             if conn.finished() {
                 to_close.push((token, false));
                 continue;
             }
-            match conn.deadline(&shared.config) {
+            match conn.deadline(&shared.config, now) {
                 Some(d) if d <= now => {
                     to_close.push((token, true));
                     continue;
@@ -792,7 +845,7 @@ fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker) {
             }
         }
         for (token, timed_out) in to_close {
-            teardown(&mut conns, &mut orphans, &mut poller, shared, idx, token, timed_out);
+            teardown(&mut conns, &mut poller, shared, idx, token, timed_out);
         }
         if shutting_down && conns.is_empty() {
             break;
@@ -815,10 +868,9 @@ fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker) {
         }
 
         let now = Instant::now();
-        let mut wake_fired = false;
         for &ev in &events {
             if ev.token == WAKE_TOKEN {
-                wake_fired = true;
+                waker.drain();
                 continue;
             }
             let Some(conn) = conns.get_mut(&ev.token) else { continue };
@@ -830,13 +882,9 @@ fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker) {
                 conn.dead = true;
                 continue;
             }
-            conn.pump(shared, idx, ev.token);
-            if ev.writable || conn.out_backlog() > 0 {
-                conn.flush(now);
+            if ev.writable {
+                conn.flush(shared, now);
             }
-        }
-        if wake_fired {
-            waker.drain();
         }
 
         // New connections handed over by the acceptor.
@@ -854,57 +902,18 @@ fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker) {
             let fd = stream.as_raw_fd();
             let token = next_token;
             next_token += 1;
-            let conn = Conn::new(stream, shared.config.max_frame);
+            let conn = Conn::new(stream, idx, shared.config.max_frame);
             poller.register(token, fd, conn.interest);
             conns.insert(token, conn);
             shared.loops[idx].conns.fetch_add(1, Ordering::Relaxed);
         }
-
-        // Completed executor replies.
-        let completed: Vec<u64> = {
-            let mut done = shared.loops[idx].done.lock();
-            done.drain(..).collect()
-        };
-        for token in completed {
-            if let Some(orphaned) = orphans.remove(&token) {
-                // The connection died while this request was with the
-                // executors; the request has now answered (its reply is
-                // undeliverable), so settle the session — unless the
-                // executor saw the defunct flag and already did.
-                if let Some(tx) = orphaned.session.lock().tx.take() {
-                    let _ = shared.db.rollback(tx);
-                }
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&token) else { continue };
-            let reply = conn.shared.reply.lock().take();
-            conn.executing = false;
-            if let Some(reply) = reply {
-                conn.push_response(&reply);
-            }
-            if conn.shared.panicked.load(Ordering::Acquire) {
-                conn.closing = true;
-            }
-            conn.pump(shared, idx, token);
-            conn.flush(now);
-        }
     }
     // Shutdown (or poller failure): every remaining connection closes;
-    // open transactions roll back.
+    // open transactions roll back, here or on the executor still
+    // holding the lane's turn.
     let tokens: Vec<u64> = conns.keys().copied().collect();
     for token in tokens {
-        teardown(&mut conns, &mut orphans, &mut poller, shared, idx, token, false);
-    }
-    // Sessions torn down with a request still on the executors settle
-    // there (the defunct flag); any whose completion already landed are
-    // settled here from one final harvest.
-    let completed: Vec<u64> = shared.loops[idx].done.lock().drain(..).collect();
-    for token in completed {
-        if let Some(orphaned) = orphans.remove(&token) {
-            if let Some(tx) = orphaned.session.lock().tx.take() {
-                let _ = shared.db.rollback(tx);
-            }
-        }
+        teardown(&mut conns, &mut poller, shared, idx, token, false);
     }
     // Late-arriving inbox entries (accepted before the acceptor saw
     // the flag) are dropped unserved.
@@ -914,51 +923,53 @@ fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker) {
     }
 }
 
-/// Close one connection: free the admission slots of requests that
-/// never reached the executors, settle the session transaction, and
+/// Close one connection: empty its FIFO (freeing the admission slots
+/// of requests that never ran), settle the session transaction, and
 /// deregister the socket.
 ///
 /// The rollback must order *after* any request of this connection
-/// still with the executors — `executing` covers both a request
-/// sitting in the executor queue and one mid-dispatch (a lock probe
-/// cannot tell those apart: a queued request holds no lock yet, and
-/// rolling back ahead of it would let a queued Begin leak its
-/// transaction or a queued write inside an explicit transaction run
-/// in auto-commit). In that case the defunct flag hands the rollback
-/// to the executor (checked under the session lock after dispatch)
-/// and the connection parks in `orphans` so the done-harvest settles
-/// it if the executor had already finished before the flag was
-/// raised; `tx.take()` under the session mutex makes the two paths
-/// idempotent. With nothing in flight the session lock is
-/// uncontended and the rollback runs inline.
+/// still with the executors — a lane that is `scheduled` may be
+/// waiting in the executor queue (holding no lock a probe could see)
+/// or mid-dispatch. Raising `defunct` under the lane lock hands the
+/// rollback to that turn's holder, who cannot release the turn without
+/// coming back to this lock; with no turn outstanding the session lock
+/// is uncontended and the rollback runs inline.
 fn teardown(
     conns: &mut HashMap<u64, Conn>,
-    orphans: &mut HashMap<u64, Arc<ConnShared>>,
     poller: &mut Poller,
     shared: &Shared,
     idx: usize,
     token: u64,
     timed_out: bool,
 ) {
-    let Some(mut conn) = conns.remove(&token) else { return };
+    let Some(conn) = conns.remove(&token) else { return };
     poller.deregister(token);
     if timed_out {
         shared.metrics.timeouts.inc();
     }
-    for item in conn.queue.drain(..) {
-        if matches!(item, Work::Execute(_)) {
-            shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    if conn.executing {
+    let scheduled = {
+        let mut lane = conn.shared.lane.lock();
         conn.shared.defunct.store(true, Ordering::Release);
-        orphans.insert(token, Arc::clone(&conn.shared));
-    } else if let Some(tx) = conn.shared.session.lock().tx.take() {
-        let _ = shared.db.rollback(tx);
+        for item in lane.queue.drain(..) {
+            if matches!(item, Work::Execute(_)) {
+                shared.inflight.fetch_sub(1, Ordering::AcqRel);
+            }
+        }
+        lane.scheduled
+    };
+    if !scheduled {
+        settle(shared, &conn.shared);
     }
-    let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+    let _ = conn.shared.stream.shutdown(std::net::Shutdown::Both);
     shared.loops[idx].conns.fetch_sub(1, Ordering::Relaxed);
     shared.connection_closed();
+}
+
+/// Roll back whatever transaction a dead session left open.
+fn settle(shared: &Shared, conn: &ConnShared) {
+    if let Some(tx) = conn.session.lock().tx.take() {
+        let _ = shared.db.rollback(tx);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -967,11 +978,11 @@ fn teardown(
 
 fn executor_loop(shared: &Shared) {
     loop {
-        let task = {
+        let conn = {
             let mut queue = shared.exec_queue.lock();
             loop {
-                if let Some(task) = queue.pop_front() {
-                    break task;
+                if let Some(conn) = queue.pop_front() {
+                    break conn;
                 }
                 if shared.exec_shutdown.load(Ordering::Acquire) {
                     return;
@@ -979,61 +990,138 @@ fn executor_loop(shared: &Shared) {
                 shared.exec_cv.wait(&mut queue);
             }
         };
-        let ExecTask { loop_idx, token, conn, request } = task;
-        let started = Instant::now();
-        // Panic isolation: a panicking handler costs this one
-        // connection, never an executor thread. parking_lot
-        // mutexes do not poison, so the session lock releases
-        // cleanly on unwind.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(hook) = shared.config.request_hook.as_ref() {
-                hook(&request);
+        shared.metrics.executor_turns.inc();
+        run_turn(shared, &conn);
+    }
+}
+
+/// One turn on a lane: run its FIFO in order — to completion, to the
+/// turn cap, or until the backlog parks it — writing the replies when
+/// it runs dry, then release the turn (or requeue the lane behind the
+/// others if the cap cut it short).
+fn run_turn(shared: &Shared, conn: &Arc<ConnShared>) {
+    let mut replies = Vec::new();
+    let mut flushed = Instant::now();
+    let mut taken = 0usize;
+    loop {
+        let mut lane = conn.lane.lock();
+        lane.executing = false;
+        let defunct = conn.defunct.load(Ordering::Acquire);
+        let parked = lane.backlog() >= WRITE_HIGHWATER;
+        let work = if defunct || parked || taken >= shared.config.max_pipeline {
+            None
+        } else {
+            lane.queue.pop_front()
+        };
+        let response = match work {
+            Some(Work::Reply(response)) => {
+                drop(lane);
+                response
             }
-            let mut session = conn.session.lock();
-            // A connection torn down while this request was queued
-            // must honor disconnect-rollback: the reply is
-            // undeliverable, so the request does not run — a write
-            // must not slip into auto-commit after the transaction it
-            // belonged to is gone, and a Begin must not open a
-            // transaction nobody will close.
-            let response = if conn.defunct.load(Ordering::Acquire) {
-                Response::Err(DbError::Net("session closed before the request ran".into()))
-            } else {
-                dispatch(shared, &mut session, request)
-            };
-            // Re-checked after dispatch for teardowns that landed
-            // mid-request: still under the session lock, so this
-            // cannot race the done-harvest's orphan rollback.
-            if conn.defunct.load(Ordering::Acquire) {
-                if let Some(tx) = session.tx.take() {
-                    let _ = shared.db.rollback(tx);
-                }
+            Some(Work::Execute(request)) => {
+                lane.pending_exec -= 1;
+                lane.executing = true;
+                drop(lane);
+                let response = execute(shared, conn, request);
+                // The admission slot frees when execution finishes,
+                // whatever becomes of the reply.
+                shared.inflight.fetch_sub(1, Ordering::AcqRel);
+                response
             }
-            response
-        }));
-        let response = match outcome {
-            Ok(response) => response,
-            Err(_) => {
-                conn.panicked.store(true, Ordering::Release);
-                if let Some(tx) = conn.session.lock().tx.take() {
-                    let _ = shared.db.rollback(tx);
+            None if defunct => {
+                lane.scheduled = false;
+                drop(lane);
+                settle(shared, conn);
+                return;
+            }
+            None if !replies.is_empty() => {
+                drop(lane);
+                write_replies(shared, conn, &mut replies);
+                flushed = Instant::now();
+                continue; // more may have been admitted meanwhile
+            }
+            None if !lane.queue.is_empty() && !parked => {
+                drop(lane);
+                shared.enqueue(Arc::clone(conn)); // turn cap: back of the line
+                return;
+            }
+            None => {
+                lane.scheduled = false;
+                lane.idle_since = Instant::now();
+                drop(lane);
+                if conn.closing.load(Ordering::Acquire) {
+                    shared.loops[conn.loop_idx].wake.wake();
                 }
-                Response::Err(DbError::Internal("request handler panicked".into()))
+                return;
             }
         };
-        shared.metrics.request_latency.observe(started.elapsed());
-        if matches!(response, Response::Err(_)) {
-            shared.metrics.errors.inc();
+        taken += 1;
+        frame::append_frame(&mut replies, &response.encode());
+        if replies.len() >= REPLY_FLUSH || flushed.elapsed() >= REPLY_LINGER {
+            write_replies(shared, conn, &mut replies);
+            flushed = Instant::now();
         }
-        *conn.reply.lock() = Some(response);
-        // The admission slot frees when execution finishes, here —
-        // not at reply harvest, so an event loop that dies with
-        // requests still executing can never strand slots.
-        shared.inflight.fetch_sub(1, Ordering::AcqRel);
-        let lh = &shared.loops[loop_idx];
-        lh.done.lock().push(token);
-        lh.wake.wake();
     }
+}
+
+/// The turn holder's write side: straight to the socket while the loop
+/// holds no backlog; whatever the socket will not take joins the
+/// backlog and the loop is woken to drain it. Nobody else appends, so
+/// an empty backlog stays empty until this returns.
+fn write_replies(shared: &Shared, conn: &ConnShared, replies: &mut Vec<u8>) {
+    let mut sent = 0;
+    if conn.lane.lock().backlog() == 0 {
+        sent = write_some(&conn.stream, replies).unwrap_or_else(|_| {
+            // Undeliverable, now and later: the peer is gone. Nothing
+            // queued behind this runs (not a pipelined Commit either);
+            // this turn settles the session, the loop tears down.
+            conn.defunct.store(true, Ordering::Release);
+            shared.loops[conn.loop_idx].wake.wake();
+            replies.len()
+        });
+    }
+    if sent < replies.len() {
+        let mut lane = conn.lane.lock();
+        let first = lane.backlog() == 0;
+        lane.out.extend_from_slice(&replies[sent..]);
+        drop(lane);
+        if first {
+            shared.loops[conn.loop_idx].wake.wake();
+        }
+    }
+    replies.clear();
+}
+
+/// Run one request on its session and account for it.
+fn execute(shared: &Shared, conn: &ConnShared, request: Request) -> Response {
+    let started = Instant::now();
+    // Panic isolation: a panicking handler costs this one connection,
+    // never an executor thread. parking_lot mutexes do not poison, so
+    // the session lock releases cleanly on unwind.
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if let Some(hook) = shared.config.request_hook.as_ref() {
+            hook(&request);
+        }
+        let mut session = conn.session.lock();
+        // A connection torn down since this request was popped cannot
+        // be answered, and its transaction is about to roll back: the
+        // request does not run.
+        if conn.defunct.load(Ordering::Acquire) {
+            Response::Err(DbError::Net("session closed before the request ran".into()))
+        } else {
+            dispatch(shared, &mut session, request)
+        }
+    }));
+    let response = outcome.unwrap_or_else(|_| {
+        conn.closing.store(true, Ordering::Release);
+        settle(shared, conn);
+        Response::Err(DbError::Internal("request handler panicked".into()))
+    });
+    shared.metrics.request_latency.observe(started.elapsed());
+    if matches!(response, Response::Err(_)) {
+        shared.metrics.errors.inc();
+    }
+    response
 }
 
 // ---------------------------------------------------------------------

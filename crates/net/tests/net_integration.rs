@@ -239,6 +239,45 @@ fn idle_sessions_are_evicted_and_the_client_reconnects() {
 }
 
 #[test]
+fn a_request_longer_than_idle_timeout_does_not_evict_its_own_session() {
+    // The idle clock starts when the last reply is written, not when
+    // its request was read: a slow request must not cost the session
+    // its open transaction the moment it is answered.
+    let (db, vehicle) = fleet_db(DbConfig::default());
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig {
+            idle_timeout: Duration::from_millis(200),
+            request_hook: Some(Arc::new(|request: &Request| {
+                if matches!(request, Request::Set { .. }) {
+                    std::thread::sleep(Duration::from_millis(350));
+                }
+            })),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect_with(
+        server.local_addr(),
+        ClientConfig { reconnect: false, ..ClientConfig::default() },
+    )
+    .unwrap();
+    client.begin().unwrap();
+    client.set(vehicle, "weight", Value::Int(4242)).unwrap(); // 350 ms > idle_timeout
+    client.commit().expect("the session and its transaction outlive the slow request");
+    assert_eq!(client.get(vehicle, "weight").unwrap(), Value::Int(4242));
+
+    // Nothing wakes the event loop when a reply is written, yet a
+    // session that then stays silent is still evicted on time.
+    let evictions = db.stats().net.timeouts;
+    std::thread::sleep(Duration::from_millis(600));
+    assert!(db.stats().net.timeouts > evictions, "the silent session was evicted");
+    assert!(matches!(client.ping(), Err(DbError::Net(_))));
+    server.shutdown();
+}
+
+#[test]
 fn protocol_violations_are_answered_not_dropped() {
     let (db, _) = fleet_db(DbConfig::default());
     let server = Server::bind(db, "127.0.0.1:0", ServerConfig::default()).unwrap();

@@ -2,7 +2,7 @@
 //! sockets: the contracts PR 9's evented core must keep.
 
 use orion_core::{AttrSpec, Database, DbConfig, Domain, PrimitiveType, Value};
-use orion_net::frame::{read_frame, MAX_FRAME};
+use orion_net::frame::{append_frame, read_frame, MAX_FRAME};
 use orion_net::{Client, Request, Response, Server, ServerConfig};
 use orion_types::{DbError, Oid};
 use std::net::TcpStream;
@@ -448,5 +448,296 @@ fn raw_pipelined_frames_in_one_write_are_all_answered() {
         let reply = read_frame(&mut raw, MAX_FRAME).unwrap().expect("a value reply");
         assert!(matches!(Response::decode(&reply).unwrap(), Response::Value(Value::Int(3))));
     }
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Lane ownership: who runs, who writes, who yields
+// ---------------------------------------------------------------------
+
+fn read_response(stream: &mut TcpStream) -> Response {
+    Response::decode(&read_frame(stream, MAX_FRAME).unwrap().expect("a reply frame")).unwrap()
+}
+
+/// A request hook that parks every `Get` until the gate opens.
+fn gated_gets() -> (Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>, orion_net::server::RequestHook) {
+    let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+    let hook_gate = Arc::clone(&gate);
+    let hook: orion_net::server::RequestHook = Arc::new(move |request: &Request| {
+        if matches!(request, Request::Get { .. }) {
+            let (lock, cv) = &*hook_gate;
+            let mut open = lock.lock().unwrap();
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+        }
+    });
+    (gate, hook)
+}
+
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Executed requests, undecodable frames and shed requests share one
+/// reply stream, and it is the arrival order — however the bytes were
+/// fragmented on the way in.
+fn replies_keep_arrival_order(dribble: bool) {
+    use std::io::Write as _;
+    let (db, oids) = counter_db();
+    let (gate, hook) = gated_gets();
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig { workers: 1, max_pipeline: 4, request_hook: Some(hook), ..ServerConfig::default() },
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut hello = Vec::new();
+    append_frame(&mut hello, &Request::Hello { principal: None }.encode());
+    raw.write_all(&hello).unwrap();
+    assert!(matches!(read_response(&mut raw), Response::Hello { .. }));
+
+    // The first Get parks the only executor inside the hook, so what
+    // follows meets a full pipeline whether it arrives in one segment
+    // or byte by byte: four admitted, the rest shed, the two
+    // undecodable frames answered where they stood.
+    let get = |k: usize| Request::Get { oid: oids[k], attr: "n".into() }.encode();
+    let mut blob = Vec::new();
+    append_frame(&mut blob, &get(0));
+    append_frame(&mut blob, &get(1));
+    append_frame(&mut blob, &[0xFF, 0xFE]); // no such request tag
+    append_frame(&mut blob, &get(2));
+    append_frame(&mut blob, &get(3));
+    append_frame(&mut blob, &get(4)); // fifth in flight: shed
+    append_frame(&mut blob, &[0xFF]);
+    append_frame(&mut blob, &get(5)); // still full: shed
+    let before = db.stats().net.requests;
+    if dribble {
+        for byte in &blob {
+            raw.write_all(std::slice::from_ref(byte)).unwrap();
+        }
+    } else {
+        raw.write_all(&blob).unwrap();
+    }
+    wait_until("all eight frames admitted", || db.stats().net.requests >= before + 8);
+    {
+        let (lock, cv) = &*gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+    }
+    for k in [0i64, 1] {
+        assert!(matches!(read_response(&mut raw), Response::Value(Value::Int(n)) if n == k));
+    }
+    assert!(matches!(read_response(&mut raw), Response::Err(DbError::Protocol(_))));
+    for k in [2i64, 3] {
+        assert!(matches!(read_response(&mut raw), Response::Value(Value::Int(n)) if n == k));
+    }
+    assert!(matches!(read_response(&mut raw), Response::Err(DbError::ServerBusy)));
+    assert!(matches!(read_response(&mut raw), Response::Err(DbError::Protocol(_))));
+    assert!(matches!(read_response(&mut raw), Response::Err(DbError::ServerBusy)));
+    // The session survived all of it.
+    let mut ping = Vec::new();
+    append_frame(&mut ping, &Request::Ping.encode());
+    raw.write_all(&ping).unwrap();
+    assert!(matches!(read_response(&mut raw), Response::Pong));
+    server.shutdown();
+}
+
+#[test]
+fn one_write_of_mixed_frames_is_answered_in_arrival_order() {
+    replies_keep_arrival_order(false);
+}
+
+#[test]
+fn dribbled_mixed_frames_are_answered_in_arrival_order() {
+    replies_keep_arrival_order(true);
+}
+
+#[test]
+fn a_full_pipeline_yields_the_executor_after_one_turn() {
+    // One executor, one connection that never lets its 64-deep
+    // pipeline run dry (each request costs the server far more than the
+    // client needs to refill it). Run-to-completion alone would starve
+    // everyone else for as long as that lasts; the turn cap sends the
+    // lane to the back of the queue after `max_pipeline` requests.
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    let (db, oids) = counter_db();
+    let gets = Arc::new(AtomicUsize::new(0));
+    let hook_gets = Arc::clone(&gets);
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            request_hook: Some(Arc::new(move |request: &Request| {
+                if matches!(request, Request::Get { .. }) {
+                    hook_gets.fetch_add(1, Ordering::AcqRel);
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            })),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let stop = Arc::new(AtomicBool::new(false));
+    let hog = {
+        let stop = Arc::clone(&stop);
+        let oid = oids[0];
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            let mut pipe = client.pipeline().unwrap();
+            let get = Request::Get { oid, attr: "n".into() };
+            for _ in 0..64 {
+                pipe.send(&get).unwrap();
+            }
+            while !stop.load(Ordering::Acquire) {
+                assert!(matches!(pipe.recv().unwrap(), Response::Value(_)), "never shed");
+                pipe.send(&get).unwrap();
+            }
+            while pipe.outstanding() > 0 {
+                pipe.recv().unwrap();
+            }
+        })
+    };
+    let mut other = Client::connect(addr).unwrap();
+    wait_until("the hog to be two turns in", || gets.load(Ordering::Acquire) >= 128);
+    let before = gets.load(Ordering::Acquire);
+    let pinged = other.ping();
+    let waited = gets.load(Ordering::Acquire) - before;
+    stop.store(true, Ordering::Release);
+    hog.join().expect("hog thread");
+    pinged.unwrap();
+    assert!(
+        waited <= 64 + 16,
+        "the ping waited out {waited} of the hog's requests; one turn is 64"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_burst_of_slow_requests_is_answered_one_by_one() {
+    // Replies share a write only while the requests behind them are
+    // quick. Eight pipelined 50 ms requests: the first reply must be on
+    // the wire when the first request is done, not 400 ms later when
+    // the lane runs dry — counted in requests started, not in time.
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let (db, oids) = counter_db();
+    let started = Arc::new(AtomicUsize::new(0));
+    let hook_started = Arc::clone(&started);
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig {
+            request_hook: Some(Arc::new(move |request: &Request| {
+                if matches!(request, Request::Get { .. }) {
+                    hook_started.fetch_add(1, Ordering::AcqRel);
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+            })),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut pipe = client.pipeline().unwrap();
+    for oid in &oids[..8] {
+        pipe.send(&Request::Get { oid: *oid, attr: "n".into() }).unwrap();
+    }
+    for k in 0..8 {
+        assert!(matches!(pipe.recv().unwrap(), Response::Value(Value::Int(n)) if n == k as i64));
+        let running = started.load(Ordering::Acquire);
+        assert!(running <= k + 2, "reply {k} arrived only after request {running} had started");
+    }
+    drop(pipe);
+    server.shutdown();
+}
+
+#[test]
+fn a_peer_that_never_reads_is_parked_then_disconnected_without_blocking_an_executor() {
+    use std::io::Write as _;
+    // ~1 MB per query reply: a few of them fill both socket buffers.
+    let db = Database::open_in_memory();
+    db.create_class(
+        "Blob",
+        &[],
+        vec![
+            AttrSpec::new("n", Domain::Primitive(PrimitiveType::Int)),
+            AttrSpec::new("body", Domain::Primitive(PrimitiveType::Str)),
+        ],
+    )
+    .unwrap();
+    let tx = db.begin();
+    let body = "x".repeat(1024);
+    let oids: Vec<Oid> = (0..1000)
+        .map(|i| {
+            db.create_object(&tx, "Blob", vec![("n", Value::Int(i)), ("body", Value::str(&body))])
+                .unwrap()
+        })
+        .collect();
+    db.commit(tx).unwrap();
+    let db = Arc::new(db);
+    let server = Server::bind(
+        Arc::clone(&db),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            write_timeout: Duration::from_millis(300),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+
+    // The hostile session: an open transaction with one write in it,
+    // then 48 large queries whose replies it never reads.
+    let mut hostile = TcpStream::connect(addr).unwrap();
+    hostile.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut blob = Vec::new();
+    append_frame(&mut blob, &Request::Hello { principal: None }.encode());
+    append_frame(&mut blob, &Request::Begin.encode());
+    append_frame(
+        &mut blob,
+        &Request::Set { oid: oids[0], attr: "n".into(), value: Value::Int(-1) }.encode(),
+    );
+    hostile.write_all(&blob).unwrap();
+    assert!(matches!(read_response(&mut hostile), Response::Hello { .. }));
+    assert!(matches!(read_response(&mut hostile), Response::Txn { .. }));
+    assert!(matches!(read_response(&mut hostile), Response::Ok));
+    let sent = 48u64;
+    let executed_before = db.stats().net.request_latency.count;
+    let mut blob = Vec::new();
+    for _ in 0..sent {
+        append_frame(&mut blob, &Request::Query { text: "select b.body from Blob b".into() }.encode());
+    }
+    hostile.write_all(&blob).unwrap();
+
+    // The single executor stays available the whole time: a second
+    // session is served while the first one's replies pile up, stall,
+    // and finally time out.
+    let mut other = Client::connect(addr).unwrap();
+    let mut served = 0u64;
+    wait_until("write_timeout to disconnect the hostile peer", || {
+        other.ping().expect("the executor must not be stuck behind the stalled peer");
+        served += 1;
+        db.stats().net.timeouts >= 1
+    });
+    assert!(served >= 2, "the second session was served during the stall");
+    // The lane parked once the backlog passed the high-water mark:
+    // admitted queries were left unrun rather than buffered without
+    // bound. (`other`'s own requests are pings and the handshake.)
+    let executed = db.stats().net.request_latency.count - executed_before - served - 1;
+    assert!(executed < sent, "all {sent} queries ran; the backlog never stopped");
+
+    // Disconnect rolled the transaction back and released its lock.
+    assert_eq!(other.get(oids[0], "n").unwrap(), Value::Int(0));
+    other.set(oids[0], "n", Value::Int(5)).unwrap();
     server.shutdown();
 }

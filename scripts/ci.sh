@@ -21,7 +21,10 @@
 # durability scenarios over both SimDisk and FileDisk. The sharded
 # smoke runs the cluster tests (2PC participant/coordinator crash
 # recovery, fan-out merge fidelity), and the net bench's sharded
-# section feeds the passthrough-overhead gate (< 3x a direct client).
+# section feeds the passthrough-overhead gate (< 3x a direct client);
+# its request_overhead section feeds the request-overhead gate: event-
+# loop wakeups per request <= 1.1 one at a time, wakeups and executor
+# turns per request <= 0.6 each when pipelined eight deep.
 # The benchmark package (benchmark/, its own workspace) is covered from
 # outside: its unit tests, then a smoke run of all four workloads whose
 # results its own validator checks against BENCHMARK.json.
@@ -185,6 +188,26 @@ if [ "$conc_enforced" = "true" ]; then
 else
   echo "    loaded-tail gate skipped: host is core-bound (p99 was ${loaded_p99}ms vs p50 ${base_p50}ms)"
 fi
+
+echo "==> request overhead gate"
+# ROADMAP gap (d): what one request costs the server in thread
+# hand-offs, counted, so the gate holds on any host. One request at a
+# time needs one event-loop wakeup (the read; the executor writes the
+# reply itself); eight deep, a wakeup and an executor turn each serve
+# several requests.
+d1_wakeups=$(sed -n 's/.*"depth1_wakeups_per_request": \([0-9.][0-9.]*\).*/\1/p' "$net_json")
+d8_wakeups=$(sed -n 's/.*"depth8_wakeups_per_request": \([0-9.][0-9.]*\).*/\1/p' "$net_json")
+d8_turns=$(sed -n 's/.*"depth8_turns_per_request": \([0-9.][0-9.]*\).*/\1/p' "$net_json")
+if [ -z "$d1_wakeups" ] || [ -z "$d8_wakeups" ] || [ -z "$d8_turns" ]; then
+  echo "FAIL: could not parse request_overhead fields from $net_json" >&2
+  exit 1
+fi
+if ! awk -v a="$d1_wakeups" -v b="$d8_wakeups" -v c="$d8_turns" \
+    'BEGIN { exit !(a <= 1.1 && b <= 0.6 && c <= 0.6) }'; then
+  echo "FAIL: per request, depth 1 took $d1_wakeups wakeups (budget 1.1); depth 8 took $d8_wakeups wakeups and $d8_turns executor turns (budget 0.6 each)" >&2
+  exit 1
+fi
+echo "    wakeups per request: $d1_wakeups at depth 1 (budget 1.1), $d8_wakeups at depth 8 (budget 0.6); executor turns at depth 8: $d8_turns (budget 0.6)"
 
 echo "==> benchmark package: unit tests, smoke run of every workload, validation"
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
