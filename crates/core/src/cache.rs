@@ -26,7 +26,7 @@
 //! true leaves in the system lock order (`crate::runtime` docs).
 
 use orion_types::codec::ObjectRecord;
-use orion_types::{Oid, Value};
+use orion_types::Oid;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -50,8 +50,7 @@ pub struct CacheStats {
 /// when last traversed. Validated (never trusted) on use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SwizzleHint {
-    /// Cache shard holding the target (always the owner's own shard id
-    /// for a standalone [`ObjectCache`]).
+    /// Cache shard holding the target.
     pub shard: u32,
     /// Slab slot within that shard.
     pub slot: u32,
@@ -89,19 +88,12 @@ pub struct ObjectCache {
     capacity: usize,
     tick: u64,
     swizzling: bool,
-    shard_id: u32,
     stats: CacheStats,
 }
 
 impl ObjectCache {
     /// A cache holding at most `capacity` resident objects.
     pub fn new(capacity: usize, swizzling: bool) -> Self {
-        Self::with_shard(capacity, swizzling, 0)
-    }
-
-    /// A cache that records swizzle hints qualified with `shard_id`
-    /// (what [`ShardedCache`] constructs).
-    pub(crate) fn with_shard(capacity: usize, swizzling: bool, shard_id: u32) -> Self {
         assert!(capacity > 0, "object cache needs capacity");
         ObjectCache {
             slab: Vec::new(),
@@ -110,7 +102,6 @@ impl ObjectCache {
             capacity,
             tick: 0,
             swizzling,
-            shard_id,
             stats: CacheStats::default(),
         }
     }
@@ -268,17 +259,6 @@ impl ObjectCache {
         self.free.clear();
     }
 
-    /// Read an attribute of the resident at `slot`.
-    pub fn attr(&mut self, slot: usize, attr: u32) -> Option<Value> {
-        self.touch(slot);
-        self.slab[slot].as_ref().and_then(|r| r.record.get(attr).cloned())
-    }
-
-    /// The resident record at `slot` (None if the slot was evicted).
-    pub fn record(&self, slot: usize) -> Option<&ObjectRecord> {
-        self.slab[slot].as_ref().map(|r| &*r.record)
-    }
-
     /// Shared handle to the resident record at `slot`.
     pub(crate) fn record_arc(&self, slot: usize) -> Option<Arc<ObjectRecord>> {
         self.slab[slot].as_ref().map(|r| Arc::clone(&r.record))
@@ -329,65 +309,6 @@ impl ObjectCache {
         self.slab.get(slot)?.as_ref()?.record.get(attr).and_then(|v| v.as_ref_oid())
     }
 
-    /// Traverse the reference attribute `attr` of the resident at
-    /// `from_slot` within this one cache. Returns the target's slab
-    /// slot if resident — following the swizzle hint when valid,
-    /// falling back to the OID map (and recording the new hint)
-    /// otherwise. `Ok(Err(oid))` means the target is not resident and
-    /// must be faulted in by the caller, who then calls
-    /// [`ObjectCache::note_swizzle`].
-    pub fn traverse_ref(&mut self, from_slot: usize, attr: u32) -> Option<Result<usize, Oid>> {
-        // Fast path: a valid swizzle answers without touching the record
-        // bytes or the OID map at all.
-        if self.swizzling {
-            let hint = self.slab[from_slot].as_ref()?.swizzles.get(&attr).copied();
-            if let Some(h) = hint {
-                if h.shard == self.shard_id && self.validate(h.slot as usize, h.expected) {
-                    self.stats.swizzled_hops += 1;
-                    return Some(Ok(h.slot as usize));
-                }
-            }
-        }
-        let target_oid = {
-            let r = self.slab[from_slot].as_ref()?;
-            r.record.get(attr).and_then(|v| v.as_ref_oid())?
-        };
-        self.stats.unswizzled_hops += 1;
-        match self.by_oid.get(&target_oid).copied() {
-            Some(slot) => {
-                let shard = self.shard_id;
-                if self.swizzling {
-                    if let Some(r) = self.slab[from_slot].as_mut() {
-                        r.swizzles.insert(
-                            attr,
-                            SwizzleHint { shard, slot: slot as u32, expected: target_oid },
-                        );
-                    }
-                }
-                self.touch(slot);
-                Some(Ok(slot))
-            }
-            None => Some(Err(target_oid)),
-        }
-    }
-
-    /// Record that `attr` of `from_slot` now resolves to `target_slot`
-    /// (after the caller faulted the target in).
-    pub fn note_swizzle(&mut self, from_slot: usize, attr: u32, target_slot: usize) {
-        if self.swizzling {
-            let expected = match self.slab.get(target_slot).and_then(|s| s.as_ref()) {
-                Some(r) => r.oid,
-                None => return,
-            };
-            let shard = self.shard_id;
-            if let Some(r) = self.slab[from_slot].as_mut() {
-                r.swizzles.insert(
-                    attr,
-                    SwizzleHint { shard, slot: target_slot as u32, expected },
-                );
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -436,11 +357,7 @@ impl ShardedCache {
         let per_shard = capacity.div_ceil(n);
         ShardedCache {
             shards: (0..n)
-                .map(|i| {
-                    parking_lot::Mutex::new(ObjectCache::with_shard(
-                        per_shard, swizzling, i as u32,
-                    ))
-                })
+                .map(|_| parking_lot::Mutex::new(ObjectCache::new(per_shard, swizzling)))
                 .collect(),
             swizzled_hops: AtomicU64::new(0),
             unswizzled_hops: AtomicU64::new(0),
@@ -548,8 +465,7 @@ impl ShardedCache {
         }
     }
 
-    /// Aggregated counters across shards plus the cross-shard hop
-    /// counts. Shard locks are taken one at a time (leaf locks), so
+    /// Aggregated counters across shards plus the hop counts. Shard locks are taken one at a time (leaf locks), so
     /// this is safe from any thread at any time.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
@@ -558,11 +474,9 @@ impl ShardedCache {
             total.hits += s.hits;
             total.misses += s.misses;
             total.evictions += s.evictions;
-            total.swizzled_hops += s.swizzled_hops;
-            total.unswizzled_hops += s.unswizzled_hops;
         }
-        total.swizzled_hops += self.swizzled_hops.load(Relaxed);
-        total.unswizzled_hops += self.unswizzled_hops.load(Relaxed);
+        total.swizzled_hops = self.swizzled_hops.load(Relaxed);
+        total.unswizzled_hops = self.unswizzled_hops.load(Relaxed);
         total
     }
 
@@ -635,7 +549,7 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orion_types::ClassId;
+    use orion_types::{ClassId, Value};
 
     fn rec(class: u16, serial: u64, refs: &[(u32, Oid)]) -> ObjectRecord {
         ObjectRecord::new(
@@ -677,85 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn swizzled_traversal_fast_path() {
-        let mut cache = ObjectCache::new(8, true);
-        let b = rec(1, 2, &[]);
-        let b_oid = b.oid;
-        let a = rec(1, 1, &[(7, b_oid)]);
-        let a_slot = cache.admit(a);
-        let b_slot = cache.admit(b);
-        // First hop: unswizzled (map lookup), records the hint.
-        assert_eq!(cache.traverse_ref(a_slot, 7), Some(Ok(b_slot)));
-        assert_eq!(cache.stats().unswizzled_hops, 1);
-        // Second hop: swizzled.
-        assert_eq!(cache.traverse_ref(a_slot, 7), Some(Ok(b_slot)));
-        assert_eq!(cache.stats().swizzled_hops, 1);
-    }
-
-    #[test]
-    fn swizzle_invalidated_by_eviction_and_slot_reuse() {
-        let mut cache = ObjectCache::new(2, true);
-        let b = rec(1, 2, &[]);
-        let b_oid = b.oid;
-        let a = rec(1, 1, &[(7, b_oid)]);
-        let a_slot = cache.admit(a);
-        let b_slot = cache.admit(b);
-        assert_eq!(cache.traverse_ref(a_slot, 7), Some(Ok(b_slot)));
-        assert_eq!(cache.traverse_ref(a_slot, 7), Some(Ok(b_slot))); // swizzled now
-        // Touch a so b is LRU, then admit c reusing b's slot.
-        cache.lookup(Oid::new(ClassId(1), 1));
-        let c = rec(1, 3, &[]);
-        cache.admit(c);
-        // The stale swizzle must not resolve to c.
-        match cache.traverse_ref(a_slot, 7) {
-            Some(Err(oid)) => assert_eq!(oid, b_oid, "fault-in requested for b"),
-            other => panic!("stale swizzle followed: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unswizzled_mode_never_uses_slots() {
-        let mut cache = ObjectCache::new(8, false);
-        let b = rec(1, 2, &[]);
-        let a = rec(1, 1, &[(7, b.oid)]);
-        let a_slot = cache.admit(a);
-        let _b_slot = cache.admit(b);
-        for _ in 0..3 {
-            assert!(matches!(cache.traverse_ref(a_slot, 7), Some(Ok(_))));
-        }
-        assert_eq!(cache.stats().swizzled_hops, 0);
-        assert_eq!(cache.stats().unswizzled_hops, 3);
-    }
-
-    #[test]
-    fn traverse_non_ref_attr_is_none() {
-        let mut cache = ObjectCache::new(4, true);
-        let mut r = rec(1, 1, &[]);
-        r.set(3, Value::Int(5));
-        let slot = cache.admit(r);
-        assert!(cache.traverse_ref(slot, 3).is_none(), "Int is not traversable");
-        assert!(cache.traverse_ref(slot, 99).is_none(), "missing attr");
-    }
-
-    #[test]
-    fn update_record_clears_swizzles() {
-        let mut cache = ObjectCache::new(8, true);
-        let b = rec(1, 2, &[]);
-        let c = rec(1, 3, &[]);
-        let b_oid = b.oid;
-        let c_oid = c.oid;
-        let a = rec(1, 1, &[(7, b_oid)]);
-        let a_slot = cache.admit(a);
-        let _ = cache.admit(b);
-        let c_slot = cache.admit(c);
-        let _ = cache.traverse_ref(a_slot, 7); // swizzle a.7 -> b
-        // Redirect a.7 to c.
-        let new_a = rec(1, 1, &[(7, c_oid)]);
-        cache.update_record(a_slot, new_a);
-        assert_eq!(cache.traverse_ref(a_slot, 7), Some(Ok(c_slot)));
-    }
-
-    #[test]
     fn admit_same_oid_refreshes() {
         let mut cache = ObjectCache::new(4, true);
         let mut r = rec(1, 1, &[]);
@@ -764,36 +599,59 @@ mod tests {
         r.set(3, Value::Int(2));
         let slot2 = cache.admit(r);
         assert_eq!(slot1, slot2);
-        assert_eq!(cache.attr(slot1, 3), Some(Value::Int(2)));
+        assert_eq!(cache.peek(Oid::new(ClassId(1), 1)).unwrap().get(3), Some(&Value::Int(2)));
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn sharded_hop_crosses_shards_swizzled() {
-        // Capacity ≥ SINGLE_SHARD_BELOW so the cache actually shards.
-        let cache = ShardedCache::new(4096, true);
-        // A chain long enough to guarantee cross-shard hops.
-        let mut prev: Option<Oid> = None;
-        let mut oids = Vec::new();
-        for serial in 1..=20u64 {
-            let r = match prev {
-                Some(p) => rec(1, serial, &[(7, p)]),
-                None => rec(1, serial, &[]),
-            };
-            prev = Some(r.oid);
-            oids.push(r.oid);
-            cache.admit(r);
+        // Capacity ≥ SINGLE_SHARD_BELOW so the cache actually shards;
+        // below it the same protocol runs inside one shard.
+        for capacity in [4096, 64] {
+            let cache = ShardedCache::new(capacity, true);
+            // A chain long enough to guarantee cross-shard hops.
+            let mut prev: Option<Oid> = None;
+            let mut oids = Vec::new();
+            for serial in 1..=20u64 {
+                let r = match prev {
+                    Some(p) => rec(1, serial, &[(7, p)]),
+                    None => rec(1, serial, &[]),
+                };
+                prev = Some(r.oid);
+                oids.push(r.oid);
+                cache.admit(r);
+            }
+            // Walk the chain backwards: 19 hops, all unswizzled first pass.
+            for w in oids.windows(2) {
+                assert_eq!(cache.hop(w[1], 7), Hop::To(w[0], false));
+            }
+            assert_eq!(cache.stats().unswizzled_hops, 19);
+            // Second pass: every hop swizzled, including cross-shard ones.
+            for w in oids.windows(2) {
+                assert_eq!(cache.hop(w[1], 7), Hop::To(w[0], true));
+            }
+            assert_eq!(cache.stats().swizzled_hops, 19);
+            // A write-through update clears the source's hints: the
+            // redirected reference resolves through the OID map again.
+            cache.refresh(&rec(1, 20, &[(7, oids[0])]));
+            assert_eq!(cache.hop(oids[19], 7), Hop::To(oids[0], false));
+            assert_eq!(cache.hop(oids[19], 7), Hop::To(oids[0], true));
         }
-        // Walk the chain backwards: 19 hops, all unswizzled first pass.
-        for w in oids.windows(2) {
-            assert_eq!(cache.hop(w[1], 7), Hop::To(w[0], false));
+    }
+
+    #[test]
+    fn sharded_hop_with_swizzling_off_never_uses_hints() {
+        let cache = ShardedCache::new(8, false);
+        let b = rec(1, 2, &[]);
+        let a = rec(1, 1, &[(7, b.oid)]);
+        let (a_oid, b_oid) = (a.oid, b.oid);
+        cache.admit(a);
+        cache.admit(b);
+        for _ in 0..3 {
+            assert_eq!(cache.hop(a_oid, 7), Hop::To(b_oid, false));
         }
-        assert_eq!(cache.stats().unswizzled_hops, 19);
-        // Second pass: every hop swizzled, including cross-shard ones.
-        for w in oids.windows(2) {
-            assert_eq!(cache.hop(w[1], 7), Hop::To(w[0], true));
-        }
-        assert_eq!(cache.stats().swizzled_hops, 19);
+        assert_eq!(cache.stats().swizzled_hops, 0);
+        assert_eq!(cache.stats().unswizzled_hops, 3);
     }
 
     #[test]
@@ -801,7 +659,8 @@ mod tests {
         let cache = ShardedCache::new(4096, true);
         let b = rec(1, 2, &[]);
         let b_oid = b.oid;
-        let a = rec(1, 1, &[(7, b_oid)]);
+        let mut a = rec(1, 1, &[(7, b_oid)]);
+        a.set(3, Value::Int(5));
         let a_oid = a.oid;
         cache.admit(a);
         assert_eq!(cache.hop(a_oid, 7), Hop::Miss(b_oid), "target not resident");
@@ -809,7 +668,27 @@ mod tests {
         cache.note(a_oid, 7, b_oid);
         assert_eq!(cache.hop(a_oid, 7), Hop::To(b_oid, true), "noted hint is hot");
         assert_eq!(cache.hop(Oid::new(ClassId(9), 99), 7), Hop::Absent);
-        assert_eq!(cache.hop(a_oid, 99), Hop::NotRef);
+        assert_eq!(cache.hop(a_oid, 99), Hop::NotRef, "missing attr");
+        assert_eq!(cache.hop(a_oid, 3), Hop::NotRef, "Int is not traversable");
+    }
+
+    #[test]
+    fn sharded_hop_hint_invalidated_by_eviction_and_slot_reuse() {
+        let cache = ShardedCache::new(2, true);
+        let b = rec(1, 2, &[]);
+        let b_oid = b.oid;
+        let a = rec(1, 1, &[(7, b_oid)]);
+        let a_oid = a.oid;
+        cache.admit(a);
+        cache.admit(b);
+        assert_eq!(cache.hop(a_oid, 7), Hop::To(b_oid, false));
+        assert_eq!(cache.hop(a_oid, 7), Hop::To(b_oid, true));
+        // Touch a so b is LRU, then admit c into b's slot.
+        let _ = cache.get(a_oid);
+        cache.admit(rec(1, 3, &[]));
+        assert!(!cache.contains(b_oid));
+        // The stale hint must not resolve to c.
+        assert_eq!(cache.hop(a_oid, 7), Hop::Miss(b_oid), "fault-in requested for b");
     }
 
     #[test]

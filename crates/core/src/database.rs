@@ -284,12 +284,6 @@ pub(crate) fn adapt_to(resolved: &orion_schema::ResolvedClass, record: &mut Obje
 }
 
 impl Database {
-    /// A fresh in-memory database with default configuration.
-    #[deprecated(note = "use `Database::open_in_memory()` or `Database::open(path)`")]
-    pub fn new() -> Self {
-        Self::open_in_memory()
-    }
-
     /// A fresh in-memory database with default configuration. State
     /// lives in a [`SimDisk`] and dies with the process — the right
     /// constructor for tests, examples, and experiments.

@@ -234,7 +234,9 @@ struct Lane {
     /// `queue.len()`: synthesized `Work::Reply` entries are already
     /// answered and must not inflate the depth into spurious shedding.
     pending_exec: usize,
-    /// The turn holder is running a request popped from `queue`.
+    /// The turn holder is running a request popped from `queue`, or has
+    /// run it and not yet begun writing its reply: to the client it is
+    /// unanswered either way.
     executing: bool,
     /// An executor holds this lane's turn, or the lane sits in
     /// `exec_queue` waiting for one. Set by the loop, cleared by the
@@ -1070,7 +1072,15 @@ fn run_turn(shared: &Shared, conn: &Arc<ConnShared>) {
 /// an empty backlog stays empty until this returns.
 fn write_replies(shared: &Shared, conn: &ConnShared, replies: &mut Vec<u8>) {
     let mut sent = 0;
-    if conn.lane.lock().backlog() == 0 {
+    let direct = {
+        let mut lane = conn.lane.lock();
+        // Stop counting the request these replies end with before any
+        // of them is on the wire, or the request its reply prompts the
+        // client to send could be shed as one over `max_pipeline`.
+        lane.executing = false;
+        lane.backlog() == 0
+    };
+    if direct {
         sent = write_some(&conn.stream, replies).unwrap_or_else(|_| {
             // Undeliverable, now and later: the peer is gone. Nothing
             // queued behind this runs (not a pipelined Commit either);

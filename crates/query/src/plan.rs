@@ -103,18 +103,12 @@ impl PlannedQuery {
             last_run,
         }
     }
-
-    /// A human-readable plan description.
-    #[deprecated(note = "use `report()`, whose `Display` renders the same text")]
-    pub fn explain(&self) -> String {
-        self.report().to_string()
-    }
 }
 
 /// Structured explain output for a [`PlannedQuery`]. The `Display`
-/// implementation renders the exact one-line text `explain()` has
-/// always produced, so existing log scrapes and test assertions keep
-/// working while programs match on the fields instead of the string.
+/// implementation renders the one-line explain text, so log scrapes
+/// and test assertions keep working while programs match on the fields
+/// instead of the string.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainReport {
     /// The chosen access path.

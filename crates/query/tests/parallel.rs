@@ -147,10 +147,6 @@ fn explain_reports_parallelism_and_ref_cache_rate() {
     let text = report.to_string();
     assert!(text.contains("parallelism=4"), "missing thread count: {text}");
     assert!(text.contains("memo hits 1188/1200 (99%)"), "missing cache stats: {text}");
-    // The deprecated string API renders the identical line.
-    #[allow(deprecated)]
-    let legacy = planned.explain();
-    assert_eq!(legacy, text);
 }
 
 #[test]

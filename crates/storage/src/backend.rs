@@ -25,7 +25,7 @@
 use crate::disk::{DiskStats, PageId, SimDisk, PAGE_SIZE};
 use crate::fault::{crc32, FaultInjector, FaultKind, FaultSite};
 use orion_types::{DbError, DbResult};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -74,9 +74,9 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Current byte length of the log device.
     fn log_len(&self) -> DbResult<u64>;
 
-    /// Read the entire log device (startup: the WAL rebuilds its stable
-    /// mirror from this).
-    fn log_read(&self) -> DbResult<Vec<u8>>;
+    /// Lend the entire log device for one read (restart: the WAL
+    /// parses the frames where they lie and keeps no copy).
+    fn log_read(&self) -> DbResult<LogBytes<'_>>;
 
     /// Truncate the log device to `len` bytes (torn-tail repair; the
     /// WAL immediately re-appends a pad frame over the gap).
@@ -93,6 +93,33 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 
     /// Reset the I/O counters (between benchmark phases).
     fn reset_stats(&self);
+}
+
+/// The log device's bytes, on loan from [`StorageBackend::log_read`].
+#[derive(Debug)]
+pub enum LogBytes<'a> {
+    /// Borrowed where they lie, under the device's lock: appends wait
+    /// until the loan is dropped.
+    Lent(MutexGuard<'a, Vec<u8>>),
+    /// Read from a file into a buffer the loan owns.
+    Read(Vec<u8>),
+}
+
+impl std::ops::Deref for LogBytes<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            LogBytes::Lent(guard) => guard,
+            LogBytes::Read(bytes) => bytes,
+        }
+    }
+}
+
+impl<T: AsRef<[u8]>> PartialEq<T> for LogBytes<'_> {
+    fn eq(&self, other: &T) -> bool {
+        **self == *other.as_ref()
+    }
 }
 
 impl StorageBackend for SimDisk {
@@ -121,7 +148,7 @@ impl StorageBackend for SimDisk {
     }
 
     fn log_append(&self, bytes: &[u8]) -> DbResult<()> {
-        SimDisk::log_append(self, bytes);
+        self.log.lock().extend_from_slice(bytes);
         Ok(())
     }
 
@@ -130,15 +157,15 @@ impl StorageBackend for SimDisk {
     }
 
     fn log_len(&self) -> DbResult<u64> {
-        Ok(SimDisk::log_len(self))
+        Ok(self.log.lock().len() as u64)
     }
 
-    fn log_read(&self) -> DbResult<Vec<u8>> {
-        Ok(SimDisk::log_read(self))
+    fn log_read(&self) -> DbResult<LogBytes<'_>> {
+        Ok(LogBytes::Lent(self.log.lock()))
     }
 
     fn log_truncate(&self, len: u64) -> DbResult<()> {
-        SimDisk::log_truncate(self, len);
+        self.log.lock().truncate(len as usize);
         Ok(())
     }
 
@@ -362,13 +389,13 @@ impl StorageBackend for FileDisk {
         Ok(self.log_bytes.load(Ordering::Acquire))
     }
 
-    fn log_read(&self) -> DbResult<Vec<u8>> {
+    fn log_read(&self) -> DbResult<LogBytes<'_>> {
         let mut file = self.log.lock();
         let len = self.log_bytes.load(Ordering::Acquire) as usize;
         let mut out = vec![0u8; len];
         file.seek(SeekFrom::Start(0)).map_err(|e| io_err("seeking log start", e))?;
         file.read_exact(&mut out).map_err(|e| io_err("reading wal.log", e))?;
-        Ok(out)
+        Ok(LogBytes::Read(out))
     }
 
     fn log_truncate(&self, len: u64) -> DbResult<()> {

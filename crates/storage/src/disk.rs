@@ -53,7 +53,7 @@ pub struct SimDisk {
     pages: Mutex<Vec<PageState>>,
     /// The simulated log device: an append-only byte store the WAL
     /// writes its stable frames through (see `crate::backend`).
-    log: Mutex<Vec<u8>>,
+    pub(crate) log: Mutex<Vec<u8>>,
     faults: RwLock<Option<Arc<FaultInjector>>>,
     reads: AtomicU64,
     writes: AtomicU64,
@@ -177,28 +177,6 @@ impl SimDisk {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
         self.allocations.store(0, Ordering::Relaxed);
-    }
-
-    // -- log device (see `crate::backend::StorageBackend`) -----------
-
-    /// Append bytes to the simulated log device.
-    pub(crate) fn log_append(&self, bytes: &[u8]) {
-        self.log.lock().extend_from_slice(bytes);
-    }
-
-    /// Byte length of the simulated log device.
-    pub(crate) fn log_len(&self) -> u64 {
-        self.log.lock().len() as u64
-    }
-
-    /// The entire simulated log device.
-    pub(crate) fn log_read(&self) -> Vec<u8> {
-        self.log.lock().clone()
-    }
-
-    /// Truncate the simulated log device to `len` bytes.
-    pub(crate) fn log_truncate(&self, len: u64) {
-        self.log.lock().truncate(len as usize);
     }
 }
 

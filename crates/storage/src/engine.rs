@@ -32,16 +32,37 @@ impl std::fmt::Display for TxnId {
     }
 }
 
-#[derive(Debug, Clone)]
-enum UndoOp {
-    Insert { rid: Rid },
-    Update { rid: Rid, before: Vec<u8> },
-    Delete { rid: Rid, before: Vec<u8> },
+/// The record a compensation acts on.
+fn clr_rid(action: &ClrAction) -> Rid {
+    match action {
+        ClrAction::Remove { rid }
+        | ClrAction::Overwrite { rid, .. }
+        | ClrAction::ReInsert { rid, .. } => *rid,
+    }
 }
 
+/// A compensation's effect on its page — the same online and at redo.
+fn apply_to_page(action: &ClrAction, page: &mut [u8]) -> DbResult<()> {
+    match action {
+        ClrAction::Remove { rid } => {
+            slotted::delete(page, rid.slot);
+        }
+        ClrAction::Overwrite { rid, bytes } => {
+            if !slotted::update(page, rid.slot, bytes) {
+                slotted::delete(page, rid.slot);
+                slotted::insert_at(page, rid.slot, bytes)?;
+            }
+        }
+        ClrAction::ReInsert { rid, bytes } => slotted::insert_at(page, rid.slot, bytes)?,
+    }
+    Ok(())
+}
+
+/// A transaction's undo state: for each operation not yet compensated,
+/// its LSN and the action that compensates it, in log order.
 #[derive(Debug, Default)]
 struct TxnState {
-    ops: Vec<(Lsn, UndoOp)>,
+    ops: Vec<(Lsn, ClrAction)>,
 }
 
 /// Recovery-outcome counters: how often restart recovery ran, whether
@@ -101,10 +122,11 @@ impl StorageEngine {
             .expect("a fresh in-memory backend cannot fail to open")
     }
 
-    /// An engine over an explicit storage backend. The WAL's stable
-    /// mirror is loaded from the backend's log device, so constructing
-    /// over a non-empty [`crate::backend::FileDisk`] and calling
-    /// [`StorageEngine::recover`] resumes a previous process's state.
+    /// An engine over an explicit storage backend. The WAL resumes at
+    /// the end of the backend's log device, so constructing over a
+    /// non-empty [`crate::backend::FileDisk`] and calling
+    /// [`StorageEngine::recover`] — which reads that log — resumes a
+    /// previous process's state.
     pub fn with_backend(
         backend: Arc<dyn StorageBackend>,
         pool_pages: usize,
@@ -210,12 +232,12 @@ impl StorageEngine {
         TxnId(id)
     }
 
-    fn record_op(&self, txn: TxnId, lsn: Lsn, op: UndoOp) -> DbResult<()> {
+    fn record_op(&self, txn: TxnId, lsn: Lsn, undo: ClrAction) -> DbResult<()> {
         let mut active = self.active.lock();
         let state = active
             .get_mut(&txn.0)
             .ok_or_else(|| DbError::InvalidTxnState(format!("{txn} is not active")))?;
-        state.ops.push((lsn, op));
+        state.ops.push((lsn, undo));
         Ok(())
     }
 
@@ -241,29 +263,23 @@ impl StorageEngine {
             .lock()
             .remove(&txn.0)
             .ok_or_else(|| DbError::InvalidTxnState(format!("{txn} is not active")))?;
-        self.undo_and_abort(txn, &state)
+        self.undo(txn, &state)?;
+        self.wal.flush()
     }
 
-    fn undo_and_abort(&self, txn: TxnId, state: &TxnState) -> DbResult<()> {
-        for (lsn, op) in state.ops.iter().rev() {
-            let action = match op {
-                UndoOp::Insert { rid } => ClrAction::Remove { rid: *rid },
-                UndoOp::Update { rid, before } => {
-                    ClrAction::Overwrite { rid: *rid, bytes: before.clone() }
-                }
-                UndoOp::Delete { rid, before } => {
-                    ClrAction::ReInsert { rid: *rid, bytes: before.clone() }
-                }
-            };
+    /// Compensate every operation in `state`, newest first, and log the
+    /// abort. The caller forces the log.
+    fn undo(&self, txn: TxnId, state: &TxnState) -> DbResult<()> {
+        for (lsn, action) in state.ops.iter().rev() {
             let clr_lsn = self.wal.append(&LogRecord::Clr {
                 txn: txn.0,
                 compensates: lsn.0,
                 action: action.clone(),
             });
-            self.apply_clr(&action, clr_lsn)?;
+            self.apply_clr(action, clr_lsn)?;
         }
         self.wal.append(&LogRecord::Abort { txn: txn.0 });
-        self.wal.flush()
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -336,7 +352,8 @@ impl StorageEngine {
                 return Ok(false);
             }
         };
-        self.undo_and_abort(txn, &state)?;
+        self.undo(txn, &state)?;
+        self.wal.flush()?;
         Ok(true)
     }
 
@@ -362,46 +379,27 @@ impl StorageEngine {
                 state
                     .ops
                     .iter()
-                    .map(|(_, op)| match op {
-                        UndoOp::Insert { rid } => (*rid, None),
-                        UndoOp::Update { rid, before } => (*rid, Some(before.clone())),
-                        UndoOp::Delete { rid, before } => (*rid, Some(before.clone())),
+                    .map(|(_, undo)| match undo {
+                        ClrAction::Remove { rid } => (*rid, None),
+                        ClrAction::Overwrite { rid, bytes } | ClrAction::ReInsert { rid, bytes } => {
+                            (*rid, Some(bytes.clone()))
+                        }
                     })
                     .collect()
             })
             .unwrap_or_default()
     }
 
+    /// Apply a compensation online: its page effect, the page LSN, and
+    /// the free-space estimate.
     fn apply_clr(&self, action: &ClrAction, lsn: Lsn) -> DbResult<()> {
-        match action {
-            ClrAction::Remove { rid } => self.pool.with_page_mut(rid.page, |page| {
-                slotted::delete(page, rid.slot);
-                slotted::set_page_lsn(page, lsn.0);
-            })?,
-            ClrAction::Overwrite { rid, bytes } => {
-                self.pool.with_page_mut(rid.page, |page| -> DbResult<()> {
-                    if !slotted::update(page, rid.slot, bytes) {
-                        slotted::delete(page, rid.slot);
-                        slotted::insert_at(page, rid.slot, bytes)?;
-                    }
-                    slotted::set_page_lsn(page, lsn.0);
-                    Ok(())
-                })??
-            }
-            ClrAction::ReInsert { rid, bytes } => {
-                self.pool.with_page_mut(rid.page, |page| -> DbResult<()> {
-                    slotted::insert_at(page, rid.slot, bytes)?;
-                    slotted::set_page_lsn(page, lsn.0);
-                    Ok(())
-                })??
-            }
-        }
-        self.refresh_free(match action {
-            ClrAction::Remove { rid }
-            | ClrAction::Overwrite { rid, .. }
-            | ClrAction::ReInsert { rid, .. } => rid.page,
-        })?;
-        Ok(())
+        let page = clr_rid(action).page;
+        self.pool.with_page_mut(page, |bytes| -> DbResult<()> {
+            apply_to_page(action, bytes)?;
+            slotted::set_page_lsn(bytes, lsn.0);
+            Ok(())
+        })??;
+        self.refresh_free(page)
     }
 
     // ------------------------------------------------------------------
@@ -516,7 +514,7 @@ impl StorageEngine {
                     });
                     self.pool.with_page_mut(pid, |page| slotted::set_page_lsn(page, lsn.0))?;
                     self.refresh_free(pid)?;
-                    self.record_op(txn, lsn, UndoOp::Insert { rid })?;
+                    self.record_op(txn, lsn, ClrAction::Remove { rid })?;
                     return Ok(rid);
                 }
                 None => {
@@ -545,7 +543,7 @@ impl StorageEngine {
         let lsn = self.wal.append(&LogRecord::Delete { txn: txn.0, rid, before: before.clone() });
         self.pool.with_page_mut(rid.page, |page| slotted::set_page_lsn(page, lsn.0))?;
         self.refresh_free(rid.page)?;
-        self.record_op(txn, lsn, UndoOp::Delete { rid, before })?;
+        self.record_op(txn, lsn, ClrAction::ReInsert { rid, bytes: before })?;
         Ok(())
     }
 
@@ -680,7 +678,7 @@ impl StorageEngine {
                 });
                 self.pool.with_page_mut(rid.page, |page| slotted::set_page_lsn(page, lsn.0))?;
                 self.refresh_free(rid.page)?;
-                self.record_op(txn, lsn, UndoOp::Update { rid, before: before_raw })?;
+                self.record_op(txn, lsn, ClrAction::Overwrite { rid, bytes: before_raw })?;
                 return Ok(rid);
             }
         }
@@ -769,9 +767,13 @@ impl StorageEngine {
     /// Hardened against injected damage: a torn WAL tail is truncated by
     /// [`Wal::stable_records`], and a page whose checksum fails is
     /// rebuilt from scratch by replaying the *full* log against it (the
-    /// log is never truncated from the front, and page-LSN guards make
-    /// the wider replay a no-op for intact pages). Only interior log
+    /// log is never truncated from the front, and logical replay is
+    /// unconditional and idempotent — see `redo_apply` — so the wider
+    /// replay leaves intact pages as they were). Only interior log
     /// corruption is unrecoverable.
+    ///
+    /// The log is read here and nowhere else: once per restart, parsed
+    /// where the device holds it.
     pub fn recover(&self) -> DbResult<()> {
         match self.recover_inner() {
             Ok(()) => {
@@ -840,7 +842,7 @@ impl StorageEngine {
         let mut aborted: HashSet<u64> = HashSet::new();
         let mut prepared: HashSet<u64> = HashSet::new();
         let mut compensated: HashMap<u64, HashSet<u64>> = HashMap::new();
-        let mut ops: HashMap<u64, Vec<(Lsn, UndoOp)>> = HashMap::new();
+        let mut ops: HashMap<u64, Vec<(Lsn, ClrAction)>> = HashMap::new();
         for (lsn, rec) in tail {
             match rec {
                 LogRecord::Commit { txn } => {
@@ -856,16 +858,16 @@ impl StorageEngine {
                     compensated.entry(*txn).or_default().insert(*compensates);
                 }
                 LogRecord::Insert { txn, rid, .. } => {
-                    ops.entry(*txn).or_default().push((*lsn, UndoOp::Insert { rid: *rid }));
+                    ops.entry(*txn).or_default().push((*lsn, ClrAction::Remove { rid: *rid }));
                 }
                 LogRecord::Update { txn, rid, before, .. } => ops
                     .entry(*txn)
                     .or_default()
-                    .push((*lsn, UndoOp::Update { rid: *rid, before: before.clone() })),
+                    .push((*lsn, ClrAction::Overwrite { rid: *rid, bytes: before.clone() })),
                 LogRecord::Delete { txn, rid, before } => ops
                     .entry(*txn)
                     .or_default()
-                    .push((*lsn, UndoOp::Delete { rid: *rid, before: before.clone() })),
+                    .push((*lsn, ClrAction::ReInsert { rid: *rid, bytes: before.clone() })),
                 LogRecord::Begin { .. } | LogRecord::Checkpoint | LogRecord::Pad => {}
             }
         }
@@ -892,90 +894,43 @@ impl StorageEngine {
                     })?;
                 }
                 LogRecord::Clr { action, .. } => {
-                    let rid = match action {
-                        ClrAction::Remove { rid }
-                        | ClrAction::Overwrite { rid, .. }
-                        | ClrAction::ReInsert { rid, .. } => *rid,
-                    };
-                    self.redo_apply(*lsn, rid, |page| {
-                        match action {
-                            ClrAction::Remove { rid } => {
-                                slotted::delete(page, rid.slot);
-                            }
-                            ClrAction::Overwrite { rid, bytes } => {
-                                if !slotted::update(page, rid.slot, bytes) {
-                                    slotted::delete(page, rid.slot);
-                                    slotted::insert_at(page, rid.slot, bytes)?;
-                                }
-                            }
-                            ClrAction::ReInsert { rid, bytes } => {
-                                slotted::insert_at(page, rid.slot, bytes)?;
-                            }
-                        }
-                        Ok(())
-                    })?;
+                    self.redo_apply(*lsn, clr_rid(action), |page| apply_to_page(action, page))?;
                 }
                 _ => {}
             }
         }
 
-        // --- Reinstate in-doubt transactions (prepared, undecided) ---
-        // A forced Prepare record without a later Commit or Abort means
-        // the coordinator owns the outcome: the transaction is *not* a
-        // loser. Its undo state is rebuilt from the log (minus any
-        // operations a crash-interrupted abort already compensated) so a
-        // later coordinator decision can still settle it either way.
-        {
-            let mut in_doubt = self.prepared.lock();
-            in_doubt.clear();
-            for txn in &prepared {
-                if committed.contains(txn) || aborted.contains(txn) {
-                    continue;
-                }
-                let done = compensated.get(txn).cloned().unwrap_or_default();
-                let retained: Vec<(Lsn, UndoOp)> = ops
-                    .get(txn)
-                    .map(|v| {
-                        v.iter().filter(|(lsn, _)| !done.contains(&lsn.0)).cloned().collect()
-                    })
-                    .unwrap_or_default();
-                in_doubt.insert(*txn, TxnState { ops: retained });
-            }
-        }
-
-        // --- Undo losers (no commit, no abort, no forced prepare) ---
-        let mut loser_ids: Vec<u64> = ops
+        // --- Settle the undecided (no Commit, no Abort in the scan) ---
+        // What is left to undo is the same for both kinds: the logged
+        // operations minus those a crash-interrupted rollback already
+        // compensated. A forced Prepare record means the coordinator
+        // owns the outcome, so the transaction is reinstated as *in
+        // doubt* with that undo state and a later decision can settle it
+        // either way; every other one is a loser and is undone now.
+        let mut undecided: Vec<u64> = ops
             .keys()
-            .filter(|t| {
-                !committed.contains(t) && !aborted.contains(t) && !prepared.contains(t)
-            })
+            .chain(&prepared)
+            .filter(|t| !committed.contains(t) && !aborted.contains(t))
             .copied()
             .collect();
-        loser_ids.sort_unstable();
-        for txn in loser_ids {
-            let done = compensated.get(&txn).cloned().unwrap_or_default();
-            let txn_ops = &ops[&txn];
-            for (lsn, op) in txn_ops.iter().rev() {
-                if done.contains(&lsn.0) {
-                    continue;
-                }
-                let action = match op {
-                    UndoOp::Insert { rid } => ClrAction::Remove { rid: *rid },
-                    UndoOp::Update { rid, before } => {
-                        ClrAction::Overwrite { rid: *rid, bytes: before.clone() }
-                    }
-                    UndoOp::Delete { rid, before } => {
-                        ClrAction::ReInsert { rid: *rid, bytes: before.clone() }
-                    }
-                };
-                let clr_lsn = self.wal.append(&LogRecord::Clr {
-                    txn,
-                    compensates: lsn.0,
-                    action: action.clone(),
-                });
-                self.apply_clr(&action, clr_lsn)?;
+        undecided.sort_unstable();
+        undecided.dedup();
+        let mut in_doubt = HashMap::new();
+        let mut losers = Vec::new();
+        for txn in undecided {
+            let mut state = TxnState { ops: ops.remove(&txn).unwrap_or_default() };
+            if let Some(done) = compensated.get(&txn) {
+                state.ops.retain(|(lsn, _)| !done.contains(&lsn.0));
             }
-            self.wal.append(&LogRecord::Abort { txn });
+            if prepared.contains(&txn) {
+                in_doubt.insert(txn, state);
+            } else {
+                losers.push((txn, state));
+            }
+        }
+        *self.prepared.lock() = in_doubt;
+        for (txn, state) in &losers {
+            self.undo(TxnId(*txn), state)?;
         }
         self.wal.flush()?;
 

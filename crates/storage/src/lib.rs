@@ -24,7 +24,7 @@
 //!   hit/miss/eviction counters (experiment E10 reads these).
 //! * [`HeapFile`] — record storage with free-space tracking and
 //!   placement hints for composite-object clustering.
-//! * [`Wal`] / [`StorageEngine`] — physiological logging with
+//! * [`Wal`] / [`StorageEngine`] — logical (slot-granular) logging with
 //!   redo/undo restart recovery, quiescent checkpoints, and a `crash()`
 //!   test hook that drops all volatile state (experiment E13).
 //! * [`fault`] — a deterministic, seeded fault-injection subsystem
@@ -42,7 +42,7 @@ pub mod heap;
 pub mod slotted;
 pub mod wal;
 
-pub use backend::{FileDisk, StorageBackend};
+pub use backend::{FileDisk, LogBytes, StorageBackend};
 pub use buffer::{BufferPool, PoolStats};
 pub use disk::{DiskStats, PageId, SimDisk, PAGE_SIZE};
 pub use engine::{RecoveryStats, SlotRead, StorageEngine, TxnId};

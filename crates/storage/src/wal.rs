@@ -1,10 +1,12 @@
 //! Write-ahead logging.
 //!
-//! The log is physiological: records name a record id (`page`, `slot`)
-//! and carry byte images. A `stable` prefix models what reached the
-//! durable log device; the `tail` models the in-memory log buffer, which
-//! a crash discards. `flush` (called on commit and by the buffer pool's
-//! write-ahead hook) moves the tail into the stable prefix.
+//! The log is logical at slot granularity: records name a record id
+//! (`page`, `slot`) and carry the slot's byte images, not page images.
+//! The stable log lives on the backend's log device and nowhere else —
+//! the WAL keeps its length, not its bytes; the `tail` is the in-memory
+//! log buffer, which a crash discards. `flush` (called on commit and by
+//! the buffer pool's write-ahead hook) appends the tail to the device
+//! and syncs it.
 //!
 //! Every record is framed as `len (u32) | crc32 (u32) | body`, so a torn
 //! or rotted record is *detected*, never replayed as garbage. Reading
@@ -29,6 +31,7 @@
 //! mid-rollback.
 
 use crate::backend::StorageBackend;
+use crate::disk::SimDisk;
 use crate::fault::{crc32, FaultInjector, FaultKind, FaultSite};
 use crate::heap::Rid;
 use orion_obs::{Counter, Histogram, HistogramSnapshot, SpanTimer};
@@ -338,31 +341,23 @@ fn decode(mut body: &[u8]) -> DbResult<LogRecord> {
     Ok(rec)
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct WalInner {
-    stable: Vec<u8>,
+    /// Byte length of the log device: everything [`Wal::flush`] has
+    /// appended and synced. The bytes themselves live there and nowhere
+    /// else.
+    stable_len: u64,
+    /// Length of the longest prefix of the device's log that ends
+    /// exactly on a record-frame boundary. Equal to `stable_len` except
+    /// after a partial flush, whose cut may land mid-record. The
+    /// write-ahead check ([`Wal::flush_to`]) compares against *this*, so
+    /// a dirty page is never written while its log record is only
+    /// half-stable.
+    complete: u64,
+    /// The log buffer: whole frames, except that its first `head_rest`
+    /// bytes finish a frame a partial flush left half on the device.
     tail: Vec<u8>,
-    /// Length of the longest prefix of `stable` that ends exactly on a
-    /// record-frame boundary. Equal to `stable.len()` except after a
-    /// partial flush, whose cut may land mid-record. The write-ahead
-    /// check ([`Wal::flush_to`]) compares against *this*, so a dirty
-    /// page is never written while its log record is only half-stable.
-    complete: usize,
-}
-
-impl WalInner {
-    /// Advance `complete` over every whole frame now present.
-    fn advance_complete(&mut self) {
-        while self.complete + FRAME_HEADER <= self.stable.len() {
-            let len = u32::from_le_bytes(
-                self.stable[self.complete..self.complete + 4].try_into().unwrap(),
-            ) as usize;
-            if self.complete + FRAME_HEADER + len > self.stable.len() {
-                break;
-            }
-            self.complete += FRAME_HEADER + len;
-        }
-    }
+    head_rest: usize,
 }
 
 /// Cumulative WAL counters.
@@ -404,13 +399,11 @@ struct GroupState {
 }
 
 /// The write-ahead log.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Wal {
     inner: Mutex<WalInner>,
-    /// The durable log device: `stable` is always an exact in-memory
-    /// mirror of it. `None` (unit tests, [`Wal::new`]) keeps the mirror
-    /// only — the simulated-durability mode the engine always had.
-    backend: Option<Arc<dyn StorageBackend>>,
+    /// The log device: the only copy of the stable log.
+    backend: Arc<dyn StorageBackend>,
     faults: RwLock<Option<Arc<FaultInjector>>>,
     group: Mutex<GroupState>,
     group_cvar: Condvar,
@@ -428,24 +421,46 @@ pub struct Wal {
     batch_size: Histogram,
 }
 
+impl Default for Wal {
+    fn default() -> Self {
+        Wal::new()
+    }
+}
+
 impl Wal {
-    /// An empty log with no backing device (the stable prefix lives in
-    /// memory only, durable across simulated crashes).
+    /// An empty log over a fresh in-memory device (durable across
+    /// simulated crashes).
     pub fn new() -> Self {
-        Wal::default()
+        Wal::with_backend(Arc::new(SimDisk::new())).expect("a fresh in-memory log cannot fail")
     }
 
-    /// A log over `backend`'s log device. The stable mirror is loaded
-    /// from the device, so a reopened [`crate::backend::FileDisk`]
-    /// resumes exactly where the last process left off.
+    /// A log over `backend`'s log device, resuming at its current
+    /// length — which is all that is read here: every LSN later asked of
+    /// [`Wal::flush_to`] is one this log handed out, at or past that
+    /// length, and the records are read once, by
+    /// [`Wal::stable_records`].
     pub fn with_backend(backend: Arc<dyn StorageBackend>) -> DbResult<Self> {
-        let stable = backend.log_read()?;
-        let mut inner = WalInner { stable, tail: Vec::new(), complete: 0 };
-        inner.advance_complete();
+        let len = backend.log_len()?;
         Ok(Wal {
-            inner: Mutex::new(inner),
-            backend: Some(backend),
-            ..Default::default()
+            inner: Mutex::new(WalInner {
+                stable_len: len,
+                complete: len,
+                tail: Vec::new(),
+                head_rest: 0,
+            }),
+            backend,
+            faults: RwLock::default(),
+            group: Mutex::default(),
+            group_cvar: Condvar::default(),
+            group_window_us: AtomicU64::default(),
+            appends: Counter::default(),
+            flushes: Counter::default(),
+            flushed_bytes: Counter::default(),
+            torn_truncations: Counter::default(),
+            fsyncs: Counter::default(),
+            logical_records: Counter::default(),
+            flush_latency: Histogram::default(),
+            batch_size: Histogram::default(),
         })
     }
 
@@ -456,15 +471,40 @@ impl Wal {
         self.group_window_us.store(us, Ordering::Relaxed);
     }
 
-    /// Write `bytes` through to the backing log device and fsync, when
-    /// a device is attached. Called with the promoted bytes *before*
-    /// the mirror advances, so the mirror never claims stability the
-    /// device doesn't have.
-    fn device_append(&self, bytes: &[u8]) -> DbResult<()> {
-        if let Some(backend) = &self.backend {
-            backend.log_append(bytes)?;
-            backend.log_sync()?;
+    /// Append the first `cut` bytes of the tail to the log device and
+    /// sync it; only then do they leave the buffer and the stable
+    /// lengths advance, so those never claim stability the device
+    /// doesn't have. On failure everything stays buffered for the next
+    /// attempt.
+    fn promote(&self, inner: &mut WalInner, cut: usize) -> DbResult<()> {
+        self.backend.log_append(&inner.tail[..cut])?;
+        self.backend.log_sync()?;
+        self.fsyncs.inc();
+        if cut == inner.tail.len() {
+            // Appends add whole frames, so the tail ends on a boundary.
+            inner.tail.clear();
+            inner.stable_len += cut as u64;
+            inner.complete = inner.stable_len;
+            inner.head_rest = 0;
+            return Ok(());
         }
+        // An injected partial flush: the last frame boundary at or
+        // before the cut is found in the tail, which still holds every
+        // frame the cut could have split.
+        if cut < inner.head_rest {
+            inner.head_rest -= cut;
+        } else {
+            let (mut at, mut next) = (inner.head_rest, inner.head_rest);
+            while next <= cut {
+                at = next;
+                let len = inner.tail[at..at + 4].try_into().expect("a four-byte slice");
+                next = at + FRAME_HEADER + u32::from_le_bytes(len) as usize;
+            }
+            inner.complete = inner.stable_len + at as u64;
+            inner.head_rest = if at == cut { 0 } else { next - cut };
+        }
+        inner.tail.drain(..cut);
+        inner.stable_len += cut as u64;
         Ok(())
     }
 
@@ -478,7 +518,7 @@ impl Wal {
     pub fn append(&self, rec: &LogRecord) -> Lsn {
         let framed = encode(rec);
         let mut inner = self.inner.lock();
-        let lsn = Lsn((inner.stable.len() + inner.tail.len()) as u64);
+        let lsn = Lsn(inner.stable_len + inner.tail.len() as u64);
         inner.tail.extend_from_slice(&framed);
         self.appends.inc();
         if matches!(
@@ -510,39 +550,19 @@ impl Wal {
                 if shot.kind == FaultKind::PartialFlush && inner.tail.len() >= 2 {
                     let total = inner.tail.len();
                     let cut = 1 + (shot.entropy % (total as u64 - 1)) as usize;
-                    let promoted: Vec<u8> = inner.tail.drain(..cut).collect();
-                    if let Err(e) = self.device_append(&promoted) {
-                        // Nothing durable: the cut goes back to the
-                        // front of the tail for the next attempt.
-                        let rest = std::mem::take(&mut inner.tail);
-                        let mut tail = promoted;
-                        tail.extend_from_slice(&rest);
-                        inner.tail = tail;
-                        return Err(e);
-                    }
-                    self.fsyncs.inc();
-                    inner.stable.extend_from_slice(&promoted);
-                    inner.advance_complete();
+                    self.promote(&mut inner, cut)?;
                     return Err(DbError::Storage(format!(
                         "injected partial WAL flush: {cut} of {total} tail bytes promoted"
                     )));
                 }
             }
-            let tail = std::mem::take(&mut inner.tail);
-            if let Err(e) = self.device_append(&tail) {
-                inner.tail = tail;
-                return Err(e);
-            }
-            self.fsyncs.inc();
-            inner.stable.extend_from_slice(&tail);
-            inner.advance_complete();
-            tail.len() as u64
+            let all = inner.tail.len();
+            self.promote(&mut inner, all)?;
+            all as u64
         };
-        if moved > 0 {
-            self.flushes.inc();
-            self.flushed_bytes.add(moved);
-            span.record(Instant::now(), &self.flush_latency);
-        }
+        self.flushes.inc();
+        self.flushed_bytes.add(moved);
+        span.record(Instant::now(), &self.flush_latency);
         Ok(())
     }
 
@@ -579,7 +599,7 @@ impl Wal {
                 let batch = g.pending as u64;
                 drop(g);
                 let result = self.flush();
-                let complete = self.inner.lock().complete as u64;
+                let complete = self.inner.lock().complete;
                 let mut g = self.group.lock();
                 g.durable = g.durable.max(complete);
                 g.leader_active = false;
@@ -627,7 +647,7 @@ impl Wal {
     pub fn flush_to(&self, lsn: Lsn) -> DbResult<()> {
         let needs = {
             let inner = self.inner.lock();
-            lsn.0 >= inner.complete as u64
+            lsn.0 >= inner.complete
         };
         if needs {
             self.flush()
@@ -636,20 +656,22 @@ impl Wal {
         }
     }
 
-    /// Byte length of the stable prefix.
+    /// Byte length of the stable log (what the device holds).
     pub fn stable_len(&self) -> u64 {
-        self.inner.lock().stable.len() as u64
+        self.inner.lock().stable_len
     }
 
     /// Total log length including the unforced tail.
     pub fn total_len(&self) -> u64 {
         let inner = self.inner.lock();
-        (inner.stable.len() + inner.tail.len()) as u64
+        inner.stable_len + inner.tail.len() as u64
     }
 
     /// Simulate a crash: the unforced tail is lost.
     pub fn crash(&self) {
-        self.inner.lock().tail.clear();
+        let mut inner = self.inner.lock();
+        inner.tail.clear();
+        inner.head_rest = 0;
     }
 
     /// Read every record in the *stable* prefix, with its LSN.
@@ -664,41 +686,45 @@ impl Wal {
     pub fn stable_records(&self) -> DbResult<Vec<(Lsn, LogRecord)>> {
         let mut inner = self.inner.lock();
         let mut out = Vec::new();
-        let mut at = 0usize;
-        loop {
-            let stable = &inner.stable;
-            if at == stable.len() {
-                break;
-            }
-            match parse_frame(stable, at) {
-                Ok(Some((rec, next))) => {
-                    out.push((Lsn(at as u64), rec));
-                    at = next;
+        // Parsed where the device keeps it; the loan ends before any
+        // repair writes to the device.
+        let torn = {
+            let log = self.backend.log_read()?;
+            let mut at = 0usize;
+            loop {
+                if at == log.len() {
+                    break None;
                 }
-                Ok(None) => {
+                match parse_frame(&log, at) {
+                    Some((rec, next)) => {
+                        out.push((Lsn(at as u64), rec));
+                        at = next;
+                    }
                     // Damaged record. Tail or interior? Framing past it
                     // (when the length field is intact) tells us.
-                    if valid_record_after(stable, at) {
+                    None if valid_record_after(&log, at) => {
                         return Err(DbError::Corruption(format!(
                             "WAL record at offset {at} is corrupt but later records are \
                              intact: log interior damaged"
                         )));
                     }
-                    self.truncate_torn_tail(&mut inner, at)?;
-                    // Loop continues: the next parse reads the pad.
+                    None => break Some((at, log.len() - at)),
                 }
-                Err(e) => return Err(e),
             }
+        };
+        if let Some((at, gap)) = torn {
+            self.truncate_torn_tail(&mut inner, at, gap)?;
+            out.push((Lsn(at as u64), LogRecord::Pad));
         }
         Ok(out)
     }
 
-    /// Replace `stable[at..]` with a pad record spanning (at least) the
-    /// same bytes, so truncation never shrinks the LSN space. The
-    /// repair writes through to the log device (truncate, pad, sync),
-    /// so a re-crash replays against the already-spliced log.
-    fn truncate_torn_tail(&self, inner: &mut WalInner, at: usize) -> DbResult<()> {
-        let gap = inner.stable.len() - at;
+    /// Replace the `gap` bytes the device holds from `at` on with a pad
+    /// record spanning (at least) as many, so truncation never shrinks
+    /// the LSN space. The repair is made on the log device (truncate,
+    /// pad, sync), so a re-crash replays against the already-spliced
+    /// log.
+    fn truncate_torn_tail(&self, inner: &mut WalInner, at: usize, gap: usize) -> DbResult<()> {
         let body_len = gap.saturating_sub(FRAME_HEADER);
         let mut body = Vec::with_capacity(body_len);
         if body_len > 0 {
@@ -706,40 +732,34 @@ impl Wal {
             body.resize(body_len, 0);
         }
         let framed = frame(&body);
-        if let Some(backend) = &self.backend {
-            backend.log_truncate(at as u64)?;
-            backend.log_append(&framed)?;
-            backend.log_sync()?;
-        }
-        inner.stable.truncate(at);
-        inner.stable.extend_from_slice(&framed);
-        inner.complete = inner.stable.len();
+        self.backend.log_truncate(at as u64)?;
+        self.backend.log_append(&framed)?;
+        self.backend.log_sync()?;
+        inner.stable_len = (at + framed.len()) as u64;
+        inner.complete = inner.stable_len;
         self.torn_truncations.inc();
         Ok(())
     }
 }
 
-/// Parse the frame at `at`. `Ok(Some((record, next_offset)))` on
-/// success; `Ok(None)` when the frame is torn or fails its CRC or
-/// decode; `Err` only for internal inconsistencies.
-fn parse_frame(stable: &[u8], at: usize) -> DbResult<Option<(LogRecord, usize)>> {
+/// Parse the frame at `at` into `(record, next_offset)`; `None` when the
+/// frame is torn or fails its CRC or decode.
+fn parse_frame(stable: &[u8], at: usize) -> Option<(LogRecord, usize)> {
     if at + FRAME_HEADER > stable.len() {
-        return Ok(None); // torn frame header
+        return None; // torn frame header
     }
     let len = u32::from_le_bytes(stable[at..at + 4].try_into().unwrap()) as usize;
     let crc = u32::from_le_bytes(stable[at + 4..at + 8].try_into().unwrap());
     let body_start = at + FRAME_HEADER;
     if body_start + len > stable.len() {
-        return Ok(None); // torn body
+        return None; // torn body
     }
     let body = &stable[body_start..body_start + len];
     if crc32(body) != crc {
-        return Ok(None);
+        return None;
     }
-    match decode(body) {
-        Ok(rec) => Ok(Some((rec, body_start + len))),
-        Err(_) => Ok(None), // CRC passed but body malformed: treat as damage
-    }
+    // CRC passed but body malformed: treat as damage.
+    decode(body).ok().map(|rec| (rec, body_start + len))
 }
 
 /// Is there any fully valid record after the damaged frame at `at`?
@@ -754,10 +774,8 @@ fn valid_record_after(stable: &[u8], at: usize) -> bool {
         if next > stable.len() {
             return false; // ran off the end: everything from `at` is tail
         }
-        if cursor > at {
-            if let Ok(Some(_)) = parse_frame(stable, cursor) {
-                return true;
-            }
+        if cursor > at && parse_frame(stable, cursor).is_some() {
+            return true;
         }
         cursor = next;
     }
@@ -927,7 +945,7 @@ mod tests {
         assert!(wal.flush().is_err());
         wal.set_fault_injector(None);
         assert!(wal.stable_len() > 0, "a prefix was promoted");
-        // `begin` has bytes in `stable` but is not record-complete, so
+        // `begin` has bytes on the device but is not record-complete, so
         // the write-ahead hook must flush (and thereby complete it).
         wal.flush_to(begin).unwrap();
         let recs = wal.stable_records().unwrap();
@@ -1013,17 +1031,15 @@ mod tests {
 
     #[test]
     fn interior_corruption_is_a_hard_error() {
-        let wal = Wal::new();
+        let disk = Arc::new(SimDisk::new());
+        let wal = Wal::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>).unwrap();
         wal.append(&LogRecord::Begin { txn: 1 });
         wal.append(&LogRecord::Commit { txn: 1 });
         wal.append(&LogRecord::Checkpoint);
         wal.flush().unwrap();
         // Flip a byte inside the *first* record's body: framing stays
         // intact, so the later records are still reachable and valid.
-        {
-            let mut inner = wal.inner.lock();
-            inner.stable[FRAME_HEADER + 2] ^= 0xFF;
-        }
+        disk.log.lock()[FRAME_HEADER + 2] ^= 0xFF;
         let err = wal.stable_records().unwrap_err();
         assert!(
             matches!(err, DbError::Corruption(_)),

@@ -1,12 +1,18 @@
-//! Property-based tests: slotted pages against a model, and recovery
-//! against random workloads with randomly placed crashes.
+//! Property-based tests: slotted pages against a model, recovery
+//! against random workloads with randomly placed crashes, and the WAL's
+//! stable-length bookkeeping against a reference walk over the log
+//! device, on both backends.
 
 use orion_storage::engine::{StorageEngine, TxnId};
 use orion_storage::heap::Rid;
 use orion_storage::slotted;
-use orion_storage::PAGE_SIZE;
+use orion_storage::{
+    FaultInjector, FaultKind, FaultPlan, FileDisk, LogRecord, Lsn, PageId, SimDisk,
+    StorageBackend, Wal, PAGE_SIZE,
+};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum PageOp {
@@ -223,5 +229,195 @@ proptest! {
             engine.scan_all(|rid, bytes| { now.insert(rid, bytes.to_vec()); }).unwrap();
             prop_assert_eq!(&now, &committed);
         }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum WalOp {
+    /// Append a record carrying this payload (an empty one appends the
+    /// smallest record there is).
+    Append(Vec<u8>),
+    Flush,
+    /// Flush under a one-shot partial-flush fault; the seed picks the
+    /// cut.
+    PartialFlush(u64),
+    /// The write-ahead hook, for one of the LSNs handed out so far.
+    FlushTo(usize),
+    /// Crash, then read the log as restart recovery does — through a
+    /// new `Wal` over the same device when `reopen` is set.
+    Crash { reopen: bool },
+    /// Read the log without a crash.
+    Read,
+}
+
+fn arb_wal_ops() -> impl Strategy<Value = Vec<WalOp>> {
+    // No weights in `prop_oneof!`: appends and partial flushes are
+    // listed more than once so that cuts usually have frames to split.
+    let append = proptest::collection::vec(any::<u8>(), 0..120).prop_map(WalOp::Append).boxed();
+    proptest::collection::vec(
+        prop_oneof![
+            append.clone(),
+            append.clone(),
+            append,
+            Just(WalOp::Flush),
+            any::<u64>().prop_map(WalOp::PartialFlush),
+            any::<u64>().prop_map(WalOp::PartialFlush),
+            any::<usize>().prop_map(WalOp::FlushTo),
+            any::<bool>().prop_map(|reopen| WalOp::Crash { reopen }),
+            Just(WalOp::Read),
+        ],
+        0..60,
+    )
+}
+
+/// The reference the WAL's two numbers are checked against: the length
+/// of the longest prefix of the device's bytes made of whole frames
+/// (`len u32 | crc u32 | body`), found by walking every frame — what
+/// the WAL did on each flush while it kept a copy of those bytes.
+fn record_complete_len(log: &[u8]) -> u64 {
+    let mut complete = 0usize;
+    while complete + 8 <= log.len() {
+        let len = u32::from_le_bytes(log[complete..complete + 4].try_into().unwrap()) as usize;
+        if complete + 8 + len > log.len() {
+            break;
+        }
+        complete += 8 + len;
+    }
+    complete as u64
+}
+
+/// Drive `ops` against a WAL over `disk`, checking after every step.
+/// The model is the list of records appended with their byte ranges
+/// (an LSN is a byte offset, so a record ends where the log ended after
+/// its append): `durable` holds what a read must return, `pending` what
+/// has not wholly reached the device yet.
+fn check_wal_bookkeeping(disk: Arc<dyn StorageBackend>, ops: &[WalOp]) {
+    let mut wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
+    let mut durable: Vec<(Lsn, LogRecord)> = Vec::new();
+    let mut pending: VecDeque<(Lsn, u64, LogRecord)> = VecDeque::new();
+    let mut lsns: Vec<Lsn> = Vec::new();
+    for (step, op) in ops.iter().enumerate() {
+        let device_before = disk.log_len().unwrap();
+        let total_before = wal.total_len();
+        match op {
+            WalOp::Append(payload) => {
+                let rec = if payload.is_empty() {
+                    LogRecord::Checkpoint
+                } else {
+                    LogRecord::Insert {
+                        txn: step as u64,
+                        rid: Rid { page: PageId(step as u32), slot: 0 },
+                        bytes: payload.clone(),
+                    }
+                };
+                let lsn = wal.append(&rec);
+                assert_eq!(lsn.0, total_before, "step {step}: an LSN is the offset appended at");
+                pending.push_back((lsn, wal.total_len(), rec));
+                lsns.push(lsn);
+            }
+            WalOp::Flush => {
+                wal.flush().unwrap();
+                assert_eq!(disk.log_len().unwrap(), total_before, "step {step}: flush moves it all");
+            }
+            WalOp::PartialFlush(seed) => {
+                let plan = FaultPlan::new(*seed).fail_nth(FaultKind::PartialFlush, 1);
+                wal.set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+                let result = wal.flush();
+                wal.set_fault_injector(None);
+                let device = disk.log_len().unwrap();
+                if total_before - device_before < 2 {
+                    // Nothing, or a single byte, cannot be cut in two.
+                    result.unwrap();
+                    assert_eq!(device, total_before, "step {step}: nothing to cut");
+                } else {
+                    assert!(result.is_err(), "step {step}: a partial flush reports failure");
+                    assert!(
+                        device_before < device && device < total_before,
+                        "step {step}: cut at {device} outside ({device_before}, {total_before})"
+                    );
+                }
+            }
+            WalOp::FlushTo(pick) => {
+                if lsns.is_empty() {
+                    continue;
+                }
+                let lsn = lsns[pick % lsns.len()];
+                let needs = lsn.0 >= record_complete_len(&disk.log_read().unwrap());
+                let flushes = wal.stats().flushes;
+                wal.flush_to(lsn).unwrap();
+                let forced = needs && !pending.is_empty();
+                assert_eq!(
+                    wal.stats().flushes - flushes,
+                    forced as u64,
+                    "step {step}: flush_to({lsn:?}) forces the tail exactly when the record \
+                     is not whole on the device"
+                );
+                let expect = if forced { total_before } else { device_before };
+                assert_eq!(disk.log_len().unwrap(), expect, "step {step}");
+            }
+            WalOp::Crash { reopen } => {
+                wal.crash();
+                if *reopen {
+                    wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
+                }
+                // A record cut by a partial flush is a torn tail now:
+                // the read replaces its bytes on the device with a pad.
+                let torn = pending.front().filter(|(lsn, _, _)| lsn.0 < device_before);
+                if let Some((lsn, _, _)) = torn {
+                    durable.push((*lsn, LogRecord::Pad));
+                }
+                let torn = torn.is_some();
+                pending.clear();
+                assert_eq!(wal.stable_records().unwrap(), durable, "step {step}: restart read");
+                assert_eq!(wal.stats().torn_tail_truncations, torn as u64, "step {step}");
+                wal.reset_stats();
+                let device = disk.log_len().unwrap();
+                assert!(device >= device_before, "step {step}: LSNs never reuse a torn range");
+                assert_eq!(
+                    record_complete_len(&disk.log_read().unwrap()),
+                    device,
+                    "step {step}: the repair is on the device"
+                );
+            }
+            WalOp::Read => {
+                // The engine reads the log only at restart, after the
+                // crash dropped the tail; with the rest of a cut record
+                // still buffered, a read would truncate a live record.
+                if pending.front().is_some_and(|(lsn, _, _)| lsn.0 < device_before) {
+                    continue;
+                }
+                assert_eq!(wal.stable_records().unwrap(), durable, "step {step}: live read");
+            }
+        }
+        let device = disk.log_len().unwrap();
+        assert_eq!(wal.stable_len(), device, "step {step}: the WAL's length is the device's");
+        while pending.front().is_some_and(|(_, end, _)| *end <= device) {
+            let (lsn, _, rec) = pending.pop_front().unwrap();
+            durable.push((lsn, rec));
+        }
+        let buffered_to = pending.back().map_or(device, |(_, end, _)| *end);
+        assert_eq!(wal.total_len(), buffered_to, "step {step}: nothing buffered is lost");
+    }
+    // Whatever is left heals: one clean flush makes every record whole.
+    wal.flush().unwrap();
+    durable.extend(pending.drain(..).map(|(lsn, _, rec)| (lsn, rec)));
+    assert_eq!(wal.stable_records().unwrap(), durable);
+    assert_eq!(wal.stable_len(), disk.log_len().unwrap());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The WAL keeps two numbers where it used to keep the log: after
+    /// every step they agree with the device and with a walk over the
+    /// device's bytes, and what is read back is what was promoted.
+    #[test]
+    fn wal_bookkeeping_matches_the_device(ops in arb_wal_ops()) {
+        check_wal_bookkeeping(Arc::new(SimDisk::new()), &ops);
+        let dir = std::env::temp_dir()
+            .join(format!("orion-wal-prop-{}-{:?}", std::process::id(), std::thread::current().id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        check_wal_bookkeeping(Arc::new(FileDisk::open(&dir).unwrap()), &ops);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

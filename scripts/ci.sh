@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# The full local CI gate: release build, test suite, lint (clippy with
-# warnings-as-errors, which also blocks internal use of deprecated
-# APIs), the client/server integration tests, a release-mode
-# concurrency stress run (the #[ignore]d elevated-thread-count test in
-# tests/concurrency.rs), the chaos gates (the fixed-seed smoke from
-# tests/chaos.rs, then the #[ignore]d multi-seed hammer in release
-# mode), and two bench smoke runs:
+# The full local CI gate: release build, the whole workspace's test
+# suite (every crate's unit, integration and property tests: the
+# client/server suites, the shard crate's 2PC crash/recovery and
+# fan-out fidelity tests, the fixed-seed chaos smoke, and the backend
+# conformance and durability suites over both SimDisk and FileDisk),
+# lint (clippy with warnings-as-errors, plus the grep denies in
+# scripts/lint.sh), a release-mode concurrency stress run (the
+# #[ignore]d elevated-thread-count test in tests/concurrency.rs), the
+# #[ignore]d multi-seed chaos hammer in release mode, and two bench
+# smoke runs:
 # parallel_query regenerates BENCH_parallel_query.json (its
 # instrumentation-overhead measurement must stay within the 5% budget,
 # its work_per_row section feeds the scan work gate: at most 1.1 object
@@ -17,14 +20,11 @@
 # section feeds the group-commit gate: flushes-per-commit < 0.5 at 8
 # concurrent committers) and net_throughput --smoke regenerates
 # BENCH_net.json (a ~2 second multi-client run over real sockets).
-# The backend conformance suite runs the storage contract and the
-# durability scenarios over both SimDisk and FileDisk. The sharded
-# smoke runs the cluster tests (2PC participant/coordinator crash
-# recovery, fan-out merge fidelity), and the net bench's sharded
-# section feeds the passthrough-overhead gate (< 3x a direct client);
-# its request_overhead section feeds the request-overhead gate: event-
-# loop wakeups per request <= 1.1 one at a time, wakeups and executor
-# turns per request <= 0.6 each when pipelined eight deep.
+# The net bench's sharded section feeds the passthrough-overhead gate
+# (< 3x a direct client); its request_overhead section feeds the
+# request-overhead gate: event-loop wakeups per request <= 1.1 one at
+# a time, wakeups and executor turns per request <= 0.6 each when
+# pipelined eight deep.
 # The benchmark package (benchmark/, its own workspace) is covered from
 # outside: its unit tests, then a smoke run of all four workloads whose
 # results its own validator checks against BENCHMARK.json.
@@ -34,25 +34,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
-echo "==> net integration tests"
-cargo test -q -p orion-net --test net_integration
+echo "==> cargo test -q --workspace"
+# The root manifest is a package as well as the workspace: without
+# --workspace only the root package's tests would run.
+cargo test -q --workspace
 
 echo "==> concurrency stress (release, elevated thread count)"
 cargo test -q --release --test concurrency -- --ignored
-
-echo "==> chaos smoke (fixed seeds, bounded rounds, both backends)"
-cargo test -q --test chaos
-
-echo "==> sharded cluster smoke (2PC crash/recovery, fan-out fidelity)"
-cargo test -q -p orion-shard
-cargo test -q --test sharded
-
-echo "==> backend conformance suite (SimDisk + FileDisk)"
-cargo test -q --test backend_conformance
-cargo test -q --test durability
 
 echo "==> chaos hammer (release, multi-seed sweep)"
 cargo test -q --release --test chaos -- --ignored
