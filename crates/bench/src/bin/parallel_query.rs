@@ -9,38 +9,33 @@
 //!    object fetches and snapshot reads per row scanned, pool misses
 //!    per query against heap pages, and the degree the executor chose
 //!    (CI gates the counts; the two timings are for the record).
-//! 2. *Inter-query concurrency*: aggregate throughput of 4 reader
-//!    threads on the shared (RwLock) runtime vs the same workload with
-//!    every execution serialized behind one global mutex — an emulation
-//!    of the pre-change `Mutex<Runtime>` build, where concurrent
-//!    `query()` calls could not overlap at all.
-//! 3. *Mixed read/write scaling*: a fixed budget of write transactions
+//! 2. *Mixed read/write scaling*: a fixed budget of write transactions
 //!    split across 1, 2, then 4 writer threads on *disjoint classes*,
 //!    running concurrently with reader threads — the decomposed-runtime
 //!    claim that disjoint writers scale instead of serializing behind
 //!    one big lock.
-//! 4. *MVCC snapshot reads*: reader throughput while 1, 2, then 4
+//! 3. *MVCC snapshot reads*: reader throughput while 1, 2, then 4
 //!    writers churn continuously (snapshot readers take no 2PL locks,
 //!    so added writers should not collapse reader throughput on a
 //!    multi-core host), and a pure-read workload's lock accounting
 //!    (`lock_acquisitions` ≈ 0, resolution visible in `orion_mvcc_*`).
-//! 5. *Group commit*: a fixed budget of commits split across 1, 8, then
+//! 4. *Group commit*: a fixed budget of commits split across 1, 8, then
 //!    64 concurrent committers with a group-commit window — one flush
 //!    leader's fsync should make many transactions durable, driving
 //!    flushes-per-commit well below 1 (CI gates < 0.5 at 8 committers).
 
 use orion_bench::fleet;
-use orion_core::{AttrSpec, Database, DbConfig, Domain, Oid, PrimitiveType, SourceView, Value};
+use orion_core::{AttrSpec, Database, DbConfig, Domain, Oid, PrimitiveType, Value};
 use orion_query::{execute_with, ExecMetrics, ExecOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const N_OBJECTS: usize = 12_000;
 const QUERY: &str = "select v from Vehicle* v \
      where v.weight > 2000 and v.manufacturer.location = \"Detroit\"";
-const READERS: usize = 4;
-const QUERIES_PER_READER: usize = 12;
+/// Workers of the parallel arm of section 1.
+const THREADS: usize = 4;
 
 fn best_of(rounds: usize, mut f: impl FnMut() -> usize) -> (Duration, usize) {
     let mut best = Duration::MAX;
@@ -70,14 +65,14 @@ fn main() {
 
     // --- 1. Serial vs 4-thread execution of one query -----------------
     let run_with = |opts: &ExecOptions| {
-        db.with_catalog(|cat| {
-            execute_with(cat, &SourceView::new(db, cat), &planned, opts).expect("execute").len()
+        db.with_snapshot(None, |cat, src| {
+            execute_with(cat, src, &planned, opts).expect("execute").len()
         })
     };
     let run = |threads: usize| run_with(&ExecOptions::with_threads(threads));
     let (_, _) = best_of(2, || run(1)); // warm the buffer pool
     let (serial, len_serial) = best_of(5, || run(1));
-    let (par4, len_par4) = best_of(5, || run(4));
+    let (par4, len_par4) = best_of(5, || run(THREADS));
     assert_eq!(len_serial, len_par4, "parallel result diverged");
     let speedup = serial.as_secs_f64() / par4.as_secs_f64();
     println!(
@@ -147,9 +142,9 @@ fn main() {
     // database, interleaved, medians.
     let timed = |threads: usize| {
         let start = Instant::now();
-        wdb.with_catalog(|cat| {
+        wdb.with_snapshot(None, |cat, src| {
             let opts = ExecOptions::with_threads(threads);
-            execute_with(cat, &SourceView::new(wdb, cat), &work_plan, &opts).expect("execute");
+            execute_with(cat, src, &work_plan, &opts).expect("execute");
         });
         start.elapsed()
     };
@@ -166,36 +161,7 @@ fn main() {
          (auto {auto_degree:?} vs one worker {one_worker:?})"
     );
 
-    // --- 2. 4 readers: shared runtime vs global-mutex emulation -------
-    let global = Mutex::new(());
-    let fleet_time = |serialize: bool| {
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            for _ in 0..READERS {
-                s.spawn(|| {
-                    for _ in 0..QUERIES_PER_READER {
-                        let _guard = serialize
-                            .then(|| global.lock().unwrap_or_else(|e| e.into_inner()));
-                        let n = run(1);
-                        assert_eq!(n, len_serial);
-                    }
-                });
-            }
-        });
-        start.elapsed()
-    };
-    fleet_time(false); // warm-up
-    let shared = fleet_time(false);
-    let mutexed = fleet_time(true);
-    let agg_speedup = mutexed.as_secs_f64() / shared.as_secs_f64();
-    let total = READERS * QUERIES_PER_READER;
-    println!(
-        "{READERS} readers x {QUERIES_PER_READER} queries: shared runtime {shared:?} \
-         ({:.1}/s), global mutex {mutexed:?} ({:.1}/s) — {agg_speedup:.2}x aggregate",
-        total as f64 / shared.as_secs_f64(),
-        total as f64 / mutexed.as_secs_f64(),
-    );
-    // --- 3. Mixed read/write scaling on disjoint classes --------------
+    // --- 2. Mixed read/write scaling on disjoint classes --------------
     // A fixed budget of write transactions is split across 1, 2, then 4
     // writer threads, each owning its own class (disjoint 2PL and
     // component-lock footprints), while reader threads run the scan
@@ -260,8 +226,8 @@ fn main() {
         );
     }
 
-    // --- 4. MVCC snapshot reads -----------------------------------------
-    // 4a. Reader throughput while writers churn. Snapshot readers take
+    // --- 3. MVCC snapshot reads -----------------------------------------
+    // 3a. Reader throughput while writers churn. Snapshot readers take
     // no 2PL locks, so on a host with enough cores their throughput
     // should stay flat as writers are added; writers run flat-out until
     // the readers finish, so the reader-side work is constant per run.
@@ -352,7 +318,7 @@ fn main() {
     let stats = db.stats();
     db.commit(tx).expect("commit");
 
-    // 4b. Pure-read lock accounting: from a clean slate, a read-only
+    // 3b. Pure-read lock accounting: from a clean slate, a read-only
     // workload must resolve entirely through snapshots — ~0 2PL lock
     // acquisitions, every read visible in the orion_mvcc_* counters.
     db.reset_metrics();
@@ -377,7 +343,7 @@ fn main() {
         pure.mvcc.snapshot_reads,
     );
 
-    // --- 5. Group commit: flushes per commit vs committer count --------
+    // --- 4. Group commit: flushes per commit vs committer count --------
     // A fixed budget of tiny write transactions, split across 1, 8,
     // then 64 concurrent committers. Every commit forces the log, but
     // with a group-commit window the flush leader's single fsync covers
@@ -440,10 +406,10 @@ fn main() {
     let cpus = cpus();
     // Threads cannot beat serial wall-clock on a host with fewer cores
     // than workers; say so in the record instead of leaving a mystery.
-    let note = if cpus < READERS {
+    let note = if cpus < THREADS {
         format!(
             ",\n  \"note\": \"host exposes {cpus} CPU(s); speedups are \
-             core-bound and need >= {READERS} cores to manifest\""
+             core-bound and need >= {THREADS} cores to manifest\""
         )
     } else {
         String::new()
@@ -479,10 +445,6 @@ fn main() {
          \"pool_misses_per_query\": {misses_per_query:.1},\n    \
          \"degree\": {degree},\n    \"auto_degree_ms\": {:.3},\n    \
          \"one_worker_ms\": {:.3}\n  }},\n  \
-         \"concurrent_readers\": {{\n    \"readers\": {READERS},\n    \
-         \"queries_per_reader\": {QUERIES_PER_READER},\n    \
-         \"shared_runtime_ms\": {:.3},\n    \"global_mutex_ms\": {:.3},\n    \
-         \"aggregate_speedup\": {:.3}\n  }},\n  \
          \"mixed_read_write\": {{\n    \"write_txns_total\": {WRITE_TXNS_TOTAL},\n    \
          \"readers\": {MIX_READERS},\n    \
          \"queries_per_reader\": {MIX_QUERIES_PER_READER},\n    \
@@ -513,9 +475,6 @@ fn main() {
         speedup,
         auto_degree.as_secs_f64() * 1e3,
         one_worker.as_secs_f64() * 1e3,
-        shared.as_secs_f64() * 1e3,
-        mutexed.as_secs_f64() * 1e3,
-        agg_speedup,
         pure.locks.acquisitions,
         pure.locks.s_acquisitions,
         pure.mvcc.snapshots,

@@ -84,12 +84,6 @@ pub struct DbConfig {
     /// Worker threads for query candidate evaluation: `0` sizes to the
     /// machine's available parallelism, `1` forces serial execution.
     pub query_threads: usize,
-    /// MVCC snapshot reads for queries: each query captures a commit
-    /// timestamp and reads from per-object version chains, taking **no
-    /// 2PL locks at all**. `false` restores the legacy behavior where a
-    /// query takes `S` locks on every class in scope (and therefore
-    /// blocks behind — and is blocked by — writers and schema changes).
-    pub mvcc_reads: bool,
     /// Where pages and the WAL live (see [`StorageSpec`]).
     pub storage: StorageSpec,
     /// Group-commit window: how long a commit's flush leader lingers
@@ -111,7 +105,6 @@ impl Default for DbConfig {
             clustering: true,
             lock_timeout: Duration::from_secs(5),
             query_threads: 0,
-            mvcc_reads: true,
             storage: StorageSpec::Memory,
             group_commit_window: Duration::ZERO,
         }
@@ -196,12 +189,6 @@ impl DbConfigBuilder {
     /// Worker threads for query candidate evaluation (`0` = auto).
     pub fn query_threads(mut self, threads: usize) -> Self {
         self.config.query_threads = threads;
-        self
-    }
-
-    /// MVCC snapshot reads for queries (`false` = legacy S-locking).
-    pub fn mvcc_reads(mut self, on: bool) -> Self {
-        self.config.mvcc_reads = on;
         self
     }
 
@@ -501,20 +488,18 @@ impl Database {
     /// later transaction touching the same objects.
     pub fn commit(&self, tx: Tx) -> DbResult<()> {
         let result = self.engine.commit(tx.storage);
-        if self.config.mvcc_reads {
-            match &result {
-                // Durable: publish the write set under a fresh commit
-                // timestamp — snapshot readers see it atomically.
-                Ok(()) => {
-                    self.mvcc.commit_publish(tx.id());
-                }
-                // In doubt: drop the staged after-images. The chains
-                // keep their committed pre-images, so snapshot readers
-                // stay on the last known-good state; the caller is
-                // expected to `crash_and_recover`, which resolves the
-                // in-doubt state and resets the version store to match.
-                Err(_) => self.mvcc.discard(tx.id()),
+        match &result {
+            // Durable: publish the write set under a fresh commit
+            // timestamp — snapshot readers see it atomically.
+            Ok(()) => {
+                self.mvcc.commit_publish(tx.id());
             }
+            // In doubt: drop the staged after-images. The chains keep
+            // their committed pre-images, so snapshot readers stay on
+            // the last known-good state; the caller is expected to
+            // `crash_and_recover`, which resolves the in-doubt state and
+            // resets the version store to match.
+            Err(_) => self.mvcc.discard(tx.id()),
         }
         self.locks.release_all(tx.id());
         result
@@ -567,17 +552,15 @@ impl Database {
     /// here), which a retransmitting coordinator treats as success.
     pub fn commit_prepared(&self, txn: u64) -> DbResult<bool> {
         let result = self.engine.commit_prepared(TxnId(txn));
-        if self.config.mvcc_reads {
-            match &result {
-                Ok(true) => {
-                    self.mvcc.commit_publish(txn);
-                }
-                Ok(false) => {}
-                // In doubt (log force failed): same contract as
-                // `commit` — drop the staged after-images and expect
-                // the caller to `crash_and_recover`.
-                Err(_) => self.mvcc.discard(txn),
+        match &result {
+            Ok(true) => {
+                self.mvcc.commit_publish(txn);
             }
+            Ok(false) => {}
+            // In doubt (log force failed): same contract as `commit` —
+            // drop the staged after-images and expect the caller to
+            // `crash_and_recover`.
+            Err(_) => self.mvcc.discard(txn),
         }
         self.locks.release_all(txn);
         if matches!(result, Ok(true)) {
@@ -794,9 +777,6 @@ impl Database {
     /// here so every update path — `set`, system attributes, eager
     /// migrations, version derivation — is covered.
     fn stage_update(&self, rt: &Runtime, tx: &Tx, record: &ObjectRecord) {
-        if !self.config.mvcc_reads {
-            return;
-        }
         let pre = self.committed_pre_image(rt, record.oid);
         self.mvcc.stage(tx.id(), record.oid, pre, Some(Arc::new(record.clone())));
     }
@@ -886,12 +866,10 @@ impl Database {
         } else {
             None
         };
-        if self.config.mvcc_reads {
-            // Stage before the insert becomes discoverable: the chain's
-            // "did not exist" base hides the new object from snapshots
-            // taken before this commit publishes.
-            self.mvcc.stage(tx.id(), oid, None, Some(Arc::new(record.clone())));
-        }
+        // Stage before the insert becomes discoverable: the chain's "did
+        // not exist" base hides the new object from snapshots taken
+        // before this commit publishes.
+        self.mvcc.stage(tx.id(), oid, None, Some(Arc::new(record.clone())));
         let rid = self.engine.insert(tx.storage, &record.encode(), hint)?;
         rt.directory.insert(oid, rid);
         rt.extents.insert(class, oid);
@@ -1073,11 +1051,9 @@ impl Database {
         let record = self.load_record(rt, catalog, oid)?;
         let nested_pre = self.nested_snapshot(rt, catalog, oid)?;
 
-        if self.config.mvcc_reads {
-            // Stage before the object vanishes from the extent; the
-            // tombstone map keeps it scannable for older snapshots.
-            self.mvcc.stage(tx.id(), oid, Some(Arc::clone(&record)), None);
-        }
+        // Stage before the object vanishes from the extent; the
+        // tombstone map keeps it scannable for older snapshots.
+        self.mvcc.stage(tx.id(), oid, Some(Arc::clone(&record)), None);
         let rid = rt.directory.get(oid).ok_or(DbError::NoSuchObject(oid))?;
         self.engine.delete(tx.storage, rid)?;
         rt.directory.remove(oid);

@@ -221,7 +221,7 @@ impl Database {
 
     /// Roots of `def` whose indexed path may run through `oid`: climb
     /// the reverse-reference graph along every prefix of the path.
-    fn nested_roots(
+    pub(crate) fn nested_roots(
         &self,
         rt: &Runtime,
         catalog: &Catalog,

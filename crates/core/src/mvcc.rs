@@ -320,6 +320,28 @@ impl VersionStore {
         }
     }
 
+    /// Every object `keep` selects whose in-place state (and so whose
+    /// index entries) may differ from what snapshot `ts` reads for
+    /// `reader`: another transaction is writing it, or it committed
+    /// after `ts`. Only chained objects qualify — a writer stages the
+    /// chain before it mutates in place — and such a chain cannot
+    /// settle while the snapshot is registered.
+    pub fn moved_since(&self, ts: u64, reader: u64, keep: impl Fn(Oid) -> bool) -> Vec<Oid> {
+        if self.quiescent() {
+            return Vec::new();
+        }
+        let moved = |chain: &VersionChain| match chain.writer {
+            Some(writer) => writer != reader,
+            None => chain.entries.last().is_some_and(|(t, _)| *t > ts),
+        };
+        let mut out = Vec::new();
+        for shard in self.shards.iter() {
+            let shard = shard.read();
+            out.extend(shard.iter().filter(|(&oid, c)| moved(c) && keep(oid)).map(|(&oid, _)| oid));
+        }
+        out
+    }
+
     /// OIDs of `class` that are *absent from the live extent* but were
     /// still alive at snapshot `ts` (committed deletes after `ts`, plus
     /// uncommitted deletes, which are pending at `u64::MAX`). The

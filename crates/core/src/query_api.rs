@@ -15,22 +15,23 @@ use orion_query::ast::{Expr, Query};
 use orion_query::{
     execute_with, parse, plan, AccessPath, ExecOptions, ExplainReport, PlannedQuery, QueryResult,
 };
+use orion_schema::Catalog;
 use orion_types::{DbError, DbResult};
 use std::sync::Arc;
 
 impl Database {
     /// Parse, authorize, plan, and execute a query.
     ///
-    /// With MVCC snapshot reads (the default), execution captures one
-    /// commit timestamp and resolves every record through the version
-    /// store — **zero 2PL locks**, so queries never block writers and
-    /// writers never block queries; the transaction still sees its own
-    /// uncommitted writes. With `mvcc_reads` disabled, a hierarchy
-    /// query takes `S` locks on every class in scope; a class query on
-    /// its one class (strict 2PL — released at commit/rollback).
+    /// Planning and execution read at one snapshot: one commit
+    /// timestamp, every record resolved through the version store —
+    /// **zero 2PL locks**, so queries never block writers and writers
+    /// never block queries; the transaction still sees its own
+    /// uncommitted writes.
     pub fn query(&self, tx: &Tx, text: &str) -> DbResult<QueryResult> {
-        let planned = self.plan(tx, text)?;
-        self.run_planned(&planned, tx.id())
+        self.with_snapshot(Some(tx), |catalog, source| {
+            let planned = self.plan_in(tx, text, catalog, source)?;
+            execute_with(catalog, source, &planned, &self.exec_options())
+        })
     }
 
     /// Plan a query and return the optimizer's structured explanation
@@ -41,42 +42,43 @@ impl Database {
     }
 
     /// Prepare a query once for repeated execution (parse, authorize,
-    /// lock, plan). The plan stays valid while the schema and index set
-    /// are unchanged; re-prepare after DDL.
+    /// plan). The plan stays valid while the schema and index set are
+    /// unchanged; re-prepare after DDL.
     pub fn prepare_query(&self, tx: &Tx, text: &str) -> DbResult<PlannedQuery> {
         self.plan(tx, text)
     }
 
-    /// Execute a previously prepared query (outside any transaction —
-    /// under MVCC it still reads a consistent committed snapshot).
+    /// Execute a previously prepared query outside any transaction, at
+    /// a consistent committed snapshot. The snapshot and catalog guard
+    /// span the whole execution — every worker reads at the one
+    /// timestamp, so parallel results are byte-identical to serial.
     pub fn execute_prepared(&self, planned: &PlannedQuery) -> DbResult<QueryResult> {
-        self.run_planned(planned, crate::mvcc::NO_READER)
+        self.with_snapshot(None, |catalog, source| {
+            execute_with(catalog, source, planned, &self.exec_options())
+        })
     }
 
-    /// Execute a planned query for `reader`, under a pinned snapshot
-    /// when MVCC reads are on. The snapshot guard spans the whole
-    /// execution — every worker reads at the one timestamp captured
-    /// here, so parallel results are byte-identical to serial. So does
-    /// this catalog guard, and it is the only one: the source works
-    /// under the reference it is handed and never re-enters the lock.
-    fn run_planned(&self, planned: &PlannedQuery, reader: u64) -> DbResult<QueryResult> {
-        let catalog = self.catalog.read();
-        let opts = ExecOptions {
+    fn exec_options(&self) -> ExecOptions {
+        ExecOptions {
             threads: self.config.query_threads,
             metrics: Some(Arc::clone(&self.metrics.exec)),
             ..ExecOptions::default()
-        };
-        if self.config.mvcc_reads {
-            let snapshot = self.mvcc.begin_snapshot(reader);
-            let source =
-                SourceView::with_snapshot(self, &catalog, snapshot.ts(), snapshot.reader());
-            execute_with(&catalog, &source, planned, &opts)
-        } else {
-            execute_with(&catalog, &SourceView::new(self, &catalog), planned, &opts)
         }
     }
 
     fn plan(&self, tx: &Tx, text: &str) -> DbResult<PlannedQuery> {
+        self.with_snapshot(Some(tx), |catalog, source| self.plan_in(tx, text, catalog, source))
+    }
+
+    /// Parse, resolve views, authorize and plan under the caller's
+    /// catalog guard (lock order: catalog before views and authz).
+    fn plan_in(
+        &self,
+        tx: &Tx,
+        text: &str,
+        catalog: &Catalog,
+        source: &SourceView<'_>,
+    ) -> DbResult<PlannedQuery> {
         let mut query = parse(text)?;
 
         // View resolution: a target naming a view splices the stored
@@ -89,35 +91,24 @@ impl Database {
             query = splice_view(&query, &parse(&body)?)?;
         }
 
-        let scope = {
-            // Short-lived guard: compute the scope, then release before
-            // blocking on the lock manager (lock order discipline).
-            let catalog = self.catalog.read();
-            let target = catalog.class_id(&query.target)?;
-            if query.hierarchy {
-                catalog.subtree(target)?.as_ref().clone()
-            } else {
-                vec![target]
-            }
-        };
         // Authorization: a view grant authorizes the view's content; a
         // plain query needs Read on every class in scope.
         match authz_target {
             Some(t) => self.check_auth(tx, AuthAction::Read, t)?,
             None => {
+                let target = catalog.class_id(&query.target)?;
+                let scope = if query.hierarchy {
+                    catalog.subtree(target)?.as_ref().clone()
+                } else {
+                    vec![target]
+                };
                 for class in &scope {
                     self.check_auth(tx, AuthAction::Read, AuthTarget::Class(*class))?;
                 }
             }
         }
-        // Snapshot readers take no locks at all; the legacy mode locks
-        // the scope `S` so readers serialize against writers.
-        if !self.config.mvcc_reads {
-            self.locks.lock_hierarchy_read(tx.id(), &scope)?;
-        }
 
-        let catalog = self.catalog.read();
-        let planned = plan(&catalog, &SourceView::new(self, &catalog), query)?;
+        let planned = plan(catalog, source, query)?;
         match planned.access {
             AccessPath::Scan => self.metrics.exec.scan_picks.inc(),
             _ => self.metrics.exec.index_picks.inc(),
@@ -145,9 +136,7 @@ impl Database {
             return Err(DbError::AlreadyExists(format!("class `{name}` (view name collides)")));
         }
         // Validate by planning against the current schema.
-        let catalog = self.catalog.read();
-        plan(&catalog, &SourceView::new(self, &catalog), parsed)?;
-        drop(catalog);
+        self.with_snapshot(None, |catalog, source| plan(catalog, source, parsed))?;
         self.views.write().insert(name.to_owned(), body.to_owned());
         self.persist_system_state()
     }

@@ -22,6 +22,7 @@ use crate::database::Database;
 use crate::source::SourceView;
 use orion_index::KeyVal;
 use orion_query::DataSource;
+use orion_schema::Catalog;
 use orion_types::{DbError, DbResult, Value};
 use std::collections::{BTreeSet, HashMap};
 
@@ -173,11 +174,10 @@ impl Database {
         self.rules.write().clear();
     }
 
-    /// Build the extensional database from the object graph.
-    fn build_edb(&self) -> DbResult<FactStore> {
+    /// Build the extensional database from the object graph, as of the
+    /// committed snapshot `source` reads.
+    fn build_edb(catalog: &Catalog, source: &SourceView<'_>) -> DbResult<FactStore> {
         let mut store = FactStore::default();
-        let catalog = self.catalog.read();
-        let source = SourceView::new(self, &catalog);
         let classes: Vec<_> = catalog.classes().map(|c| (c.id, c.name.clone())).collect();
         for (class_id, _name) in &classes {
             let oids = source.scan_class(*class_id)?;
@@ -216,7 +216,7 @@ impl Database {
     /// at least one fact new in the previous round.
     pub fn infer(&self, pred: &str, seminaive: bool) -> DbResult<InferResult> {
         let rules = self.rules.read().clone();
-        let mut store = self.build_edb()?;
+        let mut store = self.with_snapshot(None, Self::build_edb)?;
         let mut substitutions: u64 = 0;
 
         // Delta = facts derived in the previous round, per predicate.

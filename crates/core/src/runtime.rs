@@ -13,8 +13,7 @@
 //! hierarchy locks in `orion-tx` (IX on class + X on object for DML,
 //! subtree X for schema change), which the facade acquires before ever
 //! touching a component, and queries get it from MVCC snapshots
-//! (`crate::mvcc`) without taking any locks at all (S class locks at
-//! prepare time only when `DbConfig::mvcc_reads` is off).
+//! (`crate::mvcc`) without taking any locks at all.
 //!
 //! # Lock order (the one place it is documented)
 //!
@@ -30,8 +29,8 @@
 //!    outstanding one deadlocks as soon as DDL arrives in between.
 //!    Code that runs below a guard is handed the `&Catalog` instead —
 //!    the query executor's record source ([`crate::SourceView`]) is
-//!    built with the reference `run_planned` holds, and its worker
-//!    threads never touch this lock.
+//!    built with the reference `Database::with_snapshot` holds, and its
+//!    worker threads never touch this lock.
 //! 3. **Maintenance gate** (`Database.rt: RwLock<Runtime>`) — DML,
 //!    queries, and reads take it *shared*; only operations that tear
 //!    down and rebuild all derived state at once take it exclusively

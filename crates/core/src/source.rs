@@ -1,24 +1,24 @@
 //! The facade's [`DataSource`] implementation: how declarative queries
 //! see stored (and federated) objects.
 
-use crate::database::{adapt_to, Database};
-use crate::mvcc::Resolution;
+use crate::database::{adapt_to, Database, Tx};
+use crate::mvcc::{Resolution, SnapshotGuard, NO_READER};
 use crate::runtime::Runtime;
 use crate::sysattr;
-use orion_index::IndexDef;
-use orion_query::DataSource;
+use orion_index::{IndexDef, IndexKind};
+use orion_query::{AccessPath, DataSource};
 use orion_schema::Catalog;
 use orion_storage::{Rid, SlotRead};
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbError, DbResult, Oid, Value};
-use std::ops::Bound;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// A lightweight view of the database for the query processor. Each
+/// A lightweight view of the database for the query processor, reading
+/// at one registered snapshot ([`Database::with_snapshot`]). Each
 /// method takes the maintenance gate *shared* once per call plus the
 /// component locks it needs (extents for scans, the index set for
-/// lookups; for a batch of records the cache and directory shards, each
+/// probes; for a batch of records the cache and directory shards, each
 /// locked once per batch) — any number of queries proceed concurrently
 /// with each other and with DML. The view never takes the catalog
 /// lock: it works under the catalog reference it is built with, which
@@ -26,18 +26,15 @@ use std::sync::Arc;
 /// again underneath that guard would deadlock behind a waiting schema
 /// change).
 ///
-/// Isolation comes in two flavors:
-/// * **Snapshot** (the default): [`SourceView::with_snapshot`] pins a
-///   commit timestamp; scans merge back concurrently deleted objects,
-///   visibility-filter the candidates, and record reads resolve
-///   through the version store — no 2PL locks at all.
-/// * **Legacy** ([`SourceView::new`]): raw in-place reads; callers rely
-///   on the `S` class locks the query API takes at prepare time.
+/// Isolation is snapshot isolation and nothing else: scans merge back
+/// concurrently deleted objects and visibility-filter the candidates,
+/// index probes hand every object that moved since the snapshot to the
+/// executor for a re-check, and record reads resolve through the
+/// version store — no 2PL locks at all.
 pub struct SourceView<'a> {
     db: &'a Database,
     catalog: &'a Catalog,
-    /// `(snapshot commit-ts, reading txn)` when reading under MVCC.
-    snapshot: Option<(u64, u64)>,
+    snapshot: &'a SnapshotGuard<'a>,
 }
 
 /// What a snapshot read of one object still has to do.
@@ -53,41 +50,49 @@ enum Pending {
 }
 
 impl<'a> SourceView<'a> {
-    /// Wrap a database (legacy in-place reads). `catalog` is the
-    /// caller's guard on `db`'s catalog ([`Database::with_catalog`]).
-    pub fn new(db: &'a Database, catalog: &'a Catalog) -> Self {
-        SourceView { db, catalog, snapshot: None }
-    }
-
-    /// Wrap a database pinned at snapshot `ts` for transaction
-    /// `reader` (see [`Database::query`]).
-    pub(crate) fn with_snapshot(
-        db: &'a Database,
-        catalog: &'a Catalog,
-        ts: u64,
-        reader: u64,
-    ) -> Self {
-        SourceView { db, catalog, snapshot: Some((ts, reader)) }
-    }
-
-    /// Is `oid` part of the extent at the pinned snapshot?
-    fn visible(&self, oid: Oid, ts: u64, reader: u64) -> bool {
-        match self.db.mvcc.resolve(oid, ts, reader) {
-            // No chain / committed-visible: the candidate stands.
-            Resolution::Current | Resolution::Visible(_) => true,
+    /// Does `oid` exist at the snapshot? `current` answers for an object
+    /// without a version chain.
+    fn visible(&self, rt: &Runtime, oid: Oid, current: impl FnOnce() -> bool) -> bool {
+        match self.db.mvcc.resolve(oid, self.snapshot.ts(), self.snapshot.reader()) {
+            Resolution::Current => current(),
+            Resolution::Visible(_) => true,
             Resolution::Invisible => false,
             // The reader's own in-flight write: the live directory is
             // exactly its view (its own deletes are gone, its own
             // creates and updates are in).
-            Resolution::Own => self.db.rt_read().directory.contains(oid),
+            Resolution::Own => rt.directory.contains(oid),
         }
     }
 
-    /// The records of `oids` as this view's flavor sees them (`None`:
-    /// dangling, invisible, or unreadable).
+    /// Objects in `scope` whose entries in `def` may disagree with the
+    /// snapshot, sorted: every object that moved since it, and for a
+    /// nested index every root that reaches one along the index path
+    /// (the edges above the first moved object on a root's snapshot
+    /// path are unchanged in the reverse map, so the climb finds every
+    /// such root).
+    fn overlay(&self, rt: &Runtime, def: &IndexDef, scope: &[ClassId]) -> Vec<Oid> {
+        let in_scope = |oid: Oid| scope.binary_search(&oid.class()).is_ok();
+        let (ts, reader) = (self.snapshot.ts(), self.snapshot.reader());
+        let mut overlay = if def.kind == IndexKind::Nested {
+            let mut roots = Vec::new();
+            for oid in self.db.mvcc.moved_since(ts, reader, |_| true) {
+                let reach = self.db.nested_roots(rt, self.catalog, def.target, &def.path, oid);
+                roots.extend(reach.into_iter().filter(|&root| in_scope(root)));
+            }
+            roots
+        } else {
+            self.db.mvcc.moved_since(ts, reader, in_scope)
+        };
+        overlay.sort_unstable();
+        overlay.dedup();
+        overlay
+    }
+
+    /// The records of `oids` at the snapshot (`None`: dangling,
+    /// invisible, or unreadable).
     ///
-    /// Snapshot flavor, per object: the newest version visible at the
-    /// snapshot. An object with a version chain is served from it;
+    /// Per object: the newest version visible at the snapshot. An
+    /// object with a version chain is served from it;
     /// otherwise the in-place state *is* the committed truth — with one
     /// subtlety: a writer may stage a chain between the resolution and
     /// the in-place read, so every such read is confirmed by checking
@@ -103,10 +108,7 @@ impl<'a> SourceView<'a> {
         attrs: &[u32],
     ) -> Vec<Option<Arc<ObjectRecord>>> {
         let mut out = vec![None; oids.len()];
-        let Some((ts, reader)) = self.snapshot else {
-            self.read_in_place(rt, oids, |_| true, attrs, &mut out);
-            return out;
-        };
+        let (ts, reader) = (self.snapshot.ts(), self.snapshot.reader());
         let mvcc = &self.db.mvcc;
         let mut pending = vec![Pending::Confirm; oids.len()];
         if !mvcc.quiescent() {
@@ -217,21 +219,20 @@ impl DataSource for SourceView<'_> {
         if let Some(name) = adapter_name {
             self.db.refresh_foreign_extent(self.catalog, &name, class)?;
         }
-        let mut oids = self.db.rt_read().extents.snapshot(class);
-        if let Some((ts, reader)) = self.snapshot {
-            if !self.db.mvcc.quiescent() {
-                // Objects deleted after the snapshot (or by in-flight
-                // transactions) are gone from the live extent but still
-                // belong to this scan; merge, then visibility-filter
-                // the union (which also drops uncommitted creates).
-                let gone = self.db.mvcc.deleted_after(class, ts);
-                if !gone.is_empty() {
-                    oids.extend(gone);
-                    oids.sort_unstable();
-                    oids.dedup();
-                }
-                oids.retain(|&oid| self.visible(oid, ts, reader));
+        let rt = self.db.rt_read();
+        let mut oids = rt.extents.snapshot(class);
+        if !self.db.mvcc.quiescent() {
+            // Objects deleted after the snapshot (or by in-flight
+            // transactions) are gone from the live extent but still
+            // belong to this scan; merge, then visibility-filter the
+            // union (which also drops uncommitted creates).
+            let gone = self.db.mvcc.deleted_after(class, self.snapshot.ts());
+            if !gone.is_empty() {
+                oids.extend(gone);
+                oids.sort_unstable();
+                oids.dedup();
             }
+            oids.retain(|&oid| self.visible(&rt, oid, || true));
         }
         Ok(oids)
     }
@@ -254,9 +255,7 @@ impl DataSource for SourceView<'_> {
             *slot = self.read_batch(&rt, &[default], attrs).pop().flatten();
             reads += 1;
         }
-        if self.snapshot.is_some() {
-            self.db.mvcc.metrics.snapshot_reads.add(reads);
-        }
+        self.db.mvcc.metrics.snapshot_reads.add(reads);
         Ok(out)
     }
 
@@ -289,39 +288,69 @@ impl DataSource for SourceView<'_> {
         indexes.iter().find(|i| i.def.id == id).and_then(|i| i.imp.key_bounds())
     }
 
-    fn index_lookup_eq(
+    /// Indexes are maintained in place, so their entries are those of
+    /// the newest write, committed or not. An object whose entries
+    /// differ from the snapshot's was chained before its in-place write
+    /// (stage before mutate), and its chain cannot settle while this
+    /// view's snapshot is registered: the overlay of objects that moved
+    /// since the snapshot, listed *after* the probe, covers everything
+    /// the probe may have got wrong. Probe and listing share one gate
+    /// guard, because rollback reverts in-place index state under the
+    /// exclusive gate and then lets the writer's chain settle — between
+    /// the two it would leave a stale entry that no chain accounts for.
+    fn index_probe(
         &self,
-        id: u32,
-        key: &Value,
-        scope: Option<&[ClassId]>,
-    ) -> DbResult<Vec<Oid>> {
+        access: &AccessPath,
+        scope: &[ClassId],
+    ) -> DbResult<(Vec<Oid>, Vec<Oid>)> {
         let rt = self.db.rt_read();
-        let indexes = rt.indexes.read();
-        let inst = indexes
-            .iter()
-            .find(|i| i.def.id == id)
-            .ok_or_else(|| DbError::Query(format!("no index with id {id}")))?;
-        Ok(inst.imp.lookup_eq(key, scope))
-    }
-
-    fn index_lookup_range(
-        &self,
-        id: u32,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-        scope: Option<&[ClassId]>,
-    ) -> DbResult<Vec<Oid>> {
-        let rt = self.db.rt_read();
-        let indexes = rt.indexes.read();
-        let inst = indexes
-            .iter()
-            .find(|i| i.def.id == id)
-            .ok_or_else(|| DbError::Query(format!("no index with id {id}")))?;
-        Ok(inst.imp.lookup_range(lower, upper, scope))
+        let (mut candidates, def) = {
+            let indexes = rt.indexes.read();
+            let inst = indexes
+                .iter()
+                .find(|i| Some(i.def.id) == access.index())
+                .ok_or_else(|| DbError::Query(format!("no index for {access:?}")))?;
+            (access.probe(inst, scope), inst.def.clone())
+        };
+        let overlay = self.overlay(&rt, &def, scope);
+        if overlay.is_empty() {
+            return Ok((candidates, overlay));
+        }
+        // An object without a chain (a nested root, or a rolled-back
+        // writer's chain that settled since) is current: the directory
+        // says whether it exists.
+        let (recheck, gone): (Vec<Oid>, Vec<Oid>) = overlay
+            .into_iter()
+            .partition(|&oid| self.visible(&rt, oid, || rt.directory.contains(oid)));
+        candidates.retain(|oid| gone.binary_search(oid).is_err());
+        // Objects the probe missed follow its hits, in OID order.
+        let mut missed = vec![true; recheck.len()];
+        for oid in &candidates {
+            if let Ok(i) = recheck.binary_search(oid) {
+                missed[i] = false;
+            }
+        }
+        candidates.extend(recheck.iter().zip(missed).filter(|(_, m)| *m).map(|(oid, _)| *oid));
+        Ok((candidates, recheck))
     }
 }
 
 impl Database {
+    /// Run `f` with the catalog and a record source reading at one
+    /// committed snapshot, registered for the whole of `f` (so no
+    /// version it needs is pruned); with `tx`, the source also sees
+    /// that transaction's own uncommitted writes. The catalog read guard
+    /// is held meanwhile: `f` must not take the catalog lock again.
+    pub fn with_snapshot<R>(
+        &self,
+        tx: Option<&Tx>,
+        f: impl FnOnce(&Catalog, &SourceView<'_>) -> R,
+    ) -> R {
+        let catalog = self.catalog.read();
+        let snapshot = self.mvcc.begin_snapshot(tx.map_or(NO_READER, Tx::id));
+        f(&catalog, &SourceView { db: self, catalog: &catalog, snapshot: &snapshot })
+    }
+
     /// Re-materialize a foreign class's extent from its adapter.
     pub(crate) fn refresh_foreign_extent(
         &self,

@@ -166,3 +166,28 @@ fn facts_reflect_current_database_state() {
     db.commit(tx).unwrap();
     assert_eq!(db.infer("adults", true).unwrap().tuples.len(), 2);
 }
+
+#[test]
+fn facts_are_read_at_a_committed_snapshot() {
+    let (db, oids) = db_with_people();
+    db.add_rule(Rule {
+        head: RuleAtom::new("people", vec![var("X")]),
+        body: vec![RuleAtom::new("Person", vec![var("X")])],
+    })
+    .unwrap();
+    db.add_rule(Rule {
+        head: RuleAtom::new("named_won", vec![var("X")]),
+        body: vec![RuleAtom::new("pname", vec![var("X"), Term::Const(Value::str("won"))])],
+    })
+    .unwrap();
+    // Another transaction creates a person and renames won, uncommitted:
+    // inference sees neither.
+    let writer = db.begin();
+    db.create_object(&writer, "Person", vec![("pname", Value::str("new"))]).unwrap();
+    db.set(&writer, oids[0], "pname", Value::str("wendy")).unwrap();
+    assert_eq!(db.infer("people", true).unwrap().tuples.len(), 3);
+    assert_eq!(db.infer("named_won", true).unwrap().tuples, vec![vec![Value::Ref(oids[0])]]);
+    db.commit(writer).unwrap();
+    assert_eq!(db.infer("people", true).unwrap().tuples.len(), 4);
+    assert!(db.infer("named_won", true).unwrap().tuples.is_empty());
+}

@@ -13,7 +13,7 @@
 
 use crate::ast::{CmpOp, Expr, Path, Query, SelectItem};
 use crate::exec::cmp_holds;
-use crate::plan::literal_value;
+use crate::plan::{literal_value, AccessPath};
 use crate::source::DataSource;
 use orion_schema::Catalog;
 use orion_types::codec::ObjectRecord;
@@ -55,6 +55,9 @@ pub struct Program {
     /// Distinct paths, as indices into `names`.
     paths: Vec<Vec<usize>>,
     residual: Option<Pred>,
+    /// An index path's whole predicate (residual plus the conjunct the
+    /// index answers), for the candidates the source asks to re-check.
+    recheck: Option<Pred>,
     /// The `order by` path.
     order: Option<usize>,
     /// One entry per select item: its path, or `None` for the object
@@ -69,6 +72,7 @@ impl Program {
     pub(crate) fn compile(
         catalog: &Catalog,
         query: &Query,
+        access: &AccessPath,
         residual: Option<&Expr>,
     ) -> DbResult<Program> {
         let mut program = Program {
@@ -76,11 +80,16 @@ impl Program {
             names: Vec::new(),
             paths: Vec::new(),
             residual: None,
+            recheck: None,
             order: None,
             select: Vec::new(),
             attrs: Vec::new(),
         };
         program.residual = residual.map(|e| program.pred(catalog, e)).transpose()?;
+        if access.index().is_some() {
+            program.recheck =
+                query.predicate.as_ref().map(|e| program.pred(catalog, e)).transpose()?;
+        }
         program.order = query.order_by.as_ref().map(|(p, _)| program.path(p));
         program.select = query
             .select
@@ -167,9 +176,12 @@ impl Program {
 
 /// What one pass over a set of objects computes per object.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Pass {
+pub(crate) struct Pass<'a> {
     /// Apply the residual; objects failing it produce no outcome.
     pub filter: bool,
+    /// Candidates the filter judges by the whole predicate instead
+    /// (sorted; see [`DataSource::index_probe`]).
+    pub recheck: &'a [Oid],
     /// Evaluate the `order by` key.
     pub key: bool,
     /// Project the select list.
@@ -335,7 +347,9 @@ impl<'a> Worker<'a> {
         record: Option<&ObjectRecord>,
     ) -> DbResult<Option<Hit>> {
         let program = self.program;
-        if let (true, Some(pred)) = (pass.filter, &program.residual) {
+        let rechecked = pass.recheck.binary_search(&oid).is_ok();
+        let filter = if rechecked { &program.recheck } else { &program.residual };
+        if let (true, Some(pred)) = (pass.filter, filter) {
             if !self.holds(pred, oid, record)? {
                 return Ok(None);
             }
@@ -391,20 +405,27 @@ impl<'a> Worker<'a> {
             }
             None => &oids[range.clone()],
         };
-        let (source, attrs) = (self.source, &self.program.attrs);
-        let records: Vec<DbResult<_>> = if !self.program.reads_records(pass) {
-            batch.iter().map(|_| Ok(None)).collect()
+        let (source, attrs, recheck) = (self.source, &self.program.attrs, pass.recheck);
+        // A pass that reads no attribute fetches only what a re-check
+        // judges.
+        let reads = self.program.reads_records(pass);
+        let wanted = |oid: &Oid| reads || pass.filter && recheck.binary_search(oid).is_ok();
+        let fetched: Vec<Oid> = batch.iter().copied().filter(wanted).collect();
+        let records: Vec<DbResult<_>> = if fetched.is_empty() {
+            Vec::new()
         } else {
-            match source.fetch(batch, attrs) {
+            match source.fetch(&fetched, attrs) {
                 Ok(records) => records.into_iter().map(Ok).collect(),
-                Err(_) => batch
+                Err(_) => fetched
                     .iter()
                     .map(|oid| Ok(source.fetch(&[*oid], attrs)?.pop().flatten()))
                     .collect(),
             }
         };
-        for (i, (&oid, record)) in batch.iter().zip(records).enumerate() {
-            let scored = record.and_then(|r| self.score(pass, oid, r.as_deref()));
+        let mut records = records.into_iter();
+        for (i, oid) in batch.iter().enumerate() {
+            let record = if wanted(oid) { records.next().expect("fetched") } else { Ok(None) };
+            let scored = record.and_then(|r| self.score(pass, *oid, r.as_deref()));
             let pos = walk.map_or(range.start + i, |w| w[range.start + i] as usize) as u32;
             match scored {
                 Ok(None) => {}

@@ -359,19 +359,17 @@ pub fn execute_with(
     opts: &ExecOptions,
 ) -> DbResult<QueryResult> {
     let scope: &[ClassId] = &plan.scope;
-    // 1. Candidates from the access path.
-    let mut candidates: Vec<Oid> = match &plan.access {
+    // 1. Candidates from the access path, and those of an index probe
+    // the source wants judged by the whole predicate.
+    let (mut candidates, recheck) = match &plan.access {
         AccessPath::Scan => {
             let mut out = Vec::new();
             for class in scope {
                 out.extend(source.scan_class(*class)?);
             }
-            out
+            (out, Vec::new())
         }
-        AccessPath::IndexEq { index, key } => source.index_lookup_eq(*index, key, Some(scope))?,
-        AccessPath::IndexRange { index, lower, upper } => {
-            source.index_lookup_range(*index, lower.as_ref(), upper.as_ref(), Some(scope))?
-        }
+        index => source.index_probe(index, scope)?,
     };
     // Index results may contain classes outside scope for single-class
     // indexes probed with a wider scope — filter defensively.
@@ -383,7 +381,7 @@ pub fn execute_with(
     let program = if plan.program.schema_version == catalog.version() {
         &*plan.program
     } else {
-        recompiled = Program::compile(catalog, &plan.query, plan.residual.as_ref())?;
+        recompiled = Program::compile(catalog, &plan.query, &plan.access, plan.residual.as_ref())?;
         &recompiled
     };
     let mut run = Run {
@@ -405,7 +403,8 @@ pub fn execute_with(
     // projected in a second pass over just them, not for every match.
     let project_late = ordered && limit.is_some();
     let pass = Pass {
-        filter: program.has_residual(),
+        filter: program.has_residual() || !recheck.is_empty(),
+        recheck: &recheck,
         key: ordered,
         rows: !count && !project_late && program.projects_paths(),
     };
@@ -475,7 +474,7 @@ pub fn execute_with(
     let rows: Vec<Vec<Value>> = if pass.rows {
         hits.into_iter().map(|hit| hit.row).collect()
     } else if program.projects_paths() {
-        let rows_only = Pass { filter: false, key: false, rows: true };
+        let rows_only = Pass { filter: false, recheck: &[], key: false, rows: true };
         run.pass(rows_only, &matches, None)?.into_iter().map(|(_, hit)| hit.row).collect()
     } else {
         matches.iter().map(|oid| vec![Value::Ref(*oid); plan.query.select.len()]).collect()

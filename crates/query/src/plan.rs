@@ -14,9 +14,9 @@ use crate::ast::{CmpOp, Expr, Literal, Path, Query};
 use crate::batch::Program;
 use crate::exec::ExecStats;
 use crate::source::DataSource;
-use orion_index::{IndexDef, IndexKind};
+use orion_index::{IndexDef, IndexInstance, IndexKind};
 use orion_schema::Catalog;
-use orion_types::{ClassId, DbError, DbResult, Value};
+use orion_types::{ClassId, DbError, DbResult, Oid, Value};
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::atomic::Ordering::Relaxed;
@@ -56,6 +56,30 @@ pub enum AccessPath {
     },
 }
 
+impl AccessPath {
+    /// The index this path probes (`None` for a scan).
+    pub fn index(&self) -> Option<u32> {
+        match self {
+            AccessPath::Scan => None,
+            AccessPath::IndexEq { index, .. } | AccessPath::IndexRange { index, .. } => {
+                Some(*index)
+            }
+        }
+    }
+
+    /// Probe `inst`'s entries for this path's keys, restricted to the
+    /// sorted class set `scope` (nothing for a scan).
+    pub fn probe(&self, inst: &IndexInstance, scope: &[ClassId]) -> Vec<Oid> {
+        match self {
+            AccessPath::Scan => Vec::new(),
+            AccessPath::IndexEq { key, .. } => inst.imp.lookup_eq(key, Some(scope)),
+            AccessPath::IndexRange { lower, upper, .. } => {
+                inst.imp.lookup_range(lower.as_ref(), upper.as_ref(), Some(scope))
+            }
+        }
+    }
+}
+
 /// A bound, optimized query ready for execution.
 #[derive(Debug, Clone)]
 pub struct PlannedQuery {
@@ -71,8 +95,9 @@ pub struct PlannedQuery {
     pub residual: Option<Expr>,
     /// Estimated result cardinality (diagnostics).
     pub estimated_candidates: usize,
-    /// `query` and `residual` compiled for the batch executor: paths
-    /// interned, literals converted, readable attribute ids collected.
+    /// `query` and `residual` (for an index path, the whole predicate
+    /// too) compiled for the batch executor: paths interned, literals
+    /// converted, readable attribute ids collected.
     pub(crate) program: Arc<Program>,
     /// Counters from the most recent execution of this plan (shared
     /// across clones; filled by [`crate::exec::execute_with`]).
@@ -442,7 +467,9 @@ pub fn plan(catalog: &Catalog, source: &dyn DataSource, query: Query) -> DbResul
     // An index on a *set-valued or multi-valued* path is conservative
     // (existential semantics match Eq), so dropping the consumed conjunct
     // is sound: index postings are exactly the objects with a matching
-    // reachable value.
+    // reachable value — for every object whose entries agree with what
+    // the source reads. Those that may not are the source's to name
+    // (`DataSource::index_probe`); they get the whole predicate.
     let residual = Expr::conjoin(
         conjuncts
             .into_iter()
@@ -452,7 +479,7 @@ pub fn plan(catalog: &Catalog, source: &dyn DataSource, query: Query) -> DbResul
             .collect(),
     );
 
-    let program = Arc::new(Program::compile(catalog, &query, residual.as_ref())?);
+    let program = Arc::new(Program::compile(catalog, &query, &access, residual.as_ref())?);
     Ok(PlannedQuery {
         query,
         target,

@@ -6,10 +6,10 @@
 //! (`orion-core` implements it over the buffer pool, object cache, and
 //! lock manager; tests and benches implement it in memory).
 
+use crate::plan::AccessPath;
 use orion_index::IndexDef;
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbResult, Oid, Value};
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// What the query processor requires from the layers below.
@@ -64,18 +64,18 @@ pub trait DataSource: Sync {
         None
     }
 
-    /// Equality probe, optionally scoped to a sorted class set.
-    fn index_lookup_eq(&self, id: u32, key: &Value, scope: Option<&[ClassId]>)
-        -> DbResult<Vec<Oid>>;
-
-    /// Range probe, optionally scoped to a sorted class set.
-    fn index_lookup_range(
-        &self,
-        id: u32,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-        scope: Option<&[ClassId]>,
-    ) -> DbResult<Vec<Oid>>;
+    /// Probe the index `access` names for its keys, restricted to the
+    /// sorted class set `scope`: `(candidates, recheck)`.
+    ///
+    /// An index answers for the objects whose entries agree with what
+    /// [`DataSource::fetch`] reads; the executor judges those by the
+    /// residual alone. `recheck` (sorted) names every object in `scope`
+    /// whose entries may not: each is among the candidates exactly when
+    /// `fetch` can read it, and is judged by the query's whole predicate.
+    /// A source whose indexes always agree with its records returns an
+    /// empty `recheck`.
+    fn index_probe(&self, access: &AccessPath, scope: &[ClassId])
+        -> DbResult<(Vec<Oid>, Vec<Oid>)>;
 }
 
 /// A simple in-memory [`DataSource`] for tests, benches, and examples.
@@ -142,30 +142,12 @@ impl DataSource for MemSource {
         self.indexes.iter().find(|i| i.def.id == id).and_then(|i| i.imp.key_bounds())
     }
 
-    fn index_lookup_eq(
+    fn index_probe(
         &self,
-        id: u32,
-        key: &Value,
-        scope: Option<&[ClassId]>,
-    ) -> DbResult<Vec<Oid>> {
-        Ok(self
-            .indexes
-            .iter()
-            .find(|i| i.def.id == id)
-            .map_or_else(Vec::new, |i| i.imp.lookup_eq(key, scope)))
-    }
-
-    fn index_lookup_range(
-        &self,
-        id: u32,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-        scope: Option<&[ClassId]>,
-    ) -> DbResult<Vec<Oid>> {
-        Ok(self
-            .indexes
-            .iter()
-            .find(|i| i.def.id == id)
-            .map_or_else(Vec::new, |i| i.imp.lookup_range(lower, upper, scope)))
+        access: &AccessPath,
+        scope: &[ClassId],
+    ) -> DbResult<(Vec<Oid>, Vec<Oid>)> {
+        let inst = self.indexes.iter().find(|i| Some(i.def.id) == access.index());
+        Ok((inst.map_or_else(Vec::new, |i| access.probe(i, scope)), Vec::new()))
     }
 }

@@ -6,13 +6,14 @@
 use orion_index::{IndexDef, IndexKind};
 use orion_query::ast::{CmpOp, Expr, Literal, Path, Query, SelectItem};
 use orion_query::exec::{execute_with, ExecOptions};
-use orion_query::{eval_expr, execute, path_values, plan, DataSource, MemSource, QueryResult};
+use orion_query::{
+    eval_expr, execute, path_values, plan, AccessPath, DataSource, MemSource, QueryResult,
+};
 use orion_schema::{AttrSpec, Catalog};
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbError, DbResult, Domain, Oid, PrimitiveType, Value};
 use proptest::prelude::*;
 use std::collections::HashSet;
-use std::ops::Bound;
 use std::sync::Arc;
 
 /// Three-class hierarchy: Base <- Mid <- Leaf, attrs `num` (int) and
@@ -208,22 +209,53 @@ impl DataSource for Shaky<'_> {
     fn index_stats(&self, id: u32) -> (usize, usize) {
         self.inner.index_stats(id)
     }
-    fn index_lookup_eq(
+    fn index_probe(
         &self,
-        id: u32,
-        key: &Value,
-        scope: Option<&[ClassId]>,
-    ) -> DbResult<Vec<Oid>> {
-        self.inner.index_lookup_eq(id, key, scope)
+        access: &AccessPath,
+        scope: &[ClassId],
+    ) -> DbResult<(Vec<Oid>, Vec<Oid>)> {
+        self.inner.index_probe(access, scope)
     }
-    fn index_lookup_range(
+}
+
+/// A source whose index is stale for some objects — their entries
+/// carry keys the records no longer hold, as a version store's overlay
+/// would have it — and which names exactly those objects for a
+/// re-check, adding the ones the probe missed.
+struct Overlaid<'a> {
+    inner: &'a MemSource,
+    /// Sorted.
+    stale: Vec<Oid>,
+}
+
+impl DataSource for Overlaid<'_> {
+    fn scan_class(&self, class: ClassId) -> DbResult<Vec<Oid>> {
+        self.inner.scan_class(class)
+    }
+    fn extent_size(&self, class: ClassId) -> usize {
+        self.inner.extent_size(class)
+    }
+    fn fetch(&self, oids: &[Oid], attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
+        self.inner.fetch(oids, attrs)
+    }
+    fn indexes(&self) -> Vec<IndexDef> {
+        self.inner.indexes()
+    }
+    fn index_stats(&self, id: u32) -> (usize, usize) {
+        self.inner.index_stats(id)
+    }
+    fn index_probe(
         &self,
-        id: u32,
-        lower: Bound<&Value>,
-        upper: Bound<&Value>,
-        scope: Option<&[ClassId]>,
-    ) -> DbResult<Vec<Oid>> {
-        self.inner.index_lookup_range(id, lower, upper, scope)
+        access: &AccessPath,
+        scope: &[ClassId],
+    ) -> DbResult<(Vec<Oid>, Vec<Oid>)> {
+        let (mut candidates, _) = self.inner.index_probe(access, scope)?;
+        let recheck: Vec<Oid> =
+            self.stale.iter().copied().filter(|o| scope.contains(&o.class())).collect();
+        let missed: Vec<Oid> =
+            recheck.iter().copied().filter(|o| !candidates.contains(o)).collect();
+        candidates.extend(missed);
+        Ok((candidates, recheck))
     }
 }
 
@@ -379,6 +411,99 @@ proptest! {
                     &got, &want,
                     "batch {} on {} thread(s) diverged from the reference for {:?}",
                     batch, threads, query
+                );
+            }
+        }
+    }
+
+    /// An index probe whose source names stale entries for a re-check:
+    /// the re-checked objects are judged by the whole predicate (the
+    /// conjunct the index answers included), the rest by the residual,
+    /// and the answer is the scan's whatever the batch size and worker
+    /// count — byte-identical across all nine.
+    #[test]
+    fn overlay_rechecks_match_the_scan_at_every_batch_and_degree(
+        rows in proptest::collection::vec(
+            (any::<u8>(), -6i64..6, any::<u8>(), proptest::option::of(any::<u8>())),
+            1..40,
+        ),
+        stale in proptest::collection::vec((any::<u8>(), -6i64..6), 0..8),
+        indexed in prop_oneof![
+            (-6i64..6).prop_map(|v| PredShape::NumCmp(0, v)),
+            (-6i64..6, -6i64..6).prop_map(|(a, b)| PredShape::NumRange(a.min(b), a.max(b))),
+        ],
+        extra in proptest::option::of(arb_pred()),
+        shape in 0u8..3,
+        order in proptest::option::of(any::<bool>()),
+    ) {
+        let mut fx = build(&rows, false, false);
+        let num = fx.catalog.resolve(fx.base).unwrap().attr("num").unwrap().id;
+        fx.source.add_index(IndexDef {
+            id: 3,
+            name: "num_stale".into(),
+            kind: IndexKind::ClassHierarchy,
+            target: fx.base,
+            path: vec![num],
+        });
+        let all: Vec<Oid> = fx
+            .catalog
+            .subtree(fx.base)
+            .unwrap()
+            .iter()
+            .flat_map(|c| fx.source.scan_class(*c).unwrap())
+            .collect();
+        let mut moved: Vec<(Oid, i64)> =
+            stale.iter().map(|(i, k)| (all[*i as usize % all.len()], *k)).collect();
+        moved.sort_unstable_by_key(|(oid, _)| *oid);
+        moved.dedup_by_key(|(oid, _)| *oid);
+        for oid in &all {
+            // Row `i` is object serial `i + 1` (see `build`).
+            let truth = rows[oid.serial() as usize - 1].1;
+            let key = moved.iter().find(|(o, _)| o == oid).map_or(truth, |(_, k)| *k);
+            fx.source.index_insert(3, Value::Int(key), *oid);
+        }
+        let source = Overlaid { inner: &fx.source, stale: moved.iter().map(|(o, _)| *o).collect() };
+
+        let predicate = match &extra {
+            Some(e) => Expr::And(Box::new(to_expr(&indexed)), Box::new(to_expr(e))),
+            None => to_expr(&indexed),
+        };
+        let path = |steps: &[&str]| Path::new(steps.to_vec());
+        let query = Query {
+            select: match shape {
+                0 => vec![SelectItem::Count],
+                1 => vec![SelectItem::Object],
+                _ => vec![SelectItem::Object, SelectItem::Path(path(&["num"]))],
+            },
+            target: "Base".into(),
+            hierarchy: true,
+            var: "x".into(),
+            predicate: Some(predicate),
+            order_by: order.map(|asc| (path(&["num"]), asc)),
+            limit: None,
+        };
+        let planned = plan(&fx.catalog, &source, query.clone()).unwrap();
+        prop_assume!(planned.access.index() == Some(3));
+        let want = reference(&fx.catalog, &source, &query).unwrap();
+        let first = execute_with(&fx.catalog, &source, &planned, &ExecOptions::with_threads(1));
+        let first = first.unwrap();
+        let sorted = |r: &QueryResult| {
+            let mut pairs: Vec<_> = r.oids.iter().zip(&r.rows).collect();
+            pairs.sort_by_key(|(oid, _)| **oid);
+            pairs.into_iter().map(|(o, r)| (*o, r.clone())).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(sorted(&first), sorted(&want), "plan {}", planned.report());
+        prop_assert_eq!(&first.rows.len(), &want.rows.len());
+        if shape == 0 {
+            prop_assert_eq!(&first.rows, &want.rows);
+        }
+        for batch in [1, 7, 1000] {
+            for threads in [1, 2, 4] {
+                let opts = ExecOptions { threads, batch, ..ExecOptions::default() };
+                let got = execute_with(&fx.catalog, &source, &planned, &opts).unwrap();
+                prop_assert_eq!(
+                    &got, &first,
+                    "batch {} on {} thread(s) diverged for {:?}", batch, threads, query
                 );
             }
         }

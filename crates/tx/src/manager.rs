@@ -364,16 +364,6 @@ impl LockManager {
         }
         Ok(())
     }
-
-    /// Hierarchy-scoped query locking: `S` on every class in the scope,
-    /// so a schema change (which needs subtree `X`) cannot interleave.
-    pub fn lock_hierarchy_read(&self, txn: u64, subtree: &[ClassId]) -> DbResult<()> {
-        self.acquire(txn, LockTarget::Database, LockMode::IS)?;
-        for class in subtree {
-            self.acquire(txn, LockTarget::Class(*class), LockMode::S)?;
-        }
-        Ok(())
-    }
 }
 
 impl Default for LockManager {
@@ -448,7 +438,8 @@ mod tests {
     fn schema_change_excludes_hierarchy_readers() {
         let lm = LockManager::with_timeout(Duration::from_millis(50));
         let subtree = [ClassId(1), ClassId(2), ClassId(3)];
-        lm.lock_hierarchy_read(1, &subtree).unwrap();
+        // A scan of one class inside the subtree holds `S` on it.
+        lm.lock_class_read(1, ClassId(2)).unwrap();
         let err = lm.lock_schema_change(2, &subtree).unwrap_err();
         assert!(matches!(err, DbError::LockTimeout { .. }));
         lm.release_all(1);

@@ -25,6 +25,16 @@ if grep -rnE '#\[deprecated|allow\(deprecated\)' src tests examples crates shims
   exit 1
 fi
 
+# A test is ignored only to be run elsewhere: #[ignore] may appear only
+# in the test files scripts/ci.sh runs with --ignored, so nothing
+# known-wrong can be parked behind it.
+hammered=$(sed -n 's/.*--test \([a-z0-9_]*\) -- --ignored.*/\1/p' scripts/ci.sh | paste -sd'|')
+if grep -rn '#\[ignore' src tests examples crates shims benchmark/src --include='*.rs' \
+    | grep -vE "^tests/($hammered)\.rs:"; then
+  echo "FAIL: #[ignore] outside the suites scripts/ci.sh runs with --ignored — fix the test or the code" >&2
+  exit 1
+fi
+
 # Every shim a manifest names is imported somewhere under that crate.
 for manifest in Cargo.toml crates/*/Cargo.toml; do
   dir=$(dirname "$manifest")

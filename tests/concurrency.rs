@@ -383,59 +383,10 @@ fn stress_many_writers_across_classes_stay_consistent() {
     }
 }
 
-/// Schema changes exclude concurrent hierarchy readers ([GARZ88]) and
-/// proceed once they drain. This is the *legacy* locking-reads
-/// discipline (`mvcc_reads: false`): queries take S locks that a
-/// subtree-X schema change must wait out. Under MVCC snapshot reads
-/// the trade-off inverts — see
-/// `snapshot_readers_do_not_block_schema_change`.
-#[test]
-fn schema_change_blocks_until_readers_finish() {
-    let config = DbConfig {
-        lock_timeout: Duration::from_secs(30),
-        mvcc_reads: false,
-        ..DbConfig::default()
-    };
-    let db = Arc::new(Database::with_config(config));
-    db.create_class("Thing", &[], vec![AttrSpec::new("x", Domain::Primitive(PrimitiveType::Int))])
-        .unwrap();
-    db.create_class("SubThing", &["Thing"], vec![]).unwrap();
-    let tx = db.begin();
-    db.create_object(&tx, "SubThing", vec![("x", Value::Int(1))]).unwrap();
-    db.commit(tx).unwrap();
-
-    // A long-running hierarchy reader holds S locks.
-    let reader = db.begin();
-    let r = db.query(&reader, "select count(*) from Thing* v").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(1));
-
-    let db2 = Arc::clone(&db);
-    let evolver = std::thread::spawn(move || {
-        let thing = db2.with_catalog(|c| c.class_id("Thing")).unwrap();
-        // Blocks until the reader commits.
-        db2.evolve(
-            SchemaChange::AddAttribute {
-                class: thing,
-                spec: AttrSpec::new("y", Domain::Primitive(PrimitiveType::Int)),
-            },
-            Migration::Lazy,
-        )
-        .unwrap();
-    });
-    std::thread::sleep(Duration::from_millis(100));
-    assert!(!evolver.is_finished(), "schema change must wait for the reader");
-    db.commit(reader).unwrap();
-    evolver.join().unwrap();
-    // The new attribute is live.
-    let tx = db.begin();
-    let r = db.query(&tx, "select count(*) from Thing* v where v.y is null").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int(1));
-    db.commit(tx).unwrap();
-}
-
-/// With MVCC snapshot reads (the default), queries hold no class locks,
-/// so a schema change proceeds immediately even while a reader
-/// transaction that has already queried the hierarchy stays open.
+/// Queries read MVCC snapshots and hold no class locks, so a schema
+/// change proceeds immediately even while a reader transaction that has
+/// already queried the hierarchy stays open ([GARZ88]'s readers-block-
+/// schema-change trade-off, inverted).
 #[test]
 fn snapshot_readers_do_not_block_schema_change() {
     let config = DbConfig { lock_timeout: Duration::from_secs(30), ..DbConfig::default() };

@@ -302,24 +302,18 @@ fn snapshots_stay_correct_across_crash_recovery() {
     db.commit(tx).unwrap();
 }
 
-/// Repro for the known index/MVCC race (DESIGN.md §"MVCC snapshot
-/// reads", known limit): secondary indexes are *not* versioned, so an
-/// index-assisted query racing a committed key update can miss a
-/// moving row — the index files it under the new key the instant the
-/// writer commits, while the query's snapshot still sees the old
-/// value (candidates are residual-checked against snapshot values, so
-/// nothing dirty leaks *in*; rows only fall *out*).
+/// Indexes are maintained in place, so an index-assisted query racing a
+/// key update probes index state newer than its snapshot — the writer's
+/// in-flight keys, or keys committed after the snapshot was taken. The
+/// probe's candidates with a version chain are re-checked against the
+/// whole predicate at the snapshot, and chained objects the probe
+/// missed are added, so no moving row falls out or leaks in.
 ///
 /// Detection: a flock of items flips its key 10 → 20 → 10 atomically
 /// (one commit moves all of them), so under ANY snapshot an
 /// index-probed `k = 10` count must be all-or-nothing. A partial
-/// count is a torn index-assisted read: the probe ran against index
-/// state newer than the query snapshot. `#[ignore]`d until indexes
-/// are versioned (or index probes re-validate against the snapshot by
-/// falling back to a scan on mismatch): the failure is a real,
-/// documented engine limit — not flaky test noise.
+/// count is a torn index-assisted read.
 #[test]
-#[ignore = "known limit: unversioned indexes can tear an index-assisted snapshot read"]
 fn index_assisted_snapshot_query_can_miss_a_moving_row() {
     use orion_oodb::orion::IndexKind;
 
@@ -463,4 +457,379 @@ fn snapshot_scan_survives_records_moving_vanishing_and_reappearing() {
     let r = db.query(&tx, &format!("select count(*) from Doc d where d.round = {ROUNDS}")).unwrap();
     assert_eq!(r.rows[0][0], Value::Int(DOCS as i64));
     db.commit(tx).unwrap();
+}
+
+/// `Item(k)` with a class-hierarchy index on `k`: `hot` items at
+/// `k = 10` and 200 decoys at `k = 1000..` that keep the index cheaper
+/// than a scan.
+fn indexed_items(hot: usize) -> (Database, Vec<Oid>) {
+    use orion_oodb::orion::IndexKind;
+
+    let db = Database::open_in_memory();
+    db.create_class("Item", &[], vec![AttrSpec::new("k", Domain::Primitive(PrimitiveType::Int))])
+        .unwrap();
+    db.create_index("byk", IndexKind::ClassHierarchy, "Item", &["k"]).unwrap();
+    let tx = db.begin();
+    let items =
+        (0..hot).map(|_| db.create_object(&tx, "Item", vec![("k", Value::Int(10))]).unwrap());
+    let items = items.collect();
+    for i in 0..200 {
+        db.create_object(&tx, "Item", vec![("k", Value::Int(1_000 + i))]).unwrap();
+    }
+    db.commit(tx).unwrap();
+    (db, items)
+}
+
+/// Run `text` in a fresh transaction after checking the plan probes an
+/// index.
+fn indexed_query(db: &Database, text: &str) -> Vec<Vec<Value>> {
+    use orion_oodb::orion::AccessPath;
+
+    let tx = db.begin();
+    let plan = db.explain(&tx, text).unwrap();
+    assert_ne!(plan.access, AccessPath::Scan, "{text} must be index-assisted");
+    let rows = db.query(&tx, text).unwrap().rows;
+    db.commit(tx).unwrap();
+    rows
+}
+
+/// A point and a range probe of a class-hierarchy index while another
+/// transaction holds an uncommitted key move: the moved item keeps its
+/// committed key for everyone but its writer.
+#[test]
+fn class_hierarchy_probes_skip_an_uncommitted_key_move() {
+    let (db, items) = indexed_items(4);
+    let writer = db.begin();
+    db.set(&writer, items[0], "k", Value::Int(20)).unwrap();
+
+    let count = |text: &str| indexed_query(&db, text)[0][0].clone();
+    assert_eq!(count("select count(*) from Item i where i.k = 10"), Value::Int(4));
+    assert_eq!(count("select count(*) from Item i where i.k = 20"), Value::Int(0));
+    assert_eq!(count("select count(*) from Item i where i.k >= 5 and i.k < 15"), Value::Int(4));
+    assert_eq!(count("select count(*) from Item i where i.k >= 15 and i.k < 25"), Value::Int(0));
+    assert!(indexed_query(&db, "select i.k from Item i where i.k = 20").is_empty());
+    assert!(indexed_query(&db, "select i.k from Item i where i.k > 15 and i.k < 25").is_empty());
+    let rows = indexed_query(&db, "select i.k from Item i where i.k >= 5 and i.k < 15");
+    assert_eq!(rows, vec![vec![Value::Int(10)]; 4]);
+    let rows = indexed_query(&db, "select i.k from Item i where i.k = 10");
+    assert_eq!(rows, vec![vec![Value::Int(10)]; 4]);
+
+    // The writer reads its own move through the same probes.
+    let own = |text| db.query(&writer, text).unwrap().rows;
+    assert_eq!(own("select count(*) from Item i where i.k = 10"), vec![vec![Value::Int(3)]]);
+    let moved = own("select i.k from Item i where i.k >= 15 and i.k < 25");
+    assert_eq!(moved, vec![vec![Value::Int(20)]]);
+    db.commit(writer).unwrap();
+    assert_eq!(count("select count(*) from Item i where i.k = 20"), Value::Int(1));
+}
+
+/// Uncommitted creates stay out of, and uncommitted deletes stay in,
+/// every other snapshot's index probes.
+#[test]
+fn index_probes_skip_uncommitted_creates_and_keep_uncommitted_deletes() {
+    let (db, items) = indexed_items(4);
+    let writer = db.begin();
+    db.create_object(&writer, "Item", vec![("k", Value::Int(10))]).unwrap();
+    db.delete_object(&writer, items[1]).unwrap();
+    let rows = indexed_query(&db, "select i from Item i where i.k = 10");
+    let mut want: Vec<Vec<Value>> = items.iter().map(|o| vec![Value::Ref(*o)]).collect();
+    let mut got = rows;
+    got.sort_by_key(|r| r[0].as_ref_oid().unwrap());
+    want.sort_by_key(|r| r[0].as_ref_oid().unwrap());
+    assert_eq!(got, want);
+    db.rollback(writer).unwrap();
+}
+
+/// A nested index on `manufacturer.location` while another transaction
+/// holds an uncommitted relocation of the Company sixteen vehicles
+/// point at: every root keeps its committed key.
+#[test]
+fn nested_index_probes_skip_an_uncommitted_company_move() {
+    use orion_oodb::orion::IndexKind;
+
+    let db = Database::open_in_memory();
+    db.create_class(
+        "Company",
+        &[],
+        vec![AttrSpec::new("location", Domain::Primitive(PrimitiveType::Str))],
+    )
+    .unwrap();
+    let company = db.with_catalog(|c| c.class_id("Company")).unwrap();
+    db.create_class(
+        "Vehicle",
+        &[],
+        vec![
+            AttrSpec::new("weight", Domain::Primitive(PrimitiveType::Int)),
+            AttrSpec::new("manufacturer", Domain::Class(company)),
+        ],
+    )
+    .unwrap();
+    db.create_class("Truck", &["Vehicle"], vec![]).unwrap();
+    let tx = db.begin();
+    let cities = ["Detroit", "Austin", "Boise", "Chicago", "Denver", "Eugene", "Fresno", "Gary"];
+    let makers: Vec<Oid> = cities
+        .iter()
+        .map(|c| db.create_object(&tx, "Company", vec![("location", Value::str(*c))]).unwrap())
+        .collect();
+    for i in 0..128i64 {
+        let class = if i % 2 == 0 { "Vehicle" } else { "Truck" };
+        let maker = Value::Ref(makers[i as usize % makers.len()]);
+        db.create_object(&tx, class, vec![("weight", Value::Int(i)), ("manufacturer", maker)])
+            .unwrap();
+    }
+    db.commit(tx).unwrap();
+    db.create_index("maker_city", IndexKind::Nested, "Vehicle", &["manufacturer", "location"])
+        .unwrap();
+
+    let writer = db.begin();
+    db.set(&writer, makers[0], "location", Value::str("Boston")).unwrap();
+
+    let count = |city: &str| {
+        let text =
+            format!("select count(*) from Vehicle* v where v.manufacturer.location = \"{city}\"");
+        indexed_query(&db, &text)[0][0].clone()
+    };
+    assert_eq!(count("Detroit"), Value::Int(16));
+    assert_eq!(count("Boston"), Value::Int(0));
+    let located = |city: &str| {
+        let text = format!(
+            "select v.manufacturer.location from Vehicle* v \
+             where v.manufacturer.location = \"{city}\""
+        );
+        indexed_query(&db, &text)
+    };
+    assert_eq!(located("Detroit"), vec![vec![Value::str("Detroit")]; 16]);
+    assert!(located("Boston").is_empty());
+    let narrow = "select count(*) from Vehicle* v \
+                  where v.manufacturer.location = \"Detroit\" and v.weight < 64";
+    assert_eq!(indexed_query(&db, narrow), vec![vec![Value::Int(8)]]);
+
+    // The writer's own snapshot sees its relocation.
+    let text = "select count(*) from Vehicle* v where v.manufacturer.location = \"Boston\"";
+    assert_eq!(db.query(&writer, text).unwrap().rows, vec![vec![Value::Int(16)]]);
+    db.rollback(writer).unwrap();
+    assert_eq!(count("Detroit"), Value::Int(16));
+}
+
+/// SplitMix64: a seeded, dependency-free stream for the oracle below.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+const ORACLE_CITIES: [&str; 5] = ["Detroit", "Austin", "Boise", "Chicago", "Denver"];
+
+/// `Maker(city)`, `Item(k, maker)`, `SubItem <- Item`; with `indexes`, a
+/// class-hierarchy index on `k` and a nested one on `maker.city`.
+fn oracle_db(indexes: bool) -> Database {
+    use orion_oodb::orion::IndexKind;
+
+    let db = Database::open_in_memory();
+    let city = AttrSpec::new("city", Domain::Primitive(PrimitiveType::Str));
+    db.create_class("Maker", &[], vec![city]).unwrap();
+    let maker = db.with_catalog(|c| c.class_id("Maker")).unwrap();
+    db.create_class(
+        "Item",
+        &[],
+        vec![
+            AttrSpec::new("k", Domain::Primitive(PrimitiveType::Int)),
+            AttrSpec::new("maker", Domain::Class(maker)),
+        ],
+    )
+    .unwrap();
+    db.create_class("SubItem", &["Item"], vec![]).unwrap();
+    if indexes {
+        db.create_index("byk", IndexKind::ClassHierarchy, "Item", &["k"]).unwrap();
+        db.create_index("bycity", IndexKind::Nested, "Item", &["maker", "city"]).unwrap();
+    }
+    db
+}
+
+/// The oracle's two databases, written in lockstep (so their OIDs
+/// agree), and the objects live in both.
+struct Twins {
+    indexed: Database,
+    plain: Database,
+    makers: Vec<Oid>,
+    items: Vec<Oid>,
+}
+
+impl Twins {
+    /// Apply `f` to both twins, each in its own of `txs`.
+    fn both<T: PartialEq + std::fmt::Debug>(
+        &self,
+        txs: &(orion_oodb::orion::Tx, orion_oodb::orion::Tx),
+        f: impl Fn(&Database, &orion_oodb::orion::Tx) -> T,
+    ) -> T {
+        let (a, b) = (f(&self.indexed, &txs.0), f(&self.plain, &txs.1));
+        assert_eq!(a, b, "the twins diverged on a write");
+        a
+    }
+
+    /// One random write, in lockstep.
+    fn write(&mut self, rng: &mut Rng, txs: &(orion_oodb::orion::Tx, orion_oodb::orion::Tx)) {
+        let pick = |rng: &mut Rng, v: &[Oid]| v[rng.below(v.len() as u64) as usize];
+        match rng.below(100) {
+            0..=34 if !self.items.is_empty() => {
+                let (item, k) = (pick(rng, &self.items), Value::Int(rng.below(60) as i64));
+                self.both(txs, |db, tx| db.set(tx, item, "k", k.clone()).unwrap());
+            }
+            35..=49 => {
+                let class = if rng.below(2) == 0 { "Item" } else { "SubItem" };
+                let k = Value::Int(rng.below(60) as i64);
+                let maker = Value::Ref(pick(rng, &self.makers));
+                let oid = self.both(txs, |db, tx| {
+                    db.create_object(tx, class, vec![("k", k.clone()), ("maker", maker.clone())])
+                        .unwrap()
+                });
+                self.items.push(oid);
+            }
+            50..=61 if self.items.len() > 1 => {
+                let item = self.items.swap_remove(rng.below(self.items.len() as u64) as usize);
+                self.both(txs, |db, tx| db.delete_object(tx, item).unwrap());
+            }
+            62..=84 => {
+                let maker = pick(rng, &self.makers);
+                let city = Value::str(ORACLE_CITIES[rng.below(5) as usize]);
+                self.both(txs, |db, tx| db.set(tx, maker, "city", city.clone()).unwrap());
+            }
+            _ if !self.items.is_empty() => {
+                let (item, maker) = (pick(rng, &self.items), pick(rng, &self.makers));
+                self.both(txs, |db, tx| db.set(tx, item, "maker", Value::Ref(maker)).unwrap());
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A random query the indexed twin can answer through an index.
+fn oracle_query(rng: &mut Rng) -> String {
+    let k = rng.below(60);
+    let city = ORACLE_CITIES[rng.below(5) as usize];
+    let (target, select) = match rng.below(4) {
+        0 => ("Item*", "count(*)"),
+        1 => ("Item*", "i"),
+        2 => ("Item*", "i, i.k, i.maker.city"),
+        _ => ("SubItem", "i, i.k"),
+    };
+    let predicate = match rng.below(5) {
+        0 => format!("i.k = {k}"),
+        1 => format!("i.k >= {k} and i.k < {}", k + 1 + rng.below(6)),
+        2 => format!("i.maker.city = \"{city}\""),
+        3 => format!("i.k >= {k} and i.k < {} and i.maker.city = \"{city}\"", k + 4),
+        _ => format!("i.maker.city = \"{city}\" and i.k > {k}"),
+    };
+    format!("select {select} from {target} i where {predicate}")
+}
+
+/// Rows keyed for an order-insensitive comparison (`count(*)` rows as
+/// they are).
+fn canonical(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
+    rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+    rows
+}
+
+/// The randomized oracle: on fixed seeds, random uncommitted and
+/// committed key moves, creates, deletes, Company relocations and
+/// reassignments land on two twin databases, one with a class-hierarchy
+/// and a nested index and one without; every index-assisted answer
+/// (checked with `explain`) — from an outside reader, from the writer
+/// itself, and from a snapshot held across the writer's commit — equals
+/// the scan's on the twin.
+#[test]
+fn index_assisted_answers_match_a_twin_without_indexes() {
+    use orion_oodb::orion::AccessPath;
+    use orion_query::{execute_with, ExecOptions};
+
+    let mut assisted = 0;
+    for seed in [1, 7, 42, 1990] {
+        let mut rng = Rng(seed);
+        let mut twins = Twins {
+            indexed: oracle_db(true),
+            plain: oracle_db(false),
+            makers: Vec::new(),
+            items: Vec::new(),
+        };
+        let load = (twins.indexed.begin(), twins.plain.begin());
+        for city in ORACLE_CITIES.iter().cycle().take(12) {
+            let maker = twins.both(&load, |db, tx| {
+                db.create_object(tx, "Maker", vec![("city", Value::str(*city))]).unwrap()
+            });
+            twins.makers.push(maker);
+        }
+        for _ in 0..240 {
+            twins.write(&mut rng, &load);
+        }
+        twins.both(&load, |db, tx| db.commit(tx.clone()).unwrap());
+
+        for _round in 0..25 {
+            let writer = (twins.indexed.begin(), twins.plain.begin());
+            for _ in 0..1 + rng.below(6) {
+                twins.write(&mut rng, &writer);
+            }
+            for _ in 0..6 {
+                let text = oracle_query(&mut rng);
+                let from_writer = rng.below(3) == 0;
+                let (tx_a, tx_b) = if from_writer {
+                    writer.clone()
+                } else {
+                    (twins.indexed.begin(), twins.plain.begin())
+                };
+                let plan = twins.indexed.explain(&tx_a, &text).unwrap();
+                if plan.access == AccessPath::Scan {
+                    continue;
+                }
+                assisted += 1;
+                let got = twins.indexed.query(&tx_a, &text).unwrap().rows;
+                let want = twins.plain.query(&tx_b, &text).unwrap().rows;
+                assert_eq!(
+                    canonical(got),
+                    canonical(want),
+                    "seed {seed}: {text} ({plan}) from {}",
+                    if from_writer { "the writer" } else { "a reader" }
+                );
+                if !from_writer {
+                    twins.indexed.commit(tx_a).unwrap();
+                    twins.plain.commit(tx_b).unwrap();
+                }
+            }
+            match rng.below(3) {
+                0 => twins.both(&writer, |db, tx| db.rollback(tx.clone()).unwrap()),
+                1 => twins.both(&writer, |db, tx| db.commit(tx.clone()).unwrap()),
+                _ => {
+                    // Commit under a held snapshot, then query at it: the
+                    // index already files the commit's keys.
+                    let text = oracle_query(&mut rng);
+                    let twin_txs = [(&twins.indexed, &writer.0), (&twins.plain, &writer.1)];
+                    let answers: Vec<Vec<Vec<Value>>> = twin_txs
+                        .into_iter()
+                        .map(|(db, tx)| {
+                            let reader = db.begin();
+                            let planned = db.prepare_query(&reader, &text).unwrap();
+                            db.commit(reader).unwrap();
+                            db.with_snapshot(None, |catalog, source| {
+                                db.commit(tx.clone()).unwrap();
+                                let opts = ExecOptions::default();
+                                execute_with(catalog, source, &planned, &opts).unwrap().rows
+                            })
+                        })
+                        .map(canonical)
+                        .collect();
+                    assert_eq!(answers[0], answers[1], "seed {seed}: {text} across a commit");
+                }
+            }
+            // A rollback took its creates away and gave its deletes back.
+            let tx = twins.plain.begin();
+            twins.items = twins.plain.query(&tx, "select i from Item* i").unwrap().oids;
+            twins.plain.commit(tx).unwrap();
+        }
+    }
+    assert!(assisted > 300, "only {assisted} index-assisted queries were compared");
 }
