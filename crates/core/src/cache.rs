@@ -386,13 +386,6 @@ impl ShardedCache {
         c.record_arc(slot)
     }
 
-    /// The resident record for `oid` with no stats or recency side
-    /// effects (the pre-image probe).
-    pub(crate) fn peek(&self, oid: Oid) -> Option<Arc<ObjectRecord>> {
-        let c = self.shard(oid).lock();
-        c.peek(oid).cloned()
-    }
-
     /// [`ShardedCache::peek`] for a batch: fills `out[i]` for every
     /// resident `oids[i]` that `wanted` selects, locking each shard
     /// once instead of once per object.

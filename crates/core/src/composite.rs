@@ -89,15 +89,17 @@ impl Database {
         Ok(part)
     }
 
-    /// The direct parts of `root` (one level).
+    /// The direct, live parts of `root` (one level).
     pub fn parts_of(&self, root: Oid) -> Vec<Oid> {
         let rt = self.rt_read();
-        let owner = rt.composite_owner.read();
-        let mut parts: Vec<Oid> = owner
+        let mut parts: Vec<Oid> = rt
+            .composite_owner
+            .read()
             .iter()
             .filter(|(_, (parent, _))| *parent == root)
             .map(|(part, _)| *part)
             .collect();
+        parts.retain(|part| rt.directory.contains(*part));
         parts.sort();
         parts
     }

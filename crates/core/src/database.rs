@@ -4,10 +4,11 @@
 //! design keeps one invariant above all others: **storage is the truth**
 //! — the object directory, class extents, reverse references, composite
 //! ownership, and every index are deterministic functions of the stored
-//! records. Transaction rollback therefore runs the storage engine's
-//! undo and then rebuilds the derived state; crash recovery does the
-//! same after WAL restart. (Rebuild is O(database); rollback is not a
-//! hot path in any of the paper's workloads.)
+//! records, kept current by one change function (`crate::derived`).
+//! Every write applies it once storage has taken the write; rollback
+//! runs the storage engine's undo and then the same change backwards,
+//! for the objects the transaction wrote and no others. Only crash
+//! recovery and cold restart rebuild derived state from a full scan.
 //!
 //! Concurrency: writer *isolation* comes from the 2PL hierarchy locks
 //! in `orion-tx` (IX on class + X on object for DML), never from
@@ -15,25 +16,25 @@
 //! themselves (see `crate::runtime` for the canonical lock order), so
 //! transactions touching disjoint objects execute concurrently; the old
 //! big runtime lock survives only as the *maintenance gate* `rt`, taken
-//! shared by all normal work and exclusively by whole-state rebuilds.
+//! shared by all normal work — rollback included — and exclusively by
+//! restart rebuilds, index DDL and foreign attach.
 
 use crate::authz::{AuthAction, AuthTarget, AuthzManager};
 use crate::cache::Hop;
+use crate::derived::refs;
 use crate::methods::MethodRegistry;
 use crate::multidb::ForeignAdapter;
 use crate::notify::{NotificationKind, NotifyCenter};
 use crate::runtime::Runtime;
 use crate::stats::{DbMetrics, DbStats};
 use crate::sysattr;
-use orion_index::IndexInstance;
 use orion_schema::Catalog;
-use orion_storage::heap::Rid;
 use orion_storage::{FileDisk, SimDisk, StorageBackend, StorageEngine, TxnId};
 use orion_tx::LockManager;
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbError, DbResult, Oid, OidAllocator, Value};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -238,9 +239,9 @@ pub struct Database {
     pub(crate) engine: StorageEngine,
     pub(crate) locks: LockManager,
     /// The maintenance gate around the decomposed [`Runtime`]: shared
-    /// for DML/queries/reads (components synchronize themselves),
-    /// exclusive only for whole-state rebuilds. See `crate::runtime`
-    /// for the lock order.
+    /// for DML/queries/reads/rollback (components synchronize
+    /// themselves), exclusive only for restart rebuilds, index DDL and
+    /// foreign attach. See `crate::runtime` for the lock order.
     pub(crate) rt: RwLock<Runtime>,
     pub(crate) methods: RwLock<MethodRegistry>,
     pub(crate) authz: RwLock<AuthzManager>,
@@ -248,10 +249,8 @@ pub struct Database {
     pub(crate) rules: RwLock<Vec<crate::rules::Rule>>,
     pub(crate) notify: Mutex<NotifyCenter>,
     pub(crate) adapters: RwLock<HashMap<String, Box<dyn ForeignAdapter>>>,
-    /// Per-object version chains for MVCC snapshot reads. Lives outside
-    /// the [`Runtime`] on purpose: rollback and recovery rebuild the
-    /// runtime wholesale, but committed version history must survive a
-    /// rollback of some *other* transaction.
+    /// Per-object version chains for MVCC snapshot reads, and each
+    /// writer's staged after-images — what a rollback reverts from.
     pub(crate) mvcc: crate::mvcc::VersionStore,
     pub(crate) config: DbConfig,
     pub(crate) alloc: OidAllocator,
@@ -377,17 +376,18 @@ impl Database {
     // Maintenance gate
     // ------------------------------------------------------------------
 
-    /// Shared gate acquisition — every normal operation (DML, query,
-    /// read, stats). Blocks only against a concurrent exclusive holder
-    /// (rollback/recovery/index DDL), never against other shared work.
+    /// Shared gate acquisition — every normal operation (DML, rollback,
+    /// query, read, stats). Blocks only against a concurrent exclusive
+    /// holder (recovery/index DDL/attach), never against other shared work.
     pub(crate) fn rt_read(&self) -> RwLockReadGuard<'_, Runtime> {
         self.metrics.gate_shared.inc();
         self.rt.read()
     }
 
-    /// Exclusive gate acquisition — whole-state rebuilds only. Waits for
-    /// every in-flight shared holder to drain; the wait is recorded so
-    /// pathological gate contention shows up in `stats()`.
+    /// Exclusive gate acquisition — restart rebuilds, index DDL, foreign
+    /// attach. Waits for every in-flight shared holder to drain; the
+    /// wait is recorded so pathological gate contention shows up in
+    /// `stats()`.
     pub(crate) fn rt_write(&self) -> RwLockWriteGuard<'_, Runtime> {
         self.metrics.gate_exclusive.inc();
         let start = Instant::now();
@@ -499,34 +499,24 @@ impl Database {
             // the last known-good state; the caller is expected to
             // `crash_and_recover`, which resolves the in-doubt state and
             // resets the version store to match.
-            Err(_) => self.mvcc.discard(tx.id()),
+            Err(_) => self.mvcc.discard(tx.id(), |_| ()),
         }
         self.locks.release_all(tx.id());
         result
     }
 
-    /// Roll back: undo storage, rebuild derived state, release locks.
+    /// Roll back: undo storage, revert the derived state of every
+    /// object the transaction wrote, release locks. Costs what the
+    /// transaction did, under the shared gate: other sessions keep
+    /// running, and their cached objects stay warm.
     ///
-    /// Locks are released even when the undo or rebuild fails mid-way
-    /// (an injected fault): the transaction cannot continue, and the
-    /// caller is expected to `crash_and_recover` to restore consistency.
+    /// Locks are released even when the undo fails mid-way (an injected
+    /// fault): the transaction cannot continue, and the caller is
+    /// expected to `crash_and_recover` to restore consistency.
     pub fn rollback(&self, tx: Tx) -> DbResult<()> {
-        let result = (|| {
-            // Lock order is catalog before the gate, everywhere: the
-            // rebuild may install a persisted catalog snapshot. The
-            // exclusive gate waits out all in-flight shared work, so
-            // the rebuild observes quiescent components.
-            let mut catalog = self.catalog.write();
-            let rt = self.rt_write();
-            self.engine.abort(tx.storage)?;
-            self.rebuild_runtime(&mut catalog, &rt)
-        })();
-        // The staged after-images go; committed chain entries stay (a
-        // snapshot reader mid-flight may still need the pre-images, and
-        // the rebuilt in-place state equals them).
-        self.mvcc.discard(tx.id());
+        let result = self.undo(tx.id(), || self.engine.abort(tx.storage).map(Some));
         self.locks.release_all(tx.id());
-        result
+        result.map(drop)
     }
 
     // ------------------------------------------------------------------
@@ -560,7 +550,7 @@ impl Database {
             // In doubt (log force failed): same contract as `commit` —
             // drop the staged after-images and expect the caller to
             // `crash_and_recover`.
-            Err(_) => self.mvcc.discard(txn),
+            Err(_) => self.mvcc.discard(txn, |_| ()),
         }
         self.locks.release_all(txn);
         if matches!(result, Ok(true)) {
@@ -570,21 +560,11 @@ impl Database {
     }
 
     /// Phase two, abort branch: undo a prepared transaction from its
-    /// retained undo state, rebuild derived state, and release its
-    /// locks. Idempotent by transaction id like
+    /// retained undo state exactly like [`Database::rollback`], and
+    /// release its locks. Idempotent by transaction id like
     /// [`Database::commit_prepared`].
     pub fn abort_prepared(&self, txn: u64) -> DbResult<bool> {
-        let result = (|| {
-            // Same lock order as rollback: catalog before the gate.
-            let mut catalog = self.catalog.write();
-            let rt = self.rt_write();
-            if !self.engine.abort_prepared(TxnId(txn))? {
-                return Ok(false);
-            }
-            self.rebuild_runtime(&mut catalog, &rt)?;
-            Ok(true)
-        })();
-        self.mvcc.discard(txn);
+        let result = self.undo(txn, || self.engine.abort_prepared(TxnId(txn)));
         self.locks.release_all(txn);
         if matches!(result, Ok(true)) {
             self.metrics.twopc.aborts.inc();
@@ -599,33 +579,29 @@ impl Database {
         self.engine.prepared_txns()
     }
 
-    /// Re-assert the exclusive locks of in-doubt (prepared)
-    /// transactions after a recovery reset the lock manager. Recovery's
-    /// redo reapplied their effects in place (they are not losers), so
-    /// until the coordinator's decision arrives their objects must stay
-    /// X-locked — 2PL readers and writers block exactly as they did
-    /// before the crash. Snapshot readers have no version history after
-    /// a crash and may observe prepared state until resolution (see
-    /// DESIGN.md §11). The fresh lock manager has no competing holders,
-    /// so acquisition cannot block or fail.
+    /// Reinstate in-doubt (prepared) transactions after a recovery reset
+    /// the lock manager and the version store. Recovery's redo
+    /// reapplied their effects in place (they are not losers), so until
+    /// the coordinator's decision arrives their objects stay X-locked —
+    /// 2PL readers and writers block exactly as they did before the
+    /// crash — and staged: snapshot readers see the committed
+    /// pre-images, and an abort decision reverts derived state from the
+    /// staged after-images like any rollback. The fresh lock manager has
+    /// no competing holders, so acquisition cannot block or fail.
     pub(crate) fn reinstate_in_doubt(&self) {
         for txn in self.engine.prepared_txns() {
-            for (rid, before) in self.engine.prepared_ops(txn) {
-                // Updates and deletes retain the pre-image (the record
-                // at `rid` may be gone); inserts read the redone record
-                // in place. Either way the bytes carry the OID.
-                let bytes = match before {
-                    Some(b) => Some(b),
-                    None => self.engine.read(rid).ok(),
-                };
-                let Some(oid) = bytes.and_then(|b| ObjectRecord::decode(&b).ok()).map(|r| r.oid)
-                else {
-                    continue;
-                };
-                let _ = match self.config.locking {
-                    LockingStrategy::Granular => self.locks.lock_object_write(txn, oid),
-                    LockingStrategy::CoarseClass => self.locks.lock_class_write(txn, oid.class()),
-                };
+            let (before, after) = self.engine.prepared_records(txn);
+            let mut writes: HashMap<Oid, [Option<Arc<ObjectRecord>>; 2]> = HashMap::new();
+            for (side, records) in [before, after].into_iter().enumerate() {
+                for record in records.iter().filter_map(|(_, b)| ObjectRecord::decode(b).ok()) {
+                    let oid = record.oid;
+                    writes.entry(oid).or_default()[side] = Some(Arc::new(record));
+                }
+            }
+            let tx = Tx { storage: TxnId(txn), subject: None };
+            for (oid, [pre, post]) in writes {
+                let _ = self.lock_write(&tx, oid);
+                self.mvcc.stage(txn, oid, pre, post);
             }
             self.metrics.twopc.in_doubt_recovered.inc();
         }
@@ -746,60 +722,6 @@ impl Database {
         Ok(Arc::new(record))
     }
 
-    /// Like [`Database::load_record`], but `None` for dangling OIDs
-    /// (path traversal over deleted targets).
-    pub(crate) fn try_load_record(
-        &self,
-        rt: &Runtime,
-        catalog: &Catalog,
-        oid: Oid,
-    ) -> Option<Arc<ObjectRecord>> {
-        self.load_record(rt, catalog, oid).ok()
-    }
-
-    /// The committed pre-image of `oid`, for version-chain staging.
-    /// Valid only while the calling transaction holds the object's `X`
-    /// lock and has not yet written it in place (the cache and storage
-    /// still hold the committed state). Decodes raw on a cache miss —
-    /// no adaptation, no catalog guard (the caller may hold one, and
-    /// parking_lot read locks must not be re-entered).
-    fn committed_pre_image(&self, rt: &Runtime, oid: Oid) -> Option<Arc<ObjectRecord>> {
-        if let Some(rec) = rt.cache.peek(oid) {
-            return Some(rec);
-        }
-        let rid = rt.directory.get(oid)?;
-        let bytes = self.engine.read(rid).ok()?;
-        ObjectRecord::decode(&bytes).ok().map(Arc::new)
-    }
-
-    /// Stage an in-place update into the version store **before** the
-    /// mutation lands (see `crate::mvcc` for the protocol). Centralized
-    /// here so every update path — `set`, system attributes, eager
-    /// migrations, version derivation — is covered.
-    fn stage_update(&self, rt: &Runtime, tx: &Tx, record: &ObjectRecord) {
-        let pre = self.committed_pre_image(rt, record.oid);
-        self.mvcc.stage(tx.id(), record.oid, pre, Some(Arc::new(record.clone())));
-    }
-
-    /// Write a record through to storage, keeping the directory and
-    /// cache coherent. Returns the (possibly moved) rid.
-    pub(crate) fn store_record(
-        &self,
-        rt: &Runtime,
-        tx: &Tx,
-        record: &ObjectRecord,
-    ) -> DbResult<Rid> {
-        let oid = record.oid;
-        self.stage_update(rt, tx, record);
-        let rid = rt.directory.get(oid).ok_or(DbError::NoSuchObject(oid))?;
-        let new_rid = self.engine.update(tx.storage, rid, &record.encode())?;
-        if new_rid != rid {
-            rt.directory.insert(oid, new_rid);
-        }
-        rt.cache.refresh(record);
-        Ok(new_rid)
-    }
-
     // ------------------------------------------------------------------
     // Object CRUD
     // ------------------------------------------------------------------
@@ -849,16 +771,23 @@ impl Database {
 
         let oid = self.alloc.allocate(class);
         self.lock_write(tx, oid)?;
+        // A composite value claims its parts: X-lock them like the
+        // object itself, so the claim check below holds until the write.
+        let mut claims = Vec::new();
+        for (attr_id, value) in &pairs {
+            if resolved.attr_by_id(*attr_id).is_some_and(|a| a.composite) {
+                let parts = refs(value);
+                for part in &parts {
+                    self.lock_write(tx, *part)?;
+                }
+                claims.push((*attr_id, parts));
+            }
+        }
 
         let catalog = self.catalog.read();
         let rt = self.rt_read();
-        // Composite ownership checks for composite-marked attributes.
-        for (attr_id, value) in &pairs {
-            if let Some(attr) = resolved.attr_by_id(*attr_id) {
-                if attr.composite {
-                    self.claim_parts(&rt, oid, *attr_id, value)?;
-                }
-            }
+        for (attr_id, parts) in &claims {
+            self.check_claims(&rt, oid, *attr_id, parts)?;
         }
         let record = ObjectRecord::new(oid, resolved.version, pairs);
         let hint = if self.config.clustering {
@@ -866,16 +795,7 @@ impl Database {
         } else {
             None
         };
-        // Stage before the insert becomes discoverable: the chain's "did
-        // not exist" base hides the new object from snapshots taken
-        // before this commit publishes.
-        self.mvcc.stage(tx.id(), oid, None, Some(Arc::new(record.clone())));
-        let rid = self.engine.insert(tx.storage, &record.encode(), hint)?;
-        rt.directory.insert(oid, rid);
-        rt.extents.insert(class, oid);
-        self.add_reverse_edges(&rt, &record);
-        self.index_object_insert(&rt, &catalog, &record)?;
-        rt.cache.admit(record);
+        self.write_object(&rt, tx, &catalog, None, Some(Arc::new(record)), hint)?;
         Ok(oid)
     }
 
@@ -917,7 +837,8 @@ impl Database {
         self.check_auth(tx, AuthAction::Write, AuthTarget::Object(oid))?;
         // 2PL locks are acquired before any catalog guard is taken: a
         // thread must never block on the lock manager while holding a
-        // catalog guard (rollback takes the catalog write lock).
+        // catalog guard (DDL queues for the catalog write lock, and every
+        // later reader queues behind it).
         self.lock_write(tx, oid)?;
         let (resolved, attr) = {
             let catalog = self.catalog.read();
@@ -933,72 +854,59 @@ impl Database {
             (resolved, attr)
         };
 
-        // Composite unlinks trigger dependent deletes; those parts must
-        // be X-locked *before* the catalog guard and gate are taken (a
-        // thread must never block on the lock manager while holding
-        // either).
+        // A composite value claims the parts it adds and deletes the
+        // closures of the parts it drops (dependent exclusive semantics,
+        // \[KIM89c\]): all of them are X-locked *before* the catalog
+        // guard and gate are taken.
+        let new_parts = if attr.composite { refs(&value) } else { Vec::new() };
         if attr.composite {
-            let doomed: Vec<Oid> = {
+            let targets: Vec<Oid> = {
                 let catalog = self.catalog.read();
                 let rt = self.rt_read();
                 let record = self.load_record(&rt, &catalog, oid)?;
-                let old = record.get(attr.id).cloned().unwrap_or(Value::Null);
-                let mut old_parts = Vec::new();
-                old.collect_refs(&mut old_parts);
-                let mut new_parts = Vec::new();
-                value.collect_refs(&mut new_parts);
-                old_parts
-                    .into_iter()
-                    .filter(|p| !new_parts.contains(p))
-                    .flat_map(|p| self.composite_closure(&rt, p))
-                    .collect()
+                let old_parts = record.get(attr.id).map(refs).unwrap_or_default();
+                let claimed = new_parts.iter().filter(|p| !old_parts.contains(p)).copied();
+                let dropped = old_parts.iter().filter(|p| !new_parts.contains(p));
+                claimed.chain(dropped.flat_map(|p| self.composite_closure(&rt, *p))).collect()
             };
-            for target in &doomed {
+            for target in &targets {
                 self.lock_write(tx, *target)?;
             }
         }
 
         let catalog = self.catalog.read();
         let rt = self.rt_read();
-        let mut record = (*self.load_record(&rt, &catalog, oid)?).clone();
+        let before = self.load_record(&rt, &catalog, oid)?;
         // Version discipline: working versions are immutable; generic
         // objects are not directly writable.
-        if record.get(sysattr::ATTR_DEFAULT_VERSION).is_some() {
+        if before.get(sysattr::ATTR_DEFAULT_VERSION).is_some() {
             return Err(DbError::Version(
                 "cannot update a generic object; derive and update a version".into(),
             ));
         }
-        if let Some(Value::Str(status)) = record.get(sysattr::ATTR_VERSION_STATUS) {
+        if let Some(Value::Str(status)) = before.get(sysattr::ATTR_VERSION_STATUS) {
             if status == "working" {
                 return Err(DbError::Version(format!(
                     "version {oid} is a working version and is immutable"
                 )));
             }
         }
-        let old_value = record.get(attr.id).cloned().unwrap_or(Value::Null);
-
-        // Composite bookkeeping.
+        let mut dropped = Vec::new();
         if attr.composite {
-            self.recheck_composite_change(&rt, tx, &catalog, oid, attr.id, &old_value, &value)?;
+            self.check_claims(&rt, oid, attr.id, &new_parts)?;
+            dropped = before.get(attr.id).map(refs).unwrap_or_default();
+            dropped.retain(|p| !new_parts.contains(p));
         }
-
-        // Nested-index bookkeeping, phase 1: snapshot affected roots'
-        // keys before the change.
-        let nested_pre = self.nested_snapshot(&rt, &catalog, oid)?;
-
-        // Apply the change.
-        self.remove_reverse_edges_for_attr(&rt, oid, attr.id, &old_value);
-        record.set(attr.id, value.clone());
-        record.schema_version = resolved.version;
-        self.store_record(&rt, tx, &record)?;
-        self.add_reverse_edges_for_attr(&rt, oid, attr.id, &value);
-
-        // Simple-index maintenance.
-        self.simple_index_update(&rt, &catalog, oid, attr.id, &old_value, &value);
-
-        // Nested-index bookkeeping, phase 2: diff against the snapshot.
-        self.nested_apply_diff(&rt, &catalog, nested_pre)?;
-
+        let mut after = (*before).clone();
+        after.set(attr.id, value);
+        after.schema_version = resolved.version;
+        self.write_object(&rt, tx, &catalog, Some(before), Some(Arc::new(after)), None)?;
+        // An unlinked part does not survive (its closure is locked).
+        for part in dropped {
+            for target in self.composite_closure(&rt, part).iter().rev() {
+                self.delete_single(&rt, tx, &catalog, *target)?;
+            }
+        }
         self.notify.lock().publish(oid, NotificationKind::Updated, None);
         Ok(())
     }
@@ -1006,25 +914,7 @@ impl Database {
     /// Delete an object. Composite (dependent) parts are deleted with it.
     pub fn delete_object(&self, tx: &Tx, oid: Oid) -> DbResult<()> {
         self.check_auth(tx, AuthAction::Delete, AuthTarget::Object(oid))?;
-        // Collect the composite closure (parts are dependent: they go too).
-        let mut order: Vec<Oid> = Vec::new();
-        {
-            let rt = self.rt_read();
-            let owner = rt.composite_owner.read();
-            let mut stack = vec![oid];
-            let mut seen = HashSet::new();
-            while let Some(cur) = stack.pop() {
-                if !seen.insert(cur) {
-                    continue;
-                }
-                order.push(cur);
-                for (part, (parent, _)) in owner.iter() {
-                    if *parent == cur {
-                        stack.push(*part);
-                    }
-                }
-            }
-        }
+        let order = self.composite_closure(&self.rt_read(), oid);
         // Lock everything up front (no catalog guard or gate held while
         // the lock manager may block), then delete children before
         // parents.
@@ -1048,21 +938,8 @@ impl Database {
         catalog: &Catalog,
         oid: Oid,
     ) -> DbResult<()> {
-        let record = self.load_record(rt, catalog, oid)?;
-        let nested_pre = self.nested_snapshot(rt, catalog, oid)?;
-
-        // Stage before the object vanishes from the extent; the
-        // tombstone map keeps it scannable for older snapshots.
-        self.mvcc.stage(tx.id(), oid, Some(Arc::clone(&record)), None);
-        let rid = rt.directory.get(oid).ok_or(DbError::NoSuchObject(oid))?;
-        self.engine.delete(tx.storage, rid)?;
-        rt.directory.remove(oid);
-        rt.extents.remove(oid.class(), oid);
-        rt.cache.invalidate(oid);
-        self.remove_reverse_edges(rt, &record);
-        rt.composite_owner.write().remove(&oid);
-        self.index_object_remove(rt, catalog, &record)?;
-        self.nested_apply_diff(rt, catalog, nested_pre)?;
+        let before = self.load_record(rt, catalog, oid)?;
+        self.write_object(rt, tx, catalog, Some(before), None, None)?;
         self.notify.lock().publish(oid, NotificationKind::Deleted, None);
         Ok(())
     }
@@ -1214,224 +1091,6 @@ impl Database {
         })?;
         self.metrics.method_calls.inc();
         body(self, tx, receiver, args)
-    }
-
-    // ------------------------------------------------------------------
-    // Derived-state rebuild (rollback / recovery)
-    // ------------------------------------------------------------------
-
-    /// Rebuild every piece of derived state from the stored records.
-    /// The caller holds the catalog write lock and the exclusive
-    /// maintenance gate (lock order: catalog before gate) — a persisted
-    /// system snapshot replaces `catalog` in place, and the exclusive
-    /// gate guarantees no other thread is inside any component.
-    pub(crate) fn rebuild_runtime(
-        &self,
-        catalog: &mut orion_schema::Catalog,
-        rt: &Runtime,
-    ) -> DbResult<()> {
-        rt.directory.clear();
-        rt.extents.clear();
-        rt.cache.clear();
-        rt.reverse.clear();
-        rt.composite_owner.write().clear();
-        // Note: foreign_store survives — it is not storage-backed.
-        for inst in rt.indexes.write().iter_mut() {
-            *inst = IndexInstance::new(inst.def.clone());
-        }
-
-        let mut records: Vec<(Rid, ObjectRecord)> = Vec::new();
-        let mut scan_err: Option<DbError> = None;
-        self.engine.scan_all(|rid, bytes| match ObjectRecord::decode(bytes) {
-            Ok(rec) => records.push((rid, rec)),
-            Err(e) => scan_err = Some(e),
-        })?;
-        if let Some(e) = scan_err {
-            return Err(e);
-        }
-
-        // Install the persisted system state (catalog, index defs,
-        // views) before touching anything that needs the schema. The
-        // in-memory catalog wins only if no system record exists (e.g.
-        // before the first DDL persisted one).
-        if let Some(pos) =
-            records.iter().position(|(_, r)| r.oid.class() == crate::persist::SYSTEM_CLASS)
-        {
-            let (rid, record) = records.remove(pos);
-            *rt.system_rid.lock() = Some(rid);
-            let state = Self::decode_system_record(&record)?;
-            crate::persist::install_state(self, catalog, rt, state);
-        }
-        let catalog = &*catalog;
-
-        let mut max_serial = 0u64;
-        for (rid, record) in &records {
-            let oid = record.oid;
-            max_serial = max_serial.max(oid.serial());
-            rt.directory.insert(oid, *rid);
-            rt.extents.insert(oid.class(), oid);
-            self.add_reverse_edges(rt, record);
-        }
-        self.alloc.seed_above(max_serial);
-
-        // Composite ownership + indexes need resolved schemas.
-        {
-            let mut owner = rt.composite_owner.write();
-            for (_, record) in &records {
-                let Ok(resolved) = catalog.resolve(record.oid.class()) else { continue };
-                for (attr_id, value) in &record.attrs {
-                    if let Some(attr) = resolved.attr_by_id(*attr_id) {
-                        if attr.composite {
-                            let mut refs = Vec::new();
-                            value.collect_refs(&mut refs);
-                            for part in refs {
-                                owner.insert(part, (record.oid, *attr_id));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for (_, record) in &records {
-            self.index_object_insert(rt, catalog, record)?;
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Reverse-reference maintenance
-    // ------------------------------------------------------------------
-
-    pub(crate) fn add_reverse_edges(&self, rt: &Runtime, record: &ObjectRecord) {
-        for (attr_id, value) in &record.attrs {
-            self.add_reverse_edges_for_attr(rt, record.oid, *attr_id, value);
-        }
-    }
-
-    pub(crate) fn add_reverse_edges_for_attr(
-        &self,
-        rt: &Runtime,
-        from: Oid,
-        attr: u32,
-        value: &Value,
-    ) {
-        let mut refs = Vec::new();
-        value.collect_refs(&mut refs);
-        for target in refs {
-            rt.reverse.update(target, |shard| {
-                shard.entry(target).or_default().insert((from, attr));
-            });
-        }
-    }
-
-    pub(crate) fn remove_reverse_edges(&self, rt: &Runtime, record: &ObjectRecord) {
-        for (attr_id, value) in &record.attrs {
-            self.remove_reverse_edges_for_attr(rt, record.oid, *attr_id, value);
-        }
-    }
-
-    pub(crate) fn remove_reverse_edges_for_attr(
-        &self,
-        rt: &Runtime,
-        from: Oid,
-        attr: u32,
-        value: &Value,
-    ) {
-        let mut refs = Vec::new();
-        value.collect_refs(&mut refs);
-        for target in refs {
-            rt.reverse.update(target, |shard| {
-                if let Some(edges) = shard.get_mut(&target) {
-                    edges.remove(&(from, attr));
-                    if edges.is_empty() {
-                        shard.remove(&target);
-                    }
-                }
-            });
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Composite-object bookkeeping
-    // ------------------------------------------------------------------
-
-    /// Claim every part referenced by a composite attribute value for
-    /// `(parent, attr)`; rejects parts already owned elsewhere. One
-    /// write guard spans check + claim, so two parents racing for the
-    /// same part cannot both win.
-    fn claim_parts(&self, rt: &Runtime, parent: Oid, attr: u32, value: &Value) -> DbResult<()> {
-        let mut parts = Vec::new();
-        value.collect_refs(&mut parts);
-        let mut owner = rt.composite_owner.write();
-        for part in &parts {
-            if let Some((other_parent, other_attr)) = owner.get(part) {
-                if !(*other_parent == parent && *other_attr == attr) {
-                    return Err(DbError::Composite(format!(
-                        "object {part} is already an exclusive part of {other_parent}"
-                    )));
-                }
-            }
-            if *part == parent {
-                return Err(DbError::Composite("an object cannot be its own part".into()));
-            }
-        }
-        for part in parts {
-            owner.insert(part, (parent, attr));
-        }
-        Ok(())
-    }
-
-    /// Handle a composite attribute change: newly referenced parts are
-    /// claimed; parts dropped from the value are *deleted* (dependent
-    /// exclusive semantics, \[KIM89c\]).
-    #[allow(clippy::too_many_arguments)]
-    fn recheck_composite_change(
-        &self,
-        rt: &Runtime,
-        tx: &Tx,
-        catalog: &Catalog,
-        parent: Oid,
-        attr: u32,
-        old_value: &Value,
-        new_value: &Value,
-    ) -> DbResult<()> {
-        let mut old_parts = Vec::new();
-        old_value.collect_refs(&mut old_parts);
-        let mut new_parts = Vec::new();
-        new_value.collect_refs(&mut new_parts);
-        self.claim_parts(rt, parent, attr, new_value)?;
-        let removed: Vec<Oid> =
-            old_parts.into_iter().filter(|p| !new_parts.contains(p)).collect();
-        for part in removed {
-            rt.composite_owner.write().remove(&part);
-            // Dependent semantics: an unlinked part does not survive.
-            // Parts were X-locked by set() before the catalog guard and
-            // gate were taken; deleting here cannot block.
-            let closure = self.composite_closure(rt, part);
-            for target in closure.iter().rev() {
-                self.delete_single(rt, tx, catalog, *target)?;
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn composite_closure(&self, rt: &Runtime, root: Oid) -> Vec<Oid> {
-        let owner = rt.composite_owner.read();
-        let mut order = Vec::new();
-        let mut stack = vec![root];
-        let mut seen = HashSet::new();
-        while let Some(cur) = stack.pop() {
-            if !seen.insert(cur) {
-                continue;
-            }
-            order.push(cur);
-            for (part, (parent, _)) in owner.iter() {
-                if *parent == cur {
-                    stack.push(*part);
-                }
-            }
-        }
-        order
     }
 }
 

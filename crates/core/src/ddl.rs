@@ -17,9 +17,10 @@
 use crate::database::{Database, Tx};
 use orion_index::{IndexDef, IndexInstance, IndexKind};
 use orion_schema::evolution::ChangeEffect;
-use orion_schema::{AttrSpec, SchemaChange};
+use orion_schema::{AttrSpec, Catalog, SchemaChange};
 use orion_types::{ClassId, DbError, DbResult, Oid};
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// When instance adaptation happens after a schema change (E6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,18 +98,28 @@ impl Database {
             }
         }
 
-        let effect = {
+        let (effect, replaced) = {
             let mut catalog = self.catalog.write();
-            change.apply(&mut catalog)?
+            let replaced = catalog.snapshot();
+            (change.apply(&mut catalog)?, replaced)
         };
+        self.migrate(tx, &effect, migration).inspect_err(|_| {
+            // Rollback reverts the migrated instances, not the schema
+            // they were migrated to: put back the catalog it replaced.
+            if let Ok(catalog) = Catalog::restore(&replaced) {
+                *self.catalog.write() = catalog;
+            }
+        })
+    }
 
-        match (&effect, migration) {
+    fn migrate(&self, tx: &Tx, effect: &ChangeEffect, migration: Migration) -> DbResult<()> {
+        match (effect, migration) {
             (ChangeEffect::AttributeDropped { attr_id, classes }, _) => {
-                // Indexes over the dropped attribute are dropped with it.
-                self.drop_indexes_using_attr(*attr_id)?;
                 if migration == Migration::Eager {
                     self.eager_scrub(tx, classes, *attr_id)?;
                 }
+                // Indexes over the dropped attribute are dropped with it.
+                self.drop_indexes_using_attr(*attr_id)?;
             }
             (ChangeEffect::AttributeAdded { attr_id, classes, default }, Migration::Eager) => {
                 self.eager_fill(tx, classes, *attr_id, default.clone())?;
@@ -133,10 +144,11 @@ impl Database {
         let catalog = self.catalog.read();
         let rt = self.rt_read();
         for oid in Self::instances_of(&rt, classes) {
-            let mut record = (*self.load_record(&rt, &catalog, oid)?).clone();
+            let before = self.load_record(&rt, &catalog, oid)?;
+            let mut record = (*before).clone();
             if record.remove(attr_id).is_some() {
                 record.schema_version = catalog.resolve(oid.class())?.version;
-                self.store_record(&rt, tx, &record)?;
+                self.write_object(&rt, tx, &catalog, Some(before), Some(Arc::new(record)), None)?;
             }
         }
         Ok(())
@@ -152,10 +164,11 @@ impl Database {
         let catalog = self.catalog.read();
         let rt = self.rt_read();
         for oid in Self::instances_of(&rt, classes) {
-            let mut record = (*self.load_record(&rt, &catalog, oid)?).clone();
+            let before = self.load_record(&rt, &catalog, oid)?;
+            let mut record = (*before).clone();
             record.set(attr_id, default.clone());
             record.schema_version = catalog.resolve(oid.class())?.version;
-            self.store_record(&rt, tx, &record)?;
+            self.write_object(&rt, tx, &catalog, Some(before), Some(Arc::new(record)), None)?;
         }
         Ok(())
     }
@@ -165,12 +178,13 @@ impl Database {
         let rt = self.rt_read();
         for oid in Self::instances_of(&rt, classes) {
             let resolved = catalog.resolve(oid.class())?;
-            let mut record = (*self.load_record(&rt, &catalog, oid)?).clone();
+            let before = self.load_record(&rt, &catalog, oid)?;
+            let mut record = (*before).clone();
             record.attrs.retain(|(id, _)| {
                 crate::sysattr::is_reserved(*id) || resolved.attr_by_id(*id).is_some()
             });
             record.schema_version = resolved.version;
-            self.store_record(&rt, tx, &record)?;
+            self.write_object(&rt, tx, &catalog, Some(before), Some(Arc::new(record)), None)?;
         }
         Ok(())
     }
@@ -234,26 +248,8 @@ impl Database {
         };
         let members: Vec<Oid> = covered.iter().flat_map(|c| rt.extents.snapshot(*c)).collect();
         for oid in members {
-            match kind {
-                IndexKind::SingleClass | IndexKind::ClassHierarchy => {
-                    let record = self.load_record(&rt, &catalog, oid)?;
-                    let attr_id = inst.def.path[0];
-                    let resolved = catalog.resolve(oid.class())?;
-                    if let Some(attr) = resolved.attr_by_id(attr_id) {
-                        let stored = record.get(attr_id).cloned().unwrap_or(Value::Null);
-                        let eff = if stored.is_null() { attr.default.clone() } else { stored };
-                        for key in crate::indexing::keys_of(&eff) {
-                            inst.imp.insert(key, oid);
-                        }
-                    }
-                }
-                IndexKind::Nested => {
-                    let keys = self.nested_path_values(&rt, &catalog, oid, &inst.def.path)?;
-                    for key in keys {
-                        inst.imp.insert(key, oid);
-                    }
-                }
-            }
+            let record = self.load_record(&rt, &catalog, oid)?;
+            self.populate(&rt, &catalog, &mut inst, &record)?;
         }
         rt.indexes.write().push(inst);
         drop(rt);
@@ -297,5 +293,3 @@ impl Database {
             .map(|i| (i.imp.len(), i.imp.distinct_keys()))
     }
 }
-
-use orion_types::Value;

@@ -20,7 +20,7 @@ pub mod cache;
 pub mod composite;
 pub mod database;
 pub mod ddl;
-pub mod indexing;
+pub mod derived;
 pub mod methods;
 pub mod multidb;
 pub(crate) mod mvcc;

@@ -21,11 +21,12 @@
 //!    every touched chain, updates the per-class tombstone map, and
 //!    only then advances the visible clock — a snapshot taken at any
 //!    instant sees all of a commit or none of it.
-//! 3. **Discard on rollback.** The facade rebuilds in-place state from
-//!    storage, then drops the staged after-images; the chains keep
-//!    their committed entries (a chain base outliving its writer is
-//!    harmless — it equals the rebuilt in-place state and is collapsed
-//!    by the next prune).
+//! 3. **Discard on rollback.** While the chains still name their
+//!    writer, the facade reverts in-place state object by object, from
+//!    each staged after-image to the chain's committed pre-image; then
+//!    every chain is stamped with that pre-image at a fresh commit
+//!    timestamp, so an index probe that read a reverted entry finds the
+//!    object in `moved_since` and re-checks it.
 //!
 //! Readers resolve `(oid, snapshot-ts)` to the newest chain entry at or
 //! below their snapshot, falling back to in-place state when no chain
@@ -70,6 +71,10 @@ type VersionEntry = (u64, Option<Arc<ObjectRecord>>);
 /// One transaction's staged after-images (`None` = staged delete).
 type StagedSet = HashMap<Oid, Option<Arc<ObjectRecord>>>;
 
+/// One object a discarded transaction wrote: its staged after-image and
+/// its committed pre-image (`None` = absent).
+pub(crate) type WriteEntry = (Oid, Option<Arc<ObjectRecord>>, Option<Arc<ObjectRecord>>);
+
 #[derive(Debug)]
 struct VersionChain {
     entries: Vec<VersionEntry>,
@@ -93,9 +98,9 @@ pub(crate) enum Resolution {
 }
 
 /// The facade-level version store. Lives on `Database` *outside* the
-/// [`Runtime`](crate::runtime::Runtime) deliberately: rollback and
-/// recovery rebuild the runtime wholesale, but committed version
-/// history must survive a rollback of some *other* transaction. Shard
+/// [`Runtime`](crate::runtime::Runtime) deliberately: recovery rebuilds
+/// the runtime wholesale, and the version history is what a rollback
+/// reverts to rather than something it may disturb. Shard
 /// locks here are leaves in the global lock order (after the gate and
 /// every runtime component lock; never held while acquiring anything).
 #[derive(Debug)]
@@ -150,20 +155,19 @@ impl VersionStore {
     /// is the committed pre-image (`None` for creates) — consulted only
     /// on the first write to a previously unchained object, where it
     /// becomes the chain's timestamp-0 base. `after` is the after-image
-    /// this transaction would commit (`None` for deletes).
+    /// this transaction would commit (`None` for deletes). Returns the
+    /// after-image this replaced, if the transaction had staged one — a
+    /// writer whose storage call then fails stages it back.
     pub fn stage(
         &self,
         txn: u64,
         oid: Oid,
         pre: Option<Arc<ObjectRecord>>,
         after: Option<Arc<ObjectRecord>>,
-    ) {
+    ) -> Option<Option<Arc<ObjectRecord>>> {
         let deleting = after.is_none();
-        let undeleting = {
-            let mut staged = self.staged.lock();
-            let prev = staged.entry(txn).or_default().insert(oid, after);
-            matches!(prev, Some(None)) && !deleting
-        };
+        let prev = self.staged.lock().entry(txn).or_default().insert(oid, after);
+        let undeleting = matches!(prev, Some(None)) && !deleting;
         {
             let mut shard = self.shards[shard_of(oid)].write();
             match shard.entry(oid) {
@@ -181,6 +185,7 @@ impl VersionStore {
             // overwrote it; retract the pending tombstone.
             Self::remove_tombstone(&mut self.deleted.write(), oid, |ts| ts == PENDING);
         }
+        prev
     }
 
     fn remove_tombstone(
@@ -202,6 +207,35 @@ impl VersionStore {
     /// Returns the stamp, or `None` if the transaction staged nothing.
     pub fn commit_publish(&self, txn: u64) -> Option<u64> {
         let set = self.staged.lock().remove(&txn)?;
+        self.publish(txn, set)
+    }
+
+    /// Forget `txn`'s staged write set (rollback, or a failed commit).
+    /// `undo` runs first, over each written object's staged after-image
+    /// and committed pre-image (its chain's newest entry), while the
+    /// chains still name their writer. Then every chain is stamped with
+    /// its pre-image at a fresh commit timestamp, so `moved_since` lists
+    /// the object for every snapshot older than the revert — a probe
+    /// that read an index entry `undo` then reverted is re-checked.
+    pub fn discard<R>(&self, txn: u64, undo: impl FnOnce(&[WriteEntry]) -> R) -> R {
+        let set = self.staged.lock().remove(&txn).unwrap_or_default();
+        let writes: Vec<WriteEntry> = set
+            .into_iter()
+            .map(|(oid, after)| {
+                let shard = self.shards[shard_of(oid)].read();
+                let pre = shard.get(&oid).and_then(|chain| chain.entries.last()?.1.clone());
+                (oid, after, pre)
+            })
+            .collect();
+        let out = undo(&writes);
+        self.publish(txn, writes.into_iter().map(|(oid, _, pre)| (oid, pre)).collect());
+        out
+    }
+
+    /// Append each image in `set` to its chain under a fresh commit
+    /// timestamp and release `txn`'s hold on the chains. Returns the
+    /// stamp, or `None` for an empty set.
+    fn publish(&self, txn: u64, set: StagedSet) -> Option<u64> {
         if set.is_empty() {
             return None;
         }
@@ -253,26 +287,6 @@ impl VersionStore {
         self.metrics.versions_pruned.add(pruned);
         self.clock.publish(ts);
         Some(ts)
-    }
-
-    /// Forget `txn`'s staged write set (rollback, or a failed commit).
-    /// Chains keep their committed entries; bases whose writer vanished
-    /// are collapsed by later pruning once they match the floor.
-    pub fn discard(&self, txn: u64) {
-        let Some(set) = self.staged.lock().remove(&txn) else { return };
-        for (oid, after) in set {
-            {
-                let mut shard = self.shards[shard_of(oid)].write();
-                if let Some(chain) = shard.get_mut(&oid) {
-                    if chain.writer == Some(txn) {
-                        chain.writer = None;
-                    }
-                }
-            }
-            if after.is_none() {
-                Self::remove_tombstone(&mut self.deleted.write(), oid, |ts| ts == PENDING);
-            }
-        }
     }
 
     /// Drop all version state (crash recovery: in-flight transactions
@@ -418,7 +432,8 @@ impl VersionStore {
     /// A chain is settled once no writer is in flight and a single
     /// entry at or below the floor remains: that entry necessarily
     /// matches the in-place state — a record entry equals what storage
-    /// holds (every commit publishes, every rollback rebuilds), and a
+    /// holds (every commit publishes its after-images, every rollback
+    /// stamps the pre-images it reverted to), and a
     /// tombstone entry matches the object's absence from the directory
     /// and extents — so the chain can vanish.
     fn settled(chain: &VersionChain, floor: u64) -> bool {
@@ -621,9 +636,9 @@ mod tests {
         let o = oid(5);
         let snap = vs.begin_snapshot(9);
         vs.stage(1, o, Some(rec(o, 0)), Some(rec(o, 1)));
-        vs.discard(1);
-        // The base pre-image survives (it is the committed truth the
-        // rebuilt in-place state equals), and no writer remains.
+        vs.discard(1, |_| ());
+        // The pre-image survives (it is the committed truth the reverted
+        // in-place state equals), and no writer remains.
         match vs.resolve(o, snap.ts(), 1) {
             Resolution::Visible(r) => assert_eq!(tag(&r), 0),
             Resolution::Current => {}
@@ -633,9 +648,34 @@ mod tests {
         // tombstone marker.
         vs.stage(2, o, Some(rec(o, 0)), None);
         assert_eq!(vs.deleted_after(o.class(), snap.ts()), vec![o]);
-        vs.discard(2);
+        vs.discard(2, |_| ());
         assert!(vs.deleted_after(o.class(), snap.ts()).is_empty());
         drop(snap);
+    }
+
+    #[test]
+    fn discard_lists_the_reverted_objects_for_every_older_snapshot() {
+        let vs = VersionStore::new();
+        let (o, fresh) = (oid(9), oid(10));
+        vs.stage(1, o, Some(rec(o, 0)), Some(rec(o, 1)));
+        vs.stage(1, fresh, None, Some(rec(fresh, 5)));
+        // A reader probed the in-place state mid-transaction...
+        let snap = vs.begin_snapshot(9);
+        let pre = vs.discard(1, |writes| {
+            let mut pre: Vec<_> =
+                writes.iter().map(|(oid, _, pre)| (*oid, pre.as_deref().map(tag))).collect();
+            pre.sort();
+            pre
+        });
+        assert_eq!(pre, vec![(o, Some(0)), (fresh, None)], "undo sees the committed pre-images");
+        // ...and lists after the revert: both objects are still there to
+        // re-check, though no writer holds them any more.
+        let mut moved = vs.moved_since(snap.ts(), 9, |_| true);
+        moved.sort();
+        assert_eq!(moved, vec![o, fresh]);
+        assert!(vs.moved_since(vs.clock.now(), 9, |_| true).is_empty(), "newer snapshots need not");
+        drop(snap);
+        assert!(vs.quiescent(), "stamped chains settle");
     }
 
     #[test]

@@ -171,28 +171,27 @@ impl Database {
             vec![(sysattr::ATTR_SYSTEM_SNAPSHOT, Value::Blob(bytes))],
         );
         let tx = self.begin();
-        let result = (|| -> DbResult<()> {
-            let rt = self.rt_read();
-            // The rid slot's mutex spans read-modify-write, so two
-            // concurrent DDL persists serialize on it rather than both
-            // inserting a fresh system record.
-            let mut rid_slot = rt.system_rid.lock();
-            match *rid_slot {
-                Some(rid) => {
-                    let new_rid = self.engine.update(tx.storage, rid, &record.encode())?;
-                    *rid_slot = Some(new_rid);
-                }
-                None => {
-                    let rid = self.engine.insert(tx.storage, &record.encode(), None)?;
-                    *rid_slot = Some(rid);
-                }
+        let rt = self.rt_read();
+        // The rid slot's mutex spans read-modify-write, so two
+        // concurrent DDL persists serialize on it rather than both
+        // inserting a fresh system record.
+        let mut rid_slot = rt.system_rid.lock();
+        let written = match *rid_slot {
+            Some(rid) => self.engine.update(tx.storage, rid, &record.encode()),
+            None => self.engine.insert(tx.storage, &record.encode(), None),
+        };
+        match written {
+            Ok(rid) => {
+                *rid_slot = Some(rid);
+                drop(rid_slot);
+                drop(rt);
+                self.commit(tx)
             }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => self.commit(tx),
             Err(e) => {
-                self.rollback(tx)?;
+                // The record lives outside the version store, so no
+                // rollback restores the slot: undo storage while the
+                // slot still names the rid the record returns to.
+                self.engine.abort(tx.storage)?;
                 Err(e)
             }
         }
@@ -221,6 +220,7 @@ impl Database {
             let rt = self.rt_write();
             self.engine.crash();
             self.locks.reset();
+            self.mvcc.reset();
             *catalog = Catalog::new();
             self.views.write().clear();
             *self.methods.write() = crate::methods::MethodRegistry::new();
@@ -231,7 +231,8 @@ impl Database {
             self.rebuild_runtime(&mut catalog, &rt)?;
         }
         // Prepared transactions survive the restart as in-doubt; their
-        // exclusive locks are re-asserted so phase two finds them held.
+        // exclusive locks and staged writes are re-asserted so phase two
+        // finds them held.
         self.reinstate_in_doubt();
         Ok(())
     }

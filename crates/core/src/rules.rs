@@ -199,7 +199,7 @@ impl Database {
                         Some(value) if !value.is_null() => value,
                         _ => &attr.default,
                     };
-                    for leaf in crate::indexing::keys_of(effective) {
+                    for leaf in crate::derived::keys_of(effective) {
                         store.insert(
                             &attr.name,
                             vec![KeyVal(Value::Ref(oid)), KeyVal(leaf)],

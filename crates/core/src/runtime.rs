@@ -32,13 +32,14 @@
 //!    built with the reference `Database::with_snapshot` holds, and its
 //!    worker threads never touch this lock.
 //! 3. **Maintenance gate** (`Database.rt: RwLock<Runtime>`) — DML,
-//!    queries, and reads take it *shared*; only operations that tear
-//!    down and rebuild all derived state at once take it exclusively
-//!    (rollback, crash recovery, cold restart, index DDL, foreign
-//!    attach). The same no-re-entry rule applies (a query takes it
-//!    once per batch of records, not per record). The gate is what
-//!    makes `rebuild_runtime` observe a quiescent component set
-//!    without per-component coordination.
+//!    rollback, queries, and reads take it *shared*; only operations
+//!    that replace derived state wholesale take it exclusively (crash
+//!    recovery, cold restart, index DDL, foreign attach). The same
+//!    no-re-entry rule applies (a query takes it once per batch of
+//!    records, not per record). The gate is what makes
+//!    `rebuild_runtime` observe a quiescent component set without
+//!    per-component coordination. A rollback needs no such quiet: it
+//!    changes only objects its own X locks cover.
 //! 4. **Component locks** (fields of [`Runtime`]), two levels:
 //!    - `indexes` — the only component guard ever *held across* other
 //!      component acquisitions (nested-index re-keying faults records
@@ -60,9 +61,9 @@
 //!    writers, rollback, or the lock manager.
 //!
 //! The MVCC version store (`crate::mvcc::VersionStore`) sits *outside*
-//! the `Runtime` — deliberately, so exclusive-gate rebuilds (rollback,
-//! recovery) cannot drop committed versions out from under an active
-//! snapshot. Its shard locks and tombstone map are additional *leaf*
+//! the `Runtime`: a rebuild never touches it (recovery resets it
+//! explicitly), and a rollback reads its write set from it. Its shard
+//! locks and tombstone map are additional *leaf*
 //! locks in level 4's second tier: acquired and released inside a
 //! single `VersionStore` method, never held while requesting any other
 //! lock (a shard guard is always dropped before the tombstone map is
@@ -238,10 +239,11 @@ impl Extents {
 }
 
 /// Derived, in-memory object state — a deterministic function of the
-/// stored records. Every field synchronizes itself; see the module docs
-/// for the lock order. The struct sits behind `Database.rt:
-/// RwLock<Runtime>`, which survives only as the *maintenance gate*:
-/// shared for all normal work, exclusive for whole-state rebuilds.
+/// stored records, maintained by `crate::derived`. Every field
+/// synchronizes itself; see the module docs for the lock order. The
+/// struct sits behind `Database.rt: RwLock<Runtime>`, which survives
+/// only as the *maintenance gate*: shared for all normal work, exclusive
+/// for restart rebuilds and index DDL.
 #[derive(Debug)]
 pub(crate) struct Runtime {
     /// OID → record id ("object directory management", §4.2).

@@ -294,10 +294,10 @@ impl DataSource for SourceView<'_> {
     /// (stage before mutate), and its chain cannot settle while this
     /// view's snapshot is registered: the overlay of objects that moved
     /// since the snapshot, listed *after* the probe, covers everything
-    /// the probe may have got wrong. Probe and listing share one gate
-    /// guard, because rollback reverts in-place index state under the
-    /// exclusive gate and then lets the writer's chain settle — between
-    /// the two it would leave a stale entry that no chain accounts for.
+    /// the probe may have got wrong. That includes a rollback landing
+    /// between probe and listing: it reverts index entries while the
+    /// chains still name their writer, then stamps each chain at a fresh
+    /// commit timestamp, so the object stays listed for this snapshot.
     fn index_probe(
         &self,
         access: &AccessPath,
@@ -316,9 +316,8 @@ impl DataSource for SourceView<'_> {
         if overlay.is_empty() {
             return Ok((candidates, overlay));
         }
-        // An object without a chain (a nested root, or a rolled-back
-        // writer's chain that settled since) is current: the directory
-        // says whether it exists.
+        // An object without a chain (a nested root) is current: the
+        // directory says whether it exists.
         let (recheck, gone): (Vec<Oid>, Vec<Oid>) = overlay
             .into_iter()
             .partition(|&oid| self.visible(&rt, oid, || rt.directory.contains(oid)));

@@ -64,7 +64,7 @@ impl DbMetrics {
 pub struct GateStats {
     /// Shared acquisitions (DML, queries, reads, stats).
     pub shared_acquisitions: u64,
-    /// Exclusive acquisitions (rollback, recovery, index DDL, attach).
+    /// Exclusive acquisitions (recovery, index DDL, foreign attach).
     pub exclusive_acquisitions: u64,
     /// Wait-for-quiescence latency of exclusive acquisitions.
     pub exclusive_wait: HistogramSnapshot,

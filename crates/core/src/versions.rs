@@ -21,6 +21,7 @@ use crate::notify::NotificationKind;
 use crate::sysattr;
 use orion_types::codec::ObjectRecord;
 use orion_types::{DbError, DbResult, Oid, Value};
+use std::sync::Arc;
 
 /// Lifecycle state of a version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +62,10 @@ impl Database {
         debug_assert!(sysattr::is_reserved(attr));
         let catalog = self.catalog.read();
         let rt = self.rt_read();
-        let mut record = (*self.load_record(&rt, &catalog, oid)?).clone();
-        let old = record.get(attr).cloned().unwrap_or(Value::Null);
-        self.remove_reverse_edges_for_attr(&rt, oid, attr, &old);
-        record.set(attr, value.clone());
-        self.store_record(&rt, tx, &record)?;
-        self.add_reverse_edges_for_attr(&rt, oid, attr, &value);
-        Ok(())
+        let before = self.load_record(&rt, &catalog, oid)?;
+        let mut record = (*before).clone();
+        record.set(attr, value);
+        self.write_object(&rt, tx, &catalog, Some(before), Some(Arc::new(record)), None)
     }
 
     fn system_attr(&self, oid: Oid, attr: u32) -> DbResult<Value> {
@@ -112,7 +110,7 @@ impl Database {
         };
         // Copy user attributes from the source version.
         let catalog = self.catalog.read();
-        let source_record: std::sync::Arc<ObjectRecord> = {
+        let source_record: Arc<ObjectRecord> = {
             let rt = self.rt_read();
             self.load_record(&rt, &catalog, from)?
         };
@@ -141,11 +139,7 @@ impl Database {
                 }
                 record.set(*attr_id, value.clone());
             }
-            self.index_object_remove(&rt, &catalog, &old_record)?;
-            self.remove_reverse_edges(&rt, &old_record);
-            self.store_record(&rt, tx, &record)?;
-            self.add_reverse_edges(&rt, &record);
-            self.index_object_insert(&rt, &catalog, &record)?;
+            self.write_object(&rt, tx, &catalog, Some(old_record), Some(Arc::new(record)), None)?;
         }
         self.set_system_attr(tx, new_version, sysattr::ATTR_GENERIC, Value::Ref(generic))?;
         self.set_system_attr(tx, new_version, sysattr::ATTR_VERSION_PARENT, Value::Ref(from))?;

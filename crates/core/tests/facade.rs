@@ -3,8 +3,8 @@
 
 use orion_core::{
     var, AccessPath, AttrSpec, AuthAction, AuthTarget, Database, DbConfig, DbError, Domain,
-    IndexKind, Migration, NotificationKind, Oid, PrimitiveType, Rule, RuleAtom, SchemaChange,
-    Term, Value, VersionStatus,
+    FaultKind, FaultPlan, IndexKind, Migration, NotificationKind, Oid, PrimitiveType, Rule,
+    RuleAtom, SchemaChange, Term, Value, VersionStatus,
 };
 use std::sync::Arc;
 
@@ -313,6 +313,30 @@ fn schema_evolution_lazy_and_eager() {
     let tx = db.begin();
     assert!(db.get(&tx, v, "color").is_err());
     assert!(db.query(&tx, "select v from Vehicle* v where v.color = \"red\"").is_err());
+    db.commit(tx).unwrap();
+}
+
+/// A schema change whose eager migration fails leaves nothing behind:
+/// the migrated instances roll back, and the catalog is the one the
+/// change replaced.
+#[test]
+fn failed_eager_migration_leaves_the_schema_unchanged() {
+    let db = Database::open_in_memory();
+    figure1(&db);
+    populate(&db, 4);
+    db.create_index("w", IndexKind::ClassHierarchy, "Vehicle", &["weight"]).unwrap();
+    let vehicle = db.with_catalog(|c| c.class_id("Vehicle")).unwrap();
+    // The scrub's first read misses the emptied pool and fails.
+    db.cool_caches().unwrap();
+    db.install_faults(FaultPlan::new(1).fail_nth(FaultKind::ReadError, 1));
+    let drop_weight = SchemaChange::DropAttribute { class: vehicle, name: "weight".into() };
+    assert!(db.evolve(drop_weight, Migration::Eager).is_err());
+    db.clear_faults();
+
+    let tx = db.begin();
+    let heavy = db.query(&tx, "select v from Vehicle* v where v.weight > 0").unwrap();
+    assert_eq!(heavy.len(), 4, "the attribute and its index are still there");
+    assert_eq!(db.index_defs().len(), 1);
     db.commit(tx).unwrap();
 }
 

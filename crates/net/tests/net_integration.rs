@@ -142,6 +142,29 @@ fn lock_conflict_surfaces_as_lock_timeout_over_the_wire() {
     server.shutdown();
 }
 
+/// A client that only sends failing auto-commit requests costs other
+/// sessions nothing: the server rolls each failure back, and a rollback
+/// reverts what its transaction wrote under the shared gate, so it
+/// never waits out — or stops — anyone else. A second client's
+/// interleaved reads all succeed.
+#[test]
+fn failing_autocommit_requests_never_take_the_exclusive_gate() {
+    let (db, vehicle) = fleet_db(DbConfig::default());
+    let server = Server::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let exclusive = db.stats().gate.exclusive_acquisitions;
+
+    let mut hostile = Client::connect(addr).unwrap();
+    let mut reader = Client::connect(addr).unwrap();
+    for _ in 0..1_000 {
+        let err = hostile.set(vehicle, "weight", Value::str("heavy")).unwrap_err();
+        assert!(matches!(err, DbError::DomainViolation { .. }), "{err:?}");
+        assert_eq!(reader.get(vehicle, "weight").unwrap(), Value::Int(1000));
+    }
+    assert_eq!(db.stats().gate.exclusive_acquisitions, exclusive, "no rollback stopped the world");
+    server.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_drains_in_flight_request() {
     let config = DbConfig::builder().lock_timeout(Duration::from_secs(3)).build().unwrap();

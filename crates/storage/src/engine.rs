@@ -65,6 +65,29 @@ struct TxnState {
     ops: Vec<(Lsn, ClrAction)>,
 }
 
+impl TxnState {
+    /// Every record id the transaction touched, with the cell it held
+    /// before the transaction (`None`: the transaction inserted it) —
+    /// what undoing the transaction puts back.
+    fn before_cells(&self) -> HashMap<Rid, Option<&[u8]>> {
+        let mut cells = HashMap::new();
+        for (_, action) in &self.ops {
+            let (rid, cell) = match action {
+                ClrAction::Remove { rid } => (*rid, None),
+                ClrAction::Overwrite { rid, bytes } | ClrAction::ReInsert { rid, bytes } => {
+                    (*rid, Some(&bytes[..]))
+                }
+            };
+            // Log order: the oldest operation on a rid saw its pre-image.
+            cells.entry(rid).or_insert(cell);
+        }
+        cells
+    }
+}
+
+/// Logical records, each under its head rid.
+pub type Records = Vec<(Rid, Vec<u8>)>;
+
 /// Recovery-outcome counters: how often restart recovery ran, whether
 /// it completed, and how much damage it had to repair along the way.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -256,15 +279,18 @@ impl StorageEngine {
     }
 
     /// Roll back every operation of `txn`, logging compensation records,
-    /// then mark the transaction aborted.
-    pub fn abort(&self, txn: TxnId) -> DbResult<()> {
+    /// then mark the transaction aborted. Returns the logical records
+    /// the rollback put back — what the transaction had updated or
+    /// deleted, as it was before.
+    pub fn abort(&self, txn: TxnId) -> DbResult<Records> {
         let state = self
             .active
             .lock()
             .remove(&txn.0)
             .ok_or_else(|| DbError::InvalidTxnState(format!("{txn} is not active")))?;
         self.undo(txn, &state)?;
-        self.wal.flush()
+        self.wal.flush()?;
+        Ok(self.before_records(&state))
     }
 
     /// Compensate every operation in `state`, newest first, and log the
@@ -338,9 +364,10 @@ impl StorageEngine {
     }
 
     /// Phase two, abort branch: undo a prepared transaction from its
-    /// retained undo state, exactly like a normal rollback. Idempotent
-    /// by transaction id like [`StorageEngine::commit_prepared`].
-    pub fn abort_prepared(&self, txn: TxnId) -> DbResult<bool> {
+    /// retained undo state, exactly like [`StorageEngine::abort`], and
+    /// return what it put back. Idempotent by transaction id like
+    /// [`StorageEngine::commit_prepared`]: `None` for an unknown id.
+    pub fn abort_prepared(&self, txn: TxnId) -> DbResult<Option<Records>> {
         let state = match self.prepared.lock().remove(&txn.0) {
             Some(state) => state,
             None => {
@@ -349,12 +376,12 @@ impl StorageEngine {
                         "{txn} is active, not prepared; use abort"
                     )));
                 }
-                return Ok(false);
+                return Ok(None);
             }
         };
         self.undo(txn, &state)?;
         self.wal.flush()?;
-        Ok(true)
+        Ok(Some(self.before_records(&state)))
     }
 
     /// Transaction ids currently prepared and awaiting a coordinator
@@ -366,28 +393,27 @@ impl StorageEngine {
         ids
     }
 
-    /// The record ids a prepared transaction touched, each with the
-    /// retained pre-image when the op carries one (updates and
-    /// deletes; inserts have none — their record is in place). After
-    /// restart recovery the facade uses this to re-assert exclusive
-    /// ownership of in-doubt objects before traffic resumes.
-    pub fn prepared_ops(&self, txn: u64) -> Vec<(Rid, Option<Vec<u8>>)> {
-        self.prepared
-            .lock()
-            .get(&txn)
-            .map(|state| {
-                state
-                    .ops
-                    .iter()
-                    .map(|(_, undo)| match undo {
-                        ClrAction::Remove { rid } => (*rid, None),
-                        ClrAction::Overwrite { rid, bytes } | ClrAction::ReInsert { rid, bytes } => {
-                            (*rid, Some(bytes.clone()))
-                        }
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// The logical records a prepared transaction replaced, and those it
+    /// left in their place: `(before, after)`. After restart recovery
+    /// the facade uses them to re-assert exclusive ownership of in-doubt
+    /// objects, and to re-stage their versions, before traffic resumes.
+    pub fn prepared_records(&self, txn: u64) -> (Records, Records) {
+        let prepared = self.prepared.lock();
+        let Some(state) = prepared.get(&txn) else { return Default::default() };
+        let now = |rid| Some((rid, self.read(rid).ok()?));
+        (self.before_records(state), state.before_cells().into_keys().filter_map(now).collect())
+    }
+
+    /// The logical records `state`'s undo puts back, assembled from its
+    /// retained pre-images.
+    fn before_records(&self, state: &TxnState) -> Records {
+        let cells = state.before_cells();
+        let missing = |rid| DbError::Storage(format!("no record at {rid}"));
+        let cell = |rid| match cells.get(&rid) {
+            Some(cell) => cell.map(<[u8]>::to_vec).ok_or_else(|| missing(rid)),
+            None => self.read_raw(rid),
+        };
+        cells.keys().filter_map(|&rid| Some((rid, Self::assemble(rid, cell).ok()?))).collect()
     }
 
     /// Apply a compensation online: its page effect, the page LSN, and
@@ -596,27 +622,29 @@ impl StorageEngine {
 
     /// Read a record's bytes (reassembling overflow chains).
     pub fn read(&self, rid: Rid) -> DbResult<Vec<u8>> {
-        let raw = self.read_raw(rid)?;
+        Self::assemble(rid, |rid| self.read_raw(rid))
+    }
+
+    /// The logical record headed at `rid`, each raw cell read through
+    /// `cell`: a whole record as stored, an overflow head joined with
+    /// its tail segments.
+    fn assemble(rid: Rid, cell: impl Fn(Rid) -> DbResult<Vec<u8>>) -> DbResult<Vec<u8>> {
+        let raw = cell(rid)?;
         let (tag, mut next, payload) = Self::parse_raw(&raw)?;
-        match tag {
-            Self::TAG_WHOLE => Ok(payload.to_vec()),
-            Self::TAG_HEAD => {
-                let mut out = payload.to_vec();
-                while let Some(seg_rid) = next {
-                    let raw = self.read_raw(seg_rid)?;
-                    let (tag, n, payload) = Self::parse_raw(&raw)?;
-                    if tag != Self::TAG_TAIL {
-                        return Err(DbError::Storage(format!(
-                            "broken overflow chain at {seg_rid}"
-                        )));
-                    }
-                    out.extend_from_slice(payload);
-                    next = n;
-                }
-                Ok(out)
-            }
-            _ => Err(DbError::Storage(format!("{rid} is an overflow segment, not a record"))),
+        if tag == Self::TAG_TAIL {
+            return Err(DbError::Storage(format!("{rid} is an overflow segment, not a record")));
         }
+        let mut out = payload.to_vec();
+        while let Some(seg_rid) = next {
+            let raw = cell(seg_rid)?;
+            let (tag, n, payload) = Self::parse_raw(&raw)?;
+            if tag != Self::TAG_TAIL {
+                return Err(DbError::Storage(format!("broken overflow chain at {seg_rid}")));
+            }
+            out.extend_from_slice(payload);
+            next = n;
+        }
+        Ok(out)
     }
 
     /// Read several records of one page under a single pool access:
@@ -1399,7 +1427,7 @@ mod tests {
 
         // Coordinator decides abort: the retained undo state rolls the
         // reinstated transaction back completely.
-        assert!(engine.abort_prepared(t2).unwrap());
+        assert!(engine.abort_prepared(t2).unwrap().is_some());
         assert!(engine.prepared_txns().is_empty());
         assert!(engine.read(staged).is_err(), "staged insert removed");
         assert_eq!(engine.read(base).unwrap(), b"base", "update undone");
@@ -1417,7 +1445,7 @@ mod tests {
         engine.prepare(t).unwrap();
         assert!(engine.commit_prepared(t).unwrap(), "first decision applies");
         assert!(!engine.commit_prepared(t).unwrap(), "retransmission is a no-op");
-        assert!(!engine.abort_prepared(t).unwrap(), "late conflicting frame is a no-op");
+        assert!(engine.abort_prepared(t).unwrap().is_none(), "late conflicting frame is a no-op");
 
         // An *active* transaction rejects phase-two verbs outright.
         let t2 = engine.begin();
@@ -1447,7 +1475,7 @@ mod tests {
         // a full rollback — either already aborted, or reinstated with
         // only the uncompensated suffix left to undo.
         if engine.prepared_txns().contains(&t2.0) {
-            assert!(engine.abort_prepared(t2).unwrap());
+            assert!(engine.abort_prepared(t2).unwrap().is_some());
         }
         assert_eq!(engine.read(base).unwrap(), b"base");
         assert_eq!(collect(&engine).len(), 1);

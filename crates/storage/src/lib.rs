@@ -45,7 +45,7 @@ pub mod wal;
 pub use backend::{FileDisk, LogBytes, StorageBackend};
 pub use buffer::{BufferPool, PoolStats};
 pub use disk::{DiskStats, PageId, SimDisk, PAGE_SIZE};
-pub use engine::{RecoveryStats, SlotRead, StorageEngine, TxnId};
+pub use engine::{Records, RecoveryStats, SlotRead, StorageEngine, TxnId};
 pub use fault::{crc32, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultStats, Trigger};
 pub use heap::{HeapFile, Rid};
 pub use wal::{LogRecord, Lsn, Wal, WalStats};

@@ -35,6 +35,21 @@ if grep -rn '#\[ignore' src tests examples crates shims benchmark/src --include=
   exit 1
 fi
 
+# Rollback and 2PC abort revert what their transaction wrote; only a
+# restart re-derives the world. rebuild_runtime( may appear in its own
+# definition and in the two restart paths, and nowhere else.
+strays=$(grep -rl 'rebuild_runtime(' src crates --include='*.rs' | xargs awk '
+  /^[ \t]*\/\// { next }
+  match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+  /rebuild_runtime\(/ && cur !~ /^(rebuild_runtime|crash_and_recover|simulate_cold_restart)$/ {
+    print FILENAME ":" FNR ": in fn " cur
+  }')
+if [ -n "$strays" ]; then
+  echo "$strays" >&2
+  echo "FAIL: rebuild_runtime( outside the restart paths — revert by delta (apply_change)" >&2
+  exit 1
+fi
+
 # Every shim a manifest names is imported somewhere under that crate.
 for manifest in Cargo.toml crates/*/Cargo.toml; do
   dir=$(dirname "$manifest")

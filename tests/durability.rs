@@ -5,12 +5,13 @@ mod common;
 
 use common::TempDir;
 use orion_oodb::orion::{
-    AttrSpec, Database, DbConfig, Domain, FaultKind, FaultPlan, IndexKind, PrimitiveType,
-    StorageSpec, Value,
+    AttrSpec, Database, DbConfig, DbError, Domain, FaultKind, FaultPlan, IndexKind, PrimitiveType,
+    StorageSpec, Tx, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+use std::time::Duration;
 
 fn item_db() -> Database {
     item_db_on(StorageSpec::Memory)
@@ -272,4 +273,66 @@ fn repeated_crashes_are_harmless_filedisk() {
     repeated_crashes_are_harmless_on(item_db_on(StorageSpec::File(
         dir.path().to_path_buf(),
     )));
+}
+
+/// A restart reinstates an in-doubt (prepared) transaction with every
+/// object it wrote X-locked again — an update, a delete, a create, and
+/// an update of a record longer than a page (an overflow chain) — so a
+/// second writer times out on each until the coordinator decides, and
+/// snapshot readers see the committed state. The abort decision then
+/// puts every object back.
+#[test]
+fn in_doubt_objects_stay_locked_across_restart() {
+    for cold in [false, true] {
+        let config = DbConfig::builder().lock_timeout(Duration::from_millis(50)).build().unwrap();
+        let db = Database::try_with_config(config).unwrap();
+        let int = || Domain::Primitive(PrimitiveType::Int);
+        let text = || Domain::Primitive(PrimitiveType::Str);
+        let attrs = vec![AttrSpec::new("val", int()), AttrSpec::new("body", text())];
+        db.create_class("Doc", &[], attrs).unwrap();
+        let tx = db.begin();
+        let doc = |val: i64, body: &str| {
+            let attrs = vec![("val", Value::Int(val)), ("body", Value::str(body))];
+            db.create_object(&tx, "Doc", attrs).unwrap()
+        };
+        let (updated, deleted, long) = (doc(1, ""), doc(2, ""), doc(3, &"x".repeat(6_000)));
+        db.commit(tx).unwrap();
+
+        let tx = db.begin();
+        db.set(&tx, updated, "val", Value::Int(10)).unwrap();
+        db.delete_object(&tx, deleted).unwrap();
+        let created = db.create_object(&tx, "Doc", vec![("val", Value::Int(4))]).unwrap();
+        db.set(&tx, long, "val", Value::Int(30)).unwrap();
+        db.prepare(&tx).unwrap();
+        let restart = if cold { "cold restart" } else { "crash" };
+        if cold {
+            db.simulate_cold_restart().unwrap();
+        } else {
+            db.crash_and_recover().unwrap();
+        }
+        assert_eq!(db.in_doubt(), vec![tx.id()], "{restart}");
+
+        let written = [("update", updated), ("delete", deleted), ("create", created), ("chain", long)];
+        for (what, oid) in written {
+            let other = db.begin();
+            let r = db.set(&other, oid, "val", Value::Int(99));
+            assert!(matches!(r, Err(DbError::LockTimeout { .. })), "{restart}, {what}: {r:?}");
+            db.rollback(other).unwrap();
+        }
+        let vals = |tx: &Tx| {
+            let r = db.query(tx, "select d.val from Doc d order by d.val asc").unwrap();
+            r.rows.into_iter().map(|row| row[0].clone()).collect::<Vec<_>>()
+        };
+        let committed: Vec<Value> = [1, 2, 3].map(Value::Int).to_vec();
+        let reader = db.begin();
+        assert_eq!(vals(&reader), committed, "{restart}: snapshot of the in-doubt writes");
+        db.commit(reader).unwrap();
+
+        assert!(db.abort_prepared(tx.id()).unwrap());
+        let tx = db.begin();
+        assert_eq!(vals(&tx), committed, "{restart}: aborted");
+        assert!(db.exists(deleted) && !db.exists(created), "{restart}");
+        db.set(&tx, long, "val", Value::Int(31)).unwrap();
+        db.commit(tx).unwrap();
+    }
 }

@@ -380,6 +380,77 @@ fn index_assisted_snapshot_query_can_miss_a_moving_row() {
     assert_eq!(tears, 0, "index-assisted snapshot reads tore {tears} times");
 }
 
+/// The rollback twin of the flock test above: the writer moves the
+/// whole flock's key and rolls back, committing only every third round.
+/// A rollback reverts the index entries under the shared gate while
+/// probes run, so the probe can read an entry the rollback then
+/// reverts; the rolled-back chains are stamped at a fresh commit
+/// timestamp, which puts every flock member in the probe's overlay.
+/// Every count must still be all-or-nothing.
+#[test]
+fn index_assisted_snapshot_query_survives_a_rolled_back_move() {
+    use orion_oodb::orion::IndexKind;
+
+    const FLOCK: i64 = 32;
+    let db = Arc::new(Database::open_in_memory());
+    db.create_class(
+        "Item",
+        &[],
+        vec![AttrSpec::new("k", Domain::Primitive(PrimitiveType::Int))],
+    )
+    .unwrap();
+    db.create_index("byk", IndexKind::ClassHierarchy, "Item", &["k"]).unwrap();
+    let tx = db.begin();
+    let flock: Vec<Oid> = (0..FLOCK)
+        .map(|_| db.create_object(&tx, "Item", vec![("k", Value::Int(10))]).unwrap())
+        .collect();
+    for i in 0..512i64 {
+        db.create_object(&tx, "Item", vec![("k", Value::Int(1_000 + i))]).unwrap();
+    }
+    db.commit(tx).unwrap();
+    let probe = "select count(*) from Item i where i.k = 10";
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let db = Arc::clone(&db);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let (mut k, mut round) = (10i64, 0u64);
+            while !stop.load(Ordering::Relaxed) {
+                round += 1;
+                let next = if k == 10 { 20 } else { 10 };
+                let tx = db.begin();
+                for oid in &flock {
+                    db.set(&tx, *oid, "k", Value::Int(next)).unwrap();
+                }
+                if round % 3 == 0 {
+                    db.commit(tx).unwrap();
+                    k = next;
+                } else {
+                    db.rollback(tx).unwrap();
+                }
+            }
+            round
+        })
+    };
+
+    let mut tears = 0u32;
+    for _ in 0..2_000 {
+        let tx = db.begin();
+        let n = db.query(&tx, probe).unwrap().rows[0][0].as_int().unwrap();
+        db.commit(tx).unwrap();
+        assert!(n <= FLOCK, "phantom duplicates would be a worse bug: {n}");
+        if n != 0 && n != FLOCK {
+            tears += 1;
+        }
+    }
+    stop.store(true, Ordering::Relaxed);
+    let rounds = writer.join().unwrap();
+    assert!(rounds >= 3, "the writer rolled back and committed ({rounds} rounds)");
+    assert_eq!(tears, 0, "index-assisted snapshot reads tore {tears} times");
+    assert_eq!(db.stats().gate.exclusive_acquisitions, 1, "only the index build");
+}
+
 /// A scan's batched in-place reads race a writer that does everything
 /// that can pull a record out from under them: each round rewrites
 /// every object with a longer body (records outgrow their page and move
