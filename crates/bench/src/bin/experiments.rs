@@ -1,25 +1,33 @@
-//! The experiment harness: regenerates every table in EXPERIMENTS.md.
+//! The experiment harness: regenerates every table in EXPERIMENTS.md
+//! and checks each experiment's claim in counts.
 //!
 //! Each experiment reproduces one performance claim or architectural
 //! prediction of Won Kim, "Research Directions in Object-Oriented
 //! Database Systems" (PODS 1990) — see DESIGN.md §3 for the index.
+//! Wall-clock columns are printed for the record; the gates read only
+//! counts (candidates, fetches, page misses, log records, locks), which
+//! hold on any host. A full run writes `BENCH_experiments.json` and
+//! exits nonzero if any gate is breached.
 //!
 //! Run all:    `cargo run -p orion-bench --release --bin experiments`
 //! Run some:   `cargo run -p orion-bench --release --bin experiments -- e1 e3`
 
 use orion_bench::{assemblies, chains, chains_relational, deep_hierarchy, fleet,
-    fleet_relational, fmt_dur, time, time_per, Table};
+    fleet_relational, fmt_dur, time, time_per, Cmp, Gates, Table};
 use orion_core::{
     var, AttrSpec, AuthAction, AuthTarget, Database, DbConfig, Domain, IndexKind,
     LockingStrategy, Migration, Oid, PrimitiveType, Rule, RuleAtom, SchemaChange, Value,
 };
 use std::time::Duration;
 
+/// One experiment: runs, prints its table, checks its gates.
+type Experiment = fn(&mut Gates);
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
-    let experiments: Vec<(&str, &str, fn())> = vec![
+    let experiments: Vec<(&str, &str, Experiment)> = vec![
         ("f1", "Figure 1: the paper's schema and query", f1),
         ("e1", "class-hierarchy index vs per-class indexes vs scan", e1),
         ("e2", "nested-attribute index vs forward traversal", e2),
@@ -36,12 +44,19 @@ fn main() {
         ("e13", "recovery: durability and checkpoint effect", e13),
         ("e14", "multidatabase: native vs federated access", e14),
     ];
+    let mut gates = Gates::default();
     for (name, title, f) in experiments {
         if want(name) {
             println!("\n=== {} — {} ===", name.to_uppercase(), title);
-            f();
+            f(&mut gates);
         }
     }
+    if args.is_empty() {
+        let json = format!("{{\n  \"bench\": \"experiments\",\n  {}\n}}\n", gates.json());
+        std::fs::write("BENCH_experiments.json", json).expect("write BENCH_experiments.json");
+        println!("wrote BENCH_experiments.json");
+    }
+    gates.finish();
 }
 
 /// Build the canonical fleet DB used by several experiments.
@@ -53,7 +68,7 @@ fn default_fleet(n: usize, k: usize) -> orion_bench::FleetDb {
 // F1
 // ---------------------------------------------------------------------------
 
-fn f1() {
+fn f1(_: &mut Gates) {
     let f = default_fleet(5_000, 4);
     let db = &f.db;
     let tx = db.begin();
@@ -70,7 +85,7 @@ fn f1() {
 // E1 — class-hierarchy indexing (§3.2, [KIM89b])
 // ---------------------------------------------------------------------------
 
-fn e1() {
+fn e1(g: &mut Gates) {
     const N: usize = 40_000;
     const K: usize = 8;
     let f = default_fleet(N, K);
@@ -90,111 +105,78 @@ fn e1() {
     let single_q = |class: &str| {
         format!("select count(*) from {class} v where v.weight >= {lo} and v.weight < {hi}")
     };
+    let per_class: Vec<String> = f.leaf_classes.iter().map(|c| single_q(c)).collect();
 
-    let mut table = Table::new(&["query scope", "access method", "time", "rows"]);
+    let mut table =
+        Table::new(&["query scope", "access method", "time", "rows", "index probes", "candidates"]);
+    // Run a query set in one transaction and table it: returns (rows,
+    // index probes, candidates pulled from the access paths).
+    let mut run = |scope: &str, method: &str, queries: &[String]| {
+        let tx = db.begin();
+        db.reset_metrics();
+        let (d, rows) = time(|| {
+            let count = |q: &String| db.query(&tx, q).unwrap().rows[0][0].as_int().unwrap();
+            queries.iter().map(count).sum::<i64>()
+        });
+        let exec = db.stats().exec;
+        db.commit(tx).unwrap();
+        let (probes, candidates) = (exec.index_picks, exec.rows_scanned);
+        table.row(vec![scope.into(), method.into(), fmt_dur(d), rows.to_string(),
+            probes.to_string(), candidates.to_string()]);
+        (rows, probes, candidates)
+    };
 
-    // (a) hierarchy query through the CH index.
-    let tx = db.begin();
-    let (d, r) = time(|| db.query(&tx, &hierarchy_q).unwrap());
-    table.row(vec![
-        format!("hierarchy ({K} classes)"),
-        "one class-hierarchy index".into(),
-        fmt_dur(d),
-        r.rows[0][0].to_string(),
-    ]);
-    db.commit(tx).unwrap();
-
-    // (b) hierarchy query emulating per-class indexes: K probes + union.
-    let tx = db.begin();
-    let (d, total) = time(|| {
-        f.leaf_classes
-            .iter()
-            .map(|class| {
-                db.query(&tx, &single_q(class)).unwrap().rows[0][0].as_int().unwrap()
-            })
-            .sum::<i64>()
-    });
-    table.row(vec![
-        format!("hierarchy ({K} classes)"),
-        format!("{K} single-class indexes"),
-        fmt_dur(d),
-        total.to_string(),
-    ]);
-    db.commit(tx).unwrap();
-
-    // (c) hierarchy query by extent scan (drop all indexes).
+    let scope = format!("hierarchy ({K} classes)");
+    let hierarchy = std::slice::from_ref(&hierarchy_q);
+    let (ch_rows, ch_probes, ch_candidates) = run(&scope, "one class-hierarchy index", hierarchy);
+    let (_, sc_probes, _) = run(&scope, &format!("{K} single-class indexes"), &per_class);
     db.drop_index("ch_weight").unwrap();
     for class in &f.leaf_classes {
         db.drop_index(&format!("sc_{class}")).unwrap();
     }
-    let tx = db.begin();
-    let (d, r) = time(|| db.query(&tx, &hierarchy_q).unwrap());
-    table.row(vec![
-        format!("hierarchy ({K} classes)"),
-        "extent scan".into(),
-        fmt_dur(d),
-        r.rows[0][0].to_string(),
-    ]);
-    db.commit(tx).unwrap();
+    run(&scope, "extent scan", hierarchy);
 
-    // (d) single-class query: CH vs SC index (the CH directory tax).
+    // Single-class query: CH vs SC index (the CH directory tax).
     db.create_index("ch_weight", IndexKind::ClassHierarchy, "Vehicle", &["weight"]).unwrap();
-    let class0 = &f.leaf_classes[0];
-    let tx = db.begin();
-    let (d, r) = time(|| db.query(&tx, &single_q(class0)).unwrap());
-    table.row(vec![
-        "single class".into(),
-        "class-hierarchy index".into(),
-        fmt_dur(d),
-        r.rows[0][0].to_string(),
-    ]);
-    db.commit(tx).unwrap();
-    db.create_index("sc_one", IndexKind::SingleClass, class0, &["weight"]).unwrap();
-    let tx = db.begin();
-    let (d, r) = time(|| db.query(&tx, &single_q(class0)).unwrap());
-    table.row(vec![
-        "single class".into(),
-        "single-class index".into(),
-        fmt_dur(d),
-        r.rows[0][0].to_string(),
-    ]);
-    db.commit(tx).unwrap();
+    run("single class", "class-hierarchy index", &per_class[..1]);
+    db.create_index("sc_one", IndexKind::SingleClass, &f.leaf_classes[0], &["weight"]).unwrap();
+    run("single class", "single-class index", &per_class[..1]);
     table.print();
+
+    // One descent of one index answers the hierarchy query, pulling
+    // only the answer; per-class indexes need one descent per class.
+    g.check("e1.ch_index.probes", ch_probes as f64, Cmp::Equal, 1.0);
+    g.check("e1.sc_indexes.probes", sc_probes as f64, Cmp::Equal, K as f64);
+    g.check("e1.ch_index.candidates", ch_candidates as f64, Cmp::AtMost, ch_rows as f64);
 }
 
 // ---------------------------------------------------------------------------
 // E2 — nested-attribute indexing (§3.2, [BERT89])
 // ---------------------------------------------------------------------------
 
-fn e2() {
+fn e2(g: &mut Gates) {
     const N: usize = 40_000;
     let f = default_fleet(N, 4);
     let db = &f.db;
     let q = "select count(*) from Vehicle* v where v.manufacturer.location = \"Detroit\"";
 
+    // Cold caches, so every object a plan reads is fetched from storage.
+    let run = || {
+        db.cool_caches().unwrap();
+        let tx = db.begin();
+        db.reset_metrics();
+        let (d, r) = time(|| db.query(&tx, q).unwrap());
+        db.commit(tx).unwrap();
+        (d, r.rows[0][0].as_int().unwrap(), db.stats().fetches)
+    };
     let mut table = Table::new(&["access method", "time", "rows", "objects fetched"]);
-    let tx = db.begin();
-    db.reset_metrics();
-    let (d, r) = time(|| db.query(&tx, q).unwrap());
-    table.row(vec![
-        "forward traversal per object".into(),
-        fmt_dur(d),
-        r.rows[0][0].to_string(),
-        db.stats().fetches.to_string(),
-    ]);
-    db.commit(tx).unwrap();
-
+    let (d, rows, traversal) = run();
+    table.row(vec!["forward traversal per object".into(), fmt_dur(d), rows.to_string(),
+        traversal.to_string()]);
     db.create_index("loc", IndexKind::Nested, "Vehicle", &["manufacturer", "location"]).unwrap();
-    let tx = db.begin();
-    db.reset_metrics();
-    let (d, r) = time(|| db.query(&tx, q).unwrap());
-    table.row(vec![
-        "nested-attribute index".into(),
-        fmt_dur(d),
-        r.rows[0][0].to_string(),
-        db.stats().fetches.to_string(),
-    ]);
-    db.commit(tx).unwrap();
+    let (d, rows, indexed) = run();
+    table.row(vec!["nested-attribute index".into(), fmt_dur(d), rows.to_string(),
+        indexed.to_string()]);
     table.print();
 
     // Maintenance correctness under intermediate update, and its cost.
@@ -203,13 +185,17 @@ fn e2() {
     let (d, ()) = time(|| db.set(&tx, city_move, "location", Value::str("Flint")).unwrap());
     println!("re-keying all roots after one company moved: {}", fmt_dur(d));
     db.commit(tx).unwrap();
+
+    // Traversal reads every vehicle; the index answers from postings.
+    g.check("e2.traversal.fetches", traversal as f64, Cmp::AtLeast, N as f64);
+    g.check("e2.nested_index.fetches", indexed as f64, Cmp::AtMost, rows as f64);
 }
 
 // ---------------------------------------------------------------------------
 // E3 — swizzling vs joins (§3.3, [MAIE89a])
 // ---------------------------------------------------------------------------
 
-fn e3() {
+fn e3(g: &mut Gates) {
     const CHAINS: usize = 400;
     const DEPTH: usize = 6;
 
@@ -231,18 +217,11 @@ fn e3() {
     for &h in &heads {
         std::hint::black_box(rel_probe(h));
     }
-    let rel_time = time_per(heads.len(), || {
-        for &h in &heads {
-            std::hint::black_box(rel_probe(h));
-        }
-    }) / heads.len() as u32
-        * heads.len() as u32; // keep units obvious
     let rel_per = time_per(1, || {
         for &h in &heads {
             std::hint::black_box(rel_probe(h));
         }
     }) / heads.len() as u32;
-    let _ = rel_time;
     table.row(vec![
         "relbase: index probe per hop".into(),
         "warm".into(),
@@ -298,6 +277,7 @@ fn e3() {
             }
         }) / heads.len() as u32;
         // Warm runs.
+        db.reset_metrics();
         let warm = time_per(8, || {
             for &h in &heads {
                 std::hint::black_box(db.navigate(&tx, h, &path).unwrap());
@@ -319,9 +299,11 @@ fn e3() {
         ]);
         if swizzling {
             println!(
-                "swizzled hops: {} / unswizzled: {} (warm traversals all swizzle)",
+                "warm passes: {} swizzled hops, {} unswizzled",
                 stats.swizzled_hops, stats.unswizzled_hops
             );
+            // Once faulted in, every hop follows a memory pointer.
+            g.check("e3.warm.unswizzled_hops", stats.unswizzled_hops as f64, Cmp::Equal, 0.0);
         }
         db.commit(tx).unwrap();
     }
@@ -332,7 +314,7 @@ fn e3() {
 // E4 — the optimizer picks access paths (§3.3 point 3)
 // ---------------------------------------------------------------------------
 
-fn e4() {
+fn e4(g: &mut Gates) {
     const N: usize = 20_000;
     let f = default_fleet(N, 4);
     let db = &f.db;
@@ -348,23 +330,31 @@ fn e4() {
         "select count(*) from Vehicle* v where v.manufacturer.cname like \"company1%\"",
         "select count(*) from VehicleKind1 v where v.name = \"vehicle5\"",
     ];
+    // The index each query should probe, by creation order (0 = scan):
+    // each index kind when and only when it applies.
+    let expected = [1, 1, 2, 3, 0, 0];
     let mut table = Table::new(&["query (where-clause)", "chosen plan", "time"]);
     let tx = db.begin();
+    let mut chosen = Vec::new();
     for q in queries {
-        let plan = db.explain(&tx, q).unwrap().to_string();
+        let report = db.explain(&tx, q).unwrap();
+        chosen.push(report.access.index().unwrap_or(0));
         let (d, _) = time(|| db.query(&tx, q).unwrap());
         let clause = q.split(" where ").nth(1).unwrap_or(q);
-        table.row(vec![clause.to_string(), plan, fmt_dur(d)]);
+        table.row(vec![clause.to_string(), report.to_string(), fmt_dur(d)]);
     }
     db.commit(tx).unwrap();
     table.print();
+    for (i, (got, want)) in chosen.into_iter().zip(expected).enumerate() {
+        g.check(&format!("e4.q{}.index", i + 1), got.into(), Cmp::Equal, want.into());
+    }
 }
 
 // ---------------------------------------------------------------------------
 // E5 — simple database operations ([RUBE87], §5.6)
 // ---------------------------------------------------------------------------
 
-fn e5() {
+fn e5(g: &mut Gates) {
     const N: usize = 20_000;
     const PROBES: usize = 500;
     let f = default_fleet(N, 4);
@@ -469,61 +459,70 @@ fn e5() {
         format!("{:.1}x", rel_insert.as_nanos() as f64 / orion_insert.as_nanos().max(1) as f64),
     ]);
     table.print();
+    g.not_reproduced(
+        "e5.name_lookup.orion_over_relbase",
+        (orion_lookup.as_nanos() as f64 / rel_lookup.as_nanos().max(1) as f64).round(),
+        "every query is lexed, parsed, planned and compiled per call and pays a transaction \
+         and a snapshot, where relbase probes a prepared index; even prepared, the lookup \
+         costs more than the relational probe (ROADMAP 7(a))",
+    );
+    g.not_reproduced(
+        "e5.reference_hop.orion_over_relbase",
+        (orion_hop.as_nanos() as f64 / rel_hop.as_nanos().max(1) as f64 * 100.0).round() / 100.0,
+        "each navigate call runs in a transaction and takes 2PL read locks on the objects it \
+         touches, which costs about what relbase's two indexed probes do",
+    );
 }
 
 // ---------------------------------------------------------------------------
 // E6 — schema evolution migration policies (§5.1, [BANE87])
 // ---------------------------------------------------------------------------
 
-fn e6() {
+fn e6(g: &mut Gates) {
     const N: usize = 40_000;
-    let mut table =
-        Table::new(&["change", "policy", "DDL time", "first full read after"]);
+    let mut table = Table::new(&[
+        "change",
+        "policy",
+        "DDL time",
+        "records rewritten",
+        "first full read after",
+    ]);
     for eager in [false, true] {
         let f = default_fleet(N, 4);
         let db = &f.db;
         let vehicle = db.with_catalog(|c| c.class_id("Vehicle")).unwrap();
         let policy = if eager { Migration::Eager } else { Migration::Lazy };
-        let (ddl, ()) = time(|| {
-            db.evolve(
-                SchemaChange::AddAttribute {
-                    class: vehicle,
-                    spec: AttrSpec::new("color", Domain::Primitive(PrimitiveType::Str))
-                        .with_default(Value::str("black")),
-                },
-                policy,
-            )
-            .unwrap()
-        });
-        let tx = db.begin();
-        let (touch, _) = time(|| {
-            db.query(&tx, "select count(*) from Vehicle* v where v.color = \"black\"").unwrap()
-        });
-        db.commit(tx).unwrap();
-        table.row(vec![
-            format!("add attribute ({N} instances)"),
-            format!("{policy:?}"),
-            fmt_dur(ddl),
-            fmt_dur(touch),
-        ]);
+        // DDL time, and the record changes it logged.
+        let evolve = |change: SchemaChange| {
+            let before = db.stats().wal.logical_records;
+            let (d, ()) = time(|| db.evolve(change, policy).unwrap());
+            (d, db.stats().wal.logical_records - before)
+        };
+        let read = |q: &str| {
+            let tx = db.begin();
+            let (d, _) = time(|| db.query(&tx, q).unwrap());
+            db.commit(tx).unwrap();
+            d
+        };
+        let add = SchemaChange::AddAttribute {
+            class: vehicle,
+            spec: AttrSpec::new("color", Domain::Primitive(PrimitiveType::Str))
+                .with_default(Value::str("black")),
+        };
+        let (ddl, rewritten) = evolve(add);
+        let touch = read("select count(*) from Vehicle* v where v.color = \"black\"");
+        table.row(vec![format!("add attribute ({N} instances)"), format!("{policy:?}"),
+            fmt_dur(ddl), rewritten.to_string(), fmt_dur(touch)]);
+        // Lazy DDL rewrites only the catalog; eager rewrites every instance.
+        let (cmp, budget) = if eager { (Cmp::AtLeast, N) } else { (Cmp::AtMost, 1) };
+        g.check(&format!("e6.{policy:?}.records_rewritten").to_lowercase(), rewritten as f64,
+            cmp, budget as f64);
 
-        let (ddl, ()) = time(|| {
-            db.evolve(
-                SchemaChange::DropAttribute { class: vehicle, name: "color".into() },
-                policy,
-            )
-            .unwrap()
-        });
-        let tx = db.begin();
-        let (touch, _) =
-            time(|| db.query(&tx, "select count(*) from Vehicle* v").unwrap());
-        db.commit(tx).unwrap();
-        table.row(vec![
-            format!("drop attribute ({N} instances)"),
-            format!("{policy:?}"),
-            fmt_dur(ddl),
-            fmt_dur(touch),
-        ]);
+        let drop = SchemaChange::DropAttribute { class: vehicle, name: "color".into() };
+        let (ddl, rewritten) = evolve(drop);
+        let touch = read("select count(*) from Vehicle* v");
+        table.row(vec![format!("drop attribute ({N} instances)"), format!("{policy:?}"),
+            fmt_dur(ddl), rewritten.to_string(), fmt_dur(touch)]);
     }
     table.print();
 }
@@ -532,7 +531,7 @@ fn e6() {
 // E7 — late binding (§3.1 concept 6, §4.2)
 // ---------------------------------------------------------------------------
 
-fn e7() {
+fn e7(_: &mut Gates) {
     const CALLS: usize = 200_000;
     let mut table = Table::new(&["hierarchy depth", "method cache", "per-dispatch"]);
     for depth in [1usize, 4, 16] {
@@ -564,7 +563,7 @@ fn e7() {
 // E8 — lock granularity under concurrency ([GARZ88])
 // ---------------------------------------------------------------------------
 
-fn e8() {
+fn e8(g: &mut Gates) {
     const THREADS: usize = 4;
     const OPS: usize = 150;
     // The paper's motivating transactions are compute-intensive (CAx):
@@ -626,13 +625,28 @@ fn e8() {
             .unwrap();
         });
         let total = (THREADS * OPS) as f64;
+        let aborts = aborts.into_inner();
         table.row(vec![
             format!("{strategy:?}"),
             THREADS.to_string(),
             fmt_dur(d),
             format!("{:.0}", total / d.as_secs_f64()),
-            aborts.load(std::sync::atomic::Ordering::Relaxed).to_string(),
+            aborts.to_string(),
         ]);
+        match strategy {
+            // Disjoint objects under intention locks never conflict.
+            LockingStrategy::Granular => {
+                g.check("e8.granular.aborts", aborts as f64, Cmp::Equal, 0.0)
+            }
+            LockingStrategy::CoarseClass => g.not_reproduced(
+                "e8.coarse_class.aborts",
+                aborts as f64,
+                "class S locks upgrade to X on write: a fresh S request is granted past a \
+                 waiting upgrader and the requester that closes the cycle is the victim, which \
+                 retries at once, so read-then-write on one class livelocks; the paper's \
+                 serialization shows as abort storms, not as a bounded slowdown (ROADMAP 1(a))",
+            ),
+        }
     }
     table.print();
 }
@@ -641,7 +655,7 @@ fn e8() {
 // E9 — versions and composite locks (§3.3, §5.5, [KIM89c])
 // ---------------------------------------------------------------------------
 
-fn e9() {
+fn e9(g: &mut Gates) {
     const UPDATES: usize = 2_000;
     let db = Database::open_in_memory();
     db.create_class(
@@ -671,31 +685,51 @@ fn e9() {
     let roots = assemblies(&db2, 1, 64, false);
     let root = roots[0];
     let members = db2.composite_members(root);
-    let one_step = time_per(50, || {
+    let read = |tx: &orion_core::Tx, m: Oid| {
+        std::hint::black_box(db2.get(tx, m, if m == root { "title" } else { "area" }).unwrap());
+    };
+    let one_step = || {
         let tx = db2.begin();
         db2.lock_composite(&tx, root).unwrap();
-        for &m in &members {
-            std::hint::black_box(db2.get(&tx, m, if m == root { "title" } else { "area" }).unwrap());
-        }
+        members.iter().for_each(|&m| read(&tx, m));
         db2.commit(tx).unwrap();
-    });
-    let per_op = time_per(50, || {
+    };
+    let per_object = || {
         for &m in &members {
             let tx = db2.begin();
-            std::hint::black_box(db2.get(&tx, m, if m == root { "title" } else { "area" }).unwrap());
+            read(&tx, m);
             db2.commit(tx).unwrap();
         }
-    });
-    table.row(vec!["read 65-object composite, composite lock".into(), fmt_dur(one_step)]);
-    table.row(vec!["read 65-object composite, txn per object".into(), fmt_dur(per_op)]);
+    };
+    // (per-read time, lock acquisitions and log records per read)
+    let measure = |read_composite: &dyn Fn()| {
+        let d = time_per(50, read_composite);
+        db2.reset_metrics();
+        read_composite();
+        let stats = db2.stats();
+        (d, stats.locks.acquisitions, stats.wal.appends)
+    };
+    let (one_d, one_locks, one_log) = measure(&one_step);
+    let (per_d, per_locks, per_log) = measure(&per_object);
+    table.row(vec!["read 65-object composite, composite lock".into(), fmt_dur(one_d)]);
+    table.row(vec!["read 65-object composite, txn per object".into(), fmt_dur(per_d)]);
     table.print();
+    println!(
+        "per composite read: composite lock {one_locks} lock acquisitions, {one_log} log records; \
+         txn per object {per_locks} lock acquisitions, {per_log} log records"
+    );
+    // One sweep locks each member once (its reads re-request covered
+    // modes); one begin/commit replaces one per member.
+    let members = members.len() as f64;
+    g.check("e9.composite_lock.locks_per_member", one_locks as f64 / members, Cmp::AtMost, 6.0);
+    g.check("e9.composite_lock.log_records", one_log as f64, Cmp::Below, per_log as f64);
 }
 
 // ---------------------------------------------------------------------------
 // E10 — clustering (§4.2)
 // ---------------------------------------------------------------------------
 
-fn e10() {
+fn e10(g: &mut Gates) {
     const ASSEMBLIES: usize = 128;
     const PARTS: usize = 12;
     let mut table = Table::new(&[
@@ -703,6 +737,7 @@ fn e10() {
         "page misses / composite",
         "traversal time / composite",
     ]);
+    let mut per_composite = Vec::new();
     for clustering in [true, false] {
         let config = DbConfig {
             clustering,
@@ -741,15 +776,19 @@ fn e10() {
             format!("{misses:.1}"),
             fmt_dur(d / ASSEMBLIES as u32),
         ]);
+        per_composite.push(misses);
     }
     table.print();
+    // ⌈13 objects / parts per page⌉ = 3 pages when clustered.
+    g.check("e10.clustered.misses_per_composite", per_composite[0], Cmp::AtMost, 3.1);
+    g.check("e10.clustered_over_scattered", per_composite[0], Cmp::Below, per_composite[1]);
 }
 
 // ---------------------------------------------------------------------------
 // E11 — authorization and views (§5.4, [RABI90])
 // ---------------------------------------------------------------------------
 
-fn e11() {
+fn e11(g: &mut Gates) {
     const N: usize = 5_000;
     const READS: usize = 50_000;
     let mut table = Table::new(&["configuration", "per-read", "overhead"]);
@@ -801,13 +840,16 @@ fn e11() {
         "guest direct class access denied: {denied}; rows visible through view: {through_view} of {N}"
     );
     db.commit(tx).unwrap();
+    g.check("e11.guest.class_access_denied", f64::from(u8::from(denied)), Cmp::Equal, 1.0);
+    let visible = through_view.as_int().unwrap() as f64;
+    g.check("e11.guest.rows_through_view", visible, Cmp::Equal, (N / 2) as f64);
 }
 
 // ---------------------------------------------------------------------------
 // E12 — deductive rules (§5.4)
 // ---------------------------------------------------------------------------
 
-fn e12() {
+fn e12(g: &mut Gates) {
     const NODES: usize = 100;
     let db = Database::open_in_memory();
     db.create_class(
@@ -857,6 +899,7 @@ fn e12() {
 
     let mut table =
         Table::new(&["evaluation", "tuples", "iterations", "substitutions", "time"]);
+    let mut runs = Vec::new();
     for seminaive in [true, false] {
         let (d, result) = time(|| db.infer("reach", seminaive).unwrap());
         table.row(vec![
@@ -866,24 +909,32 @@ fn e12() {
             result.substitutions.to_string(),
             fmt_dur(d),
         ]);
+        runs.push((result.tuples.len() as f64, result.substitutions as f64));
     }
     table.print();
+    // The same fixpoint for less join work.
+    let [(semi_tuples, semi_subs), (naive_tuples, naive_subs)] = runs[..] else { unreachable!() };
+    g.check("e12.seminaive.tuples", semi_tuples, Cmp::Equal, naive_tuples);
+    g.check("e12.seminaive.substitutions", semi_subs, Cmp::Below, naive_subs);
 }
 
 // ---------------------------------------------------------------------------
 // E13 — recovery (§3.1 requirement 2)
 // ---------------------------------------------------------------------------
 
-fn e13() {
+fn e13(g: &mut Gates) {
     const TXNS: usize = 3_000;
+    const OBJECTS: usize = 1_000;
     let mut table = Table::new(&[
         "scenario",
         "stable log bytes",
+        "records redone",
         "recovery time",
         "objects after recovery",
     ]);
+    let mut redone = Vec::new();
     for checkpoint in [false, true] {
-        let f = default_fleet(1_000, 2);
+        let f = default_fleet(OBJECTS, 2);
         let db = &f.db;
         if checkpoint {
             db.checkpoint().unwrap();
@@ -905,24 +956,33 @@ fn e13() {
         std::mem::forget(tx);
         let log_bytes = db.engine().wal().stable_len();
         let (d, ()) = time(|| db.crash_and_recover().unwrap());
+        let records = db.stats().recovery.records_redone;
         let tx = db.begin();
         let n = db.query(&tx, "select count(*) from Vehicle* v").unwrap().rows[0][0].clone();
         db.commit(tx).unwrap();
+        let scenario = if checkpoint { "checkpoint every 500" } else { "no checkpoint" };
         table.row(vec![
-            if checkpoint { format!("{TXNS} txns, checkpoint every 500") } else { format!("{TXNS} txns, no checkpoint") },
+            format!("{TXNS} txns, {scenario}"),
             log_bytes.to_string(),
+            records.to_string(),
             fmt_dur(d),
             n.to_string(),
         ]);
+        // Every committed object survives; the loser's create does not.
+        let name = format!("e13.{}.objects_after_recovery", scenario.replace(' ', "_"));
+        g.check(&name, n.as_int().unwrap() as f64, Cmp::Equal, OBJECTS as f64);
+        redone.push(records as f64);
     }
     table.print();
+    // A checkpoint bounds what restart must redo.
+    g.check("e13.checkpointed.records_redone", redone[1], Cmp::Below, redone[0]);
 }
 
 // ---------------------------------------------------------------------------
 // E14 — multidatabase access (§5.2)
 // ---------------------------------------------------------------------------
 
-fn e14() {
+fn e14(g: &mut Gates) {
     const N: usize = 5_000;
     // Native class.
     let f = default_fleet(N, 1);
@@ -966,13 +1026,17 @@ fn e14() {
 
     let mut table = Table::new(&["extent", "query time", "rows"]);
     let tx = db.begin();
+    let mut rows = Vec::new();
     for (label, q) in [
         ("native objects", "select count(*) from Vehicle* v where v.weight < 500"),
         ("federated (relbase via adapter)", "select count(*) from RelVehicle v where v.weight < 500"),
     ] {
         let (d, r) = time(|| db.query(&tx, q).unwrap());
         table.row(vec![label.into(), fmt_dur(d), r.rows[0][0].to_string()]);
+        rows.push(r.rows[0][0].as_int().unwrap() as f64);
     }
     db.commit(tx).unwrap();
     table.print();
+    // One query language answers identically over both extents.
+    g.check("e14.federated.rows", rows[1], Cmp::Equal, rows[0]);
 }

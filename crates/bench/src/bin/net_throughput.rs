@@ -13,25 +13,26 @@
 //! single-shard passthrough overhead against a direct client on the
 //! same query, hierarchy fan-out latency across two shards, and
 //! cross-shard two-phase-commit throughput. It lands as the
-//! `"sharded"` object in the same record; CI gates on the passthrough
+//! `"sharded"` object in the same record, gated on the passthrough
 //! overhead ratio.
 //!
 //! A third phase parks ~1.1k mostly-idle connections on the evented
-//! core and measures a loaded 4-client subset through the crowd; it
-//! lands as `"concurrent_connections"` and CI gates on the open count
-//! (and, multi-core only, on the loaded tail staying under the
-//! uncrowded 4-client median).
+//! core and times one depth-1 client through the crowd, then the same
+//! client with the crowd closed, at equal sample size; it lands as
+//! `"concurrent_connections"`, gated on the open count and on the
+//! ratio of the two medians (a same-run ratio, so it holds on any host).
 //!
 //! A fourth phase closes ROADMAP gap (d), request overhead: the same
 //! autocommit `Get` embedded, over a socket one at a time, and through
 //! `Client::pipeline()` eight deep, with the event-loop wakeups and
-//! executor turns each request cost. It lands as `"request_overhead"`;
-//! CI gates on the two counts, which hold on any host.
+//! executor turns each request cost. It lands as `"request_overhead"`,
+//! gated on the two counts, which hold on any host.
 //!
-//! `--smoke` shrinks the workload to a ~2 second CI sanity run (the
-//! connection crowd stays at full size so the gate stays meaningful).
+//! The binary checks every gate itself and exits nonzero on a breach.
+//! `--smoke` shrinks the workload to a ~3 second CI sanity run (the
+//! connection crowd stays at full size so its gates stay meaningful).
 
-use orion_bench::fleet;
+use orion_bench::{fleet, Cmp, Gates};
 use orion_core::{AttrSpec, Database, DbConfig, Domain, PrimitiveType, Value};
 use orion_net::{Client, Request, Response, Server, ServerConfig};
 use orion_shard::{ExplicitPlacement, RouterConfig, ShardRouter};
@@ -65,8 +66,8 @@ fn p50_of(n: usize, mut f: impl FnMut()) -> Duration {
 }
 
 /// The sharded phase: 2 in-memory shards behind a router. Returns the
-/// `"sharded"` JSON object (keys on single lines for the sed gates).
-fn sharded_section(smoke: bool) -> String {
+/// `"sharded"` JSON object.
+fn sharded_section(smoke: bool, gates: &mut Gates) -> String {
     let objects = if smoke { 300 } else { 1_500 }; // per subclass
     let queries = if smoke { 30 } else { 120 };
     let txns = if smoke { 40 } else { 200 };
@@ -159,6 +160,9 @@ fn sharded_section(smoke: bool) -> String {
     for s in servers {
         s.shutdown();
     }
+    // Routing a single-shard query stays one hop (the budget absorbs
+    // scheduling noise; the steady-state ratio is ~1x).
+    gates.check("sharded.passthrough_overhead_ratio", overhead, Cmp::Below, 3.0);
     format!(
         "{{\n    \"shards\": 2,\n    \"objects_per_subclass\": {objects},\n    \
          \"direct_p50_ms\": {:.3},\n    \"passthrough_p50_ms\": {:.3},\n    \
@@ -184,19 +188,17 @@ fn kv_db() -> (Arc<Database>, orion_core::Oid) {
 }
 
 /// The concurrent-connections phase: park ~1.1k mostly-idle sessions
-/// on one server's event loops, then drive a 4-client point-read
-/// workload through the crowd. The evented core's promise is that
-/// parked connections cost a poll slot, not a thread, so the loaded
-/// subset's tail should stay near the uncrowded 4-client baseline.
-/// Returns the `"concurrent_connections"` JSON object (keys on single
-/// lines for the sed gates).
-fn concurrent_section(smoke: bool, baseline_4client_p50: Duration) -> String {
+/// on one server's event loops, then time one depth-1 client's point
+/// reads through the crowd and again, the same number of them, once
+/// the crowd has closed. The evented core's promise is that a parked
+/// connection costs a registered descriptor, not a thread and not a
+/// scan per wakeup, so the two medians stay close. Returns the
+/// `"concurrent_connections"` JSON object.
+fn concurrent_section(gates: &mut Gates) -> String {
     let target = 1_100usize;
-    let loaded_clients = 4usize;
-    let requests = if smoke { 100 } else { 400 };
+    let requests = 5_000;
 
     let (db, oid) = kv_db();
-
     let server = Server::bind(
         Arc::clone(&db),
         "127.0.0.1:0",
@@ -208,68 +210,46 @@ fn concurrent_section(smoke: bool, baseline_4client_p50: Duration) -> String {
     )
     .expect("bind");
     let addr = server.local_addr();
+    let mut client = Client::connect(addr).expect("connect");
+    let p50 = |client: &mut Client| {
+        p50_of(requests, || assert_eq!(client.get(oid, "v").expect("get"), Value::Int(7)))
+    };
+    p50(&mut client); // warm
 
     // Park the crowd: each connect + ping forces the dial so the
-    // session is registered on an event loop before we move on.
-    let mut parked = Vec::with_capacity(target - loaded_clients);
-    for _ in 0..target - loaded_clients {
-        let mut c = Client::connect(addr).expect("parked connect");
-        c.ping().expect("parked ping");
-        parked.push(c);
-    }
-
-    let mut latencies: Vec<Duration> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..loaded_clients)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut client = Client::connect(addr).expect("loaded connect");
-                    client.ping().expect("loaded ping");
-                    let mut lat = Vec::with_capacity(requests);
-                    for _ in 0..requests {
-                        let t = Instant::now();
-                        let v = client.get(oid, "v").expect("get");
-                        assert_eq!(v, Value::Int(7));
-                        lat.push(t.elapsed());
-                    }
-                    lat
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("loaded thread")).collect()
-    });
+    // session is registered on an event loop before we move on. A
+    // session the server turns away is not parked; the open count shows it.
+    let parked: Vec<Client> = (1..target)
+        .filter_map(|_| {
+            let mut c = Client::connect(addr).ok()?;
+            c.ping().ok()?;
+            Some(c)
+        })
+        .collect();
     let open = server.active_connections();
-    assert!(
-        open >= 1_000,
-        "crowd fell short: {open} connections open (wanted >= 1000 of {target})"
-    );
-    latencies.sort();
-    let loaded_p50 = percentile(&latencies, 0.50);
-    let loaded_p99 = percentile(&latencies, 0.99);
-
+    let crowded = p50(&mut client);
     drop(parked);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.active_connections() > 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let alone = p50(&mut client);
+    drop(client);
     server.shutdown();
 
-    // On a single hardware thread the parked crowd, the loaded
-    // clients, and the server's loops all contend for one core, so the
-    // tail measures the scheduler, not the event loop; the p99 gate is
-    // only meaningful (and only enforced by ci.sh) on multi-core.
-    let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let enforced = cpus > 1;
-
+    let ratio = crowded.as_secs_f64() / alone.as_secs_f64();
     println!(
-        "concurrent connections: {open} open; loaded subset of {loaded_clients}: \
-         p50 {loaded_p50:?}, p99 {loaded_p99:?} (uncrowded 4-client p50 \
-         {baseline_4client_p50:?}, gate {})",
-        if enforced { "enforced" } else { "skipped: core-bound" }
+        "concurrent connections: {open} open; one depth-1 client's p50 {crowded:?} through \
+         the crowd, {alone:?} with it closed ({ratio:.2}x, {requests} requests each)"
     );
+    gates.check("concurrent.open_connections", open as f64, Cmp::AtLeast, 1_000.0);
+    gates.check("concurrent.crowd_p50_ratio", ratio, Cmp::AtMost, 1.5);
     format!(
         "{{\n    \"open_connections\": {open},\n    \"target_connections\": {target},\n    \
-         \"loaded_clients\": {loaded_clients},\n    \"loaded_requests_per_client\": {requests},\n    \
-         \"loaded_p50_ms\": {:.3},\n    \"loaded_p99_ms\": {:.3},\n    \
-         \"baseline_4client_p50_ms\": {:.3},\n    \"concurrent_gate_enforced\": {enforced}\n  }}",
-        loaded_p50.as_secs_f64() * 1e3,
-        loaded_p99.as_secs_f64() * 1e3,
-        baseline_4client_p50.as_secs_f64() * 1e3,
+         \"requests\": {requests},\n    \"crowded_p50_ms\": {:.3},\n    \
+         \"alone_p50_ms\": {:.3},\n    \"crowd_p50_ratio\": {ratio:.3}\n  }}",
+        crowded.as_secs_f64() * 1e3,
+        alone.as_secs_f64() * 1e3,
     )
 }
 
@@ -279,9 +259,8 @@ fn concurrent_section(smoke: bool, baseline_4client_p50: Duration) -> String {
 /// are the wire's price per request on this host; the two count
 /// columns — event-loop wakeups and executor turns per request — are
 /// work per operation and do not depend on the host. Returns the
-/// `"request_overhead"` JSON object (keys on single lines for the sed
-/// gates).
-fn request_overhead_section(smoke: bool) -> String {
+/// `"request_overhead"` JSON object.
+fn request_overhead_section(smoke: bool, gates: &mut Gates) -> String {
     const DEPTH: usize = 8;
     let requests = if smoke { 4_000 } else { 40_000 };
 
@@ -346,6 +325,12 @@ fn request_overhead_section(smoke: bool) -> String {
         ns(depth1),
         ns(depth8),
     );
+    // One request at a time needs one event-loop wakeup (the read; the
+    // executor writes the reply itself); eight deep, a wakeup and an
+    // executor turn each serve several requests.
+    gates.check("request_overhead.depth1_wakeups_per_request", depth1_wakeups, Cmp::AtMost, 1.1);
+    gates.check("request_overhead.depth8_wakeups_per_request", depth8_wakeups, Cmp::AtMost, 0.6);
+    gates.check("request_overhead.depth8_turns_per_request", depth8_turns, Cmp::AtMost, 0.6);
     format!(
         "{{\n    \"requests\": {requests},\n    \"pipeline_depth\": {DEPTH},\n    \
          \"embedded_ns_per_request\": {:.0},\n    \"depth1_ns_per_request\": {:.0},\n    \
@@ -454,9 +439,10 @@ fn main() {
         net.requests, net.connections_total, net.errors, net.timeouts
     );
 
-    let sharded = sharded_section(smoke);
-    let concurrent = concurrent_section(smoke, p50);
-    let overhead = request_overhead_section(smoke);
+    let mut gates = Gates::default();
+    let sharded = sharded_section(smoke, &mut gates);
+    let concurrent = concurrent_section(&mut gates);
+    let overhead = request_overhead_section(smoke, &mut gates);
 
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let note = if cpus < load.clients {
@@ -481,7 +467,7 @@ fn main() {
          \"errors\": {},\n    \"timeouts\": {},\n    \"busy_rejections\": {}\n  }},\n  \
          \"sharded\": {sharded},\n  \
          \"concurrent_connections\": {concurrent},\n  \
-         \"request_overhead\": {overhead}\n}}\n",
+         \"request_overhead\": {overhead},\n  {}\n}}\n",
         load.objects,
         load.clients,
         load.requests_per_client,
@@ -495,7 +481,9 @@ fn main() {
         net.errors,
         net.timeouts,
         net.busy_rejections,
+        gates.json(),
     );
     std::fs::write("BENCH_net.json", &json).expect("write BENCH_net.json");
     println!("wrote BENCH_net.json");
+    gates.finish();
 }

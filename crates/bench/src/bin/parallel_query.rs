@@ -8,23 +8,26 @@
 //!    Then *work per candidate row* on data four times the buffer pool:
 //!    object fetches and snapshot reads per row scanned, pool misses
 //!    per query against heap pages, and the degree the executor chose
-//!    (CI gates the counts; the two timings are for the record).
+//!    (gated as counts; the two timings are for the record).
 //! 2. *Mixed read/write scaling*: a fixed budget of write transactions
 //!    split across 1, 2, then 4 writer threads on *disjoint classes*,
 //!    running concurrently with reader threads — the decomposed-runtime
 //!    claim that disjoint writers scale instead of serializing behind
 //!    one big lock.
-//! 3. *MVCC snapshot reads*: reader throughput while 1, 2, then 4
-//!    writers churn continuously (snapshot readers take no 2PL locks,
-//!    so added writers should not collapse reader throughput on a
-//!    multi-core host), and a pure-read workload's lock accounting
-//!    (`lock_acquisitions` ≈ 0, resolution visible in `orion_mvcc_*`).
+//! 3. *MVCC snapshot reads*: reader queries while 1, 2, then 4 writers
+//!    churn continuously take no 2PL lock and never wait on the
+//!    exclusive maintenance gate (gated as counts; the reader
+//!    throughput is for the record), and a pure-read workload's lock
+//!    accounting (`lock_acquisitions` ≈ 0, resolution visible in
+//!    `orion_mvcc_*`).
 //! 4. *Group commit*: a fixed budget of commits split across 1, 8, then
 //!    64 concurrent committers with a group-commit window — one flush
 //!    leader's fsync should make many transactions durable, driving
-//!    flushes-per-commit well below 1 (CI gates < 0.5 at 8 committers).
+//!    flushes-per-commit well below 1 (gated < 0.5 at 8 committers).
+//!
+//! The binary checks every gate itself and exits nonzero on a breach.
 
-use orion_bench::fleet;
+use orion_bench::{fleet, Cmp, Gates};
 use orion_core::{AttrSpec, Database, DbConfig, Domain, Oid, PrimitiveType, Value};
 use orion_query::{execute_with, ExecMetrics, ExecOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,6 +61,7 @@ fn cpus() -> usize {
 }
 
 fn main() {
+    let mut gates = Gates::default();
     let fixture = fleet(N_OBJECTS, 4, DbConfig { query_threads: 1, ..DbConfig::default() });
     let db = &fixture.db;
     let tx = db.begin();
@@ -160,6 +164,12 @@ fn main() {
          {misses_per_query:.0} pool misses/query, degree {degree} \
          (auto {auto_degree:?} vs one worker {one_worker:?})"
     );
+    // Each candidate is decoded and resolved once however many paths
+    // the residual has, and each heap page is read about once per query.
+    gates.check("work.fetches_per_row", fetches_per_row, Cmp::AtMost, 1.1);
+    gates.check("work.snapshot_reads_per_row", snapshot_reads_per_row, Cmp::AtMost, 1.1);
+    let misses_per_page = misses_per_query / heap_pages as f64;
+    gates.check("work.pool_misses_per_heap_page", misses_per_page, Cmp::AtMost, 1.25);
 
     // --- 2. Mixed read/write scaling on disjoint classes --------------
     // A fixed budget of write transactions is split across 1, 2, then 4
@@ -227,20 +237,26 @@ fn main() {
     }
 
     // --- 3. MVCC snapshot reads -----------------------------------------
-    // 3a. Reader throughput while writers churn. Snapshot readers take
-    // no 2PL locks, so on a host with enough cores their throughput
-    // should stay flat as writers are added; writers run flat-out until
-    // the readers finish, so the reader-side work is constant per run.
+    // 3a. Readers while writers churn. A snapshot reader takes no 2PL
+    // lock and never meets the exclusive gate however many writers run
+    // — counted, so it holds on any host; the reader throughput beside
+    // it is for the record. Writers run flat-out until the readers
+    // finish, so the reader-side work is constant per run.
     const RT_QUERIES_PER_READER: usize = 8;
+    // (rows, whether the query left its transaction holding a lock —
+    // strict 2PL keeps every lock a transaction took until it ends).
     let facade_query = || {
         let rtx = db.begin();
         let n = db.query(&rtx, QUERY).expect("facade query").len();
+        let locked = db.locks().knows_txn(rtx.id());
         db.commit(rtx).expect("commit read txn");
-        n
+        (n, locked)
     };
     let reader_throughput = |writers: usize| {
         let stop = AtomicBool::new(false);
         let writes = AtomicU64::new(0);
+        let lock_queries = AtomicU64::new(0);
+        let exclusive_before = db.stats().gate.exclusive_acquisitions;
         let mut reader_qps = 0.0;
         let mut writes_per_s = 0.0;
         std::thread::scope(|s| {
@@ -266,8 +282,9 @@ fn main() {
                 .map(|_| {
                     s.spawn(|| {
                         for _ in 0..RT_QUERIES_PER_READER {
-                            let n = facade_query();
+                            let (n, locked) = facade_query();
                             assert_eq!(n, len_serial, "snapshot query saw writer churn");
+                            lock_queries.fetch_add(u64::from(locked), Ordering::Relaxed);
                         }
                     })
                 })
@@ -280,34 +297,33 @@ fn main() {
             reader_qps = (MIX_READERS * RT_QUERIES_PER_READER) as f64 / elapsed;
             writes_per_s = writes.load(Ordering::Relaxed) as f64 / elapsed;
         });
-        (reader_qps, writes_per_s)
+        let exclusive = db.stats().gate.exclusive_acquisitions - exclusive_before;
+        (reader_qps, writes_per_s, lock_queries.into_inner(), exclusive)
     };
     reader_throughput(1); // warm-up
-    let throughput: Vec<(usize, f64, f64)> = MIX_WRITERS
+    let throughput: Vec<(usize, f64, f64, u64, u64)> = MIX_WRITERS
         .iter()
         .map(|&w| {
-            let (qps, wps) = reader_throughput(w);
-            (w, qps, wps)
+            let (qps, wps, lock_queries, exclusive) = reader_throughput(w);
+            (w, qps, wps, lock_queries, exclusive)
         })
         .collect();
-    for (w, qps, wps) in &throughput {
+    for (w, qps, wps, lock_queries, exclusive) in &throughput {
         println!(
             "snapshot readers vs {w} writer(s): {MIX_READERS} readers at {qps:.1} queries/s \
-             while writers commit {wps:.1} txns/s"
+             while writers commit {wps:.1} txns/s; {lock_queries} reader queries took a lock, \
+             {exclusive} exclusive-gate acquisitions"
         );
+        let name = |what: &str| format!("readers_vs_{w}_writers.{what}");
+        gates.check(&name("lock_queries"), *lock_queries as f64, Cmp::Equal, 0.0);
+        gates.check(&name("gate_exclusive"), *exclusive as f64, Cmp::Equal, 0.0);
     }
     let base_qps = throughput[0].1;
     let last_qps = throughput.last().unwrap().1;
     let reader_degradation_pct = (base_qps - last_qps) / base_qps * 100.0;
-    // With fewer cores than threads, readers lose wall-clock to writer
-    // CPU time no matter how lock-free they are — the flatness gate is
-    // only meaningful when every thread can have its own core.
-    let reader_gate_enforced = cpus() >= MIX_READERS + MIX_WRITERS.last().unwrap();
     println!(
-        "reader throughput degradation 1 -> {} writers: {reader_degradation_pct:+.1}% \
-         (flatness gate {})",
+        "reader throughput degradation 1 -> {} writers: {reader_degradation_pct:+.1}%",
         MIX_WRITERS.last().unwrap(),
-        if reader_gate_enforced { "enforced" } else { "skipped: core-bound" },
     );
 
     // A few facade-path queries so the database's own executor metrics
@@ -328,8 +344,7 @@ fn main() {
         for _ in 0..MIX_READERS {
             s.spawn(|| {
                 for _ in 0..RT_QUERIES_PER_READER {
-                    let n = facade_query();
-                    assert_eq!(n, len_serial);
+                    assert_eq!(facade_query().0, len_serial);
                 }
             });
         }
@@ -342,6 +357,7 @@ fn main() {
         pure.locks.acquisitions, pure.locks.s_acquisitions, pure.mvcc.snapshots,
         pure.mvcc.snapshot_reads,
     );
+    gates.check("pure_read.lock_acquisitions", pure.locks.acquisitions as f64, Cmp::AtMost, 4.0);
 
     // --- 4. Group commit: flushes per commit vs committer count --------
     // A fixed budget of tiny write transactions, split across 1, 8,
@@ -352,6 +368,7 @@ fn main() {
     const COMMIT_FLEETS: [usize; 3] = [1, 8, 64];
     const COMMITS_TOTAL: usize = 192;
     const GROUP_WINDOW_US: u64 = 500;
+    let mut flushes_per_commit = Vec::new();
     let commit_rows: Vec<String> = COMMIT_FLEETS
         .iter()
         .map(|&committers| {
@@ -384,6 +401,7 @@ fn main() {
             let wal = cdb.stats().wal;
             let commits = (COMMITS_TOTAL / committers * committers) as u64;
             let per_commit = wal.fsyncs as f64 / commits as f64;
+            flushes_per_commit.push(per_commit);
             println!(
                 "group commit, {committers} committer(s): {commits} commits in {elapsed:?} \
                  ({:.1}/s), {} fsyncs ({per_commit:.3} flushes/commit, {} group flushes)",
@@ -402,6 +420,8 @@ fn main() {
         })
         .collect();
     let commit_throughput = commit_rows.join(",\n      ");
+    // One fsync covers many committers (at 1 it is necessarily 1.0).
+    gates.check("group_commit.flushes_per_commit_at_8", flushes_per_commit[1], Cmp::Below, 0.5);
 
     let cpus = cpus();
     // Threads cannot beat serial wall-clock on a host with fewer cores
@@ -427,8 +447,11 @@ fn main() {
         .join(",\n      ");
     let reader_vs_writers = throughput
         .iter()
-        .map(|(w, qps, wps)| {
-            format!("{{ \"writers\": {w}, \"reader_qps\": {qps:.1}, \"writes_per_s\": {wps:.1} }}")
+        .map(|(w, qps, wps, lock_queries, exclusive)| {
+            format!(
+                "{{ \"writers\": {w}, \"reader_qps\": {qps:.1}, \"writes_per_s\": {wps:.1}, \
+                 \"reader_lock_queries\": {lock_queries}, \"gate_exclusive\": {exclusive} }}"
+            )
         })
         .collect::<Vec<_>>()
         .join(",\n      ");
@@ -451,7 +474,6 @@ fn main() {
          \"disjoint_class_writer_scaling\": [\n      {writer_scaling}\n    ],\n    \
          \"reader_throughput_vs_writers\": [\n      {reader_vs_writers}\n    ],\n    \
          \"reader_degradation_pct\": {reader_degradation_pct:.1},\n    \
-         \"reader_gate_enforced\": {reader_gate_enforced},\n    \
          \"pure_read_queries\": {pure_read_queries},\n    \
          \"pure_read_lock_acquisitions\": {},\n    \
          \"pure_read_s_lock_acquisitions\": {},\n    \
@@ -469,7 +491,7 @@ fn main() {
          \"x_lock_acquisitions\": {},\n    \"mvcc_snapshots\": {},\n    \
          \"mvcc_snapshot_reads\": {},\n    \"mvcc_versions_published\": {},\n    \
          \"mvcc_versions_pruned\": {},\n    \"exec_queries\": {},\n    \
-         \"exec_rows_scanned\": {},\n    \"object_fetches\": {}\n  }}\n}}\n",
+         \"exec_rows_scanned\": {},\n    \"object_fetches\": {}\n  }},\n  {}\n}}\n",
         serial.as_secs_f64() * 1e3,
         par4.as_secs_f64() * 1e3,
         speedup,
@@ -496,7 +518,9 @@ fn main() {
         stats.exec.queries,
         stats.exec.rows_scanned,
         stats.fetches,
+        gates.json(),
     );
     std::fs::write("BENCH_parallel_query.json", &json).expect("write BENCH_parallel_query.json");
     println!("wrote BENCH_parallel_query.json");
+    gates.finish();
 }

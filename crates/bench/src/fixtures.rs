@@ -1,5 +1,5 @@
-//! Synthetic workload builders shared by the experiments binary and the
-//! Criterion benches. Deterministic (seeded) so runs are comparable.
+//! Synthetic workload builders shared by the bench binaries.
+//! Deterministic (seeded) so runs are comparable.
 
 use orion_core::{AttrSpec, Database, DbConfig, Domain, Oid, PrimitiveType, Value};
 use rand::rngs::StdRng;

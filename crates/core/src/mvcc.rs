@@ -34,10 +34,11 @@
 //! the maintenance gate.
 //!
 //! Pruning is epoch-based: when the oldest active snapshot advances
-//! (or the last one retires), entries older than the newest entry at or
-//! below the new floor are reclaimed, and fully settled chains are
-//! removed outright — returning the store to the empty, zero-overhead
-//! state that pure-read workloads see.
+//! (or the last one retires), and after each publish for the chains it
+//! wrote, entries older than the newest entry at or below the floor are
+//! reclaimed, and fully settled chains are removed outright — returning
+//! the store to the empty, zero-overhead state that pure-read workloads
+//! see. A commit with no older snapshot open leaves no chain behind.
 
 use orion_tx::{CommitClock, MvccMetrics, MvccStats, SnapshotRegistry};
 use orion_types::codec::ObjectRecord;
@@ -233,59 +234,55 @@ impl VersionStore {
     }
 
     /// Append each image in `set` to its chain under a fresh commit
-    /// timestamp and release `txn`'s hold on the chains. Returns the
-    /// stamp, or `None` for an empty set.
+    /// timestamp, release `txn`'s hold on the chains, publish the stamp,
+    /// and then settle what it can. Returns the stamp, or `None` for an
+    /// empty set.
     fn publish(&self, txn: u64, set: StagedSet) -> Option<u64> {
         if set.is_empty() {
             return None;
         }
         let _serialize = self.publish.lock();
         let ts = self.clock.allocate();
-        // The floor must never exceed a timestamp a reader could still
-        // pin. `ts` is not published yet, so new snapshots register at
-        // the old visible stamp — which is exactly what `floor` falls
-        // back to (computed under the registry lock, see
-        // `SnapshotRegistry::floor`). Using `ts` here would let this
-        // publish prune the pre-images of a snapshot being taken
-        // concurrently.
-        let floor = self.registry.floor(&self.clock);
-        let mut published = 0u64;
-        let mut pruned = 0u64;
+        let mut touched = Vec::with_capacity(set.len());
         for (oid, after) in set {
             let tombstone = after.is_none();
-            let mut settled = false;
-            {
-                let mut shard = self.shards[shard_of(oid)].write();
-                if let Some(chain) = shard.get_mut(&oid) {
-                    if chain.writer == Some(txn) {
-                        chain.writer = None;
-                    }
-                    chain.entries.push((ts, after));
-                    published += 1;
-                    pruned += Self::prune_chain(&mut chain.entries, floor);
-                    // Observed post-prune: the steady-state depth a
-                    // reader actually walks, not the transient peak.
-                    self.metrics.chain_length.observe_micros(chain.entries.len() as u64);
-                    if Self::settled(chain, floor) {
-                        shard.remove(&oid);
-                        self.overlay.fetch_sub(1, Ordering::Release);
-                        settled = true;
-                    }
+            if let Some(chain) = self.shards[shard_of(oid)].write().get_mut(&oid) {
+                if chain.writer == Some(txn) {
+                    chain.writer = None;
                 }
+                chain.entries.push((ts, after));
+                touched.push(oid);
             }
             let mut deleted = self.deleted.write();
-            if tombstone && !settled {
+            if tombstone {
                 deleted.entry(oid.class()).or_default().insert(oid, ts);
             } else {
-                // Either the object lives again at `ts` (plain update —
-                // retract any stale marker) or the tombstone chain
-                // settled below the floor: no snapshot can see it.
+                // The object lives again at `ts`: retract any stale marker.
                 Self::remove_tombstone(&mut deleted, oid, |_| true);
             }
         }
-        self.metrics.versions_published.add(published);
-        self.metrics.versions_pruned.add(pruned);
+        self.metrics.versions_published.add(touched.len() as u64);
         self.clock.publish(ts);
+        // Only now may the floor reach `ts`: a snapshot that registers
+        // from here on does so at `ts` or later, and needs none of the
+        // entries below it. With no older snapshot pinned, this settles
+        // every chain the commit wrote — the store is quiescent again.
+        let floor = self.registry.floor(&self.clock);
+        let mut pruned = 0u64;
+        let mut settled = Vec::new();
+        for oid in touched {
+            let mut shard = self.shards[shard_of(oid)].write();
+            let Entry::Occupied(mut chain) = shard.entry(oid) else { continue };
+            pruned += Self::prune_chain(&mut chain.get_mut().entries, floor);
+            // Observed post-prune: the steady-state depth a reader
+            // actually walks, not the transient peak.
+            self.metrics.chain_length.observe_micros(chain.get().entries.len() as u64);
+            if Self::settled(chain.get(), floor) {
+                chain.remove();
+                settled.push(oid);
+            }
+        }
+        self.retire(settled, pruned);
         Some(ts)
     }
 
@@ -399,16 +396,22 @@ impl VersionStore {
             let mut guard = shard.write();
             guard.retain(|oid, chain| {
                 pruned += Self::prune_chain(&mut chain.entries, floor);
-                if Self::settled(chain, floor) {
+                let done = Self::settled(chain, floor);
+                if done {
                     settled.push(*oid);
-                    self.overlay.fetch_sub(1, Ordering::Release);
-                    false
-                } else {
-                    true
                 }
+                !done
             });
         }
+        self.retire(settled, pruned);
+    }
+
+    /// Account for chains just removed as settled: shrink the overlay,
+    /// drop their committed tombstones (no snapshot can see them), and
+    /// count the pruned entries.
+    fn retire(&self, settled: Vec<Oid>, pruned: u64) {
         if !settled.is_empty() {
+            self.overlay.fetch_sub(settled.len() as u64, Ordering::Release);
             let mut deleted = self.deleted.write();
             for oid in settled {
                 Self::remove_tombstone(&mut deleted, oid, |ts| ts != PENDING);
@@ -679,19 +682,47 @@ mod tests {
     }
 
     #[test]
-    fn publish_floor_never_exceeds_the_visible_clock() {
+    fn a_commit_settles_its_own_chains_unless_a_snapshot_needs_them() {
         let vs = VersionStore::new();
-        let o = oid(8);
+        let (o, p) = (oid(8), oid(11));
+        // With nothing pinned, the publish leaves no chain behind.
         vs.stage(1, o, Some(rec(o, 0)), Some(rec(o, 1)));
+        vs.stage(1, p, None, Some(rec(p, 1)));
         vs.commit_publish(1).unwrap();
-        // No snapshot was pinned during the publish, but a reader could
-        // have read the then-visible timestamp 0 an instant before it
-        // and registered just after the floor was computed — the base
-        // pre-image must survive until the floor provably passes it.
-        match vs.resolve(o, 0, 9) {
-            Resolution::Visible(r) => assert_eq!(tag(&r), 0),
-            other => panic!("pre-image pruned out from under a ts-0 reader: {other:?}"),
+        assert!(vs.quiescent(), "an unpinned commit settles what it wrote");
+        // A snapshot registered before the publish keeps its pre-image.
+        let snap = vs.begin_snapshot(9);
+        vs.stage(2, o, Some(rec(o, 1)), Some(rec(o, 2)));
+        vs.commit_publish(2).unwrap();
+        match vs.resolve(o, snap.ts(), 9) {
+            Resolution::Visible(r) => assert_eq!(tag(&r), 1),
+            other => panic!("pre-image pruned out from under a pinned reader: {other:?}"),
         }
+        drop(snap);
+        assert!(vs.quiescent());
+    }
+
+    #[test]
+    fn a_load_leaves_no_chains_and_the_next_scan_reads_storage() {
+        use crate::{AttrSpec, Database, Domain, PrimitiveType};
+        const N: i64 = 500;
+        let db = Database::open_in_memory();
+        let int = Domain::Primitive(PrimitiveType::Int);
+        db.create_class("Item", &[], vec![AttrSpec::new("n", int)]).unwrap();
+        let tx = db.begin();
+        for n in 0..N {
+            db.create_object(&tx, "Item", vec![("n", Value::Int(n))]).unwrap();
+        }
+        db.commit(tx).unwrap();
+        assert!(db.mvcc.quiescent(), "the load's chains settled at its commit");
+        db.cool_caches().unwrap();
+        db.reset_metrics();
+        let tx = db.begin();
+        let r = db.query(&tx, "select count(*) from Item i where i.n >= 0").unwrap();
+        assert_eq!(r.rows[0][0], Value::Int(N));
+        db.commit(tx).unwrap();
+        let fetches = db.stats().fetches;
+        assert_eq!(fetches, N as u64, "each object read from storage, none from a chain");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A minimal readiness poller over `poll(2)` — no async runtime, no
+//! A minimal readiness poller over `epoll(7)` — no async runtime, no
 //! external crates.
 //!
 //! The event loop in [`crate::server`] needs exactly three things from
@@ -10,40 +10,45 @@
 //! `UnixStream` pair: writing one byte makes the read end readable,
 //! which pops the poller out of its wait).
 //!
-//! The syscall is declared directly with `extern "C"` — the standard
-//! library already links libc on every Unix target, so no new
-//! dependency is introduced. `poll(2)` scans O(n) descriptors per
-//! call, which is fine at the hundreds-to-thousands of connections
-//! this server targets; the [`Poller`] API is deliberately shaped so
-//! an `epoll` backend could replace the scan without touching the
-//! event loop.
+//! The syscalls are declared directly with `extern "C"` — the standard
+//! library already links libc, so no new dependency is introduced. The
+//! kernel keeps the interest list, so a wait costs what is ready, not
+//! what is registered: a thousand parked connections add nothing to
+//! the wakeup that serves one busy one. Readiness is level-triggered,
+//! as with `poll(2)`.
 
-#![cfg(unix)]
+#![cfg(target_os = "linux")]
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::raw::c_int;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLHUP: i16 = 0x010;
-const POLLNVAL: i16 = 0x020;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLERR: u32 = 0x008;
+const EPOLLHUP: u32 = 0x010;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLL_CLOEXEC: c_int = 0o2_000_000;
 
-/// Mirror of `struct pollfd` (identical layout on every Unix libc).
-#[repr(C)]
+/// Mirror of `struct epoll_event` (packed on x86-64 only, as in the
+/// kernel's own header).
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Clone, Copy)]
-struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
+struct EpollEvent {
+    events: u32,
+    token: u64,
 }
 
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: std::os::raw::c_int)
-        -> std::os::raw::c_int;
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout: c_int) -> c_int;
 }
 
 /// One readiness notification from [`Poller::wait`].
@@ -70,26 +75,37 @@ pub struct Interest {
 }
 
 impl Interest {
-    fn events(self) -> i16 {
-        // POLLERR/POLLHUP are always reported by the kernel; they need
+    fn events(self) -> u32 {
+        // EPOLLERR/EPOLLHUP are always reported by the kernel; they need
         // no registration bit.
-        (if self.readable { POLLIN } else { 0 }) | (if self.writable { POLLOUT } else { 0 })
+        (if self.readable { EPOLLIN } else { 0 }) | (if self.writable { EPOLLOUT } else { 0 })
     }
 }
 
-/// A registry of descriptors with per-descriptor interest, waited on
-/// with one `poll(2)` call. Registration survives across waits (the
-/// pollfd array is rebuilt only on register/deregister, not per call).
+/// A registry of descriptors with per-descriptor interest, held by the
+/// kernel in one epoll instance and waited on with one `epoll_wait`.
 pub struct Poller {
-    fds: Vec<PollFd>,
-    tokens: Vec<u64>,
-    index: HashMap<u64, usize>,
+    epoll: OwnedFd,
+    fds: HashMap<u64, RawFd>,
+    ready: Vec<EpollEvent>,
 }
 
 impl Poller {
-    /// An empty poller.
-    pub fn new() -> Poller {
-        Poller { fds: Vec::new(), tokens: Vec::new(), index: HashMap::new() }
+    /// An empty poller (one new epoll instance).
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: epoll_create1 takes no pointers; any flags value is
+        // accepted or rejected with an error.
+        let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(Poller {
+            // SAFETY: `fd` was just returned by epoll_create1, is open,
+            // and nothing else owns it.
+            epoll: unsafe { OwnedFd::from_raw_fd(fd) },
+            fds: HashMap::new(),
+            ready: vec![EpollEvent { events: 0, token: 0 }; 256],
+        })
     }
 
     /// Number of registered descriptors.
@@ -102,32 +118,33 @@ impl Poller {
         self.fds.is_empty()
     }
 
+    fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: Interest) {
+        let mut event = EpollEvent { events: interest.events(), token };
+        // SAFETY: `event` is a live, correctly laid out epoll_event for
+        // the duration of the call. The call fails only for a
+        // descriptor that is already closed, which the kernel has then
+        // dropped from the set anyway.
+        unsafe { epoll_ctl(self.epoll.as_raw_fd(), op, fd, &mut event) };
+    }
+
     /// Start watching `fd` under `token`. Tokens must be unique; a
     /// duplicate registration replaces the previous interest.
     pub fn register(&mut self, token: u64, fd: RawFd, interest: Interest) {
-        if let Some(&slot) = self.index.get(&token) {
-            self.fds[slot] = PollFd { fd, events: interest.events(), revents: 0 };
-            return;
-        }
-        self.index.insert(token, self.fds.len());
-        self.fds.push(PollFd { fd, events: interest.events(), revents: 0 });
-        self.tokens.push(token);
+        let op = if self.fds.insert(token, fd).is_some() { EPOLL_CTL_MOD } else { EPOLL_CTL_ADD };
+        self.ctl(op, fd, token, interest);
     }
 
     /// Change what `token` waits for. Unknown tokens are ignored.
     pub fn set_interest(&mut self, token: u64, interest: Interest) {
-        if let Some(&slot) = self.index.get(&token) {
-            self.fds[slot].events = interest.events();
+        if let Some(&fd) = self.fds.get(&token) {
+            self.ctl(EPOLL_CTL_MOD, fd, token, interest);
         }
     }
 
-    /// Stop watching `token` (swap-remove; order is not preserved).
+    /// Stop watching `token`.
     pub fn deregister(&mut self, token: u64) {
-        let Some(slot) = self.index.remove(&token) else { return };
-        self.fds.swap_remove(slot);
-        self.tokens.swap_remove(slot);
-        if slot < self.tokens.len() {
-            self.index.insert(self.tokens[slot], slot);
+        if let Some(fd) = self.fds.remove(&token) {
+            self.ctl(EPOLL_CTL_DEL, fd, token, Interest { readable: false, writable: false });
         }
     }
 
@@ -137,42 +154,37 @@ impl Poller {
     /// is simply left empty.
     pub fn wait(&mut self, timeout: Option<Duration>, events: &mut Vec<Event>) -> io::Result<()> {
         events.clear();
-        let timeout_ms: std::os::raw::c_int = match timeout {
+        let timeout_ms: c_int = match timeout {
             // Round up so a 100µs deadline does not spin at 0ms.
             Some(d) => d
                 .as_millis()
                 .saturating_add(u128::from(d.subsec_nanos() % 1_000_000 != 0))
-                .min(i32::MAX as u128) as std::os::raw::c_int,
+                .min(i32::MAX as u128) as c_int,
             None => -1,
         };
-        let rc = unsafe {
-            poll(self.fds.as_mut_ptr(), self.fds.len() as std::os::raw::c_ulong, timeout_ms)
+        let max = self.ready.len() as c_int;
+        // SAFETY: `ready` holds `max` initialized epoll_events, which the
+        // kernel overwrites in place; it writes at most `max` of them.
+        let n = unsafe {
+            epoll_wait(self.epoll.as_raw_fd(), self.ready.as_mut_ptr(), max, timeout_ms)
         };
-        if rc < 0 {
+        if n < 0 {
             let e = io::Error::last_os_error();
             if e.kind() == io::ErrorKind::Interrupted {
                 return Ok(()); // spurious wakeup; caller re-checks deadlines
             }
             return Err(e);
         }
-        for (slot, pfd) in self.fds.iter().enumerate() {
-            if pfd.revents == 0 {
-                continue;
+        events.extend(self.ready[..n as usize].iter().map(|&ready| {
+            let (bits, token) = (ready.events, ready.token);
+            Event {
+                token,
+                readable: bits & EPOLLIN != 0,
+                writable: bits & EPOLLOUT != 0,
+                hangup: bits & (EPOLLERR | EPOLLHUP) != 0,
             }
-            events.push(Event {
-                token: self.tokens[slot],
-                readable: pfd.revents & POLLIN != 0,
-                writable: pfd.revents & POLLOUT != 0,
-                hangup: pfd.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
-            });
-        }
+        }));
         Ok(())
-    }
-}
-
-impl Default for Poller {
-    fn default() -> Self {
-        Poller::new()
     }
 }
 
@@ -238,7 +250,7 @@ mod tests {
     #[test]
     fn waker_pops_a_blocked_wait() {
         let waker = Waker::new().expect("waker");
-        let mut poller = Poller::new();
+        let mut poller = Poller::new().expect("poller");
         poller.register(0, waker.fd(), Interest { readable: true, writable: false });
         let handle = waker.handle().expect("handle");
         // If the wake lands before wait() blocks, the byte sits in the
@@ -256,7 +268,7 @@ mod tests {
     #[test]
     fn timeout_returns_empty() {
         let waker = Waker::new().expect("waker");
-        let mut poller = Poller::new();
+        let mut poller = Poller::new().expect("poller");
         poller.register(0, waker.fd(), Interest { readable: true, writable: false });
         let mut events = Vec::new();
         poller.wait(Some(Duration::from_millis(20)), &mut events).expect("wait");
@@ -271,7 +283,7 @@ mod tests {
         let (server_side, _) = listener.accept().unwrap();
         server_side.set_nonblocking(true).unwrap();
 
-        let mut poller = Poller::new();
+        let mut poller = Poller::new().expect("poller");
         poller.register(7, server_side.as_raw_fd(), Interest { readable: true, writable: false });
         std::io::Write::write_all(&mut client, b"x").unwrap();
         let mut events = Vec::new();

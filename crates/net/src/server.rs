@@ -415,7 +415,7 @@ impl Server {
         let metrics = db.net_metrics();
         let io_threads = config.resolved_io_threads();
 
-        let mut wakers = Vec::with_capacity(io_threads);
+        let mut loop_io = Vec::with_capacity(io_threads);
         let mut loops = Vec::with_capacity(io_threads);
         for _ in 0..io_threads {
             let waker = Waker::new().map_err(|e| frame::io_err("waker", &e))?;
@@ -424,7 +424,7 @@ impl Server {
                 wake: waker.handle().map_err(|e| frame::io_err("waker", &e))?,
                 conns: AtomicUsize::new(0),
             });
-            wakers.push(waker);
+            loop_io.push((waker, Poller::new().map_err(|e| frame::io_err("poller", &e))?));
         }
         let shared = Arc::new(Shared {
             db,
@@ -450,14 +450,14 @@ impl Server {
                     .map_err(|e| DbError::Net(format!("spawn executor: {e}")))
             })
             .collect::<DbResult<Vec<_>>>()?;
-        let io_handles = wakers
+        let io_handles = loop_io
             .into_iter()
             .enumerate()
-            .map(|(i, waker)| {
+            .map(|(i, (waker, poller))| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("orion-net-io-{i}"))
-                    .spawn(move || io_loop(&shared, i, &waker))
+                    .spawn(move || io_loop(&shared, i, &waker, poller))
                     .map_err(|e| DbError::Net(format!("spawn io loop: {e}")))
             })
             .collect::<DbResult<Vec<_>>>()?;
@@ -804,8 +804,7 @@ fn write_some(mut stream: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
 // Event loop
 // ---------------------------------------------------------------------
 
-fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker) {
-    let mut poller = Poller::new();
+fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker, mut poller: Poller) {
     poller.register(WAKE_TOKEN, waker.fd(), Interest { readable: true, writable: false });
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = WAKE_TOKEN + 1;
@@ -855,7 +854,7 @@ fn io_loop(shared: &Arc<Shared>, idx: usize, waker: &Waker) {
 
         let timeout = next_deadline.map(|d| d.saturating_duration_since(now));
         if poller.wait(timeout, &mut events).is_err() {
-            // poll(2) failing outright (EINVAL/ENOMEM) leaves no way to
+            // epoll_wait failing outright (EBADF/EINVAL) leaves no way to
             // serve these sockets; drop the loop's connections and exit.
             break;
         }

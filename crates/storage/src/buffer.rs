@@ -162,8 +162,8 @@ impl BufferPool {
     /// Replace a page the disk reports as corrupt with a freshly
     /// initialized slotted page, installed *dirty* in the pool without
     /// reading the damaged bytes. Recovery calls this before replaying
-    /// the log: redo then rebuilds the page's contents from history
-    /// (page-LSN guards start from zero, so every record re-applies).
+    /// the log: the fresh page's LSN is 0, so redo gives it every change
+    /// the log holds for it and rebuilds its contents from history.
     pub fn repair_page(&self, pid: PageId) -> DbResult<()> {
         let mut inner = self.inner.lock();
         inner.tick += 1;

@@ -99,6 +99,10 @@ pub struct RecoveryStats {
     pub failed: u64,
     /// Corrupt pages detected at restart and rebuilt by log replay.
     pub pages_repaired: u64,
+    /// Logged page changes redo applied: their page's LSN was older.
+    pub records_redone: u64,
+    /// Logged page changes redo skipped: their page already held them.
+    pub records_skipped: u64,
 }
 
 /// What [`StorageEngine::read_slots`] found in one slot.
@@ -135,6 +139,8 @@ pub struct StorageEngine {
     recoveries_completed: Counter,
     recoveries_failed: Counter,
     pages_repaired: Counter,
+    records_redone: Counter,
+    records_skipped: Counter,
 }
 
 impl StorageEngine {
@@ -170,6 +176,8 @@ impl StorageEngine {
             recoveries_completed: Counter::default(),
             recoveries_failed: Counter::default(),
             pages_repaired: Counter::default(),
+            records_redone: Counter::default(),
+            records_skipped: Counter::default(),
         })
     }
 
@@ -225,6 +233,8 @@ impl StorageEngine {
             completed: self.recoveries_completed.get(),
             failed: self.recoveries_failed.get(),
             pages_repaired: self.pages_repaired.get(),
+            records_redone: self.records_redone.get(),
+            records_skipped: self.records_skipped.get(),
         }
     }
 
@@ -790,15 +800,18 @@ impl StorageEngine {
     }
 
     /// Restart recovery: analysis, redo, undo — then rebuild the
-    /// free-space map. Idempotent: running it twice is harmless.
+    /// free-space map. Idempotent: running it twice, or again after a
+    /// run that failed partway, is harmless.
     ///
-    /// Hardened against injected damage: a torn WAL tail is truncated by
+    /// Redo gives each page exactly the logged changes newer than its
+    /// page LSN (see `redo_apply`), so a page the pool wrote back in a
+    /// later state than a record describes is left alone. Hardened
+    /// against injected damage: a torn WAL tail is truncated by
     /// [`Wal::stable_records`], and a page whose checksum fails is
-    /// rebuilt from scratch by replaying the *full* log against it (the
-    /// log is never truncated from the front, and logical replay is
-    /// unconditional and idempotent — see `redo_apply` — so the wider
-    /// replay leaves intact pages as they were). Only interior log
-    /// corruption is unrecoverable.
+    /// rebuilt as an empty page at LSN 0 that replays the *full* log
+    /// (the log is never truncated from the front; the intact pages
+    /// skip what they already hold). Only interior log corruption is
+    /// unrecoverable.
     ///
     /// The log is read here and nowhere else: once per restart, parsed
     /// where the device holds it.
@@ -972,25 +985,31 @@ impl StorageEngine {
         Ok(())
     }
 
-    /// Apply one logical redo record through the normal page-write
-    /// API. Replay is unconditional and idempotent: records are
-    /// re-applied in log order, so the last writer of a slot wins
-    /// exactly as it did online, and `insert_at`/`update`/`delete` all
-    /// tolerate re-execution over an already-current page. The page LSN
-    /// only ratchets forward (`max`), keeping the online write-ahead
-    /// invariant intact without gating replay on it.
+    /// Redo one logged page change unless its page already holds it.
+    /// Every change stamps its page with its LSN and a write-back
+    /// carries the stamp to disk, so a page at or past `lsn` holds this
+    /// change — and replaying it could not even be assumed to fit: slots
+    /// share the page's bytes, and a later state may have used the room
+    /// an old insert took. A change past the page LSN is applied in log
+    /// order, repeating the page's history; one whose effect reached the
+    /// page just before its stamp (a concurrent writer's) re-executes
+    /// harmlessly, since `insert_at`/`update`/`delete` tolerate that.
     fn redo_apply(
         &self,
         lsn: Lsn,
         rid: Rid,
         apply: impl FnOnce(&mut [u8]) -> DbResult<()>,
     ) -> DbResult<()> {
+        if self.pool.with_page(rid.page, slotted::page_lsn)? >= lsn.0 {
+            self.records_skipped.inc();
+            return Ok(());
+        }
         self.pool.with_page_mut(rid.page, |page| -> DbResult<()> {
             apply(page)?;
-            let cur = slotted::page_lsn(page);
-            slotted::set_page_lsn(page, cur.max(lsn.0));
+            slotted::set_page_lsn(page, lsn.0);
             Ok(())
         })??;
+        self.records_redone.inc();
         Ok(())
     }
 }
@@ -1111,6 +1130,29 @@ mod tests {
         let second = collect(&engine);
         assert_eq!(first, second);
         assert_eq!(engine.read(a).unwrap(), b"aa");
+    }
+
+    #[test]
+    fn redo_skips_what_a_written_back_page_holds() {
+        let engine = StorageEngine::new(4);
+        let t1 = engine.begin();
+        for i in 0..3u8 {
+            engine.insert(t1, &[i; 8], None).unwrap();
+        }
+        engine.commit(t1).unwrap();
+        engine.pool().flush_all().unwrap(); // the page reaches disk holding all three
+        let t2 = engine.begin();
+        let late = engine.insert(t2, b"late", None).unwrap();
+        engine.commit(t2).unwrap();
+        engine.crash();
+        engine.recover().unwrap();
+        let rs = engine.recovery_stats();
+        assert_eq!((rs.records_skipped, rs.records_redone), (3, 1));
+        assert_eq!(engine.read(late).unwrap(), b"late");
+        assert_eq!(collect(&engine).len(), 4);
+        // A second pass over a pool that already holds everything redoes nothing.
+        engine.recover().unwrap();
+        assert_eq!(engine.recovery_stats().records_redone, 1);
     }
 
     #[test]

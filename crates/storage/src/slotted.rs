@@ -36,9 +36,11 @@ pub fn page_lsn(page: &[u8]) -> u64 {
     u64::from_le_bytes(page[0..8].try_into().expect("page header"))
 }
 
-/// Set the page LSN.
+/// Raise the page LSN to `lsn`; it never moves back, so it stays the
+/// newest change the page holds however writers interleave.
 pub fn set_page_lsn(page: &mut [u8], lsn: u64) {
-    page[0..8].copy_from_slice(&lsn.to_le_bytes());
+    let newest = page_lsn(page).max(lsn);
+    page[0..8].copy_from_slice(&newest.to_le_bytes());
 }
 
 /// Initialize an empty slotted page in-place.

@@ -40,7 +40,25 @@ fn item_db() -> Database {
 }
 
 fn item_db_on(storage: StorageSpec) -> Database {
-    let config = DbConfig::builder().storage(storage).build().unwrap();
+    item_db_with(DbConfig::builder().storage(storage).build().unwrap())
+}
+
+/// The item database behind a 16-page buffer pool, with ~2 000 ballast
+/// objects loaded first so the data is several times the pool: every
+/// restart replays onto pages the pool evicted.
+fn small_pool_item_db() -> Database {
+    let db = item_db_with(DbConfig::builder().buffer_pages(16).build().unwrap());
+    let text = Domain::Primitive(PrimitiveType::Str);
+    db.create_class("Ballast", &[], vec![AttrSpec::new("fill", text)]).unwrap();
+    let tx = db.begin();
+    for i in 0..2_000 {
+        db.create_object(&tx, "Ballast", vec![("fill", Value::Str(format!("{i:0>100}")))]).unwrap();
+    }
+    db.commit(tx).unwrap();
+    db
+}
+
+fn item_db_with(config: DbConfig) -> Database {
     let db = Database::try_with_config(config).unwrap();
     db.create_class(
         "Item",
@@ -128,11 +146,10 @@ fn verify(db: &Database, model: &HashMap<i64, i64>, round: i64) {
 /// with a fresh seeded fault plan armed per round and a crash/recover
 /// between rounds. Runs identically over any storage backend.
 fn chaos_run(seed: u64, rounds: i64, txns: i64) {
-    chaos_run_on(StorageSpec::Memory, seed, rounds, txns);
+    chaos_run_on(item_db(), seed, rounds, txns);
 }
 
-fn chaos_run_on(storage: StorageSpec, seed: u64, rounds: i64, txns: i64) {
-    let db = item_db_on(storage);
+fn chaos_run_on(db: Database, seed: u64, rounds: i64, txns: i64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut model: HashMap<i64, i64> = HashMap::new();
     let mut oids: HashMap<i64, Oid> = HashMap::new();
@@ -245,19 +262,36 @@ fn chaos_smoke_seed_47() {
 #[test]
 fn chaos_smoke_seed_11_filedisk() {
     let dir = TempDir::new("chaos-11");
-    chaos_run_on(StorageSpec::File(dir.path().to_path_buf()), 11, 4, 12);
+    chaos_run_on(item_db_on(StorageSpec::File(dir.path().to_path_buf())), 11, 4, 12);
 }
 
 #[test]
 fn chaos_smoke_seed_23_filedisk() {
     let dir = TempDir::new("chaos-23");
-    chaos_run_on(StorageSpec::File(dir.path().to_path_buf()), 23, 4, 12);
+    chaos_run_on(item_db_on(StorageSpec::File(dir.path().to_path_buf())), 23, 4, 12);
 }
 
 #[test]
 fn chaos_smoke_seed_47_filedisk() {
     let dir = TempDir::new("chaos-47");
-    chaos_run_on(StorageSpec::File(dir.path().to_path_buf()), 47, 4, 12);
+    chaos_run_on(item_db_on(StorageSpec::File(dir.path().to_path_buf())), 47, 4, 12);
+}
+
+// The same three smokes with the data several times the buffer pool.
+
+#[test]
+fn chaos_smoke_seed_11_small_pool() {
+    chaos_run_on(small_pool_item_db(), 11, 4, 12);
+}
+
+#[test]
+fn chaos_smoke_seed_23_small_pool() {
+    chaos_run_on(small_pool_item_db(), 23, 4, 12);
+}
+
+#[test]
+fn chaos_smoke_seed_47_small_pool() {
+    chaos_run_on(small_pool_item_db(), 47, 4, 12);
 }
 
 /// Long-running sweep across many seeds with deeper rounds. Excluded

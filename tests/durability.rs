@@ -5,8 +5,8 @@ mod common;
 
 use common::TempDir;
 use orion_oodb::orion::{
-    AttrSpec, Database, DbConfig, DbError, Domain, FaultKind, FaultPlan, IndexKind, PrimitiveType,
-    StorageSpec, Tx, Value,
+    AttrSpec, Database, DbConfig, DbError, Domain, FaultKind, FaultPlan, IndexKind, Oid,
+    PrimitiveType, StorageSpec, Tx, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,7 +18,25 @@ fn item_db() -> Database {
 }
 
 fn item_db_on(storage: StorageSpec) -> Database {
-    let config = DbConfig::builder().storage(storage).build().unwrap();
+    item_db_with(DbConfig::builder().storage(storage).build().unwrap())
+}
+
+/// The item database behind a 16-page buffer pool, with ~2 000 ballast
+/// objects loaded first so the data is several times the pool: every
+/// restart replays onto pages the pool evicted.
+fn small_pool_item_db() -> Database {
+    let db = item_db_with(DbConfig::builder().buffer_pages(16).build().unwrap());
+    let text = Domain::Primitive(PrimitiveType::Str);
+    db.create_class("Ballast", &[], vec![AttrSpec::new("fill", text)]).unwrap();
+    let tx = db.begin();
+    for i in 0..2_000 {
+        db.create_object(&tx, "Ballast", vec![("fill", Value::Str(format!("{i:0>100}")))]).unwrap();
+    }
+    db.commit(tx).unwrap();
+    db
+}
+
+fn item_db_with(config: DbConfig) -> Database {
     let db = Database::try_with_config(config).unwrap();
     db.create_class(
         "Item",
@@ -31,6 +49,91 @@ fn item_db_on(storage: StorageSpec) -> Database {
     .unwrap();
     db.create_index("bykey", IndexKind::ClassHierarchy, "Item", &["key"]).unwrap();
     db
+}
+
+const FLEET: usize = 2_000;
+
+fn grown_name(i: usize) -> String {
+    format!("{i:0>200}")
+}
+
+/// A history that outgrows the default 256-page pool: 2 000 vehicles
+/// and trucks loaded in one transaction, no checkpoint, then one
+/// transaction grows `name` to 200 bytes on every third object (each
+/// growth relocates the record) and sets `weight` on the rest. The pool
+/// evicts pages in states later than the load left them, so restart
+/// must redo onto each page only what it lacks.
+fn load_then_grow(db: &Database) -> Vec<Oid> {
+    let int = || Domain::Primitive(PrimitiveType::Int);
+    let text = || Domain::Primitive(PrimitiveType::Str);
+    let attrs = vec![AttrSpec::new("name", text()), AttrSpec::new("weight", int())];
+    db.create_class("Vehicle", &[], attrs).unwrap();
+    db.create_class("Truck", &["Vehicle"], vec![]).unwrap();
+    let tx = db.begin();
+    let oids: Vec<Oid> = (0..FLEET)
+        .map(|i| {
+            let class = if i % 2 == 0 { "Vehicle" } else { "Truck" };
+            let name = Value::Str(format!("v{i}"));
+            db.create_object(&tx, class, vec![("name", name), ("weight", Value::Int(i as i64))])
+                .unwrap()
+        })
+        .collect();
+    db.commit(tx).unwrap();
+    let tx = db.begin();
+    for (i, &oid) in oids.iter().enumerate() {
+        match i % 3 {
+            0 => db.set(&tx, oid, "name", Value::Str(grown_name(i))),
+            _ => db.set(&tx, oid, "weight", Value::Int(-(i as i64))),
+        }
+        .unwrap();
+    }
+    db.commit(tx).unwrap();
+    oids
+}
+
+/// Every object of [`load_then_grow`] reads back as that history left it.
+fn assert_grown(db: &Database, oids: &[Oid], context: &str) {
+    let tx = db.begin();
+    for (i, &oid) in oids.iter().enumerate() {
+        let (name, weight) = match i % 3 {
+            0 => (grown_name(i), i as i64),
+            _ => (format!("v{i}"), -(i as i64)),
+        };
+        let read = |attr| db.get(&tx, oid, attr).unwrap();
+        assert_eq!(read("name"), Value::Str(name), "{context}: object {i}");
+        assert_eq!(read("weight"), Value::Int(weight), "{context}: object {i}");
+    }
+    let n = db.query(&tx, "select count(*) from Vehicle* v").unwrap();
+    assert_eq!(n.rows[0][0], Value::Int(FLEET as i64), "{context}: live objects");
+    db.commit(tx).unwrap();
+}
+
+fn larger_than_pool_load_then_grow_recovers_on(db: Database) {
+    let oids = load_then_grow(&db);
+    db.crash_and_recover().unwrap();
+    assert_grown(&db, &oids, "first recovery");
+    db.crash_and_recover().unwrap();
+    assert_grown(&db, &oids, "second recovery");
+}
+
+/// Four restarts in a row over [`load_then_grow`], the first of which
+/// tears a page it writes back: that recovery fails partway, with some
+/// pages already on disk in their recovered state, one page torn, and
+/// the rest not yet redone. The next restart rebuilds the torn page
+/// from the whole log and redoes the others from their page LSNs.
+fn recoveries_in_a_row_survive_a_fault_during_one_on(db: Database) {
+    let oids = load_then_grow(&db);
+    db.install_faults(FaultPlan::new(31).fail_nth(FaultKind::TornWrite, 2));
+    let err = db.crash_and_recover().expect_err("the torn write fails this recovery");
+    assert!(format!("{err}").contains("torn write"), "unexpected error: {err}");
+    db.clear_faults();
+    for attempt in 1..4 {
+        db.crash_and_recover().unwrap();
+        assert_grown(&db, &oids, &format!("recovery {attempt}"));
+    }
+    let recovery = db.stats().recovery;
+    assert_eq!((recovery.completed, recovery.failed), (3, 1));
+    assert!(recovery.pages_repaired >= 1, "the torn page was rebuilt from the log");
 }
 
 fn randomized_crash_recovery_matches_model_on(db: Database) {
@@ -273,6 +376,61 @@ fn repeated_crashes_are_harmless_filedisk() {
     repeated_crashes_are_harmless_on(item_db_on(StorageSpec::File(
         dir.path().to_path_buf(),
     )));
+}
+
+// The same scenarios with the data several times the buffer pool.
+
+#[test]
+fn randomized_crash_recovery_matches_model_small_pool() {
+    randomized_crash_recovery_matches_model_on(small_pool_item_db());
+}
+
+#[test]
+fn oid_allocation_survives_restart_without_collisions_small_pool() {
+    oid_allocation_survives_restart_without_collisions_on(small_pool_item_db());
+}
+
+#[test]
+fn crash_during_rollback_restores_original_state_small_pool() {
+    crash_during_rollback_restores_original_state_on(small_pool_item_db());
+}
+
+#[test]
+fn crash_during_checkpoint_with_partially_flushed_tail_small_pool() {
+    crash_during_checkpoint_with_partially_flushed_tail_on(small_pool_item_db());
+}
+
+#[test]
+fn repeated_crashes_are_harmless_small_pool() {
+    repeated_crashes_are_harmless_on(small_pool_item_db());
+}
+
+#[test]
+fn larger_than_pool_load_then_grow_recovers() {
+    larger_than_pool_load_then_grow_recovers_on(Database::open_in_memory());
+}
+
+#[test]
+fn larger_than_pool_load_then_grow_recovers_filedisk() {
+    let dir = TempDir::new("dur-grow");
+    larger_than_pool_load_then_grow_recovers_on(file_db(&dir));
+}
+
+#[test]
+fn recoveries_in_a_row_survive_a_fault_during_one() {
+    recoveries_in_a_row_survive_a_fault_during_one_on(Database::open_in_memory());
+}
+
+#[test]
+fn recoveries_in_a_row_survive_a_fault_during_one_filedisk() {
+    let dir = TempDir::new("dur-fault");
+    recoveries_in_a_row_survive_a_fault_during_one_on(file_db(&dir));
+}
+
+/// An empty database over real files in `dir`.
+fn file_db(dir: &TempDir) -> Database {
+    let storage = StorageSpec::File(dir.path().to_path_buf());
+    Database::try_with_config(DbConfig::builder().storage(storage).build().unwrap()).unwrap()
 }
 
 /// A restart reinstates an in-doubt (prepared) transaction with every
