@@ -14,9 +14,11 @@ use crate::sysattr;
 use orion_index::{IndexDef, IndexInstance, IndexKind};
 use orion_schema::Catalog;
 use orion_types::codec::ObjectRecord;
+use orion_types::wire::{get_bytes, get_count, get_count16, get_str, get_u16, get_u32};
+use orion_types::wire::{put_bytes, put_str, retag};
 use orion_types::{ClassId, DbError, DbResult, Oid, Value};
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 /// The class id reserved for the system-state record (never a user
 /// class: the catalog refuses to allocate it).
@@ -26,25 +28,6 @@ pub const SYSTEM_CLASS: ClassId = ClassId(u16::MAX - 1);
 pub const SYSTEM_OID: Oid = Oid::from_raw(((SYSTEM_CLASS.0 as u64) << 48) | 1);
 
 const MAGIC: u32 = 0x0D10_5757; // "orion system state"
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.put_u32_le(s.len() as u32);
-    out.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut &[u8]) -> DbResult<String> {
-    if buf.remaining() < 4 {
-        return Err(DbError::Storage("truncated system snapshot".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(DbError::Storage("truncated system snapshot string".into()));
-    }
-    let s = String::from_utf8(buf[..len].to_vec())
-        .map_err(|_| DbError::Storage("invalid UTF-8 in system snapshot".into()))?;
-    buf.advance(len);
-    Ok(s)
-}
 
 /// The decoded system state.
 pub(crate) struct SystemState {
@@ -62,19 +45,13 @@ fn encode_state(
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(2048);
     out.put_u32_le(MAGIC);
-    let cat = catalog.snapshot();
-    out.put_u32_le(cat.len() as u32);
-    out.put_slice(&cat);
+    put_bytes(&mut out, &catalog.snapshot());
     out.put_u32_le(next_index_id);
     out.put_u32_le(index_defs.len() as u32);
     for def in index_defs {
         out.put_u32_le(def.id);
         put_str(&mut out, &def.name);
-        out.put_u8(match def.kind {
-            IndexKind::SingleClass => 0,
-            IndexKind::ClassHierarchy => 1,
-            IndexKind::Nested => 2,
-        });
+        out.put_u8(def.kind.tag());
         out.put_u16_le(def.target.0);
         out.put_u16_le(def.path.len() as u16);
         for p in &def.path {
@@ -90,55 +67,30 @@ fn encode_state(
 }
 
 fn decode_state(mut bytes: &[u8]) -> DbResult<SystemState> {
-    let buf = &mut bytes;
-    if buf.remaining() < 8 {
-        return Err(DbError::Storage("truncated system snapshot header".into()));
-    }
-    if buf.get_u32_le() != MAGIC {
+    read_state(&mut bytes).map_err(retag(DbError::Storage))
+}
+
+fn read_state(buf: &mut &[u8]) -> DbResult<SystemState> {
+    if get_u32(buf)? != MAGIC {
         return Err(DbError::Storage("bad system snapshot magic".into()));
     }
-    let cat_len = buf.get_u32_le() as usize;
-    if buf.remaining() < cat_len {
-        return Err(DbError::Storage("truncated catalog in system snapshot".into()));
-    }
-    let catalog = Catalog::restore(&buf[..cat_len])?;
-    buf.advance(cat_len);
-    if buf.remaining() < 8 {
-        return Err(DbError::Storage("truncated index header".into()));
-    }
-    let next_index_id = buf.get_u32_le();
-    let n_indexes = buf.get_u32_le() as usize;
-    let mut index_defs = Vec::with_capacity(n_indexes);
-    for _ in 0..n_indexes {
-        if buf.remaining() < 4 {
-            return Err(DbError::Storage("truncated index def".into()));
-        }
-        let id = buf.get_u32_le();
-        let name = get_str(buf)?;
-        let kind = match buf.get_u8() {
-            0 => IndexKind::SingleClass,
-            1 => IndexKind::ClassHierarchy,
-            2 => IndexKind::Nested,
-            other => return Err(DbError::Storage(format!("bad index kind {other}"))),
-        };
-        let target = ClassId(buf.get_u16_le());
-        let path_len = buf.get_u16_le() as usize;
-        let mut path = Vec::with_capacity(path_len);
-        for _ in 0..path_len {
-            path.push(buf.get_u32_le());
-        }
-        index_defs.push(IndexDef { id, name, kind, target, path });
-    }
-    if buf.remaining() < 4 {
-        return Err(DbError::Storage("truncated views header".into()));
-    }
-    let n_views = buf.get_u32_le() as usize;
-    let mut views = Vec::with_capacity(n_views);
-    for _ in 0..n_views {
-        let name = get_str(buf)?;
-        let body = get_str(buf)?;
-        views.push((name, body));
-    }
+    let catalog = Catalog::restore(get_bytes(buf)?)?;
+    let next_index_id = get_u32(buf)?;
+    // An index definition is at least 13 bytes, a view 8.
+    let index_defs = (0..get_count(buf, 13)?)
+        .map(|_| {
+            Ok(IndexDef {
+                id: get_u32(buf)?,
+                name: get_str(buf)?,
+                kind: IndexKind::decode(buf)?,
+                target: ClassId(get_u16(buf)?),
+                path: (0..get_count16(buf, 4)?).map(|_| get_u32(buf)).collect::<DbResult<_>>()?,
+            })
+        })
+        .collect::<DbResult<_>>()?;
+    let views = (0..get_count(buf, 8)?)
+        .map(|_| Ok((get_str(buf)?, get_str(buf)?)))
+        .collect::<DbResult<_>>()?;
     Ok(SystemState { catalog, index_defs, next_index_id, views })
 }
 
@@ -255,4 +207,79 @@ pub(crate) fn install_state(
     }
     *rt.indexes.write() = state.index_defs.into_iter().map(IndexInstance::new).collect();
     rt.next_index_id.store(state.next_index_id, std::sync::atomic::Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use orion_schema::AttrSpec;
+    use orion_types::{Domain, PrimitiveType};
+    use proptest::prelude::*;
+
+    fn sample() -> Vec<u8> {
+        let mut catalog = Catalog::new();
+        let vehicle = catalog
+            .create_class(
+                "Vehicle",
+                &[],
+                vec![AttrSpec::new("w", Domain::Primitive(PrimitiveType::Int))],
+            )
+            .unwrap();
+        let def =
+            |id, kind, path| IndexDef { id, name: format!("i{id}"), kind, target: vehicle, path };
+        let defs =
+            [def(1, IndexKind::ClassHierarchy, vec![1]), def(2, IndexKind::Nested, vec![1, 2])];
+        encode_state(&catalog, &defs, 3, &[("heavy".into(), "select v from Vehicle v".into())])
+    }
+
+    #[test]
+    fn state_roundtrips_and_every_truncation_is_a_storage_error() {
+        let bytes = sample();
+        let state = decode_state(&bytes).unwrap();
+        assert_eq!((state.index_defs.len(), state.next_index_id, state.views.len()), (2, 3, 1));
+        assert_eq!(state.index_defs[1].kind, IndexKind::Nested);
+        for cut in 0..bytes.len() {
+            let err = decode_state(&bytes[..cut]).err().expect("a cut state must fail");
+            assert!(matches!(err, DbError::Storage(_)), "cut {cut}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn oversized_counts_fail_before_allocating() {
+        let catalog = Catalog::new().snapshot();
+        // An empty catalog, next index id 1, then `tail`.
+        let state = |tail: &[u8]| {
+            let mut out = MAGIC.to_le_bytes().to_vec();
+            put_bytes(&mut out, &catalog);
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.extend_from_slice(tail);
+            out
+        };
+        assert!(decode_state(&state(&[0; 8])).is_ok(), "no indexes, no views");
+        let u32_max = u32::MAX.to_le_bytes();
+        let many_indexes = state(&u32_max);
+        // One index (id 0, name "", kind 0, class 0) on a 65 535-step path.
+        let long_path = state(&[&1u32.to_le_bytes()[..], &[0; 11], &[0xFF; 2]].concat());
+        let many_views = state(&[&0u32.to_le_bytes()[..], &u32_max].concat());
+        for bytes in [many_indexes, long_path, many_views] {
+            assert!(matches!(decode_state(&bytes), Err(DbError::Storage(_))), "{bytes:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn flips_and_random_bytes_decode_or_fail_cleanly(
+            at in any::<usize>(),
+            mask in 1u8..255,
+            noise in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let mut bytes = sample();
+            let len = bytes.len();
+            bytes[at % len] ^= mask;
+            let _ = decode_state(&bytes);
+            let _ = decode_state(&noise);
+        }
+    }
 }

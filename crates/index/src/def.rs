@@ -2,20 +2,40 @@
 
 use crate::ch_index::ClassHierarchyIndex;
 use crate::sc_index::SingleClassIndex;
-use orion_types::{ClassId, Oid, Value};
+use orion_types::wire::get_u8;
+use orion_types::{ClassId, DbError, DbResult, Oid, Value};
 use std::ops::Bound;
 
-/// The three index species of §3.2.
+/// The three index species of §3.2. The discriminant is the kind's tag
+/// in system snapshots and on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexKind {
     /// One attribute of one class (the relational-style baseline).
-    SingleClass,
+    SingleClass = 0,
     /// One attribute across the class hierarchy rooted at the target.
-    ClassHierarchy,
+    ClassHierarchy = 1,
     /// A nested attribute (path of length ≥ 2) of the target class
     /// hierarchy: keys are values found at the end of the path, postings
     /// are *root* objects (\[BERT89\] nested-attribute index).
-    Nested,
+    Nested = 2,
+}
+
+impl IndexKind {
+    /// The kind's one-byte tag.
+    pub fn tag(&self) -> u8 {
+        self.clone() as u8
+    }
+
+    /// Decode a kind tag from the front of `buf`; errors are
+    /// [`DbError::Protocol`].
+    pub fn decode(buf: &mut &[u8]) -> DbResult<IndexKind> {
+        Ok(match get_u8(buf)? {
+            0 => IndexKind::SingleClass,
+            1 => IndexKind::ClassHierarchy,
+            2 => IndexKind::Nested,
+            other => return Err(DbError::Protocol(format!("bad index kind {other}"))),
+        })
+    }
 }
 
 /// Descriptor for one index.

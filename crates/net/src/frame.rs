@@ -7,58 +7,25 @@
 //! cost at most `max_frame` bytes of buffering, never an unbounded
 //! allocation.
 //!
-//! Two read paths share the format: the blocking [`read_frame`] (one
-//! frame per call, for raw streams), and the incremental
-//! [`FrameDecoder`] used by the server's event loop and by the client's
-//! per-connection read buffer — bytes are fed in as a read returns
+//! [`append_frame`] is the one encoder and [`FrameDecoder`] the one
+//! decoder, used by the server's event loop and by the client's
+//! per-connection read buffer alike: bytes are fed in as a read returns
 //! them, and complete frames are popped out, however the peer happened
 //! to fragment or coalesce them on the wire (both ends routinely pack
 //! many pipelined frames into one segment).
 
 use orion_types::{DbError, DbResult};
-use std::io::{ErrorKind, Read, Write};
+use std::io::Read;
 
 /// Default maximum frame payload (16 MiB) — large enough for any
 /// realistic query result, small enough to bound per-connection memory.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
-
-/// Write one frame (length prefix + payload) and flush. Prefix and
-/// payload go out in a single `write`: on an unbuffered socket with
-/// `TCP_NODELAY` two writes would be two syscalls and two segments.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    append_frame(&mut frame, payload);
-    w.write_all(&frame)?;
-    w.flush()
-}
 
 /// Append one frame to an in-memory buffer (the server's write path:
 /// frames accumulate here and drain to the socket as it accepts them).
 pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-}
-
-/// Read one frame, blocking until it arrives or the stream's own read
-/// timeout fires (the client side sets that to its request timeout).
-/// `Ok(None)` means clean EOF at a frame boundary.
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> std::io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read(&mut len_buf) {
-        Ok(0) => return Ok(None),
-        Ok(n) => r.read_exact(&mut len_buf[n..])?,
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > max_frame {
-        return Err(std::io::Error::new(
-            ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {max_frame}-byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
 }
 
 /// Incremental frame decoder for nonblocking reads: [`feed`] appends
@@ -152,42 +119,51 @@ pub fn io_err(context: &str, e: &std::io::Error) -> DbError {
     DbError::Net(format!("{context}: {e}"))
 }
 
-/// `write_frame` with [`DbError`] mapping, for protocol code.
-pub fn send(w: &mut impl Write, payload: &[u8]) -> DbResult<()> {
-    write_frame(w, payload).map_err(|e| io_err("send", &e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// Every frame `r` holds, read through one decoder to EOF.
+    fn read_all(r: &mut impl Read, max_frame: usize) -> DbResult<Vec<Vec<u8>>> {
+        let mut dec = FrameDecoder::new(max_frame);
+        let mut frames = Vec::new();
+        loop {
+            while let Some(f) = dec.next_frame()? {
+                frames.push(f);
+            }
+            if dec.read_from(r).expect("read") == 0 {
+                assert!(!dec.mid_frame(), "EOF inside a frame");
+                return Ok(frames);
+            }
+        }
+    }
+
     #[test]
     fn frame_roundtrip() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        let mut r = Cursor::new(buf);
-        assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap().as_deref(), Some(&b"hello"[..]));
-        assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap().as_deref(), Some(&b""[..]));
-        assert_eq!(read_frame(&mut r, MAX_FRAME).unwrap(), None, "clean EOF");
+        append_frame(&mut buf, b"hello");
+        append_frame(&mut buf, b"");
+        let frames = read_all(&mut Cursor::new(buf), MAX_FRAME).unwrap();
+        assert_eq!(frames, vec![b"hello".to_vec(), Vec::new()], "then clean EOF");
     }
 
     #[test]
     fn oversized_frame_is_rejected() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &[0u8; 64]).unwrap();
-        let mut r = Cursor::new(buf);
-        assert!(read_frame(&mut r, 63).is_err());
+        append_frame(&mut buf, &[0u8; 64]);
+        assert!(read_all(&mut Cursor::new(buf), 63).is_err());
     }
 
     #[test]
     fn truncated_frame_is_an_error_not_a_hang() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello world").unwrap();
+        append_frame(&mut buf, b"hello world");
         buf.truncate(buf.len() - 3);
-        let mut r = Cursor::new(buf);
-        assert!(read_frame(&mut r, MAX_FRAME).is_err());
+        let (mut r, mut dec) = (Cursor::new(buf), FrameDecoder::new(MAX_FRAME));
+        while dec.read_from(&mut r).expect("read") > 0 {}
+        assert_eq!(dec.next_frame().unwrap(), None, "no frame from a truncated one");
+        assert!(dec.mid_frame(), "the cut is visible to the stall clock");
     }
 
     #[test]

@@ -16,9 +16,10 @@ use bytes::BufMut;
 use orion_core::{AttrSpec, IndexKind, QueryResult};
 use orion_types::codec::{decode_value, encode_value};
 use orion_types::wire::{
-    get_opt_str, get_str, get_u32, get_u64, get_u8, need, put_opt_str, put_str,
+    get_bytes, get_count, get_opt_str, get_str, get_u16, get_u64, get_u8, put_bytes, put_opt_str,
+    put_str,
 };
-use orion_types::{DbError, DbResult, Domain, Oid, PrimitiveType, Value};
+use orion_types::{DbError, DbResult, Domain, Oid, Value};
 
 /// One entry of a checkout workspace: an object and its attribute
 /// values by name, editable offline on the client.
@@ -283,12 +284,7 @@ fn put_string_vec(out: &mut Vec<u8>, items: &[String]) {
 }
 
 fn get_string_vec(buf: &mut &[u8]) -> DbResult<Vec<String>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_str(buf)?);
-    }
-    Ok(out)
+    (0..get_count(buf, 4)?).map(|_| get_str(buf)).collect()
 }
 
 fn put_named_values(out: &mut Vec<u8>, attrs: &[(String, Value)]) {
@@ -300,14 +296,7 @@ fn put_named_values(out: &mut Vec<u8>, attrs: &[(String, Value)]) {
 }
 
 fn get_named_values(buf: &mut &[u8]) -> DbResult<Vec<(String, Value)>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = get_str(buf)?;
-        let value = decode_value(buf)?;
-        out.push((name, value));
-    }
-    Ok(out)
+    (0..get_count(buf, 5)?).map(|_| Ok((get_str(buf)?, decode_value(buf)?))).collect()
 }
 
 fn put_workspace(out: &mut Vec<u8>, ws: &[WorkspaceEntry]) {
@@ -319,114 +308,40 @@ fn put_workspace(out: &mut Vec<u8>, ws: &[WorkspaceEntry]) {
 }
 
 fn get_workspace(buf: &mut &[u8]) -> DbResult<Vec<WorkspaceEntry>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let oid = Oid::from_raw(get_u64(buf)?);
-        out.push((oid, get_named_values(buf)?));
-    }
-    Ok(out)
-}
-
-const DOM_PRIMITIVE: u8 = 0;
-const DOM_CLASS: u8 = 1;
-const DOM_SET_OF: u8 = 2;
-const DOM_LIST_OF: u8 = 3;
-const DOM_ANY: u8 = 4;
-
-fn put_domain(out: &mut Vec<u8>, d: &Domain) {
-    match d {
-        Domain::Primitive(p) => {
-            out.put_u8(DOM_PRIMITIVE);
-            out.put_u8(match p {
-                PrimitiveType::Int => 0,
-                PrimitiveType::Float => 1,
-                PrimitiveType::Bool => 2,
-                PrimitiveType::Str => 3,
-                PrimitiveType::Blob => 4,
-            });
-        }
-        Domain::Class(id) => {
-            out.put_u8(DOM_CLASS);
-            out.put_u16_le(id.raw());
-        }
-        Domain::SetOf(inner) => {
-            out.put_u8(DOM_SET_OF);
-            put_domain(out, inner);
-        }
-        Domain::ListOf(inner) => {
-            out.put_u8(DOM_LIST_OF);
-            put_domain(out, inner);
-        }
-        Domain::Any => out.put_u8(DOM_ANY),
-    }
-}
-
-fn get_domain(buf: &mut &[u8]) -> DbResult<Domain> {
-    Ok(match get_u8(buf)? {
-        DOM_PRIMITIVE => Domain::Primitive(match get_u8(buf)? {
-            0 => PrimitiveType::Int,
-            1 => PrimitiveType::Float,
-            2 => PrimitiveType::Bool,
-            3 => PrimitiveType::Str,
-            4 => PrimitiveType::Blob,
-            other => return Err(DbError::Protocol(format!("bad primitive tag {other}"))),
-        }),
-        DOM_CLASS => {
-            need(buf, 2)?;
-            let raw = u16::from_le_bytes([buf[0], buf[1]]);
-            *buf = &buf[2..];
-            Domain::Class(orion_types::ClassId(raw))
-        }
-        DOM_SET_OF => Domain::SetOf(Box::new(get_domain(buf)?)),
-        DOM_LIST_OF => Domain::ListOf(Box::new(get_domain(buf)?)),
-        DOM_ANY => Domain::Any,
-        other => return Err(DbError::Protocol(format!("bad domain tag {other}"))),
-    })
+    (0..get_count(buf, 12)?)
+        .map(|_| Ok((Oid::from_raw(get_u64(buf)?), get_named_values(buf)?)))
+        .collect()
 }
 
 fn put_attr_specs(out: &mut Vec<u8>, attrs: &[AttrSpec]) {
     out.put_u32_le(attrs.len() as u32);
     for a in attrs {
         put_str(out, &a.name);
-        put_domain(out, &a.domain);
+        a.domain.encode(out);
         encode_value(&a.default, out);
         out.put_u8(a.composite as u8);
     }
 }
 
 fn get_attr_specs(buf: &mut &[u8]) -> DbResult<Vec<AttrSpec>> {
-    let n = get_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let name = get_str(buf)?;
-        let domain = get_domain(buf)?;
-        let default = decode_value(buf)?;
-        let composite = get_u8(buf)? != 0;
-        let mut spec = AttrSpec::new(name, domain).with_default(default);
-        if composite {
-            spec = spec.composite();
+    (0..get_count(buf, 7)?)
+        .map(|_| {
+            let name = get_str(buf)?;
+            let spec = AttrSpec::new(name, Domain::decode(buf)?).with_default(decode_value(buf)?);
+            Ok(if get_u8(buf)? != 0 { spec.composite() } else { spec })
+        })
+        .collect()
+}
+
+/// A batch element, refused before it is decoded if it is itself a
+/// batch: one level of batching, and no recursion a frame can deepen.
+fn unnested(op: &[u8], batch_tag: u8) -> DbResult<&[u8]> {
+    match op.first() {
+        Some(&tag) if tag == batch_tag => {
+            Err(DbError::Protocol("nested batch is not allowed".into()))
         }
-        out.push(spec);
+        _ => Ok(op),
     }
-    Ok(out)
-}
-
-fn put_index_kind(out: &mut Vec<u8>, kind: &IndexKind) {
-    out.put_u8(match kind {
-        IndexKind::SingleClass => 0,
-        IndexKind::ClassHierarchy => 1,
-        IndexKind::Nested => 2,
-    });
-}
-
-fn get_index_kind(buf: &mut &[u8]) -> DbResult<IndexKind> {
-    Ok(match get_u8(buf)? {
-        0 => IndexKind::SingleClass,
-        1 => IndexKind::ClassHierarchy,
-        2 => IndexKind::Nested,
-        other => return Err(DbError::Protocol(format!("bad index kind {other}"))),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -483,7 +398,7 @@ impl Request {
             Request::CreateIndex { name, kind, class, path } => {
                 out.put_u8(REQ_CREATE_INDEX);
                 put_str(&mut out, name);
-                put_index_kind(&mut out, kind);
+                out.put_u8(kind.tag());
                 put_str(&mut out, class);
                 put_string_vec(&mut out, path);
             }
@@ -525,9 +440,7 @@ impl Request {
                     // Length-prefix each operation so the decoder can
                     // hold every element to the same trailing-byte
                     // discipline as a top-level frame.
-                    let bytes = op.encode();
-                    out.put_u32_le(bytes.len() as u32);
-                    out.extend_from_slice(&bytes);
+                    put_bytes(&mut out, &op.encode());
                 }
             }
         }
@@ -564,7 +477,7 @@ impl Request {
             },
             REQ_CREATE_INDEX => Request::CreateIndex {
                 name: get_str(buf)?,
-                kind: get_index_kind(buf)?,
+                kind: IndexKind::decode(buf)?,
                 class: get_str(buf)?,
                 path: get_string_vec(buf)?,
             },
@@ -583,21 +496,11 @@ impl Request {
                     }
                 },
             },
-            REQ_BATCH => {
-                let n = get_u32(buf)? as usize;
-                let mut ops = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let len = get_u32(buf)? as usize;
-                    need(buf, len)?;
-                    let op = Request::decode(&buf[..len])?;
-                    *buf = &buf[len..];
-                    if matches!(op, Request::Batch { .. }) {
-                        return Err(DbError::Protocol("nested batch is not allowed".into()));
-                    }
-                    ops.push(op);
-                }
-                Request::Batch { ops }
-            }
+            REQ_BATCH => Request::Batch {
+                ops: (0..get_count(buf, 5)?)
+                    .map(|_| Request::decode(unnested(get_bytes(buf)?, REQ_BATCH)?))
+                    .collect::<DbResult<_>>()?,
+            },
             other => return Err(DbError::Protocol(format!("unknown request tag {other}"))),
         };
         if !buf.is_empty() {
@@ -686,9 +589,7 @@ impl Response {
                 out.put_u8(RESP_BATCH);
                 out.put_u32_le(results.len() as u32);
                 for r in results {
-                    let bytes = r.encode();
-                    out.put_u32_le(bytes.len() as u32);
-                    out.extend_from_slice(&bytes);
+                    put_bytes(&mut out, &r.encode());
                 }
             }
         }
@@ -704,59 +605,30 @@ impl Response {
             RESP_HELLO => Response::Hello { session: get_u64(buf)? },
             RESP_PONG => Response::Pong,
             RESP_QUERY => {
-                let n_rows = get_u32(buf)? as usize;
-                let mut rows = Vec::with_capacity(n_rows.min(1024));
-                for _ in 0..n_rows {
-                    let n_cols = get_u32(buf)? as usize;
-                    let mut row = Vec::with_capacity(n_cols.min(64));
-                    for _ in 0..n_cols {
-                        row.push(decode_value(buf)?);
-                    }
-                    rows.push(row);
-                }
-                let n_oids = get_u32(buf)? as usize;
-                let mut oids = Vec::with_capacity(n_oids.min(1024));
-                for _ in 0..n_oids {
-                    oids.push(Oid::from_raw(get_u64(buf)?));
-                }
+                let rows = (0..get_count(buf, 4)?)
+                    .map(|_| (0..get_count(buf, 1)?).map(|_| decode_value(buf)).collect())
+                    .collect::<DbResult<_>>()?;
+                let oids = (0..get_count(buf, 8)?)
+                    .map(|_| get_u64(buf).map(Oid::from_raw))
+                    .collect::<DbResult<_>>()?;
                 Response::Query { rows, oids }
             }
             RESP_EXPLAIN => Response::Explain { text: get_str(buf)? },
             RESP_TXN => Response::Txn { id: get_u64(buf)? },
             RESP_CREATED => Response::Created { oid: Oid::from_raw(get_u64(buf)?) },
             RESP_VALUE => Response::Value(decode_value(buf)?),
-            RESP_CLASS => {
-                need(buf, 2)?;
-                let raw = u16::from_le_bytes([buf[0], buf[1]]);
-                *buf = &buf[2..];
-                Response::Class { class_id: raw }
-            }
+            RESP_CLASS => Response::Class { class_id: get_u16(buf)? },
             RESP_WORKSPACE => Response::Workspace(get_workspace(buf)?),
             RESP_STATS => Response::Stats { prometheus: get_str(buf)? },
             RESP_PREPARED => Response::Prepared { txn: get_u64(buf)? },
-            RESP_IN_DOUBT => {
-                let n = get_u32(buf)? as usize;
-                let mut txns = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    txns.push(get_u64(buf)?);
-                }
-                Response::InDoubt { txns }
-            }
-            RESP_BATCH => {
-                let n = get_u32(buf)? as usize;
-                let mut results = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let len = get_u32(buf)? as usize;
-                    need(buf, len)?;
-                    let r = Response::decode(&buf[..len])?;
-                    *buf = &buf[len..];
-                    if matches!(r, Response::Batch { .. }) {
-                        return Err(DbError::Protocol("nested batch is not allowed".into()));
-                    }
-                    results.push(r);
-                }
-                Response::Batch { results }
-            }
+            RESP_IN_DOUBT => Response::InDoubt {
+                txns: (0..get_count(buf, 8)?).map(|_| get_u64(buf)).collect::<DbResult<_>>()?,
+            },
+            RESP_BATCH => Response::Batch {
+                results: (0..get_count(buf, 5)?)
+                    .map(|_| Response::decode(unnested(get_bytes(buf)?, RESP_BATCH)?))
+                    .collect::<DbResult<_>>()?,
+            },
             other => return Err(DbError::Protocol(format!("unknown response tag {other}"))),
         };
         if !buf.is_empty() {
@@ -777,7 +649,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orion_types::ClassId;
+    use orion_types::{ClassId, PrimitiveType};
 
     fn rt_req(r: Request) {
         assert_eq!(Request::decode(&r.encode()).expect("decode"), r);

@@ -2,9 +2,10 @@
 //! concurrent clients.
 
 use orion_core::{AttrSpec, Database, DbConfig, Domain, PrimitiveType, Value};
-use orion_net::frame::{read_frame, write_frame, MAX_FRAME};
+use orion_net::frame::{append_frame, FrameDecoder, MAX_FRAME};
 use orion_net::{Client, ClientConfig, Request, Response, Server, ServerConfig};
 use orion_types::{DbError, Oid};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -220,8 +221,7 @@ fn connection_cap_overflow_is_rejected_with_server_busy() {
     b.ping().unwrap();
     // Over capacity: turned away at the door with a reason, not a slam.
     let mut rejected = TcpStream::connect(addr).unwrap();
-    let payload = read_frame(&mut rejected, MAX_FRAME).unwrap().expect("a rejection frame");
-    match Response::decode(&payload).unwrap() {
+    match exchange(&mut rejected, None) {
         Response::Err(DbError::ServerBusy) => {}
         other => panic!("expected ServerBusy, got {other:?}"),
     }
@@ -300,6 +300,23 @@ fn a_request_longer_than_idle_timeout_does_not_evict_its_own_session() {
     server.shutdown();
 }
 
+/// Send `request` (if any) on a raw stream and read the one reply it
+/// gets; nothing else is in flight, so the decoder may end with it.
+fn exchange(raw: &mut TcpStream, request: Option<&Request>) -> Response {
+    if let Some(request) = request {
+        let mut frame = Vec::new();
+        append_frame(&mut frame, &request.encode());
+        raw.write_all(&frame).unwrap();
+    }
+    let mut replies = FrameDecoder::new(MAX_FRAME);
+    loop {
+        if let Some(frame) = replies.next_frame().unwrap() {
+            return Response::decode(&frame).unwrap();
+        }
+        assert!(replies.read_from(raw).unwrap() > 0, "connection closed before a reply");
+    }
+}
+
 #[test]
 fn protocol_violations_are_answered_not_dropped() {
     let (db, _) = fleet_db(DbConfig::default());
@@ -308,18 +325,56 @@ fn protocol_violations_are_answered_not_dropped() {
 
     // A request before Hello is a protocol error.
     let mut raw = TcpStream::connect(addr).unwrap();
-    write_frame(&mut raw, &Request::Ping.encode()).unwrap();
-    let payload = read_frame(&mut raw, MAX_FRAME).unwrap().expect("an error frame");
-    assert!(matches!(Response::decode(&payload).unwrap(), Response::Err(DbError::Protocol(_))));
+    let reply = exchange(&mut raw, Some(&Request::Ping));
+    assert!(matches!(reply, Response::Err(DbError::Protocol(_))));
 
     // So is a second Hello on an open session.
     let mut raw = TcpStream::connect(addr).unwrap();
-    write_frame(&mut raw, &Request::Hello { principal: None }.encode()).unwrap();
-    let payload = read_frame(&mut raw, MAX_FRAME).unwrap().expect("a hello ack");
-    assert!(matches!(Response::decode(&payload).unwrap(), Response::Hello { .. }));
-    write_frame(&mut raw, &Request::Hello { principal: None }.encode()).unwrap();
-    let payload = read_frame(&mut raw, MAX_FRAME).unwrap().expect("an error frame");
-    assert!(matches!(Response::decode(&payload).unwrap(), Response::Err(DbError::Protocol(_))));
+    let hello = Request::Hello { principal: None };
+    assert!(matches!(exchange(&mut raw, Some(&hello)), Response::Hello { .. }));
+    assert!(matches!(exchange(&mut raw, Some(&hello)), Response::Err(DbError::Protocol(_))));
+    server.shutdown();
+}
+
+#[test]
+fn a_deeply_nested_value_is_refused_without_killing_the_server() {
+    let (db, vehicle) = fleet_db(DbConfig::default());
+    let server = Server::bind(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let hello = exchange(&mut raw, Some(&Request::Hello { principal: None }));
+    assert!(matches!(hello, Response::Hello { .. }));
+
+    // `Set weight = {{{ ... {null} ... }}}`, 100 000 sets deep: 500 KB,
+    // far under the frame cap. Built as bytes: a `Value` that deep would
+    // overflow this thread's stack too.
+    let mut set = Request::Set { oid: vehicle, attr: "weight".into(), value: Value::Null }.encode();
+    set.pop(); // the null value's tag
+    for _ in 0..100_000 {
+        set.push(6); // a set
+        set.extend_from_slice(&1u32.to_le_bytes()); // of one element
+    }
+    set.push(0); // innermost: null
+    let mut frame = Vec::new();
+    append_frame(&mut frame, &set);
+    raw.write_all(&frame).unwrap();
+    // An error reply, or the connection closed: either way no abort.
+    let mut replies = FrameDecoder::new(MAX_FRAME);
+    let reply = loop {
+        match replies.next_frame() {
+            Ok(Some(frame)) => break Some(Response::decode(&frame).unwrap()),
+            Ok(None) => {}
+            Err(_) => break None,
+        }
+        if replies.read_from(&mut raw).map_or(true, |n| n == 0) {
+            break None;
+        }
+    };
+    assert!(matches!(reply, None | Some(Response::Err(_))), "{reply:?}");
+
+    // Every other session is still served.
+    Client::connect(addr).unwrap().ping().unwrap();
     server.shutdown();
 }
 

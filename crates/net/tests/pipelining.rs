@@ -2,7 +2,7 @@
 //! sockets: the contracts PR 9's evented core must keep.
 
 use orion_core::{AttrSpec, Database, DbConfig, Domain, PrimitiveType, Value};
-use orion_net::frame::{append_frame, read_frame, MAX_FRAME};
+use orion_net::frame::{append_frame, FrameDecoder, MAX_FRAME};
 use orion_net::{Client, Request, Response, Server, ServerConfig};
 use orion_types::{DbError, Oid};
 use std::net::TcpStream;
@@ -171,24 +171,16 @@ fn teardown_behind_a_queued_request_still_honors_disconnect_rollback() {
 
     // Victim session: explicit transaction with one confirmed write.
     let mut victim = TcpStream::connect(addr).unwrap();
+    let mut replies = FrameDecoder::new(MAX_FRAME);
     victim.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut blob = Vec::new();
     frame_into(&mut blob, &Request::Hello { principal: None });
     frame_into(&mut blob, &Request::Begin);
     frame_into(&mut blob, &Request::Set { oid, attr: "n".into(), value: Value::Int(99) });
     victim.write_all(&blob).unwrap();
-    assert!(matches!(
-        Response::decode(&read_frame(&mut victim, MAX_FRAME).unwrap().unwrap()).unwrap(),
-        Response::Hello { .. }
-    ));
-    assert!(matches!(
-        Response::decode(&read_frame(&mut victim, MAX_FRAME).unwrap().unwrap()).unwrap(),
-        Response::Txn { .. }
-    ));
-    assert!(matches!(
-        Response::decode(&read_frame(&mut victim, MAX_FRAME).unwrap().unwrap()).unwrap(),
-        Response::Ok
-    ));
+    assert!(matches!(read_response(&mut victim, &mut replies), Response::Hello { .. }));
+    assert!(matches!(read_response(&mut victim, &mut replies), Response::Txn { .. }));
+    assert!(matches!(read_response(&mut victim, &mut replies), Response::Ok));
 
     // Park the executor behind the gate.
     let mut blocker = Client::connect(addr).unwrap();
@@ -442,11 +434,11 @@ fn raw_pipelined_frames_in_one_write_are_all_answered() {
     use std::io::Write as _;
     raw.write_all(&blob).unwrap();
 
-    let hello = read_frame(&mut raw, MAX_FRAME).unwrap().expect("hello ack");
-    assert!(matches!(Response::decode(&hello).unwrap(), Response::Hello { .. }));
+    let mut replies = FrameDecoder::new(MAX_FRAME);
+    assert!(matches!(read_response(&mut raw, &mut replies), Response::Hello { .. }));
     for _ in 0..10 {
-        let reply = read_frame(&mut raw, MAX_FRAME).unwrap().expect("a value reply");
-        assert!(matches!(Response::decode(&reply).unwrap(), Response::Value(Value::Int(3))));
+        let reply = read_response(&mut raw, &mut replies);
+        assert!(matches!(reply, Response::Value(Value::Int(3))));
     }
     server.shutdown();
 }
@@ -455,8 +447,15 @@ fn raw_pipelined_frames_in_one_write_are_all_answered() {
 // Lane ownership: who runs, who writes, who yields
 // ---------------------------------------------------------------------
 
-fn read_response(stream: &mut TcpStream) -> Response {
-    Response::decode(&read_frame(stream, MAX_FRAME).unwrap().expect("a reply frame")).unwrap()
+/// The next reply on `stream`. `replies` lives as long as the stream:
+/// one read may bring several replies, and the rest wait in it.
+fn read_response(stream: &mut TcpStream, replies: &mut FrameDecoder) -> Response {
+    loop {
+        if let Some(frame) = replies.next_frame().unwrap() {
+            return Response::decode(&frame).unwrap();
+        }
+        assert!(replies.read_from(stream).unwrap() > 0, "connection closed before a reply");
+    }
 }
 
 /// A request hook that parks every `Get` until the gate opens.
@@ -497,12 +496,13 @@ fn replies_keep_arrival_order(dribble: bool) {
     )
     .unwrap();
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut replies = FrameDecoder::new(MAX_FRAME);
     raw.set_nodelay(true).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut hello = Vec::new();
     append_frame(&mut hello, &Request::Hello { principal: None }.encode());
     raw.write_all(&hello).unwrap();
-    assert!(matches!(read_response(&mut raw), Response::Hello { .. }));
+    assert!(matches!(read_response(&mut raw, &mut replies), Response::Hello { .. }));
 
     // The first Get parks the only executor inside the hook, so what
     // follows meets a full pipeline whether it arrives in one segment
@@ -533,20 +533,22 @@ fn replies_keep_arrival_order(dribble: bool) {
         cv.notify_all();
     }
     for k in [0i64, 1] {
-        assert!(matches!(read_response(&mut raw), Response::Value(Value::Int(n)) if n == k));
+        let reply = read_response(&mut raw, &mut replies);
+        assert!(matches!(reply, Response::Value(Value::Int(n)) if n == k));
     }
-    assert!(matches!(read_response(&mut raw), Response::Err(DbError::Protocol(_))));
+    assert!(matches!(read_response(&mut raw, &mut replies), Response::Err(DbError::Protocol(_))));
     for k in [2i64, 3] {
-        assert!(matches!(read_response(&mut raw), Response::Value(Value::Int(n)) if n == k));
+        let reply = read_response(&mut raw, &mut replies);
+        assert!(matches!(reply, Response::Value(Value::Int(n)) if n == k));
     }
-    assert!(matches!(read_response(&mut raw), Response::Err(DbError::ServerBusy)));
-    assert!(matches!(read_response(&mut raw), Response::Err(DbError::Protocol(_))));
-    assert!(matches!(read_response(&mut raw), Response::Err(DbError::ServerBusy)));
+    assert!(matches!(read_response(&mut raw, &mut replies), Response::Err(DbError::ServerBusy)));
+    assert!(matches!(read_response(&mut raw, &mut replies), Response::Err(DbError::Protocol(_))));
+    assert!(matches!(read_response(&mut raw, &mut replies), Response::Err(DbError::ServerBusy)));
     // The session survived all of it.
     let mut ping = Vec::new();
     append_frame(&mut ping, &Request::Ping.encode());
     raw.write_all(&ping).unwrap();
-    assert!(matches!(read_response(&mut raw), Response::Pong));
+    assert!(matches!(read_response(&mut raw, &mut replies), Response::Pong));
     server.shutdown();
 }
 
@@ -699,6 +701,7 @@ fn a_peer_that_never_reads_is_parked_then_disconnected_without_blocking_an_execu
     // The hostile session: an open transaction with one write in it,
     // then 48 large queries whose replies it never reads.
     let mut hostile = TcpStream::connect(addr).unwrap();
+    let mut replies = FrameDecoder::new(MAX_FRAME);
     hostile.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut blob = Vec::new();
     append_frame(&mut blob, &Request::Hello { principal: None }.encode());
@@ -708,9 +711,9 @@ fn a_peer_that_never_reads_is_parked_then_disconnected_without_blocking_an_execu
         &Request::Set { oid: oids[0], attr: "n".into(), value: Value::Int(-1) }.encode(),
     );
     hostile.write_all(&blob).unwrap();
-    assert!(matches!(read_response(&mut hostile), Response::Hello { .. }));
-    assert!(matches!(read_response(&mut hostile), Response::Txn { .. }));
-    assert!(matches!(read_response(&mut hostile), Response::Ok));
+    assert!(matches!(read_response(&mut hostile, &mut replies), Response::Hello { .. }));
+    assert!(matches!(read_response(&mut hostile, &mut replies), Response::Txn { .. }));
+    assert!(matches!(read_response(&mut hostile, &mut replies), Response::Ok));
     let sent = 48u64;
     let executed_before = db.stats().net.request_latency.count;
     let mut blob = Vec::new();

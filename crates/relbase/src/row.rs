@@ -2,9 +2,10 @@
 //! the orion value codec so rows and objects cost the same bytes.
 
 use orion_types::codec::{decode_value, encode_value};
+use orion_types::wire::{get_count16, get_u64, retag};
 use orion_types::{DbError, DbResult, Value};
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 /// Encode a row as `rowid | column count | values...`.
 pub fn encode_row(rowid: u64, values: &[Value]) -> Vec<u8> {
@@ -20,15 +21,9 @@ pub fn encode_row(rowid: u64, values: &[Value]) -> Vec<u8> {
 /// Decode a row.
 pub fn decode_row(mut bytes: &[u8]) -> DbResult<(u64, Vec<Value>)> {
     let buf = &mut bytes;
-    if buf.remaining() < 10 {
-        return Err(DbError::Storage("truncated row".into()));
-    }
-    let rowid = buf.get_u64_le();
-    let count = buf.get_u16_le() as usize;
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(decode_value(buf)?);
-    }
+    let rowid = get_u64(buf).map_err(retag(DbError::Storage))?;
+    let count = get_count16(buf, 1).map_err(retag(DbError::Storage))?;
+    let values = (0..count).map(|_| decode_value(buf)).collect::<DbResult<_>>()?;
     Ok((rowid, values))
 }
 

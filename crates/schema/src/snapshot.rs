@@ -9,108 +9,54 @@
 use crate::catalog::Catalog;
 use crate::class::{Attribute, Class, MethodSig};
 use orion_types::codec::{decode_value, encode_value};
-use orion_types::{ClassId, DbError, DbResult, Domain, PrimitiveType};
+use orion_types::wire::{
+    get_count, get_count16, get_str, get_u16, get_u32, get_u8, put_str, retag,
+};
+use orion_types::{ClassId, DbError, DbResult, Domain};
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 const MAGIC: u32 = 0x0D10_CA7A; // "odio-cata(log)"
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.put_u32_le(s.len() as u32);
-    out.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut &[u8]) -> DbResult<String> {
-    if buf.remaining() < 4 {
-        return Err(DbError::Storage("truncated snapshot string".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(DbError::Storage("truncated snapshot string body".into()));
-    }
-    let s = String::from_utf8(buf[..len].to_vec())
-        .map_err(|_| DbError::Storage("invalid UTF-8 in snapshot".into()))?;
-    buf.advance(len);
-    Ok(s)
-}
-
-fn put_domain(out: &mut Vec<u8>, domain: &Domain) {
-    match domain {
-        Domain::Primitive(p) => {
-            out.put_u8(0);
-            out.put_u8(match p {
-                PrimitiveType::Int => 0,
-                PrimitiveType::Float => 1,
-                PrimitiveType::Bool => 2,
-                PrimitiveType::Str => 3,
-                PrimitiveType::Blob => 4,
-            });
-        }
-        Domain::Class(c) => {
-            out.put_u8(1);
-            out.put_u16_le(c.0);
-        }
-        Domain::SetOf(inner) => {
-            out.put_u8(2);
-            put_domain(out, inner);
-        }
-        Domain::ListOf(inner) => {
-            out.put_u8(3);
-            put_domain(out, inner);
-        }
-        Domain::Any => out.put_u8(4),
-    }
-}
-
-fn get_domain(buf: &mut &[u8]) -> DbResult<Domain> {
-    if buf.remaining() < 1 {
-        return Err(DbError::Storage("truncated snapshot domain".into()));
-    }
-    Ok(match buf.get_u8() {
-        0 => {
-            let p = match buf.get_u8() {
-                0 => PrimitiveType::Int,
-                1 => PrimitiveType::Float,
-                2 => PrimitiveType::Bool,
-                3 => PrimitiveType::Str,
-                4 => PrimitiveType::Blob,
-                other => {
-                    return Err(DbError::Storage(format!("bad primitive tag {other}")))
-                }
-            };
-            Domain::Primitive(p)
-        }
-        1 => Domain::Class(ClassId(buf.get_u16_le())),
-        2 => Domain::SetOf(Box::new(get_domain(buf)?)),
-        3 => Domain::ListOf(Box::new(get_domain(buf)?)),
-        4 => Domain::Any,
-        other => return Err(DbError::Storage(format!("bad domain tag {other}"))),
-    })
-}
 
 fn put_attribute(out: &mut Vec<u8>, attr: &Attribute) {
     out.put_u32_le(attr.id);
     put_str(out, &attr.name);
-    put_domain(out, &attr.domain);
+    attr.domain.encode(out);
     encode_value(&attr.default, out);
     out.put_u8(attr.composite as u8);
     out.put_u16_le(attr.defined_in.0);
 }
 
 fn get_attribute(buf: &mut &[u8]) -> DbResult<Attribute> {
-    if buf.remaining() < 4 {
-        return Err(DbError::Storage("truncated snapshot attribute".into()));
-    }
-    let id = buf.get_u32_le();
+    Ok(Attribute {
+        id: get_u32(buf)?,
+        name: get_str(buf)?,
+        domain: Domain::decode(buf)?,
+        default: decode_value(buf)?,
+        composite: get_u8(buf)? != 0,
+        defined_in: ClassId(get_u16(buf)?),
+    })
+}
+
+fn get_class(buf: &mut &[u8]) -> DbResult<Class> {
+    let id = ClassId(get_u16(buf)?);
     let name = get_str(buf)?;
-    let domain = get_domain(buf)?;
-    let default = decode_value(buf)?;
-    if buf.remaining() < 3 {
-        return Err(DbError::Storage("truncated snapshot attribute tail".into()));
-    }
-    let composite = buf.get_u8() != 0;
-    let defined_in = ClassId(buf.get_u16_le());
-    Ok(Attribute { id, name, domain, default, composite, defined_in })
+    let version = get_u32(buf)?;
+    let supers =
+        (0..get_count16(buf, 2)?).map(|_| get_u16(buf).map(ClassId)).collect::<DbResult<_>>()?;
+    // An attribute is at least 13 bytes, a method signature 7.
+    let local_attrs =
+        (0..get_count16(buf, 13)?).map(|_| get_attribute(buf)).collect::<DbResult<_>>()?;
+    let local_methods = (0..get_count16(buf, 7)?)
+        .map(|_| {
+            Ok(MethodSig {
+                selector: get_str(buf)?,
+                arity: get_u8(buf)?,
+                defined_in: ClassId(get_u16(buf)?),
+            })
+        })
+        .collect::<DbResult<_>>()?;
+    Ok(Class { id, name, supers, local_attrs, local_methods, version })
 }
 
 impl Catalog {
@@ -153,63 +99,8 @@ impl Catalog {
 
     /// Rebuild a catalog from a snapshot. Read caches start cold; the
     /// restored catalog validates clean or the restore fails.
-    pub fn restore(bytes: &[u8]) -> DbResult<Catalog> {
-        let mut buf = bytes;
-        let buf = &mut buf;
-        if buf.remaining() < 16 {
-            return Err(DbError::Storage("truncated catalog snapshot".into()));
-        }
-        let magic = buf.get_u32_le();
-        if magic != MAGIC {
-            return Err(DbError::Storage(format!(
-                "bad catalog snapshot magic {magic:#x}"
-            )));
-        }
-        let version = buf.get_u32_le();
-        let next_attr_id = buf.get_u32_le();
-        let count = buf.get_u32_le() as usize;
-        let mut slots: Vec<Option<Class>> = Vec::with_capacity(count);
-        for _ in 0..count {
-            if buf.remaining() < 1 {
-                return Err(DbError::Storage("truncated snapshot class".into()));
-            }
-            match buf.get_u8() {
-                0 => slots.push(None),
-                1 => {
-                    let id = ClassId(buf.get_u16_le());
-                    let name = get_str(buf)?;
-                    let class_version = buf.get_u32_le();
-                    let n_supers = buf.get_u16_le() as usize;
-                    let mut supers = Vec::with_capacity(n_supers);
-                    for _ in 0..n_supers {
-                        supers.push(ClassId(buf.get_u16_le()));
-                    }
-                    let n_attrs = buf.get_u16_le() as usize;
-                    let mut local_attrs = Vec::with_capacity(n_attrs);
-                    for _ in 0..n_attrs {
-                        local_attrs.push(get_attribute(buf)?);
-                    }
-                    let n_methods = buf.get_u16_le() as usize;
-                    let mut local_methods = Vec::with_capacity(n_methods);
-                    for _ in 0..n_methods {
-                        let selector = get_str(buf)?;
-                        let arity = buf.get_u8();
-                        let defined_in = ClassId(buf.get_u16_le());
-                        local_methods.push(MethodSig { selector, arity, defined_in });
-                    }
-                    slots.push(Some(Class {
-                        id,
-                        name,
-                        supers,
-                        local_attrs,
-                        local_methods,
-                        version: class_version,
-                    }));
-                }
-                other => return Err(DbError::Storage(format!("bad class tag {other}"))),
-            }
-        }
-        let catalog = Catalog::from_parts(slots, next_attr_id, version);
+    pub fn restore(mut bytes: &[u8]) -> DbResult<Catalog> {
+        let catalog = decode_catalog(&mut bytes).map_err(retag(DbError::Storage))?;
         let problems = catalog.validate();
         if !problems.is_empty() {
             return Err(DbError::Storage(format!(
@@ -221,12 +112,29 @@ impl Catalog {
     }
 }
 
+fn decode_catalog(buf: &mut &[u8]) -> DbResult<Catalog> {
+    let magic = get_u32(buf)?;
+    if magic != MAGIC {
+        return Err(DbError::Storage(format!("bad catalog snapshot magic {magic:#x}")));
+    }
+    let version = get_u32(buf)?;
+    let next_attr_id = get_u32(buf)?;
+    let slots = (0..get_count(buf, 1)?)
+        .map(|_| match get_u8(buf)? {
+            0 => Ok(None),
+            1 => get_class(buf).map(Some),
+            other => Err(DbError::Storage(format!("bad class tag {other}"))),
+        })
+        .collect::<DbResult<_>>()?;
+    Ok(Catalog::from_parts(slots, next_attr_id, version))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::class::AttrSpec;
     use crate::SchemaChange;
-    use orion_types::Value;
+    use orion_types::{PrimitiveType, Value};
 
     fn build() -> Catalog {
         let mut cat = Catalog::new();
@@ -312,5 +220,19 @@ mod tests {
         let mut corrupt = bytes.clone();
         corrupt[0] ^= 0xFF;
         assert!(Catalog::restore(&corrupt).is_err(), "magic check");
+    }
+
+    #[test]
+    fn every_truncation_and_an_oversized_count_are_storage_errors() {
+        let bytes = build().snapshot();
+        for cut in 0..bytes.len() {
+            let err = Catalog::restore(&bytes[..cut]).expect_err("a cut snapshot must fail");
+            assert!(matches!(err, DbError::Storage(_)), "cut {cut}: {err:?}");
+        }
+        // A bare header claiming u32::MAX classes: refused before any
+        // allocation sized by the claim.
+        let mut header = bytes[..12].to_vec();
+        header.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(Catalog::restore(&header), Err(DbError::Storage(_))));
     }
 }

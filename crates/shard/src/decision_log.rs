@@ -9,19 +9,23 @@
 //! (presumed abort), so abort decisions never need to be logged for
 //! correctness — they are recorded anyway for observability.
 //!
-//! Frame format per entry, mirroring the WAL's:
+//! Each entry is one `orion_storage::frame`, the WAL's frame:
 //! `[len u32][crc32 u32][body]`, body =
 //! `gtid u64 | commit u8 | n u32 | (shard u32, local_txn u64) * n`,
-//! all little-endian. Replay stops at the first short or corrupt
-//! frame and truncates the file there, so a torn tail from a crash
-//! mid-append reads as "no decision" — which presumed abort makes
-//! safe.
+//! all little-endian. Replay runs the WAL's frame scanner, so the
+//! WAL's corruption rule holds here too: a torn or corrupt frame with
+//! nothing valid after it is a torn tail from a crash mid-append,
+//! truncated away and read as "no decision" — which presumed abort
+//! makes safe; a corrupt frame *followed by* an intact one means
+//! logged decisions are damaged, and opening the log fails with
+//! `DbError::Corruption`, leaving the file as it is.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
-use orion_storage::crc32;
+use orion_storage::frame::{put_frame, scan};
+use orion_types::wire::{get_count, get_u32, get_u64, get_u8};
 use orion_types::{DbError, DbResult};
 use parking_lot::Mutex;
 
@@ -66,51 +70,22 @@ fn encode(d: &Decision) -> Vec<u8> {
         body.extend_from_slice(&shard.to_le_bytes());
         body.extend_from_slice(&txn.to_le_bytes());
     }
-    let mut frame = Vec::with_capacity(8 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&body).to_le_bytes());
-    frame.extend_from_slice(&body);
+    let mut frame = Vec::new();
+    put_frame(&mut frame, &body);
     frame
 }
 
-fn u32_at(b: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(b[at..at + 4].try_into().unwrap())
-}
-
-fn u64_at(b: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(b[at..at + 8].try_into().unwrap())
-}
-
-/// Decode every whole, checksummed frame; return the entries plus the
-/// byte offset of the valid prefix.
-fn replay(bytes: &[u8]) -> (Vec<Decision>, usize) {
-    let mut entries = Vec::new();
-    let mut at = 0usize;
-    loop {
-        if bytes.len() - at < 8 {
-            return (entries, at);
-        }
-        let len = u32_at(bytes, at) as usize;
-        let crc = u32_at(bytes, at + 4);
-        if bytes.len() - at - 8 < len || len < 13 {
-            return (entries, at);
-        }
-        let body = &bytes[at + 8..at + 8 + len];
-        if crc32(body) != crc {
-            return (entries, at);
-        }
-        let gtid = u64_at(body, 0);
-        let commit = body[8] != 0;
-        let n = u32_at(body, 9) as usize;
-        if len != 13 + 12 * n {
-            return (entries, at);
-        }
-        let participants = (0..n)
-            .map(|i| (u32_at(body, 13 + 12 * i), u64_at(body, 17 + 12 * i)))
-            .collect();
-        entries.push(Decision { gtid, commit, participants });
-        at += 8 + len;
+fn decode(mut body: &[u8]) -> DbResult<Decision> {
+    let buf = &mut body;
+    let gtid = get_u64(buf)?;
+    let commit = get_u8(buf)? != 0;
+    let participants = (0..get_count(buf, 12)?)
+        .map(|_| Ok((get_u32(buf)?, get_u64(buf)?)))
+        .collect::<DbResult<_>>()?;
+    if !buf.is_empty() {
+        return Err(DbError::Protocol("trailing bytes after a decision".into()));
     }
+    Ok(Decision { gtid, commit, participants })
 }
 
 impl DecisionLog {
@@ -129,7 +104,7 @@ impl DecisionLog {
                 let mut bytes = Vec::new();
                 file.read_to_end(&mut bytes)
                     .map_err(|e| DbError::Shard(format!("decision log read: {e}")))?;
-                let (entries, valid) = replay(&bytes);
+                let (entries, valid) = scan(&bytes, decode)?;
                 if valid < bytes.len() {
                     // Torn tail from a crash mid-append: drop it so the
                     // next append starts on a frame boundary.
@@ -137,7 +112,10 @@ impl DecisionLog {
                         .and_then(|()| file.seek(SeekFrom::End(0)).map(drop))
                         .map_err(|e| DbError::Shard(format!("decision log truncate: {e}")))?;
                 }
-                LogInner { entries, file: Some(file) }
+                LogInner {
+                    entries: entries.into_iter().map(|(_, d)| d).collect(),
+                    file: Some(file),
+                }
             }
         };
         Ok(DecisionLog { inner: Mutex::new(inner) })
@@ -270,6 +248,31 @@ mod tests {
         let log = DecisionLog::open(&spec).unwrap();
         assert_eq!(log.decisions().len(), 1);
         assert_eq!(log.decision_for(0, 6), None);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn interior_corruption_refuses_to_open() {
+        let dir = std::env::temp_dir().join(format!("orion-dlog-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("interior.dlog");
+        let _ = std::fs::remove_file(&path);
+        let spec = DecisionLogSpec::File(path.clone());
+        {
+            let log = DecisionLog::open(&spec).unwrap();
+            for gtid in 1..=3 {
+                log.record(d(gtid, true, &[(0, gtid + 4), (1, gtid + 8)])).unwrap();
+            }
+        }
+        // Rot one byte of the first frame's body: the two decisions after
+        // it are intact, so this is no torn tail but lost history.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8 + 2] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = DecisionLog::open(&spec).err().expect("a damaged interior must not open");
+        assert!(matches!(err, DbError::Corruption(_)), "{err:?}");
+        // Nothing was truncated: the damage stays for an operator to see.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -24,6 +24,9 @@
 //!   hit/miss/eviction counters (experiment E10 reads these).
 //! * [`HeapFile`] — record storage with free-space tracking and
 //!   placement hints for composite-object clustering.
+//! * [`frame`] — the checksummed `len | crc32 | body` frame of every
+//!   on-disk log (the WAL and the 2PC decision log) and the one scanner
+//!   that reads such a log back, torn tail vs. damaged interior.
 //! * [`Wal`] / [`StorageEngine`] — logical (slot-granular) logging with
 //!   redo/undo restart recovery, quiescent checkpoints, and a `crash()`
 //!   test hook that drops all volatile state (experiment E13).
@@ -38,6 +41,7 @@ pub mod buffer;
 pub mod disk;
 pub mod engine;
 pub mod fault;
+pub mod frame;
 pub mod heap;
 pub mod slotted;
 pub mod wal;

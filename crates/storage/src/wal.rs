@@ -8,14 +8,14 @@
 //! the buffer pool's write-ahead hook) appends the tail to the device
 //! and syncs it.
 //!
-//! Every record is framed as `len (u32) | crc32 (u32) | body`, so a torn
-//! or rotted record is *detected*, never replayed as garbage. Reading
-//! the stable log applies the ARIES tail discipline: a torn or
-//! CRC-invalid record with nothing valid after it marks end-of-log and
-//! is truncated away (the padded gap keeps LSNs monotone — see
-//! [`LogRecord::Pad`]); a corrupt record *followed by* valid records
-//! means the log interior is damaged, which is unrecoverable and
-//! reported as [`DbError::Corruption`].
+//! Every record is one [`crate::frame`] (`len (u32) | crc32 (u32) |
+//! body`), so a torn or rotted record is *detected*, never replayed as
+//! garbage. Reading the stable log applies the frame scanner's ARIES
+//! tail discipline: a torn or CRC-invalid record with nothing valid
+//! after it marks end-of-log and is truncated away (the padded gap keeps
+//! LSNs monotone — see [`LogRecord::Pad`]); a corrupt record *followed
+//! by* valid records means the log interior is damaged, which is
+//! unrecoverable and reported as [`DbError::Corruption`].
 //!
 //! A partial flush (injected via [`crate::fault`]) promotes only part of
 //! the tail and fails; the remainder stays buffered, so the log heals on
@@ -32,16 +32,18 @@
 
 use crate::backend::StorageBackend;
 use crate::disk::SimDisk;
-use crate::fault::{crc32, FaultInjector, FaultKind, FaultSite};
+use crate::fault::{FaultInjector, FaultKind, FaultSite};
+use crate::frame::{frame_end, put_frame, scan, FRAME_HEADER};
 use crate::heap::Rid;
 use orion_obs::{Counter, Histogram, HistogramSnapshot, SpanTimer};
+use orion_types::wire::{get_bytes, get_u16, get_u32, get_u64, get_u8, put_bytes, retag};
 use orion_types::{DbError, DbResult};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 /// A log sequence number: the byte offset of a record's start in the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -170,22 +172,12 @@ fn put_rid(out: &mut Vec<u8>, rid: Rid) {
     out.put_u16_le(rid.slot);
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    out.put_u32_le(bytes.len() as u32);
-    out.put_slice(bytes);
+fn get_rid(buf: &mut &[u8]) -> DbResult<Rid> {
+    Ok(Rid { page: crate::disk::PageId(get_u32(buf)?), slot: get_u16(buf)? })
 }
 
-fn get_rid(buf: &mut &[u8]) -> Rid {
-    let page = crate::disk::PageId(buf.get_u32_le());
-    let slot = buf.get_u16_le();
-    Rid { page, slot }
-}
-
-fn get_bytes(buf: &mut &[u8]) -> Vec<u8> {
-    let len = buf.get_u32_le() as usize;
-    let out = buf[..len].to_vec();
-    buf.advance(len);
-    out
+fn get_image(buf: &mut &[u8]) -> DbResult<Vec<u8>> {
+    get_bytes(buf).map(<[u8]>::to_vec)
 }
 
 const T_BEGIN: u8 = 1;
@@ -201,17 +193,6 @@ const T_PREPARE: u8 = 10;
 const A_REINSERT: u8 = 1;
 const A_OVERWRITE: u8 = 2;
 const A_REMOVE: u8 = 3;
-
-/// Bytes of frame overhead per record: length prefix + body CRC.
-const FRAME_HEADER: usize = 8;
-
-fn frame(body: &[u8]) -> Vec<u8> {
-    let mut framed = Vec::with_capacity(body.len() + FRAME_HEADER);
-    framed.put_u32_le(body.len() as u32);
-    framed.put_u32_le(crc32(body));
-    framed.extend_from_slice(body);
-    framed
-}
 
 fn encode(rec: &LogRecord) -> Vec<u8> {
     let mut body = Vec::with_capacity(32);
@@ -279,57 +260,45 @@ fn encode(rec: &LogRecord) -> Vec<u8> {
             body.put_u8(T_PAD);
         }
     }
-    frame(&body)
+    let mut framed = Vec::new();
+    put_frame(&mut framed, &body);
+    framed
 }
 
 fn decode(mut body: &[u8]) -> DbResult<LogRecord> {
-    let buf = &mut body;
-    if buf.remaining() < 1 {
+    if body.is_empty() {
         // A zero-length body is the minimal pad frame (a gap too small
         // to carry even a tag byte).
         return Ok(LogRecord::Pad);
     }
-    let tag = buf.get_u8();
-    let rec = match tag {
-        T_BEGIN => LogRecord::Begin { txn: buf.get_u64_le() },
+    decode_tagged(&mut body).map_err(retag(DbError::Wal))
+}
+
+fn decode_tagged(buf: &mut &[u8]) -> DbResult<LogRecord> {
+    Ok(match get_u8(buf)? {
+        T_BEGIN => LogRecord::Begin { txn: get_u64(buf)? },
         T_INSERT => {
-            let txn = buf.get_u64_le();
-            let rid = get_rid(buf);
-            let bytes = get_bytes(buf);
-            LogRecord::Insert { txn, rid, bytes }
+            LogRecord::Insert { txn: get_u64(buf)?, rid: get_rid(buf)?, bytes: get_image(buf)? }
         }
-        T_UPDATE => {
-            let txn = buf.get_u64_le();
-            let rid = get_rid(buf);
-            let before = get_bytes(buf);
-            let after = get_bytes(buf);
-            LogRecord::Update { txn, rid, before, after }
-        }
+        T_UPDATE => LogRecord::Update {
+            txn: get_u64(buf)?,
+            rid: get_rid(buf)?,
+            before: get_image(buf)?,
+            after: get_image(buf)?,
+        },
         T_DELETE => {
-            let txn = buf.get_u64_le();
-            let rid = get_rid(buf);
-            let before = get_bytes(buf);
-            LogRecord::Delete { txn, rid, before }
+            LogRecord::Delete { txn: get_u64(buf)?, rid: get_rid(buf)?, before: get_image(buf)? }
         }
-        T_COMMIT => LogRecord::Commit { txn: buf.get_u64_le() },
-        T_ABORT => LogRecord::Abort { txn: buf.get_u64_le() },
-        T_PREPARE => LogRecord::Prepare { txn: buf.get_u64_le() },
+        T_COMMIT => LogRecord::Commit { txn: get_u64(buf)? },
+        T_ABORT => LogRecord::Abort { txn: get_u64(buf)? },
+        T_PREPARE => LogRecord::Prepare { txn: get_u64(buf)? },
         T_CLR => {
-            let txn = buf.get_u64_le();
-            let compensates = buf.get_u64_le();
-            let atag = buf.get_u8();
-            let action = match atag {
-                A_REINSERT => {
-                    let rid = get_rid(buf);
-                    let bytes = get_bytes(buf);
-                    ClrAction::ReInsert { rid, bytes }
-                }
-                A_OVERWRITE => {
-                    let rid = get_rid(buf);
-                    let bytes = get_bytes(buf);
-                    ClrAction::Overwrite { rid, bytes }
-                }
-                A_REMOVE => ClrAction::Remove { rid: get_rid(buf) },
+            let txn = get_u64(buf)?;
+            let compensates = get_u64(buf)?;
+            let action = match get_u8(buf)? {
+                A_REINSERT => ClrAction::ReInsert { rid: get_rid(buf)?, bytes: get_image(buf)? },
+                A_OVERWRITE => ClrAction::Overwrite { rid: get_rid(buf)?, bytes: get_image(buf)? },
+                A_REMOVE => ClrAction::Remove { rid: get_rid(buf)? },
                 other => return Err(DbError::Wal(format!("bad CLR action tag {other}"))),
             };
             LogRecord::Clr { txn, compensates, action }
@@ -337,8 +306,7 @@ fn decode(mut body: &[u8]) -> DbResult<LogRecord> {
         T_CHECKPOINT => LogRecord::Checkpoint,
         T_PAD => LogRecord::Pad,
         other => return Err(DbError::Wal(format!("bad log record tag {other}"))),
-    };
-    Ok(rec)
+    })
 }
 
 #[derive(Debug)]
@@ -497,8 +465,7 @@ impl Wal {
             let (mut at, mut next) = (inner.head_rest, inner.head_rest);
             while next <= cut {
                 at = next;
-                let len = inner.tail[at..at + 4].try_into().expect("a four-byte slice");
-                next = at + FRAME_HEADER + u32::from_le_bytes(len) as usize;
+                next = frame_end(&inner.tail, at).expect("the tail holds whole frames");
             }
             inner.complete = inner.stable_len + at as u64;
             inner.head_rest = if at == cut { 0 } else { next - cut };
@@ -685,36 +652,17 @@ impl Wal {
     /// [`DbError::Corruption`].
     pub fn stable_records(&self) -> DbResult<Vec<(Lsn, LogRecord)>> {
         let mut inner = self.inner.lock();
-        let mut out = Vec::new();
         // Parsed where the device keeps it; the loan ends before any
         // repair writes to the device.
-        let torn = {
+        let (records, valid, len) = {
             let log = self.backend.log_read()?;
-            let mut at = 0usize;
-            loop {
-                if at == log.len() {
-                    break None;
-                }
-                match parse_frame(&log, at) {
-                    Some((rec, next)) => {
-                        out.push((Lsn(at as u64), rec));
-                        at = next;
-                    }
-                    // Damaged record. Tail or interior? Framing past it
-                    // (when the length field is intact) tells us.
-                    None if valid_record_after(&log, at) => {
-                        return Err(DbError::Corruption(format!(
-                            "WAL record at offset {at} is corrupt but later records are \
-                             intact: log interior damaged"
-                        )));
-                    }
-                    None => break Some((at, log.len() - at)),
-                }
-            }
+            let (records, valid) = scan(&log, decode)?;
+            (records, valid, log.len())
         };
-        if let Some((at, gap)) = torn {
-            self.truncate_torn_tail(&mut inner, at, gap)?;
-            out.push((Lsn(at as u64), LogRecord::Pad));
+        let mut out: Vec<_> = records.into_iter().map(|(at, rec)| (Lsn(at as u64), rec)).collect();
+        if valid < len {
+            self.truncate_torn_tail(&mut inner, valid, len - valid)?;
+            out.push((Lsn(valid as u64), LogRecord::Pad));
         }
         Ok(out)
     }
@@ -731,7 +679,8 @@ impl Wal {
             body.push(T_PAD);
             body.resize(body_len, 0);
         }
-        let framed = frame(&body);
+        let mut framed = Vec::new();
+        put_frame(&mut framed, &body);
         self.backend.log_truncate(at as u64)?;
         self.backend.log_append(&framed)?;
         self.backend.log_sync()?;
@@ -740,46 +689,6 @@ impl Wal {
         self.torn_truncations.inc();
         Ok(())
     }
-}
-
-/// Parse the frame at `at` into `(record, next_offset)`; `None` when the
-/// frame is torn or fails its CRC or decode.
-fn parse_frame(stable: &[u8], at: usize) -> Option<(LogRecord, usize)> {
-    if at + FRAME_HEADER > stable.len() {
-        return None; // torn frame header
-    }
-    let len = u32::from_le_bytes(stable[at..at + 4].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(stable[at + 4..at + 8].try_into().unwrap());
-    let body_start = at + FRAME_HEADER;
-    if body_start + len > stable.len() {
-        return None; // torn body
-    }
-    let body = &stable[body_start..body_start + len];
-    if crc32(body) != crc {
-        return None;
-    }
-    // CRC passed but body malformed: treat as damage.
-    decode(body).ok().map(|rec| (rec, body_start + len))
-}
-
-/// Is there any fully valid record after the damaged frame at `at`?
-/// Walks frame lengths as long as they are intact; the first valid CRC +
-/// decode proves the damage is interior, not a torn tail.
-fn valid_record_after(stable: &[u8], at: usize) -> bool {
-    let mut cursor = at;
-    while cursor + FRAME_HEADER <= stable.len() {
-        let len =
-            u32::from_le_bytes(stable[cursor..cursor + 4].try_into().unwrap()) as usize;
-        let next = cursor + FRAME_HEADER + len;
-        if next > stable.len() {
-            return false; // ran off the end: everything from `at` is tail
-        }
-        if cursor > at && parse_frame(stable, cursor).is_some() {
-            return true;
-        }
-        cursor = next;
-    }
-    false
 }
 
 #[cfg(test)]

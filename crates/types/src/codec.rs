@@ -11,7 +11,9 @@
 use crate::error::{DbError, DbResult};
 use crate::oid::Oid;
 use crate::value::Value;
-use bytes::{Buf, BufMut};
+use crate::wire::{get_bytes, get_count, get_count16, get_str, get_u32, get_u64, get_u8};
+use crate::wire::{put_bytes, put_str, retag, take};
+use bytes::BufMut;
 
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
@@ -22,6 +24,11 @@ const TAG_REF: u8 = 5;
 const TAG_SET: u8 = 6;
 const TAG_LIST: u8 = 7;
 const TAG_BLOB: u8 = 8;
+
+/// How deep sets and lists may nest inside one value. The decoders
+/// reject anything deeper and [`crate::Domain::admits`] refuses to store
+/// it, so no record or request makes a decoder recurse past this.
+pub const MAX_NESTING: usize = 64;
 
 /// Append the encoding of `value` to `out`.
 pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
@@ -41,8 +48,7 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
         }
         Value::Str(s) => {
             out.put_u8(TAG_STR);
-            out.put_u32_le(s.len() as u32);
-            out.put_slice(s.as_bytes());
+            put_str(out, s);
         }
         Value::Ref(oid) => {
             out.put_u8(TAG_REF);
@@ -64,101 +70,70 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
         }
         Value::Blob(bytes) => {
             out.put_u8(TAG_BLOB);
-            out.put_u32_le(bytes.len() as u32);
-            out.put_slice(bytes);
+            put_bytes(out, bytes);
         }
-    }
-}
-
-fn need(buf: &&[u8], n: usize) -> DbResult<()> {
-    if buf.remaining() < n {
-        Err(DbError::Storage(format!(
-            "truncated value encoding: need {n} bytes, have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
     }
 }
 
 /// Decode one value from the front of `buf`, advancing it.
 pub fn decode_value(buf: &mut &[u8]) -> DbResult<Value> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_INT => {
-            need(buf, 8)?;
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        TAG_FLOAT => {
-            need(buf, 8)?;
-            Ok(Value::Float(buf.get_f64_le()))
-        }
-        TAG_BOOL => {
-            need(buf, 1)?;
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        TAG_STR => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            let bytes = buf[..len].to_vec();
-            buf.advance(len);
-            String::from_utf8(bytes)
-                .map(Value::Str)
-                .map_err(|_| DbError::Storage("invalid UTF-8 in string value".into()))
-        }
-        TAG_REF => {
-            need(buf, 8)?;
-            Ok(Value::Ref(Oid::from_raw(buf.get_u64_le())))
-        }
-        TAG_SET | TAG_LIST => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            let mut items = Vec::with_capacity(len.min(1024));
+    value_at(buf, 0).map_err(retag(DbError::Storage))
+}
+
+fn value_at(buf: &mut &[u8], depth: usize) -> DbResult<Value> {
+    Ok(match get_u8(buf)? {
+        TAG_NULL => Value::Null,
+        TAG_INT => Value::Int(get_u64(buf)? as i64),
+        TAG_FLOAT => Value::Float(f64::from_bits(get_u64(buf)?)),
+        TAG_BOOL => Value::Bool(get_u8(buf)? != 0),
+        TAG_STR => Value::Str(get_str(buf)?),
+        TAG_REF => Value::Ref(Oid::from_raw(get_u64(buf)?)),
+        tag @ (TAG_SET | TAG_LIST) => {
+            let len = collection_len(buf, depth)?;
+            let mut items = Vec::with_capacity(len);
             for _ in 0..len {
-                items.push(decode_value(buf)?);
+                items.push(value_at(buf, depth + 1)?);
             }
-            Ok(if tag == TAG_SET { Value::Set(items) } else { Value::List(items) })
+            if tag == TAG_SET {
+                Value::Set(items)
+            } else {
+                Value::List(items)
+            }
         }
-        TAG_BLOB => {
-            need(buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len)?;
-            let bytes = buf[..len].to_vec();
-            buf.advance(len);
-            Ok(Value::Blob(bytes))
-        }
-        other => Err(DbError::Storage(format!("unknown value tag {other}"))),
+        TAG_BLOB => Value::Blob(get_bytes(buf)?.to_vec()),
+        other => return Err(DbError::Protocol(format!("unknown value tag {other}"))),
+    })
+}
+
+/// The element count of a set or list found at `depth`, held to the
+/// count rule and to [`MAX_NESTING`].
+fn collection_len(buf: &mut &[u8], depth: usize) -> DbResult<usize> {
+    if depth >= MAX_NESTING {
+        return Err(DbError::Protocol(format!("value nested deeper than {MAX_NESTING} levels")));
     }
+    get_count(buf, 1)
 }
 
 /// Step over one encoded value at the front of `buf` without
 /// materializing it: fixed-width values and length-prefixed payloads
 /// are skipped by their length, collections element by element.
 pub fn skip_value(buf: &mut &[u8]) -> DbResult<()> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
-    let fixed = match tag {
-        TAG_NULL => 0,
-        TAG_INT | TAG_FLOAT | TAG_REF => 8,
-        TAG_BOOL => 1,
-        TAG_STR | TAG_BLOB => {
-            need(buf, 4)?;
-            buf.get_u32_le() as usize
-        }
+    skip_at(buf, 0).map_err(retag(DbError::Storage))
+}
+
+fn skip_at(buf: &mut &[u8], depth: usize) -> DbResult<()> {
+    match get_u8(buf)? {
+        TAG_NULL => {}
+        TAG_INT | TAG_FLOAT | TAG_REF => drop(take(buf, 8)?),
+        TAG_BOOL => drop(take(buf, 1)?),
+        TAG_STR | TAG_BLOB => drop(get_bytes(buf)?),
         TAG_SET | TAG_LIST => {
-            need(buf, 4)?;
-            for _ in 0..buf.get_u32_le() {
-                skip_value(buf)?;
+            for _ in 0..collection_len(buf, depth)? {
+                skip_at(buf, depth + 1)?;
             }
-            0
         }
-        other => return Err(DbError::Storage(format!("unknown value tag {other}"))),
-    };
-    need(buf, fixed)?;
-    buf.advance(fixed);
+        other => return Err(DbError::Protocol(format!("unknown value tag {other}"))),
+    }
     Ok(())
 }
 
@@ -184,10 +159,7 @@ impl ObjectRecord {
 
     /// Look up one attribute's value by id.
     pub fn get(&self, attr_id: u32) -> Option<&Value> {
-        self.attrs
-            .binary_search_by_key(&attr_id, |(id, _)| *id)
-            .ok()
-            .map(|i| &self.attrs[i].1)
+        self.attrs.binary_search_by_key(&attr_id, |(id, _)| *id).ok().map(|i| &self.attrs[i].1)
     }
 
     /// Set (or insert) one attribute's value.
@@ -228,23 +200,22 @@ impl ObjectRecord {
     /// stepped over by length (a scan that reads two attributes of a
     /// wide record allocates for two). The result equals
     /// [`ObjectRecord::decode`]'s with the rejected attributes removed.
-    pub fn decode_projected(
-        mut buf: &[u8],
-        keep: impl Fn(u32) -> bool,
-    ) -> DbResult<ObjectRecord> {
-        let buf = &mut buf;
-        need(buf, 14)?;
-        let oid = Oid::from_raw(buf.get_u64_le());
-        let schema_version = buf.get_u32_le();
-        let count = buf.get_u16_le() as usize;
+    pub fn decode_projected(buf: &[u8], keep: impl Fn(u32) -> bool) -> DbResult<ObjectRecord> {
+        Self::record_at(&mut { buf }, keep).map_err(retag(DbError::Storage))
+    }
+
+    fn record_at(buf: &mut &[u8], keep: impl Fn(u32) -> bool) -> DbResult<ObjectRecord> {
+        let oid = Oid::from_raw(get_u64(buf)?);
+        let schema_version = get_u32(buf)?;
+        // An attribute is at least its id and a tag byte.
+        let count = get_count16(buf, 5)?;
         let mut attrs = Vec::with_capacity(count);
         for _ in 0..count {
-            need(buf, 4)?;
-            let attr_id = buf.get_u32_le();
+            let attr_id = get_u32(buf)?;
             if keep(attr_id) {
-                attrs.push((attr_id, decode_value(buf)?));
+                attrs.push((attr_id, value_at(buf, 0)?));
             } else {
-                skip_value(buf)?;
+                skip_at(buf, 0)?;
             }
         }
         Ok(ObjectRecord { oid, schema_version, attrs })
@@ -366,5 +337,47 @@ mod tests {
     #[test]
     fn record_decode_rejects_garbage() {
         assert!(ObjectRecord::decode(&[1, 2, 3]).is_err());
+    }
+
+    /// `depth` sets, one inside the other, around a null — as bytes, so
+    /// the test itself never builds (or drops) a deep `Value`.
+    fn nested_sets(depth: usize) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for _ in 0..depth {
+            bytes.push(TAG_SET);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+        }
+        bytes.push(TAG_NULL);
+        bytes
+    }
+
+    #[test]
+    fn nesting_is_capped_in_decode_skip_and_admission() {
+        let ok = nested_sets(MAX_NESTING);
+        let value = decode_value(&mut ok.as_slice()).expect("at the cap");
+        assert_eq!(value.nesting(), MAX_NESTING);
+        assert!(skip_value(&mut ok.as_slice()).is_ok());
+        assert!(crate::Domain::Any.admits(&value, &|_, _| true));
+
+        for depth in [MAX_NESTING + 1, 100_000] {
+            let deep = nested_sets(depth);
+            assert!(matches!(decode_value(&mut deep.as_slice()), Err(DbError::Storage(_))));
+            assert!(matches!(skip_value(&mut deep.as_slice()), Err(DbError::Storage(_))));
+        }
+        let over = Value::set(vec![value]);
+        assert!(!crate::Domain::Any.admits(&over, &|_, _| true), "no store of what cannot load");
+    }
+
+    #[test]
+    fn counts_past_the_input_fail_before_allocating() {
+        for tag in [TAG_SET, TAG_LIST] {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_value(&mut bytes.as_slice()).is_err());
+            assert!(skip_value(&mut bytes.as_slice()).is_err());
+        }
+        let mut record = ObjectRecord::new(Oid::new(ClassId(1), 1), 0, vec![]).encode();
+        record[12..14].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(matches!(ObjectRecord::decode(&record), Err(DbError::Storage(_))));
     }
 }

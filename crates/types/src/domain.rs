@@ -8,24 +8,43 @@
 //! user classes (by [`ClassId`], permitting self-reference and cycles in
 //! the aggregation graph), or set/list constructors over another domain.
 
+use crate::codec::MAX_NESTING;
+use crate::error::{DbError, DbResult};
 use crate::oid::ClassId;
 use crate::value::Value;
+use crate::wire::{get_u16, get_u8};
 use std::fmt;
 
-/// The system-defined primitive classes.
+/// The system-defined primitive classes. The discriminant is the
+/// type's tag in the [`Domain`] encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrimitiveType {
     /// 64-bit signed integer.
-    Int,
+    Int = 0,
     /// 64-bit IEEE float.
-    Float,
+    Float = 1,
     /// Boolean.
-    Bool,
+    Bool = 2,
     /// UTF-8 string.
-    Str,
+    Str = 3,
     /// Long unstructured data.
-    Blob,
+    Blob = 4,
 }
+
+/// Every primitive type, indexed by its tag.
+const PRIMITIVES: [PrimitiveType; 5] = [
+    PrimitiveType::Int,
+    PrimitiveType::Float,
+    PrimitiveType::Bool,
+    PrimitiveType::Str,
+    PrimitiveType::Blob,
+];
+
+const DOM_PRIMITIVE: u8 = 0;
+const DOM_CLASS: u8 = 1;
+const DOM_SET_OF: u8 = 2;
+const DOM_LIST_OF: u8 = 3;
+const DOM_ANY: u8 = 4;
 
 impl PrimitiveType {
     /// Canonical name as used by the schema language.
@@ -89,7 +108,16 @@ impl Domain {
     /// the domain class *or any of its subclasses*, the paper's
     /// "interpretation of a class as the generalization of all its
     /// subclasses ... extended to the domain of an attribute" (§3.2).
+    /// No value nested deeper than [`MAX_NESTING`] conforms: the codec
+    /// could not read it back.
     pub fn admits<F>(&self, value: &Value, is_subclass: &F) -> bool
+    where
+        F: Fn(ClassId, ClassId) -> bool,
+    {
+        value.nesting() <= MAX_NESTING && self.conforms(value, is_subclass)
+    }
+
+    fn conforms<F>(&self, value: &Value, is_subclass: &F) -> bool
     where
         F: Fn(ClassId, ClassId) -> bool,
     {
@@ -105,10 +133,10 @@ impl Domain {
                 is_subclass(oid.class(), *domain_class)
             }
             (Domain::SetOf(inner), Value::Set(items)) => {
-                items.iter().all(|item| inner.admits(item, is_subclass))
+                items.iter().all(|item| inner.conforms(item, is_subclass))
             }
             (Domain::ListOf(inner), Value::List(items)) => {
-                items.iter().all(|item| inner.admits(item, is_subclass))
+                items.iter().all(|item| inner.conforms(item, is_subclass))
             }
             _ => false,
         }
@@ -148,6 +176,62 @@ impl Domain {
             }
             _ => false,
         }
+    }
+
+    /// Append this domain's encoding, the one catalog snapshots and the
+    /// wire share: a tag byte, then the primitive's tag, the class id,
+    /// or the element domain.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Domain::Primitive(p) => out.extend([DOM_PRIMITIVE, *p as u8]),
+            Domain::Class(c) => {
+                out.push(DOM_CLASS);
+                out.extend(c.0.to_le_bytes());
+            }
+            Domain::SetOf(inner) => {
+                out.push(DOM_SET_OF);
+                inner.encode(out);
+            }
+            Domain::ListOf(inner) => {
+                out.push(DOM_LIST_OF);
+                inner.encode(out);
+            }
+            Domain::Any => out.push(DOM_ANY),
+        }
+    }
+
+    /// Decode a domain from the front of `buf`. Sets and lists nest at
+    /// most [`MAX_NESTING`] deep; errors are [`DbError::Protocol`].
+    pub fn decode(buf: &mut &[u8]) -> DbResult<Domain> {
+        Domain::decode_at(buf, 0)
+    }
+
+    fn decode_at(buf: &mut &[u8], depth: usize) -> DbResult<Domain> {
+        Ok(match get_u8(buf)? {
+            DOM_PRIMITIVE => {
+                let tag = get_u8(buf)?;
+                let p = PRIMITIVES.get(tag as usize);
+                Domain::Primitive(
+                    *p.ok_or_else(|| DbError::Protocol(format!("bad primitive tag {tag}")))?,
+                )
+            }
+            DOM_CLASS => Domain::Class(ClassId(get_u16(buf)?)),
+            tag @ (DOM_SET_OF | DOM_LIST_OF) => {
+                if depth >= MAX_NESTING {
+                    return Err(DbError::Protocol(format!(
+                        "domain nested deeper than {MAX_NESTING} levels"
+                    )));
+                }
+                let inner = Box::new(Domain::decode_at(buf, depth + 1)?);
+                if tag == DOM_SET_OF {
+                    Domain::SetOf(inner)
+                } else {
+                    Domain::ListOf(inner)
+                }
+            }
+            DOM_ANY => Domain::Any,
+            other => return Err(DbError::Protocol(format!("bad domain tag {other}"))),
+        })
     }
 }
 
@@ -216,6 +300,34 @@ mod tests {
         assert_eq!(Domain::set_of_class(c).leaf_class(), Some(c));
         assert_eq!(Domain::Primitive(PrimitiveType::Int).leaf_class(), None);
         assert!(Domain::set_of_class(c).is_reference());
+    }
+
+    #[test]
+    fn codec_roundtrips_and_caps_nesting() {
+        for d in [
+            Domain::Primitive(PrimitiveType::Int),
+            Domain::Primitive(PrimitiveType::Blob),
+            Domain::Class(ClassId(513)),
+            Domain::set_of_class(ClassId(9)),
+            Domain::ListOf(Box::new(Domain::SetOf(Box::new(Domain::Any)))),
+            Domain::Any,
+        ] {
+            let mut bytes = Vec::new();
+            d.encode(&mut bytes);
+            let mut buf = bytes.as_slice();
+            assert_eq!(Domain::decode(&mut buf).unwrap(), d);
+            assert!(buf.is_empty());
+            for cut in 0..bytes.len() {
+                assert!(Domain::decode(&mut &bytes[..cut]).is_err(), "{d} cut at {cut}");
+            }
+        }
+        assert!(Domain::decode(&mut &[DOM_PRIMITIVE, 5][..]).is_err());
+        assert!(Domain::decode(&mut &[9][..]).is_err());
+        let deep = |n| [vec![DOM_SET_OF; n], vec![DOM_ANY]].concat();
+        assert!(Domain::decode(&mut deep(MAX_NESTING).as_slice()).is_ok());
+        for n in [MAX_NESTING + 1, 100_000] {
+            assert!(matches!(Domain::decode(&mut deep(n).as_slice()), Err(DbError::Protocol(_))));
+        }
     }
 
     #[test]

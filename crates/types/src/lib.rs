@@ -11,8 +11,9 @@
 //!   arbitrary user classes (§3.1 concept 4),
 //! * [`DbError`] / [`DbResult`] — the error type used across the system,
 //! * [`codec`] — the binary on-page encoding of values and objects,
-//! * [`wire`] — wire-codec primitives on top of [`codec`]: prefixed
-//!   strings and the lossless [`DbError`] encoding the network layer
+//! * [`wire`] — the bounds-checked read primitives every decoder in the
+//!   system uses (prefixed strings and bytes, integers, element counts),
+//!   and the lossless [`DbError`] encoding the network layer
 //!   (`orion-net`) ships between client and server.
 //!
 //! Nothing in this crate depends on storage, schema, or query processing;

@@ -105,6 +105,12 @@ impl Value {
         }
     }
 
+    /// How many sets and lists nest in this value: 0 for a scalar.
+    pub fn nesting(&self) -> usize {
+        self.as_elements()
+            .map_or(0, |items| 1 + items.iter().map(Value::nesting).max().unwrap_or(0))
+    }
+
     /// Every OID directly referenced by this value, in order of
     /// appearance. Drives reverse-reference maintenance for nested
     /// indexes and composite-object bookkeeping.

@@ -1,36 +1,134 @@
-//! Wire codec primitives shared by the network layer (`orion-net`).
+//! The checked byte-reading primitives every decoder in the system is
+//! built from, plus the wire-only codecs on top of them.
 //!
-//! The on-page value codec (`crate::codec`) already defines how a
-//! [`Value`] becomes bytes; this module adds the pieces a wire protocol
-//! needs on top: length-prefixed strings, optional strings, and — the
-//! load-bearing part — a **lossless** encoding of [`DbError`], so a
+//! Every hand-written byte format (value and record codec, `Domain`,
+//! catalog and system snapshots, WAL and decision-log bodies, requests
+//! and responses, relbase rows) reads its input only through the `get_*`
+//! functions here. Each one checks the bytes left before it reads, so a
+//! truncated or garbled input is an `Err`, never a panic; and an element
+//! count is read only through [`get_count`] / [`get_count16`], which
+//! refuse a count of more elements than the bytes left could hold, so
+//! nothing is allocated or looped over on a count's say-so. The
+//! primitives fail with [`DbError::Protocol`]; a decoder below the wire
+//! reports the same message under its own variant via [`retag`].
+//!
+//! The wire-only part is a **lossless** encoding of [`DbError`], so a
 //! failure raised deep inside the server surfaces on the client as the
 //! *same* variant (a remote `LockTimeout` must still match
 //! `DbError::LockTimeout { .. }` in the caller's code, not collapse
-//! into a stringly-typed catch-all).
-//!
-//! Everything here is plain bytes in/bytes out: socket framing (length
-//! prefixes per message, timeouts, backpressure) lives in `orion-net`.
+//! into a stringly-typed catch-all). Socket framing lives in `orion-net`.
 
 use crate::error::{DbError, DbResult};
 use crate::oid::{ClassId, Oid};
 use crate::value::Value;
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
+
+#[cold]
+fn truncated(n: usize, have: usize) -> DbError {
+    DbError::Protocol(format!("truncated input: need {n} more byte(s), have {have}"))
+}
+
+/// Take the next `n` bytes off the front of `buf`.
+#[inline]
+pub(crate) fn take<'a>(buf: &mut &'a [u8], n: usize) -> DbResult<&'a [u8]> {
+    let (head, rest) = buf.split_at_checked(n).ok_or_else(|| truncated(n, buf.len()))?;
+    *buf = rest;
+    Ok(head)
+}
+
+#[inline]
+fn array<const N: usize>(buf: &mut &[u8]) -> DbResult<[u8; N]> {
+    let (head, rest) = buf.split_first_chunk::<N>().ok_or_else(|| truncated(N, buf.len()))?;
+    *buf = rest;
+    Ok(*head)
+}
+
+/// Decode one byte.
+#[inline]
+pub fn get_u8(buf: &mut &[u8]) -> DbResult<u8> {
+    Ok(array::<1>(buf)?[0])
+}
+
+/// Decode a `u16` (little-endian).
+#[inline]
+pub fn get_u16(buf: &mut &[u8]) -> DbResult<u16> {
+    array(buf).map(u16::from_le_bytes)
+}
+
+/// Decode a `u32` (little-endian).
+#[inline]
+pub fn get_u32(buf: &mut &[u8]) -> DbResult<u32> {
+    array(buf).map(u32::from_le_bytes)
+}
+
+/// Decode a `u64` (little-endian).
+#[inline]
+pub fn get_u64(buf: &mut &[u8]) -> DbResult<u64> {
+    array(buf).map(u64::from_le_bytes)
+}
+
+/// The count rule: `count` elements of at least `each` bytes must fit in
+/// what is left of `buf`. Returns `count`, now safe to allocate for.
+#[inline]
+fn fits(buf: &[u8], count: usize, each: usize) -> DbResult<usize> {
+    if count.saturating_mul(each) > buf.len() {
+        return Err(DbError::Protocol(format!(
+            "count {count} exceeds the {} byte(s) left",
+            buf.len()
+        )));
+    }
+    Ok(count)
+}
+
+/// Decode a `u32` count of elements, each at least `each` bytes long,
+/// refused if that many could not fit in what is left of `buf`.
+#[inline]
+pub fn get_count(buf: &mut &[u8], each: usize) -> DbResult<usize> {
+    let count = get_u32(buf)? as usize;
+    fits(buf, count, each)
+}
+
+/// [`get_count`] for a `u16` count.
+#[inline]
+pub fn get_count16(buf: &mut &[u8], each: usize) -> DbResult<usize> {
+    let count = get_u16(buf)? as usize;
+    fits(buf, count, each)
+}
+
+/// Append length-prefixed bytes.
+pub fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.put_u32_le(bytes.len() as u32);
+    out.put_slice(bytes);
+}
+
+/// Decode length-prefixed bytes, borrowed from `buf`.
+#[inline]
+pub fn get_bytes<'a>(buf: &mut &'a [u8]) -> DbResult<&'a [u8]> {
+    let len = get_u32(buf)? as usize;
+    take(buf, len)
+}
 
 /// Append a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.put_u32_le(s.len() as u32);
-    out.put_slice(s.as_bytes());
+    put_bytes(out, s.as_bytes());
 }
 
 /// Decode a length-prefixed UTF-8 string from the front of `buf`.
+#[inline]
 pub fn get_str(buf: &mut &[u8]) -> DbResult<String> {
-    need(buf, 4)?;
-    let len = buf.get_u32_le() as usize;
-    need(buf, len)?;
-    let bytes = buf[..len].to_vec();
-    buf.advance(len);
-    String::from_utf8(bytes).map_err(|_| DbError::Protocol("invalid UTF-8 in string".into()))
+    std::str::from_utf8(get_bytes(buf)?)
+        .map(str::to_owned)
+        .map_err(|_| DbError::Protocol("invalid UTF-8 in string".into()))
+}
+
+/// Re-tag a decoding failure for a decoder below the wire: the
+/// primitives report [`DbError::Protocol`], a storage-side decoder
+/// reports the same message as `variant` (`Storage`, `Wal`).
+pub fn retag(variant: fn(String) -> DbError) -> impl Fn(DbError) -> DbError {
+    move |e| match e {
+        DbError::Protocol(msg) => variant(msg),
+        other => other,
+    }
 }
 
 /// Append an optional length-prefixed string (presence byte first).
@@ -46,41 +144,10 @@ pub fn put_opt_str(out: &mut Vec<u8>, s: Option<&str>) {
 
 /// Decode an optional length-prefixed string.
 pub fn get_opt_str(buf: &mut &[u8]) -> DbResult<Option<String>> {
-    need(buf, 1)?;
-    match buf.get_u8() {
+    match get_u8(buf)? {
         0 => Ok(None),
         1 => Ok(Some(get_str(buf)?)),
         other => Err(DbError::Protocol(format!("bad option byte {other}"))),
-    }
-}
-
-/// Decode a `u64` (little-endian).
-pub fn get_u64(buf: &mut &[u8]) -> DbResult<u64> {
-    need(buf, 8)?;
-    Ok(buf.get_u64_le())
-}
-
-/// Decode a `u32` (little-endian).
-pub fn get_u32(buf: &mut &[u8]) -> DbResult<u32> {
-    need(buf, 4)?;
-    Ok(buf.get_u32_le())
-}
-
-/// Decode one byte.
-pub fn get_u8(buf: &mut &[u8]) -> DbResult<u8> {
-    need(buf, 1)?;
-    Ok(buf.get_u8())
-}
-
-/// Require `n` more bytes or fail with a protocol error.
-pub fn need(buf: &&[u8], n: usize) -> DbResult<()> {
-    if buf.remaining() < n {
-        Err(DbError::Protocol(format!(
-            "truncated message: need {n} more byte(s), have {}",
-            buf.remaining()
-        )))
-    } else {
-        Ok(())
     }
 }
 
@@ -248,10 +315,7 @@ pub fn decode_error(buf: &mut &[u8]) -> DbResult<DbError> {
     let tag = get_u8(buf)?;
     Ok(match tag {
         ERR_UNKNOWN_CLASS => DbError::UnknownClass(get_str(buf)?),
-        ERR_UNKNOWN_CLASS_ID => {
-            need(buf, 2)?;
-            DbError::UnknownClassId(ClassId(buf.get_u16_le()))
-        }
+        ERR_UNKNOWN_CLASS_ID => DbError::UnknownClassId(ClassId(get_u16(buf)?)),
         ERR_UNKNOWN_ATTRIBUTE => {
             DbError::UnknownAttribute { class: get_str(buf)?, attribute: get_str(buf)? }
         }

@@ -50,6 +50,24 @@ if [ -n "$strays" ]; then
   exit 1
 fi
 
+# One home per byte format: strings and domains are coded only in
+# orion_types (whose checked reads every decoder uses, so bytes::Buf's
+# panicking getters stay out), and frame checksums only in orion_storage.
+if grep -rnE 'fn (put|get)_(str|domain)\b' src tests examples crates shims --include='*.rs' \
+    | grep -v '^crates/types/src/'; then
+  echo "FAIL: a string or Domain codec outside crates/types/src — use orion_types::wire / Domain" >&2
+  exit 1
+fi
+if grep -rnE 'bytes::(\{[^}]*)?\bBuf\b' src tests examples crates shims --include='*.rs' \
+    | grep -v '^crates/types/src/'; then
+  echo "FAIL: bytes::Buf outside crates/types/src — decode through orion_types::wire" >&2
+  exit 1
+fi
+if grep -rn 'crc32(' src tests examples crates --include='*.rs' | grep -v '^crates/storage/'; then
+  echo "FAIL: crc32( outside crates/storage — frame a log with orion_storage::frame" >&2
+  exit 1
+fi
+
 # Every shim a manifest names is imported somewhere under that crate.
 for manifest in Cargo.toml crates/*/Cargo.toml; do
   dir=$(dirname "$manifest")
