@@ -6,7 +6,7 @@ use crate::mvcc::{Resolution, SnapshotGuard, NO_READER};
 use crate::runtime::Runtime;
 use crate::sysattr;
 use orion_index::{IndexDef, IndexKind};
-use orion_query::{AccessPath, DataSource};
+use orion_query::{intersect, AccessPath, DataSource, Probed};
 use orion_schema::Catalog;
 use orion_storage::{Rid, SlotRead};
 use orion_types::codec::ObjectRecord;
@@ -65,27 +65,22 @@ impl<'a> SourceView<'a> {
     }
 
     /// Objects in `scope` whose entries in `def` may disagree with the
-    /// snapshot, sorted: every object that moved since it, and for a
-    /// nested index every root that reaches one along the index path
-    /// (the edges above the first moved object on a root's snapshot
-    /// path are unchanged in the reverse map, so the climb finds every
-    /// such root).
-    fn overlay(&self, rt: &Runtime, def: &IndexDef, scope: &[ClassId]) -> Vec<Oid> {
-        let in_scope = |oid: Oid| scope.binary_search(&oid.class()).is_ok();
-        let (ts, reader) = (self.snapshot.ts(), self.snapshot.reader());
-        let mut overlay = if def.kind == IndexKind::Nested {
-            let mut roots = Vec::new();
-            for oid in self.db.mvcc.moved_since(ts, reader, |_| true) {
-                let reach = self.db.nested_roots(rt, self.catalog, def.target, &def.path, oid);
-                roots.extend(reach.into_iter().filter(|&root| in_scope(root)));
-            }
-            roots
-        } else {
-            self.db.mvcc.moved_since(ts, reader, in_scope)
-        };
-        overlay.sort_unstable();
-        overlay.dedup();
-        overlay
+    /// snapshot, given every object that `moved` since it: those in
+    /// scope, and for a nested index every root that reaches one along
+    /// the index path (the edges above the first moved object on a
+    /// root's snapshot path are unchanged in the reverse map, so the
+    /// climb finds every such root).
+    fn overlay(&self, rt: &Runtime, def: &IndexDef, scope: &[ClassId], moved: &[Oid]) -> Vec<Oid> {
+        let in_scope = |oid: &Oid| scope.binary_search(&oid.class()).is_ok();
+        if def.kind != IndexKind::Nested {
+            return moved.iter().copied().filter(in_scope).collect();
+        }
+        let mut roots = Vec::new();
+        for &oid in moved {
+            let reach = self.db.nested_roots(rt, self.catalog, def.target, &def.path, oid);
+            roots.extend(reach.into_iter().filter(in_scope));
+        }
+        roots
     }
 
     /// The records of `oids` at the snapshot (`None`: dangling,
@@ -273,64 +268,52 @@ impl DataSource for SourceView<'_> {
         self.db.rt_read().indexes.read().iter().map(|i| i.def.clone()).collect()
     }
 
-    fn index_stats(&self, id: u32) -> (usize, usize) {
+    fn index_count(&self, access: &AccessPath, scope: &[ClassId], cap: usize) -> usize {
         let rt = self.db.rt_read();
         let indexes = rt.indexes.read();
-        indexes
-            .iter()
-            .find(|i| i.def.id == id)
-            .map_or((0, 0), |i| (i.imp.len(), i.imp.distinct_keys()))
-    }
-
-    fn index_key_bounds(&self, id: u32) -> Option<(Value, Value)> {
-        let rt = self.db.rt_read();
-        let indexes = rt.indexes.read();
-        indexes.iter().find(|i| i.def.id == id).and_then(|i| i.imp.key_bounds())
+        let inst = indexes.iter().find(|i| Some(i.def.id) == access.index());
+        inst.map_or(0, |inst| access.count(inst, scope, cap))
     }
 
     /// Indexes are maintained in place, so their entries are those of
     /// the newest write, committed or not. An object whose entries
     /// differ from the snapshot's was chained before its in-place write
     /// (stage before mutate), and its chain cannot settle while this
-    /// view's snapshot is registered: the overlay of objects that moved
-    /// since the snapshot, listed *after* the probe, covers everything
-    /// the probe may have got wrong. That includes a rollback landing
-    /// between probe and listing: it reverts index entries while the
-    /// chains still name their writer, then stamps each chain at a fresh
-    /// commit timestamp, so the object stays listed for this snapshot.
+    /// view's snapshot is registered: the objects that moved since the
+    /// snapshot, listed *after* every probe, give each index an overlay
+    /// that covers everything its probe may have got wrong. That
+    /// includes a rollback landing between probe and listing: it reverts
+    /// index entries while the chains still name their writer, then
+    /// stamps each chain at a fresh commit timestamp, so the object
+    /// stays listed for this snapshot.
     fn index_probe(
         &self,
-        access: &AccessPath,
+        probes: &[&AccessPath],
         scope: &[ClassId],
     ) -> DbResult<(Vec<Oid>, Vec<Oid>)> {
         let rt = self.db.rt_read();
-        let (mut candidates, def) = {
+        let mut probed = Vec::with_capacity(probes.len());
+        {
             let indexes = rt.indexes.read();
-            let inst = indexes
-                .iter()
-                .find(|i| Some(i.def.id) == access.index())
-                .ok_or_else(|| DbError::Query(format!("no index for {access:?}")))?;
-            (access.probe(inst, scope), inst.def.clone())
-        };
-        let overlay = self.overlay(&rt, &def, scope);
-        if overlay.is_empty() {
-            return Ok((candidates, overlay));
-        }
-        // An object without a chain (a nested root) is current: the
-        // directory says whether it exists.
-        let (recheck, gone): (Vec<Oid>, Vec<Oid>) = overlay
-            .into_iter()
-            .partition(|&oid| self.visible(&rt, oid, || rt.directory.contains(oid)));
-        candidates.retain(|oid| gone.binary_search(oid).is_err());
-        // Objects the probe missed follow its hits, in OID order.
-        let mut missed = vec![true; recheck.len()];
-        for oid in &candidates {
-            if let Ok(i) = recheck.binary_search(oid) {
-                missed[i] = false;
+            for access in probes {
+                let inst = indexes
+                    .iter()
+                    .find(|i| Some(i.def.id) == access.index())
+                    .ok_or_else(|| DbError::Query(format!("no index for {access:?}")))?;
+                probed.push((access.probe(inst, scope), inst.def.clone()));
             }
         }
-        candidates.extend(recheck.iter().zip(missed).filter(|(_, m)| *m).map(|(oid, _)| *oid));
-        Ok((candidates, recheck))
+        let moved = self.db.mvcc.moved_since(self.snapshot.ts(), self.snapshot.reader(), |_| true);
+        let probed = probed
+            .into_iter()
+            .map(|(postings, def)| Probed {
+                postings,
+                overlay: self.overlay(&rt, &def, scope, &moved),
+            })
+            .collect();
+        // An object without a chain (a nested root) is current: the
+        // directory says whether it exists.
+        Ok(intersect(probed, |oid| self.visible(&rt, oid, || rt.directory.contains(oid))))
     }
 }
 

@@ -12,7 +12,7 @@
 //! directory, instead of probing one tree per class.
 
 use crate::btree::BTree;
-use crate::key::KeyVal;
+use crate::key::{keyed, KeyVal};
 use orion_types::{ClassId, Oid, Value};
 use std::ops::Bound;
 
@@ -64,12 +64,13 @@ impl ClassDirectory {
         self.lists.is_empty()
     }
 
-    /// Append postings for classes in `scope` (sorted; `None` = all).
-    fn collect(&self, scope: Option<&[ClassId]>, out: &mut Vec<Oid>) {
+    /// Visit the posting lists of the classes in `scope` (sorted;
+    /// `None` = all), in class order.
+    fn lists_in(&self, scope: Option<&[ClassId]>, mut visit: impl FnMut(&[Oid])) {
         match scope {
             None => {
                 for (_, postings) in &self.lists {
-                    out.extend_from_slice(postings);
+                    visit(postings);
                 }
             }
             Some(classes) => {
@@ -77,18 +78,30 @@ impl ClassDirectory {
                 if classes.len() < self.lists.len() {
                     for c in classes {
                         if let Ok(i) = self.lists.binary_search_by_key(c, |(cc, _)| *cc) {
-                            out.extend_from_slice(&self.lists[i].1);
+                            visit(&self.lists[i].1);
                         }
                     }
                 } else {
                     for (c, postings) in &self.lists {
                         if classes.binary_search(c).is_ok() {
-                            out.extend_from_slice(postings);
+                            visit(postings);
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Append postings for classes in `scope` (sorted; `None` = all).
+    fn collect(&self, scope: Option<&[ClassId]>, out: &mut Vec<Oid>) {
+        self.lists_in(scope, |postings| out.extend_from_slice(postings));
+    }
+
+    /// Postings for classes in `scope`.
+    fn count(&self, scope: Option<&[ClassId]>) -> usize {
+        let mut n = 0;
+        self.lists_in(scope, |postings| n += postings.len());
+        n
     }
 }
 
@@ -156,35 +169,38 @@ impl ClassHierarchyIndex {
         upper: Bound<&Value>,
         scope: Option<&[ClassId]>,
     ) -> Vec<Oid> {
-        let lk;
-        let lower = match lower {
-            Bound::Included(v) => {
-                lk = KeyVal(v.clone());
-                Bound::Included(&lk)
-            }
-            Bound::Excluded(v) => {
-                lk = KeyVal(v.clone());
-                Bound::Excluded(&lk)
-            }
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let uk;
-        let upper = match upper {
-            Bound::Included(v) => {
-                uk = KeyVal(v.clone());
-                Bound::Included(&uk)
-            }
-            Bound::Excluded(v) => {
-                uk = KeyVal(v.clone());
-                Bound::Excluded(&uk)
-            }
-            Bound::Unbounded => Bound::Unbounded,
-        };
+        let (lower, upper) = (keyed(lower), keyed(upper));
         let mut out = Vec::new();
-        for (_, dir) in self.tree.range(lower, upper) {
+        for (_, dir) in self.tree.range(lower.as_ref(), upper.as_ref()) {
             dir.collect(scope, &mut out);
         }
         out
+    }
+
+    /// How many OIDs [`ClassHierarchyIndex::lookup_eq`] would return, or
+    /// `cap` if that is fewer.
+    pub fn count_eq(&self, key: &Value, scope: Option<&[ClassId]>, cap: usize) -> usize {
+        self.tree.get(&KeyVal(key.clone())).map_or(0, |dir| dir.count(scope)).min(cap)
+    }
+
+    /// How many OIDs [`ClassHierarchyIndex::lookup_range`] would return,
+    /// or `cap` if that is fewer (the walk stops there).
+    pub fn count_range(
+        &self,
+        lower: Bound<&Value>,
+        upper: Bound<&Value>,
+        scope: Option<&[ClassId]>,
+        cap: usize,
+    ) -> usize {
+        let (lower, upper) = (keyed(lower), keyed(upper));
+        let mut n = 0;
+        for (_, dir) in self.tree.range(lower.as_ref(), upper.as_ref()) {
+            n += dir.count(scope);
+            if n >= cap {
+                break;
+            }
+        }
+        n.min(cap)
     }
 
     /// Total `(key, oid)` entries across all classes.
@@ -200,13 +216,6 @@ impl ClassHierarchyIndex {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         self.tree.len()
-    }
-
-    /// Smallest and largest keys present, if any.
-    pub fn key_bounds(&self) -> Option<(Value, Value)> {
-        let lo = self.tree.first_key()?.0.clone();
-        let hi = self.tree.last_key()?.0.clone();
-        Some((lo, hi))
     }
 }
 
@@ -258,6 +267,15 @@ mod tests {
         );
         assert_eq!(only_c2.len(), 10);
         assert!(only_c2.iter().all(|o| o.class() == ClassId(2)));
+
+        // Counts agree with the lookups, scope included, up to the cap.
+        let (lo, hi) = (Value::Int(0), Value::Int(30));
+        let (lo, hi) = (Bound::Included(&lo), Bound::Excluded(&hi));
+        assert_eq!(idx.count_range(lo, hi, None, usize::MAX), 30);
+        assert_eq!(idx.count_range(lo, hi, Some(&[ClassId(2)]), usize::MAX), 10);
+        assert_eq!(idx.count_range(lo, hi, None, 12), 12);
+        assert_eq!(idx.count_eq(&Value::Int(4), Some(&[ClassId(2)]), 9), 1);
+        assert_eq!(idx.count_eq(&Value::Int(4), Some(&[ClassId(1)]), 9), 0);
     }
 
     #[test]

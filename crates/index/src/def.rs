@@ -116,6 +116,30 @@ impl IndexImpl {
         }
     }
 
+    /// How many OIDs [`IndexImpl::lookup_eq`] would return, or `cap` if
+    /// that is fewer.
+    pub fn count_eq(&self, key: &Value, scope: Option<&[ClassId]>, cap: usize) -> usize {
+        match self {
+            IndexImpl::Single(idx) => idx.count_eq(key, cap),
+            IndexImpl::Hierarchy(idx) => idx.count_eq(key, scope, cap),
+        }
+    }
+
+    /// How many OIDs [`IndexImpl::lookup_range`] would return, or `cap`
+    /// if that is fewer; the walk stops at the cap.
+    pub fn count_range(
+        &self,
+        lower: Bound<&Value>,
+        upper: Bound<&Value>,
+        scope: Option<&[ClassId]>,
+        cap: usize,
+    ) -> usize {
+        match self {
+            IndexImpl::Single(idx) => idx.count_range(lower, upper, cap),
+            IndexImpl::Hierarchy(idx) => idx.count_range(lower, upper, scope, cap),
+        }
+    }
+
     /// Total entries.
     pub fn len(&self) -> usize {
         match self {
@@ -129,19 +153,11 @@ impl IndexImpl {
         self.len() == 0
     }
 
-    /// Distinct keys (selectivity estimation input).
+    /// Distinct keys.
     pub fn distinct_keys(&self) -> usize {
         match self {
             IndexImpl::Single(idx) => idx.distinct_keys(),
             IndexImpl::Hierarchy(idx) => idx.distinct_keys(),
-        }
-    }
-
-    /// Smallest and largest keys present (range-selectivity input).
-    pub fn key_bounds(&self) -> Option<(Value, Value)> {
-        match self {
-            IndexImpl::Single(idx) => idx.key_bounds(),
-            IndexImpl::Hierarchy(idx) => idx.key_bounds(),
         }
     }
 }
@@ -191,6 +207,12 @@ mod tests {
                 None,
             );
             assert_eq!(ranged.len(), 2);
+            let (lo, hi) = (Value::Int(0), Value::Int(6));
+            let counted =
+                inst.imp.count_range(Bound::Included(&lo), Bound::Excluded(&hi), None, 9);
+            assert_eq!(counted, 2);
+            assert_eq!(inst.imp.count_eq(&Value::Int(5), None, 9), 2);
+            assert_eq!(inst.imp.count_eq(&Value::Int(5), None, 1), 1);
             assert!(inst.imp.remove(&Value::Int(9), a));
             assert_eq!(inst.imp.len(), 2);
             assert_eq!(inst.imp.distinct_keys(), 1);

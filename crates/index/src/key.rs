@@ -2,6 +2,7 @@
 
 use orion_types::Value;
 use std::cmp::Ordering;
+use std::ops::Bound;
 
 /// A [`Value`] usable as a B+-tree key: total order via
 /// [`Value::cmp_total`] (so `Int(1)` and `Float(1.0)` collate together,
@@ -25,6 +26,11 @@ impl Ord for KeyVal {
     fn cmp(&self, other: &Self) -> Ordering {
         self.0.cmp_total(&other.0)
     }
+}
+
+/// A range bound over values as the tree's key type.
+pub(crate) fn keyed(bound: Bound<&Value>) -> Bound<KeyVal> {
+    bound.map(|v| KeyVal(v.clone()))
 }
 
 #[cfg(test)]

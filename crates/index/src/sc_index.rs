@@ -8,7 +8,7 @@
 //! the baseline the class-hierarchy index is measured against (E1).
 
 use crate::btree::BTree;
-use crate::key::KeyVal;
+use crate::key::{keyed, KeyVal};
 use orion_types::{Oid, Value};
 use std::ops::Bound;
 
@@ -71,35 +71,32 @@ impl SingleClassIndex {
 
     /// All OIDs with keys in the given range.
     pub fn lookup_range(&self, lower: Bound<&Value>, upper: Bound<&Value>) -> Vec<Oid> {
-        let lk;
-        let lower = match lower {
-            Bound::Included(v) => {
-                lk = KeyVal(v.clone());
-                Bound::Included(&lk)
-            }
-            Bound::Excluded(v) => {
-                lk = KeyVal(v.clone());
-                Bound::Excluded(&lk)
-            }
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let uk;
-        let upper = match upper {
-            Bound::Included(v) => {
-                uk = KeyVal(v.clone());
-                Bound::Included(&uk)
-            }
-            Bound::Excluded(v) => {
-                uk = KeyVal(v.clone());
-                Bound::Excluded(&uk)
-            }
-            Bound::Unbounded => Bound::Unbounded,
-        };
+        let (lower, upper) = (keyed(lower), keyed(upper));
         let mut out = Vec::new();
-        for (_, postings) in self.tree.range(lower, upper) {
+        for (_, postings) in self.tree.range(lower.as_ref(), upper.as_ref()) {
             out.extend_from_slice(postings);
         }
         out
+    }
+
+    /// How many OIDs [`SingleClassIndex::lookup_eq`] would return, or
+    /// `cap` if that is fewer.
+    pub fn count_eq(&self, key: &Value, cap: usize) -> usize {
+        self.tree.get(&KeyVal(key.clone())).map_or(0, Vec::len).min(cap)
+    }
+
+    /// How many OIDs [`SingleClassIndex::lookup_range`] would return, or
+    /// `cap` if that is fewer (the walk stops there).
+    pub fn count_range(&self, lower: Bound<&Value>, upper: Bound<&Value>, cap: usize) -> usize {
+        let (lower, upper) = (keyed(lower), keyed(upper));
+        let mut n = 0;
+        for (_, postings) in self.tree.range(lower.as_ref(), upper.as_ref()) {
+            n += postings.len();
+            if n >= cap {
+                break;
+            }
+        }
+        n.min(cap)
     }
 
     /// Total `(key, oid)` entries.
@@ -115,13 +112,6 @@ impl SingleClassIndex {
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
         self.tree.len()
-    }
-
-    /// Smallest and largest keys present, if any.
-    pub fn key_bounds(&self) -> Option<(Value, Value)> {
-        let lo = self.tree.first_key()?.0.clone();
-        let hi = self.tree.last_key()?.0.clone();
-        Some((lo, hi))
     }
 }
 
@@ -169,6 +159,22 @@ mod tests {
         assert_eq!(got, vec![oid(10), oid(11), oid(12)]);
         let all = idx.lookup_range(Bound::Unbounded, Bound::Unbounded);
         assert_eq!(all.len(), 50);
+    }
+
+    #[test]
+    fn counts_are_exact_below_the_cap() {
+        let mut idx = SingleClassIndex::new();
+        for i in 0..50 {
+            idx.insert(Value::Int(i % 10), oid(i as u64));
+        }
+        let (lo, hi) = (Value::Int(2), Value::Int(5));
+        let (lo, hi) = (Bound::Included(&lo), Bound::Excluded(&hi));
+        assert_eq!(idx.count_range(lo, hi, 100), idx.lookup_range(lo, hi).len());
+        assert_eq!(idx.count_range(lo, hi, 100), 15);
+        assert_eq!(idx.count_range(lo, hi, 7), 7, "stops at the cap");
+        assert_eq!(idx.count_eq(&Value::Int(3), 100), 5);
+        assert_eq!(idx.count_eq(&Value::Int(3), 2), 2);
+        assert_eq!(idx.count_eq(&Value::Int(99), 100), 0);
     }
 
     #[test]

@@ -378,6 +378,28 @@ fn a_deeply_nested_value_is_refused_without_killing_the_server() {
     server.shutdown();
 }
 
+/// Query texts whose predicates nest far too deep — 400 KB of `not`s,
+/// a 240 KB chain of conjuncts — each get a parse error on an executor
+/// thread's stack instead of aborting the server, which goes on serving.
+#[test]
+fn a_deeply_nested_query_is_refused_without_killing_the_server() {
+    let (db, _) = fleet_db(DbConfig::default());
+    let server = Server::bind(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let nots = format!("select v from Vehicle v where {}v.weight = 1", "not ".repeat(100_000));
+    let conjuncts = vec!["v.weight = 1"; 20_000].join(" and ");
+    let chain = format!("select v from Vehicle v where {conjuncts}");
+    let mut hostile = Client::connect(addr).unwrap();
+    for text in [nots, chain] {
+        match hostile.query(&text) {
+            Err(DbError::Parse { message, .. }) => assert!(message.contains("deeper"), "{message}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+    Client::connect(addr).unwrap().ping().unwrap();
+    server.shutdown();
+}
+
 #[test]
 fn facade_errors_cross_the_wire_intact() {
     let (db, vehicle) = fleet_db(DbConfig::default());

@@ -369,7 +369,10 @@ pub fn execute_with(
             }
             (out, Vec::new())
         }
-        index => source.index_probe(index, scope)?,
+        lead => {
+            let probes: Vec<&AccessPath> = std::iter::once(lead).chain(&plan.intersect).collect();
+            source.index_probe(&probes, scope)?
+        }
     };
     // Index results may contain classes outside scope for single-class
     // indexes probed with a wider scope — filter defensively.

@@ -31,9 +31,9 @@ pub use exec::{
     eval_expr, execute, execute_with, path_values, ExecMetrics, ExecOptions, ExecSnapshot,
     ExecStats, QueryResult,
 };
-pub use plan::{plan, AccessPath, ExplainReport, PlannedQuery, RunStats};
+pub use plan::{plan, AccessPath, ExplainReport, PlannedQuery, RunStats, INTERSECT_RATIO};
 pub use parser::parse;
-pub use source::{DataSource, MemSource};
+pub use source::{intersect, DataSource, MemSource, Probed};
 
 use orion_schema::Catalog;
 use orion_types::DbResult;

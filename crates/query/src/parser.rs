@@ -17,21 +17,33 @@
 //! op        := = | != | <> | < | <= | > | >= | LIKE
 //! literal   := Int | Float | Str | TRUE | FALSE | NULL
 //! ```
+//!
+//! A predicate tree deeper than [`MAX_PREDICATE_DEPTH`] is a parse
+//! error: planning, evaluating, printing and dropping a predicate all
+//! recurse over its tree, and so does this parser over nested `not`s and
+//! parentheses, on whatever stack the caller runs on.
 
 use crate::ast::{CmpOp, Expr, Literal, Path, Query, SelectItem};
 use crate::lexer::{lex, Token, TokenKind};
 use orion_types::{DbError, DbResult};
 
+/// The deepest predicate tree a query may have: `and`-ed or `or`-ed
+/// terms, nested `not`s and parenthesised groups each add a level (a
+/// chain of `n` conjuncts is `n` deep).
+pub const MAX_PREDICATE_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     at: usize,
     var: Option<String>,
+    /// `not`s and open parentheses around the token being parsed.
+    nesting: usize,
 }
 
 /// Parse one query.
 pub fn parse(src: &str) -> DbResult<Query> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, at: 0, var: None };
+    let mut p = Parser { tokens, at: 0, var: None, nesting: 0 };
     let q = p.query()?;
     p.expect_eof()?;
     Ok(q)
@@ -124,7 +136,7 @@ impl Parser {
             .map(|item| self.bind_item(item, &var))
             .collect::<DbResult<Vec<_>>>()?;
 
-        let predicate = if self.eat_keyword("where") { Some(self.expr()?) } else { None };
+        let predicate = if self.eat_keyword("where") { Some(self.expr()?.0) } else { None };
 
         let order_by = if self.eat_keyword("order") {
             self.expect_keyword("by")?;
@@ -212,37 +224,60 @@ impl Parser {
         Ok(Path { steps })
     }
 
-    fn expr(&mut self) -> DbResult<Expr> {
-        let mut left = self.and_expr()?;
+    /// One level above a subtree `depth` deep, if that is allowed.
+    fn deeper(&self, depth: usize) -> DbResult<usize> {
+        if depth >= MAX_PREDICATE_DEPTH {
+            return Err(self.error(format!(
+                "predicate nests deeper than {MAX_PREDICATE_DEPTH} levels"
+            )));
+        }
+        Ok(depth + 1)
+    }
+
+    /// A predicate and its tree's depth.
+    fn expr(&mut self) -> DbResult<(Expr, usize)> {
+        let (mut left, mut depth) = self.and_expr()?;
         while self.eat_keyword("or") {
-            let right = self.and_expr()?;
+            let (right, d) = self.and_expr()?;
+            depth = self.deeper(depth.max(d))?;
             left = Expr::Or(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn and_expr(&mut self) -> DbResult<Expr> {
-        let mut left = self.unary()?;
+    fn and_expr(&mut self) -> DbResult<(Expr, usize)> {
+        let (mut left, mut depth) = self.unary()?;
         while self.eat_keyword("and") {
-            let right = self.unary()?;
+            let (right, d) = self.unary()?;
+            depth = self.deeper(depth.max(d))?;
             left = Expr::And(Box::new(left), Box::new(right));
         }
-        Ok(left)
+        Ok((left, depth))
     }
 
-    fn unary(&mut self) -> DbResult<Expr> {
-        if self.eat_keyword("not") {
-            return Ok(Expr::Not(Box::new(self.unary()?)));
+    fn unary(&mut self) -> DbResult<(Expr, usize)> {
+        let not = self.is_keyword("not");
+        if !not && !matches!(self.peek(), TokenKind::LParen) {
+            return self.predicate().map(|e| {
+                let depth = if matches!(e, Expr::Not(_)) { 2 } else { 1 };
+                (e, depth)
+            });
         }
-        if matches!(self.peek(), TokenKind::LParen) {
-            self.bump();
+        // Bound the recursion before taking it.
+        self.nesting = self.deeper(self.nesting)?;
+        self.bump();
+        let parsed = if not {
+            let (inner, depth) = self.unary()?;
+            (Expr::Not(Box::new(inner)), self.deeper(depth)?)
+        } else {
             let inner = self.expr()?;
             if !matches!(self.bump(), TokenKind::RParen) {
                 return Err(self.error("expected `)`"));
             }
-            return Ok(inner);
-        }
-        self.predicate()
+            inner
+        };
+        self.nesting -= 1;
+        Ok(parsed)
     }
 
     fn predicate(&mut self) -> DbResult<Expr> {
@@ -410,6 +445,40 @@ mod tests {
         assert!(parse("select v from V v where w.x = 1").is_err(), "predicate var mismatch");
         assert!(parse("select v from V v where v.name like 5").is_err());
         assert!(parse("select select from V select").is_err(), "keyword as variable");
+    }
+
+    #[test]
+    fn predicates_deeper_than_the_bound_are_refused() {
+        let at_depth = |n: usize, op: &str| {
+            let terms = vec!["v.a = 1"; n].join(&format!(" {op} "));
+            format!("select v from V v where {terms}")
+        };
+        let nots = |n: usize| format!("select v from V v where {}v.a = 1", "not ".repeat(n));
+        let parens = |n: usize| {
+            format!("select v from V v where {}v.a = 1{}", "(".repeat(n), ")".repeat(n))
+        };
+        for ok in [at_depth(MAX_PREDICATE_DEPTH, "and"), at_depth(MAX_PREDICATE_DEPTH, "or")] {
+            assert!(parse(&ok).is_ok());
+        }
+        assert!(parse(&nots(MAX_PREDICATE_DEPTH - 1)).is_ok());
+        assert!(parse(&parens(MAX_PREDICATE_DEPTH)).is_ok());
+        // Each of these aborted the process with a stack overflow on a
+        // 2 MiB thread before the bound: 400 KB of `not`s, a 240 KB
+        // chain of conjuncts, and as many parentheses.
+        for deep in [
+            nots(100_000),
+            at_depth(20_000, "and"),
+            at_depth(MAX_PREDICATE_DEPTH + 1, "or"),
+            parens(100_000),
+        ] {
+            let parsed = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || parse(&deep).map(|q| q.to_string()))
+                .unwrap()
+                .join()
+                .expect("the parser stays on its stack");
+            assert!(matches!(parsed, Err(DbError::Parse { .. })), "{parsed:?}");
+        }
     }
 
     #[test]

@@ -54,28 +54,75 @@ pub trait DataSource: Sync {
     /// Descriptors of every live index.
     fn indexes(&self) -> Vec<IndexDef>;
 
-    /// `(total entries, distinct keys)` for an index (selectivity input).
-    fn index_stats(&self, id: u32) -> (usize, usize);
+    /// How many postings the index `access` names holds for its keys
+    /// in the sorted class set `scope`, exactly, or `cap` if that is
+    /// fewer (optimizer input).
+    fn index_count(&self, access: &AccessPath, scope: &[ClassId], cap: usize) -> usize;
 
-    /// Smallest and largest keys in an index (range-selectivity input).
-    /// `None` when the index is empty or the source cannot say.
-    fn index_key_bounds(&self, id: u32) -> Option<(Value, Value)> {
-        let _ = id;
-        None
-    }
-
-    /// Probe the index `access` names for its keys, restricted to the
-    /// sorted class set `scope`: `(candidates, recheck)`.
+    /// Probe every index `probes` names (at least one) for its keys,
+    /// restricted to the sorted class set `scope`, and intersect:
+    /// `(candidates, recheck)`, as [`intersect`] computes them from each
+    /// index's postings and overlay.
     ///
     /// An index answers for the objects whose entries agree with what
-    /// [`DataSource::fetch`] reads; the executor judges those by the
-    /// residual alone. `recheck` (sorted) names every object in `scope`
-    /// whose entries may not: each is among the candidates exactly when
-    /// `fetch` can read it, and is judged by the query's whole predicate.
-    /// A source whose indexes always agree with its records returns an
-    /// empty `recheck`.
-    fn index_probe(&self, access: &AccessPath, scope: &[ClassId])
+    /// [`DataSource::fetch`] reads; its overlay names every object in
+    /// `scope` whose entries may not. A source whose indexes always
+    /// agree with its records has empty overlays.
+    fn index_probe(&self, probes: &[&AccessPath], scope: &[ClassId])
         -> DbResult<(Vec<Oid>, Vec<Oid>)>;
+}
+
+/// One index's answer to one probe.
+#[derive(Debug, Default)]
+pub struct Probed {
+    /// The postings under the probe's keys, in index order.
+    pub postings: Vec<Oid>,
+    /// Objects in scope whose entries in this index may disagree with
+    /// what [`DataSource::fetch`] reads.
+    pub overlay: Vec<Oid>,
+}
+
+/// The candidates of a conjunction answered by several indexes (the
+/// first drives): `(candidates, recheck)`.
+///
+/// `recheck` (sorted) is the union of every overlay, less the objects
+/// `visible` rejects; the executor judges those by the query's whole
+/// predicate. Every other object has entries that agree with its record
+/// in each index, so it belongs to every index's postings exactly when
+/// it satisfies every conjunct they answer: the candidates are the
+/// leading probe's postings, in its order, that every other index also
+/// posts (an object in `recheck` is kept whatever the others say, one
+/// outside `visible` is dropped), followed in OID order by the objects
+/// of `recheck` the leading probe missed. A single index is the
+/// intersection of one.
+pub fn intersect(probed: Vec<Probed>, visible: impl Fn(Oid) -> bool) -> (Vec<Oid>, Vec<Oid>) {
+    let mut probed = probed.into_iter();
+    let Probed { postings: mut candidates, mut overlay } = probed.next().unwrap_or_default();
+    let mut others = Vec::new();
+    for mut p in probed {
+        overlay.append(&mut p.overlay);
+        p.postings.sort_unstable();
+        others.push(p.postings);
+    }
+    if overlay.is_empty() && others.is_empty() {
+        return (candidates, overlay);
+    }
+    overlay.sort_unstable();
+    overlay.dedup();
+    let (recheck, gone): (Vec<Oid>, Vec<Oid>) = overlay.into_iter().partition(|&oid| visible(oid));
+    let listed = |list: &[Oid], oid: &Oid| list.binary_search(oid).is_ok();
+    candidates.retain(|oid| {
+        !listed(&gone, oid)
+            && (listed(&recheck, oid) || others.iter().all(|postings| listed(postings, oid)))
+    });
+    let mut missed = vec![true; recheck.len()];
+    for oid in &candidates {
+        if let Ok(i) = recheck.binary_search(oid) {
+            missed[i] = false;
+        }
+    }
+    candidates.extend(recheck.iter().zip(missed).filter(|(_, m)| *m).map(|(oid, _)| *oid));
+    (candidates, recheck)
 }
 
 /// A simple in-memory [`DataSource`] for tests, benches, and examples.
@@ -84,6 +131,8 @@ pub struct MemSource {
     objects: std::collections::HashMap<Oid, Arc<ObjectRecord>>,
     extents: std::collections::HashMap<ClassId, Vec<Oid>>,
     indexes: Vec<orion_index::IndexInstance>,
+    /// `(index id, object)`: the overlays [`MemSource::index_overlay`] named.
+    overlays: Vec<(u32, Oid)>,
 }
 
 impl MemSource {
@@ -112,6 +161,18 @@ impl MemSource {
             .expect("index id registered");
         inst.imp.insert(key, oid);
     }
+
+    /// Put `oid` in index `id`'s overlay: its entries there may disagree
+    /// with its record (as a version store's would for an object that
+    /// moved since a snapshot), so probes of that index name it for a
+    /// re-check.
+    pub fn index_overlay(&mut self, id: u32, oid: Oid) {
+        self.overlays.push((id, oid));
+    }
+
+    fn instance(&self, access: &AccessPath) -> Option<&orion_index::IndexInstance> {
+        self.indexes.iter().find(|i| Some(i.def.id) == access.index())
+    }
 }
 
 impl DataSource for MemSource {
@@ -131,23 +192,29 @@ impl DataSource for MemSource {
         self.indexes.iter().map(|i| i.def.clone()).collect()
     }
 
-    fn index_stats(&self, id: u32) -> (usize, usize) {
-        self.indexes
-            .iter()
-            .find(|i| i.def.id == id)
-            .map_or((0, 0), |i| (i.imp.len(), i.imp.distinct_keys()))
-    }
-
-    fn index_key_bounds(&self, id: u32) -> Option<(Value, Value)> {
-        self.indexes.iter().find(|i| i.def.id == id).and_then(|i| i.imp.key_bounds())
+    fn index_count(&self, access: &AccessPath, scope: &[ClassId], cap: usize) -> usize {
+        self.instance(access).map_or(0, |inst| access.count(inst, scope, cap))
     }
 
     fn index_probe(
         &self,
-        access: &AccessPath,
+        probes: &[&AccessPath],
         scope: &[ClassId],
     ) -> DbResult<(Vec<Oid>, Vec<Oid>)> {
-        let inst = self.indexes.iter().find(|i| Some(i.def.id) == access.index());
-        Ok((inst.map_or_else(Vec::new, |i| access.probe(i, scope)), Vec::new()))
+        let probed = probes
+            .iter()
+            .map(|access| Probed {
+                postings: self.instance(access).map_or_else(Vec::new, |i| access.probe(i, scope)),
+                overlay: self
+                    .overlays
+                    .iter()
+                    .filter(|(id, oid)| {
+                        Some(*id) == access.index() && scope.binary_search(&oid.class()).is_ok()
+                    })
+                    .map(|(_, oid)| *oid)
+                    .collect(),
+            })
+            .collect();
+        Ok(intersect(probed, |oid| self.objects.contains_key(&oid)))
     }
 }

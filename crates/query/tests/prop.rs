@@ -7,13 +7,15 @@ use orion_index::{IndexDef, IndexKind};
 use orion_query::ast::{CmpOp, Expr, Literal, Path, Query, SelectItem};
 use orion_query::exec::{execute_with, ExecOptions};
 use orion_query::{
-    eval_expr, execute, path_values, plan, AccessPath, DataSource, MemSource, QueryResult,
+    eval_expr, execute, path_values, plan, AccessPath, DataSource, MemSource, PlannedQuery,
+    QueryResult,
 };
 use orion_schema::{AttrSpec, Catalog};
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbError, DbResult, Domain, Oid, PrimitiveType, Value};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use proptest::test_runner::TestCaseError;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Three-class hierarchy: Base <- Mid <- Leaf, attrs `num` (int) and
@@ -206,57 +208,108 @@ impl DataSource for Shaky<'_> {
     fn indexes(&self) -> Vec<IndexDef> {
         self.inner.indexes()
     }
-    fn index_stats(&self, id: u32) -> (usize, usize) {
-        self.inner.index_stats(id)
+    fn index_count(&self, access: &AccessPath, scope: &[ClassId], cap: usize) -> usize {
+        self.inner.index_count(access, scope, cap)
     }
     fn index_probe(
         &self,
-        access: &AccessPath,
+        probes: &[&AccessPath],
         scope: &[ClassId],
     ) -> DbResult<(Vec<Oid>, Vec<Oid>)> {
-        self.inner.index_probe(access, scope)
+        self.inner.index_probe(probes, scope)
     }
 }
 
-/// A source whose index is stale for some objects — their entries
-/// carry keys the records no longer hold, as a version store's overlay
-/// would have it — and which names exactly those objects for a
-/// re-check, adding the ones the probe missed.
-struct Overlaid<'a> {
-    inner: &'a MemSource,
-    /// Sorted.
-    stale: Vec<Oid>,
+/// Every object of the fixture, in scan order.
+fn all_objects(fx: &Fixture) -> Vec<Oid> {
+    let scope = fx.catalog.subtree(fx.base).unwrap();
+    scope.iter().flat_map(|c| fx.source.scan_class(*c).unwrap()).collect()
 }
 
-impl DataSource for Overlaid<'_> {
-    fn scan_class(&self, class: ClassId) -> DbResult<Vec<Oid>> {
-        self.inner.scan_class(class)
+/// Add index `id` over `path` from `Base`, filing each object under the
+/// key `truth` gives for its row — except the objects `stale` picks,
+/// `(pick, key)`: those are filed under `key` and put in the index's
+/// overlay, as a version store's would have it.
+fn add_stale_index(
+    fx: &mut Fixture,
+    id: u32,
+    kind: IndexKind,
+    path: &[&str],
+    truth: impl Fn(usize) -> Option<i64>,
+    stale: &[(u8, i64)],
+) {
+    let resolved = fx.catalog.resolve(fx.base).unwrap();
+    let path = path.iter().map(|step| resolved.attr(step).unwrap().id).collect();
+    fx.source.add_index(IndexDef { id, name: format!("stale{id}"), kind, target: fx.base, path });
+    let all = all_objects(fx);
+    let moved: HashMap<Oid, i64> =
+        stale.iter().map(|(i, k)| (all[*i as usize % all.len()], *k)).collect();
+    for oid in all {
+        // Row `i` is object serial `i + 1` (see `build`).
+        match moved.get(&oid) {
+            Some(key) => {
+                fx.source.index_insert(id, Value::Int(*key), oid);
+                fx.source.index_overlay(id, oid);
+            }
+            None => {
+                if let Some(key) = truth(oid.serial() as usize - 1) {
+                    fx.source.index_insert(id, Value::Int(key), oid);
+                }
+            }
+        }
     }
-    fn extent_size(&self, class: ClassId) -> usize {
-        self.inner.extent_size(class)
+}
+
+/// `select <shape> from Base* x where predicate [order by x.num]`.
+fn hierarchy_query(shape: u8, predicate: Expr, order: Option<bool>) -> Query {
+    let num = Path::new(vec!["num"]);
+    Query {
+        select: match shape {
+            0 => vec![SelectItem::Count],
+            1 => vec![SelectItem::Object],
+            _ => vec![SelectItem::Object, SelectItem::Path(num.clone())],
+        },
+        target: "Base".into(),
+        hierarchy: true,
+        var: "x".into(),
+        predicate: Some(predicate),
+        order_by: order.map(|asc| (num, asc)),
+        limit: None,
     }
-    fn fetch(&self, oids: &[Oid], attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
-        self.inner.fetch(oids, attrs)
+}
+
+/// Run `planned` at batch sizes 1/7/1000 on 1/2/4 threads: the first
+/// run is the reference scan's answer up to row order (a `count(*)`
+/// row exactly), and every run is byte-identical to the first.
+fn agrees_at_every_batch_and_degree(
+    catalog: &Catalog,
+    source: &dyn DataSource,
+    query: &Query,
+    planned: &PlannedQuery,
+) -> Result<(), TestCaseError> {
+    let want = reference(catalog, source, query).unwrap();
+    let first = execute_with(catalog, source, planned, &ExecOptions::with_threads(1)).unwrap();
+    let sorted = |r: &QueryResult| {
+        let mut pairs: Vec<_> = r.oids.iter().zip(&r.rows).collect();
+        pairs.sort_by_key(|(oid, _)| **oid);
+        pairs.into_iter().map(|(o, r)| (*o, r.clone())).collect::<Vec<_>>()
+    };
+    prop_assert_eq!(sorted(&first), sorted(&want), "plan {}", planned.report());
+    prop_assert_eq!(&first.rows.len(), &want.rows.len());
+    if query.select == [SelectItem::Count] {
+        prop_assert_eq!(&first.rows, &want.rows);
     }
-    fn indexes(&self) -> Vec<IndexDef> {
-        self.inner.indexes()
+    for batch in [1, 7, 1000] {
+        for threads in [1, 2, 4] {
+            let opts = ExecOptions { threads, batch, ..ExecOptions::default() };
+            let got = execute_with(catalog, source, planned, &opts).unwrap();
+            prop_assert_eq!(
+                &got, &first,
+                "batch {} on {} thread(s) diverged for {:?}", batch, threads, query
+            );
+        }
     }
-    fn index_stats(&self, id: u32) -> (usize, usize) {
-        self.inner.index_stats(id)
-    }
-    fn index_probe(
-        &self,
-        access: &AccessPath,
-        scope: &[ClassId],
-    ) -> DbResult<(Vec<Oid>, Vec<Oid>)> {
-        let (mut candidates, _) = self.inner.index_probe(access, scope)?;
-        let recheck: Vec<Oid> =
-            self.stale.iter().copied().filter(|o| scope.contains(&o.class())).collect();
-        let missed: Vec<Oid> =
-            recheck.iter().copied().filter(|o| !candidates.contains(o)).collect();
-        candidates.extend(missed);
-        Ok((candidates, recheck))
-    }
+    Ok(())
 }
 
 fn reads_a_path(expr: &Expr) -> bool {
@@ -385,13 +438,7 @@ proptest! {
             }),
             limit,
         };
-        let all: Vec<Oid> = fx
-            .catalog
-            .subtree(fx.base)
-            .unwrap()
-            .iter()
-            .flat_map(|c| fx.source.scan_class(*c).unwrap())
-            .collect();
+        let all = all_objects(&fx);
         let source = Shaky {
             inner: &fx.source,
             poisoned: if poison {
@@ -437,76 +484,56 @@ proptest! {
         order in proptest::option::of(any::<bool>()),
     ) {
         let mut fx = build(&rows, false, false);
-        let num = fx.catalog.resolve(fx.base).unwrap().attr("num").unwrap().id;
-        fx.source.add_index(IndexDef {
-            id: 3,
-            name: "num_stale".into(),
-            kind: IndexKind::ClassHierarchy,
-            target: fx.base,
-            path: vec![num],
-        });
-        let all: Vec<Oid> = fx
-            .catalog
-            .subtree(fx.base)
-            .unwrap()
-            .iter()
-            .flat_map(|c| fx.source.scan_class(*c).unwrap())
-            .collect();
-        let mut moved: Vec<(Oid, i64)> =
-            stale.iter().map(|(i, k)| (all[*i as usize % all.len()], *k)).collect();
-        moved.sort_unstable_by_key(|(oid, _)| *oid);
-        moved.dedup_by_key(|(oid, _)| *oid);
-        for oid in &all {
-            // Row `i` is object serial `i + 1` (see `build`).
-            let truth = rows[oid.serial() as usize - 1].1;
-            let key = moved.iter().find(|(o, _)| o == oid).map_or(truth, |(_, k)| *k);
-            fx.source.index_insert(3, Value::Int(key), *oid);
-        }
-        let source = Overlaid { inner: &fx.source, stale: moved.iter().map(|(o, _)| *o).collect() };
-
+        let num = |i: usize| Some(rows[i].1);
+        add_stale_index(&mut fx, 3, IndexKind::ClassHierarchy, &["num"], num, &stale);
         let predicate = match &extra {
             Some(e) => Expr::And(Box::new(to_expr(&indexed)), Box::new(to_expr(e))),
             None => to_expr(&indexed),
         };
-        let path = |steps: &[&str]| Path::new(steps.to_vec());
-        let query = Query {
-            select: match shape {
-                0 => vec![SelectItem::Count],
-                1 => vec![SelectItem::Object],
-                _ => vec![SelectItem::Object, SelectItem::Path(path(&["num"]))],
-            },
-            target: "Base".into(),
-            hierarchy: true,
-            var: "x".into(),
-            predicate: Some(predicate),
-            order_by: order.map(|asc| (path(&["num"]), asc)),
-            limit: None,
-        };
-        let planned = plan(&fx.catalog, &source, query.clone()).unwrap();
+        let query = hierarchy_query(shape, predicate, order);
+        let planned = plan(&fx.catalog, &fx.source, query.clone()).unwrap();
         prop_assume!(planned.access.index() == Some(3));
-        let want = reference(&fx.catalog, &source, &query).unwrap();
-        let first = execute_with(&fx.catalog, &source, &planned, &ExecOptions::with_threads(1));
-        let first = first.unwrap();
-        let sorted = |r: &QueryResult| {
-            let mut pairs: Vec<_> = r.oids.iter().zip(&r.rows).collect();
-            pairs.sort_by_key(|(oid, _)| **oid);
-            pairs.into_iter().map(|(o, r)| (*o, r.clone())).collect::<Vec<_>>()
+        agrees_at_every_batch_and_degree(&fx.catalog, &fx.source, &query, &planned)?;
+    }
+
+    /// A conjunction two indexes answer together — a class-hierarchy
+    /// index on `num` and a nested one on `buddy.num` — where either
+    /// index may be stale for some objects and names them in its own
+    /// overlay: whichever index drives, the intersected answer is the
+    /// scan's, byte-identical at every batch size and degree. (A probe
+    /// that re-checked only the leading probe's overlay would trust the
+    /// other index's stale entries, and fails here.)
+    #[test]
+    fn intersections_match_the_scan_at_every_batch_and_degree(
+        rows in proptest::collection::vec(
+            (any::<u8>(), -3i64..3, any::<u8>(), proptest::option::of(any::<u8>())),
+            8..40,
+        ),
+        stale_num in proptest::collection::vec((any::<u8>(), -3i64..3), 0..6),
+        stale_buddy in proptest::collection::vec((any::<u8>(), -3i64..3), 0..6),
+        num in (-3i64..3, 1i64..4),
+        buddy in -3i64..3,
+        extra in proptest::option::of(arb_pred()),
+        shape in 0u8..3,
+        order in proptest::option::of(any::<bool>()),
+    ) {
+        let mut fx = build(&rows, false, false);
+        let row_num = |i: usize| Some(rows[i].1);
+        add_stale_index(&mut fx, 1, IndexKind::ClassHierarchy, &["num"], row_num, &stale_num);
+        let buddy_num = |i: usize| rows[i].3.map(|b| rows[b as usize % rows.len()].1);
+        add_stale_index(&mut fx, 2, IndexKind::Nested, &["buddy", "num"], buddy_num, &stale_buddy);
+        let both = Expr::And(
+            Box::new(to_expr(&PredShape::NumRange(num.0, num.0 + num.1))),
+            Box::new(to_expr(&PredShape::BuddyNum(0, buddy))),
+        );
+        let predicate = match &extra {
+            Some(e) => Expr::And(Box::new(both), Box::new(to_expr(e))),
+            None => both,
         };
-        prop_assert_eq!(sorted(&first), sorted(&want), "plan {}", planned.report());
-        prop_assert_eq!(&first.rows.len(), &want.rows.len());
-        if shape == 0 {
-            prop_assert_eq!(&first.rows, &want.rows);
-        }
-        for batch in [1, 7, 1000] {
-            for threads in [1, 2, 4] {
-                let opts = ExecOptions { threads, batch, ..ExecOptions::default() };
-                let got = execute_with(&fx.catalog, &source, &planned, &opts).unwrap();
-                prop_assert_eq!(
-                    &got, &first,
-                    "batch {} on {} thread(s) diverged for {:?}", batch, threads, query
-                );
-            }
-        }
+        let query = hierarchy_query(shape, predicate, order);
+        let planned = plan(&fx.catalog, &fx.source, query.clone()).unwrap();
+        prop_assume!(!planned.intersect.is_empty());
+        agrees_at_every_batch_and_degree(&fx.catalog, &fx.source, &query, &planned)?;
     }
 
     #[test]

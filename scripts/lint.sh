@@ -50,6 +50,14 @@ if [ -n "$strays" ]; then
   exit 1
 fi
 
+# The planner costs an index probe by its exact, capped posting count
+# (DataSource::index_count); the key-span interpolation it replaced
+# stays deleted.
+if grep -rnE 'fn (index_)?key_bounds\b' crates --include='*.rs'; then
+  echo "FAIL: key_bounds under crates/ — cost index probes with index_count" >&2
+  exit 1
+fi
+
 # One home per byte format: strings and domains are coded only in
 # orion_types (whose checked reads every decoder uses, so bytes::Buf's
 # panicking getters stay out), and frame checksums only in orion_storage.

@@ -136,6 +136,65 @@ fn recoveries_in_a_row_survive_a_fault_during_one_on(db: Database) {
     assert!(recovery.pages_repaired >= 1, "the torn page was rebuilt from the log");
 }
 
+/// Indexes built after a bulk load, then creates committed one
+/// transaction each, then two restarts in a row: a conjunction that a
+/// class-hierarchy index and a nested index answer together gives the
+/// same answer before the first restart and after each.
+fn indexes_after_bulk_load_then_autocommit_creates_recover_twice_on(db: Database) {
+    let text = || Domain::Primitive(PrimitiveType::Str);
+    db.create_class("Maker", &[], vec![AttrSpec::new("city", text())]).unwrap();
+    let maker = db.with_catalog(|c| c.class_id("Maker")).unwrap();
+    let attrs = vec![
+        AttrSpec::new("weight", Domain::Primitive(PrimitiveType::Int)),
+        AttrSpec::new("maker", Domain::Class(maker)),
+    ];
+    db.create_class("Part", &[], attrs).unwrap();
+    db.create_class("Bolt", &["Part"], vec![]).unwrap();
+    let cities = ["Detroit", "Austin", "Kyoto", "Venice"];
+    let tx = db.begin();
+    let makers: Vec<Oid> = (0..12)
+        .map(|m| db.create_object(&tx, "Maker", vec![("city", Value::str(cities[m % 4]))]).unwrap())
+        .collect();
+    let part = |i: usize| {
+        let class = if i.is_multiple_of(2) { "Part" } else { "Bolt" };
+        let (weight, maker) = (Value::Int(i as i64 % 500), Value::Ref(makers[i % 12]));
+        let attrs = vec![("weight", weight), ("maker", maker)];
+        (class, attrs)
+    };
+    for i in 0..1_500 {
+        let (class, attrs) = part(i);
+        db.create_object(&tx, class, attrs).unwrap();
+    }
+    db.commit(tx).unwrap();
+    db.create_index("part_weight", IndexKind::ClassHierarchy, "Part", &["weight"]).unwrap();
+    db.create_index("part_city", IndexKind::Nested, "Part", &["maker", "city"]).unwrap();
+    for i in 1_500..1_700 {
+        let (class, attrs) = part(i);
+        let tx = db.begin();
+        db.create_object(&tx, class, attrs).unwrap();
+        db.commit(tx).unwrap();
+    }
+
+    let query = "select p from Part* p where p.weight >= 100 and p.weight < 160 \
+                 and p.maker.city = \"Detroit\"";
+    let answer = |context: &str| {
+        let tx = db.begin();
+        let plan = db.explain(&tx, query).unwrap();
+        assert_eq!(plan.intersect.len(), 1, "{context}: both indexes answer it: {plan}");
+        let mut oids = db.query(&tx, query).unwrap().oids;
+        db.commit(tx).unwrap();
+        oids.sort_unstable();
+        oids
+    };
+    let before = answer("before restart");
+    // Four runs of 60 parts weigh 100..160; Detroit makes every fourth.
+    assert_eq!(before.len(), 60, "the conjunction's answer");
+    for restart in 1..=2 {
+        db.crash_and_recover().unwrap();
+        assert_eq!(answer(&format!("restart {restart}")), before, "restart {restart}");
+    }
+}
+
 fn randomized_crash_recovery_matches_model_on(db: Database) {
     let mut rng = StdRng::seed_from_u64(42);
     // key → val model of committed state.
@@ -425,6 +484,24 @@ fn recoveries_in_a_row_survive_a_fault_during_one() {
 fn recoveries_in_a_row_survive_a_fault_during_one_filedisk() {
     let dir = TempDir::new("dur-fault");
     recoveries_in_a_row_survive_a_fault_during_one_on(file_db(&dir));
+}
+
+#[test]
+fn indexes_after_bulk_load_then_autocommit_creates_recover_twice() {
+    indexes_after_bulk_load_then_autocommit_creates_recover_twice_on(Database::open_in_memory());
+}
+
+#[test]
+fn indexes_after_bulk_load_then_autocommit_creates_recover_twice_filedisk() {
+    let dir = TempDir::new("dur-idx");
+    indexes_after_bulk_load_then_autocommit_creates_recover_twice_on(file_db(&dir));
+}
+
+#[test]
+fn indexes_after_bulk_load_then_autocommit_creates_recover_twice_small_pool() {
+    let config = DbConfig::builder().buffer_pages(16).build().unwrap();
+    let db = Database::try_with_config(config).unwrap();
+    indexes_after_bulk_load_then_autocommit_creates_recover_twice_on(db);
 }
 
 /// An empty database over real files in `dir`.

@@ -162,3 +162,63 @@ fn the_whole_system_in_one_story() {
     assert_eq!(db.query(&tx, "select count(*) from Heavies v").unwrap().rows[0][0], Value::Int(10));
     db.commit(tx).unwrap();
 }
+
+/// The benchmark's located-range query — a location and a 500-pound
+/// weight band — over a fleet with a class-hierarchy index on weight
+/// and a nested index on `manufacturer.location`: both indexes answer
+/// it together, every candidate is an answer, and no object is fetched
+/// to find them (with one index, each candidate of the band was read
+/// to test its maker's city).
+#[test]
+fn a_located_weight_band_is_answered_by_two_indexes_without_fetching() {
+    const CITIES: [&str; 10] = [
+        "Detroit", "Austin", "Portland", "Kyoto", "Venice", "Boston", "Berkeley", "Orlando",
+        "Chicago", "SanJose",
+    ];
+    let db = Database::open_in_memory();
+    db.create_class(
+        "Company",
+        &[],
+        vec![AttrSpec::new("name", str_dom()), AttrSpec::new("location", str_dom())],
+    )
+    .unwrap();
+    let company = db.with_catalog(|c| c.class_id("Company")).unwrap();
+    let attrs = vec![
+        AttrSpec::new("weight", int_dom()),
+        AttrSpec::new("manufacturer", Domain::Class(company)),
+    ];
+    db.create_class("Vehicle", &[], attrs).unwrap();
+    db.create_class("Truck", &["Vehicle"], vec![]).unwrap();
+    let tx = db.begin();
+    let makers: Vec<_> = (0..60)
+        .map(|c| {
+            let attrs = vec![("location", Value::str(CITIES[c % 10]))];
+            db.create_object(&tx, "Company", attrs).unwrap()
+        })
+        .collect();
+    for i in 0..6_000 {
+        let class = if i % 3 == 0 { "Truck" } else { "Vehicle" };
+        let maker = Value::Ref(makers[i as usize % 60]);
+        let attrs = vec![("weight", Value::Int(i)), ("manufacturer", maker)];
+        db.create_object(&tx, class, attrs).unwrap();
+    }
+    db.commit(tx).unwrap();
+    db.create_index("weight", IndexKind::ClassHierarchy, "Vehicle", &["weight"]).unwrap();
+    db.create_index("located", IndexKind::Nested, "Vehicle", &["manufacturer", "location"])
+        .unwrap();
+
+    let text = "select v from Vehicle* v where v.manufacturer.location = \"Kyoto\" \
+                and v.weight >= 2000 and v.weight < 2500";
+    let tx = db.begin();
+    let plan = db.explain(&tx, text).unwrap();
+    assert_eq!(plan.intersect.len(), 1, "{plan}");
+    assert!(plan.residual.is_none(), "{plan}");
+    db.reset_metrics();
+    let result = db.query(&tx, text).unwrap();
+    db.commit(tx).unwrap();
+    // Kyoto makes every vehicle whose weight is 3 mod 10.
+    assert_eq!(result.len(), 50);
+    let stats = db.stats();
+    assert_eq!(stats.fetches, 0, "objects fetched");
+    assert_eq!(stats.exec.rows_scanned, 50, "candidates");
+}

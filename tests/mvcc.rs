@@ -819,7 +819,7 @@ fn index_assisted_answers_match_a_twin_without_indexes() {
     use orion_oodb::orion::AccessPath;
     use orion_query::{execute_with, ExecOptions};
 
-    let mut assisted = 0;
+    let (mut assisted, mut intersected) = (0, 0);
     for seed in [1, 7, 42, 1990] {
         let mut rng = Rng(seed);
         let mut twins = Twins {
@@ -858,6 +858,7 @@ fn index_assisted_answers_match_a_twin_without_indexes() {
                     continue;
                 }
                 assisted += 1;
+                intersected += usize::from(!plan.intersect.is_empty());
                 let got = twins.indexed.query(&tx_a, &text).unwrap().rows;
                 let want = twins.plain.query(&tx_b, &text).unwrap().rows;
                 assert_eq!(
@@ -903,4 +904,89 @@ fn index_assisted_answers_match_a_twin_without_indexes() {
         }
     }
     assert!(assisted > 300, "only {assisted} index-assisted queries were compared");
+    assert!(intersected > INTERSECTED_FLOOR, "only {intersected} answers intersected two indexes");
+}
+
+/// Of the oracle's index-assisted answers, more than this many must come
+/// from an intersection of both indexes (predicates 3 and 4 combine `k`
+/// with `maker.city`; the seeds above give 135 of 591).
+const INTERSECTED_FLOOR: usize = 100;
+
+/// A conjunction that the `k` index drives and the nested `maker.city`
+/// index joins, while a writer holds an uncommitted move of the
+/// *joining* key — a maker's city, then an item's maker. Only the
+/// nested index's overlay names the items that move: the `k` index
+/// files them where they were. Every outside reader sees the committed
+/// answer, the writer its own, and a snapshot held across the writer's
+/// commit the answer from before it.
+#[test]
+fn intersections_recheck_an_uncommitted_move_of_the_joining_key() {
+    use orion_oodb::orion::AccessPath;
+    use orion_query::{execute_with, ExecOptions};
+
+    let db = oracle_db(true);
+    let tx = db.begin();
+    let makers: Vec<Oid> = (0..10)
+        .map(|m| {
+            let city = Value::str(ORACLE_CITIES[m % ORACLE_CITIES.len()]);
+            db.create_object(&tx, "Maker", vec![("city", city)]).unwrap()
+        })
+        .collect();
+    let items: Vec<Oid> = (0..200)
+        .map(|i| {
+            let class = if i % 3 == 0 { "SubItem" } else { "Item" };
+            let (k, maker) = (Value::Int(i as i64 % 100), Value::Ref(makers[i % 10]));
+            let attrs = vec![("k", k), ("maker", maker)];
+            db.create_object(&tx, class, attrs).unwrap()
+        })
+        .collect();
+    db.commit(tx).unwrap();
+    // k in [10, 20) holds items 10..20 and 110..120; Detroit makes the
+    // ones whose maker is 0 or 5.
+    let text = "select i from Item* i where i.k >= 10 and i.k < 20 and i.maker.city = \"Detroit\"";
+    let answer = |tx: &orion_oodb::orion::Tx| {
+        let mut oids = db.query(tx, text).unwrap().oids;
+        oids.sort_unstable();
+        oids
+    };
+    let of = |picked: &[usize]| -> Vec<Oid> {
+        let mut oids: Vec<Oid> = picked.iter().map(|&i| items[i]).collect();
+        oids.sort_unstable();
+        oids
+    };
+    let reader = db.begin();
+    let plan = db.explain(&reader, text).unwrap();
+    assert!(matches!(plan.access, AccessPath::IndexRange { .. }), "k drives: {plan}");
+    assert!(matches!(plan.intersect[..], [AccessPath::IndexEq { .. }]), "city joins: {plan}");
+    assert_eq!(answer(&reader), of(&[10, 15, 110, 115]));
+    db.commit(reader).unwrap();
+
+    let moves = [
+        // Maker 0 leaves Detroit: items 10 and 110 with it.
+        (makers[0], "city", Value::str("Boise"), of(&[10, 15, 110, 115]), of(&[15, 115])),
+        // Item 15 changes to an Austin maker.
+        (items[15], "maker", Value::Ref(makers[1]), of(&[15, 115]), of(&[115])),
+    ];
+    for (oid, attr, value, before, after) in moves {
+        let writer = db.begin();
+        db.set(&writer, oid, attr, value).unwrap();
+        let reader = db.begin();
+        assert_eq!(answer(&reader), before, "a reader during the move of {attr}");
+        db.commit(reader).unwrap();
+        assert_eq!(answer(&writer), after, "the writer of {attr}");
+
+        let reader = db.begin();
+        let planned = db.prepare_query(&reader, text).unwrap();
+        db.commit(reader).unwrap();
+        assert_eq!(planned.intersect.len(), 1, "{}", planned.report());
+        let mut held = db.with_snapshot(None, |catalog, source| {
+            db.commit(writer).unwrap();
+            execute_with(catalog, source, &planned, &ExecOptions::default()).unwrap().oids
+        });
+        held.sort_unstable();
+        assert_eq!(held, before, "a snapshot held across the commit of {attr}");
+        let reader = db.begin();
+        assert_eq!(answer(&reader), after, "a reader after the commit of {attr}");
+        db.commit(reader).unwrap();
+    }
 }
