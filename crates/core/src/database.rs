@@ -16,8 +16,8 @@
 //! themselves (see `crate::runtime` for the canonical lock order), so
 //! transactions touching disjoint objects execute concurrently; the old
 //! big runtime lock survives only as the *maintenance gate* `rt`, taken
-//! shared by all normal work — rollback included — and exclusively by
-//! restart rebuilds, index DDL and foreign attach.
+//! shared by all normal work — rollback and foreign attach included —
+//! and exclusively by restart rebuilds and index DDL.
 
 use crate::authz::{AuthAction, AuthTarget, AuthzManager};
 use crate::cache::Hop;
@@ -239,9 +239,9 @@ pub struct Database {
     pub(crate) engine: StorageEngine,
     pub(crate) locks: LockManager,
     /// The maintenance gate around the decomposed [`Runtime`]: shared
-    /// for DML/queries/reads/rollback (components synchronize
-    /// themselves), exclusive only for restart rebuilds, index DDL and
-    /// foreign attach. See `crate::runtime` for the lock order.
+    /// for DML/queries/reads/rollback/foreign attach (components
+    /// synchronize themselves), exclusive only for restart rebuilds and
+    /// index DDL. See `crate::runtime` for the lock order.
     pub(crate) rt: RwLock<Runtime>,
     pub(crate) methods: RwLock<MethodRegistry>,
     pub(crate) authz: RwLock<AuthzManager>,
@@ -377,15 +377,16 @@ impl Database {
     // ------------------------------------------------------------------
 
     /// Shared gate acquisition — every normal operation (DML, rollback,
-    /// query, read, stats). Blocks only against a concurrent exclusive
-    /// holder (recovery/index DDL/attach), never against other shared work.
+    /// query, read, stats, foreign attach). Blocks only against a
+    /// concurrent exclusive holder (restart/index DDL), never against
+    /// other shared work.
     pub(crate) fn rt_read(&self) -> RwLockReadGuard<'_, Runtime> {
         self.metrics.gate_shared.inc();
         self.rt.read()
     }
 
-    /// Exclusive gate acquisition — restart rebuilds, index DDL, foreign
-    /// attach. Waits for every in-flight shared holder to drain; the
+    /// Exclusive gate acquisition — restart rebuilds and index DDL.
+    /// Waits for every in-flight shared holder to drain; the
     /// wait is recorded so pathological gate contention shows up in
     /// `stats()`.
     pub(crate) fn rt_write(&self) -> RwLockWriteGuard<'_, Runtime> {

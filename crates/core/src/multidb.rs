@@ -65,9 +65,10 @@ impl Database {
         let mut attached = Vec::with_capacity(classes.len());
         {
             let mut catalog = self.catalog.write();
-            // Exclusive gate: attaching re-plumbs how extents are served,
-            // which must not race an in-flight scan or DML.
-            let rt = self.rt_write();
+            // Shared gate: the classes registered here do not exist for
+            // anyone else until the catalog write lock is released, so no
+            // scan or DML can name them in the meantime.
+            let rt = self.rt_read();
             let mut foreign = rt.foreign_classes.write();
             for fc in &classes {
                 let attrs = fc

@@ -32,9 +32,9 @@
 //!    built with the reference `Database::with_snapshot` holds, and its
 //!    worker threads never touch this lock.
 //! 3. **Maintenance gate** (`Database.rt: RwLock<Runtime>`) — DML,
-//!    rollback, queries, and reads take it *shared*; only operations
-//!    that replace derived state wholesale take it exclusively (crash
-//!    recovery, cold restart, index DDL, foreign attach). The same
+//!    rollback, queries, reads and foreign attach take it *shared*;
+//!    only operations that replace derived state wholesale take it
+//!    exclusively (crash recovery, cold restart, index DDL). The same
 //!    no-re-entry rule applies (a query takes it once per batch of
 //!    records, not per record). The gate is what makes
 //!    `rebuild_runtime` observe a quiescent component set without

@@ -34,8 +34,8 @@ pub(crate) struct DbMetrics {
     pub twopc: TwoPcMetrics,
     /// Shared maintenance-gate acquisitions (DML/query/read paths).
     pub gate_shared: Counter,
-    /// Exclusive maintenance-gate acquisitions (rollback, recovery,
-    /// index DDL, foreign attach).
+    /// Exclusive maintenance-gate acquisitions (the two restart paths
+    /// and index DDL).
     pub gate_exclusive: Counter,
     /// Time an exclusive gate acquisition waited for shared holders to
     /// drain — the cost of quiescing the decomposed runtime.
@@ -64,7 +64,7 @@ impl DbMetrics {
 pub struct GateStats {
     /// Shared acquisitions (DML, queries, reads, stats).
     pub shared_acquisitions: u64,
-    /// Exclusive acquisitions (recovery, index DDL, foreign attach).
+    /// Exclusive acquisitions (the two restart paths and index DDL).
     pub exclusive_acquisitions: u64,
     /// Wait-for-quiescence latency of exclusive acquisitions.
     pub exclusive_wait: HistogramSnapshot,

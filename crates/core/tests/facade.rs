@@ -675,8 +675,14 @@ fn foreign_adapter_federation() {
     let db = Database::open_in_memory();
     figure1(&db);
     populate(&db, 2);
+    let exclusive = db.stats().gate.exclusive_acquisitions;
     let attached = db.attach_foreign(Box::new(Payroll)).unwrap();
     assert_eq!(attached, vec!["Employee".to_string()]);
+    assert_eq!(
+        db.stats().gate.exclusive_acquisitions,
+        exclusive,
+        "attach takes the maintenance gate shared"
+    );
     assert_eq!(db.foreign_adapters(), vec!["payroll".to_string()]);
 
     // The same declarative language runs over foreign data.

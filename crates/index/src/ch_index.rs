@@ -5,15 +5,16 @@
 //! to maintain one index on the attribute for all the classes in the
 //! class hierarchy rooted at the target class."
 //!
-//! One B+-tree serves every class in the hierarchy; each key's leaf
-//! entry carries a *class directory* — per-class posting lists — so a
-//! query scoped to any subset of the hierarchy (the whole subtree, a
-//! nested subtree, or a single class) reads one tree and filters the
-//! directory, instead of probing one tree per class.
+//! One ordered map serves every class in the hierarchy; each key's
+//! value is a *class directory* — per-class posting lists — so a query
+//! scoped to any subset of the hierarchy (the whole subtree, a nested
+//! subtree, or a single class) reads one map and filters the
+//! directory, instead of probing one index per class.
 
 use crate::btree::BTree;
 use crate::key::{keyed, KeyVal};
 use orion_types::{ClassId, Oid, Value};
+use std::collections::btree_map::Entry;
 use std::ops::Bound;
 
 /// Per-key directory: posting lists partitioned by class.
@@ -105,7 +106,7 @@ impl ClassDirectory {
     }
 }
 
-/// A class-hierarchy index: one tree for an attribute across a hierarchy.
+/// A class-hierarchy index: one map for an attribute across a hierarchy.
 #[derive(Debug, Clone, Default)]
 pub struct ClassHierarchyIndex {
     tree: BTree<KeyVal, ClassDirectory>,
@@ -120,36 +121,24 @@ impl ClassHierarchyIndex {
 
     /// Register `oid` (whose class is taken from the OID tag) under `key`.
     pub fn insert(&mut self, key: Value, oid: Oid) {
-        let k = KeyVal(key);
-        match self.tree.get_mut(&k) {
-            Some(dir) => {
-                if dir.insert(oid) {
-                    self.entries += 1;
-                }
-            }
-            None => {
-                let mut dir = ClassDirectory::default();
-                dir.insert(oid);
-                self.tree.insert(k, dir);
-                self.entries += 1;
-            }
+        if self.tree.entry(KeyVal(key)).or_default().insert(oid) {
+            self.entries += 1;
         }
     }
 
     /// Remove `oid` from under `key`.
     pub fn remove(&mut self, key: &Value, oid: Oid) -> bool {
-        let k = KeyVal(key.clone());
-        let (removed, now_empty) = match self.tree.get_mut(&k) {
-            Some(dir) => (dir.remove(oid), dir.is_empty()),
-            None => (false, false),
+        let Entry::Occupied(mut dir) = self.tree.entry(KeyVal(key.clone())) else {
+            return false;
         };
-        if now_empty {
-            self.tree.remove(&k);
+        if !dir.get_mut().remove(oid) {
+            return false;
         }
-        if removed {
-            self.entries -= 1;
+        if dir.get().is_empty() {
+            dir.remove();
         }
-        removed
+        self.entries -= 1;
+        true
     }
 
     /// OIDs under exactly `key`, restricted to `scope` classes (sorted

@@ -4,7 +4,7 @@ use orion_types::Value;
 use std::cmp::Ordering;
 use std::ops::Bound;
 
-/// A [`Value`] usable as a B+-tree key: total order via
+/// A [`Value`] usable as an index key: total order via
 /// [`Value::cmp_total`] (so `Int(1)` and `Float(1.0)` collate together,
 /// NaN has a defined position, and cross-variant keys rank by kind).
 #[derive(Debug, Clone)]
@@ -28,8 +28,9 @@ impl Ord for KeyVal {
     }
 }
 
-/// A range bound over values as the tree's key type.
-pub(crate) fn keyed(bound: Bound<&Value>) -> Bound<KeyVal> {
+/// A range bound over values as the index key type, for
+/// [`BTree::range`](crate::BTree::range).
+pub fn keyed(bound: Bound<&Value>) -> Bound<KeyVal> {
     bound.map(|v| KeyVal(v.clone()))
 }
 

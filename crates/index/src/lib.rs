@@ -1,5 +1,5 @@
-//! Indexing for orion: a from-scratch B+-tree and the three index
-//! species the paper's §3.2 derives from the object-oriented data model.
+//! Indexing for orion: an ordered map and the three index species the
+//! paper's §3.2 derives from the object-oriented data model.
 //!
 //! "The aggregation and generalization relationships captured in an
 //! object-oriented data model require changes to the semantics of
@@ -7,9 +7,10 @@
 //! class-hierarchy indexing along a class hierarchy, and nested indexing
 //! along an aggregation hierarchy."
 //!
-//! * [`BTree`] — the underlying arena B+-tree with leaf chaining,
+//! * [`BTree`] — the ordered map underneath: std's `BTreeMap`, whose
+//!   `range` yields nothing for an empty or inverted bound pair,
 //! * [`SingleClassIndex`] — the relational-style per-class baseline,
-//! * [`ClassHierarchyIndex`] — one tree per attribute per hierarchy,
+//! * [`ClassHierarchyIndex`] — one map per attribute per hierarchy,
 //!   with per-key class directories (\[KIM89b\]; experiment E1),
 //! * [`IndexKind::Nested`] — nested-attribute indexes (\[BERT89\];
 //!   experiment E2), physically a [`ClassHierarchyIndex`] whose postings

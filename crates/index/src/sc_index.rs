@@ -10,6 +10,7 @@
 use crate::btree::BTree;
 use crate::key::{keyed, KeyVal};
 use orion_types::{Oid, Value};
+use std::collections::btree_map::Entry;
 use std::ops::Bound;
 
 /// An index over one attribute of one class.
@@ -27,41 +28,27 @@ impl SingleClassIndex {
 
     /// Register `oid` under `key`.
     pub fn insert(&mut self, key: Value, oid: Oid) {
-        let k = KeyVal(key);
-        match self.tree.get_mut(&k) {
-            Some(postings) => {
-                if let Err(pos) = postings.binary_search(&oid) {
-                    postings.insert(pos, oid);
-                    self.entries += 1;
-                }
-            }
-            None => {
-                self.tree.insert(k, vec![oid]);
-                self.entries += 1;
-            }
+        let postings = self.tree.entry(KeyVal(key)).or_default();
+        if let Err(pos) = postings.binary_search(&oid) {
+            postings.insert(pos, oid);
+            self.entries += 1;
         }
     }
 
     /// Remove `oid` from under `key`; returns whether it was present.
     pub fn remove(&mut self, key: &Value, oid: Oid) -> bool {
-        let k = KeyVal(key.clone());
-        let (removed, now_empty) = match self.tree.get_mut(&k) {
-            Some(postings) => match postings.binary_search(&oid) {
-                Ok(pos) => {
-                    postings.remove(pos);
-                    (true, postings.is_empty())
-                }
-                Err(_) => (false, false),
-            },
-            None => (false, false),
+        let Entry::Occupied(mut postings) = self.tree.entry(KeyVal(key.clone())) else {
+            return false;
         };
-        if now_empty {
-            self.tree.remove(&k);
+        let Ok(pos) = postings.get().binary_search(&oid) else {
+            return false;
+        };
+        postings.get_mut().remove(pos);
+        if postings.get().is_empty() {
+            postings.remove();
         }
-        if removed {
-            self.entries -= 1;
-        }
-        removed
+        self.entries -= 1;
+        true
     }
 
     /// All OIDs stored under exactly `key`.

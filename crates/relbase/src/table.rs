@@ -1,13 +1,14 @@
 //! Tables, scans, indexes, and joins.
 
 use crate::row::{decode_row, encode_row};
+use orion_index::key::keyed;
 use orion_index::{BTree, KeyVal};
 use orion_storage::heap::Rid;
 use orion_storage::{StorageEngine, TxnId};
 use orion_types::{DbError, DbResult, PrimitiveType, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 
 /// Identifier of a row within a table.
 pub type RowId = u64;
@@ -118,13 +119,7 @@ impl RelDb {
         }
         let mut tree: BTree<KeyVal, Vec<RowId>> = BTree::new();
         for (rowid, values) in rows {
-            let key = KeyVal(values[pos].clone());
-            match tree.get_mut(&key) {
-                Some(list) => list.push(rowid),
-                None => {
-                    tree.insert(key, vec![rowid]);
-                }
-            }
+            tree.entry(KeyVal(values[pos].clone())).or_default().push(rowid);
         }
         t.indexes.insert(pos, tree);
         Ok(())
@@ -169,13 +164,7 @@ impl RelDb {
         let rid = self.engine.insert(txn, &encode_row(rowid, &values), None)?;
         t.rows.insert(rowid, rid);
         for (pos, index) in t.indexes.iter_mut() {
-            let key = KeyVal(values[*pos].clone());
-            match index.get_mut(&key) {
-                Some(list) => list.push(rowid),
-                None => {
-                    index.insert(key, vec![rowid]);
-                }
-            }
+            index.entry(KeyVal(values[*pos].clone())).or_default().push(rowid);
         }
         Ok(rowid)
     }
@@ -210,13 +199,7 @@ impl RelDb {
                     index.remove(&old_key);
                 }
             }
-            let new_key = KeyVal(values[*pos].clone());
-            match index.get_mut(&new_key) {
-                Some(list) => list.push(rowid),
-                None => {
-                    index.insert(new_key, vec![rowid]);
-                }
-            }
+            index.entry(KeyVal(values[*pos].clone())).or_default().push(rowid);
         }
         Ok(())
     }
@@ -299,61 +282,25 @@ impl RelDb {
         upper: Bound<&Value>,
     ) -> DbResult<Vec<(RowId, Vec<Value>)>> {
         let pos;
+        let bounds = (keyed(lower), keyed(upper));
         let rowids: Option<Vec<RowId>> = {
             let tables = self.tables.lock();
             let t =
                 tables.get(table).ok_or_else(|| DbError::Query(format!("no table `{table}`")))?;
             pos = t.column_pos(column)?;
             t.indexes.get(&pos).map(|idx| {
-                let lk;
-                let lower = match lower {
-                    Bound::Included(v) => {
-                        lk = KeyVal(v.clone());
-                        Bound::Included(&lk)
-                    }
-                    Bound::Excluded(v) => {
-                        lk = KeyVal(v.clone());
-                        Bound::Excluded(&lk)
-                    }
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                let uk;
-                let upper = match upper {
-                    Bound::Included(v) => {
-                        uk = KeyVal(v.clone());
-                        Bound::Included(&uk)
-                    }
-                    Bound::Excluded(v) => {
-                        uk = KeyVal(v.clone());
-                        Bound::Excluded(&uk)
-                    }
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                idx.range(lower, upper).flat_map(|(_, list)| list.iter().copied()).collect()
+                idx.range(bounds.0.as_ref(), bounds.1.as_ref())
+                    .flat_map(|(_, list)| list.iter().copied())
+                    .collect()
             })
         };
         match rowids {
             Some(ids) => ids.into_iter().map(|r| Ok((r, self.get(table, r)?))).collect(),
-            None => {
-                let in_range = |v: &Value| {
-                    let lo_ok = match lower {
-                        Bound::Included(l) => v.cmp_total(l) != std::cmp::Ordering::Less,
-                        Bound::Excluded(l) => v.cmp_total(l) == std::cmp::Ordering::Greater,
-                        Bound::Unbounded => true,
-                    };
-                    let hi_ok = match upper {
-                        Bound::Included(u) => v.cmp_total(u) != std::cmp::Ordering::Greater,
-                        Bound::Excluded(u) => v.cmp_total(u) == std::cmp::Ordering::Less,
-                        Bound::Unbounded => true,
-                    };
-                    lo_ok && hi_ok
-                };
-                Ok(self
-                    .scan(table)?
-                    .into_iter()
-                    .filter(|(_, values)| in_range(&values[pos]))
-                    .collect())
-            }
+            None => Ok(self
+                .scan(table)?
+                .into_iter()
+                .filter(|(_, values)| bounds.contains(&KeyVal(values[pos].clone())))
+                .collect()),
         }
     }
 
@@ -520,6 +467,14 @@ mod tests {
             )
             .unwrap();
         assert_eq!(ranged.len(), 3);
+        // An inverted pair selects nothing, with the index or without it.
+        let (hi, lo) = (Value::Int(6000), Value::Int(3000));
+        let inverted = |db: &RelDb| {
+            db.select_range("vehicle", "weight", Bound::Included(&hi), Bound::Excluded(&lo))
+                .unwrap()
+        };
+        assert!(inverted(&db).is_empty());
+        assert!(inverted(&sample()).is_empty());
     }
 
     #[test]

@@ -58,6 +58,14 @@ if grep -rnE 'fn (index_)?key_bounds\b' crates --include='*.rs'; then
   exit 1
 fi
 
+# std's tuple-bound BTreeMap::range panics on an inverted pair, and the
+# planner merges `w > 9000 and w < 100` into exactly that. Ranges go
+# through orion_index::BTree::range, which yields nothing for one.
+if grep -rn '\.range((' src crates --include='*.rs' | grep -v '^crates/index/src/btree\.rs:'; then
+  echo "FAIL: .range(( outside crates/index/src/btree.rs — std's range panics on an inverted bound pair; use orion_index::BTree::range" >&2
+  exit 1
+fi
+
 # One home per byte format: strings and domains are coded only in
 # orion_types (whose checked reads every decoder uses, so bytes::Buf's
 # panicking getters stay out), and frame checksums only in orion_storage.
