@@ -113,14 +113,15 @@ fn e1(g: &mut Gates) {
     // index probes, candidates pulled from the access paths).
     let mut run = |scope: &str, method: &str, queries: &[String]| {
         let tx = db.begin();
-        db.reset_metrics();
+        let before = db.stats().exec;
         let (d, rows) = time(|| {
             let count = |q: &String| db.query(&tx, q).unwrap().rows[0][0].as_int().unwrap();
             queries.iter().map(count).sum::<i64>()
         });
         let exec = db.stats().exec;
         db.commit(tx).unwrap();
-        let (probes, candidates) = (exec.index_picks, exec.rows_scanned);
+        let probes = exec.index_picks - before.index_picks;
+        let candidates = exec.rows_scanned - before.rows_scanned;
         table.row(vec![scope.into(), method.into(), fmt_dur(d), rows.to_string(),
             probes.to_string(), candidates.to_string()]);
         (rows, probes, candidates)
@@ -164,10 +165,10 @@ fn e2(g: &mut Gates) {
     let run = || {
         db.cool_caches().unwrap();
         let tx = db.begin();
-        db.reset_metrics();
+        let before = db.stats().fetches;
         let (d, r) = time(|| db.query(&tx, q).unwrap());
         db.commit(tx).unwrap();
-        (d, r.rows[0][0].as_int().unwrap(), db.stats().fetches)
+        (d, r.rows[0][0].as_int().unwrap(), db.stats().fetches - before)
     };
     let mut table = Table::new(&["access method", "time", "rows", "objects fetched"]);
     let (d, rows, traversal) = run();
@@ -270,20 +271,21 @@ fn e3(g: &mut Gates) {
         let tx = db.begin();
         // Cold run (first touch faults everything in).
         db.cool_caches().unwrap();
-        db.reset_metrics();
         let cold = time_per(1, || {
             for &h in &heads {
                 std::hint::black_box(db.navigate(&tx, h, &path).unwrap());
             }
         }) / heads.len() as u32;
         // Warm runs.
-        db.reset_metrics();
+        let before = db.stats().cache;
         let warm = time_per(8, || {
             for &h in &heads {
                 std::hint::black_box(db.navigate(&tx, h, &path).unwrap());
             }
         }) / heads.len() as u32;
-        let stats = db.stats().cache;
+        let after = db.stats().cache;
+        let swizzled_hops = after.swizzled_hops - before.swizzled_hops;
+        let unswizzled_hops = after.unswizzled_hops - before.unswizzled_hops;
         let label = if swizzling { "orion: swizzled pointers" } else { "orion: OID hash per hop" };
         table.row(vec![
             label.into(),
@@ -298,12 +300,9 @@ fn e3(g: &mut Gates) {
             format!("{:.1}x", rel_per.as_nanos() as f64 / warm.as_nanos().max(1) as f64),
         ]);
         if swizzling {
-            println!(
-                "warm passes: {} swizzled hops, {} unswizzled",
-                stats.swizzled_hops, stats.unswizzled_hops
-            );
+            println!("warm passes: {swizzled_hops} swizzled hops, {unswizzled_hops} unswizzled");
             // Once faulted in, every hop follows a memory pointer.
-            g.check("e3.warm.unswizzled_hops", stats.unswizzled_hops as f64, Cmp::Equal, 0.0);
+            g.check("e3.warm.unswizzled_hops", unswizzled_hops as f64, Cmp::Equal, 0.0);
         }
         db.commit(tx).unwrap();
     }
@@ -344,10 +343,11 @@ fn e4(g: &mut Gates) {
     for q in queries {
         let report = db.explain(&tx, q).unwrap();
         chosen.push(report.access.index().unwrap_or(0));
-        db.reset_metrics();
+        let before = db.stats();
         let (d, r) = time(|| db.query(&tx, q).unwrap());
-        let (rows, stats) = (r.rows[0][0].as_int().unwrap() as u64, db.stats());
-        let (candidates, fetched) = (stats.exec.rows_scanned, stats.fetches);
+        let (rows, after) = (r.rows[0][0].as_int().unwrap() as u64, db.stats());
+        let candidates = after.exec.rows_scanned - before.exec.rows_scanned;
+        let fetched = after.fetches - before.fetches;
         let clause = q.split(" where ").nth(1).unwrap_or(q).split_whitespace().collect::<Vec<_>>();
         table.row(vec![
             clause.join(" "),
@@ -485,15 +485,15 @@ fn e5(g: &mut Gates) {
     g.not_reproduced(
         "e5.name_lookup.orion_over_relbase",
         (orion_lookup.as_nanos() as f64 / rel_lookup.as_nanos().max(1) as f64).round(),
-        "every query is lexed, parsed, planned and compiled per call and pays a transaction \
-         and a snapshot, where relbase probes a prepared index; even prepared, the lookup \
-         costs more than the relational probe (ROADMAP 7(a))",
+        "every query is lexed, parsed, planned and compiled per call, with no plan cache \
+         (ROADMAP 1(c)), where relbase probes a prepared index; prepared, the lookup ties \
+         the relational probe",
     );
     g.not_reproduced(
         "e5.reference_hop.orion_over_relbase",
         (orion_hop.as_nanos() as f64 / rel_hop.as_nanos().max(1) as f64 * 100.0).round() / 100.0,
-        "each navigate call runs in a transaction and takes 2PL read locks on the objects it \
-         touches, which costs about what relbase's two indexed probes do",
+        "the object cache's shard index does not mix serials, so the strided sources land in \
+         2 of its 16 shards and evict each other, and every hop fetches (ROADMAP 1(b))",
     );
 }
 
@@ -612,11 +612,11 @@ fn e8(g: &mut Gates) {
         let db = &f.db;
         let aborts = std::sync::atomic::AtomicU64::new(0);
         let (d, ()) = time(|| {
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 for t in 0..THREADS {
                     let vehicles = &f.vehicles;
                     let aborts = &aborts;
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         for i in 0..OPS {
                             let oid = vehicles[t * OPS + i];
                             // Retry loop: under coarse locking, two
@@ -644,8 +644,7 @@ fn e8(g: &mut Gates) {
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
         });
         let total = (THREADS * OPS) as f64;
         let aborts = aborts.into_inner();
@@ -667,7 +666,7 @@ fn e8(g: &mut Gates) {
                 "class S locks upgrade to X on write: a fresh S request is granted past a \
                  waiting upgrader and the requester that closes the cycle is the victim, which \
                  retries at once, so read-then-write on one class livelocks; the paper's \
-                 serialization shows as abort storms, not as a bounded slowdown (ROADMAP 1(a))",
+                 serialization shows as abort storms, not as a bounded slowdown (ROADMAP 2(a))",
             ),
         }
     }
@@ -727,10 +726,11 @@ fn e9(g: &mut Gates) {
     // (per-read time, lock acquisitions and log records per read)
     let measure = |read_composite: &dyn Fn()| {
         let d = time_per(50, read_composite);
-        db2.reset_metrics();
+        let before = db2.stats();
         read_composite();
-        let stats = db2.stats();
-        (d, stats.locks.acquisitions, stats.wal.appends)
+        let after = db2.stats();
+        let locks = after.locks.acquisitions - before.locks.acquisitions;
+        (d, locks, after.wal.appends - before.wal.appends)
     };
     let (one_d, one_locks, one_log) = measure(&one_step);
     let (per_d, per_locks, per_log) = measure(&per_object);
@@ -782,7 +782,7 @@ fn e10(g: &mut Gates) {
             order.shuffle(&mut rng);
         }
         db.cool_caches().unwrap();
-        db.reset_metrics();
+        let before = db.stats().pool.misses;
         let tx = db.begin();
         let (d, ()) = time(|| {
             for &i in &order {
@@ -792,7 +792,7 @@ fn e10(g: &mut Gates) {
             }
         });
         db.commit(tx).unwrap();
-        let misses = db.stats().pool.misses as f64 / ASSEMBLIES as f64;
+        let misses = (db.stats().pool.misses - before) as f64 / ASSEMBLIES as f64;
         table.row(vec![
             if clustering { "clustered with parent (hints)" } else { "creation order (scattered)" }
                 .into(),

@@ -33,7 +33,7 @@
 //! connection crowd stays at full size so its gates stay meaningful).
 
 use orion_bench::{fleet, Cmp, Gates};
-use orion_core::{AttrSpec, Database, DbConfig, Domain, PrimitiveType, Value};
+use orion_core::{AttrSpec, Database, DbConfig, Domain, NetStats, PrimitiveType, Value};
 use orion_net::{Client, Request, Response, Server, ServerConfig};
 use orion_shard::{ExplicitPlacement, RouterConfig, ShardRouter};
 use std::sync::Arc;
@@ -375,7 +375,7 @@ fn main() {
     )
     .expect("bind");
     let addr = server.local_addr();
-    db.reset_metrics(); // count only the measured window
+    let before = db.stats().net; // count only the measured window
 
     let requests_per_client = load.requests_per_client;
     let started = Instant::now();
@@ -419,8 +419,16 @@ fn main() {
     let scrape = probe.stats_prometheus().expect("scrape");
     drop(probe);
     server.shutdown();
-    let net = db.stats().net;
-    assert!(net.requests >= total as u64, "every request was counted");
+    let after = db.stats().net;
+    let d = |f: fn(&NetStats) -> u64| f(&after) - f(&before);
+    let [requests, connections, errors, timeouts, busy] = [
+        d(|n| n.requests),
+        d(|n| n.connections_total),
+        d(|n| n.errors),
+        d(|n| n.timeouts),
+        d(|n| n.busy_rejections),
+    ];
+    assert!(requests >= total as u64, "every request was counted");
     assert!(
         scrape.contains("orion_net_requests_total") && !scrape.contains("orion_net_requests_total 0\n"),
         "prometheus scrape carries live net counters"
@@ -435,8 +443,8 @@ fn main() {
          ({expected_rows} rows)"
     );
     println!(
-        "server counters: {} requests, {} connections, {} errors, {} timeouts",
-        net.requests, net.connections_total, net.errors, net.timeouts
+        "server counters: {requests} requests, {connections} connections, {errors} errors, \
+         {timeouts} timeouts"
     );
 
     let mut gates = Gates::default();
@@ -476,11 +484,11 @@ fn main() {
         p50.as_secs_f64() * 1e3,
         p99.as_secs_f64() * 1e3,
         in_process.as_secs_f64() * 1e3,
-        net.requests,
-        net.connections_total,
-        net.errors,
-        net.timeouts,
-        net.busy_rejections,
+        requests,
+        connections,
+        errors,
+        timeouts,
+        busy,
         gates.json(),
     );
     std::fs::write("BENCH_net.json", &json).expect("write BENCH_net.json");

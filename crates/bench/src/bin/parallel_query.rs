@@ -28,7 +28,7 @@
 //! The binary checks every gate itself and exits nonzero on a breach.
 
 use orion_bench::{fleet, Cmp, Gates};
-use orion_core::{AttrSpec, Database, DbConfig, Domain, Oid, PrimitiveType, Value};
+use orion_core::{AttrSpec, Database, DbConfig, DbStats, Domain, Oid, PrimitiveType, Value};
 use orion_query::{execute_with, ExecMetrics, ExecOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -131,16 +131,17 @@ fn main() {
     let wdb = &small_pool.db;
     let work_plan = wdb.prepare_query(&wdb.begin(), QUERY).expect("plan");
     wdb.execute_prepared(&work_plan).expect("warm-up");
-    wdb.reset_metrics();
+    let before = wdb.stats();
     for _ in 0..WORK_QUERIES {
         assert_eq!(wdb.execute_prepared(&work_plan).expect("execute").len(), len_serial);
     }
     let work = wdb.stats();
+    let d = |f: fn(&DbStats) -> u64| f(&work) - f(&before);
     let heap_pages = wdb.engine().disk().page_count();
-    let per_row = |count: u64| count as f64 / work.exec.rows_scanned as f64;
-    let fetches_per_row = per_row(work.fetches);
-    let snapshot_reads_per_row = per_row(work.mvcc.snapshot_reads);
-    let misses_per_query = work.pool.misses as f64 / WORK_QUERIES as f64;
+    let per_row = |count: u64| count as f64 / d(|s| s.exec.rows_scanned) as f64;
+    let fetches_per_row = per_row(d(|s| s.fetches));
+    let snapshot_reads_per_row = per_row(d(|s| s.mvcc.snapshot_reads));
+    let misses_per_query = d(|s| s.pool.misses) as f64 / WORK_QUERIES as f64;
     let degree = work.exec.last_parallelism;
     // The chosen degree must not lose to one worker: same plan, same
     // database, interleaved, medians.
@@ -334,10 +335,10 @@ fn main() {
     let stats = db.stats();
     db.commit(tx).expect("commit");
 
-    // 3b. Pure-read lock accounting: from a clean slate, a read-only
-    // workload must resolve entirely through snapshots — ~0 2PL lock
-    // acquisitions, every read visible in the orion_mvcc_* counters.
-    db.reset_metrics();
+    // 3b. Pure-read lock accounting: a read-only workload must resolve
+    // entirely through snapshots — ~0 2PL lock acquisitions, every read
+    // visible in the orion_mvcc_* counters.
+    let before = db.stats();
     let pure_read_queries = MIX_READERS * RT_QUERIES_PER_READER;
     let pure_start = Instant::now();
     std::thread::scope(|s| {
@@ -350,14 +351,18 @@ fn main() {
         }
     });
     let pure_read_qps = pure_read_queries as f64 / pure_start.elapsed().as_secs_f64();
-    let pure = db.stats();
+    let after = db.stats();
+    let d = |f: fn(&DbStats) -> u64| f(&after) - f(&before);
+    let pure_locks = d(|s| s.locks.acquisitions);
+    let pure_s_locks = d(|s| s.locks.s_acquisitions);
+    let pure_snapshots = d(|s| s.mvcc.snapshots);
+    let pure_snapshot_reads = d(|s| s.mvcc.snapshot_reads);
     println!(
-        "pure-read workload ({pure_read_queries} queries): {} lock acquisitions \
-         ({} S-mode), {} snapshots, {} snapshot reads, {pure_read_qps:.1} queries/s",
-        pure.locks.acquisitions, pure.locks.s_acquisitions, pure.mvcc.snapshots,
-        pure.mvcc.snapshot_reads,
+        "pure-read workload ({pure_read_queries} queries): {pure_locks} lock acquisitions \
+         ({pure_s_locks} S-mode), {pure_snapshots} snapshots, {pure_snapshot_reads} snapshot \
+         reads, {pure_read_qps:.1} queries/s",
     );
-    gates.check("pure_read.lock_acquisitions", pure.locks.acquisitions as f64, Cmp::AtMost, 4.0);
+    gates.check("pure_read.lock_acquisitions", pure_locks as f64, Cmp::AtMost, 4.0);
 
     // --- 4. Group commit: flushes per commit vs committer count --------
     // A fixed budget of tiny write transactions, split across 1, 8,
@@ -382,7 +387,7 @@ fn main() {
                 vec![AttrSpec::new("n", Domain::Primitive(PrimitiveType::Int))],
             )
             .expect("entry class");
-            cdb.reset_metrics();
+            let before = cdb.stats().wal;
             let start = Instant::now();
             std::thread::scope(|s| {
                 for _ in 0..committers {
@@ -398,24 +403,25 @@ fn main() {
                 }
             });
             let elapsed = start.elapsed();
-            let wal = cdb.stats().wal;
+            let after = cdb.stats().wal;
+            let fsyncs = after.fsyncs - before.fsyncs;
+            let group_flushes =
+                after.group_commit_batch_size.count - before.group_commit_batch_size.count;
             let commits = (COMMITS_TOTAL / committers * committers) as u64;
-            let per_commit = wal.fsyncs as f64 / commits as f64;
+            let per_commit = fsyncs as f64 / commits as f64;
             flushes_per_commit.push(per_commit);
             println!(
                 "group commit, {committers} committer(s): {commits} commits in {elapsed:?} \
-                 ({:.1}/s), {} fsyncs ({per_commit:.3} flushes/commit, {} group flushes)",
+                 ({:.1}/s), {fsyncs} fsyncs ({per_commit:.3} flushes/commit, \
+                 {group_flushes} group flushes)",
                 commits as f64 / elapsed.as_secs_f64(),
-                wal.fsyncs,
-                wal.group_commit_batch_size.count,
             );
             format!(
                 "{{ \"committers\": {committers}, \"commits\": {commits}, \"ms\": {:.3}, \
-                 \"commits_per_s\": {:.1}, \"fsyncs\": {}, \
+                 \"commits_per_s\": {:.1}, \"fsyncs\": {fsyncs}, \
                  \"flushes_per_commit\": {per_commit:.4} }}",
                 elapsed.as_secs_f64() * 1e3,
                 commits as f64 / elapsed.as_secs_f64(),
-                wal.fsyncs,
             )
         })
         .collect();
@@ -497,10 +503,10 @@ fn main() {
         speedup,
         auto_degree.as_secs_f64() * 1e3,
         one_worker.as_secs_f64() * 1e3,
-        pure.locks.acquisitions,
-        pure.locks.s_acquisitions,
-        pure.mvcc.snapshots,
-        pure.mvcc.snapshot_reads,
+        pure_locks,
+        pure_s_locks,
+        pure_snapshots,
+        pure_snapshot_reads,
         metrics_off.as_secs_f64() * 1e3,
         metrics_on.as_secs_f64() * 1e3,
         overhead_pct,

@@ -119,11 +119,6 @@ impl ObjectCache {
         self.stats
     }
 
-    /// Reset the counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Number of resident objects.
     pub fn len(&self) -> usize {
         self.by_oid.len()
@@ -471,15 +466,6 @@ impl ShardedCache {
         total.swizzled_hops = self.swizzled_hops.load(Relaxed);
         total.unswizzled_hops = self.unswizzled_hops.load(Relaxed);
         total
-    }
-
-    /// Reset every counter.
-    pub fn reset_stats(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().reset_stats();
-        }
-        self.swizzled_hops.store(0, Relaxed);
-        self.unswizzled_hops.store(0, Relaxed);
     }
 
     /// One reference hop from `from` along `attr`. At most one shard

@@ -336,10 +336,10 @@ impl Database {
             metrics: DbMetrics::default(),
         };
         if had_state {
-            // Same sequence as a crash restart: WAL redo/undo, page
-            // scrub, then a wholesale rebuild of derived state from
-            // the recovered records.
-            db.simulate_cold_restart()?;
+            // A cold restart: WAL redo/undo, page scrub, then a
+            // wholesale rebuild of derived state from the recovered
+            // records.
+            db.restart(true)?;
         }
         Ok(db)
     }
@@ -435,27 +435,6 @@ impl Database {
     /// with no dependency from core on the net crate.
     pub fn net_metrics(&self) -> Arc<crate::stats::NetMetrics> {
         Arc::clone(&self.metrics.net)
-    }
-
-    /// Zero every performance counter (between benchmark phases).
-    pub fn reset_metrics(&self) {
-        {
-            let rt = self.rt_read();
-            rt.cache.reset_stats();
-            rt.fetches.store(0, Ordering::Relaxed);
-        }
-        self.engine.pool().reset_stats();
-        self.engine.disk().reset_stats();
-        self.engine.wal().reset_stats();
-        self.locks.reset_stats();
-        self.mvcc.metrics.reset();
-        self.metrics.exec.reset();
-        self.metrics.method_calls.reset();
-        self.metrics.net.reset();
-        self.metrics.twopc.reset();
-        self.metrics.gate_shared.reset();
-        self.metrics.gate_exclusive.reset();
-        self.metrics.gate_exclusive_wait.reset();
     }
 
     /// Drop the object cache and buffer pool contents without touching
@@ -613,6 +592,23 @@ impl Database {
     /// except those of prepared (in-doubt) transactions, which are
     /// re-asserted from the log so phase two finds them intact.
     pub fn crash_and_recover(&self) -> DbResult<()> {
+        self.restart(false)
+    }
+
+    /// Simulate a full process restart: volatile state *and* the
+    /// in-memory catalog/views/indexes are wiped, then recovered from
+    /// the WAL, pages, and the persisted system record. Method bodies
+    /// must be re-registered by the caller afterwards.
+    pub fn simulate_cold_restart(&self) -> DbResult<()> {
+        self.restart(true)
+    }
+
+    /// The one restart body, behind both restart paths and the replay
+    /// on open: crash, drop locks and versions, recover the storage,
+    /// re-derive the runtime, then reinstate in-doubt transactions. A
+    /// `cold` restart first forgets the in-memory schema too, so it is
+    /// read back from the persisted system record.
+    fn restart(&self, cold: bool) -> DbResult<()> {
         {
             let mut catalog = self.catalog.write();
             let rt = self.rt_write();
@@ -623,9 +619,20 @@ impl Database {
             // state is every object's only version (the commit clock keeps
             // counting — snapshot timestamps stay monotonic).
             self.mvcc.reset();
+            if cold {
+                *catalog = Catalog::new();
+                self.views.write().clear();
+                *self.methods.write() = MethodRegistry::new();
+                rt.indexes.write().clear();
+                rt.next_index_id.store(1, Ordering::Relaxed);
+                *rt.system_rid.lock() = None;
+            }
             self.engine.recover()?;
             self.rebuild_runtime(&mut catalog, &rt)?;
         }
+        // Prepared transactions survive the restart as in-doubt; their
+        // exclusive locks and staged writes are re-asserted so phase two
+        // finds them held.
         self.reinstate_in_doubt();
         Ok(())
     }

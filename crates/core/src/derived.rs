@@ -278,7 +278,8 @@ impl Database {
     }
 
     /// Rebuild every piece of derived state from the stored records —
-    /// restart only: `crash_and_recover` and `simulate_cold_restart`.
+    /// restart only, from `Database::restart` (behind `crash_and_recover`,
+    /// `simulate_cold_restart` and the replay on open).
     /// The caller holds the catalog write lock and the exclusive
     /// maintenance gate (lock order: catalog before gate) — a persisted
     /// system snapshot replaces `catalog` in place, and the exclusive

@@ -161,33 +161,6 @@ impl Database {
             .ok_or_else(|| DbError::Storage("system record holds no blob".into()))?;
         decode_state(blob)
     }
-
-    /// Simulate a full process restart: volatile state *and* the
-    /// in-memory catalog/views/indexes are wiped, then recovered from
-    /// the WAL, pages, and the persisted system record. Method bodies
-    /// must be re-registered by the caller afterwards.
-    pub fn simulate_cold_restart(&self) -> DbResult<()> {
-        {
-            let mut catalog = self.catalog.write();
-            let rt = self.rt_write();
-            self.engine.crash();
-            self.locks.reset();
-            self.mvcc.reset();
-            *catalog = Catalog::new();
-            self.views.write().clear();
-            *self.methods.write() = crate::methods::MethodRegistry::new();
-            rt.indexes.write().clear();
-            rt.next_index_id.store(1, std::sync::atomic::Ordering::Relaxed);
-            *rt.system_rid.lock() = None;
-            self.engine.recover()?;
-            self.rebuild_runtime(&mut catalog, &rt)?;
-        }
-        // Prepared transactions survive the restart as in-doubt; their
-        // exclusive locks and staged writes are re-asserted so phase two
-        // finds them held.
-        self.reinstate_in_doubt();
-        Ok(())
-    }
 }
 
 /// Install decoded system state into the database (called from

@@ -130,23 +130,6 @@ impl NetMetrics {
             connections_per_worker: self.connections_per_worker.get(),
         }
     }
-
-    /// Zero every sink (between benchmark phases).
-    pub fn reset(&self) {
-        self.connections.reset();
-        self.connections_total.reset();
-        self.requests.reset();
-        self.errors.reset();
-        self.timeouts.reset();
-        self.busy_rejections.reset();
-        self.request_latency.reset();
-        self.pipeline_depth.reset();
-        self.requests_shed.reset();
-        self.readiness_wakeups.reset();
-        self.executor_turns.reset();
-        self.readiness_wakeups_per_sec.reset();
-        self.connections_per_worker.reset();
-    }
 }
 
 /// Two-phase-commit participant sinks. A database acting as a 2PC
@@ -177,14 +160,6 @@ impl TwoPcMetrics {
             aborts: self.aborts.get(),
             in_doubt_recovered: self.in_doubt_recovered.get(),
         }
-    }
-
-    /// Zero every sink (between benchmark phases).
-    pub fn reset(&self) {
-        self.prepares.reset();
-        self.commits.reset();
-        self.aborts.reset();
-        self.in_doubt_recovered.reset();
     }
 }
 

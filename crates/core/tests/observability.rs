@@ -1,10 +1,12 @@
 //! The unified observability layer: `Database::stats()` snapshots,
 //! `DbConfig::builder()` validation, counter coherence under
-//! concurrency, and the deprecated accessor quartet's delegation.
+//! concurrency, and counters that never go down.
 
 use orion_core::{
-    AttrSpec, Database, DbConfig, DbError, Domain, LockingStrategy, PrimitiveType, Value,
+    AttrSpec, Database, DbConfig, DbError, Domain, FaultKind, FaultPlan, LockingStrategy,
+    PrimitiveType, Value,
 };
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -134,15 +136,6 @@ fn stats_nonzero_after_mixed_workload() {
     assert!(text.contains(&format!("orion_lock_acquisitions_total {}", stats.locks.acquisitions)));
     assert!(text.contains("orion_wal_flush_latency_seconds_bucket"));
     assert!(text.contains("# TYPE orion_exec_queries_total counter"));
-
-    // reset_metrics zeroes every layer.
-    db.reset_metrics();
-    let zeroed = db.stats();
-    assert_eq!(zeroed.pool.hits, 0);
-    assert_eq!(zeroed.wal.appends, 0);
-    assert_eq!(zeroed.locks.acquisitions, 0);
-    assert_eq!(zeroed.exec.queries, 0);
-    assert_eq!(zeroed.fetches, 0);
 }
 
 #[test]
@@ -232,19 +225,67 @@ fn counters_stay_monotonic_under_concurrent_readers_and_writer() {
     assert!(db.stats().wal.appends >= 40, "every insert was logged");
 }
 
-#[test]
-fn reset_metrics_zeroes_every_counter() {
-    let db = Database::open_in_memory();
-    build_schema(&db, 20);
-    let tx = db.begin();
-    db.query(&tx, "select v from Vehicle* v where v.weight > 3").unwrap();
-    db.commit(tx).unwrap();
+/// Every series under a `# TYPE … counter` or `# TYPE … histogram`
+/// header of a Prometheus rendering, by series name (labels included).
+fn monotonic_series(text: &str) -> HashMap<String, f64> {
+    let mut series = HashMap::new();
+    let mut monotonic = false;
+    for line in text.lines() {
+        if let Some(header) = line.strip_prefix("# TYPE ") {
+            monotonic = header.ends_with(" counter") || header.ends_with(" histogram");
+        } else if monotonic && !line.starts_with('#') {
+            let (name, value) = line.rsplit_once(' ').expect("a series line is `name value`");
+            series.insert(name.to_owned(), value.parse().expect("a series value is a number"));
+        }
+    }
+    series
+}
 
-    assert!(db.stats().wal.appends > 0, "the workload was logged");
-    db.reset_metrics();
-    assert_eq!(db.stats().fetches, 0);
-    assert_eq!(db.stats().wal.appends, 0);
-    assert_eq!(db.stats().wal.fsyncs, 0);
-    assert_eq!(db.stats().wal.logical_records, 0);
-    assert_eq!(db.stats().wal.group_commit_batch_size.count, 0);
+#[test]
+fn no_counter_or_histogram_series_ever_goes_down() {
+    let db = Database::open_in_memory();
+    let mut last = monotonic_series(&db.stats().render_prometheus());
+    let mut check = |step: &str| {
+        let now = monotonic_series(&db.stats().render_prometheus());
+        for (name, before) in &last {
+            let after = now.get(name).unwrap_or_else(|| panic!("{step}: {name} vanished"));
+            assert!(after >= before, "{step}: {name} went from {before} to {after}");
+        }
+        last = now;
+    };
+
+    build_schema(&db, 40);
+    check("DDL and creates");
+    let tx = db.begin();
+    let trucks = db.query(&tx, "select v from Truck v where v.weight < 20").unwrap();
+    for &oid in &trucks.oids[..3] {
+        db.set(&tx, oid, "weight", Value::Int(500)).unwrap();
+    }
+    db.commit(tx).unwrap();
+    check("updates and a query");
+    let tx = db.begin();
+    db.set(&tx, trucks.oids[3], "weight", Value::Int(900)).unwrap();
+    db.rollback(tx).unwrap();
+    check("rollback");
+    db.cool_caches().unwrap();
+    check("cool_caches");
+    db.checkpoint().unwrap();
+    check("checkpoint");
+    db.cool_caches().unwrap();
+    db.install_faults(FaultPlan::new(7).fail_nth(FaultKind::ReadError, 1));
+    let tx = db.begin();
+    assert!(db.get(&tx, trucks.oids[3], "weight").is_err(), "the armed read fault fired");
+    db.rollback(tx).unwrap();
+    check("an armed fault fired");
+    db.clear_faults();
+    check("the fault plan cleared");
+    db.crash_and_recover().unwrap();
+    check("crash_and_recover");
+    db.simulate_cold_restart().unwrap();
+    check("simulate_cold_restart");
+    let tx = db.begin();
+    let n = db.query(&tx, "select count(*) from Vehicle* v").unwrap();
+    assert_eq!(n.rows[0][0], Value::Int(40));
+    db.commit(tx).unwrap();
+    check("a query after the restarts");
 }

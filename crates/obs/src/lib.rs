@@ -19,10 +19,11 @@
 //!   facade's `DbStats::render_prometheus`.
 //!
 //! Concurrency contract: every mutation is a single `Relaxed` atomic
-//! RMW, so counters are monotonic under arbitrary thread interleaving
-//! (until an explicit `reset`), and snapshots are safe to take from any
-//! thread at any time — a snapshot may be mid-update-skewed (e.g. a
-//! histogram `count` one ahead of `sum`) but never torn per field.
+//! RMW, so counters are monotonic under arbitrary thread interleaving —
+//! nothing ever zeroes one; a measurement is the difference of two
+//! snapshots. Snapshots are safe to take from any thread at any time: a
+//! snapshot may be mid-update-skewed (e.g. a histogram `count` one
+//! ahead of `sum`) but never torn per field.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
@@ -31,7 +32,8 @@ use std::time::{Duration, Instant};
 // Counter
 // ---------------------------------------------------------------------
 
-/// A monotonically increasing event counter.
+/// A monotonically increasing event counter. It has no reset: measure
+/// a phase as the difference of two [`Counter::get`] reads.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -57,12 +59,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Relaxed)
-    }
-
-    /// Reset to zero (between benchmark phases only; breaks monotonicity
-    /// by design).
-    pub fn reset(&self) {
-        self.0.store(0, Relaxed);
     }
 }
 
@@ -91,11 +87,6 @@ impl Gauge {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Relaxed)
-    }
-
-    /// Reset to zero.
-    pub fn reset(&self) {
-        self.0.store(0, Relaxed);
     }
 }
 
@@ -170,15 +161,6 @@ impl Histogram {
             sum_micros: self.sum_micros.load(Relaxed),
             buckets,
         }
-    }
-
-    /// Reset every bucket (between benchmark phases).
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Relaxed);
-        }
-        self.count.store(0, Relaxed);
-        self.sum_micros.store(0, Relaxed);
     }
 }
 
@@ -319,8 +301,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
 
         let g = Gauge::new();
         g.set(17);

@@ -29,7 +29,7 @@ use orion_types::{ClassId, DbResult, Oid, Value};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A query result: one row per match (or one row for `count(*)`).
 #[derive(Debug, Clone, PartialEq)]
@@ -119,18 +119,6 @@ impl ExecMetrics {
             last_parallelism: self.last_parallelism.get(),
         }
     }
-
-    /// Zero every counter.
-    pub fn reset(&self) {
-        self.queries.reset();
-        self.rows_scanned.reset();
-        self.rows_matched.reset();
-        self.memo_hits.reset();
-        self.memo_lookups.reset();
-        self.index_picks.reset();
-        self.scan_picks.reset();
-        self.last_parallelism.reset();
-    }
 }
 
 /// Plain-value snapshot of [`ExecMetrics`].
@@ -174,13 +162,20 @@ pub struct ExecStats {
 /// measurement: see `BENCH_parallel_query.json`.
 const PAR_MIN_PER_WORKER: usize = 4096;
 
-/// The degree of parallelism for `items` candidates.
+/// The degree of parallelism for `items` candidates. The machine's
+/// parallelism is asked once per process, and not at all for an input
+/// too small to split.
 fn resolve_threads(requested: usize, items: usize) -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
     if requested > 0 {
         return requested.min(items.max(1));
     }
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    hw.min(items / PAR_MIN_PER_WORKER).max(1)
+    let workers = items / PAR_MIN_PER_WORKER;
+    if workers < 2 {
+        return 1;
+    }
+    let hw = *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    hw.min(workers)
 }
 
 /// Evaluate `path` from `oid`, returning every reachable leaf value.

@@ -178,7 +178,4 @@ fn exec_metrics_accumulate_across_queries() {
     assert_eq!(s2.queries, 2);
     assert_eq!(s2.rows_scanned, 600);
     assert_eq!(s2.rows_matched, 200);
-
-    metrics.reset();
-    assert_eq!(metrics.snapshot(), Default::default());
 }

@@ -90,9 +90,6 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 
     /// Snapshot the I/O counters.
     fn stats(&self) -> DiskStats;
-
-    /// Reset the I/O counters (between benchmark phases).
-    fn reset_stats(&self);
 }
 
 /// The log device's bytes, on loan from [`StorageBackend::log_read`].
@@ -175,10 +172,6 @@ impl StorageBackend for SimDisk {
 
     fn stats(&self) -> DiskStats {
         SimDisk::stats(self)
-    }
-
-    fn reset_stats(&self) {
-        SimDisk::reset_stats(self)
     }
 }
 
@@ -415,12 +408,6 @@ impl StorageBackend for FileDisk {
             writes: self.writes.load(Ordering::Relaxed),
             allocations: self.allocations.load(Ordering::Relaxed),
         }
-    }
-
-    fn reset_stats(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.allocations.store(0, Ordering::Relaxed);
     }
 }
 

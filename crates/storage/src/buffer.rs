@@ -232,14 +232,6 @@ impl BufferPool {
             writebacks: self.writebacks.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset the counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.writebacks.store(0, Ordering::Relaxed);
-    }
 }
 
 impl std::fmt::Debug for BufferPool {
@@ -277,11 +269,11 @@ mod tests {
     fn hits_and_misses_are_counted() {
         let (_disk, pool) = pool(4);
         let pid = pool.allocate_slotted().unwrap(); // miss (load) happens here
-        pool.reset_stats();
+        let before = pool.stats();
         pool.with_page(pid, |_| ()).unwrap();
         pool.with_page(pid, |_| ()).unwrap();
         let s = pool.stats();
-        assert_eq!((s.hits, s.misses), (2, 0));
+        assert_eq!((s.hits - before.hits, s.misses - before.misses), (2, 0));
     }
 
     #[test]
@@ -308,11 +300,11 @@ mod tests {
         let p1 = pool.allocate_slotted().unwrap();
         pool.with_page(p0, |_| ()).unwrap(); // p0 now more recent than p1
         let _p2 = pool.allocate_slotted().unwrap(); // should evict p1
-        pool.reset_stats();
+        let before = pool.stats();
         pool.with_page(p0, |_| ()).unwrap();
-        assert_eq!(pool.stats().hits, 1, "p0 survived eviction");
+        assert_eq!(pool.stats().hits - before.hits, 1, "p0 survived eviction");
         pool.with_page(p1, |_| ()).unwrap();
-        assert_eq!(pool.stats().misses, 1, "p1 was the LRU victim");
+        assert_eq!(pool.stats().misses - before.misses, 1, "p1 was the LRU victim");
     }
 
     #[test]

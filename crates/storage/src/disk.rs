@@ -171,13 +171,6 @@ impl SimDisk {
             allocations: self.allocations.load(Ordering::Relaxed),
         }
     }
-
-    /// Reset the I/O counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.reads.store(0, Ordering::Relaxed);
-        self.writes.store(0, Ordering::Relaxed);
-        self.allocations.store(0, Ordering::Relaxed);
-    }
 }
 
 impl std::fmt::Debug for SimDisk {
@@ -238,8 +231,6 @@ mod tests {
         let mut out = [0u8; PAGE_SIZE];
         disk.read(p, &mut out).unwrap();
         assert_eq!(disk.stats(), DiskStats { reads: 1, writes: 2, allocations: 1 });
-        disk.reset_stats();
-        assert_eq!(disk.stats(), DiskStats::default());
     }
 
     #[test]

@@ -595,18 +595,6 @@ impl Wal {
         }
     }
 
-    /// Reset the WAL counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.appends.reset();
-        self.flushes.reset();
-        self.flushed_bytes.reset();
-        self.torn_truncations.reset();
-        self.fsyncs.reset();
-        self.logical_records.reset();
-        self.flush_latency.reset();
-        self.batch_size.reset();
-    }
-
     /// Force the log up to (and including) `lsn` — the write-ahead rule
     /// invoked by the buffer pool before writing a dirty page. The tail
     /// is flushed wholesale when `lsn` is not yet *fully* stable (a
@@ -786,8 +774,6 @@ mod tests {
         assert_eq!(s.flushes, 1);
         assert_eq!(s.flushed_bytes, wal.stable_len());
         assert_eq!(s.flush_latency.count, 1);
-        wal.reset_stats();
-        assert_eq!(wal.stats(), WalStats::default());
     }
 
     /// Force a partial flush cutting inside the last record, then crash.

@@ -179,18 +179,6 @@ impl LockManager {
         }
     }
 
-    /// Reset the lock counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.acquisitions.reset();
-        for counter in &self.by_mode {
-            counter.reset();
-        }
-        self.waits.reset();
-        self.wait_latency.reset();
-        self.deadlocks.reset();
-        self.timeouts.reset();
-    }
-
     /// Acquire `mode` on `target` for `txn`, blocking while conflicting
     /// locks are held. Upgrades combine with any mode already held.
     pub fn acquire(&self, txn: u64, target: LockTarget, mode: LockMode) -> DbResult<()> {
@@ -526,7 +514,6 @@ mod tests {
 
         // Deadlock victims are counted.
         lm.release_all(3);
-        lm.reset_stats();
         let a = oid(2, 1);
         let b = oid(2, 2);
         lm.lock_object_write(10, a).unwrap();
@@ -598,10 +585,10 @@ mod tests {
     #[test]
     fn concurrent_disjoint_writers_make_progress() {
         let lm = Arc::new(LockManager::new());
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let lm = Arc::clone(&lm);
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..100u64 {
                         let o = oid(1, t * 1000 + i);
                         lm.lock_object_write(t, o).unwrap();
@@ -609,8 +596,7 @@ mod tests {
                     lm.release_all(t);
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(lm.locked_granules(), 0);
     }
 }

@@ -186,17 +186,6 @@ impl MvccMetrics {
             oldest_snapshot_lag: self.oldest_snapshot_lag.get(),
         }
     }
-
-    /// Zero everything (between benchmark phases).
-    pub fn reset(&self) {
-        self.snapshots.reset();
-        self.snapshot_reads.reset();
-        self.versions_published.reset();
-        self.versions_pruned.reset();
-        self.chain_length.reset();
-        self.active_snapshots.reset();
-        self.oldest_snapshot_lag.reset();
-    }
 }
 
 /// Cumulative MVCC counters (a [`MvccMetrics`] snapshot).
@@ -281,7 +270,5 @@ mod tests {
         assert_eq!(s.versions_published, 2);
         assert_eq!(s.chain_length.count, 1);
         assert_eq!(s.active_snapshots, 1);
-        m.reset();
-        assert_eq!(m.snapshot().snapshot_reads, 0);
     }
 }

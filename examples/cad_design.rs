@@ -53,13 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Clustering: the composite traversal after a cold start touches few
     // pages because parts were placed next to their root.
     db.cool_caches()?;
-    db.reset_metrics();
+    let misses = db.stats().pool.misses;
     let tx = db.begin();
     let _workspace = db.checkout(&tx, v1)?;
-    let pool = db.stats().pool;
     println!(
         "cold checkout of the composite: {} page miss(es) for {} objects",
-        pool.misses,
+        db.stats().pool.misses - misses,
         db.parts_of(v1).len() + 1
     );
     db.rollback(tx)?; // release the checkout locks without changes

@@ -43,7 +43,7 @@ step 60 cargo test -q --release --test chaos -- --ignored
 step 300 scripts/lint.sh
 step 60 cargo run -q -p orion-bench --release --bin parallel_query
 step 60 cargo run -q -p orion-bench --release --bin net_throughput -- --smoke
-# E8's coarse-locking row livelocks for a random while (ROADMAP 1(a)):
+# E8's coarse-locking row livelocks for a random while (ROADMAP 2(a)):
 # 8-20 s of this step's 15-30 s on a 2-CPU host, minutes at some past commits.
 step 300 cargo run -q -p orion-bench --release --bin experiments
 step 300 cargo test --release --offline --manifest-path benchmark/Cargo.toml

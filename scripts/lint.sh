@@ -35,18 +35,23 @@ if grep -rn '#\[ignore' src tests examples crates shims benchmark/src --include=
   exit 1
 fi
 
+# Each line under src/ crates/ tests/ examples/ that matches the ERE $1
+# and whose enclosing fn, written FILE:FN, does not match the ERE $2.
+outside_fns() {
+  grep -rlE "$1" src crates tests examples --include='*.rs' | PAT="$1" OK="$2" xargs -r awk '
+    /^[ \t]*\/\// { next }
+    match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
+    $0 ~ ENVIRON["PAT"] && (FILENAME ":" cur) !~ ENVIRON["OK"] { print FILENAME ":" FNR ": in fn " cur }'
+}
+
 # Rollback and 2PC abort revert what their transaction wrote; only a
 # restart re-derives the world. rebuild_runtime( may appear in its own
-# definition and in the two restart paths, and nowhere else.
-strays=$(grep -rl 'rebuild_runtime(' src crates --include='*.rs' | xargs awk '
-  /^[ \t]*\/\// { next }
-  match($0, /fn [a-z_0-9]+/) { cur = substr($0, RSTART + 3, RLENGTH - 3) }
-  /rebuild_runtime\(/ && cur !~ /^(rebuild_runtime|crash_and_recover|simulate_cold_restart)$/ {
-    print FILENAME ":" FNR ": in fn " cur
-  }')
+# definition and in the one restart body, and nowhere else.
+strays=$(outside_fns 'rebuild_runtime\(' \
+  '^crates/core/src/(database\.rs:restart|derived\.rs:rebuild_runtime)$')
 if [ -n "$strays" ]; then
   echo "$strays" >&2
-  echo "FAIL: rebuild_runtime( outside the restart paths — revert by delta (apply_change)" >&2
+  echo "FAIL: rebuild_runtime( outside Database::restart — revert by delta (apply_change)" >&2
   exit 1
 fi
 
@@ -81,6 +86,36 @@ if grep -rnE 'bytes::(\{[^}]*)?\bBuf\b' src tests examples crates shims --includ
 fi
 if grep -rn 'crc32(' src tests examples crates --include='*.rs' | grep -v '^crates/storage/'; then
   echo "FAIL: crc32( outside crates/storage — frame a log with orion_storage::frame" >&2
+  exit 1
+fi
+
+# Counters only count up: a phase is measured as the difference of two
+# stats() snapshots, never by zeroing a layer's counters. The only
+# reset( methods clear lock and version state on a crash.
+if grep -rnE 'fn reset_(metrics|stats)\b' src crates --include='*.rs'; then
+  echo "FAIL: a metric reset under src/ or crates/ — measure by the difference of two stats() snapshots" >&2
+  exit 1
+fi
+if grep -rn 'fn reset(' src crates --include='*.rs' \
+    | grep -vE '^crates/(tx/src/manager|core/src/mvcc)\.rs:'; then
+  echo "FAIL: fn reset( outside the lock manager and the version store — counters never go back to zero" >&2
+  exit 1
+fi
+
+# The machine's parallelism is asked in two places: once per process
+# by the executor's degree and once per bind by the server. The bench
+# binaries record it beside their numbers.
+strays=$(outside_fns 'available_parallelism' \
+  '^crates/(bench/|query/src/exec\.rs:resolve_threads$|net/src/server\.rs:resolved_io_threads$)')
+if [ -n "$strays" ]; then
+  echo "$strays" >&2
+  echo "FAIL: available_parallelism outside resolve_threads and resolved_io_threads — read the cached degree" >&2
+  exit 1
+fi
+
+# Scoped threads are std::thread::scope; the crossbeam shim is gone.
+if grep -n 'crossbeam' Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then
+  echo "FAIL: crossbeam in a manifest — use std::thread::scope" >&2
   exit 1
 fi
 

@@ -49,8 +49,6 @@ fn page_roundtrip_and_accounting() {
 
         let stats = disk.stats();
         assert_eq!((stats.reads, stats.writes, stats.allocations), (2, 1, 2), "{name}");
-        disk.reset_stats();
-        assert_eq!(disk.stats().reads, 0, "{name}");
 
         // Out-of-bounds access is an error, not UB or silent growth.
         assert!(disk.read(PageId(9), &mut out).is_err(), "{name}");
@@ -179,7 +177,7 @@ fn committed_data_survives_crash_on_both_backends() {
 fn group_commit_amortizes_fsyncs_under_concurrency() {
     for (spec, _guard, name) in specs("conf-group") {
         let db = Arc::new(item_db_on(spec, Duration::from_micros(500)));
-        db.reset_metrics();
+        let before = db.stats().wal;
         let committers = 8;
         let rounds = 6;
         let barrier = Arc::new(Barrier::new(committers));
@@ -207,14 +205,14 @@ fn group_commit_amortizes_fsyncs_under_concurrency() {
             h.join().unwrap();
         }
         let wal = db.stats().wal;
+        let fsyncs = wal.fsyncs - before.fsyncs;
         let commits = (committers * rounds) as u64;
         assert!(
-            wal.fsyncs < commits,
-            "{name}: {commits} concurrent commits should share fsyncs, got {}",
-            wal.fsyncs
+            fsyncs < commits,
+            "{name}: {commits} concurrent commits should share fsyncs, got {fsyncs}"
         );
         assert!(
-            wal.group_commit_batch_size.count >= 1,
+            wal.group_commit_batch_size.count > before.group_commit_batch_size.count,
             "{name}: at least one group flush was recorded"
         );
         let tx = db.begin();

@@ -93,22 +93,22 @@ fn embedded_disjoint_transfers_conserve_total_without_victims() {
     let threads = 4usize;
     let per_thread = 6usize;
     let (db, accounts) = bank_db(threads * per_thread);
-    db.reset_metrics();
-    crossbeam::scope(|scope| {
+    let before = db.stats().locks;
+    std::thread::scope(|scope| {
         for t in 0..threads {
             let db = Arc::clone(&db);
             let slice = accounts[t * per_thread..(t + 1) * per_thread].to_vec();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let retries = run_embedded_transfers(&db, &slice, t * 31 + 5, 80);
                 assert_eq!(retries, 0, "disjoint slices never conflict");
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(total_balance(&db, &accounts), (threads * per_thread) as i64 * INITIAL_BALANCE);
     let locks = db.stats().locks;
-    assert_eq!(locks.deadlock_victims, 0, "no victims among disjoint writers");
-    assert_eq!(locks.timeouts, 0);
+    let victims = locks.deadlock_victims - before.deadlock_victims;
+    assert_eq!(victims, 0, "no victims among disjoint writers");
+    assert_eq!(locks.timeouts - before.timeouts, 0);
 }
 
 /// Overlapping account sets: every thread draws from the same small
@@ -118,16 +118,15 @@ fn embedded_disjoint_transfers_conserve_total_without_victims() {
 fn embedded_overlapping_transfers_conserve_total_with_retries() {
     let (db, accounts) = bank_db(6);
     let threads = 4usize;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..threads {
             let db = Arc::clone(&db);
             let slice = accounts.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 run_embedded_transfers(&db, &slice, t * 17 + 3, 80);
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(total_balance(&db, &accounts), 6 * INITIAL_BALANCE);
 }
 
@@ -147,14 +146,14 @@ fn net_transfers(overlapping: bool) {
     .unwrap();
     let addr = server.local_addr();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for t in 0..threads {
             let slice: Vec<Oid> = if overlapping {
                 accounts.clone()
             } else {
                 accounts[t * per_thread..(t + 1) * per_thread].to_vec()
             };
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 let mut seed = t * 13 + 7;
                 for _ in 0..40 {
@@ -187,8 +186,7 @@ fn net_transfers(overlapping: bool) {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     server.shutdown();
     assert_eq!(total_balance(&db, &accounts), n_accounts as i64 * INITIAL_BALANCE);
 }

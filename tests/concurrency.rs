@@ -37,11 +37,11 @@ fn concurrent_transfers_conserve_total_balance() {
         let (db, accounts) = account_db(locking);
         let threads = 4;
         let transfers_per_thread = 60;
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for t in 0..threads {
                 let db = Arc::clone(&db);
                 let accounts = accounts.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut seed = t as usize * 7 + 3;
                     for _ in 0..transfers_per_thread {
                         seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -77,8 +77,7 @@ fn concurrent_transfers_conserve_total_balance() {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
 
         let tx = db.begin();
         let total: i64 = accounts
@@ -114,7 +113,7 @@ fn disjoint_class_writers_overlap_conflicting_writers_serialize() {
     let a0 = db.create_object(&seed_tx, "Alpha", vec![("n", Value::Int(0))]).unwrap();
     let b0 = db.create_object(&seed_tx, "Beta", vec![("n", Value::Int(0))]).unwrap();
     db.commit(seed_tx).unwrap();
-    db.reset_metrics();
+    let before = db.stats().gate;
 
     // Phase 1: both writers hold uncommitted DML at the same moment.
     // Each thread writes its class, meets the other at a barrier *with
@@ -124,11 +123,11 @@ fn disjoint_class_writers_overlap_conflicting_writers_serialize() {
     // a lock held across the transaction, or an exclusive gate taken by
     // DML — would leave the barrier waiting forever.
     let rendezvous = Arc::new(Barrier::new(2));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (class_obj, bump) in [(a0, 1), (b0, 2)] {
             let db = Arc::clone(&db);
             let rendezvous = Arc::clone(&rendezvous);
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let tx = db.begin();
                 db.set(&tx, class_obj, "n", Value::Int(bump)).unwrap();
                 rendezvous.wait(); // both transactions open, writes applied
@@ -137,28 +136,27 @@ fn disjoint_class_writers_overlap_conflicting_writers_serialize() {
                 db.commit(tx).unwrap();
             });
         }
-    })
-    .unwrap();
+    });
     let tx = db.begin();
     assert_eq!(db.get(&tx, a0, "n").unwrap(), Value::Int(10));
     assert_eq!(db.get(&tx, b0, "n").unwrap(), Value::Int(20));
     db.commit(tx).unwrap();
     let gate = db.stats().gate;
     assert_eq!(
-        gate.exclusive_acquisitions, 0,
+        gate.exclusive_acquisitions, before.exclusive_acquisitions,
         "DML and reads must run under the shared maintenance gate only"
     );
-    assert!(gate.shared_acquisitions > 0, "the shared gate was exercised");
+    assert!(gate.shared_acquisitions > before.shared_acquisitions, "the shared gate was exercised");
 
     // Phase 2: conflicting writers on the *same* object serialize. The
     // first writer parks holding its X lock; the second's set() cannot
     // complete before the first commits.
     let hold = Duration::from_millis(250);
     let first_committed = Arc::new(Barrier::new(2));
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let db1 = Arc::clone(&db);
         let sync = Arc::clone(&first_committed);
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             let tx = db1.begin();
             db1.set(&tx, a0, "n", Value::Int(100)).unwrap();
             sync.wait(); // let the rival issue its conflicting write
@@ -167,7 +165,7 @@ fn disjoint_class_writers_overlap_conflicting_writers_serialize() {
         });
         let db2 = Arc::clone(&db);
         let sync = Arc::clone(&first_committed);
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             sync.wait();
             let started = Instant::now();
             let tx = db2.begin();
@@ -179,8 +177,7 @@ fn disjoint_class_writers_overlap_conflicting_writers_serialize() {
                 "conflicting writer finished in {waited:?}; it must block behind the X lock"
             );
         });
-    })
-    .unwrap();
+    });
     let tx = db.begin();
     assert_eq!(db.get(&tx, a0, "n").unwrap(), Value::Int(200), "second writer won");
     db.commit(tx).unwrap();
@@ -228,10 +225,10 @@ fn rollback_is_invisible_to_later_readers() {
 fn rollbacks_never_deadlock_against_blocked_writers() {
     let (db, accounts) = account_db(LockingStrategy::Granular);
     let hot = accounts[0];
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // Thread A: repeatedly writes the hot object and rolls back.
         let db_a = Arc::clone(&db);
-        scope.spawn(move |_| {
+        scope.spawn(move || {
             for i in 0..200 {
                 // A's own X request can close a waits-for cycle (a
                 // reader's S request queues behind A's IX), making A
@@ -259,7 +256,7 @@ fn rollbacks_never_deadlock_against_blocked_writers() {
         for t in 0..2 {
             let db_b = Arc::clone(&db);
             let accounts = accounts.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..100 {
                     loop {
                         let tx = db_b.begin();
@@ -280,8 +277,7 @@ fn rollbacks_never_deadlock_against_blocked_writers() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // Still consistent and responsive afterwards.
     let tx = db.begin();
     assert!(db.get(&tx, hot, "balance").unwrap().as_int().is_some());
@@ -314,13 +310,12 @@ fn stress_many_writers_across_classes_stay_consistent() {
         db.commit(tx).unwrap();
         seeds.push(oid);
     }
-    db.reset_metrics();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for (c, &hot) in seeds.iter().enumerate() {
             for w in 0..writers_per_class {
                 let db = Arc::clone(&db);
                 let class_name = format!("Stress{c}");
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for i in 0..ops_per_writer {
                         loop {
                             let tx = db.begin();
@@ -364,8 +359,7 @@ fn stress_many_writers_across_classes_stay_consistent() {
                 });
             }
         }
-    })
-    .unwrap();
+    });
     // Every class's hot counter equals its committed increments; every
     // committed insert is visible in the extent.
     for (c, hot) in seeds.iter().enumerate() {

@@ -6,7 +6,7 @@
 //! (a version visible to an active snapshot is never reclaimed).
 
 use orion_oodb::orion::{
-    AttrSpec, Database, DbConfig, Domain, Oid, PrimitiveType, Value,
+    AttrSpec, Database, DbConfig, DbStats, Domain, Oid, PrimitiveType, Value,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -89,7 +89,7 @@ fn no_dirty_reads_and_no_queueing_behind_writers() {
         db.set(&writer, *oid, "n", Value::Int(-1)).unwrap();
     }
 
-    db.reset_metrics();
+    let before = db.stats();
     let reader = db.begin();
     let r = db
         .query(&reader, "select count(*) from Counter c where c.n > 0")
@@ -97,10 +97,11 @@ fn no_dirty_reads_and_no_queueing_behind_writers() {
     assert_eq!(r.rows[0][0], Value::Int(3), "uncommitted -1 values leaked into a query");
     db.commit(reader).unwrap();
 
-    let stats = db.stats();
-    assert_eq!(stats.locks.acquisitions, 0, "the reader took 2PL locks");
-    assert_eq!(stats.locks.waits, 0);
-    assert!(stats.mvcc.snapshot_reads > 0, "reads resolved through the version store");
+    let after = db.stats();
+    let d = |f: fn(&DbStats) -> u64| f(&after) - f(&before);
+    assert_eq!(d(|s| s.locks.acquisitions), 0, "the reader took 2PL locks");
+    assert_eq!(d(|s| s.locks.waits), 0);
+    assert!(d(|s| s.mvcc.snapshot_reads) > 0, "reads resolved through the version store");
 
     db.rollback(writer).unwrap();
 }
@@ -222,23 +223,21 @@ fn pruning_reclaims_chains_once_snapshots_retire() {
     let db = counter_db();
     let oids = seed(&db, &[0]);
 
-    db.reset_metrics();
+    let before = db.stats();
     for round in 1..=50i64 {
         let tx = db.begin();
         db.set(&tx, oids[0], "n", Value::Int(round)).unwrap();
         db.commit(tx).unwrap();
     }
-    let stats = db.stats();
-    assert_eq!(stats.mvcc.versions_published, 50);
+    let after = db.stats();
+    let d = |f: fn(&DbStats) -> u64| f(&after) - f(&before);
+    assert_eq!(d(|s| s.mvcc.versions_published), 50);
     // With no snapshot pinned, each publish prunes its predecessor:
     // chains stay at depth 1 and most versions are reclaimed.
+    let pruned = d(|s| s.mvcc.versions_pruned);
+    assert!(pruned >= 49, "unpinned chains must not accumulate (pruned {pruned})");
     assert!(
-        stats.mvcc.versions_pruned >= 49,
-        "unpinned chains must not accumulate (pruned {})",
-        stats.mvcc.versions_pruned
-    );
-    assert!(
-        stats.mvcc.chain_length.sum_micros <= 2 * stats.mvcc.chain_length.count,
+        d(|s| s.mvcc.chain_length.sum_micros) <= 2 * d(|s| s.mvcc.chain_length.count),
         "observed chain depth stayed bounded"
     );
 
