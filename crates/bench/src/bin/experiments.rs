@@ -4,9 +4,10 @@
 //! Each experiment reproduces one performance claim or architectural
 //! prediction of Won Kim, "Research Directions in Object-Oriented
 //! Database Systems" (PODS 1990) — see DESIGN.md §3 for the index.
-//! Wall-clock columns are printed for the record; the gates read only
-//! counts (candidates, fetches, page misses, log records, locks), which
-//! hold on any host. A full run writes `BENCH_experiments.json` and
+//! Wall-clock columns are printed for the record; the gates read counts
+//! (candidates, fetches, page misses, log records, locks), which hold
+//! on any host, and one same-run time ratio (E5's hop against relbase's,
+//! with a wide margin). A full run writes `BENCH_experiments.json` and
 //! exits nonzero if any gate is breached.
 //!
 //! Run all:    `cargo run -p orion-bench --release --bin experiments`
@@ -423,11 +424,13 @@ fn e5(g: &mut Gates) {
     for &v in &sample {
         std::hint::black_box(db.navigate(&tx, v, &["manufacturer"]).unwrap());
     }
+    let before = db.stats();
     let orion_hop = time_per(1, || {
         for &v in &sample {
             std::hint::black_box(db.navigate(&tx, v, &["manufacturer"]).unwrap());
         }
     }) / sample.len() as u32;
+    let after = db.stats();
     db.commit(tx).unwrap();
     let rel_rows: Vec<i64> =
         (0..N).step_by(N / PROBES).map(|i| i as i64).collect();
@@ -489,11 +492,18 @@ fn e5(g: &mut Gates) {
          (ROADMAP 1(c)), where relbase probes a prepared index; prepared, the lookup ties \
          the relational probe",
     );
-    g.not_reproduced(
+    // The warm pass in counts: every hop through a swizzle slot, and
+    // not one object fetched from storage.
+    let swizzled = after.cache.swizzled_hops - before.cache.swizzled_hops;
+    g.check("e5.reference_hop.swizzled_hops", swizzled as f64, Cmp::Equal, sample.len() as f64);
+    g.check("e5.reference_hop.fetches", (after.fetches - before.fetches) as f64, Cmp::Equal, 0.0);
+    // Same run, same sample size: a hop costs at most half of
+    // relbase's two indexed probes.
+    g.check(
         "e5.reference_hop.orion_over_relbase",
-        (orion_hop.as_nanos() as f64 / rel_hop.as_nanos().max(1) as f64 * 100.0).round() / 100.0,
-        "the object cache's shard index does not mix serials, so the strided sources land in \
-         2 of its 16 shards and evict each other, and every hop fetches (ROADMAP 1(b))",
+        orion_hop.as_nanos() as f64 / rel_hop.as_nanos().max(1) as f64,
+        Cmp::AtMost,
+        0.5,
     );
 }
 

@@ -28,22 +28,25 @@
 use orion_types::codec::ObjectRecord;
 use orion_types::Oid;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
-/// Counters for cache behavior (experiments E3/E10 read these).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
+orion_obs::metrics! {
+    /// Counters for cache behavior (experiments E3/E10 read these).
+    pub struct CacheStats;
+    /// The sharded cache's hop sinks. Hits, misses and evictions are
+    /// plain counts under each shard's mutex, summed in at snapshot time;
+    /// their sinks here stay at zero.
+    pub(crate) struct CacheMetrics;
     /// Lookups answered by a resident object.
-    pub hits: u64,
+    hits: counter("orion_cache_hits_total", "Object-cache lookups answered by a resident object"),
     /// Lookups that required a fault-in from storage.
-    pub misses: u64,
+    misses: counter("orion_cache_misses_total", "Object-cache lookups that faulted in from storage"),
     /// Residents evicted to stay within capacity.
-    pub evictions: u64,
+    evictions: counter("orion_cache_evictions_total", "Object-cache residents evicted to stay within capacity"),
     /// Ref traversals answered directly through a valid swizzle hint.
-    pub swizzled_hops: u64,
+    swizzled_hops: counter("orion_cache_swizzled_hops_total", "Ref traversals answered through a valid swizzle slot"),
     /// Ref traversals that had to resolve via the OID map.
-    pub unswizzled_hops: u64,
+    unswizzled_hops: counter("orion_cache_unswizzled_hops_total", "Ref traversals that resolved via the OID map"),
 }
 
 /// A swizzle hint: where a reference attribute's target was resident
@@ -334,8 +337,7 @@ pub(crate) enum Hop {
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Box<[parking_lot::Mutex<ObjectCache>]>,
-    swizzled_hops: AtomicU64,
-    unswizzled_hops: AtomicU64,
+    metrics: CacheMetrics,
 }
 
 /// Below this total capacity the cache stays single-shard: dividing a
@@ -354,18 +356,13 @@ impl ShardedCache {
             shards: (0..n)
                 .map(|_| parking_lot::Mutex::new(ObjectCache::new(per_shard, swizzling)))
                 .collect(),
-            swizzled_hops: AtomicU64::new(0),
-            unswizzled_hops: AtomicU64::new(0),
+            metrics: CacheMetrics::default(),
         }
     }
 
     #[inline]
     fn shard_idx(&self, oid: Oid) -> usize {
-        if self.shards.len() == 1 {
-            0
-        } else {
-            ((oid.serial() ^ ((oid.class().0 as u64) << 3)) as usize) % self.shards.len()
-        }
+        crate::runtime::shard_of(oid, self.shards.len())
     }
 
     #[inline]
@@ -453,18 +450,17 @@ impl ShardedCache {
         }
     }
 
-    /// Aggregated counters across shards plus the hop counts. Shard locks are taken one at a time (leaf locks), so
-    /// this is safe from any thread at any time.
+    /// Aggregated counters across shards plus the hop counts. Shard
+    /// locks are taken one at a time (leaf locks), so this is safe from
+    /// any thread at any time.
     pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
+        let mut total = self.metrics.snapshot();
         for shard in self.shards.iter() {
             let s = shard.lock().stats();
             total.hits += s.hits;
             total.misses += s.misses;
             total.evictions += s.evictions;
         }
-        total.swizzled_hops = self.swizzled_hops.load(Relaxed);
-        total.unswizzled_hops = self.unswizzled_hops.load(Relaxed);
         total
     }
 
@@ -483,13 +479,13 @@ impl ShardedCache {
         if let Some(h) = hint {
             if let Some(shard) = self.shards.get(h.shard as usize) {
                 if shard.lock().validate(h.slot as usize, h.expected) {
-                    self.swizzled_hops.fetch_add(1, Relaxed);
+                    self.metrics.swizzled_hops.inc();
                     return Hop::To(h.expected, true);
                 }
             }
         }
         let Some(target) = target else { return Hop::NotRef };
-        self.unswizzled_hops.fetch_add(1, Relaxed);
+        self.metrics.unswizzled_hops.inc();
         let tidx = self.shard_idx(target);
         let target_slot = self.shards[tidx].lock().resident_slot(target);
         match target_slot {
@@ -580,6 +576,28 @@ mod tests {
         assert_eq!(slot1, slot2);
         assert_eq!(cache.peek(Oid::new(ClassId(1), 1)).unwrap().get(3), Some(&Value::Int(2)));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn strided_working_sets_spread_over_the_shards() {
+        // E5 samples every 40th vehicle, and 40 ≡ 8 (mod 16): an
+        // unmixed shard index put those objects in 2 of the 16 shards.
+        for stride in 1..=64u64 {
+            let oid = |i: u64| Oid::new(ClassId(3), i * stride);
+            let mut used = [false; CACHE_SHARDS];
+            for i in 0..4096 {
+                used[crate::runtime::shard_of(oid(i), CACHE_SHARDS)] = true;
+            }
+            let spread = used.iter().filter(|&&u| u).count();
+            assert!(spread >= 12, "stride {stride} uses {spread} of {CACHE_SHARDS} shards");
+            // A working set of half the capacity fits, whatever its stride.
+            let cache = ShardedCache::new(4096, true);
+            for i in 0..2048 {
+                cache.admit(rec(3, i * stride, &[]));
+            }
+            assert_eq!(cache.stats().evictions, 0, "stride {stride}");
+            assert_eq!(cache.len(), 2048);
+        }
     }
 
     #[test]

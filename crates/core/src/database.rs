@@ -381,7 +381,7 @@ impl Database {
     /// concurrent exclusive holder (restart/index DDL), never against
     /// other shared work.
     pub(crate) fn rt_read(&self) -> RwLockReadGuard<'_, Runtime> {
-        self.metrics.gate_shared.inc();
+        self.metrics.gate.shared_acquisitions.inc();
         self.rt.read()
     }
 
@@ -390,10 +390,10 @@ impl Database {
     /// wait is recorded so pathological gate contention shows up in
     /// `stats()`.
     pub(crate) fn rt_write(&self) -> RwLockWriteGuard<'_, Runtime> {
-        self.metrics.gate_exclusive.inc();
+        self.metrics.gate.exclusive_acquisitions.inc();
         let start = Instant::now();
         let guard = self.rt.write();
-        self.metrics.gate_exclusive_wait.observe(start.elapsed());
+        self.metrics.gate.exclusive_wait.observe(start.elapsed());
         guard
     }
 
@@ -410,6 +410,7 @@ impl Database {
             let rt = self.rt_read();
             (rt.cache.stats(), rt.fetches.load(Ordering::Relaxed))
         };
+        self.metrics.twopc.prepared.set(self.engine.prepared_txns().len() as u64);
         DbStats {
             cache,
             pool: self.engine.pool().stats(),
@@ -417,12 +418,12 @@ impl Database {
             wal: self.engine.wal().stats(),
             locks: self.locks.stats(),
             exec: self.metrics.exec.snapshot(),
-            gate: self.metrics.gate_snapshot(),
+            gate: self.metrics.gate.snapshot(),
             fetches,
             method_calls: self.metrics.method_calls.get(),
             mvcc: self.mvcc.stats_snapshot(),
             net: self.metrics.net.snapshot(),
-            twopc: self.metrics.twopc.snapshot(self.engine.prepared_txns().len() as u64),
+            twopc: self.metrics.twopc.snapshot(),
             fault: self.engine.fault_stats(),
             recovery: self.engine.recovery_stats(),
         }

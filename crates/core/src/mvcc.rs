@@ -40,6 +40,7 @@
 //! the store to the empty, zero-overhead state that pure-read workloads
 //! see. A commit with no older snapshot open leaves no chain behind.
 
+use crate::runtime::shard_of;
 use orion_tx::{CommitClock, MvccMetrics, MvccStats, SnapshotRegistry};
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, Oid};
@@ -53,11 +54,6 @@ const SHARDS: usize = 16;
 /// Reader id for snapshot reads outside any transaction (never equals
 /// a real transaction id, so "own uncommitted write" never matches).
 pub(crate) const NO_READER: u64 = u64::MAX;
-
-#[inline]
-fn shard_of(oid: Oid) -> usize {
-    ((oid.serial() ^ ((oid.class().0 as u64) << 3)) as usize) & (SHARDS - 1)
-}
 
 /// Stage-time marker for an uncommitted delete in the tombstone map
 /// (`u64::MAX` compares above every snapshot, so the object is merged
@@ -128,7 +124,7 @@ impl VersionStore {
         VersionStore {
             clock: CommitClock::new(),
             registry: SnapshotRegistry::new(),
-            metrics: MvccMetrics::new(),
+            metrics: MvccMetrics::default(),
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
             overlay: AtomicU64::new(0),
             staged: Mutex::new(HashMap::new()),
@@ -145,7 +141,7 @@ impl VersionStore {
 
     /// Does `oid` currently have a version chain?
     pub fn has_chain(&self, oid: Oid) -> bool {
-        !self.quiescent() && self.shards[shard_of(oid)].read().contains_key(&oid)
+        !self.quiescent() && self.shards[shard_of(oid, SHARDS)].read().contains_key(&oid)
     }
 
     // ------------------------------------------------------------------
@@ -170,7 +166,7 @@ impl VersionStore {
         let prev = self.staged.lock().entry(txn).or_default().insert(oid, after);
         let undeleting = matches!(prev, Some(None)) && !deleting;
         {
-            let mut shard = self.shards[shard_of(oid)].write();
+            let mut shard = self.shards[shard_of(oid, SHARDS)].write();
             match shard.entry(oid) {
                 Entry::Occupied(mut e) => e.get_mut().writer = Some(txn),
                 Entry::Vacant(v) => {
@@ -223,7 +219,7 @@ impl VersionStore {
         let writes: Vec<WriteEntry> = set
             .into_iter()
             .map(|(oid, after)| {
-                let shard = self.shards[shard_of(oid)].read();
+                let shard = self.shards[shard_of(oid, SHARDS)].read();
                 let pre = shard.get(&oid).and_then(|chain| chain.entries.last()?.1.clone());
                 (oid, after, pre)
             })
@@ -246,7 +242,7 @@ impl VersionStore {
         let mut touched = Vec::with_capacity(set.len());
         for (oid, after) in set {
             let tombstone = after.is_none();
-            if let Some(chain) = self.shards[shard_of(oid)].write().get_mut(&oid) {
+            if let Some(chain) = self.shards[shard_of(oid, SHARDS)].write().get_mut(&oid) {
                 if chain.writer == Some(txn) {
                     chain.writer = None;
                 }
@@ -271,7 +267,7 @@ impl VersionStore {
         let mut pruned = 0u64;
         let mut settled = Vec::new();
         for oid in touched {
-            let mut shard = self.shards[shard_of(oid)].write();
+            let mut shard = self.shards[shard_of(oid, SHARDS)].write();
             let Entry::Occupied(mut chain) = shard.entry(oid) else { continue };
             pruned += Self::prune_chain(&mut chain.get_mut().entries, floor);
             // Observed post-prune: the steady-state depth a reader
@@ -316,7 +312,7 @@ impl VersionStore {
         if self.quiescent() {
             return Resolution::Current;
         }
-        let shard = self.shards[shard_of(oid)].read();
+        let shard = self.shards[shard_of(oid, SHARDS)].read();
         match shard.get(&oid) {
             None => Resolution::Current,
             Some(chain) => {
@@ -445,11 +441,11 @@ impl VersionStore {
 
     /// Point-in-time MVCC counters, with the live gauges refreshed.
     pub fn stats_snapshot(&self) -> MvccStats {
-        let mut s = self.metrics.snapshot();
-        s.active_snapshots = self.registry.len() as u64;
+        let m = &self.metrics;
+        m.active_snapshots.set(self.registry.len() as u64);
         let now = self.clock.now();
-        s.oldest_snapshot_lag = now.saturating_sub(self.registry.oldest().unwrap_or(now));
-        s
+        m.oldest_snapshot_lag.set(now.saturating_sub(self.registry.oldest().unwrap_or(now)));
+        m.snapshot()
     }
 }
 

@@ -85,12 +85,18 @@ use std::sync::Arc;
 /// whole-map operations (rebuild, iteration) stay cheap.
 const OID_SHARDS: usize = 16;
 
+/// The one OID-to-shard function, for every OID-sharded structure (the
+/// maps here, the object cache, the version store): which of `shards`
+/// shards `oid` belongs to. The class is folded into the top bits and
+/// the result multiplied by 2^64/φ, so a strided working set (every
+/// 40th object, say) spreads over all shards instead of aliasing into
+/// a few; the product's high bits, which depend on every input bit,
+/// pick the shard.
 #[inline]
-fn shard_of(oid: Oid) -> usize {
-    // Serials are globally sequential, so the low bits spread evenly;
-    // fold the class in so single-class and multi-class workloads both
-    // distribute.
-    ((oid.serial() ^ ((oid.class().0 as u64) << 3)) as usize) & (OID_SHARDS - 1)
+pub(crate) fn shard_of(oid: Oid, shards: usize) -> usize {
+    let key = oid.serial() ^ ((oid.class().0 as u64) << 48);
+    let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    ((mixed * shards as u64) >> 32) as usize
 }
 
 /// The indices `0..n` grouped by the shard `shard_of` assigns each — so
@@ -125,7 +131,7 @@ impl<V> OidMap<V> {
 
     #[inline]
     fn shard(&self, oid: Oid) -> &RwLock<HashMap<Oid, V>> {
-        &self.shards[shard_of(oid)]
+        &self.shards[shard_of(oid, OID_SHARDS)]
     }
 
     pub fn insert(&self, oid: Oid, value: V) -> Option<V> {
@@ -171,7 +177,7 @@ impl<V: Copy> OidMap<V> {
     /// present `oids[i]`, locking each shard once instead of once per
     /// object.
     pub fn get_batch(&self, oids: &[Oid], mut found: impl FnMut(usize, V)) {
-        let groups = group_by_shard(oids.len(), OID_SHARDS, |i| shard_of(oids[i]));
+        let groups = group_by_shard(oids.len(), OID_SHARDS, |i| shard_of(oids[i], OID_SHARDS));
         for (shard, group) in self.shards.iter().zip(&groups).filter(|(_, g)| !g.is_empty()) {
             let map = shard.read();
             for &i in group {

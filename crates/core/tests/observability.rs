@@ -289,3 +289,230 @@ fn no_counter_or_histogram_series_ever_goes_down() {
     db.commit(tx).unwrap();
     check("a query after the restarts");
 }
+
+/// Every series of the exposition, in order: name, `# TYPE`, `# HELP`.
+/// Pinned from the hand-written rendering the `metrics!` declarations
+/// replaced; `orion_disk_allocations_total` and the two
+/// `orion_recovery_records_*` series are the snapshot fields that had
+/// no series before.
+const SERIES: &[(&str, &str, &str)] = &[
+    ("orion_cache_hits_total", "counter", "Object-cache lookups answered by a resident object"),
+    ("orion_cache_misses_total", "counter", "Object-cache lookups that faulted in from storage"),
+    (
+        "orion_cache_evictions_total",
+        "counter",
+        "Object-cache residents evicted to stay within capacity",
+    ),
+    (
+        "orion_cache_swizzled_hops_total",
+        "counter",
+        "Ref traversals answered through a valid swizzle slot",
+    ),
+    (
+        "orion_cache_unswizzled_hops_total",
+        "counter",
+        "Ref traversals that resolved via the OID map",
+    ),
+    ("orion_pool_hits_total", "counter", "Buffer-pool page requests satisfied without disk I/O"),
+    ("orion_pool_misses_total", "counter", "Buffer-pool page requests that read from disk"),
+    ("orion_pool_evictions_total", "counter", "Buffer-pool frames evicted to make room"),
+    ("orion_pool_writebacks_total", "counter", "Dirty pages written back to disk"),
+    ("orion_disk_reads_total", "counter", "Pages read from disk"),
+    ("orion_disk_writes_total", "counter", "Pages written to disk"),
+    ("orion_disk_allocations_total", "counter", "Pages allocated on disk"),
+    ("orion_wal_appends_total", "counter", "Log records appended to the WAL"),
+    ("orion_wal_flushes_total", "counter", "Non-empty WAL flushes to stable storage"),
+    ("orion_wal_flushed_bytes_total", "counter", "Bytes moved to the stable WAL"),
+    ("orion_wal_flush_latency_seconds", "histogram", "WAL flush latency"),
+    (
+        "orion_wal_torn_tail_truncations_total",
+        "counter",
+        "Torn WAL tails truncated at recovery (end-of-log discipline)",
+    ),
+    ("orion_wal_fsyncs_total", "counter", "Durability barriers issued against the log device"),
+    (
+        "orion_wal_logical_records_total",
+        "counter",
+        "Logical DML records (insert/update/delete/CLR) appended",
+    ),
+    (
+        "orion_wal_group_commit_batch_size",
+        "histogram",
+        "Committers whose commits one group-commit flush made durable",
+    ),
+    ("orion_fault_read_errors_total", "counter", "Injected page-read I/O errors"),
+    ("orion_fault_write_errors_total", "counter", "Injected page-write I/O errors"),
+    ("orion_fault_torn_writes_total", "counter", "Injected torn page writes (prefix persisted)"),
+    ("orion_fault_bit_flips_total", "counter", "Injected stored-page bit flips"),
+    ("orion_fault_partial_flushes_total", "counter", "Injected partial WAL flushes"),
+    ("orion_recovery_completed_total", "counter", "Restart recoveries that completed"),
+    ("orion_recovery_failed_total", "counter", "Restart recoveries that failed with an error"),
+    (
+        "orion_recovery_pages_repaired_total",
+        "counter",
+        "Corrupt pages rebuilt by log replay during recovery",
+    ),
+    (
+        "orion_recovery_records_redone_total",
+        "counter",
+        "Logged page changes redo applied (page LSN older)",
+    ),
+    (
+        "orion_recovery_records_skipped_total",
+        "counter",
+        "Logged page changes redo skipped (page already held them)",
+    ),
+    ("orion_lock_acquisitions_total", "counter", "Lock requests granted"),
+    ("orion_lock_waits_total", "counter", "Lock requests that blocked at least once"),
+    ("orion_lock_deadlock_victims_total", "counter", "Lock requests aborted as deadlock victims"),
+    ("orion_lock_timeouts_total", "counter", "Lock requests that timed out"),
+    ("orion_lock_acquisitions_is_total", "counter", "IS-mode lock grants (intention share)"),
+    ("orion_lock_acquisitions_ix_total", "counter", "IX-mode lock grants (intention exclusive)"),
+    ("orion_lock_acquisitions_s_total", "counter", "S-mode lock grants (shared reads)"),
+    (
+        "orion_lock_acquisitions_six_total",
+        "counter",
+        "SIX-mode lock grants (share + intention exclusive)",
+    ),
+    ("orion_lock_acquisitions_x_total", "counter", "X-mode lock grants (exclusive writes)"),
+    ("orion_lock_wait_latency_seconds", "histogram", "Lock wait latency"),
+    ("orion_mvcc_snapshots_total", "counter", "Query snapshots captured"),
+    ("orion_mvcc_snapshot_reads_total", "counter", "Record reads resolved under a snapshot"),
+    (
+        "orion_mvcc_versions_published_total",
+        "counter",
+        "Committed versions appended to version chains",
+    ),
+    ("orion_mvcc_versions_pruned_total", "counter", "Superseded versions reclaimed by pruning"),
+    (
+        "orion_mvcc_version_chain_length",
+        "histogram",
+        "Version-chain length observed at publish (unit: links)",
+    ),
+    ("orion_mvcc_active_snapshots", "gauge", "Snapshots currently pinned by running queries"),
+    (
+        "orion_mvcc_oldest_snapshot_lag",
+        "gauge",
+        "Commit-timestamp distance from the oldest active snapshot to the frontier",
+    ),
+    ("orion_exec_queries_total", "counter", "Completed query executions"),
+    ("orion_exec_rows_scanned_total", "counter", "Candidate objects pulled from access paths"),
+    ("orion_exec_rows_matched_total", "counter", "Objects that survived the residual predicate"),
+    (
+        "orion_exec_memo_hits_total",
+        "counter",
+        "Reference steps served from the per-query referenced-object cache",
+    ),
+    ("orion_exec_memo_lookups_total", "counter", "Reference steps taken by query evaluation"),
+    ("orion_exec_index_picks_total", "counter", "Plans that chose an index access path"),
+    ("orion_exec_scan_picks_total", "counter", "Plans that chose a full extent scan"),
+    ("orion_exec_last_parallelism", "gauge", "Worker threads used by the most recent execution"),
+    ("orion_gate_shared_acquisitions_total", "counter", "Shared maintenance-gate acquisitions"),
+    (
+        "orion_gate_exclusive_acquisitions_total",
+        "counter",
+        "Exclusive maintenance-gate acquisitions (rebuilds)",
+    ),
+    (
+        "orion_gate_exclusive_wait_seconds",
+        "histogram",
+        "Exclusive gate wait for shared holders to drain",
+    ),
+    ("orion_object_fetches_total", "counter", "Objects decoded from storage"),
+    ("orion_method_calls_total", "counter", "Late-bound method dispatches"),
+    ("orion_net_connections", "gauge", "Currently open client connections"),
+    ("orion_net_connections_total", "counter", "Client connections accepted since startup"),
+    ("orion_net_requests_total", "counter", "Wire requests served"),
+    ("orion_net_errors_total", "counter", "Wire requests answered with an error response"),
+    ("orion_net_timeouts_total", "counter", "Connections evicted for idleness or I/O timeout"),
+    (
+        "orion_net_busy_rejections_total",
+        "counter",
+        "Connections refused at the door (connection cap or accept queue)",
+    ),
+    ("orion_net_request_latency_seconds", "histogram", "Server-side request latency"),
+    (
+        "orion_net_pipeline_depth",
+        "histogram",
+        "Per-connection pipeline depth at request admission (unit: requests)",
+    ),
+    (
+        "orion_net_requests_shed_total",
+        "counter",
+        "Requests shed with ServerBusy by admission control",
+    ),
+    ("orion_net_readiness_wakeups_total", "counter", "Event-loop wakeups across all I/O threads"),
+    (
+        "orion_net_executor_turns_total",
+        "counter",
+        "Executor turns: times an executor took a connection's lane",
+    ),
+    ("orion_net_readiness_wakeups_per_sec", "gauge", "Recent event-loop wakeup rate"),
+    ("orion_net_connections_per_worker", "gauge", "Open connections per event-loop thread"),
+    (
+        "orion_2pc_prepared_transactions",
+        "gauge",
+        "Transactions prepared and awaiting a coordinator decision",
+    ),
+    ("orion_2pc_prepares_total", "counter", "Transactions that entered the prepared state"),
+    (
+        "orion_2pc_commits_total",
+        "counter",
+        "Prepared transactions committed by coordinator decision",
+    ),
+    ("orion_2pc_aborts_total", "counter", "Prepared transactions aborted by coordinator decision"),
+    (
+        "orion_2pc_in_doubt_recovered_total",
+        "counter",
+        "In-doubt transactions reinstated from the log at recovery",
+    ),
+];
+
+#[test]
+fn exposition_carries_every_declared_series_in_order() {
+    let text = Database::open_in_memory().stats().render_prometheus();
+    let mut got = Vec::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        let Some(rest) = line.strip_prefix("# HELP ") else { continue };
+        let (name, help) = rest.split_once(' ').expect("# HELP name text");
+        let ty = lines.next().and_then(|l| l.strip_prefix("# TYPE ")).expect("# TYPE follows");
+        let (ty_name, ty) = ty.split_once(' ').expect("# TYPE name kind");
+        assert_eq!(ty_name, name, "# TYPE names the series its # HELP does");
+        got.push((name, ty, help));
+    }
+    assert_eq!(got, SERIES);
+}
+
+#[test]
+fn version_chain_length_is_exported_in_links() {
+    let db = Database::open_in_memory();
+    build_schema(&db, 1);
+    let tx = db.begin();
+    let v = db.query(&tx, "select v from Truck v").unwrap().oids[0];
+    db.commit(tx).unwrap();
+    let before = db.stats().mvcc.chain_length;
+    // A pinned snapshot keeps every version: the first commit leaves a
+    // 2-link chain, the second a 3-link one.
+    db.with_snapshot(None, |_, _| {
+        for w in [1, 2] {
+            let tx = db.begin();
+            db.set(&tx, v, "weight", Value::Int(w)).unwrap();
+            db.commit(tx).unwrap();
+        }
+    });
+    let after = db.stats();
+    let chain = after.mvcc.chain_length;
+    assert_eq!((chain.count - before.count, chain.sum_micros - before.sum_micros), (2, 5));
+    let text = after.render_prometheus();
+    let line = |series: &str| {
+        let prefix = format!("orion_mvcc_version_chain_length{series} ");
+        let value = text.lines().find_map(|l| l.strip_prefix(&prefix));
+        value.unwrap_or_else(|| panic!("no {prefix} line in\n{text}")).parse::<u64>().unwrap()
+    };
+    // Links, unscaled: the 2- and 3-link chains sit above the le="1"
+    // bucket and inside le="5", and the sum counts links.
+    assert_eq!(line("_sum"), chain.sum_micros);
+    assert_eq!(line("_bucket{le=\"5\"}") - line("_bucket{le=\"1\"}"), 2);
+    assert_eq!(line("_count"), chain.count);
+}

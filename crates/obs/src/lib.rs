@@ -15,8 +15,12 @@
 //!   layer that already holds a timestamp (or measures nothing on the
 //!   fast path) never pays for a clock read it didn't ask for. There is
 //!   no wall-clock (`SystemTime`) anywhere in this crate.
-//! * [`render`] — Prometheus-style text exposition helpers, used by the
-//!   facade's `DbStats::render_prometheus`.
+//! * [`metrics!`] — one declaration per metric: a table of fields, each
+//!   with its kind, series name and help text, from which the macro
+//!   generates a layer's sink struct, its `Copy` snapshot struct, the
+//!   copy between them and the Prometheus rendering.
+//! * [`render`] — Prometheus-style text exposition of one series, called
+//!   only by the code [`metrics!`] generates.
 //!
 //! Concurrency contract: every mutation is a single `Relaxed` atomic
 //! RMW, so counters are monotonic under arbitrary thread interleaving —
@@ -233,6 +237,105 @@ impl SpanTimer {
 }
 
 // ---------------------------------------------------------------------
+// Metric declarations
+// ---------------------------------------------------------------------
+
+/// Declare a group of metrics once. Each entry names a field, its kind
+/// and its Prometheus series and help text:
+///
+/// ```
+/// orion_obs::metrics! {
+///     /// Counters of a hypothetical pool (the snapshot).
+///     pub struct PoolStats;
+///     /// The pool's live sinks.
+///     pub struct PoolMetrics;
+///     /// Page requests satisfied without I/O.
+///     hits: counter("orion_pool_hits_total", "Pool hits"),
+///     /// Flush latency.
+///     flush: histogram("orion_pool_flush_seconds", "Flush latency"),
+/// }
+/// let m = PoolMetrics::default();
+/// m.hits.inc();
+/// let mut out = String::new();
+/// m.snapshot().render(&mut out);
+/// assert!(out.contains("orion_pool_hits_total 1"));
+/// ```
+///
+/// The kinds are `counter` and `gauge` (a [`Counter`] or [`Gauge`] sink,
+/// a `u64` in the snapshot), `histogram` (a [`Histogram`] of durations,
+/// rendered in seconds) and `plain_histogram` (a [`Histogram`] of plain
+/// numbers such as a batch size or a chain length, rendered unscaled).
+///
+/// The macro generates the snapshot struct (`Debug, Default, Clone,
+/// Copy, PartialEq, Eq`, one `pub` field per entry) with `render`,
+/// which appends its series in declaration order; and, when a second
+/// `struct` line names one, the sink struct (`Debug, Default`) with
+/// `snapshot`, which reads every sink. Without a sink line the snapshot
+/// struct is filled by its owner.
+#[macro_export]
+macro_rules! metrics {
+    (@sink counter) => { $crate::Counter };
+    (@sink gauge) => { $crate::Gauge };
+    (@sink histogram) => { $crate::Histogram };
+    (@sink plain_histogram) => { $crate::Histogram };
+    (@value counter) => { u64 };
+    (@value gauge) => { u64 };
+    (@value histogram) => { $crate::HistogramSnapshot };
+    (@value plain_histogram) => { $crate::HistogramSnapshot };
+    (@read counter $sink:expr) => { $sink.get() };
+    (@read gauge $sink:expr) => { $sink.get() };
+    (@read histogram $sink:expr) => { $sink.snapshot() };
+    (@read plain_histogram $sink:expr) => { $sink.snapshot() };
+    (
+        $(#[$snap_meta:meta])*
+        $snap_vis:vis struct $snap:ident;
+        $(#[$sink_meta:meta])*
+        $sink_vis:vis struct $sink:ident;
+        $( $(#[$doc:meta])* $field:ident : $kind:ident($series:literal, $help:literal) ),* $(,)?
+    ) => {
+        $crate::metrics! {
+            $(#[$snap_meta])*
+            $snap_vis struct $snap;
+            $( $(#[$doc])* $field: $kind($series, $help), )*
+        }
+
+        $(#[$sink_meta])*
+        #[derive(Debug, Default)]
+        $sink_vis struct $sink {
+            $( $(#[$doc])* pub $field: $crate::metrics!(@sink $kind), )*
+        }
+
+        impl $sink {
+            /// A point-in-time copy of every sink. Each field is read on
+            /// its own (`Relaxed`), so a copy taken mid-update may be
+            /// skewed across fields, but no value is torn.
+            pub fn snapshot(&self) -> $snap {
+                $snap { $( $field: $crate::metrics!(@read $kind self.$field), )* }
+            }
+        }
+    };
+    (
+        $(#[$snap_meta:meta])*
+        $snap_vis:vis struct $snap:ident;
+        $( $(#[$doc:meta])* $field:ident : $kind:ident($series:literal, $help:literal) ),* $(,)?
+    ) => {
+        $(#[$snap_meta])*
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        $snap_vis struct $snap {
+            $( $(#[$doc])* pub $field: $crate::metrics!(@value $kind), )*
+        }
+
+        impl $snap {
+            /// Append this group's series to `out` in the Prometheus
+            /// text format, in declaration order.
+            pub fn render(&self, out: &mut String) {
+                $( $crate::render::$kind(out, $series, $help, self.$field); )*
+            }
+        }
+    };
+}
+
+// ---------------------------------------------------------------------
 // Prometheus-style text exposition
 // ---------------------------------------------------------------------
 
@@ -257,7 +360,7 @@ pub mod render {
     }
 
     /// Render one histogram metric (seconds, per Prometheus convention).
-    pub fn histogram(out: &mut String, name: &str, help: &str, snap: &HistogramSnapshot) {
+    pub fn histogram(out: &mut String, name: &str, help: &str, snap: HistogramSnapshot) {
         let _ = writeln!(out, "# HELP {name} {help}");
         let _ = writeln!(out, "# TYPE {name} histogram");
         for (bound, cum) in snap.cumulative() {
@@ -275,7 +378,7 @@ pub mod render {
     /// Render one histogram whose observations are plain numbers (a
     /// batch size, a chain length) rather than durations: bucket
     /// bounds and the sum are emitted verbatim, not scaled to seconds.
-    pub fn plain_histogram(out: &mut String, name: &str, help: &str, snap: &HistogramSnapshot) {
+    pub fn plain_histogram(out: &mut String, name: &str, help: &str, snap: HistogramSnapshot) {
         let _ = writeln!(out, "# HELP {name} {help}");
         let _ = writeln!(out, "# TYPE {name} histogram");
         for (bound, cum) in snap.cumulative() {
@@ -371,7 +474,7 @@ mod tests {
         let h = Histogram::new();
         h.observe_micros(3);
         let mut out = String::new();
-        render::histogram(&mut out, "orion_wait_seconds", "waits", &h.snapshot());
+        render::histogram(&mut out, "orion_wait_seconds", "waits", h.snapshot());
         assert!(out.contains("orion_wait_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(out.contains("orion_wait_seconds_count 1"));
     }

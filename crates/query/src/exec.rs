@@ -23,7 +23,6 @@ use crate::ast::{CmpOp, Expr, Path, Query, SelectItem};
 use crate::batch::{run_pass, Hit, Pass, Program, BATCH};
 use crate::plan::{literal_value, AccessPath, PlannedQuery};
 use crate::source::DataSource;
-use orion_obs::{Counter, Gauge};
 use orion_schema::Catalog;
 use orion_types::{ClassId, DbResult, Oid, Value};
 use std::cmp::Ordering;
@@ -76,70 +75,33 @@ impl ExecOptions {
     }
 }
 
-/// Cross-query executor metrics, accumulated over every execution that
-/// carries the same [`ExecOptions::metrics`] sink. All counters are
-/// lock-free atomics: workers update them without coordination and a
-/// snapshot never blocks a running query.
-#[derive(Debug, Default)]
-pub struct ExecMetrics {
+orion_obs::metrics! {
+    /// Plain-value snapshot of [`ExecMetrics`].
+    pub struct ExecSnapshot;
+    /// Cross-query executor metrics, accumulated over every execution that
+    /// carries the same [`ExecOptions::metrics`] sink. All counters are
+    /// lock-free atomics: workers update them without coordination and a
+    /// snapshot never blocks a running query.
+    pub struct ExecMetrics;
     /// Completed query executions.
-    pub queries: Counter,
+    queries: counter("orion_exec_queries_total", "Completed query executions"),
     /// Candidate objects pulled from access paths (before the residual
     /// predicate runs).
-    pub rows_scanned: Counter,
+    rows_scanned: counter("orion_exec_rows_scanned_total", "Candidate objects pulled from access paths"),
     /// Objects that survived the residual predicate.
-    pub rows_matched: Counter,
+    rows_matched: counter("orion_exec_rows_matched_total", "Objects that survived the residual predicate"),
     /// Reference steps served from a worker's referenced-object cache,
     /// summed across executions.
-    pub memo_hits: Counter,
+    memo_hits: counter("orion_exec_memo_hits_total", "Reference steps served from the per-query referenced-object cache"),
     /// Reference steps taken (each is a cache lookup), summed across
     /// executions.
-    pub memo_lookups: Counter,
+    memo_lookups: counter("orion_exec_memo_lookups_total", "Reference steps taken by query evaluation"),
     /// Plans that chose an index access path (counted at prepare time).
-    pub index_picks: Counter,
+    index_picks: counter("orion_exec_index_picks_total", "Plans that chose an index access path"),
     /// Plans that chose a full extent scan (counted at prepare time).
-    pub scan_picks: Counter,
+    scan_picks: counter("orion_exec_scan_picks_total", "Plans that chose a full extent scan"),
     /// Worker threads used by the most recent execution.
-    pub last_parallelism: Gauge,
-}
-
-impl ExecMetrics {
-    /// A point-in-time copy of every counter. Fields are read
-    /// individually (`Relaxed`), so a snapshot taken mid-query may be
-    /// skewed across fields but each value is exact, never torn.
-    pub fn snapshot(&self) -> ExecSnapshot {
-        ExecSnapshot {
-            queries: self.queries.get(),
-            rows_scanned: self.rows_scanned.get(),
-            rows_matched: self.rows_matched.get(),
-            memo_hits: self.memo_hits.get(),
-            memo_lookups: self.memo_lookups.get(),
-            index_picks: self.index_picks.get(),
-            scan_picks: self.scan_picks.get(),
-            last_parallelism: self.last_parallelism.get(),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`ExecMetrics`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct ExecSnapshot {
-    /// Completed query executions.
-    pub queries: u64,
-    /// Candidate objects pulled from access paths.
-    pub rows_scanned: u64,
-    /// Objects that survived the residual predicate.
-    pub rows_matched: u64,
-    /// Reference steps served from the referenced-object cache.
-    pub memo_hits: u64,
-    /// Reference steps taken.
-    pub memo_lookups: u64,
-    /// Plans that chose an index access path.
-    pub index_picks: u64,
-    /// Plans that chose a full extent scan.
-    pub scan_picks: u64,
-    /// Worker threads used by the most recent execution.
-    pub last_parallelism: u64,
+    last_parallelism: gauge("orion_exec_last_parallelism", "Worker threads used by the most recent execution"),
 }
 
 /// Counters describing the most recent execution of a plan, surfaced

@@ -40,7 +40,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 
 use orion_core::{AttrSpec, IndexKind};
 use orion_net::{Client, ClientConfig};
-use orion_obs::{render, Counter};
+use orion_obs::Counter;
 use orion_query::{parse, Path, Query, QueryResult, SelectItem};
 use orion_types::{DbError, DbResult, Oid, Value};
 use parking_lot::{Mutex, RwLock};
@@ -93,6 +93,20 @@ pub struct RouterMetrics {
     pub commit_push_failures: Counter,
     /// In-doubt participant transactions resolved at recovery.
     pub in_doubt_resolved: Counter,
+}
+
+orion_obs::metrics! {
+    /// The scalar [`RouterMetrics`] as rendered (the per-shard series
+    /// carry a label, which a declared series does not).
+    struct RouterCounts;
+    passthrough_queries: counter("orion_shard_passthrough_queries_total", "Queries forwarded verbatim to a single shard"),
+    fanout_queries: counter("orion_shard_fanout_queries_total", "Queries fanned out and merged by the router"),
+    txns_1pc: counter("orion_shard_txns_1pc_total", "Transactions committed on the single-shard fast path"),
+    txns_2pc: counter("orion_shard_txns_2pc_total", "Transactions committed via two-phase commit"),
+    decisions_commit: counter("orion_shard_decisions_commit_total", "Coordinator commit decisions logged"),
+    decisions_abort: counter("orion_shard_decisions_abort_total", "Coordinator abort outcomes"),
+    commit_push_failures: counter("orion_shard_commit_push_failures_total", "Phase-two pushes left for in-doubt resolution"),
+    in_doubt_resolved: counter("orion_shard_in_doubt_resolved_total", "In-doubt participant transactions resolved"),
 }
 
 #[derive(Debug, Clone)]
@@ -495,54 +509,17 @@ impl ShardRouter {
         for (i, c) in m.errors.iter().enumerate() {
             let _ = writeln!(out, "orion_shard_errors_total{{shard=\"{i}\"}} {}", c.get());
         }
-        render::counter(
-            &mut out,
-            "orion_shard_passthrough_queries_total",
-            "Queries forwarded verbatim to a single shard",
-            m.passthrough_queries.get(),
-        );
-        render::counter(
-            &mut out,
-            "orion_shard_fanout_queries_total",
-            "Queries fanned out and merged by the router",
-            m.fanout_queries.get(),
-        );
-        render::counter(
-            &mut out,
-            "orion_shard_txns_1pc_total",
-            "Transactions committed on the single-shard fast path",
-            m.txns_1pc.get(),
-        );
-        render::counter(
-            &mut out,
-            "orion_shard_txns_2pc_total",
-            "Transactions committed via two-phase commit",
-            m.txns_2pc.get(),
-        );
-        render::counter(
-            &mut out,
-            "orion_shard_decisions_commit_total",
-            "Coordinator commit decisions logged",
-            m.decisions_commit.get(),
-        );
-        render::counter(
-            &mut out,
-            "orion_shard_decisions_abort_total",
-            "Coordinator abort outcomes",
-            m.decisions_abort.get(),
-        );
-        render::counter(
-            &mut out,
-            "orion_shard_commit_push_failures_total",
-            "Phase-two pushes left for in-doubt resolution",
-            m.commit_push_failures.get(),
-        );
-        render::counter(
-            &mut out,
-            "orion_shard_in_doubt_resolved_total",
-            "In-doubt participant transactions resolved",
-            m.in_doubt_resolved.get(),
-        );
+        RouterCounts {
+            passthrough_queries: m.passthrough_queries.get(),
+            fanout_queries: m.fanout_queries.get(),
+            txns_1pc: m.txns_1pc.get(),
+            txns_2pc: m.txns_2pc.get(),
+            decisions_commit: m.decisions_commit.get(),
+            decisions_abort: m.decisions_abort.get(),
+            commit_push_failures: m.commit_push_failures.get(),
+            in_doubt_resolved: m.in_doubt_resolved.get(),
+        }
+        .render(&mut out);
         out
     }
 }

@@ -22,7 +22,7 @@
 //! write exactly like [`SimDisk`]'s — and the log in `wal.log` as the
 //! raw framed bytes the WAL hands it.
 
-use crate::disk::{DiskStats, PageId, SimDisk, PAGE_SIZE};
+use crate::disk::{DiskMetrics, DiskStats, PageId, SimDisk, PAGE_SIZE};
 use crate::fault::{crc32, FaultInjector, FaultKind, FaultSite};
 use orion_types::{DbError, DbResult};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -197,9 +197,7 @@ pub struct FileDisk {
     log: Mutex<File>,
     log_bytes: AtomicU64,
     faults: RwLock<Option<Arc<FaultInjector>>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    allocations: AtomicU64,
+    metrics: DiskMetrics,
 }
 
 impl FileDisk {
@@ -241,9 +239,7 @@ impl FileDisk {
             log: Mutex::new(log),
             log_bytes: AtomicU64::new(log_bytes),
             faults: RwLock::new(None),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            allocations: AtomicU64::new(0),
+            metrics: DiskMetrics::default(),
         })
     }
 
@@ -283,7 +279,7 @@ impl StorageBackend for FileDisk {
             .map_err(|e| io_err("seeking for allocation", e))?;
         file.write_all(&block).map_err(|e| io_err("allocating page", e))?;
         self.page_count.store(count + 1, Ordering::Release);
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.metrics.allocations.inc();
         Ok(id)
     }
 
@@ -318,7 +314,7 @@ impl StorageBackend for FileDisk {
             return Err(DbError::Corruption(format!("checksum mismatch reading page {id}")));
         }
         buf.copy_from_slice(&data[..]);
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.metrics.reads.inc();
         Ok(())
     }
 
@@ -350,7 +346,7 @@ impl StorageBackend for FileDisk {
         file.seek(SeekFrom::Start(id.0 as u64 * BLOCK_SIZE))
             .map_err(|e| io_err(&format!("seeking page {id}"), e))?;
         file.write_all(&block).map_err(|e| io_err(&format!("writing page {id}"), e))?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.metrics.writes.inc();
         Ok(())
     }
 
@@ -403,11 +399,7 @@ impl StorageBackend for FileDisk {
     }
 
     fn stats(&self) -> DiskStats {
-        DiskStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            allocations: self.allocations.load(Ordering::Relaxed),
-        }
+        self.metrics.snapshot()
     }
 }
 

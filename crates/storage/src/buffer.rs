@@ -16,20 +16,21 @@ use crate::wal::{Lsn, Wal};
 use orion_types::{DbError, DbResult};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Buffer pool counters; experiment E10 reads misses as its I/O metric.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
+orion_obs::metrics! {
+    /// Buffer pool counters; experiment E10 reads misses as its I/O metric.
+    pub struct PoolStats;
+    /// The buffer pool's live sinks.
+    pub(crate) struct PoolMetrics;
     /// Page requests satisfied without disk I/O.
-    pub hits: u64,
+    hits: counter("orion_pool_hits_total", "Buffer-pool page requests satisfied without disk I/O"),
     /// Page requests that had to read from disk.
-    pub misses: u64,
+    misses: counter("orion_pool_misses_total", "Buffer-pool page requests that read from disk"),
     /// Frames evicted to make room.
-    pub evictions: u64,
+    evictions: counter("orion_pool_evictions_total", "Buffer-pool frames evicted to make room"),
     /// Dirty pages written back to disk.
-    pub writebacks: u64,
+    writebacks: counter("orion_pool_writebacks_total", "Dirty pages written back to disk"),
 }
 
 struct Frame {
@@ -52,10 +53,7 @@ pub struct BufferPool {
     disk: Arc<dyn StorageBackend>,
     capacity: usize,
     wal: Option<Arc<Wal>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    writebacks: AtomicU64,
+    metrics: PoolMetrics,
 }
 
 impl BufferPool {
@@ -68,10 +66,7 @@ impl BufferPool {
             disk,
             capacity,
             wal,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            writebacks: AtomicU64::new(0),
+            metrics: PoolMetrics::default(),
         }
     }
 
@@ -90,7 +85,7 @@ impl BufferPool {
             wal.flush_to(Lsn(slotted::page_lsn(&frame.data[..])))?;
         }
         self.disk.write(frame.pid, &frame.data)?;
-        self.writebacks.fetch_add(1, Ordering::Relaxed);
+        self.metrics.writebacks.inc();
         Ok(())
     }
 
@@ -101,10 +96,10 @@ impl BufferPool {
         let tick = inner.tick;
         if let Some(&idx) = inner.map.get(&pid) {
             inner.frames[idx].last_used = tick;
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.metrics.hits.inc();
             return Ok(idx);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.metrics.misses.inc();
         let mut data = Box::new([0u8; PAGE_SIZE]);
         self.disk.read(pid, &mut data)?;
         let idx = if inner.frames.len() < self.capacity {
@@ -124,7 +119,7 @@ impl BufferPool {
                 self.write_back(old)?;
             }
             inner.map.remove(&old.pid);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.metrics.evictions.inc();
             inner.frames[victim] = Frame { pid, data, dirty: false, last_used: tick };
             victim
         };
@@ -188,7 +183,7 @@ impl BufferPool {
             }
             let old_pid = old.pid;
             inner.map.remove(&old_pid);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.metrics.evictions.inc();
             inner.frames[victim] = Frame { pid, data, dirty: true, last_used: tick };
             inner.map.insert(pid, victim);
         } else {
@@ -208,7 +203,7 @@ impl BufferPool {
                     wal.flush_to(Lsn(slotted::page_lsn(&frame.data[..])))?;
                 }
                 self.disk.write(frame.pid, &frame.data)?;
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
+                self.metrics.writebacks.inc();
                 frame.dirty = false;
             }
         }
@@ -225,12 +220,7 @@ impl BufferPool {
 
     /// Snapshot the counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            writebacks: self.writebacks.load(Ordering::Relaxed),
-        }
+        self.metrics.snapshot()
     }
 }
 

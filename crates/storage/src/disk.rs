@@ -10,7 +10,6 @@
 use crate::fault::{crc32, FaultInjector, FaultKind, FaultSite};
 use orion_types::{DbError, DbResult};
 use parking_lot::{Mutex, RwLock};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Size of every disk page, in bytes.
@@ -26,15 +25,17 @@ impl std::fmt::Display for PageId {
     }
 }
 
-/// Cumulative I/O counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DiskStats {
+orion_obs::metrics! {
+    /// Cumulative I/O counters.
+    pub struct DiskStats;
+    /// A backend's live I/O sinks ([`SimDisk`] and `FileDisk` both).
+    pub(crate) struct DiskMetrics;
     /// Pages read from the disk.
-    pub reads: u64,
+    reads: counter("orion_disk_reads_total", "Pages read from disk"),
     /// Pages written to the disk.
-    pub writes: u64,
+    writes: counter("orion_disk_writes_total", "Pages written to disk"),
     /// Pages allocated.
-    pub allocations: u64,
+    allocations: counter("orion_disk_allocations_total", "Pages allocated on disk"),
 }
 
 struct PageState {
@@ -55,9 +56,7 @@ pub struct SimDisk {
     /// writes its stable frames through (see `crate::backend`).
     pub(crate) log: Mutex<Vec<u8>>,
     faults: RwLock<Option<Arc<FaultInjector>>>,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    allocations: AtomicU64,
+    metrics: DiskMetrics,
 }
 
 impl SimDisk {
@@ -67,9 +66,7 @@ impl SimDisk {
             pages: Mutex::new(Vec::new()),
             log: Mutex::new(Vec::new()),
             faults: RwLock::new(None),
-            reads: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            allocations: AtomicU64::new(0),
+            metrics: DiskMetrics::default(),
         }
     }
 
@@ -86,7 +83,7 @@ impl SimDisk {
         let data = Box::new([0u8; PAGE_SIZE]);
         let crc = crc32(&data[..]);
         pages.push(PageState { data, crc });
-        self.allocations.fetch_add(1, Ordering::Relaxed);
+        self.metrics.allocations.inc();
         id
     }
 
@@ -120,7 +117,7 @@ impl SimDisk {
             return Err(DbError::Corruption(format!("checksum mismatch reading page {id}")));
         }
         buf.copy_from_slice(&page.data[..]);
-        self.reads.fetch_add(1, Ordering::Relaxed);
+        self.metrics.reads.inc();
         Ok(())
     }
 
@@ -148,7 +145,7 @@ impl SimDisk {
         }
         page.data.copy_from_slice(buf);
         page.crc = crc32(buf);
-        self.writes.fetch_add(1, Ordering::Relaxed);
+        self.metrics.writes.inc();
         Ok(())
     }
 
@@ -165,11 +162,7 @@ impl SimDisk {
 
     /// Snapshot the I/O counters.
     pub fn stats(&self) -> DiskStats {
-        DiskStats {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            allocations: self.allocations.load(Ordering::Relaxed),
-        }
+        self.metrics.snapshot()
     }
 }
 

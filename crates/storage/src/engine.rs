@@ -11,11 +11,10 @@
 use crate::backend::StorageBackend;
 use crate::buffer::BufferPool;
 use crate::disk::{PageId, SimDisk};
-use crate::fault::{FaultInjector, FaultPlan, FaultStats};
+use crate::fault::{FaultInjector, FaultMetrics, FaultPlan, FaultStats};
 use crate::heap::{HeapFile, Rid};
 use crate::slotted;
 use crate::wal::{ClrAction, LogRecord, Lsn, Wal};
-use orion_obs::Counter;
 use orion_types::{DbError, DbResult};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
@@ -88,21 +87,23 @@ impl TxnState {
 /// Logical records, each under its head rid.
 pub type Records = Vec<(Rid, Vec<u8>)>;
 
-/// Recovery-outcome counters: how often restart recovery ran, whether
-/// it completed, and how much damage it had to repair along the way.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryStats {
+orion_obs::metrics! {
+    /// Recovery-outcome counters: how often restart recovery ran, whether
+    /// it completed, and how much damage it had to repair along the way.
+    pub struct RecoveryStats;
+    /// The engine's recovery sinks.
+    pub(crate) struct RecoveryMetrics;
     /// Recovery runs that completed (analysis + redo + undo).
-    pub completed: u64,
+    completed: counter("orion_recovery_completed_total", "Restart recoveries that completed"),
     /// Recovery runs that failed with an error (e.g. interior log
     /// corruption, or an injected fault still armed during restart).
-    pub failed: u64,
+    failed: counter("orion_recovery_failed_total", "Restart recoveries that failed with an error"),
     /// Corrupt pages detected at restart and rebuilt by log replay.
-    pub pages_repaired: u64,
+    pages_repaired: counter("orion_recovery_pages_repaired_total", "Corrupt pages rebuilt by log replay during recovery"),
     /// Logged page changes redo applied: their page's LSN was older.
-    pub records_redone: u64,
+    records_redone: counter("orion_recovery_records_redone_total", "Logged page changes redo applied (page LSN older)"),
     /// Logged page changes redo skipped: their page already held them.
-    pub records_skipped: u64,
+    records_skipped: counter("orion_recovery_records_skipped_total", "Logged page changes redo skipped (page already held them)"),
 }
 
 /// What [`StorageEngine::read_slots`] found in one slot.
@@ -132,15 +133,10 @@ pub struct StorageEngine {
     /// from `Prepare` records without a matching `Commit`/`Abort`.
     prepared: Mutex<HashMap<u64, TxnState>>,
     next_txn: AtomicU64,
-    faults: Mutex<Option<Arc<FaultInjector>>>,
-    /// Stats folded in from injectors that were since uninstalled, so
-    /// fault counters are cumulative across plans.
-    fault_base: Mutex<FaultStats>,
-    recoveries_completed: Counter,
-    recoveries_failed: Counter,
-    pages_repaired: Counter,
-    records_redone: Counter,
-    records_skipped: Counter,
+    /// Counts of every fault fired by any plan installed over this
+    /// engine: each injector counts into it.
+    faults: Arc<FaultMetrics>,
+    recovery: RecoveryMetrics,
 }
 
 impl StorageEngine {
@@ -171,26 +167,9 @@ impl StorageEngine {
             active: Mutex::new(HashMap::new()),
             prepared: Mutex::new(HashMap::new()),
             next_txn: AtomicU64::new(1),
-            faults: Mutex::new(None),
-            fault_base: Mutex::new(FaultStats::default()),
-            recoveries_completed: Counter::default(),
-            recoveries_failed: Counter::default(),
-            pages_repaired: Counter::default(),
-            records_redone: Counter::default(),
-            records_skipped: Counter::default(),
+            faults: Arc::default(),
+            recovery: RecoveryMetrics::default(),
         })
-    }
-
-    fn fold_fault_stats(&self) {
-        if let Some(inj) = self.faults.lock().take() {
-            let s = inj.stats();
-            let mut base = self.fault_base.lock();
-            base.read_errors += s.read_errors;
-            base.write_errors += s.write_errors;
-            base.torn_writes += s.torn_writes;
-            base.bit_flips += s.bit_flips;
-            base.partial_flushes += s.partial_flushes;
-        }
     }
 
     /// Install a fault plan: a single injector shared by the disk and
@@ -198,17 +177,14 @@ impl StorageEngine {
     /// any previously installed plan (its counts are retained in
     /// [`StorageEngine::fault_stats`]).
     pub fn install_faults(&self, plan: FaultPlan) -> Arc<FaultInjector> {
-        let inj = Arc::new(FaultInjector::new(plan));
-        self.fold_fault_stats();
+        let inj = Arc::new(FaultInjector::with_metrics(plan, Arc::clone(&self.faults)));
         self.disk.set_fault_injector(Some(Arc::clone(&inj)));
         self.wal.set_fault_injector(Some(Arc::clone(&inj)));
-        *self.faults.lock() = Some(Arc::clone(&inj));
         inj
     }
 
     /// Remove any installed fault plan; subsequent I/O is clean.
     pub fn clear_faults(&self) {
-        self.fold_fault_stats();
         self.disk.set_fault_injector(None);
         self.wal.set_fault_injector(None);
     }
@@ -216,26 +192,12 @@ impl StorageEngine {
     /// Cumulative injected-fault counters, across every plan installed
     /// over this engine's lifetime.
     pub fn fault_stats(&self) -> FaultStats {
-        let base = *self.fault_base.lock();
-        let live = self.faults.lock().as_ref().map(|f| f.stats()).unwrap_or_default();
-        FaultStats {
-            read_errors: base.read_errors + live.read_errors,
-            write_errors: base.write_errors + live.write_errors,
-            torn_writes: base.torn_writes + live.torn_writes,
-            bit_flips: base.bit_flips + live.bit_flips,
-            partial_flushes: base.partial_flushes + live.partial_flushes,
-        }
+        self.faults.snapshot()
     }
 
     /// Recovery-outcome counters.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        RecoveryStats {
-            completed: self.recoveries_completed.get(),
-            failed: self.recoveries_failed.get(),
-            pages_repaired: self.pages_repaired.get(),
-            records_redone: self.records_redone.get(),
-            records_skipped: self.records_skipped.get(),
-        }
+        self.recovery.snapshot()
     }
 
     /// The buffer pool (stats, capacity).
@@ -818,11 +780,11 @@ impl StorageEngine {
     pub fn recover(&self) -> DbResult<()> {
         match self.recover_inner() {
             Ok(()) => {
-                self.recoveries_completed.inc();
+                self.recovery.completed.inc();
                 Ok(())
             }
             Err(e) => {
-                self.recoveries_failed.inc();
+                self.recovery.failed.inc();
                 Err(e)
             }
         }
@@ -858,7 +820,7 @@ impl StorageEngine {
                 Ok(()) => {}
                 Err(DbError::Corruption(_)) => {
                     self.pool.repair_page(pid)?;
-                    self.pages_repaired.inc();
+                    self.recovery.pages_repaired.inc();
                     repaired = true;
                 }
                 Err(other) => return Err(other),
@@ -1001,7 +963,7 @@ impl StorageEngine {
         apply: impl FnOnce(&mut [u8]) -> DbResult<()>,
     ) -> DbResult<()> {
         if self.pool.with_page(rid.page, slotted::page_lsn)? >= lsn.0 {
-            self.records_skipped.inc();
+            self.recovery.records_skipped.inc();
             return Ok(());
         }
         self.pool.with_page_mut(rid.page, |page| -> DbResult<()> {
@@ -1009,7 +971,7 @@ impl StorageEngine {
             slotted::set_page_lsn(page, lsn.0);
             Ok(())
         })??;
-        self.records_redone.inc();
+        self.recovery.records_redone.inc();
         Ok(())
     }
 }

@@ -22,11 +22,12 @@
 //!   crash before the next successful flush leaves a torn log tail,
 //!   which recovery truncates (ARIES tail discipline).
 //!
-//! Every fired fault is counted; [`FaultInjector::stats`] feeds the
-//! `orion_fault_*` Prometheus series.
+//! Every fired fault is counted in a `FaultMetrics` sink, which an
+//! engine shares with every injector it installs, so its counts run
+//! across plans and feed the `orion_fault_*` Prometheus series.
 
-use orion_obs::Counter;
 use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// Where in the storage layer a fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,19 +148,22 @@ struct InjectorState {
     rng: u64,
 }
 
-/// Cumulative injection counters, one per [`FaultKind`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct FaultStats {
+orion_obs::metrics! {
+    /// Cumulative injection counters, one per [`FaultKind`].
+    pub struct FaultStats;
+    /// The injection sinks: one per engine, shared by every injector it
+    /// installs.
+    pub(crate) struct FaultMetrics;
     /// Injected page-read I/O errors.
-    pub read_errors: u64,
+    read_errors: counter("orion_fault_read_errors_total", "Injected page-read I/O errors"),
     /// Injected page-write I/O errors.
-    pub write_errors: u64,
+    write_errors: counter("orion_fault_write_errors_total", "Injected page-write I/O errors"),
     /// Injected torn page writes (prefix persisted, then failed).
-    pub torn_writes: u64,
+    torn_writes: counter("orion_fault_torn_writes_total", "Injected torn page writes (prefix persisted)"),
     /// Injected stored-bit flips.
-    pub bit_flips: u64,
+    bit_flips: counter("orion_fault_bit_flips_total", "Injected stored-page bit flips"),
     /// Injected partial WAL flushes.
-    pub partial_flushes: u64,
+    partial_flushes: counter("orion_fault_partial_flushes_total", "Injected partial WAL flushes"),
 }
 
 impl FaultStats {
@@ -175,11 +179,7 @@ impl FaultStats {
 #[derive(Debug)]
 pub struct FaultInjector {
     state: Mutex<InjectorState>,
-    read_errors: Counter,
-    write_errors: Counter,
-    torn_writes: Counter,
-    bit_flips: Counter,
-    partial_flushes: Counter,
+    metrics: Arc<FaultMetrics>,
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -191,8 +191,13 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 impl FaultInjector {
-    /// Arm a plan.
+    /// Arm a plan that counts into a sink of its own.
     pub fn new(plan: FaultPlan) -> Self {
+        Self::with_metrics(plan, Arc::default())
+    }
+
+    /// Arm a plan that counts into `metrics`.
+    pub(crate) fn with_metrics(plan: FaultPlan, metrics: Arc<FaultMetrics>) -> Self {
         FaultInjector {
             state: Mutex::new(InjectorState {
                 rules: plan
@@ -202,11 +207,7 @@ impl FaultInjector {
                     .collect(),
                 rng: plan.seed,
             }),
-            read_errors: Counter::default(),
-            write_errors: Counter::default(),
-            torn_writes: Counter::default(),
-            bit_flips: Counter::default(),
-            partial_flushes: Counter::default(),
+            metrics,
         }
     }
 
@@ -241,26 +242,22 @@ impl FaultInjector {
             }
         }
         if let Some(shot) = &shot {
+            let m = &self.metrics;
             match shot.kind {
-                FaultKind::ReadError => self.read_errors.inc(),
-                FaultKind::WriteError => self.write_errors.inc(),
-                FaultKind::TornWrite => self.torn_writes.inc(),
-                FaultKind::BitFlip => self.bit_flips.inc(),
-                FaultKind::PartialFlush => self.partial_flushes.inc(),
+                FaultKind::ReadError => m.read_errors.inc(),
+                FaultKind::WriteError => m.write_errors.inc(),
+                FaultKind::TornWrite => m.torn_writes.inc(),
+                FaultKind::BitFlip => m.bit_flips.inc(),
+                FaultKind::PartialFlush => m.partial_flushes.inc(),
             }
         }
         shot
     }
 
-    /// Snapshot the injection counters.
+    /// Snapshot the injection counters (of every injector sharing this
+    /// one's sink).
     pub fn stats(&self) -> FaultStats {
-        FaultStats {
-            read_errors: self.read_errors.get(),
-            write_errors: self.write_errors.get(),
-            torn_writes: self.torn_writes.get(),
-            bit_flips: self.bit_flips.get(),
-            partial_flushes: self.partial_flushes.get(),
-        }
+        self.metrics.snapshot()
     }
 }
 

@@ -35,7 +35,7 @@ use crate::disk::SimDisk;
 use crate::fault::{FaultInjector, FaultKind, FaultSite};
 use crate::frame::{frame_end, put_frame, scan, FRAME_HEADER};
 use crate::heap::Rid;
-use orion_obs::{Counter, Histogram, HistogramSnapshot, SpanTimer};
+use orion_obs::SpanTimer;
 use orion_types::wire::{get_bytes, get_u16, get_u32, get_u64, get_u8, put_bytes, retag};
 use orion_types::{DbError, DbResult};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -328,30 +328,32 @@ struct WalInner {
     head_rest: usize,
 }
 
-/// Cumulative WAL counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WalStats {
+orion_obs::metrics! {
+    /// Cumulative WAL counters.
+    pub struct WalStats;
+    /// The log's live sinks.
+    pub(crate) struct WalMetrics;
     /// Records appended to the log buffer.
-    pub appends: u64,
+    appends: counter("orion_wal_appends_total", "Log records appended to the WAL"),
     /// Forces of the log buffer to stable storage.
-    pub flushes: u64,
+    flushes: counter("orion_wal_flushes_total", "Non-empty WAL flushes to stable storage"),
     /// Bytes moved into the stable prefix by those flushes.
-    pub flushed_bytes: u64,
+    flushed_bytes: counter("orion_wal_flushed_bytes_total", "Bytes moved to the stable WAL"),
+    /// Latency distribution of non-empty flushes.
+    flush_latency: histogram("orion_wal_flush_latency_seconds", "WAL flush latency"),
     /// Torn tails truncated away when reading the stable log (ARIES
     /// end-of-log discipline after a crash mid-flush).
-    pub torn_tail_truncations: u64,
+    torn_tail_truncations: counter("orion_wal_torn_tail_truncations_total", "Torn WAL tails truncated at recovery (end-of-log discipline)"),
     /// Durability barriers issued against the log device — real
     /// `fsync`s over a file backend, simulated ones otherwise.
-    pub fsyncs: u64,
+    fsyncs: counter("orion_wal_fsyncs_total", "Durability barriers issued against the log device"),
     /// Logical DML records appended (insert/update/delete and their
     /// compensations).
-    pub logical_records: u64,
-    /// Latency distribution of non-empty flushes.
-    pub flush_latency: HistogramSnapshot,
+    logical_records: counter("orion_wal_logical_records_total", "Logical DML records (insert/update/delete/CLR) appended"),
     /// Committers amortized per group-commit flush (unitless counts;
     /// a mean near the committer count means one fsync covered them
     /// all).
-    pub group_commit_batch_size: HistogramSnapshot,
+    group_commit_batch_size: plain_histogram("orion_wal_group_commit_batch_size", "Committers whose commits one group-commit flush made durable"),
 }
 
 /// Group-commit coordination: committers park here until a leader's
@@ -379,14 +381,7 @@ pub struct Wal {
     /// for followers before issuing the shared fsync. Zero = flush
     /// immediately (every commit pays its own barrier when alone).
     group_window_us: AtomicU64,
-    appends: Counter,
-    flushes: Counter,
-    flushed_bytes: Counter,
-    torn_truncations: Counter,
-    fsyncs: Counter,
-    logical_records: Counter,
-    flush_latency: Histogram,
-    batch_size: Histogram,
+    metrics: WalMetrics,
 }
 
 impl Default for Wal {
@@ -421,14 +416,7 @@ impl Wal {
             group: Mutex::default(),
             group_cvar: Condvar::default(),
             group_window_us: AtomicU64::default(),
-            appends: Counter::default(),
-            flushes: Counter::default(),
-            flushed_bytes: Counter::default(),
-            torn_truncations: Counter::default(),
-            fsyncs: Counter::default(),
-            logical_records: Counter::default(),
-            flush_latency: Histogram::default(),
-            batch_size: Histogram::default(),
+            metrics: WalMetrics::default(),
         })
     }
 
@@ -447,7 +435,7 @@ impl Wal {
     fn promote(&self, inner: &mut WalInner, cut: usize) -> DbResult<()> {
         self.backend.log_append(&inner.tail[..cut])?;
         self.backend.log_sync()?;
-        self.fsyncs.inc();
+        self.metrics.fsyncs.inc();
         if cut == inner.tail.len() {
             // Appends add whole frames, so the tail ends on a boundary.
             inner.tail.clear();
@@ -487,7 +475,7 @@ impl Wal {
         let mut inner = self.inner.lock();
         let lsn = Lsn(inner.stable_len + inner.tail.len() as u64);
         inner.tail.extend_from_slice(&framed);
-        self.appends.inc();
+        self.metrics.appends.inc();
         if matches!(
             rec,
             LogRecord::Insert { .. }
@@ -495,7 +483,7 @@ impl Wal {
                 | LogRecord::Delete { .. }
                 | LogRecord::Clr { .. }
         ) {
-            self.logical_records.inc();
+            self.metrics.logical_records.inc();
         }
         lsn
     }
@@ -527,9 +515,9 @@ impl Wal {
             self.promote(&mut inner, all)?;
             all as u64
         };
-        self.flushes.inc();
-        self.flushed_bytes.add(moved);
-        span.record(Instant::now(), &self.flush_latency);
+        self.metrics.flushes.inc();
+        self.metrics.flushed_bytes.add(moved);
+        span.record(Instant::now(), &self.metrics.flush_latency);
         Ok(())
     }
 
@@ -572,7 +560,7 @@ impl Wal {
                 g.leader_active = false;
                 g.pending -= 1;
                 if result.is_ok() {
-                    self.batch_size.observe_micros(batch);
+                    self.metrics.group_commit_batch_size.observe_micros(batch);
                 }
                 self.group_cvar.notify_all();
                 return result;
@@ -583,16 +571,7 @@ impl Wal {
 
     /// Snapshot the WAL counters.
     pub fn stats(&self) -> WalStats {
-        WalStats {
-            appends: self.appends.get(),
-            flushes: self.flushes.get(),
-            flushed_bytes: self.flushed_bytes.get(),
-            torn_tail_truncations: self.torn_truncations.get(),
-            fsyncs: self.fsyncs.get(),
-            logical_records: self.logical_records.get(),
-            flush_latency: self.flush_latency.snapshot(),
-            group_commit_batch_size: self.batch_size.snapshot(),
-        }
+        self.metrics.snapshot()
     }
 
     /// Force the log up to (and including) `lsn` — the write-ahead rule
@@ -674,7 +653,7 @@ impl Wal {
         self.backend.log_sync()?;
         inner.stable_len = (at + framed.len()) as u64;
         inner.complete = inner.stable_len;
-        self.torn_truncations.inc();
+        self.metrics.torn_tail_truncations.inc();
         Ok(())
     }
 }

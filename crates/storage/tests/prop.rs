@@ -178,6 +178,52 @@ fn apply_txn(
     }
 }
 
+/// Transactions whose records outgrow a two-page pool: a committed
+/// load of 8–11 records of 1–2 KiB (at most three fit in a page), then
+/// random transactions over records of the same size.
+fn arb_big_txns() -> impl Strategy<Value = Vec<(bool, Vec<TxOp>)>> {
+    let record = || proptest::collection::vec(any::<u8>(), 1024..2048);
+    let load = proptest::collection::vec(record().prop_map(TxOp::Insert), 8..12);
+    let op = prop_oneof![
+        record().prop_map(TxOp::Insert),
+        (any::<usize>(), record()).prop_map(|(i, b)| TxOp::Update(i, b)),
+        any::<usize>().prop_map(TxOp::Delete),
+    ];
+    let rest = proptest::collection::vec((any::<bool>(), proptest::collection::vec(op, 1..6)), 1..6);
+    (load, rest).prop_map(|(load, rest)| std::iter::once((true, load)).chain(rest).collect())
+}
+
+/// Run `txns` (committing or aborting each), optionally flush every
+/// dirty page, crash and recover. Returns the records that survived
+/// and the committed state they must equal.
+fn crash_and_recover(
+    engine: &StorageEngine,
+    txns: &[(bool, Vec<TxOp>)],
+    flush_mid: bool,
+) -> (HashMap<Rid, Vec<u8>>, HashMap<Rid, Vec<u8>>) {
+    let mut committed: HashMap<Rid, Vec<u8>> = HashMap::new();
+    for (commit, ops) in txns {
+        let txn = engine.begin();
+        let mut working = committed.clone();
+        apply_txn(engine, txn, ops, &mut working);
+        if *commit {
+            engine.commit(txn).unwrap();
+            committed = working;
+        } else {
+            engine.abort(txn).unwrap();
+        }
+    }
+    if flush_mid {
+        // Push arbitrary dirty pages out; recovery must still hold.
+        engine.pool().flush_all().unwrap();
+    }
+    engine.crash();
+    engine.recover().unwrap();
+    let mut survivors: HashMap<Rid, Vec<u8>> = HashMap::new();
+    engine.scan_all(|rid, bytes| { survivors.insert(rid, bytes.to_vec()); }).unwrap();
+    (survivors, committed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -186,27 +232,21 @@ proptest! {
     #[test]
     fn recovery_restores_committed_state(txns in arb_txns(), flush_mid in any::<bool>()) {
         let engine = StorageEngine::new(4);
-        let mut committed: HashMap<Rid, Vec<u8>> = HashMap::new();
-        for (commit, ops) in &txns {
-            let txn = engine.begin();
-            let mut working = committed.clone();
-            apply_txn(&engine, txn, ops, &mut working);
-            if *commit {
-                engine.commit(txn).unwrap();
-                committed = working;
-            } else {
-                engine.abort(txn).unwrap();
-            }
-        }
-        if flush_mid {
-            // Push arbitrary dirty pages out; recovery must still hold.
-            engine.pool().flush_all().unwrap();
-        }
-        engine.crash();
-        engine.recover().unwrap();
+        let (survivors, committed) = crash_and_recover(&engine, &txns, flush_mid);
+        prop_assert_eq!(survivors, committed);
+    }
 
-        let mut survivors: HashMap<Rid, Vec<u8>> = HashMap::new();
-        engine.scan_all(|rid, bytes| { survivors.insert(rid, bytes.to_vec()); }).unwrap();
+    /// The same, over records that span more pages than the pool holds,
+    /// so the workload and the recovery run through evictions.
+    #[test]
+    fn recovery_restores_committed_state_beyond_the_pool(
+        txns in arb_big_txns(),
+        flush_mid in any::<bool>(),
+    ) {
+        let engine = StorageEngine::new(2);
+        let before = engine.pool().stats();
+        let (survivors, committed) = crash_and_recover(&engine, &txns, flush_mid);
+        prop_assert!(engine.pool().stats().evictions > before.evictions, "the pool never evicted");
         prop_assert_eq!(survivors, committed);
     }
 

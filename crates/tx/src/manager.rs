@@ -2,7 +2,7 @@
 //! hierarchy with deadlock detection.
 
 use crate::modes::LockMode;
-use orion_obs::{Counter, Histogram, HistogramSnapshot, SpanTimer};
+use orion_obs::SpanTimer;
 use orion_types::{ClassId, DbError, DbResult, Oid};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
@@ -92,54 +92,38 @@ pub struct LockManager {
     state: Mutex<TableState>,
     available: Condvar,
     timeout: Duration,
-    acquisitions: Counter,
-    /// Acquisitions broken out by granted mode, indexed by
-    /// [`mode_index`] (IS, IX, S, SIX, X).
-    by_mode: [Counter; 5],
-    waits: Counter,
-    wait_latency: Histogram,
-    deadlocks: Counter,
-    timeouts: Counter,
+    metrics: LockMetrics,
 }
 
-/// Stable index of a mode in per-mode counter arrays.
-fn mode_index(mode: LockMode) -> usize {
-    match mode {
-        LockMode::IS => 0,
-        LockMode::IX => 1,
-        LockMode::S => 2,
-        LockMode::SIX => 3,
-        LockMode::X => 4,
-    }
-}
-
-/// Cumulative lock-manager counters.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LockStats {
+orion_obs::metrics! {
+    /// Cumulative lock-manager counters.
+    pub struct LockStats;
+    /// The lock manager's live sinks.
+    pub(crate) struct LockMetrics;
     /// Granted acquisitions (covered re-requests included).
-    pub acquisitions: u64,
-    /// `IS`-mode acquisitions (intention share on ancestors of a read).
-    pub is_acquisitions: u64,
-    /// `IX`-mode acquisitions (intention exclusive on ancestors of a
-    /// write).
-    pub ix_acquisitions: u64,
-    /// `S`-mode acquisitions (shared reads — with MVCC snapshot reads
-    /// enabled, a pure-query workload drives this to ~0).
-    pub s_acquisitions: u64,
-    /// `SIX`-mode acquisitions (share + intention-exclusive upgrades).
-    pub six_acquisitions: u64,
-    /// `X`-mode acquisitions (exclusive writes).
-    pub x_acquisitions: u64,
+    acquisitions: counter("orion_lock_acquisitions_total", "Lock requests granted"),
     /// Acquisitions that blocked on a conflicting holder at least once.
-    pub waits: u64,
-    /// Wait-time distribution of those blocked acquisitions (granted or
-    /// not — a timed-out wait is still a wait).
-    pub wait_latency: HistogramSnapshot,
+    waits: counter("orion_lock_waits_total", "Lock requests that blocked at least once"),
     /// Requests refused because granting would close a waits-for cycle
     /// (the requester is the chosen victim).
-    pub deadlock_victims: u64,
+    deadlock_victims: counter("orion_lock_deadlock_victims_total", "Lock requests aborted as deadlock victims"),
     /// Requests abandoned at the configured wait timeout.
-    pub timeouts: u64,
+    timeouts: counter("orion_lock_timeouts_total", "Lock requests that timed out"),
+    /// `IS`-mode acquisitions (intention share on ancestors of a read).
+    is_acquisitions: counter("orion_lock_acquisitions_is_total", "IS-mode lock grants (intention share)"),
+    /// `IX`-mode acquisitions (intention exclusive on ancestors of a
+    /// write).
+    ix_acquisitions: counter("orion_lock_acquisitions_ix_total", "IX-mode lock grants (intention exclusive)"),
+    /// `S`-mode acquisitions (shared reads — with MVCC snapshot reads,
+    /// a pure-query workload holds this at ~0: queries take no locks).
+    s_acquisitions: counter("orion_lock_acquisitions_s_total", "S-mode lock grants (shared reads)"),
+    /// `SIX`-mode acquisitions (share + intention-exclusive upgrades).
+    six_acquisitions: counter("orion_lock_acquisitions_six_total", "SIX-mode lock grants (share + intention exclusive)"),
+    /// `X`-mode acquisitions (exclusive writes).
+    x_acquisitions: counter("orion_lock_acquisitions_x_total", "X-mode lock grants (exclusive writes)"),
+    /// Wait-time distribution of those blocked acquisitions (granted or
+    /// not — a timed-out wait is still a wait).
+    wait_latency: histogram("orion_lock_wait_latency_seconds", "Lock wait latency"),
 }
 
 impl LockManager {
@@ -154,28 +138,26 @@ impl LockManager {
             state: Mutex::new(TableState::default()),
             available: Condvar::new(),
             timeout,
-            acquisitions: Counter::new(),
-            by_mode: Default::default(),
-            waits: Counter::new(),
-            wait_latency: Histogram::new(),
-            deadlocks: Counter::new(),
-            timeouts: Counter::new(),
+            metrics: LockMetrics::default(),
         }
     }
 
     /// Snapshot the lock counters.
     pub fn stats(&self) -> LockStats {
-        LockStats {
-            acquisitions: self.acquisitions.get(),
-            is_acquisitions: self.by_mode[mode_index(LockMode::IS)].get(),
-            ix_acquisitions: self.by_mode[mode_index(LockMode::IX)].get(),
-            s_acquisitions: self.by_mode[mode_index(LockMode::S)].get(),
-            six_acquisitions: self.by_mode[mode_index(LockMode::SIX)].get(),
-            x_acquisitions: self.by_mode[mode_index(LockMode::X)].get(),
-            waits: self.waits.get(),
-            wait_latency: self.wait_latency.snapshot(),
-            deadlock_victims: self.deadlocks.get(),
-            timeouts: self.timeouts.get(),
+        self.metrics.snapshot()
+    }
+
+    /// Count one granted acquisition, and its mode.
+    #[inline]
+    fn count_grant(&self, mode: LockMode) {
+        let m = &self.metrics;
+        m.acquisitions.inc();
+        match mode {
+            LockMode::IS => m.is_acquisitions.inc(),
+            LockMode::IX => m.ix_acquisitions.inc(),
+            LockMode::S => m.s_acquisitions.inc(),
+            LockMode::SIX => m.six_acquisitions.inc(),
+            LockMode::X => m.x_acquisitions.inc(),
         }
     }
 
@@ -187,8 +169,7 @@ impl LockManager {
         if let Some(holders) = state.granted.get(&target) {
             if let Some(held) = holders.get(&txn) {
                 if held.covers(mode) {
-                    self.acquisitions.inc();
-                    self.by_mode[mode_index(mode)].inc();
+                    self.count_grant(mode);
                     return Ok(());
                 }
             }
@@ -198,7 +179,7 @@ impl LockManager {
         let mut wait_span: Option<SpanTimer> = None;
         let finish_wait = |span: Option<SpanTimer>| {
             if let Some(span) = span {
-                span.record(Instant::now(), &self.wait_latency);
+                span.record(Instant::now(), &self.metrics.wait_latency);
             }
         };
         loop {
@@ -206,8 +187,7 @@ impl LockManager {
             if blockers.is_empty() {
                 state.waits_for.remove(&txn);
                 state.grant(target, txn, mode);
-                self.acquisitions.inc();
-                self.by_mode[mode_index(mode)].inc();
+                self.count_grant(mode);
                 drop(state);
                 finish_wait(wait_span);
                 return Ok(());
@@ -216,20 +196,20 @@ impl LockManager {
             let closes_cycle = blockers.iter().any(|b| state.reaches(*b, txn));
             if closes_cycle {
                 state.waits_for.remove(&txn);
-                self.deadlocks.inc();
+                self.metrics.deadlock_victims.inc();
                 drop(state);
                 finish_wait(wait_span);
                 return Err(DbError::Deadlock { victim: txn });
             }
             if wait_span.is_none() {
-                self.waits.inc();
+                self.metrics.waits.inc();
                 wait_span = Some(SpanTimer::starting_at(Instant::now()));
             }
             state.waits_for.insert(txn, blockers.iter().copied().collect());
             let timed_out = self.available.wait_for(&mut state, self.timeout).timed_out();
             if timed_out {
                 state.waits_for.remove(&txn);
-                self.timeouts.inc();
+                self.metrics.timeouts.inc();
                 drop(state);
                 finish_wait(wait_span);
                 return Err(DbError::LockTimeout { txn, what: target.to_string() });
@@ -242,8 +222,7 @@ impl LockManager {
         let mut state = self.state.lock();
         if state.conflicts(&target, txn, mode).is_empty() {
             state.grant(target, txn, mode);
-            self.acquisitions.inc();
-            self.by_mode[mode_index(mode)].inc();
+            self.count_grant(mode);
             Ok(true)
         } else {
             Ok(false)

@@ -14,7 +14,6 @@
 //! record representation so the clock and registry can be unit-tested
 //! in isolation.
 
-use orion_obs::{Counter, Gauge, Histogram, HistogramSnapshot};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,64 +146,26 @@ impl SnapshotRegistry {
 // Metrics
 // ---------------------------------------------------------------------
 
-/// Metric sinks for the MVCC machinery (rendered as `orion_mvcc_*`).
-#[derive(Debug, Default)]
-pub struct MvccMetrics {
+orion_obs::metrics! {
+    /// Cumulative MVCC counters (a [`MvccMetrics`] snapshot).
+    pub struct MvccStats;
+    /// Metric sinks for the MVCC machinery (rendered as `orion_mvcc_*`).
+    pub struct MvccMetrics;
     /// Snapshots taken (one per query execution).
-    pub snapshots: Counter,
+    snapshots: counter("orion_mvcc_snapshots_total", "Query snapshots captured"),
     /// Record reads resolved under a snapshot.
-    pub snapshot_reads: Counter,
+    snapshot_reads: counter("orion_mvcc_snapshot_reads_total", "Record reads resolved under a snapshot"),
     /// Committed versions appended to version chains.
-    pub versions_published: Counter,
+    versions_published: counter("orion_mvcc_versions_published_total", "Committed versions appended to version chains"),
     /// Superseded versions reclaimed by pruning.
-    pub versions_pruned: Counter,
-    /// Version-chain length observed at each publish (unit: links, not
-    /// microseconds — the histogram buckets are reused as plain counts).
-    pub chain_length: Histogram,
+    versions_pruned: counter("orion_mvcc_versions_pruned_total", "Superseded versions reclaimed by pruning"),
+    /// Version-chain length observed at each publish (unit: links).
+    chain_length: plain_histogram("orion_mvcc_version_chain_length", "Version-chain length observed at publish (unit: links)"),
     /// Currently registered snapshots.
-    pub active_snapshots: Gauge,
-    /// `now() - oldest active snapshot` at the last snapshot capture —
-    /// how far pruning lags behind the commit frontier.
-    pub oldest_snapshot_lag: Gauge,
-}
-
-impl MvccMetrics {
-    /// Fresh zeroed sinks.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> MvccStats {
-        MvccStats {
-            snapshots: self.snapshots.get(),
-            snapshot_reads: self.snapshot_reads.get(),
-            versions_published: self.versions_published.get(),
-            versions_pruned: self.versions_pruned.get(),
-            chain_length: self.chain_length.snapshot(),
-            active_snapshots: self.active_snapshots.get(),
-            oldest_snapshot_lag: self.oldest_snapshot_lag.get(),
-        }
-    }
-}
-
-/// Cumulative MVCC counters (a [`MvccMetrics`] snapshot).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MvccStats {
-    /// Snapshots taken (one per query execution).
-    pub snapshots: u64,
-    /// Record reads resolved under a snapshot.
-    pub snapshot_reads: u64,
-    /// Committed versions appended to version chains.
-    pub versions_published: u64,
-    /// Superseded versions reclaimed by pruning.
-    pub versions_pruned: u64,
-    /// Distribution of version-chain lengths at publish time.
-    pub chain_length: HistogramSnapshot,
-    /// Currently registered snapshots.
-    pub active_snapshots: u64,
-    /// Commit-frontier lag of the oldest active snapshot.
-    pub oldest_snapshot_lag: u64,
+    active_snapshots: gauge("orion_mvcc_active_snapshots", "Snapshots currently pinned by running queries"),
+    /// `now() - oldest active snapshot`: how far pruning lags behind
+    /// the commit frontier.
+    oldest_snapshot_lag: gauge("orion_mvcc_oldest_snapshot_lag", "Commit-timestamp distance from the oldest active snapshot to the frontier"),
 }
 
 #[cfg(test)]
@@ -258,7 +219,7 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_copies_counters() {
-        let m = MvccMetrics::new();
+        let m = MvccMetrics::default();
         m.snapshots.inc();
         m.snapshot_reads.add(4);
         m.versions_published.add(2);
@@ -270,5 +231,10 @@ mod tests {
         assert_eq!(s.versions_published, 2);
         assert_eq!(s.chain_length.count, 1);
         assert_eq!(s.active_snapshots, 1);
+        // A chain length is a count of links, exported unscaled.
+        let mut out = String::new();
+        s.render(&mut out);
+        assert!(out.contains("orion_mvcc_version_chain_length_sum 3\n"), "{out}");
+        assert!(out.contains("orion_mvcc_version_chain_length_bucket{le=\"5\"} 1\n"), "{out}");
     }
 }

@@ -102,6 +102,14 @@ if grep -rn 'fn reset(' src crates --include='*.rs' \
   exit 1
 fi
 
+# Every series is declared once, in an orion_obs::metrics! table; the
+# render helpers are called only by the code that table generates.
+if grep -rnE 'render::(counter|gauge|histogram|plain_histogram)\(' src tests examples crates --include='*.rs' \
+    | grep -v '^crates/obs/src/'; then
+  echo "FAIL: a series rendered by hand outside crates/obs/src — declare it in an orion_obs::metrics! table" >&2
+  exit 1
+fi
+
 # The machine's parallelism is asked in two places: once per process
 # by the executor's degree and once per bind by the server. The bench
 # binaries record it beside their numbers.
