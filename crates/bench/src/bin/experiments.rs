@@ -958,13 +958,46 @@ fn e12(g: &mut Gates) {
 fn e13(g: &mut Gates) {
     const TXNS: usize = 3_000;
     const OBJECTS: usize = 1_000;
+    const NESTED_OBJECTS: usize = 20_000;
     let mut table = Table::new(&[
         "scenario",
         "stable log bytes",
         "records redone",
+        "fetches",
         "recovery time",
+        "log read / scrub / replay / rebuild",
         "objects after recovery",
     ]);
+    // Restart `db` and table it: returns the records redone and the
+    // objects fetched by the restart alone, and the vehicles after it.
+    let mut restart = |db: &Database, scenario: String| {
+        let log_bytes = db.engine().wal().stable_len();
+        let before = db.stats();
+        let (d, ()) = time(|| db.crash_and_recover().unwrap());
+        let after = db.stats();
+        let ms = |b: u64, a: u64| format!("{:.1}", (a - b) as f64 / 1e3);
+        let phases = [
+            ms(before.recovery.log_read.sum_micros, after.recovery.log_read.sum_micros),
+            ms(before.recovery.scrub.sum_micros, after.recovery.scrub.sum_micros),
+            ms(before.recovery.replay.sum_micros, after.recovery.replay.sum_micros),
+            ms(before.restart.rebuild.sum_micros, after.restart.rebuild.sum_micros),
+        ];
+        let redone = after.recovery.records_redone - before.recovery.records_redone;
+        let fetches = after.fetches - before.fetches;
+        let tx = db.begin();
+        let n = db.query(&tx, "select count(*) from Vehicle* v").unwrap().rows[0][0].clone();
+        db.commit(tx).unwrap();
+        table.row(vec![
+            scenario,
+            log_bytes.to_string(),
+            redone.to_string(),
+            fetches.to_string(),
+            fmt_dur(d),
+            format!("{} ms", phases.join(" / ")),
+            n.to_string(),
+        ]);
+        (redone as f64, fetches as f64, n.as_int().unwrap() as f64)
+    };
     let mut redone = Vec::new();
     for checkpoint in [false, true] {
         let f = default_fleet(OBJECTS, 2);
@@ -987,28 +1020,29 @@ fn e13(g: &mut Gates) {
         db.create_object(&tx, &f.leaf_classes[0], vec![("weight", Value::Int(-1))]).unwrap();
         db.engine().wal().flush().unwrap();
         std::mem::forget(tx);
-        let log_bytes = db.engine().wal().stable_len();
-        let (d, ()) = time(|| db.crash_and_recover().unwrap());
-        let records = db.stats().recovery.records_redone;
-        let tx = db.begin();
-        let n = db.query(&tx, "select count(*) from Vehicle* v").unwrap().rows[0][0].clone();
-        db.commit(tx).unwrap();
         let scenario = if checkpoint { "checkpoint every 500" } else { "no checkpoint" };
-        table.row(vec![
-            format!("{TXNS} txns, {scenario}"),
-            log_bytes.to_string(),
-            records.to_string(),
-            fmt_dur(d),
-            n.to_string(),
-        ]);
+        let (records, _, n) = restart(db, format!("{TXNS} txns, {scenario}"));
         // Every committed object survives; the loser's create does not.
         let name = format!("e13.{}.objects_after_recovery", scenario.replace(' ', "_"));
-        g.check(&name, n.as_int().unwrap() as f64, Cmp::Equal, OBJECTS as f64);
-        redone.push(records as f64);
+        g.check(&name, n, Cmp::Equal, OBJECTS as f64);
+        redone.push(records);
     }
+
+    // Restart with a nested index: the rebuild keys each vehicle from
+    // its own record and loads only the companies the path reaches.
+    let f = default_fleet(NESTED_OBJECTS, 4);
+    let db = &f.db;
+    db.create_index("by_weight", IndexKind::ClassHierarchy, "Vehicle", &["weight"]).unwrap();
+    db.create_index("by_maker_city", IndexKind::Nested, "Vehicle", &["manufacturer", "location"])
+        .unwrap();
+    db.checkpoint().unwrap();
+    let (_, fetches, n) = restart(db, format!("restart with a nested index ({NESTED_OBJECTS})"));
     table.print();
     // A checkpoint bounds what restart must redo.
     g.check("e13.checkpointed.records_redone", redone[1], Cmp::Below, redone[0]);
+    g.check("e13.nested_restart.objects_after_recovery", n, Cmp::Equal, NESTED_OBJECTS as f64);
+    // One fetch per referenced company at most, none per root.
+    g.check("e13.nested_restart.fetches", fetches, Cmp::AtMost, f.companies.len() as f64);
 }
 
 // ---------------------------------------------------------------------------

@@ -426,6 +426,7 @@ impl Database {
             twopc: self.metrics.twopc.snapshot(),
             fault: self.engine.fault_stats(),
             recovery: self.engine.recovery_stats(),
+            restart: self.metrics.restart.snapshot(),
         }
     }
 
@@ -629,7 +630,9 @@ impl Database {
                 *rt.system_rid.lock() = None;
             }
             self.engine.recover()?;
+            let start = Instant::now();
             self.rebuild_runtime(&mut catalog, &rt)?;
+            self.metrics.restart.rebuild.observe(start.elapsed());
         }
         // Prepared transactions survive the restart as in-doubt; their
         // exclusive locks and staged writes are re-asserted so phase two

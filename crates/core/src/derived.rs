@@ -27,7 +27,7 @@
 use crate::database::{adapt_to, Database, Tx};
 use crate::runtime::Runtime;
 use orion_index::{IndexDef, IndexImpl, IndexInstance, IndexKind};
-use orion_schema::Catalog;
+use orion_schema::{Catalog, ResolvedClass};
 use orion_storage::{PageId, Records, Rid};
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbError, DbResult, Oid, Value};
@@ -89,19 +89,17 @@ pub(crate) type NestedSnapshot = Vec<(usize, HashMap<Oid, Vec<Value>>)>;
 impl Database {
     /// Does `def` index instances of `class` (as roots, for a nested
     /// index)?
-    fn covers(catalog: &Catalog, def: &IndexDef, class: ClassId) -> bool {
+    fn covers(class: &ResolvedClass, def: &IndexDef) -> bool {
         match def.kind {
-            IndexKind::SingleClass => def.target == class,
-            IndexKind::ClassHierarchy | IndexKind::Nested => catalog.is_subclass(class, def.target),
+            IndexKind::SingleClass => def.target == class.id,
+            IndexKind::ClassHierarchy | IndexKind::Nested => class.is_a(def.target),
         }
     }
 
-    /// Effective key values of `attr_id` on `record` for indexing.
-    fn record_keys(catalog: &Catalog, record: &ObjectRecord, attr_id: u32) -> Vec<Value> {
-        let Ok(resolved) = catalog.resolve(record.oid.class()) else {
-            return Vec::new();
-        };
-        let Some(attr) = resolved.attr_by_id(attr_id) else { return Vec::new() };
+    /// Effective key values of `attr_id` on `record`, an instance of
+    /// `class`, for indexing.
+    fn record_keys(class: &ResolvedClass, record: &ObjectRecord, attr_id: u32) -> Vec<Value> {
+        let Some(attr) = class.attr_by_id(attr_id) else { return Vec::new() };
         keys_of(effective(record, attr_id, &attr.default))
     }
 
@@ -132,8 +130,10 @@ impl Database {
             _ => {}
         }
 
-        // Reverse edges and composite owners, per attribute that changed.
+        // The one class resolution this change makes.
         let resolved = catalog.resolve(oid.class()).ok();
+
+        // Reverse edges and composite owners, per attribute that changed.
         let changed = stored_ids(before)
             .chain(stored_ids(after).filter(|id| stored(before, *id).is_none()))
             .filter(|id| stored(before, *id) != stored(after, *id));
@@ -169,24 +169,27 @@ impl Database {
         }
 
         // Simple indexes: coverage and keys are decided under a read
-        // guard; the write guard is taken only if some entry moves.
-        let keys = |record: Option<&ObjectRecord>, attr| {
-            record.map(|r| Self::record_keys(catalog, r, attr)).unwrap_or_default()
-        };
-        let moves: Vec<(usize, Vec<Value>, Vec<Value>)> = rt
-            .indexes
-            .read()
-            .iter()
-            .enumerate()
-            .filter(|(_, inst)| inst.def.kind != IndexKind::Nested)
-            .filter(|(_, inst)| Self::covers(catalog, &inst.def, oid.class()))
-            .map(|(i, inst)| (i, keys(before, inst.def.path[0]), keys(after, inst.def.path[0])))
-            .filter(|(_, old, new)| old != new)
-            .collect();
-        if !moves.is_empty() {
-            let mut indexes = rt.indexes.write();
-            for (i, old, new) in moves {
-                rekey(&mut indexes[i].imp, oid, &old, &new);
+        // guard; the write guard is taken only if some entry moves. An
+        // instance of a class that no longer resolves keys to nothing.
+        if let Some(class) = &resolved {
+            let keys = |record: Option<&ObjectRecord>, attr| {
+                record.map(|r| Self::record_keys(class, r, attr)).unwrap_or_default()
+            };
+            let moves: Vec<(usize, Vec<Value>, Vec<Value>)> = rt
+                .indexes
+                .read()
+                .iter()
+                .enumerate()
+                .filter(|(_, inst)| inst.def.kind != IndexKind::Nested)
+                .filter(|(_, inst)| Self::covers(class, &inst.def))
+                .map(|(i, inst)| (i, keys(before, inst.def.path[0]), keys(after, inst.def.path[0])))
+                .filter(|(_, old, new)| old != new)
+                .collect();
+            if !moves.is_empty() {
+                let mut indexes = rt.indexes.write();
+                for (i, old, new) in moves {
+                    rekey(&mut indexes[i].imp, oid, &old, &new);
+                }
             }
         }
 
@@ -321,6 +324,7 @@ impl Database {
 
         // Place every record, then derive: nested keys read other
         // objects through the directory.
+        self.metrics.restart.records_rebuilt.add(records.len() as u64);
         let mut max_serial = 0u64;
         for (rid, record) in &records {
             max_serial = max_serial.max(record.oid.serial());
@@ -330,7 +334,8 @@ impl Database {
         for (_, record) in &records {
             self.apply_change(rt, catalog, record.oid, None, Some(record), None);
         }
-        // Every object is in place: key each record as a root once.
+        // Every object is in place: key each record as a root once, from
+        // the record in hand; only the objects its path references load.
         let mut indexes = rt.indexes.write();
         for inst in indexes.iter_mut().filter(|i| i.def.kind == IndexKind::Nested) {
             for (_, record) in &records {
@@ -341,7 +346,8 @@ impl Database {
     }
 
     /// Enter the keys `record` contributes to an index being populated
-    /// (index creation, and nested indexes at restart).
+    /// (index creation, and nested indexes at restart). A nested index
+    /// reads its first step from `record` itself.
     pub(crate) fn populate(
         &self,
         rt: &Runtime,
@@ -350,52 +356,78 @@ impl Database {
         record: &ObjectRecord,
     ) -> DbResult<()> {
         let def = &inst.def;
-        if !Self::covers(catalog, def, record.oid.class()) {
+        let Ok(class) = catalog.resolve(record.oid.class()) else { return Ok(()) };
+        if !Self::covers(&class, def) {
             return Ok(());
         }
         let keys = match def.kind {
-            IndexKind::Nested => self.nested_path_values(rt, catalog, record.oid, &def.path)?,
-            _ => Self::record_keys(catalog, record, def.path[0]),
+            IndexKind::Nested => self.nested_path_values(rt, catalog, record, &def.path)?,
+            _ => Self::record_keys(&class, record, def.path[0]),
         };
         rekey(&mut inst.imp, record.oid, &[], &keys);
         Ok(())
     }
 
-    /// Evaluate a nested path (attribute-id chain) from `root`,
-    /// returning the leaf key values. Dangling references contribute
-    /// nothing; any other read error is the caller's.
+    /// Evaluate a nested path (attribute-id chain) from `root`, a record
+    /// the caller holds, returning the leaf key values. The first step
+    /// reads `root` itself; only the objects the path references are
+    /// loaded. Dangling references contribute nothing; any other read
+    /// error is the caller's.
     pub(crate) fn nested_path_values(
         &self,
         rt: &Runtime,
         catalog: &Catalog,
-        root: Oid,
+        root: &ObjectRecord,
         path: &[u32],
     ) -> DbResult<Vec<Value>> {
-        let mut frontier: Vec<Value> = vec![Value::Ref(root)];
-        for (i, attr_id) in path.iter().enumerate() {
+        let Some((first, rest)) = path.split_first() else { return Ok(Vec::new()) };
+        let mut frontier = Vec::new();
+        Self::path_step(catalog, root, *first, &mut frontier);
+        for attr_id in rest {
             let mut next = Vec::new();
             for v in &frontier {
                 let Value::Ref(o) = v else { continue };
-                let record = match self.load_record(rt, catalog, *o) {
-                    Ok(record) => record,
-                    Err(DbError::NoSuchObject(_)) => continue,
+                match self.load_record(rt, catalog, *o) {
+                    Ok(record) => Self::path_step(catalog, &record, *attr_id, &mut next),
+                    Err(DbError::NoSuchObject(_)) => {}
                     Err(e) => return Err(e),
-                };
-                let Ok(resolved) = catalog.resolve(o.class()) else { continue };
-                let Some(attr) = resolved.attr_by_id(*attr_id) else { continue };
-                let value = effective(&record, *attr_id, &attr.default).clone();
-                match value {
-                    Value::Null => {}
-                    Value::Set(items) | Value::List(items) => next.extend(items),
-                    other => next.push(other),
                 }
             }
             frontier = next;
-            if frontier.is_empty() && i + 1 < path.len() {
-                return Ok(Vec::new());
-            }
         }
-        Ok(frontier.into_iter().filter(|v| !v.is_null()).collect())
+        frontier.retain(|v| !v.is_null());
+        Ok(frontier)
+    }
+
+    /// One step of a nested path: push `attr_id`'s effective (stored or
+    /// default) value on `record`, a set or list flattened one level.
+    /// A null pushes nothing, and neither does an attribute id that
+    /// `record`'s class no longer resolves (one a read's `adapt_to`
+    /// would drop).
+    fn path_step(catalog: &Catalog, record: &ObjectRecord, attr_id: u32, out: &mut Vec<Value>) {
+        let Ok(class) = catalog.resolve(record.oid.class()) else { return };
+        let Some(attr) = class.attr_by_id(attr_id) else { return };
+        match effective(record, attr_id, &attr.default) {
+            Value::Null => {}
+            Value::Set(items) | Value::List(items) => out.extend(items.iter().cloned()),
+            other => out.push(other.clone()),
+        }
+    }
+
+    /// The nested-path keys of the root `oid` as it is now: none if it
+    /// no longer exists.
+    fn root_path_values(
+        &self,
+        rt: &Runtime,
+        catalog: &Catalog,
+        oid: Oid,
+        path: &[u32],
+    ) -> DbResult<Vec<Value>> {
+        match self.load_record(rt, catalog, oid) {
+            Ok(root) => self.nested_path_values(rt, catalog, &root, path),
+            Err(DbError::NoSuchObject(_)) => Ok(Vec::new()),
+            Err(e) => Err(e),
+        }
     }
 
     /// Roots of `def` whose indexed path may run through `oid`: climb
@@ -463,7 +495,7 @@ impl Database {
             for &oid in oids {
                 for root in self.nested_roots(rt, catalog, def.target, &def.path, oid) {
                     if let Entry::Vacant(slot) = keyed.entry(root) {
-                        slot.insert(self.nested_path_values(rt, catalog, root, &def.path)?);
+                        slot.insert(self.root_path_values(rt, catalog, root, &def.path)?);
                     }
                 }
             }
@@ -489,7 +521,7 @@ impl Database {
             for (root, old_keys) in pre {
                 // A root that was deleted mid-operation keys to nothing.
                 let new_keys = if rt.directory.contains(root) {
-                    self.nested_path_values(rt, catalog, root, &def.path)?
+                    self.root_path_values(rt, catalog, root, &def.path)?
                 } else {
                     Vec::new()
                 };

@@ -1,11 +1,13 @@
-//! Rollback by delta against the restart rebuild: after a random
-//! transaction is rolled back, every derived structure must equal what
-//! `rebuild_runtime` derives from the same storage (reached through
-//! `crash_and_recover`, the rebuild's own caller).
+//! Forward writes and rollback by delta against the restart rebuild:
+//! after random transactions commit, or one is rolled back, every
+//! derived structure must equal what `rebuild_runtime` derives from the
+//! same storage (reached through `crash_and_recover`, the rebuild's own
+//! caller).
 
 use crate::database::Database;
 use crate::{
-    AttrSpec, ClassId, Domain, FaultKind, FaultPlan, IndexKind, Oid, PrimitiveType, Value,
+    AttrSpec, ClassId, Domain, FaultKind, FaultPlan, IndexKind, Migration, Oid, PrimitiveType,
+    SchemaChange, Value,
 };
 use std::collections::BTreeMap;
 
@@ -284,4 +286,123 @@ fn rollback_by_delta_matches_the_restart_rebuild() {
     }
     assert!(succeeded.iter().all(|n| *n > 0), "every kind of operation ran: {succeeded:?}");
     assert!(faults_failed > 0, "an injected fault failed an operation");
+}
+
+/// Nested indexes the forward-write test adds to a populated fixture:
+/// name, root class and path.
+const LATE_NESTED: [(&str, &str, [&str; 2]); 3] = [
+    // A set-valued first step: each part's maker is a key.
+    ("by_part_maker", "Assembly", ["parts", "maker"]),
+    // A first step most roots leave unset, so it reads the default.
+    ("by_dealer_city", "Vehicle", ["dealer", "location"]),
+    // A list of sets: flattened one level, it references nothing.
+    ("by_supplier_city", "Assembly", ["suppliers", "location"]),
+];
+
+/// Check every nested index against the query layer's reference path
+/// evaluator (`orion_query::path_values`), root by root: an index must
+/// post exactly the non-null values its path reaches.
+fn assert_nested_match_reference(db: &Database, oids: &[Oid], seed: u64) {
+    db.with_snapshot(None, |catalog, src| {
+        let rt = db.rt_read();
+        let indexes = rt.indexes.read();
+        for inst in indexes.iter().filter(|i| i.def.kind == IndexKind::Nested) {
+            let def = &inst.def;
+            let mut class = catalog.resolve(def.target).unwrap();
+            let mut names = Vec::new();
+            for id in &def.path {
+                let attr = class.attr_by_id(*id).unwrap().clone();
+                if let Some(next) = attr.domain.leaf_class() {
+                    class = catalog.resolve(next).unwrap();
+                }
+                names.push(attr.name);
+            }
+            let path = orion_query::Path::new(names);
+            // (key, root) pairs, each once.
+            let mut entries = BTreeMap::new();
+            for root in oids.iter().filter(|o| rt.directory.contains(**o)) {
+                if catalog.is_subclass(root.class(), def.target) {
+                    for v in orion_query::path_values(catalog, src, *root, &path).unwrap() {
+                        if !v.is_null() {
+                            entries.insert((format!("{v:?}"), *root), v);
+                        }
+                    }
+                }
+            }
+            assert_eq!(inst.imp.len(), entries.len(), "seed {seed}: {} entry count", def.name);
+            for ((key, root), value) in &entries {
+                let posted = inst.imp.lookup_eq(value, None).contains(root);
+                assert!(posted, "seed {seed}: {} lacks {key} -> {root}", def.name);
+            }
+        }
+    });
+}
+
+#[test]
+fn forward_writes_match_the_restart_rebuild() {
+    let mut succeeded = [0u32; 10];
+    for seed in 1..=40u64 {
+        let f = fixture();
+        let db = &f.db;
+        let mut rng = Rng(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
+        // Schema grown after the load: a reference every existing
+        // vehicle reads as its default, and a list of company sets. No
+        // operation touches the default's company: nested maintenance
+        // finds roots through stored references only.
+        let company = f.classes[0];
+        let (vehicle, assembly) = (f.classes[1], f.classes[4]);
+        let tx = db.begin();
+        let attrs = vec![("name", Value::str("hq")), ("location", Value::str("Oslo"))];
+        let hq = db.create_object(&tx, "Company", attrs).unwrap();
+        db.commit(tx).unwrap();
+        let dealer =
+            AttrSpec::new("dealer", Domain::Class(company)).with_default(Value::Ref(hq));
+        db.evolve(SchemaChange::AddAttribute { class: vehicle, spec: dealer }, Migration::Lazy)
+            .unwrap();
+        let suppliers = Domain::ListOf(Box::new(Domain::set_of_class(company)));
+        let spec = AttrSpec::new("suppliers", suppliers);
+        db.evolve(SchemaChange::AddAttribute { class: assembly, spec }, Migration::Lazy).unwrap();
+        let tx = db.begin();
+        for (i, a) in f.assemblies.iter().enumerate() {
+            let sets = vec![
+                Value::set(vec![Value::Ref(f.companies[i]), Value::Ref(f.companies[(i + 1) % 4])]),
+                Value::set(vec![Value::Ref(f.companies[(i + 2) % 4])]),
+            ];
+            db.set(&tx, *a, "suppliers", Value::List(sets)).unwrap();
+        }
+        db.set(&tx, f.vehicles[0], "dealer", Value::Ref(f.companies[1])).unwrap();
+        db.commit(tx).unwrap();
+        // Created on a populated database: populated root by root.
+        for (name, class, path) in LATE_NESTED {
+            db.create_index(name, IndexKind::Nested, class, &path).unwrap();
+        }
+
+        let mut oids: Vec<Oid> =
+            f.companies.iter().chain(&f.vehicles).chain(&f.assemblies).copied().collect();
+        for a in &f.assemblies {
+            oids.extend(db.parts_of(*a));
+        }
+        for _ in 0..1 + rng.below(4) {
+            let tx = db.begin();
+            let mut created = Vec::new();
+            for _ in 0..1 + rng.below(6) {
+                let (kind, ok) = match rng.below(10) {
+                    // A deleted company leaves every reference to it
+                    // dangling.
+                    0 => (9, db.delete_object(&tx, rng.pick(&f.companies)).is_ok()),
+                    _ => random_op(&f, &tx, &mut rng, &mut created),
+                };
+                succeeded[kind] += u32::from(ok);
+            }
+            db.commit(tx).unwrap();
+            oids.extend(created);
+        }
+        let forward = derived(db, &oids, &f.classes);
+        assert_nested_match_reference(db, &oids, seed);
+        db.crash_and_recover().unwrap();
+        let rebuilt = derived(db, &oids, &f.classes);
+        assert_eq!(forward, rebuilt, "seed {seed}: forward writes differ from the rebuild");
+        assert_nested_match_reference(db, &oids, seed);
+    }
+    assert!(succeeded.iter().all(|n| *n > 0), "every kind of operation ran: {succeeded:?}");
 }

@@ -37,7 +37,7 @@ pub mod versions;
 pub use authz::{AuthAction, AuthTarget};
 pub use cache::{CacheStats, ObjectCache};
 pub use database::{Database, DbConfig, DbConfigBuilder, LockingStrategy, StorageSpec, Tx};
-pub use stats::{DbStats, GateStats, NetMetrics, NetStats, TwoPcStats};
+pub use stats::{DbStats, GateStats, NetMetrics, NetStats, RestartStats, TwoPcStats};
 pub use ddl::Migration;
 pub use methods::MethodBody;
 pub use multidb::{ForeignAdapter, ForeignClass, ForeignObject};

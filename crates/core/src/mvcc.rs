@@ -204,7 +204,7 @@ impl VersionStore {
     /// Returns the stamp, or `None` if the transaction staged nothing.
     pub fn commit_publish(&self, txn: u64) -> Option<u64> {
         let set = self.staged.lock().remove(&txn)?;
-        self.publish(txn, set)
+        self.publish(txn, set, false)
     }
 
     /// Forget `txn`'s staged write set (rollback, or a failed commit).
@@ -225,15 +225,16 @@ impl VersionStore {
             })
             .collect();
         let out = undo(&writes);
-        self.publish(txn, writes.into_iter().map(|(oid, _, pre)| (oid, pre)).collect());
+        self.publish(txn, writes.into_iter().map(|(oid, _, pre)| (oid, pre)).collect(), true);
         out
     }
 
     /// Append each image in `set` to its chain under a fresh commit
     /// timestamp, release `txn`'s hold on the chains, publish the stamp,
-    /// and then settle what it can. Returns the stamp, or `None` for an
-    /// empty set.
-    fn publish(&self, txn: u64, set: StagedSet) -> Option<u64> {
+    /// and then settle what it can. A `restamp` (a rollback's revert)
+    /// counts as no committed version and observes no chain length.
+    /// Returns the stamp, or `None` for an empty set.
+    fn publish(&self, txn: u64, set: StagedSet, restamp: bool) -> Option<u64> {
         if set.is_empty() {
             return None;
         }
@@ -257,7 +258,9 @@ impl VersionStore {
                 Self::remove_tombstone(&mut deleted, oid, |_| true);
             }
         }
-        self.metrics.versions_published.add(touched.len() as u64);
+        let m = &self.metrics;
+        let versions = if restamp { &m.versions_restamped } else { &m.versions_published };
+        versions.add(touched.len() as u64);
         self.clock.publish(ts);
         // Only now may the floor reach `ts`: a snapshot that registers
         // from here on does so at `ts` or later, and needs none of the
@@ -272,7 +275,9 @@ impl VersionStore {
             pruned += Self::prune_chain(&mut chain.get_mut().entries, floor);
             // Observed post-prune: the steady-state depth a reader
             // actually walks, not the transient peak.
-            self.metrics.chain_length.observe_micros(chain.get().entries.len() as u64);
+            if !restamp {
+                self.metrics.chain_length.observe_micros(chain.get().entries.len() as u64);
+            }
             if Self::settled(chain.get(), floor) {
                 chain.remove();
                 settled.push(oid);

@@ -35,6 +35,23 @@ pub(crate) struct DbMetrics {
     pub twopc: TwoPcMetrics,
     /// Maintenance-gate acquisitions and exclusive waits.
     pub gate: GateMetrics,
+    /// What restarts spent re-deriving the runtime.
+    pub restart: RestartMetrics,
+}
+
+orion_obs::metrics! {
+    /// Restart counters past storage recovery, as captured by
+    /// [`Database::stats`]: the derived-state rebuild that follows
+    /// [`RecoveryStats`]' log read, scrub and replay.
+    ///
+    /// [`Database::stats`]: crate::Database::stats
+    pub struct RestartStats;
+    /// The restart sinks.
+    pub(crate) struct RestartMetrics;
+    /// Time a restart spent rebuilding derived state from the records.
+    rebuild: histogram("orion_restart_rebuild_seconds", "Restart time rebuilding derived state from the stored records"),
+    /// Records a restart's rebuild decoded and entered.
+    records_rebuilt: counter("orion_restart_records_rebuilt_total", "Stored records decoded and entered by restart rebuilds"),
 }
 
 orion_obs::metrics! {
@@ -171,6 +188,8 @@ pub struct DbStats {
     pub fault: FaultStats,
     /// Recovery-outcome counters (runs, failures, pages repaired).
     pub recovery: RecoveryStats,
+    /// Derived-state rebuild counters (time, records rebuilt).
+    pub restart: RestartStats,
 }
 
 impl DbStats {
@@ -183,6 +202,7 @@ impl DbStats {
         self.wal.render(&mut out);
         self.fault.render(&mut out);
         self.recovery.render(&mut out);
+        self.restart.render(&mut out);
         self.locks.render(&mut out);
         self.mvcc.render(&mut out);
         self.exec.render(&mut out);

@@ -362,6 +362,31 @@ const SERIES: &[(&str, &str, &str)] = &[
         "counter",
         "Logged page changes redo skipped (page already held them)",
     ),
+    (
+        "orion_recovery_log_read_seconds",
+        "histogram",
+        "Recovery time reading and decoding the stable log",
+    ),
+    (
+        "orion_recovery_scrub_seconds",
+        "histogram",
+        "Recovery time checking pages and rebuilding rotted ones",
+    ),
+    (
+        "orion_recovery_replay_seconds",
+        "histogram",
+        "Recovery time on analysis, redo, undo and the free-space map",
+    ),
+    (
+        "orion_restart_rebuild_seconds",
+        "histogram",
+        "Restart time rebuilding derived state from the stored records",
+    ),
+    (
+        "orion_restart_records_rebuilt_total",
+        "counter",
+        "Stored records decoded and entered by restart rebuilds",
+    ),
     ("orion_lock_acquisitions_total", "counter", "Lock requests granted"),
     ("orion_lock_waits_total", "counter", "Lock requests that blocked at least once"),
     ("orion_lock_deadlock_victims_total", "counter", "Lock requests aborted as deadlock victims"),
@@ -382,6 +407,11 @@ const SERIES: &[(&str, &str, &str)] = &[
         "orion_mvcc_versions_published_total",
         "counter",
         "Committed versions appended to version chains",
+    ),
+    (
+        "orion_mvcc_versions_restamped_total",
+        "counter",
+        "Rolled-back pre-images re-stamped onto version chains",
     ),
     ("orion_mvcc_versions_pruned_total", "counter", "Superseded versions reclaimed by pruning"),
     (
@@ -482,6 +512,44 @@ fn exposition_carries_every_declared_series_in_order() {
         got.push((name, ty, help));
     }
     assert_eq!(got, SERIES);
+}
+
+#[test]
+fn a_rollback_restamps_rather_than_publishes() {
+    let db = Database::open_in_memory();
+    build_schema(&db, 1);
+    let tx = db.begin();
+    let v = db.query(&tx, "select v from Truck v").unwrap().oids[0];
+    db.commit(tx).unwrap();
+    let before = db.stats().mvcc;
+    for w in 0..10 {
+        let tx = db.begin();
+        db.set(&tx, v, "weight", Value::Int(w)).unwrap();
+        db.rollback(tx).unwrap();
+    }
+    let after = db.stats().mvcc;
+    assert_eq!(after.versions_published, before.versions_published, "no commit published");
+    assert_eq!(after.versions_restamped - before.versions_restamped, 10);
+    assert_eq!(after.chain_length.count, before.chain_length.count, "no chain observed");
+}
+
+#[test]
+fn restart_phases_are_timed_and_records_counted() {
+    let db = Database::open_in_memory();
+    build_schema(&db, 8);
+    let before = db.stats();
+    db.crash_and_recover().unwrap();
+    let after = db.stats();
+    for (phase, b, a) in [
+        ("log_read", before.recovery.log_read, after.recovery.log_read),
+        ("scrub", before.recovery.scrub, after.recovery.scrub),
+        ("replay", before.recovery.replay, after.recovery.replay),
+        ("rebuild", before.restart.rebuild, after.restart.rebuild),
+    ] {
+        assert_eq!(a.count - b.count, 1, "{phase}: one observation per restart");
+    }
+    // Two companies and eight vehicles (the system record is not one).
+    assert_eq!(after.restart.records_rebuilt - before.restart.records_rebuilt, 10);
 }
 
 #[test]

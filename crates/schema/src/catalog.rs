@@ -23,9 +23,17 @@ pub struct ResolvedClass {
     pub methods: Vec<MethodSig>,
     /// The class version this resolution reflects.
     pub version: u32,
+    /// The class and every ancestor, in resolution order (the
+    /// linearization): what `is_a` answers from without a catalog walk.
+    lineage: Vec<ClassId>,
 }
 
 impl ResolvedClass {
+    /// Is this class `sup` or a (transitive) subclass of it?
+    pub fn is_a(&self, sup: ClassId) -> bool {
+        self.lineage.contains(&sup)
+    }
+
     /// Look up an attribute by name.
     pub fn attr(&self, name: &str) -> Option<&Attribute> {
         self.attrs.iter().find(|a| a.name == name)
@@ -288,14 +296,11 @@ impl Catalog {
     }
 
     /// Is `sub` the same class as `sup` or a (transitive) subclass of it?
+    /// Walks the superclass edges depth-first and allocates nothing; an
+    /// unknown `sub` is a subclass of itself only.
     pub fn is_subclass(&self, sub: ClassId, sup: ClassId) -> bool {
-        if sub == sup {
-            return true;
-        }
-        match self.ancestors(sub) {
-            Ok(ancestors) => ancestors.contains(&sup),
-            Err(_) => false,
-        }
+        sub == sup
+            || self.class(sub).is_ok_and(|c| c.supers.iter().any(|s| self.is_subclass(*s, sup)))
     }
 
     /// The method/attribute resolution order: the class itself, then its
@@ -383,6 +388,7 @@ impl Catalog {
             attrs,
             methods,
             version: class.version,
+            lineage: order,
         })
     }
 
@@ -538,6 +544,11 @@ impl Catalog {
                 }
                 Err(e) => problems.push(format!("dangling superclass under `{}`: {e}", class.name)),
             }
+        }
+        if !problems.is_empty() {
+            // The checks below walk superclass edges (`is_subclass`
+            // recurses on them) and need a sound DAG.
+            return problems;
         }
         // 2. Name table consistency.
         for class in self.classes() {
@@ -727,6 +738,29 @@ mod tests {
         assert!(cat.is_subclass(vehicle, vehicle));
         assert!(!cat.is_subclass(vehicle, truck));
         assert!(!cat.is_subclass(company, vehicle));
+    }
+
+    #[test]
+    fn is_subclass_agrees_with_ancestors_on_a_diamond() {
+        // Top <- Left, Right <- Bottom, plus an unrelated class.
+        let mut cat = Catalog::new();
+        let top = cat.create_class("Top", &[], vec![]).unwrap();
+        let left = cat.create_class("Left", &[top], vec![]).unwrap();
+        let right = cat.create_class("Right", &[top], vec![]).unwrap();
+        let bottom = cat.create_class("Bottom", &[left, right], vec![]).unwrap();
+        let other = cat.create_class("Other", &[], vec![]).unwrap();
+        let classes = [top, left, right, bottom, other];
+        for sub in classes {
+            let ancestors = cat.ancestors(sub).unwrap();
+            let resolved = cat.resolve(sub).unwrap();
+            for sup in classes {
+                let expected = sub == sup || ancestors.contains(&sup);
+                assert_eq!(cat.is_subclass(sub, sup), expected, "{sub} <: {sup}");
+                assert_eq!(resolved.is_a(sup), expected, "{sub} lineage has {sup}");
+            }
+        }
+        assert!(cat.is_subclass(bottom, top));
+        assert!(!cat.is_subclass(left, right));
     }
 
     #[test]

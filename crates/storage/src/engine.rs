@@ -20,6 +20,7 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A storage-level transaction id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,6 +105,12 @@ orion_obs::metrics! {
     records_redone: counter("orion_recovery_records_redone_total", "Logged page changes redo applied (page LSN older)"),
     /// Logged page changes redo skipped: their page already held them.
     records_skipped: counter("orion_recovery_records_skipped_total", "Logged page changes redo skipped (page already held them)"),
+    /// Time a recovery spent reading and decoding the stable log.
+    log_read: histogram("orion_recovery_log_read_seconds", "Recovery time reading and decoding the stable log"),
+    /// Time a recovery spent checking every page and rebuilding rotted ones.
+    scrub: histogram("orion_recovery_scrub_seconds", "Recovery time checking pages and rebuilding rotted ones"),
+    /// Time a recovery spent on analysis, redo, undo and the free-space map.
+    replay: histogram("orion_recovery_replay_seconds", "Recovery time on analysis, redo, undo and the free-space map"),
 }
 
 /// What [`StorageEngine::read_slots`] found in one slot.
@@ -791,7 +798,10 @@ impl StorageEngine {
     }
 
     fn recover_inner(&self) -> DbResult<()> {
+        let start = Instant::now();
         let records = self.wal.stable_records()?;
+        let read = Instant::now();
+        self.recovery.log_read.observe(read - start);
 
         // Seed the transaction-id allocator past every id the log has
         // ever seen, so a cold-started process never reuses one.
@@ -826,6 +836,8 @@ impl StorageEngine {
                 Err(other) => return Err(other),
             }
         }
+        let scrubbed = Instant::now();
+        self.recovery.scrub.observe(scrubbed - read);
 
         // Start at the last quiescent checkpoint — unless a page had to
         // be rebuilt, in which case its whole history must replay.
@@ -944,6 +956,7 @@ impl StorageEngine {
         for p in 0..self.disk.page_count() {
             self.refresh_free(PageId(p))?;
         }
+        self.recovery.replay.observe(scrubbed.elapsed());
         Ok(())
     }
 

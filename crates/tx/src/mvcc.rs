@@ -157,6 +157,9 @@ orion_obs::metrics! {
     snapshot_reads: counter("orion_mvcc_snapshot_reads_total", "Record reads resolved under a snapshot"),
     /// Committed versions appended to version chains.
     versions_published: counter("orion_mvcc_versions_published_total", "Committed versions appended to version chains"),
+    /// Rolled-back pre-images stamped back onto their chains: the
+    /// revert a rollback publishes, which is not a committed version.
+    versions_restamped: counter("orion_mvcc_versions_restamped_total", "Rolled-back pre-images re-stamped onto version chains"),
     /// Superseded versions reclaimed by pruning.
     versions_pruned: counter("orion_mvcc_versions_pruned_total", "Superseded versions reclaimed by pruning"),
     /// Version-chain length observed at each publish (unit: links).
