@@ -29,7 +29,7 @@ use crate::runtime::Runtime;
 use crate::stats::{DbMetrics, DbStats};
 use crate::sysattr;
 use orion_schema::Catalog;
-use orion_storage::{FileDisk, SimDisk, StorageBackend, StorageEngine, TxnId};
+use orion_storage::{PageDevice, StorageEngine, TxnId};
 use orion_tx::LockManager;
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbError, DbResult, Oid, OidAllocator, Value};
@@ -271,8 +271,8 @@ pub(crate) fn adapt_to(resolved: &orion_schema::ResolvedClass, record: &mut Obje
 
 impl Database {
     /// A fresh in-memory database with default configuration. State
-    /// lives in a [`SimDisk`] and dies with the process — the right
-    /// constructor for tests, examples, and experiments.
+    /// lives in an in-memory [`PageDevice`] and dies with the process —
+    /// the right constructor for tests, examples, and experiments.
     pub fn open_in_memory() -> Self {
         Self::with_config(DbConfig::default())
     }
@@ -312,12 +312,12 @@ impl Database {
 
     /// Construct over the configured backend; replay existing state.
     fn build(config: DbConfig) -> DbResult<Self> {
-        let backend: Arc<dyn StorageBackend> = match &config.storage {
-            StorageSpec::Memory => Arc::new(SimDisk::new()),
-            StorageSpec::File(dir) => Arc::new(FileDisk::open(dir)?),
-        };
-        let had_state = backend.page_count() > 0 || backend.log_len()? > 0;
-        let engine = StorageEngine::with_backend(backend, config.buffer_pages)?;
+        let device = Arc::new(match &config.storage {
+            StorageSpec::Memory => PageDevice::new(),
+            StorageSpec::File(dir) => PageDevice::open(dir)?,
+        });
+        let had_state = device.page_count() > 0 || !device.log().is_empty();
+        let engine = StorageEngine::with_backend(device, config.buffer_pages)?;
         engine.wal().set_group_commit_window(config.group_commit_window);
         let db = Database {
             catalog: RwLock::new(Catalog::new()),

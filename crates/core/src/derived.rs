@@ -431,7 +431,10 @@ impl Database {
     }
 
     /// Roots of `def` whose indexed path may run through `oid`: climb
-    /// the reverse-reference graph along every prefix of the path.
+    /// the reverse-reference graph along every prefix of the path. A
+    /// step may also be a default: an object of a class whose `path[k]`
+    /// default names a frontier object, storing no value of its own,
+    /// reaches that object without a stored reference to it.
     pub(crate) fn nested_roots(
         &self,
         rt: &Runtime,
@@ -456,6 +459,19 @@ impl Database {
                             }
                         }
                     });
+                    for &(class, attr) in catalog.defaults_naming(*o) {
+                        if attr != path[k] {
+                            continue;
+                        }
+                        for holder in rt.extents.snapshot(class) {
+                            // One that cannot be read stays a candidate:
+                            // re-keying it reads it again and reports why.
+                            let own = self.load_record(rt, catalog, holder).ok();
+                            if own.is_none_or(|r| r.get(attr).is_none_or(Value::is_null)) {
+                                up.insert(holder);
+                            }
+                        }
+                    }
                 }
                 frontier = up;
                 if frontier.is_empty() {

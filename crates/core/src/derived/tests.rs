@@ -346,17 +346,13 @@ fn forward_writes_match_the_restart_rebuild() {
         let db = &f.db;
         let mut rng = Rng(seed.wrapping_mul(0xD1B5_4A32_D192_ED03) | 1);
         // Schema grown after the load: a reference every existing
-        // vehicle reads as its default, and a list of company sets. No
-        // operation touches the default's company: nested maintenance
-        // finds roots through stored references only.
+        // vehicle reads as its default, and a list of company sets. The
+        // default names a company the operations below may move or
+        // delete, which re-keys every vehicle that stores no dealer.
         let company = f.classes[0];
         let (vehicle, assembly) = (f.classes[1], f.classes[4]);
-        let tx = db.begin();
-        let attrs = vec![("name", Value::str("hq")), ("location", Value::str("Oslo"))];
-        let hq = db.create_object(&tx, "Company", attrs).unwrap();
-        db.commit(tx).unwrap();
-        let dealer =
-            AttrSpec::new("dealer", Domain::Class(company)).with_default(Value::Ref(hq));
+        let dealer = AttrSpec::new("dealer", Domain::Class(company))
+            .with_default(Value::Ref(f.companies[0]));
         db.evolve(SchemaChange::AddAttribute { class: vehicle, spec: dealer }, Migration::Lazy)
             .unwrap();
         let suppliers = Domain::ListOf(Box::new(Domain::set_of_class(company)));

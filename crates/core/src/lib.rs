@@ -51,8 +51,8 @@ pub use orion_index::{IndexDef, IndexKind};
 pub use orion_query::{AccessPath, ExecSnapshot, ExplainReport, QueryResult, RunStats};
 pub use orion_schema::{AttrSpec, SchemaChange};
 pub use orion_storage::{
-    DiskStats, FaultKind, FaultPlan, FaultSite, FaultStats, FileDisk, PoolStats, RecoveryStats,
-    StorageBackend, Trigger, WalStats,
+    DiskStats, FaultKind, FaultPlan, FaultSite, FaultStats, PageDevice, PoolStats, RecoveryStats,
+    Trigger, WalStats,
 };
 pub use orion_tx::{LockStats, MvccStats};
 pub use orion_types::{ClassId, DbError, DbResult, Domain, Oid, PrimitiveType, Value};

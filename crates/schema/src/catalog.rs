@@ -2,11 +2,11 @@
 //! subclass closures, and late-binding method resolution.
 
 use crate::class::{AttrSpec, Attribute, Class, MethodSig};
-use orion_types::{ClassId, DbError, DbResult, Domain, Value};
+use orion_types::{ClassId, DbError, DbResult, Domain, Oid, Value};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A class with inheritance fully applied: the flattened attribute and
 /// method sets a query, index, or object manager actually works against.
@@ -66,6 +66,10 @@ impl DispatchStats {
     }
 }
 
+/// Referenced object → the `(class, attribute id)` pairs whose default
+/// names it.
+type DefaultRefs = HashMap<Oid, Vec<(ClassId, u32)>>;
+
 /// The schema catalog.
 ///
 /// Mutation requires `&mut self` (the facade serializes schema changes
@@ -82,6 +86,9 @@ pub struct Catalog {
     version: u32,
     resolved: RwLock<HashMap<ClassId, Arc<ResolvedClass>>>,
     subtrees: RwLock<HashMap<ClassId, Arc<Vec<ClassId>>>>,
+    /// Every object a resolved attribute default references, with the
+    /// `(class, attribute id)` pairs that name it.
+    default_refs: OnceLock<DefaultRefs>,
     /// `(class, selector) → defining class` method cache. Can be disabled
     /// to measure raw late-binding cost (experiment E7).
     method_cache: RwLock<HashMap<(ClassId, String), ClassId>>,
@@ -106,6 +113,7 @@ impl Catalog {
             version: 0,
             resolved: RwLock::new(HashMap::new()),
             subtrees: RwLock::new(HashMap::new()),
+            default_refs: OnceLock::new(),
             method_cache: RwLock::new(HashMap::new()),
             method_cache_enabled: true,
             dispatch_stats: DispatchStats::default(),
@@ -344,6 +352,28 @@ impl Catalog {
         Ok(resolved)
     }
 
+    /// The `(class, attribute id)` pairs whose resolved default
+    /// references `oid`: an instance of such a class that stores no
+    /// value for the attribute reaches `oid` through it. A hash probe;
+    /// the map is built on first use after a schema change.
+    pub fn defaults_naming(&self, oid: Oid) -> &[(ClassId, u32)] {
+        let map = self.default_refs.get_or_init(|| {
+            let mut map = DefaultRefs::new();
+            for class in self.classes() {
+                let Ok(resolved) = self.resolve(class.id) else { continue };
+                for attr in &resolved.attrs {
+                    let mut refs = Vec::new();
+                    attr.default.collect_refs(&mut refs);
+                    for r in refs {
+                        map.entry(r).or_default().push((class.id, attr.id));
+                    }
+                }
+            }
+            map
+        });
+        map.get(&oid).map_or(&[], Vec::as_slice)
+    }
+
     /// Resolve by class name.
     pub fn resolve_by_name(&self, name: &str) -> DbResult<Arc<ResolvedClass>> {
         self.resolve(self.class_id(name)?)
@@ -506,6 +536,7 @@ impl Catalog {
         self.version += 1;
         self.resolved.write().clear();
         self.subtrees.write().clear();
+        self.default_refs = OnceLock::new();
         self.method_cache.write().clear();
     }
 
@@ -630,6 +661,7 @@ impl Catalog {
             version,
             resolved: RwLock::new(HashMap::new()),
             subtrees: RwLock::new(HashMap::new()),
+            default_refs: OnceLock::new(),
             method_cache: RwLock::new(HashMap::new()),
             method_cache_enabled: true,
             dispatch_stats: DispatchStats::default(),

@@ -18,13 +18,13 @@
 //! truncated away and read as "no decision" — which presumed abort
 //! makes safe; a corrupt frame *followed by* an intact one means
 //! logged decisions are damaged, and opening the log fails with
-//! `DbError::Corruption`, leaving the file as it is.
+//! `DbError::Corruption`, leaving the file as it is. The log lives in
+//! an `orion_storage` byte store, in memory or in a file.
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 use orion_storage::frame::{put_frame, scan};
+use orion_storage::{ByteStore, FileStore, MemStore};
 use orion_types::wire::{get_count, get_u32, get_u64, get_u8};
 use orion_types::{DbError, DbResult};
 use parking_lot::Mutex;
@@ -50,15 +50,16 @@ pub enum DecisionLogSpec {
     File(PathBuf),
 }
 
-struct LogInner {
-    entries: Vec<Decision>,
-    file: Option<File>,
-}
-
 /// The decision log: replayed on open, appended on every commit
 /// decision, consulted by in-doubt resolution.
 pub struct DecisionLog {
-    inner: Mutex<LogInner>,
+    store: Box<dyn ByteStore>,
+    entries: Mutex<Vec<Decision>>,
+}
+
+/// A store failure, reported as the coordinator's own.
+fn shard_err(e: DbError) -> DbError {
+    DbError::Shard(format!("decision log: {e}"))
 }
 
 fn encode(d: &Decision) -> Vec<u8> {
@@ -89,55 +90,35 @@ fn decode(mut body: &[u8]) -> DbResult<Decision> {
 }
 
 impl DecisionLog {
-    /// Open (and for files, replay) the log.
+    /// Open and replay the log.
     pub fn open(spec: &DecisionLogSpec) -> DbResult<DecisionLog> {
-        let inner = match spec {
-            DecisionLogSpec::Memory => LogInner { entries: Vec::new(), file: None },
-            DecisionLogSpec::File(path) => {
-                let mut file = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create(true)
-                    .truncate(false)
-                    .open(path)
-                    .map_err(|e| DbError::Shard(format!("decision log open: {e}")))?;
-                let mut bytes = Vec::new();
-                file.read_to_end(&mut bytes)
-                    .map_err(|e| DbError::Shard(format!("decision log read: {e}")))?;
-                let (entries, valid) = scan(&bytes, decode)?;
-                if valid < bytes.len() {
-                    // Torn tail from a crash mid-append: drop it so the
-                    // next append starts on a frame boundary.
-                    file.set_len(valid as u64)
-                        .and_then(|()| file.seek(SeekFrom::End(0)).map(drop))
-                        .map_err(|e| DbError::Shard(format!("decision log truncate: {e}")))?;
-                }
-                LogInner {
-                    entries: entries.into_iter().map(|(_, d)| d).collect(),
-                    file: Some(file),
-                }
-            }
+        let store: Box<dyn ByteStore> = match spec {
+            DecisionLogSpec::Memory => Box::new(MemStore::flat()),
+            DecisionLogSpec::File(path) => Box::new(FileStore::open(path).map_err(shard_err)?),
         };
-        Ok(DecisionLog { inner: Mutex::new(inner) })
+        let (entries, valid) = scan(&store.lend().map_err(shard_err)?, decode)?;
+        if valid < store.len() as usize {
+            // Torn tail from a crash mid-append: drop it so the next
+            // append starts on a frame boundary.
+            store.truncate(valid as u64).map_err(shard_err)?;
+        }
+        let entries = entries.into_iter().map(|(_, d)| d).collect();
+        Ok(DecisionLog { store, entries: Mutex::new(entries) })
     }
 
     /// The next unused global transaction id.
     pub fn next_gtid(&self) -> u64 {
-        let inner = self.inner.lock();
-        inner.entries.iter().map(|d| d.gtid).max().unwrap_or(0) + 1
+        self.entries.lock().iter().map(|d| d.gtid).max().unwrap_or(0) + 1
     }
 
     /// Durably append a decision. For file-backed logs the entry is
     /// written and fsynced before this returns; only then may the
     /// coordinator send phase two.
     pub fn record(&self, decision: Decision) -> DbResult<()> {
-        let mut inner = self.inner.lock();
-        if let Some(file) = inner.file.as_mut() {
-            file.write_all(&encode(&decision))
-                .and_then(|()| file.sync_data())
-                .map_err(|e| DbError::Shard(format!("decision log append: {e}")))?;
-        }
-        inner.entries.push(decision);
+        let mut entries = self.entries.lock();
+        self.store.append(&encode(&decision)).map_err(shard_err)?;
+        self.store.sync().map_err(shard_err)?;
+        entries.push(decision);
         Ok(())
     }
 
@@ -145,9 +126,8 @@ impl DecisionLog {
     /// commit, `Some(false)` = explicit abort, `None` = no decision
     /// (presumed abort).
     pub fn decision_for(&self, shard: u32, local_txn: u64) -> Option<bool> {
-        let inner = self.inner.lock();
-        inner
-            .entries
+        self.entries
+            .lock()
             .iter()
             .rev()
             .find(|d| d.participants.contains(&(shard, local_txn)))
@@ -156,7 +136,7 @@ impl DecisionLog {
 
     /// All logged decisions, oldest first.
     pub fn decisions(&self) -> Vec<Decision> {
-        self.inner.lock().entries.clone()
+        self.entries.lock().clone()
     }
 }
 

@@ -9,8 +9,7 @@
 //! write-ahead rule: a dirty page is never written to disk before the
 //! log records up to its page LSN are stable.
 
-use crate::backend::StorageBackend;
-use crate::disk::{PageId, PAGE_SIZE};
+use crate::device::{PageDevice, PageId, PAGE_SIZE};
 use crate::slotted;
 use crate::wal::{Lsn, Wal};
 use orion_types::{DbError, DbResult};
@@ -47,10 +46,10 @@ struct PoolInner {
     tick: u64,
 }
 
-/// An LRU buffer pool over any [`StorageBackend`].
+/// An LRU buffer pool over a [`PageDevice`].
 pub struct BufferPool {
     inner: Mutex<PoolInner>,
-    disk: Arc<dyn StorageBackend>,
+    disk: Arc<PageDevice>,
     capacity: usize,
     wal: Option<Arc<Wal>>,
     metrics: PoolMetrics,
@@ -59,7 +58,7 @@ pub struct BufferPool {
 impl BufferPool {
     /// A pool holding up to `capacity` pages. `wal`, when present, is
     /// flushed up to a dirty page's LSN before that page is written.
-    pub fn new(disk: Arc<dyn StorageBackend>, capacity: usize, wal: Option<Arc<Wal>>) -> Self {
+    pub fn new(disk: Arc<PageDevice>, capacity: usize, wal: Option<Arc<Wal>>) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
             inner: Mutex::new(PoolInner::default()),
@@ -73,11 +72,6 @@ impl BufferPool {
     /// The configured capacity in pages.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The underlying storage backend.
-    pub fn disk(&self) -> &Arc<dyn StorageBackend> {
-        &self.disk
     }
 
     fn write_back(&self, frame: &Frame) -> DbResult<()> {
@@ -237,11 +231,9 @@ impl std::fmt::Debug for BufferPool {
 mod tests {
     use super::*;
 
-    use crate::disk::SimDisk;
-
-    fn pool(cap: usize) -> (Arc<SimDisk>, BufferPool) {
-        let disk = Arc::new(SimDisk::new());
-        let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn StorageBackend>, cap, None);
+    fn pool(cap: usize) -> (Arc<PageDevice>, BufferPool) {
+        let disk = Arc::new(PageDevice::new());
+        let pool = BufferPool::new(Arc::clone(&disk), cap, None);
         (disk, pool)
     }
 
@@ -351,9 +343,8 @@ mod tests {
     #[test]
     fn write_ahead_rule_flushes_wal_before_page() {
         let wal = Arc::new(Wal::new());
-        let disk = Arc::new(SimDisk::new());
-        let pool =
-            BufferPool::new(Arc::clone(&disk) as Arc<dyn StorageBackend>, 1, Some(Arc::clone(&wal)));
+        let disk = Arc::new(PageDevice::new());
+        let pool = BufferPool::new(Arc::clone(&disk), 1, Some(Arc::clone(&wal)));
         let pid = pool.allocate_slotted().unwrap();
         let lsn = wal.append(&crate::wal::LogRecord::Begin { txn: 1 });
         pool.with_page_mut(pid, |p| slotted::set_page_lsn(p, lsn.0)).unwrap();

@@ -8,9 +8,8 @@
 //! uncommitted ones roll back, even when the crash lands mid-rollback
 //! (experiment E13).
 
-use crate::backend::StorageBackend;
 use crate::buffer::BufferPool;
-use crate::disk::{PageId, SimDisk};
+use crate::device::{PageDevice, PageId};
 use crate::fault::{FaultInjector, FaultMetrics, FaultPlan, FaultStats};
 use crate::heap::{HeapFile, Rid};
 use crate::slotted;
@@ -128,7 +127,7 @@ pub enum SlotRead {
 
 /// The transactional storage engine.
 pub struct StorageEngine {
-    disk: Arc<dyn StorageBackend>,
+    disk: Arc<PageDevice>,
     pool: Arc<BufferPool>,
     wal: Arc<Wal>,
     heap: Mutex<HeapFile>,
@@ -148,19 +147,19 @@ pub struct StorageEngine {
 
 impl StorageEngine {
     /// A fresh in-memory engine with a buffer pool of `pool_pages`
-    /// frames (a [`SimDisk`] backend).
+    /// frames (an in-memory [`PageDevice`]).
     pub fn new(pool_pages: usize) -> Self {
-        Self::with_backend(Arc::new(SimDisk::new()), pool_pages)
+        Self::with_backend(Arc::new(PageDevice::new()), pool_pages)
             .expect("a fresh in-memory backend cannot fail to open")
     }
 
-    /// An engine over an explicit storage backend. The WAL resumes at
-    /// the end of the backend's log device, so constructing over a
-    /// non-empty [`crate::backend::FileDisk`] and calling
+    /// An engine over an explicit device. The WAL resumes at the end of
+    /// the device's log, so constructing over a non-empty device opened
+    /// with [`PageDevice::open`] and calling
     /// [`StorageEngine::recover`] — which reads that log — resumes a
     /// previous process's state.
     pub fn with_backend(
-        backend: Arc<dyn StorageBackend>,
+        backend: Arc<PageDevice>,
         pool_pages: usize,
     ) -> DbResult<Self> {
         let wal = Arc::new(Wal::with_backend(Arc::clone(&backend))?);
@@ -212,8 +211,8 @@ impl StorageEngine {
         &self.pool
     }
 
-    /// The storage backend (stats).
-    pub fn disk(&self) -> &Arc<dyn StorageBackend> {
+    /// The page device (stats).
+    pub fn disk(&self) -> &Arc<PageDevice> {
         &self.disk
     }
 

@@ -6,8 +6,8 @@
 //! crashes. A [`FaultPlan`] scripts *when* faults fire (fail-nth,
 //! every-nth, probabilistic — all driven by one seed, so a failing chaos
 //! run replays exactly); the [`FaultInjector`] built from it is shared
-//! by [`SimDisk`](crate::SimDisk) and [`Wal`](crate::Wal), which consult
-//! it on every read, write, and flush:
+//! by the [`PageDevice`](crate::PageDevice) and the [`Wal`](crate::Wal),
+//! which consult it on every page read and write and every log flush:
 //!
 //! * [`FaultKind::ReadError`] / [`FaultKind::WriteError`] — the I/O call
 //!   fails cleanly, touching nothing.
@@ -32,9 +32,9 @@ use std::sync::Arc;
 /// Where in the storage layer a fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// [`SimDisk::read`](crate::SimDisk::read).
+    /// [`PageDevice::read`](crate::PageDevice::read).
     DiskRead,
-    /// [`SimDisk::write`](crate::SimDisk::write).
+    /// [`PageDevice::write`](crate::PageDevice::write).
     DiskWrite,
     /// [`Wal::flush`](crate::Wal::flush) (including the write-ahead
     /// `flush_to` path).

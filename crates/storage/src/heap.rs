@@ -1,7 +1,7 @@
 //! Heap-file bookkeeping: record ids, free-space tracking, and placement
 //! hints for composite-object clustering (§4.2).
 
-use crate::disk::PageId;
+use crate::device::PageId;
 use std::collections::BTreeMap;
 
 /// A record id: physical address of a stored record. The object

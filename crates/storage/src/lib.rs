@@ -1,4 +1,4 @@
-//! The storage substrate for orion: simulated disk, buffer management,
+//! The storage substrate for orion: the page device, buffer management,
 //! slotted pages, heap files, write-ahead logging, and crash recovery.
 //!
 //! The paper requires that an OODB "supports all the database features
@@ -7,17 +7,17 @@
 //! clustering* as one of the components needing new architectural
 //! techniques (§4.2). This crate provides:
 //!
-//! * [`StorageBackend`] — the block-granularity device contract
-//!   (page read/write/allocate plus a raw log device with explicit
-//!   durability barriers). Two implementations ship: [`SimDisk`] and
-//!   [`FileDisk`].
-//! * [`SimDisk`] — a page-addressed simulated disk with read/write
-//!   accounting. Substitution note (see DESIGN.md): the paper's claims
-//!   about clustering and indexing are claims about I/O counts and
-//!   locality, which the accounting captures exactly; a spinning 1990
-//!   disk would only scale the constants.
-//! * [`FileDisk`] — the same contract over real files (`std::fs`) with
-//!   real `fsync`, so a database survives process exit.
+//! * [`PageDevice`] — the durable medium: a page-addressed disk with
+//!   per-page checksums, read/write accounting and the page faults,
+//!   plus a log, each over a [`ByteStore`]. Substitution note (see
+//!   DESIGN.md): the paper's claims about clustering and indexing are
+//!   claims about I/O counts and locality, which the accounting
+//!   captures exactly; a spinning 1990 disk would only scale the
+//!   constants.
+//! * [`store`] — the two byte-store media: [`MemStore`] in memory (the
+//!   default device, [`PageDevice::new`]) and [`FileStore`] in a file with
+//!   real `fsync` (the device over a directory, [`FileDisk::open`], so
+//!   a database survives process exit).
 //! * [`slotted`] — the slotted-page record layout with per-page LSNs.
 //! * [`BufferPool`] — an LRU buffer cache with dirty tracking, a
 //!   write-ahead hook (no page leaves the pool before its log does), and
@@ -36,20 +36,20 @@
 //!   and WAL record framing. Recovery is hardened against everything
 //!   the injector can produce.
 
-pub mod backend;
 pub mod buffer;
-pub mod disk;
+pub mod device;
 pub mod engine;
 pub mod fault;
 pub mod frame;
 pub mod heap;
 pub mod slotted;
+pub mod store;
 pub mod wal;
 
-pub use backend::{FileDisk, LogBytes, StorageBackend};
 pub use buffer::{BufferPool, PoolStats};
-pub use disk::{DiskStats, PageId, SimDisk, PAGE_SIZE};
+pub use device::{DiskStats, FileDisk, PageDevice, PageId, PAGE_SIZE};
 pub use engine::{Records, RecoveryStats, SlotRead, StorageEngine, TxnId};
 pub use fault::{crc32, FaultInjector, FaultKind, FaultPlan, FaultSite, FaultStats, Trigger};
 pub use heap::{HeapFile, Rid};
+pub use store::{ByteStore, FileStore, LogBytes, MemStore};
 pub use wal::{LogRecord, Lsn, Wal, WalStats};

@@ -16,7 +16,7 @@
 
 use orion_types::{DbError, DbResult};
 
-use crate::disk::PAGE_SIZE;
+use crate::device::PAGE_SIZE;
 
 const HEADER: usize = 12; // lsn(8) + nslots(2) + cell_start(2)
 const SLOT: usize = 4;

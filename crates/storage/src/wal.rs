@@ -2,7 +2,7 @@
 //!
 //! The log is logical at slot granularity: records name a record id
 //! (`page`, `slot`) and carry the slot's byte images, not page images.
-//! The stable log lives on the backend's log device and nowhere else —
+//! The stable log lives in the device's log store and nowhere else —
 //! the WAL keeps its length, not its bytes; the `tail` is the in-memory
 //! log buffer, which a crash discards. `flush` (called on commit and by
 //! the buffer pool's write-ahead hook) appends the tail to the device
@@ -30,8 +30,7 @@
 //! recovery never undoes the same operation twice even if the crash hits
 //! mid-rollback.
 
-use crate::backend::StorageBackend;
-use crate::disk::SimDisk;
+use crate::device::PageDevice;
 use crate::fault::{FaultInjector, FaultKind, FaultSite};
 use crate::frame::{frame_end, put_frame, scan, FRAME_HEADER};
 use crate::heap::Rid;
@@ -173,7 +172,7 @@ fn put_rid(out: &mut Vec<u8>, rid: Rid) {
 }
 
 fn get_rid(buf: &mut &[u8]) -> DbResult<Rid> {
-    Ok(Rid { page: crate::disk::PageId(get_u32(buf)?), slot: get_u16(buf)? })
+    Ok(Rid { page: crate::device::PageId(get_u32(buf)?), slot: get_u16(buf)? })
 }
 
 fn get_image(buf: &mut &[u8]) -> DbResult<Vec<u8>> {
@@ -372,8 +371,8 @@ struct GroupState {
 #[derive(Debug)]
 pub struct Wal {
     inner: Mutex<WalInner>,
-    /// The log device: the only copy of the stable log.
-    backend: Arc<dyn StorageBackend>,
+    /// The device whose log holds the only copy of the stable log.
+    device: Arc<PageDevice>,
     faults: RwLock<Option<Arc<FaultInjector>>>,
     group: Mutex<GroupState>,
     group_cvar: Condvar,
@@ -394,16 +393,16 @@ impl Wal {
     /// An empty log over a fresh in-memory device (durable across
     /// simulated crashes).
     pub fn new() -> Self {
-        Wal::with_backend(Arc::new(SimDisk::new())).expect("a fresh in-memory log cannot fail")
+        Wal::with_backend(Arc::new(PageDevice::new())).expect("a fresh in-memory log cannot fail")
     }
 
-    /// A log over `backend`'s log device, resuming at its current
+    /// A log over `device`'s log, resuming at its current
     /// length — which is all that is read here: every LSN later asked of
     /// [`Wal::flush_to`] is one this log handed out, at or past that
     /// length, and the records are read once, by
     /// [`Wal::stable_records`].
-    pub fn with_backend(backend: Arc<dyn StorageBackend>) -> DbResult<Self> {
-        let len = backend.log_len()?;
+    pub fn with_backend(device: Arc<PageDevice>) -> DbResult<Self> {
+        let len = device.log().len();
         Ok(Wal {
             inner: Mutex::new(WalInner {
                 stable_len: len,
@@ -411,7 +410,7 @@ impl Wal {
                 tail: Vec::new(),
                 head_rest: 0,
             }),
-            backend,
+            device,
             faults: RwLock::default(),
             group: Mutex::default(),
             group_cvar: Condvar::default(),
@@ -433,8 +432,8 @@ impl Wal {
     /// doesn't have. On failure everything stays buffered for the next
     /// attempt.
     fn promote(&self, inner: &mut WalInner, cut: usize) -> DbResult<()> {
-        self.backend.log_append(&inner.tail[..cut])?;
-        self.backend.log_sync()?;
+        self.device.log().append(&inner.tail[..cut])?;
+        self.device.log().sync()?;
         self.metrics.fsyncs.inc();
         if cut == inner.tail.len() {
             // Appends add whole frames, so the tail ends on a boundary.
@@ -622,7 +621,7 @@ impl Wal {
         // Parsed where the device keeps it; the loan ends before any
         // repair writes to the device.
         let (records, valid, len) = {
-            let log = self.backend.log_read()?;
+            let log = self.device.log().lend()?;
             let (records, valid) = scan(&log, decode)?;
             (records, valid, log.len())
         };
@@ -648,9 +647,10 @@ impl Wal {
         }
         let mut framed = Vec::new();
         put_frame(&mut framed, &body);
-        self.backend.log_truncate(at as u64)?;
-        self.backend.log_append(&framed)?;
-        self.backend.log_sync()?;
+        let log = self.device.log();
+        log.truncate(at as u64)?;
+        log.append(&framed)?;
+        log.sync()?;
         inner.stable_len = (at + framed.len()) as u64;
         inner.complete = inner.stable_len;
         self.metrics.torn_tail_truncations.inc();
@@ -661,7 +661,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::PageId;
+    use crate::device::PageId;
     use crate::fault::FaultPlan;
 
     fn rid(p: u32, s: u16) -> Rid {
@@ -867,13 +867,13 @@ mod tests {
 
     #[test]
     fn backend_log_mirrors_and_reloads() {
-        let disk: Arc<dyn StorageBackend> = Arc::new(crate::disk::SimDisk::new());
+        let disk = Arc::new(PageDevice::new());
         let wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
         wal.append(&LogRecord::Begin { txn: 1 });
         wal.append(&LogRecord::Commit { txn: 1 });
         wal.flush().unwrap();
         wal.append(&LogRecord::Begin { txn: 2 }); // unflushed: not on device
-        assert_eq!(disk.log_len().unwrap(), wal.stable_len());
+        assert_eq!(disk.log().len(), wal.stable_len());
         // A second Wal over the same device resumes the stable prefix.
         let wal2 = Wal::with_backend(Arc::clone(&disk)).unwrap();
         let recs = wal2.stable_records().unwrap();
@@ -883,7 +883,7 @@ mod tests {
 
     #[test]
     fn torn_tail_truncation_writes_through_to_device() {
-        let disk: Arc<dyn StorageBackend> = Arc::new(crate::disk::SimDisk::new());
+        let disk = Arc::new(PageDevice::new());
         let wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
         wal.append(&LogRecord::Begin { txn: 1 });
         wal.flush().unwrap();
@@ -905,15 +905,17 @@ mod tests {
 
     #[test]
     fn interior_corruption_is_a_hard_error() {
-        let disk = Arc::new(SimDisk::new());
-        let wal = Wal::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>).unwrap();
+        let disk = Arc::new(PageDevice::new());
+        let wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
         wal.append(&LogRecord::Begin { txn: 1 });
         wal.append(&LogRecord::Commit { txn: 1 });
         wal.append(&LogRecord::Checkpoint);
         wal.flush().unwrap();
         // Flip a byte inside the *first* record's body: framing stays
         // intact, so the later records are still reachable and valid.
-        disk.log.lock()[FRAME_HEADER + 2] ^= 0xFF;
+        let at = FRAME_HEADER + 2;
+        let byte = disk.log().lend().unwrap()[at];
+        disk.log().write_at(at as u64, 1, &mut |b| b[0] = byte ^ 0xFF).unwrap();
         let err = wal.stable_records().unwrap_err();
         assert!(
             matches!(err, DbError::Corruption(_)),

@@ -7,8 +7,8 @@ use orion_storage::engine::{StorageEngine, TxnId};
 use orion_storage::heap::Rid;
 use orion_storage::slotted;
 use orion_storage::{
-    FaultInjector, FaultKind, FaultPlan, FileDisk, LogRecord, Lsn, PageId, SimDisk,
-    StorageBackend, Wal, PAGE_SIZE,
+    FaultInjector, FaultKind, FaultPlan, FileDisk, LogRecord, Lsn, PageDevice, PageId, Wal,
+    PAGE_SIZE,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
@@ -331,13 +331,13 @@ fn record_complete_len(log: &[u8]) -> u64 {
 /// (an LSN is a byte offset, so a record ends where the log ended after
 /// its append): `durable` holds what a read must return, `pending` what
 /// has not wholly reached the device yet.
-fn check_wal_bookkeeping(disk: Arc<dyn StorageBackend>, ops: &[WalOp]) {
+fn check_wal_bookkeeping(disk: Arc<PageDevice>, ops: &[WalOp]) {
     let mut wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
     let mut durable: Vec<(Lsn, LogRecord)> = Vec::new();
     let mut pending: VecDeque<(Lsn, u64, LogRecord)> = VecDeque::new();
     let mut lsns: Vec<Lsn> = Vec::new();
     for (step, op) in ops.iter().enumerate() {
-        let device_before = disk.log_len().unwrap();
+        let device_before = disk.log().len();
         let total_before = wal.total_len();
         match op {
             WalOp::Append(payload) => {
@@ -357,14 +357,14 @@ fn check_wal_bookkeeping(disk: Arc<dyn StorageBackend>, ops: &[WalOp]) {
             }
             WalOp::Flush => {
                 wal.flush().unwrap();
-                assert_eq!(disk.log_len().unwrap(), total_before, "step {step}: flush moves it all");
+                assert_eq!(disk.log().len(), total_before, "step {step}: flush moves it all");
             }
             WalOp::PartialFlush(seed) => {
                 let plan = FaultPlan::new(*seed).fail_nth(FaultKind::PartialFlush, 1);
                 wal.set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
                 let result = wal.flush();
                 wal.set_fault_injector(None);
-                let device = disk.log_len().unwrap();
+                let device = disk.log().len();
                 if total_before - device_before < 2 {
                     // Nothing, or a single byte, cannot be cut in two.
                     result.unwrap();
@@ -382,7 +382,7 @@ fn check_wal_bookkeeping(disk: Arc<dyn StorageBackend>, ops: &[WalOp]) {
                     continue;
                 }
                 let lsn = lsns[pick % lsns.len()];
-                let needs = lsn.0 >= record_complete_len(&disk.log_read().unwrap());
+                let needs = lsn.0 >= record_complete_len(&disk.log().lend().unwrap());
                 let flushes = wal.stats().flushes;
                 wal.flush_to(lsn).unwrap();
                 let forced = needs && !pending.is_empty();
@@ -393,7 +393,7 @@ fn check_wal_bookkeeping(disk: Arc<dyn StorageBackend>, ops: &[WalOp]) {
                      is not whole on the device"
                 );
                 let expect = if forced { total_before } else { device_before };
-                assert_eq!(disk.log_len().unwrap(), expect, "step {step}");
+                assert_eq!(disk.log().len(), expect, "step {step}");
             }
             WalOp::Crash { reopen } => {
                 wal.crash();
@@ -415,10 +415,10 @@ fn check_wal_bookkeeping(disk: Arc<dyn StorageBackend>, ops: &[WalOp]) {
                     torn as u64,
                     "step {step}"
                 );
-                let device = disk.log_len().unwrap();
+                let device = disk.log().len();
                 assert!(device >= device_before, "step {step}: LSNs never reuse a torn range");
                 assert_eq!(
-                    record_complete_len(&disk.log_read().unwrap()),
+                    record_complete_len(&disk.log().lend().unwrap()),
                     device,
                     "step {step}: the repair is on the device"
                 );
@@ -433,7 +433,7 @@ fn check_wal_bookkeeping(disk: Arc<dyn StorageBackend>, ops: &[WalOp]) {
                 assert_eq!(wal.stable_records().unwrap(), durable, "step {step}: live read");
             }
         }
-        let device = disk.log_len().unwrap();
+        let device = disk.log().len();
         assert_eq!(wal.stable_len(), device, "step {step}: the WAL's length is the device's");
         while pending.front().is_some_and(|(_, end, _)| *end <= device) {
             let (lsn, _, rec) = pending.pop_front().unwrap();
@@ -446,7 +446,7 @@ fn check_wal_bookkeeping(disk: Arc<dyn StorageBackend>, ops: &[WalOp]) {
     wal.flush().unwrap();
     durable.extend(pending.drain(..).map(|(lsn, _, rec)| (lsn, rec)));
     assert_eq!(wal.stable_records().unwrap(), durable);
-    assert_eq!(wal.stable_len(), disk.log_len().unwrap());
+    assert_eq!(wal.stable_len(), disk.log().len());
 }
 
 proptest! {
@@ -457,7 +457,7 @@ proptest! {
     /// device's bytes, and what is read back is what was promoted.
     #[test]
     fn wal_bookkeeping_matches_the_device(ops in arb_wal_ops()) {
-        check_wal_bookkeeping(Arc::new(SimDisk::new()), &ops);
+        check_wal_bookkeeping(Arc::new(PageDevice::new()), &ops);
         let dir = std::env::temp_dir()
             .join(format!("orion-wal-prop-{}-{:?}", std::process::id(), std::thread::current().id()));
         let _ = std::fs::remove_dir_all(&dir);

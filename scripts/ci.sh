@@ -2,8 +2,8 @@
 # The full local CI gate: release build, the whole workspace's test
 # suite (every crate's unit, integration and property tests: the
 # client/server suites, the shard crate's 2PC crash/recovery and
-# fan-out fidelity tests, the fixed-seed chaos smoke, and the backend
-# conformance and durability suites over both SimDisk and FileDisk),
+# fan-out fidelity tests, the fixed-seed chaos smoke, and the device
+# conformance and durability suites over memory and file stores),
 # a release-mode concurrency stress run (the #[ignore]d elevated-thread-
 # count test in tests/concurrency.rs), the #[ignore]d multi-seed chaos
 # hammer in release mode, lint (clippy with warnings-as-errors, plus the

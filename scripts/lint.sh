@@ -89,6 +89,16 @@ if grep -rn 'crc32(' src tests examples crates --include='*.rs' | grep -v '^crat
   exit 1
 fi
 
+# A page fault has one meaning, given in one place: read and write
+# errors, torn writes and bit rot take effect in the page device alone,
+# over whichever byte store holds the pages. The injector's own tests in
+# fault.rs fire the disk sites directly.
+if grep -rn 'fire(FaultSite::Disk' src tests examples crates --include='*.rs' \
+    | grep -vE '^crates/storage/src/(device|fault)\.rs:'; then
+  echo "FAIL: a disk fault site fired outside crates/storage/src/device.rs — page faults belong to PageDevice" >&2
+  exit 1
+fi
+
 # Counters only count up: a phase is measured as the difference of two
 # stats() snapshots, never by zeroing a layer's counters. The only
 # reset( methods clear lock and version state on a crash.

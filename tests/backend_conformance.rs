@@ -1,9 +1,9 @@
-//! Backend-conformance suite: every [`StorageBackend`] implementation
-//! must honor the same contract — page checksums, fault semantics, the
-//! append-only log device — and the full database must behave
-//! identically over each. The raw trait checks run against `SimDisk`
-//! and `FileDisk` through the same code path; the database-level checks
-//! cover crash-mid-group-commit and (for `FileDisk`) a genuine cold
+//! Device-conformance suite: the page device must honor one contract —
+//! page checksums, fault semantics, the append-only log — over either
+//! pair of byte stores, and the full database must behave identically
+//! over each. The raw device checks run against a device in memory and
+//! one over files through the same code path; the database-level checks
+//! cover crash-mid-group-commit and (over files) a genuine cold
 //! restart: drop the handle, reopen the directory, and replay to the
 //! same model-checked state.
 
@@ -14,35 +14,44 @@ use orion_oodb::orion::{
     AttrSpec, Database, DbConfig, DbError, Domain, FaultKind, FaultPlan, PrimitiveType,
     StorageSpec, Value,
 };
-use orion_storage::{FaultInjector, FileDisk, PageId, SimDisk, StorageBackend, PAGE_SIZE};
+use orion_storage::{FaultInjector, FileDisk, PageDevice, PageId, PAGE_SIZE};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-/// Run `check` once per backend implementation. The `TempDir` guard
-/// keeps the `FileDisk` directory alive for the duration of the check.
-fn for_each_backend(tag: &str, check: impl Fn(Arc<dyn StorageBackend>, &str)) {
-    check(Arc::new(SimDisk::new()), "SimDisk");
+/// Run `check` once per medium. The `TempDir` guard keeps the file
+/// device's directory alive for the duration of the check.
+fn for_each_device(tag: &str, check: impl Fn(Arc<PageDevice>, &str)) {
+    check(Arc::new(PageDevice::new()), "memory");
     let dir = TempDir::new(tag);
-    check(Arc::new(FileDisk::open(dir.path()).unwrap()), "FileDisk");
+    check(Arc::new(FileDisk::open(dir.path()).unwrap()), "files");
+}
+
+/// Install a one-shot fault of `kind`; the injector counts what fired.
+fn inject(disk: &PageDevice, seed: u64, kind: FaultKind) -> Arc<FaultInjector> {
+    let inj = Arc::new(FaultInjector::new(FaultPlan::new(seed).fail_nth(kind, 1)));
+    disk.set_fault_injector(Some(Arc::clone(&inj)));
+    inj
 }
 
 #[test]
 fn page_roundtrip_and_accounting() {
-    for_each_backend("conf-roundtrip", |disk, name| {
+    for_each_device("conf-roundtrip", |disk, name| {
         let a = disk.allocate().unwrap();
         let b = disk.allocate().unwrap();
         assert_eq!((a, b), (PageId(0), PageId(1)), "{name}: sequential page ids");
         assert_eq!(disk.page_count(), 2, "{name}");
 
         let mut buf = [0u8; PAGE_SIZE];
+        buf[0] = 0xAB;
         buf[7] = 0x5A;
+        buf[PAGE_SIZE - 1] = 0xCD;
         disk.write(b, &buf).unwrap();
         disk.sync().unwrap();
 
         let mut out = [0xFFu8; PAGE_SIZE];
         disk.read(b, &mut out).unwrap();
-        assert_eq!(out[7], 0x5A, "{name}: written byte survives");
+        assert_eq!(out, buf, "{name}: written bytes survive, first to last");
         disk.read(a, &mut out).unwrap();
         assert!(out.iter().all(|&x| x == 0), "{name}: fresh pages read zeroed");
         assert!(disk.verify(a).unwrap() && disk.verify(b).unwrap(), "{name}");
@@ -53,69 +62,137 @@ fn page_roundtrip_and_accounting() {
         // Out-of-bounds access is an error, not UB or silent growth.
         assert!(disk.read(PageId(9), &mut out).is_err(), "{name}");
         assert!(disk.write(PageId(9), &buf).is_err(), "{name}");
+        assert!(disk.verify(PageId(9)).is_err(), "{name}");
+        assert_eq!(disk.page_count(), 2, "{name}");
     });
 }
 
 #[test]
 fn log_device_contract() {
-    for_each_backend("conf-log", |disk, name| {
-        assert_eq!(disk.log_len().unwrap(), 0, "{name}: log starts empty");
-        disk.log_append(b"abc").unwrap();
-        disk.log_append(b"defgh").unwrap();
-        disk.log_sync().unwrap();
-        assert_eq!(disk.log_len().unwrap(), 8, "{name}");
-        assert_eq!(disk.log_read().unwrap(), b"abcdefgh", "{name}");
+    for_each_device("conf-log", |disk, name| {
+        let log = disk.log();
+        assert_eq!(log.len(), 0, "{name}: log starts empty");
+        assert_eq!(log.append(b"abc").unwrap(), 0, "{name}: append returns its offset");
+        assert_eq!(log.append(b"defgh").unwrap(), 3, "{name}");
+        log.sync().unwrap();
+        assert_eq!(log.len(), 8, "{name}");
+        assert_eq!(*log.lend().unwrap(), b"abcdefgh"[..], "{name}");
 
         // Torn-tail repair shape: truncate, then append over the gap.
-        disk.log_truncate(3).unwrap();
-        assert_eq!(disk.log_len().unwrap(), 3, "{name}");
-        disk.log_append(b"XY").unwrap();
-        disk.log_sync().unwrap();
-        assert_eq!(disk.log_read().unwrap(), b"abcXY", "{name}");
+        log.truncate(3).unwrap();
+        assert_eq!(log.len(), 3, "{name}");
+        log.append(b"XY").unwrap();
+        log.sync().unwrap();
+        assert_eq!(*log.lend().unwrap(), b"abcXY"[..], "{name}");
+        assert!(log.truncate(9).is_err(), "{name}: truncation never grows the log");
     });
 }
 
 #[test]
 fn injected_fault_semantics_match() {
-    for_each_backend("conf-faults", |disk, name| {
+    for_each_device("conf-faults", |disk, name| {
         let p = disk.allocate().unwrap();
         disk.write(p, &[3u8; PAGE_SIZE]).unwrap();
         let mut buf = [0u8; PAGE_SIZE];
 
         // A read I/O error is Storage, not Corruption, and transient.
-        let inj = FaultInjector::new(FaultPlan::new(1).fail_nth(FaultKind::ReadError, 1));
-        disk.set_fault_injector(Some(Arc::new(inj)));
+        let inj = inject(&disk, 1, FaultKind::ReadError);
         assert!(
             matches!(disk.read(p, &mut buf), Err(DbError::Storage(_))),
             "{name}: injected read error"
         );
         disk.read(p, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 3), "{name}: the page itself is unharmed");
+        assert_eq!(inj.stats().read_errors, 1, "{name}");
 
         // A write I/O error leaves the stored page intact.
-        let inj = FaultInjector::new(FaultPlan::new(2).fail_nth(FaultKind::WriteError, 1));
-        disk.set_fault_injector(Some(Arc::new(inj)));
+        let inj = inject(&disk, 2, FaultKind::WriteError);
         assert!(
             matches!(disk.write(p, &[4u8; PAGE_SIZE]), Err(DbError::Storage(_))),
             "{name}: injected write error"
         );
         disk.read(p, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 3), "{name}: failed write changed nothing");
+        assert_eq!(inj.stats().write_errors, 1, "{name}");
 
-        // A torn write persists a prefix and trips the checksum; a
+        // A torn write persists a prefix and trips the checksum; a read
+        // that fails it leaves the caller's buffer untouched, and a
         // completed rewrite heals the page.
-        let inj = FaultInjector::new(FaultPlan::new(3).fail_nth(FaultKind::TornWrite, 1));
-        disk.set_fault_injector(Some(Arc::new(inj)));
-        assert!(disk.write(p, &[5u8; PAGE_SIZE]).is_err(), "{name}");
-        disk.set_fault_injector(None);
+        let inj = inject(&disk, 3, FaultKind::TornWrite);
         assert!(
-            matches!(disk.read(p, &mut buf), Err(DbError::Corruption(_))),
+            matches!(disk.write(p, &[5u8; PAGE_SIZE]), Err(DbError::Storage(_))),
+            "{name}: a torn write fails as an I/O error"
+        );
+        assert_eq!(inj.stats().torn_writes, 1, "{name}");
+        disk.set_fault_injector(None);
+        let mut untouched = [0xEEu8; PAGE_SIZE];
+        assert!(
+            matches!(disk.read(p, &mut untouched), Err(DbError::Corruption(_))),
             "{name}: torn page reads as corruption"
         );
+        assert!(untouched.iter().all(|&x| x == 0xEE), "{name}: a corrupt read writes nothing");
         assert!(!disk.verify(p).unwrap(), "{name}: verify sees the damage");
         disk.write(p, &[6u8; PAGE_SIZE]).unwrap();
         disk.read(p, &mut buf).unwrap();
         assert!(buf.iter().all(|&x| x == 6), "{name}: rewrite heals");
+
+        // Bit rot is persistent: the read it fires on reports
+        // Corruption, and so does every later fault-free read.
+        let inj = inject(&disk, 4, FaultKind::BitFlip);
+        assert!(
+            matches!(disk.read(p, &mut untouched), Err(DbError::Corruption(_))),
+            "{name}: bit rot surfaces as corruption"
+        );
+        assert_eq!(inj.stats().bit_flips, 1, "{name}");
+        disk.set_fault_injector(None);
+        assert!(
+            matches!(disk.read(p, &mut untouched), Err(DbError::Corruption(_))),
+            "{name}: the rot stays"
+        );
+        assert!(untouched.iter().all(|&x| x == 0xEE), "{name}: a corrupt read writes nothing");
+        assert!(!disk.verify(p).unwrap(), "{name}: verify sees the rot");
+        disk.write(p, &[7u8; PAGE_SIZE]).unwrap();
+        disk.read(p, &mut buf).unwrap();
+        assert!(buf.iter().all(|&x| x == 7), "{name}: rewrite heals the rot");
     });
+}
+
+/// A device over files is what a later process opens: it sees the
+/// pages, the log and any rot it left, and trims a partial trailing
+/// block — a crash mid-allocation.
+#[test]
+fn file_device_reopens_and_trims_a_torn_allocation() {
+    let dir = TempDir::new("conf-reopen");
+    let disk = FileDisk::open(dir.path()).unwrap();
+    let (a, b, c) = (disk.allocate().unwrap(), disk.allocate().unwrap(), disk.allocate().unwrap());
+    let mut buf = [0u8; PAGE_SIZE];
+    buf[0] = 0xAB;
+    buf[PAGE_SIZE - 1] = 0xCD;
+    disk.write(b, &buf).unwrap();
+    disk.sync().unwrap();
+    disk.log().append(b"hello log").unwrap();
+    disk.log().sync().unwrap();
+    inject(&disk, 42, FaultKind::BitFlip);
+    assert!(matches!(disk.read(c, &mut [0; PAGE_SIZE]), Err(DbError::Corruption(_))));
+    drop(disk);
+
+    let pages = dir.path().join("pages.dat");
+    let whole = std::fs::metadata(&pages).unwrap().len();
+    std::fs::OpenOptions::new().write(true).open(&pages).unwrap().set_len(whole + 17).unwrap();
+
+    let disk = FileDisk::open(dir.path()).unwrap();
+    assert_eq!(disk.page_count(), 3, "partial block trimmed");
+    assert_eq!(std::fs::metadata(&pages).unwrap().len(), whole);
+    let mut out = [0xFFu8; PAGE_SIZE];
+    disk.read(b, &mut out).unwrap();
+    assert_eq!(out, buf);
+    disk.read(a, &mut out).unwrap();
+    assert!(out.iter().all(|&x| x == 0));
+    assert!(matches!(disk.read(c, &mut out), Err(DbError::Corruption(_))), "rot survives");
+    assert!(!disk.verify(c).unwrap());
+    assert_eq!(*disk.log().lend().unwrap(), b"hello log"[..]);
+    assert_eq!(disk.log().len(), 9);
+    assert_eq!(disk.allocate().unwrap(), PageId(3), "the next block starts where one ends");
 }
 
 // ---------------------------------------------------------------------
@@ -149,8 +226,8 @@ fn read_key(db: &Database, key: i64) -> Option<i64> {
 fn specs(tag: &str) -> Vec<(StorageSpec, Option<TempDir>, &'static str)> {
     let dir = TempDir::new(tag);
     vec![
-        (StorageSpec::Memory, None, "SimDisk"),
-        (StorageSpec::File(dir.path().to_path_buf()), Some(dir), "FileDisk"),
+        (StorageSpec::Memory, None, "memory"),
+        (StorageSpec::File(dir.path().to_path_buf()), Some(dir), "files"),
     ]
 }
 

@@ -1,5 +1,5 @@
 //! Shared helpers for integration tests that need a real on-disk
-//! database directory (the `FileDisk` backend).
+//! database directory (a `PageDevice` over files).
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -369,8 +369,8 @@ fn repeated_crashes_are_harmless_on(db: Database) {
     }
 }
 
-// Every durability scenario above runs unchanged on both backends:
-// the in-memory SimDisk and the real-file FileDisk.
+// Every durability scenario above runs unchanged on both media: the
+// page device in memory and over real files.
 
 #[test]
 fn randomized_crash_recovery_matches_model() {

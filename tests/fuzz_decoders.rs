@@ -16,7 +16,7 @@ use orion_net::{Request, Response};
 use orion_schema::{AttrSpec, Catalog};
 use orion_shard::{Decision, DecisionLog, DecisionLogSpec};
 use orion_storage::wal::ClrAction;
-use orion_storage::{LogRecord, PageId, Rid, SimDisk, StorageBackend, Wal};
+use orion_storage::{LogRecord, PageDevice, PageId, Rid, Wal};
 use orion_types::codec::{decode_value, skip_value, ObjectRecord};
 use orion_types::wire::{decode_error, encode_error};
 use orion_types::{ClassId, DbError, Domain, Oid, PrimitiveType, Value};
@@ -142,20 +142,20 @@ fn wal_records() -> Vec<LogRecord> {
 
 /// The WAL's stable log after `wal_records()` are appended and flushed.
 fn wal_log() -> Vec<u8> {
-    let disk = Arc::new(SimDisk::new());
-    let wal = Wal::with_backend(Arc::clone(&disk) as Arc<dyn StorageBackend>).unwrap();
+    let disk = Arc::new(PageDevice::new());
+    let wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
     for rec in wal_records() {
         wal.append(&rec);
     }
     wal.flush().unwrap();
-    let bytes = disk.log_read().unwrap().to_vec();
+    let bytes = disk.log().lend().unwrap().to_vec();
     bytes
 }
 
 /// Read `log` as a WAL's stable log.
 fn scan_wal(log: &[u8]) -> Result<Vec<(u64, LogRecord)>, DbError> {
-    let disk = Arc::new(SimDisk::new());
-    disk.log_append(log).unwrap();
+    let disk = Arc::new(PageDevice::new());
+    disk.log().append(log).unwrap();
     let wal = Wal::with_backend(disk).unwrap();
     Ok(wal.stable_records()?.into_iter().map(|(lsn, rec)| (lsn.0, rec)).collect())
 }
