@@ -35,11 +35,6 @@ impl MethodRegistry {
         self.bodies.insert((class, selector.to_owned()), body);
     }
 
-    /// Remove a body.
-    pub fn unregister(&mut self, class: ClassId, selector: &str) {
-        self.bodies.remove(&(class, selector.to_owned()));
-    }
-
     /// The body for an exact `(class, selector)` pair (after the catalog
     /// has already late-bound the selector to its defining class).
     pub fn body(&self, class: ClassId, selector: &str) -> Option<MethodBody> {

@@ -169,11 +169,6 @@ impl Database {
         Ok(())
     }
 
-    /// Remove all rules (tests/benches).
-    pub fn clear_rules(&self) {
-        self.rules.write().clear();
-    }
-
     /// Build the extensional database from the object graph, as of the
     /// committed snapshot `source` reads.
     fn build_edb(catalog: &Catalog, source: &SourceView<'_>) -> DbResult<FactStore> {

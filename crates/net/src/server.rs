@@ -1167,7 +1167,8 @@ fn begin_session_tx(shared: &Shared, session: &SessionState) -> Tx {
     }
 }
 
-/// One batched DML operation, inside the batch's transaction scope.
+/// One DML operation, inside its transaction scope: a request of its
+/// own or one op of a batch.
 fn batch_op(db: &Database, tx: &Tx, op: &Request) -> DbResult<Response> {
     Ok(match op {
         Request::CreateObject { class, attrs } => {
@@ -1252,34 +1253,12 @@ fn dispatch(shared: &Shared, session: &mut SessionState, request: Request) -> Re
                 "no open transaction to roll back".into(),
             )),
         },
-        Request::CreateObject { class, attrs } => {
-            let result = with_tx(shared, session, |db, tx| {
-                let borrowed: Vec<(&str, orion_core::Value)> =
-                    attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-                db.create_object(tx, &class, borrowed)
-            });
-            match result {
-                Ok(oid) => Response::Created { oid },
-                Err(e) => Response::Err(e),
-            }
-        }
-        Request::Get { oid, attr } => {
-            match with_tx(shared, session, |db, tx| db.get(tx, oid, &attr)) {
-                Ok(v) => Response::Value(v),
-                Err(e) => Response::Err(e),
-            }
-        }
-        Request::Set { oid, attr, value } => {
-            match with_tx(shared, session, |db, tx| db.set(tx, oid, &attr, value.clone())) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Err(e),
-            }
-        }
-        Request::Delete { oid } => {
-            match with_tx(shared, session, |db, tx| db.delete_object(tx, oid)) {
-                Ok(()) => Response::Ok,
-                Err(e) => Response::Err(e),
-            }
+        request @ (Request::CreateObject { .. }
+        | Request::Get { .. }
+        | Request::Set { .. }
+        | Request::Delete { .. }) => {
+            with_tx(shared, session, |db, tx| batch_op(db, tx, &request))
+                .unwrap_or_else(Response::Err)
         }
         Request::Batch { ops } => {
             // The whole batch is one transaction scope: the session

@@ -374,11 +374,6 @@ impl Catalog {
         map.get(&oid).map_or(&[], Vec::as_slice)
     }
 
-    /// Resolve by class name.
-    pub fn resolve_by_name(&self, name: &str) -> DbResult<Arc<ResolvedClass>> {
-        self.resolve(self.class_id(name)?)
-    }
-
     fn resolve_uncached(&self, id: ClassId) -> DbResult<ResolvedClass> {
         let class = self.class(id)?;
         // Walk the linearization from most-derived to least; keep the
@@ -894,6 +889,27 @@ mod tests {
         // A schema change invalidates the cache.
         cat.add_method(automobile, "display", 0).unwrap();
         assert_eq!(cat.resolve_method(automobile, "display").unwrap(), automobile);
+    }
+
+    #[test]
+    fn dropping_an_override_late_binds_to_the_superclass() {
+        let (mut cat, _, vehicle, automobile, _) = figure1();
+        cat.add_method(vehicle, "display", 0).unwrap();
+        cat.add_method(automobile, "display", 0).unwrap();
+        // Warm the cache with the override, then drop it.
+        for _ in 0..2 {
+            assert_eq!(cat.resolve_method(automobile, "display").unwrap(), automobile);
+        }
+        let (hits0, _) = cat.dispatch_stats.snapshot();
+        assert!(hits0 >= 1, "the second dispatch was a cache hit");
+        cat.drop_method(automobile, "display").unwrap();
+        assert_eq!(cat.resolve_method(automobile, "display").unwrap(), vehicle);
+        assert!(cat.resolve(automobile).unwrap().methods.iter().all(|m| m.defined_in == vehicle));
+        // Dropping what is no longer local is an error.
+        assert!(matches!(
+            cat.drop_method(automobile, "display"),
+            Err(DbError::UnknownMethod { .. })
+        ));
     }
 
     #[test]

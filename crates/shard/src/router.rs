@@ -162,11 +162,6 @@ impl ShardRouter {
         })
     }
 
-    /// Number of shards in the cluster.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The broadcast-agreed class id for a class created through this
     /// router.
     pub fn class_id(&self, class: &str) -> Option<u16> {

@@ -57,10 +57,22 @@ fn apply_to_page(action: &ClrAction, page: &mut [u8]) -> DbResult<()> {
     Ok(())
 }
 
-/// A transaction's undo state: for each operation not yet compensated,
-/// its LSN and the action that compensates it, in log order.
-#[derive(Debug, Default)]
+/// Where a transaction in the engine's table stands: an `Active` one
+/// logs operations and may commit, abort or prepare, a `Prepared` one
+/// awaits the coordinator's decision, an `Undoing` one logs compensations.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    #[default]
+    Active,
+    Prepared,
+    Undoing,
+}
+
+/// A transaction's phase and undo state: for each operation not yet
+/// compensated, its LSN and the action that compensates it, in log order.
+#[derive(Debug, Default, Clone)]
 struct TxnState {
+    phase: Phase,
     ops: Vec<(Lsn, ClrAction)>,
 }
 
@@ -131,13 +143,12 @@ pub struct StorageEngine {
     pool: Arc<BufferPool>,
     wal: Arc<Wal>,
     heap: Mutex<HeapFile>,
-    active: Mutex<HashMap<u64, TxnState>>,
-    /// Two-phase-commit participants: transactions whose effects are
-    /// fully logged and forced but whose outcome belongs to a remote
-    /// coordinator. Undo state is retained so a later abort decision
-    /// can still roll them back; restart recovery rebuilds this map
-    /// from `Prepare` records without a matching `Commit`/`Abort`.
-    prepared: Mutex<HashMap<u64, TxnState>>,
+    /// Every transaction from `begin` until its `Commit` or `Abort`
+    /// record is appended, prepared 2PC participants included (restart
+    /// rebuilds those from `Prepare` records without an outcome). Only a
+    /// checkpoint holds this lock across a flush: from its emptiness
+    /// check through its record.
+    txns: Mutex<HashMap<u64, TxnState>>,
     next_txn: AtomicU64,
     /// Counts of every fault fired by any plan installed over this
     /// engine: each injector counts into it.
@@ -158,10 +169,7 @@ impl StorageEngine {
     /// with [`PageDevice::open`] and calling
     /// [`StorageEngine::recover`] — which reads that log — resumes a
     /// previous process's state.
-    pub fn with_backend(
-        backend: Arc<PageDevice>,
-        pool_pages: usize,
-    ) -> DbResult<Self> {
+    pub fn with_backend(backend: Arc<PageDevice>, pool_pages: usize) -> DbResult<Self> {
         let wal = Arc::new(Wal::with_backend(Arc::clone(&backend))?);
         let pool =
             Arc::new(BufferPool::new(Arc::clone(&backend), pool_pages, Some(Arc::clone(&wal))));
@@ -170,8 +178,7 @@ impl StorageEngine {
             pool,
             wal,
             heap: Mutex::new(HeapFile::new()),
-            active: Mutex::new(HashMap::new()),
-            prepared: Mutex::new(HashMap::new()),
+            txns: Mutex::new(HashMap::new()),
             next_txn: AtomicU64::new(1),
             faults: Arc::default(),
             recovery: RecoveryMetrics::default(),
@@ -229,17 +236,33 @@ impl StorageEngine {
     pub fn begin(&self) -> TxnId {
         let id = self.next_txn.fetch_add(1, Ordering::Relaxed);
         self.wal.append(&LogRecord::Begin { txn: id });
-        self.active.lock().insert(id, TxnState::default());
+        self.txns.lock().insert(id, TxnState::default());
         TxnId(id)
     }
 
     fn record_op(&self, txn: TxnId, lsn: Lsn, undo: ClrAction) -> DbResult<()> {
-        let mut active = self.active.lock();
-        let state = active
-            .get_mut(&txn.0)
-            .ok_or_else(|| DbError::InvalidTxnState(format!("{txn} is not active")))?;
-        state.ops.push((lsn, undo));
+        let mut txns = self.txns.lock();
+        let state = txns.get_mut(&txn.0).filter(|state| state.phase == Phase::Active);
+        state.ok_or_else(|| not_active(txn))?.ops.push((lsn, undo));
         Ok(())
+    }
+
+    /// Take `txn` out of phase `from` (`Ok(None)` if the table lacks it).
+    /// A commit appends its record and leaves the table under one lock; a
+    /// rollback stays, `Undoing`, and hands its undo state back.
+    fn leave(&self, txn: TxnId, from: Phase, commit: bool) -> DbResult<Option<TxnState>> {
+        let mut txns = self.txns.lock();
+        let Some(state) = txns.get_mut(&txn.0) else { return Ok(None) };
+        if state.phase != from {
+            let msg = format!("{txn} is {:?}, not {from:?}", state.phase);
+            return Err(DbError::InvalidTxnState(msg));
+        }
+        if commit {
+            self.wal.append(&LogRecord::Commit { txn: txn.0 });
+            return Ok(txns.remove(&txn.0));
+        }
+        state.phase = Phase::Undoing;
+        Ok(Some(TxnState { phase: Phase::Undoing, ops: std::mem::take(&mut state.ops) }))
     }
 
     /// Commit: force the log through the commit record.
@@ -249,10 +272,7 @@ impl StorageEngine {
     /// transaction is over either way — crash-and-recover resolves the
     /// outcome atomically (all of it or none of it).
     pub fn commit(&self, txn: TxnId) -> DbResult<()> {
-        if self.active.lock().remove(&txn.0).is_none() {
-            return Err(DbError::InvalidTxnState(format!("{txn} is not active")));
-        }
-        self.wal.append(&LogRecord::Commit { txn: txn.0 });
+        self.leave(txn, Phase::Active, true)?.ok_or_else(|| not_active(txn))?;
         self.wal.commit_flush()
     }
 
@@ -261,12 +281,15 @@ impl StorageEngine {
     /// the rollback put back — what the transaction had updated or
     /// deleted, as it was before.
     pub fn abort(&self, txn: TxnId) -> DbResult<Records> {
-        let state = self
-            .active
-            .lock()
-            .remove(&txn.0)
-            .ok_or_else(|| DbError::InvalidTxnState(format!("{txn} is not active")))?;
+        let state = self.leave(txn, Phase::Active, false)?.ok_or_else(|| not_active(txn))?;
+        self.roll_back(txn, state)
+    }
+
+    /// Log `state`'s compensations and `Abort`, drop `txn` from the table
+    /// and force the log. A failed undo stays in the table for restart.
+    fn roll_back(&self, txn: TxnId, state: TxnState) -> DbResult<Records> {
         self.undo(txn, &state)?;
+        self.txns.lock().remove(&txn.0);
         self.wal.flush()?;
         Ok(self.before_records(&state))
     }
@@ -291,52 +314,34 @@ impl StorageEngine {
     // ------------------------------------------------------------------
 
     /// Phase one of two-phase commit: force the log through a `Prepare`
-    /// record. On success the transaction leaves the active set and can
-    /// no longer abort unilaterally — only
-    /// [`StorageEngine::commit_prepared`] or
+    /// record. On success the transaction is prepared and can no longer
+    /// abort unilaterally — only [`StorageEngine::commit_prepared`] or
     /// [`StorageEngine::abort_prepared`] (the coordinator's decision)
     /// may settle it, and restart recovery reinstates it as in doubt
     /// rather than undoing it.
     ///
-    /// If the force fails, the transaction returns to the active set so
-    /// the caller can roll it back normally; a half-stable `Prepare`
-    /// record followed by the rollback's `Abort` record is resolved as
-    /// aborted by recovery.
+    /// If the force fails, the transaction stays active so the caller
+    /// can roll it back normally; a half-stable `Prepare` record
+    /// followed by the rollback's `Abort` record is resolved as aborted
+    /// by recovery.
     pub fn prepare(&self, txn: TxnId) -> DbResult<()> {
-        let state = self
-            .active
-            .lock()
-            .remove(&txn.0)
-            .ok_or_else(|| DbError::InvalidTxnState(format!("{txn} is not active")))?;
-        self.wal.append(&LogRecord::Prepare { txn: txn.0 });
-        match self.wal.commit_flush() {
-            Ok(()) => {
-                self.prepared.lock().insert(txn.0, state);
-                Ok(())
-            }
-            Err(e) => {
-                self.active.lock().insert(txn.0, state);
-                Err(e)
-            }
+        if self.txns.lock().get(&txn.0).is_none_or(|state| state.phase != Phase::Active) {
+            return Err(not_active(txn));
         }
+        self.wal.append(&LogRecord::Prepare { txn: txn.0 });
+        self.wal.commit_flush()?;
+        self.txns.lock().entry(txn.0).and_modify(|state| state.phase = Phase::Prepared);
+        Ok(())
     }
 
     /// Phase two, commit branch: force a `Commit` record for a prepared
-    /// transaction. Idempotent by transaction id — committing a
-    /// transaction that is no longer prepared (the decision already
-    /// arrived, possibly on a retransmitted frame) returns `Ok(false)`.
-    /// Returns `Err` only for a transaction still in the *active* set,
-    /// which must go through [`StorageEngine::commit`] instead.
+    /// transaction. Idempotent by transaction id: an unknown one (the
+    /// decision already arrived, possibly on a retransmitted frame) gives
+    /// `Ok(false)`, and one in another phase, such as an active one, `Err`.
     pub fn commit_prepared(&self, txn: TxnId) -> DbResult<bool> {
-        if self.prepared.lock().remove(&txn.0).is_none() {
-            if self.active.lock().contains_key(&txn.0) {
-                return Err(DbError::InvalidTxnState(format!(
-                    "{txn} is active, not prepared; use commit"
-                )));
-            }
+        if self.leave(txn, Phase::Prepared, true)?.is_none() {
             return Ok(false);
         }
-        self.wal.append(&LogRecord::Commit { txn: txn.0 });
         self.wal.commit_flush()?;
         Ok(true)
     }
@@ -346,27 +351,19 @@ impl StorageEngine {
     /// return what it put back. Idempotent by transaction id like
     /// [`StorageEngine::commit_prepared`]: `None` for an unknown id.
     pub fn abort_prepared(&self, txn: TxnId) -> DbResult<Option<Records>> {
-        let state = match self.prepared.lock().remove(&txn.0) {
-            Some(state) => state,
-            None => {
-                if self.active.lock().contains_key(&txn.0) {
-                    return Err(DbError::InvalidTxnState(format!(
-                        "{txn} is active, not prepared; use abort"
-                    )));
-                }
-                return Ok(None);
-            }
-        };
-        self.undo(txn, &state)?;
-        self.wal.flush()?;
-        Ok(Some(self.before_records(&state)))
+        match self.leave(txn, Phase::Prepared, false)? {
+            Some(state) => self.roll_back(txn, state).map(Some),
+            None => Ok(None),
+        }
     }
 
     /// Transaction ids currently prepared and awaiting a coordinator
     /// decision (sorted). After restart recovery these are the in-doubt
     /// transactions rebuilt from the log.
     pub fn prepared_txns(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.prepared.lock().keys().copied().collect();
+        let txns = self.txns.lock();
+        let prepared = txns.iter().filter(|(_, state)| state.phase == Phase::Prepared);
+        let mut ids: Vec<u64> = prepared.map(|(&id, _)| id).collect();
         ids.sort_unstable();
         ids
     }
@@ -376,10 +373,11 @@ impl StorageEngine {
     /// the facade uses them to re-assert exclusive ownership of in-doubt
     /// objects, and to re-stage their versions, before traffic resumes.
     pub fn prepared_records(&self, txn: u64) -> (Records, Records) {
-        let prepared = self.prepared.lock();
-        let Some(state) = prepared.get(&txn) else { return Default::default() };
+        // A copy, read with the table released: a page read may flush.
+        let state = self.txns.lock().get(&txn).filter(|s| s.phase == Phase::Prepared).cloned();
+        let Some(state) = state else { return Default::default() };
         let now = |rid| Some((rid, self.read(rid).ok()?));
-        (self.before_records(state), state.before_cells().into_keys().filter_map(now).collect())
+        (self.before_records(&state), state.before_cells().into_keys().filter_map(now).collect())
     }
 
     /// The logical records `state`'s undo puts back, assembled from its
@@ -733,19 +731,14 @@ impl StorageEngine {
 
     /// Quiescent checkpoint: flush every dirty page, then log and force a
     /// checkpoint record. Restart recovery starts scanning here. Fails if
-    /// any transaction is active.
+    /// any transaction is active or prepared, whose operations must stay
+    /// in the recovery scan; the table stays locked through the record,
+    /// so a `begin` waits and nothing is logged between check and record.
     pub fn checkpoint(&self) -> DbResult<()> {
-        if !self.active.lock().is_empty() {
+        let txns = self.txns.lock();
+        if !txns.is_empty() {
             return Err(DbError::InvalidTxnState(
-                "checkpoint requires no active transactions".into(),
-            ));
-        }
-        // A prepared transaction's operations must stay inside the
-        // recovery scan until its outcome is logged, so the quiescent
-        // point also excludes in-doubt participants.
-        if !self.prepared.lock().is_empty() {
-            return Err(DbError::InvalidTxnState(
-                "checkpoint requires no prepared (in-doubt) transactions".into(),
+                "checkpoint requires no active or prepared (in-doubt) transactions".into(),
             ));
         }
         self.pool.flush_all()?;
@@ -753,6 +746,7 @@ impl StorageEngine {
         // the pages are stable (a real fsync on a file backend).
         self.disk.sync()?;
         self.wal.append(&LogRecord::Checkpoint);
+        drop(txns);
         self.wal.flush()
     }
 
@@ -761,10 +755,9 @@ impl StorageEngine {
     pub fn crash(&self) {
         self.pool.crash();
         self.wal.crash();
-        self.active.lock().clear();
         // Volatile like everything else: recovery rebuilds the in-doubt
         // set from forced Prepare records.
-        self.prepared.lock().clear();
+        self.txns.lock().clear();
     }
 
     /// Restart recovery: analysis, redo, undo — then rebuild the
@@ -932,17 +925,18 @@ impl StorageEngine {
         let mut in_doubt = HashMap::new();
         let mut losers = Vec::new();
         for txn in undecided {
-            let mut state = TxnState { ops: ops.remove(&txn).unwrap_or_default() };
+            let mut state = TxnState { ops: ops.remove(&txn).unwrap_or_default(), ..Default::default() };
             if let Some(done) = compensated.get(&txn) {
                 state.ops.retain(|(lsn, _)| !done.contains(&lsn.0));
             }
             if prepared.contains(&txn) {
+                state.phase = Phase::Prepared;
                 in_doubt.insert(txn, state);
             } else {
                 losers.push((txn, state));
             }
         }
-        *self.prepared.lock() = in_doubt;
+        *self.txns.lock() = in_doubt;
         for (txn, state) in &losers {
             self.undo(TxnId(*txn), state)?;
         }
@@ -988,11 +982,15 @@ impl StorageEngine {
     }
 }
 
+fn not_active(txn: TxnId) -> DbError {
+    DbError::InvalidTxnState(format!("{txn} is not active"))
+}
+
 impl std::fmt::Debug for StorageEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StorageEngine")
             .field("pages", &self.disk.page_count())
-            .field("active_txns", &self.active.lock().len())
+            .field("txns", &self.txns.lock().len())
             .finish()
     }
 }

@@ -6,7 +6,8 @@
 # conformance and durability suites over memory and file stores),
 # a release-mode concurrency stress run (the #[ignore]d elevated-thread-
 # count test in tests/concurrency.rs), the #[ignore]d multi-seed chaos
-# hammer in release mode, lint (clippy with warnings-as-errors, plus the
+# hammer and the #[ignore]d checkpoint race sweeps in tests/durability.rs
+# in release mode, lint (clippy with warnings-as-errors, plus the
 # grep denies in scripts/lint.sh), and the three bench binaries.
 # Each bench binary checks its own gates in process, prints every one,
 # and exits nonzero on a breach: parallel_query (work per scanned row,
@@ -40,6 +41,7 @@ step 300 cargo build --release
 step 300 cargo test -q --workspace
 step 60 cargo test -q --release --test concurrency -- --ignored
 step 60 cargo test -q --release --test chaos -- --ignored
+step 60 cargo test -q --release --test durability -- --ignored
 step 300 scripts/lint.sh
 step 60 cargo run -q -p orion-bench --release --bin parallel_query
 step 60 cargo run -q -p orion-bench --release --bin net_throughput -- --smoke

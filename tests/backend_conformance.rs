@@ -9,11 +9,8 @@
 
 mod common;
 
-use common::TempDir;
-use orion_oodb::orion::{
-    AttrSpec, Database, DbConfig, DbError, Domain, FaultKind, FaultPlan, PrimitiveType,
-    StorageSpec, Value,
-};
+use common::{count, item, probe, Db, Medium, TempDir};
+use orion_oodb::orion::{DbConfig, DbError, FaultKind, FaultPlan, Value};
 use orion_storage::{FaultInjector, FileDisk, PageDevice, PageId, PAGE_SIZE};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
@@ -199,122 +196,76 @@ fn file_device_reopens_and_trims_a_torn_allocation() {
 // Database-level conformance
 // ---------------------------------------------------------------------
 
-fn item_db_on(storage: StorageSpec, window: Duration) -> Database {
-    let config =
-        DbConfig::builder().storage(storage).group_commit_window(window).build().unwrap();
-    let db = Database::try_with_config(config).unwrap();
-    db.create_class(
-        "Item",
-        &[],
-        vec![
-            AttrSpec::new("key", Domain::Primitive(PrimitiveType::Int)),
-            AttrSpec::new("val", Domain::Primitive(PrimitiveType::Int)),
-        ],
-    )
-    .unwrap();
-    db
-}
+const BOTH: [Medium; 2] = [Medium::Memory, Medium::Files];
 
-fn read_key(db: &Database, key: i64) -> Option<i64> {
-    let tx = db.begin();
-    let r = db.query(&tx, &format!("select i.val from Item i where i.key = {key}")).unwrap();
-    let out = r.rows.first().map(|row| row[0].as_int().unwrap());
-    db.commit(tx).unwrap();
-    out
-}
-
-fn specs(tag: &str) -> Vec<(StorageSpec, Option<TempDir>, &'static str)> {
-    let dir = TempDir::new(tag);
-    vec![
-        (StorageSpec::Memory, None, "memory"),
-        (StorageSpec::File(dir.path().to_path_buf()), Some(dir), "files"),
-    ]
+/// The `Item` database on `medium` with a group-commit window.
+fn windowed(medium: Medium, window: Duration) -> Db {
+    medium.item_db_with(DbConfig::builder().group_commit_window(window).build().unwrap())
 }
 
 #[test]
 fn committed_data_survives_crash_on_both_backends() {
-    for (spec, _guard, name) in specs("conf-crash") {
-        let db = item_db_on(spec, Duration::ZERO);
-        let mut model: HashMap<i64, i64> = HashMap::new();
+    for medium in BOTH {
+        let db = medium.item_db();
         for k in 0..12i64 {
             let tx = db.begin();
-            db.create_object(&tx, "Item", vec![("key", Value::Int(k)), ("val", Value::Int(k * 7))])
-                .unwrap();
+            db.create_object(&tx, "Item", item(k, k * 7)).unwrap();
             db.commit(tx).unwrap();
-            model.insert(k, k * 7);
         }
         db.crash_and_recover().unwrap();
-        for (&k, &v) in &model {
-            assert_eq!(read_key(&db, k), Some(v), "{name}: key {k} after crash");
+        for k in 0..12i64 {
+            assert_eq!(probe(&db, k), Some(k * 7), "{medium:?}: key {k} after crash");
         }
     }
 }
 
 #[test]
 fn group_commit_amortizes_fsyncs_under_concurrency() {
-    for (spec, _guard, name) in specs("conf-group") {
-        let db = Arc::new(item_db_on(spec, Duration::from_micros(500)));
+    for medium in BOTH {
+        let db = windowed(medium, Duration::from_micros(500));
         let before = db.stats().wal;
         let committers = 8;
         let rounds = 6;
-        let barrier = Arc::new(Barrier::new(committers));
-        let handles: Vec<_> = (0..committers)
-            .map(|c| {
-                let db = Arc::clone(&db);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
+        let barrier = Barrier::new(committers);
+        std::thread::scope(|s| {
+            for c in 0..committers {
+                let (db, barrier) = (&db, &barrier);
+                s.spawn(move || {
                     for r in 0..rounds {
                         barrier.wait();
                         let key = (c * rounds + r) as i64;
                         let tx = db.begin();
-                        db.create_object(
-                            &tx,
-                            "Item",
-                            vec![("key", Value::Int(key)), ("val", Value::Int(key))],
-                        )
-                        .unwrap();
+                        db.create_object(&tx, "Item", item(key, key)).unwrap();
                         db.commit(tx).unwrap();
                     }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+                });
+            }
+        });
         let wal = db.stats().wal;
         let fsyncs = wal.fsyncs - before.fsyncs;
         let commits = (committers * rounds) as u64;
         assert!(
             fsyncs < commits,
-            "{name}: {commits} concurrent commits should share fsyncs, got {fsyncs}"
+            "{medium:?}: {commits} concurrent commits should share fsyncs, got {fsyncs}"
         );
         assert!(
             wal.group_commit_batch_size.count > before.group_commit_batch_size.count,
-            "{name}: at least one group flush was recorded"
+            "{medium:?}: at least one group flush was recorded"
         );
-        let tx = db.begin();
-        let n = db.query(&tx, "select count(*) from Item i").unwrap();
-        assert_eq!(n.rows[0][0], Value::Int(commits as i64), "{name}: every commit landed");
-        db.commit(tx).unwrap();
+        assert_eq!(count(&db, "Item"), commits as i64, "{medium:?}: every commit landed");
     }
 }
 
 #[test]
 fn crash_mid_group_commit_recovers_consistently() {
-    for (spec, _guard, name) in specs("conf-doubt") {
-        let db = Arc::new(item_db_on(spec, Duration::from_micros(300)));
+    for medium in BOTH {
+        let db = windowed(medium, Duration::from_micros(300));
         // Seed one base row per committer so updates have a "before".
         let committers = 6usize;
         let mut oids = Vec::new();
         for c in 0..committers {
             let tx = db.begin();
-            let oid = db
-                .create_object(
-                    &tx,
-                    "Item",
-                    vec![("key", Value::Int(c as i64)), ("val", Value::Int(-1))],
-                )
-                .unwrap();
+            let oid = db.create_object(&tx, "Item", item(c as i64, -1)).unwrap();
             db.commit(tx).unwrap();
             oids.push(oid);
         }
@@ -323,45 +274,38 @@ fn crash_mid_group_commit_recovers_consistently() {
         // are in flight: some see Ok, the leader of the torn batch sees
         // an in-doubt error. Recovery decides each transaction's fate.
         db.install_faults(FaultPlan::new(77).fail_nth(FaultKind::PartialFlush, 1));
-        let barrier = Arc::new(Barrier::new(committers));
-        let handles: Vec<_> = (0..committers)
-            .map(|c| {
-                let db = Arc::clone(&db);
-                let barrier = Arc::clone(&barrier);
-                let oid = oids[c];
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    let tx = db.begin();
-                    db.set(&tx, oid, "val", Value::Int(c as i64 * 100)).unwrap();
-                    db.commit(tx).map_err(|e| format!("{e}"))
-                })
-            })
-            .collect();
-        let outcomes: Vec<Result<(), String>> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let barrier = Barrier::new(committers);
+        let outcomes: Vec<Result<(), String>> = std::thread::scope(|s| {
+            let commit = |c: usize| {
+                barrier.wait();
+                let tx = db.begin();
+                db.set(&tx, oids[c], "val", Value::Int(c as i64 * 100)).unwrap();
+                db.commit(tx).map_err(|e| format!("{e}"))
+            };
+            let handles: Vec<_> = (0..committers).map(|c| s.spawn(move || commit(c))).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
         db.clear_faults();
         db.crash_and_recover().unwrap();
 
         // Model check: a reported-Ok commit MUST be durable; an errored
         // commit is in doubt — either fully applied or fully undone.
         for (c, outcome) in outcomes.iter().enumerate() {
-            let val = read_key(&db, c as i64);
+            let val = probe(&db, c as i64);
             match outcome {
                 Ok(()) => assert_eq!(
                     val,
                     Some(c as i64 * 100),
-                    "{name}: committer {c} reported Ok but its update is missing"
+                    "{medium:?}: committer {c} reported Ok but its update is missing"
                 ),
                 Err(_) => assert!(
                     val == Some(c as i64 * 100) || val == Some(-1),
-                    "{name}: committer {c} left a torn state: {val:?}"
+                    "{medium:?}: committer {c} left a torn state: {val:?}"
                 ),
             }
         }
-        let tx = db.begin();
-        let n = db.query(&tx, "select count(*) from Item i").unwrap();
-        assert_eq!(n.rows[0][0], Value::Int(committers as i64), "{name}: no rows lost or forged");
-        db.commit(tx).unwrap();
+        let live = count(&db, "Item");
+        assert_eq!(live, committers as i64, "{medium:?}: no rows lost or forged");
     }
 }
 
@@ -370,68 +314,53 @@ fn crash_mid_group_commit_recovers_consistently() {
 /// exactly the model-checked state — twice, with writes in between.
 #[test]
 fn filedisk_cold_restart_replays_to_model_state() {
-    let dir = TempDir::new("conf-restart");
+    let db = Medium::Files.item_db();
     let mut model: HashMap<i64, i64> = HashMap::new();
-
-    {
-        let db = item_db_on(StorageSpec::File(dir.path().to_path_buf()), Duration::ZERO);
-        let mut oids = HashMap::new();
-        for k in 0..20i64 {
-            let tx = db.begin();
-            let oid = db
-                .create_object(&tx, "Item", vec![("key", Value::Int(k)), ("val", Value::Int(k))])
-                .unwrap();
-            db.commit(tx).unwrap();
-            oids.insert(k, oid);
-            model.insert(k, k);
-        }
-        // Overwrite some, delete some, roll one back; checkpoint halfway
-        // so replay is checkpoint-LSN-bounded.
-        for k in 0..8i64 {
-            let tx = db.begin();
-            db.set(&tx, oids[&k], "val", Value::Int(k * 11)).unwrap();
-            db.commit(tx).unwrap();
-            model.insert(k, k * 11);
-        }
-        db.checkpoint().unwrap();
-        for k in 16..20i64 {
-            let tx = db.begin();
-            db.delete_object(&tx, oids[&k]).unwrap();
-            db.commit(tx).unwrap();
-            model.remove(&k);
-        }
+    let mut oids = HashMap::new();
+    for k in 0..20i64 {
         let tx = db.begin();
-        db.set(&tx, oids[&0], "val", Value::Int(9999)).unwrap();
-        db.rollback(tx).unwrap();
-    } // drop: the process is gone; only pages.dat + wal.log remain
-
-    let db = Database::open(dir.path()).unwrap();
+        oids.insert(k, db.create_object(&tx, "Item", item(k, k)).unwrap());
+        db.commit(tx).unwrap();
+        model.insert(k, k);
+    }
+    // Overwrite some, delete some, roll one back; checkpoint halfway
+    // so replay is checkpoint-LSN-bounded.
+    for k in 0..8i64 {
+        let tx = db.begin();
+        db.set(&tx, oids[&k], "val", Value::Int(k * 11)).unwrap();
+        db.commit(tx).unwrap();
+        model.insert(k, k * 11);
+    }
+    db.checkpoint().unwrap();
+    for k in 16..20i64 {
+        let tx = db.begin();
+        db.delete_object(&tx, oids[&k]).unwrap();
+        db.commit(tx).unwrap();
+        model.remove(&k);
+    }
     let tx = db.begin();
-    let n = db.query(&tx, "select count(*) from Item i").unwrap();
-    assert_eq!(n.rows[0][0], Value::Int(model.len() as i64), "restart 1: live count");
-    db.commit(tx).unwrap();
+    db.set(&tx, oids[&0], "val", Value::Int(9999)).unwrap();
+    db.rollback(tx).unwrap();
+
+    // The process is gone; only pages.dat + wal.log remain.
+    let db = db.reopen();
+    assert_eq!(count(&db, "Item"), model.len() as i64, "restart 1: live count");
     for (&k, &v) in &model {
-        assert_eq!(read_key(&db, k), Some(v), "restart 1: key {k}");
+        assert_eq!(probe(&db, k), Some(v), "restart 1: key {k}");
     }
 
     // Keep writing on the reopened database, restart again.
     let tx = db.begin();
-    let oid = db
-        .create_object(&tx, "Item", vec![("key", Value::Int(100)), ("val", Value::Int(1))])
-        .unwrap();
+    let oid = db.create_object(&tx, "Item", item(100, 1)).unwrap();
     db.commit(tx).unwrap();
     let tx = db.begin();
     db.set(&tx, oid, "val", Value::Int(2)).unwrap();
     db.commit(tx).unwrap();
     model.insert(100, 2);
-    drop(db);
 
-    let db = Database::open(dir.path()).unwrap();
+    let db = db.reopen();
     for (&k, &v) in &model {
-        assert_eq!(read_key(&db, k), Some(v), "restart 2: key {k}");
+        assert_eq!(probe(&db, k), Some(v), "restart 2: key {k}");
     }
-    let tx = db.begin();
-    let n = db.query(&tx, "select count(*) from Item i").unwrap();
-    assert_eq!(n.rows[0][0], Value::Int(model.len() as i64), "restart 2: live count");
-    db.commit(tx).unwrap();
+    assert_eq!(count(&db, "Item"), model.len() as i64, "restart 2: live count");
 }

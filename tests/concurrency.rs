@@ -1,40 +1,22 @@
 //! Concurrency integration tests: isolation under strict 2PL, deadlock
 //! victim selection with retry, and hierarchy-wide schema locking.
 
+mod common;
+
+use common::{accounts, total_balance, transfers, until_granted, Embedded, Session};
 use orion_oodb::orion::{
-    AttrSpec, Database, DbConfig, DbError, Domain, LockingStrategy, Migration, PrimitiveType,
-    SchemaChange, Value,
+    AttrSpec, Database, DbConfig, Domain, LockingStrategy, Migration, PrimitiveType, SchemaChange,
+    Value,
 };
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-fn account_db(locking: LockingStrategy) -> (Arc<Database>, Vec<orion_oodb::orion::Oid>) {
-    let config = DbConfig {
-        locking,
-        lock_timeout: Duration::from_secs(30),
-        ..DbConfig::default()
-    };
-    let db = Arc::new(Database::with_config(config));
-    db.create_class(
-        "Account",
-        &[],
-        vec![AttrSpec::new("balance", Domain::Primitive(PrimitiveType::Int))],
-    )
-    .unwrap();
-    let tx = db.begin();
-    let accounts: Vec<_> = (0..8)
-        .map(|_| db.create_object(&tx, "Account", vec![("balance", Value::Int(1000))]).unwrap())
-        .collect();
-    db.commit(tx).unwrap();
-    (db, accounts)
-}
 
 /// Transfer money between two accounts, retrying on deadlock — the
 /// canonical serializable workload. Total balance must be conserved.
 #[test]
 fn concurrent_transfers_conserve_total_balance() {
     for locking in [LockingStrategy::Granular, LockingStrategy::CoarseClass] {
-        let (db, accounts) = account_db(locking);
+        let (db, accounts) = accounts(8, locking);
         let threads = 4;
         let transfers_per_thread = 60;
         std::thread::scope(|scope| {
@@ -42,50 +24,13 @@ fn concurrent_transfers_conserve_total_balance() {
                 let db = Arc::clone(&db);
                 let accounts = accounts.clone();
                 scope.spawn(move || {
-                    let mut seed = t as usize * 7 + 3;
-                    for _ in 0..transfers_per_thread {
-                        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                        let from = accounts[seed % accounts.len()];
-                        let to = accounts[(seed / 7 + 1) % accounts.len()];
-                        if from == to {
-                            continue;
-                        }
-                        // Retry loop: deadlock victims abort and rerun.
-                        loop {
-                            let tx = db.begin();
-                            let result = (|| -> Result<(), DbError> {
-                                let b_from =
-                                    db.get(&tx, from, "balance")?.as_int().unwrap();
-                                let b_to = db.get(&tx, to, "balance")?.as_int().unwrap();
-                                db.set(&tx, from, "balance", Value::Int(b_from - 10))?;
-                                db.set(&tx, to, "balance", Value::Int(b_to + 10))?;
-                                Ok(())
-                            })();
-                            match result {
-                                Ok(()) => {
-                                    db.commit(tx).unwrap();
-                                    break;
-                                }
-                                Err(DbError::Deadlock { .. }) | Err(DbError::LockTimeout { .. }) => {
-                                    db.rollback(tx).unwrap();
-                                    // Back off a touch and retry.
-                                    std::thread::sleep(Duration::from_millis(1));
-                                }
-                                Err(other) => panic!("unexpected error: {other}"),
-                            }
-                        }
-                    }
+                    // Deadlock victims abort and rerun.
+                    let s = &mut Embedded::new(&db);
+                    transfers(s, &accounts, t * 7 + 3, transfers_per_thread, 10);
                 });
             }
         });
-
-        let tx = db.begin();
-        let total: i64 = accounts
-            .iter()
-            .map(|a| db.get(&tx, *a, "balance").unwrap().as_int().unwrap())
-            .sum();
-        db.commit(tx).unwrap();
-        assert_eq!(total, 8 * 1000, "conservation under {locking:?}");
+        assert_eq!(total_balance(&db, &accounts), 8 * 1000, "conservation under {locking:?}");
     }
 }
 
@@ -102,12 +47,8 @@ fn disjoint_class_writers_overlap_conflicting_writers_serialize() {
     let config = DbConfig { lock_timeout: Duration::from_secs(30), ..DbConfig::default() };
     let db = Arc::new(Database::with_config(config));
     for class in ["Alpha", "Beta"] {
-        db.create_class(
-            class,
-            &[],
-            vec![AttrSpec::new("n", Domain::Primitive(PrimitiveType::Int))],
-        )
-        .unwrap();
+        let n = AttrSpec::new("n", Domain::Primitive(PrimitiveType::Int));
+        db.create_class(class, &[], vec![n]).unwrap();
     }
     let seed_tx = db.begin();
     let a0 = db.create_object(&seed_tx, "Alpha", vec![("n", Value::Int(0))]).unwrap();
@@ -187,7 +128,7 @@ fn disjoint_class_writers_overlap_conflicting_writers_serialize() {
 /// then see the committed value (no dirty reads).
 #[test]
 fn no_dirty_reads() {
-    let (db, accounts) = account_db(LockingStrategy::Granular);
+    let (db, accounts) = accounts(8, LockingStrategy::Granular);
     let target = accounts[0];
     let writer = db.begin();
     db.set(&writer, target, "balance", Value::Int(777)).unwrap();
@@ -207,7 +148,7 @@ fn no_dirty_reads() {
 /// A writer's effects disappear for others after rollback.
 #[test]
 fn rollback_is_invisible_to_later_readers() {
-    let (db, accounts) = account_db(LockingStrategy::Granular);
+    let (db, accounts) = accounts(8, LockingStrategy::Granular);
     let target = accounts[0];
     let writer = db.begin();
     db.set(&writer, target, "balance", Value::Int(-1)).unwrap();
@@ -223,7 +164,7 @@ fn rollback_is_invisible_to_later_readers() {
 /// the two would deadlock. Hammer rollbacks against blocked writers.
 #[test]
 fn rollbacks_never_deadlock_against_blocked_writers() {
-    let (db, accounts) = account_db(LockingStrategy::Granular);
+    let (db, accounts) = accounts(8, LockingStrategy::Granular);
     let hot = accounts[0];
     std::thread::scope(|scope| {
         // Thread A: repeatedly writes the hot object and rolls back.
@@ -235,19 +176,9 @@ fn rollbacks_never_deadlock_against_blocked_writers() {
                 // the deadlock victim — a legitimate 2PL outcome. The
                 // property under test is that the rollback itself
                 // always completes, so roll back and retry.
-                loop {
-                    let tx = db_a.begin();
-                    match db_a.set(&tx, hot, "balance", Value::Int(i)) {
-                        Ok(()) => {
-                            db_a.rollback(tx).unwrap();
-                            break;
-                        }
-                        Err(DbError::Deadlock { .. }) | Err(DbError::LockTimeout { .. }) => {
-                            db_a.rollback(tx).unwrap();
-                        }
-                        Err(other) => panic!("unexpected error: {other}"),
-                    }
-                }
+                let s = &mut Embedded::new(&db_a);
+                until_granted(s, |s| s.set(hot, "balance", Value::Int(i)));
+                s.rollback().unwrap();
             }
         });
         // Threads B, C: contend on the same hot object (their lock
@@ -255,25 +186,14 @@ fn rollbacks_never_deadlock_against_blocked_writers() {
         // take catalog read guards).
         for t in 0..2 {
             let db_b = Arc::clone(&db);
-            let accounts = accounts.clone();
             scope.spawn(move || {
                 for i in 0..100 {
-                    loop {
-                        let tx = db_b.begin();
-                        let r = db_b
-                            .set(&tx, hot, "balance", Value::Int(1000 + t * 100 + i))
-                            .and_then(|()| {
-                                db_b.query(&tx, "select count(*) from Account a").map(|_| ())
-                            });
-                        match r {
-                            Ok(()) => {
-                                db_b.commit(tx).unwrap();
-                                break;
-                            }
-                            Err(_) => db_b.rollback(tx).unwrap(),
-                        }
-                    }
-                    let _ = accounts.len();
+                    let s = &mut Embedded::new(&db_b);
+                    until_granted(s, |s| {
+                        s.set(hot, "balance", Value::Int(1000 + t * 100 + i))?;
+                        s.query("select count(*) from Account a").map(drop)
+                    });
+                    s.commit().unwrap();
                 }
             });
         }
@@ -299,12 +219,8 @@ fn stress_many_writers_across_classes_stay_consistent() {
     let mut seeds = Vec::new();
     for c in 0..classes {
         let name = format!("Stress{c}");
-        db.create_class(
-            &name,
-            &[],
-            vec![AttrSpec::new("n", Domain::Primitive(PrimitiveType::Int))],
-        )
-        .unwrap();
+        let n = AttrSpec::new("n", Domain::Primitive(PrimitiveType::Int));
+        db.create_class(&name, &[], vec![n]).unwrap();
         let tx = db.begin();
         let oid = db.create_object(&tx, &name, vec![("n", Value::Int(0))]).unwrap();
         db.commit(tx).unwrap();
@@ -317,44 +233,22 @@ fn stress_many_writers_across_classes_stay_consistent() {
                 let class_name = format!("Stress{c}");
                 scope.spawn(move || {
                     for i in 0..ops_per_writer {
-                        loop {
-                            let tx = db.begin();
-                            let result = (|| -> Result<(), DbError> {
-                                // Mix: bump the hot object, insert a
-                                // fresh one, read back, sometimes query.
-                                let v = db.get(&tx, hot, "n")?.as_int().unwrap();
-                                db.set(&tx, hot, "n", Value::Int(v + 1))?;
-                                db.create_object(
-                                    &tx,
-                                    &class_name,
-                                    vec![("n", Value::Int((w * ops_per_writer + i) as i64))],
-                                )?;
-                                if i % 16 == 0 {
-                                    db.query(
-                                        &tx,
-                                        &format!("select count(*) from {class_name} s"),
-                                    )?;
-                                }
-                                Ok(())
-                            })();
-                            match result {
-                                Ok(()) if i % 13 == 5 => {
-                                    // Sporadic rollback exercises the
-                                    // exclusive gate against live DML.
-                                    db.rollback(tx).unwrap();
-                                    break;
-                                }
-                                Ok(()) => {
-                                    db.commit(tx).unwrap();
-                                    break;
-                                }
-                                Err(DbError::Deadlock { .. })
-                                | Err(DbError::LockTimeout { .. }) => {
-                                    db.rollback(tx).unwrap();
-                                }
-                                Err(other) => panic!("unexpected error: {other}"),
+                        let s = &mut Embedded::new(&db);
+                        until_granted(s, |s| {
+                            // Mix: bump the hot object, insert a fresh
+                            // one, read back, sometimes query.
+                            let v = s.get(hot, "n")?.as_int().unwrap();
+                            s.set(hot, "n", Value::Int(v + 1))?;
+                            let n = Value::Int((w * ops_per_writer + i) as i64);
+                            s.create(&class_name, vec![("n", n)])?;
+                            if i % 16 == 0 {
+                                s.query(&format!("select count(*) from {class_name} s"))?;
                             }
-                        }
+                            Ok(())
+                        });
+                        // Sporadic rollback exercises the exclusive gate
+                        // against live DML.
+                        if i % 13 == 5 { s.rollback() } else { s.commit() }.unwrap();
                     }
                 });
             }
