@@ -752,10 +752,11 @@ fn e9(g: &mut Gates) {
          txn per object {per_locks} lock acquisitions, {per_log} log records"
     );
     // One sweep locks each member once (its reads re-request covered
-    // modes); one begin/commit replaces one per member.
+    // modes). Neither shape writes, so neither appends a log record.
     let members = members.len() as f64;
     g.check("e9.composite_lock.locks_per_member", one_locks as f64 / members, Cmp::AtMost, 6.0);
-    g.check("e9.composite_lock.log_records", one_log as f64, Cmp::Below, per_log as f64);
+    g.check("e9.composite_lock.log_records", one_log as f64, Cmp::AtMost, 0.0);
+    g.check("e9.txn_per_object.log_records", per_log as f64, Cmp::AtMost, 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,16 +24,16 @@
 //!
 //! A fourth phase closes ROADMAP gap (d), request overhead: the same
 //! autocommit `Get` embedded, over a socket one at a time, and through
-//! `Client::pipeline()` eight deep, with the event-loop wakeups and
-//! executor turns each request cost. It lands as `"request_overhead"`,
-//! gated on the two counts, which hold on any host.
+//! `Client::pipeline()` eight deep, with the event-loop wakeups,
+//! executor turns and log writes each request cost. It lands as
+//! `"request_overhead"`, gated on those counts, which hold on any host.
 //!
 //! The binary checks every gate itself and exits nonzero on a breach.
 //! `--smoke` shrinks the workload to a ~3 second CI sanity run (the
 //! connection crowd stays at full size so its gates stay meaningful).
 
 use orion_bench::{fleet, Cmp, Gates};
-use orion_core::{AttrSpec, Database, DbConfig, Domain, NetStats, PrimitiveType, Value};
+use orion_core::{AttrSpec, Database, DbConfig, Domain, NetStats, PrimitiveType, Value, WalStats};
 use orion_net::{Client, Request, Response, Server, ServerConfig};
 use orion_shard::{ExplicitPlacement, RouterConfig, ShardRouter};
 use std::sync::Arc;
@@ -265,25 +265,31 @@ fn request_overhead_section(smoke: bool, gates: &mut Gates) -> String {
     let requests = if smoke { 4_000 } else { 40_000 };
 
     let (db, oid) = kv_db();
+    // WAL appends, flushes and fsyncs per request since `b`.
+    let wal_since = |b: WalStats| {
+        let a = db.stats().wal;
+        [a.appends - b.appends, a.flushes - b.flushes, a.fsyncs - b.fsyncs]
+            .map(|n| n as f64 / requests as f64)
+    };
 
-    let embedded = {
-        let started = Instant::now();
+    let (embedded, embedded_wal) = {
+        let (started, wal_before) = (Instant::now(), db.stats().wal);
         for _ in 0..requests {
             let tx = db.begin();
             assert_eq!(db.get(&tx, oid, "v").expect("get"), Value::Int(7));
             db.commit(tx).expect("commit");
         }
-        started.elapsed()
+        (started.elapsed(), wal_since(wal_before))
     };
 
     let server =
         Server::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     client.ping().expect("warm");
-    // (elapsed, wakeups per request, executor turns per request) of
-    // whatever `run` sends, from the server's own counters.
+    // (elapsed, and wakeups, executor turns and WAL counts per request)
+    // of whatever `run` sends, from the server's own counters.
     let mut measure = |run: &mut dyn FnMut(&mut Client)| {
-        let before = db.stats().net;
+        let (before, wal_before) = (db.stats().net, db.stats().wal);
         let started = Instant::now();
         run(&mut client);
         let elapsed = started.elapsed();
@@ -294,14 +300,15 @@ fn request_overhead_section(smoke: bool, gates: &mut Gates) -> String {
             elapsed,
             (after.readiness_wakeups - before.readiness_wakeups) as f64 / served as f64,
             (after.executor_turns - before.executor_turns) as f64 / served as f64,
+            wal_since(wal_before),
         )
     };
-    let (depth1, depth1_wakeups, depth1_turns) = measure(&mut |client| {
+    let (depth1, depth1_wakeups, depth1_turns, depth1_wal) = measure(&mut |client| {
         for _ in 0..requests {
             assert_eq!(client.get(oid, "v").expect("get"), Value::Int(7));
         }
     });
-    let (depth8, depth8_wakeups, depth8_turns) = measure(&mut |client| {
+    let (depth8, depth8_wakeups, depth8_turns, depth8_wal) = measure(&mut |client| {
         let get = Request::Get { oid, attr: "v".into() };
         let mut pipe = client.pipeline().expect("pipeline");
         for _ in 0..requests {
@@ -331,6 +338,14 @@ fn request_overhead_section(smoke: bool, gates: &mut Gates) -> String {
     gates.check("request_overhead.depth1_wakeups_per_request", depth1_wakeups, Cmp::AtMost, 1.1);
     gates.check("request_overhead.depth8_wakeups_per_request", depth8_wakeups, Cmp::AtMost, 0.6);
     gates.check("request_overhead.depth8_turns_per_request", depth8_turns, Cmp::AtMost, 0.6);
+    // Each `get` is a transaction that only reads, and logs nothing.
+    let lanes = [("embedded", embedded_wal), ("depth1", depth1_wal), ("depth8", depth8_wal)];
+    for (lane, counts) in lanes {
+        for (count, per_get) in ["appends", "flushes", "fsyncs"].into_iter().zip(counts) {
+            let name = format!("request_overhead.{lane}_wal_{count}_per_get");
+            gates.check(&name, per_get, Cmp::AtMost, 0.0);
+        }
+    }
     format!(
         "{{\n    \"requests\": {requests},\n    \"pipeline_depth\": {DEPTH},\n    \
          \"embedded_ns_per_request\": {:.0},\n    \"depth1_ns_per_request\": {:.0},\n    \

@@ -213,9 +213,10 @@ impl DbConfigBuilder {
     }
 }
 
-/// A transaction handle. Cheap to clone; all state lives in the engine
-/// and lock manager under the transaction's id.
-#[derive(Debug, Clone)]
+/// A transaction handle. All state lives in the engine and lock manager
+/// under the transaction's id. Not `Clone`: `commit` and `rollback`
+/// consume the only handle, so a finished one cannot write again.
+#[derive(Debug)]
 pub struct Tx {
     pub(crate) storage: TxnId,
     pub(crate) subject: Option<String>,
@@ -452,7 +453,8 @@ impl Database {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Begin a transaction with no subject (system authority).
+    /// Begin a transaction with no subject (system authority). Nothing is
+    /// logged until it writes.
     pub fn begin(&self) -> Tx {
         Tx { storage: self.engine.begin(), subject: None }
     }
@@ -462,7 +464,8 @@ impl Database {
         Tx { storage: self.engine.begin(), subject: Some(subject.to_owned()) }
     }
 
-    /// Commit: force the log, then release locks (strict 2PL).
+    /// Commit: force the log, if the transaction wrote, then release
+    /// locks (strict 2PL).
     ///
     /// Locks are released even when the log force fails (an injected
     /// partial flush leaves the commit in doubt) — the transaction is
@@ -489,8 +492,8 @@ impl Database {
 
     /// Roll back: undo storage, revert the derived state of every
     /// object the transaction wrote, release locks. Costs what the
-    /// transaction did, under the shared gate: other sessions keep
-    /// running, and their cached objects stay warm.
+    /// transaction did (nothing logged if it wrote nothing), under the
+    /// shared gate: other sessions keep running with warm caches.
     ///
     /// Locks are released even when the undo fails mid-way (an injected
     /// fault): the transaction cannot continue, and the caller is
@@ -641,7 +644,7 @@ impl Database {
         Ok(())
     }
 
-    /// Quiescent checkpoint (no active transactions).
+    /// Quiescent checkpoint; fails while a transaction that wrote or prepared is open.
     pub fn checkpoint(&self) -> DbResult<()> {
         self.engine.checkpoint()
     }

@@ -346,7 +346,7 @@ mod tests {
         let disk = Arc::new(PageDevice::new());
         let pool = BufferPool::new(Arc::clone(&disk), 1, Some(Arc::clone(&wal)));
         let pid = pool.allocate_slotted().unwrap();
-        let lsn = wal.append(&crate::wal::LogRecord::Begin { txn: 1 });
+        let lsn = wal.append(&crate::wal::LogRecord::Prepare { txn: 1 });
         pool.with_page_mut(pid, |p| slotted::set_page_lsn(p, lsn.0)).unwrap();
         assert_eq!(wal.stable_len(), 0);
         // Loading another page evicts pid, which must first force the WAL.

@@ -143,13 +143,16 @@ pub struct StorageEngine {
     pool: Arc<BufferPool>,
     wal: Arc<Wal>,
     heap: Mutex<HeapFile>,
-    /// Every transaction from `begin` until its `Commit` or `Abort`
-    /// record is appended, prepared 2PC participants included (restart
-    /// rebuilds those from `Prepare` records without an outcome). Only a
-    /// checkpoint holds this lock across a flush: from its emptiness
-    /// check through its record.
+    /// Every transaction from just before its first record (an operation
+    /// or its `Prepare`) until its `Commit` or `Abort` record is appended,
+    /// prepared 2PC participants included (restart rebuilds those from
+    /// `Prepare` records without an outcome). Only a checkpoint holds this
+    /// lock across a flush: from its emptiness check through its record.
     txns: Mutex<HashMap<u64, TxnState>>,
     next_txn: AtomicU64,
+    /// Ids below this were issued before the last recovery's crash. The
+    /// table's lock orders it: recovery stores it before taking the lock.
+    first_live: AtomicU64,
     /// Counts of every fault fired by any plan installed over this
     /// engine: each injector counts into it.
     faults: Arc<FaultMetrics>,
@@ -180,6 +183,7 @@ impl StorageEngine {
             heap: Mutex::new(HeapFile::new()),
             txns: Mutex::new(HashMap::new()),
             next_txn: AtomicU64::new(1),
+            first_live: AtomicU64::new(1),
             faults: Arc::default(),
             recovery: RecoveryMetrics::default(),
         })
@@ -232,12 +236,30 @@ impl StorageEngine {
     // Transactions
     // ------------------------------------------------------------------
 
-    /// Begin a transaction.
+    /// Begin a transaction: issue its id, logging nothing. It enters the
+    /// table with its first write or its `Prepare`.
     pub fn begin(&self) -> TxnId {
-        let id = self.next_txn.fetch_add(1, Ordering::Relaxed);
-        self.wal.append(&LogRecord::Begin { txn: id });
-        self.txns.lock().insert(id, TxnState::default());
-        TxnId(id)
+        TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Was `txn` issued since the last recovery?
+    fn issued(&self, txn: TxnId) -> bool {
+        (self.first_live.load(Ordering::Relaxed)..self.next_txn.load(Ordering::Relaxed))
+            .contains(&txn.0)
+    }
+
+    /// Enter `txn` in the table before its first record is appended, so a
+    /// checkpoint either sees it or has logged its own record first.
+    fn enter(&self, txn: TxnId) -> DbResult<()> {
+        let mut txns = self.txns.lock();
+        match txns.get(&txn.0) {
+            Some(state) if state.phase == Phase::Active => Ok(()),
+            None if self.issued(txn) => {
+                txns.insert(txn.0, TxnState::default());
+                Ok(())
+            }
+            _ => Err(not_active(txn)),
+        }
     }
 
     fn record_op(&self, txn: TxnId, lsn: Lsn, undo: ClrAction) -> DbResult<()> {
@@ -265,24 +287,30 @@ impl StorageEngine {
         Ok(Some(TxnState { phase: Phase::Undoing, ops: std::mem::take(&mut state.ops) }))
     }
 
-    /// Commit: force the log through the commit record.
+    /// Commit: force the log through the commit record, if `txn` wrote.
     ///
     /// An error from the force (e.g. an injected partial flush) leaves
     /// the commit *in doubt*: the record may or may not be stable. The
     /// transaction is over either way — crash-and-recover resolves the
     /// outcome atomically (all of it or none of it).
     pub fn commit(&self, txn: TxnId) -> DbResult<()> {
-        self.leave(txn, Phase::Active, true)?.ok_or_else(|| not_active(txn))?;
-        self.wal.commit_flush()
+        match self.leave(txn, Phase::Active, true)? {
+            Some(_) => self.wal.commit_flush(),
+            None if self.issued(txn) => Ok(()),
+            None => Err(not_active(txn)),
+        }
     }
 
     /// Roll back every operation of `txn`, logging compensation records,
     /// then mark the transaction aborted. Returns the logical records
     /// the rollback put back — what the transaction had updated or
-    /// deleted, as it was before.
+    /// deleted, as it was before. One that wrote nothing logs nothing.
     pub fn abort(&self, txn: TxnId) -> DbResult<Records> {
-        let state = self.leave(txn, Phase::Active, false)?.ok_or_else(|| not_active(txn))?;
-        self.roll_back(txn, state)
+        match self.leave(txn, Phase::Active, false)? {
+            Some(state) => self.roll_back(txn, state),
+            None if self.issued(txn) => Ok(Records::new()),
+            None => Err(not_active(txn)),
+        }
     }
 
     /// Log `state`'s compensations and `Abort`, drop `txn` from the table
@@ -325,9 +353,7 @@ impl StorageEngine {
     /// followed by the rollback's `Abort` record is resolved as aborted
     /// by recovery.
     pub fn prepare(&self, txn: TxnId) -> DbResult<()> {
-        if self.txns.lock().get(&txn.0).is_none_or(|state| state.phase != Phase::Active) {
-            return Err(not_active(txn));
-        }
+        self.enter(txn)?;
         self.wal.append(&LogRecord::Prepare { txn: txn.0 });
         self.wal.commit_flush()?;
         self.txns.lock().entry(txn.0).and_modify(|state| state.phase = Phase::Prepared);
@@ -580,6 +606,7 @@ impl StorageEngine {
                 Self::MAX_LOGICAL_RECORD
             )));
         }
+        self.enter(txn)?;
         if bytes.len() < slotted::MAX_RECORD {
             return self.insert_raw(txn, &Self::encode_whole(bytes), hint);
         }
@@ -666,6 +693,7 @@ impl StorageEngine {
     /// Update a record. Small-to-small updates try in place; everything
     /// else re-chains (delete + insert). Returns the (possibly new) rid.
     pub fn update(&self, txn: TxnId, rid: Rid, bytes: &[u8]) -> DbResult<Rid> {
+        self.enter(txn)?;
         let before_raw = self.read_raw(rid)?;
         let (tag, _, _) = Self::parse_raw(&before_raw)?;
         if tag == Self::TAG_WHOLE && bytes.len() < slotted::MAX_RECORD {
@@ -692,6 +720,7 @@ impl StorageEngine {
 
     /// Delete a record (and its whole overflow chain).
     pub fn delete(&self, txn: TxnId, rid: Rid) -> DbResult<()> {
+        self.enter(txn)?;
         for seg in self.chain_rids(rid)? {
             self.delete_raw(txn, seg)?;
         }
@@ -731,9 +760,9 @@ impl StorageEngine {
 
     /// Quiescent checkpoint: flush every dirty page, then log and force a
     /// checkpoint record. Restart recovery starts scanning here. Fails if
-    /// any transaction is active or prepared, whose operations must stay
-    /// in the recovery scan; the table stays locked through the record,
-    /// so a `begin` waits and nothing is logged between check and record.
+    /// a transaction that has logged is active or prepared (one that has
+    /// only read is not in the table); the table stays locked through the
+    /// record, so a first write waits and nothing is logged in between.
     pub fn checkpoint(&self) -> DbResult<()> {
         let txns = self.txns.lock();
         if !txns.is_empty() {
@@ -796,23 +825,11 @@ impl StorageEngine {
         self.recovery.log_read.observe(read - start);
 
         // Seed the transaction-id allocator past every id the log has
-        // ever seen, so a cold-started process never reuses one.
-        let max_txn = records
-            .iter()
-            .map(|(_, r)| match r {
-                LogRecord::Begin { txn }
-                | LogRecord::Commit { txn }
-                | LogRecord::Abort { txn }
-                | LogRecord::Prepare { txn }
-                | LogRecord::Insert { txn, .. }
-                | LogRecord::Update { txn, .. }
-                | LogRecord::Delete { txn, .. }
-                | LogRecord::Clr { txn, .. } => *txn,
-                LogRecord::Checkpoint | LogRecord::Pad => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        self.next_txn.fetch_max(max_txn + 1, Ordering::Relaxed);
+        // ever seen, so a cold-started process never reuses one, and
+        // retire every id issued before the crash.
+        let max_txn = records.iter().filter_map(|(_, r)| r.txn()).max().unwrap_or(0);
+        let next = self.next_txn.fetch_max(max_txn + 1, Ordering::Relaxed).max(max_txn + 1);
+        self.first_live.store(next, Ordering::Relaxed);
 
         // --- Scrub: detect and repair rotted pages before touching them.
         let mut repaired = false;
@@ -844,48 +861,21 @@ impl StorageEngine {
         };
         let tail = &records[start..];
 
-        // --- Analysis ---
-        let mut committed: HashSet<u64> = HashSet::new();
-        let mut aborted: HashSet<u64> = HashSet::new();
-        let mut prepared: HashSet<u64> = HashSet::new();
-        let mut compensated: HashMap<u64, HashSet<u64>> = HashMap::new();
-        let mut ops: HashMap<u64, Vec<(Lsn, ClrAction)>> = HashMap::new();
+        // --- Analysis and redo, in one pass over the tail. History repeats,
+        // committed or not, and the transaction table is rebuilt as it
+        // stood at the crash: as online, a transaction enters with its
+        // first record and leaves with its Commit or Abort. An LSN names
+        // one record, so one set holds every compensated operation.
+        let mut table: HashMap<u64, TxnState> = HashMap::new();
+        let mut compensated: HashSet<u64> = HashSet::new();
         for (lsn, rec) in tail {
-            match rec {
-                LogRecord::Commit { txn } => {
-                    committed.insert(*txn);
-                }
-                LogRecord::Abort { txn } => {
-                    aborted.insert(*txn);
-                }
-                LogRecord::Prepare { txn } => {
-                    prepared.insert(*txn);
-                }
-                LogRecord::Clr { txn, compensates, .. } => {
-                    compensated.entry(*txn).or_default().insert(*compensates);
-                }
-                LogRecord::Insert { txn, rid, .. } => {
-                    ops.entry(*txn).or_default().push((*lsn, ClrAction::Remove { rid: *rid }));
-                }
-                LogRecord::Update { txn, rid, before, .. } => ops
-                    .entry(*txn)
-                    .or_default()
-                    .push((*lsn, ClrAction::Overwrite { rid: *rid, bytes: before.clone() })),
-                LogRecord::Delete { txn, rid, before } => ops
-                    .entry(*txn)
-                    .or_default()
-                    .push((*lsn, ClrAction::ReInsert { rid: *rid, bytes: before.clone() })),
-                LogRecord::Begin { .. } | LogRecord::Checkpoint | LogRecord::Pad => {}
-            }
-        }
-
-        // --- Redo (history repeats, committed or not) ---
-        for (lsn, rec) in tail {
-            match rec {
+            let Some(txn) = rec.txn() else { continue };
+            let undo = match rec {
                 LogRecord::Insert { rid, bytes, .. } => {
                     self.redo_apply(*lsn, *rid, |page| slotted::insert_at(page, rid.slot, bytes))?;
+                    ClrAction::Remove { rid: *rid }
                 }
-                LogRecord::Update { rid, after, .. } => {
+                LogRecord::Update { rid, before, after, .. } => {
                     self.redo_apply(*lsn, *rid, |page| {
                         if !slotted::update(page, rid.slot, after) {
                             slotted::delete(page, rid.slot);
@@ -893,49 +883,47 @@ impl StorageEngine {
                         }
                         Ok(())
                     })?;
+                    ClrAction::Overwrite { rid: *rid, bytes: before.clone() }
                 }
-                LogRecord::Delete { rid, .. } => {
+                LogRecord::Delete { rid, before, .. } => {
                     self.redo_apply(*lsn, *rid, |page| {
                         slotted::delete(page, rid.slot);
                         Ok(())
                     })?;
+                    ClrAction::ReInsert { rid: *rid, bytes: before.clone() }
                 }
-                LogRecord::Clr { action, .. } => {
+                LogRecord::Clr { compensates, action, .. } => {
                     self.redo_apply(*lsn, clr_rid(action), |page| apply_to_page(action, page))?;
+                    compensated.insert(*compensates);
+                    continue;
                 }
-                _ => {}
-            }
+                LogRecord::Prepare { .. } => {
+                    table.entry(txn).or_default().phase = Phase::Prepared;
+                    continue;
+                }
+                // Commit or Abort.
+                _ => {
+                    table.remove(&txn);
+                    continue;
+                }
+            };
+            table.entry(txn).or_default().ops.push((*lsn, undo));
         }
 
-        // --- Settle the undecided (no Commit, no Abort in the scan) ---
+        // --- Settle the undecided (still in the table) ---
         // What is left to undo is the same for both kinds: the logged
         // operations minus those a crash-interrupted rollback already
         // compensated. A forced Prepare record means the coordinator
         // owns the outcome, so the transaction is reinstated as *in
         // doubt* with that undo state and a later decision can settle it
         // either way; every other one is a loser and is undone now.
-        let mut undecided: Vec<u64> = ops
-            .keys()
-            .chain(&prepared)
-            .filter(|t| !committed.contains(t) && !aborted.contains(t))
-            .copied()
-            .collect();
-        undecided.sort_unstable();
-        undecided.dedup();
-        let mut in_doubt = HashMap::new();
-        let mut losers = Vec::new();
-        for txn in undecided {
-            let mut state = TxnState { ops: ops.remove(&txn).unwrap_or_default(), ..Default::default() };
-            if let Some(done) = compensated.get(&txn) {
-                state.ops.retain(|(lsn, _)| !done.contains(&lsn.0));
-            }
-            if prepared.contains(&txn) {
-                state.phase = Phase::Prepared;
-                in_doubt.insert(txn, state);
-            } else {
-                losers.push((txn, state));
-            }
+        for state in table.values_mut() {
+            state.ops.retain(|(lsn, _)| !compensated.contains(&lsn.0));
         }
+        let (in_doubt, losers): (HashMap<_, _>, HashMap<_, _>) =
+            table.into_iter().partition(|(_, state)| state.phase == Phase::Prepared);
+        let mut losers: Vec<_> = losers.into_iter().collect();
+        losers.sort_unstable_by_key(|&(txn, _)| txn);
         *self.txns.lock() = in_doubt;
         for (txn, state) in &losers {
             self.undo(TxnId(*txn), state)?;
@@ -962,13 +950,15 @@ impl StorageEngine {
     /// order, repeating the page's history; one whose effect reached the
     /// page just before its stamp (a concurrent writer's) re-executes
     /// harmlessly, since `insert_at`/`update`/`delete` tolerate that.
+    /// An unstamped page is at LSN 0 too, so the log's first record (LSN
+    /// 0) is redone on a page at 0: harmlessly, if the page held it.
     fn redo_apply(
         &self,
         lsn: Lsn,
         rid: Rid,
         apply: impl FnOnce(&mut [u8]) -> DbResult<()>,
     ) -> DbResult<()> {
-        if self.pool.with_page(rid.page, slotted::page_lsn)? >= lsn.0 {
+        if self.pool.with_page(rid.page, slotted::page_lsn)? >= lsn.0.max(1) {
             self.recovery.records_skipped.inc();
             return Ok(());
         }
@@ -1044,6 +1034,10 @@ mod tests {
         let txn = engine.begin();
         let rid = engine.insert(txn, b"durable", None).unwrap();
         engine.commit(txn).unwrap();
+        // The insert is the log's first record: LSN 0, the page LSN of
+        // a page nothing has stamped.
+        let first = &engine.wal().stable_records().unwrap()[0];
+        assert!(matches!(first, (Lsn(0), LogRecord::Insert { .. })));
         engine.crash();
         engine.recover().unwrap();
         assert_eq!(engine.read(rid).unwrap(), b"durable");
@@ -1163,9 +1157,37 @@ mod tests {
     fn checkpoint_refuses_active_txns() {
         let engine = StorageEngine::new(4);
         let t = engine.begin();
+        engine.checkpoint().unwrap();
+        engine.insert(t, b"w", None).unwrap();
         assert!(engine.checkpoint().is_err());
         engine.commit(t).unwrap();
         engine.checkpoint().unwrap();
+    }
+
+    #[test]
+    fn a_txn_that_wrote_nothing_finishes_without_logging() {
+        let engine = StorageEngine::new(4);
+        let (committed, aborted) = (engine.begin(), engine.begin());
+        let before = engine.wal().stats();
+        engine.commit(committed).unwrap();
+        assert_eq!(engine.abort(aborted).unwrap(), Records::new());
+        let after = engine.wal().stats();
+        assert_eq!(after.appends - before.appends, 0);
+        assert_eq!(after.flushes - before.flushes, 0);
+        assert_eq!(after.fsyncs - before.fsyncs, 0);
+    }
+
+    #[test]
+    fn ids_issued_before_a_crash_are_refused_after_it() {
+        let engine = StorageEngine::new(4);
+        let (wrote, idle) = (engine.begin(), engine.begin());
+        engine.insert(wrote, b"lost", None).unwrap();
+        engine.crash();
+        engine.recover().unwrap();
+        assert!(engine.commit(wrote).is_err(), "recovery undid its write");
+        assert!(engine.abort(idle).is_err());
+        assert!(engine.insert(idle, b"x", None).is_err());
+        engine.commit(engine.begin()).unwrap();
     }
 
     #[test]
@@ -1323,6 +1345,15 @@ mod tests {
         assert!(engine.insert(ghost, b"x", None).is_err());
         assert!(engine.commit(ghost).is_err());
         assert!(engine.abort(ghost).is_err());
+        assert!(engine.prepare(ghost).is_err());
+        // A write enters the table before it changes a page or logs, so
+        // a refused one leaves neither.
+        assert_eq!((engine.wal().stats().appends, engine.disk().page_count()), (0, 0));
+        // A prepared transaction is in the table, and writes no more.
+        let prepared = engine.begin();
+        engine.insert(prepared, b"x", None).unwrap();
+        engine.prepare(prepared).unwrap();
+        assert!(engine.insert(prepared, b"y", None).is_err());
     }
 
     use crate::fault::{FaultKind, FaultPlan};
@@ -1464,6 +1495,7 @@ mod tests {
 
         // An *active* transaction rejects phase-two verbs outright.
         let t2 = engine.begin();
+        engine.insert(t2, b"y", None).unwrap();
         assert!(engine.commit_prepared(t2).is_err());
         assert!(engine.abort_prepared(t2).is_err());
         engine.commit(t2).unwrap();

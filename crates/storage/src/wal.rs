@@ -75,11 +75,6 @@ pub enum ClrAction {
 /// A write-ahead log record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LogRecord {
-    /// Transaction start.
-    Begin {
-        /// Transaction id.
-        txn: u64,
-    },
     /// A record was inserted.
     Insert {
         /// Transaction id.
@@ -153,8 +148,7 @@ impl LogRecord {
     /// The transaction this record belongs to, if any.
     pub fn txn(&self) -> Option<u64> {
         match self {
-            LogRecord::Begin { txn }
-            | LogRecord::Insert { txn, .. }
+            LogRecord::Insert { txn, .. }
             | LogRecord::Update { txn, .. }
             | LogRecord::Delete { txn, .. }
             | LogRecord::Commit { txn }
@@ -179,7 +173,7 @@ fn get_image(buf: &mut &[u8]) -> DbResult<Vec<u8>> {
     get_bytes(buf).map(<[u8]>::to_vec)
 }
 
-const T_BEGIN: u8 = 1;
+// Tag 1 is unused: no record marks a transaction's start.
 const T_INSERT: u8 = 2;
 const T_UPDATE: u8 = 3;
 const T_DELETE: u8 = 4;
@@ -196,10 +190,6 @@ const A_REMOVE: u8 = 3;
 fn encode(rec: &LogRecord) -> Vec<u8> {
     let mut body = Vec::with_capacity(32);
     match rec {
-        LogRecord::Begin { txn } => {
-            body.put_u8(T_BEGIN);
-            body.put_u64_le(*txn);
-        }
         LogRecord::Insert { txn, rid, bytes } => {
             body.put_u8(T_INSERT);
             body.put_u64_le(*txn);
@@ -275,7 +265,6 @@ fn decode(mut body: &[u8]) -> DbResult<LogRecord> {
 
 fn decode_tagged(buf: &mut &[u8]) -> DbResult<LogRecord> {
     Ok(match get_u8(buf)? {
-        T_BEGIN => LogRecord::Begin { txn: get_u64(buf)? },
         T_INSERT => {
             LogRecord::Insert { txn: get_u64(buf)?, rid: get_rid(buf)?, bytes: get_image(buf)? }
         }
@@ -671,7 +660,6 @@ mod tests {
     #[test]
     fn encode_decode_all_variants() {
         let records = vec![
-            LogRecord::Begin { txn: 1 },
             LogRecord::Insert { txn: 1, rid: rid(2, 3), bytes: b"abc".to_vec() },
             LogRecord::Update {
                 txn: 1,
@@ -709,19 +697,19 @@ mod tests {
     #[test]
     fn crash_loses_unflushed_tail_only() {
         let wal = Wal::new();
-        wal.append(&LogRecord::Begin { txn: 1 });
+        wal.append(&LogRecord::Prepare { txn: 1 });
         wal.flush().unwrap();
         wal.append(&LogRecord::Commit { txn: 1 });
         wal.crash();
         let recs = wal.stable_records().unwrap();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].1, LogRecord::Begin { txn: 1 });
+        assert_eq!(recs[0].1, LogRecord::Prepare { txn: 1 });
     }
 
     #[test]
     fn flush_to_honors_write_ahead_rule() {
         let wal = Wal::new();
-        let l1 = wal.append(&LogRecord::Begin { txn: 1 });
+        let l1 = wal.append(&LogRecord::Prepare { txn: 1 });
         wal.flush().unwrap();
         let l2 = wal.append(&LogRecord::Commit { txn: 1 });
         // l1 already stable: no-op.
@@ -734,7 +722,7 @@ mod tests {
 
     #[test]
     fn txn_accessor() {
-        assert_eq!(LogRecord::Begin { txn: 7 }.txn(), Some(7));
+        assert_eq!(LogRecord::Prepare { txn: 7 }.txn(), Some(7));
         assert_eq!(LogRecord::Checkpoint.txn(), None);
         assert_eq!(LogRecord::Pad.txn(), None);
     }
@@ -744,7 +732,7 @@ mod tests {
         let wal = Wal::new();
         wal.flush().unwrap(); // empty: not counted
         assert_eq!(wal.stats().flushes, 0);
-        wal.append(&LogRecord::Begin { txn: 1 });
+        wal.append(&LogRecord::Prepare { txn: 1 });
         wal.append(&LogRecord::Commit { txn: 1 });
         wal.flush().unwrap();
         wal.flush().unwrap(); // empty again: not counted
@@ -758,7 +746,7 @@ mod tests {
     /// Force a partial flush cutting inside the last record, then crash.
     fn torn_wal() -> (Wal, Lsn) {
         let wal = Wal::new();
-        wal.append(&LogRecord::Begin { txn: 1 });
+        wal.append(&LogRecord::Prepare { txn: 1 });
         wal.flush().unwrap();
         let commit_lsn = wal.append(&LogRecord::Commit { txn: 1 });
         let inj =
@@ -775,7 +763,7 @@ mod tests {
         let (wal, commit_lsn) = torn_wal();
         let recs = wal.stable_records().unwrap();
         // The half-flushed commit record is gone; a pad fills its bytes.
-        assert_eq!(recs[0].1, LogRecord::Begin { txn: 1 });
+        assert_eq!(recs[0].1, LogRecord::Prepare { txn: 1 });
         assert!(
             recs[1..].iter().all(|(_, r)| *r == LogRecord::Pad),
             "only padding after the survivor: {recs:?}"
@@ -783,7 +771,7 @@ mod tests {
         assert_eq!(wal.stats().torn_tail_truncations, 1);
         // LSN monotonicity: the next append lands at or after the dead
         // commit record's offset, never inside the truncated range.
-        let next = wal.append(&LogRecord::Begin { txn: 2 });
+        let next = wal.append(&LogRecord::Prepare { txn: 2 });
         assert!(next >= commit_lsn, "LSNs never reuse truncated offsets");
         // Truncation is sticky: a second read reports the same log.
         let again = wal.stable_records().unwrap();
@@ -793,7 +781,7 @@ mod tests {
     #[test]
     fn partial_flush_heals_on_next_flush() {
         let wal = Wal::new();
-        wal.append(&LogRecord::Begin { txn: 1 });
+        wal.append(&LogRecord::Prepare { txn: 1 });
         let commit = wal.append(&LogRecord::Commit { txn: 1 });
         let inj =
             Arc::new(FaultInjector::new(FaultPlan::new(3).fail_nth(FaultKind::PartialFlush, 1)));
@@ -812,18 +800,18 @@ mod tests {
     #[test]
     fn flush_to_does_not_trust_half_stable_records() {
         let wal = Wal::new();
-        let begin = wal.append(&LogRecord::Begin { txn: 1 });
+        let prepare = wal.append(&LogRecord::Prepare { txn: 1 });
         let inj =
             Arc::new(FaultInjector::new(FaultPlan::new(9).fail_nth(FaultKind::PartialFlush, 1)));
         wal.set_fault_injector(Some(inj));
         assert!(wal.flush().is_err());
         wal.set_fault_injector(None);
         assert!(wal.stable_len() > 0, "a prefix was promoted");
-        // `begin` has bytes on the device but is not record-complete, so
+        // `prepare` has bytes on the device but is not record-complete, so
         // the write-ahead hook must flush (and thereby complete it).
-        wal.flush_to(begin).unwrap();
+        wal.flush_to(prepare).unwrap();
         let recs = wal.stable_records().unwrap();
-        assert_eq!(recs, vec![(begin, LogRecord::Begin { txn: 1 })]);
+        assert_eq!(recs, vec![(prepare, LogRecord::Prepare { txn: 1 })]);
     }
 
     #[test]
@@ -855,7 +843,7 @@ mod tests {
     #[test]
     fn commit_flush_alone_behaves_like_flush() {
         let wal = Wal::new();
-        wal.append(&LogRecord::Begin { txn: 1 });
+        wal.append(&LogRecord::Prepare { txn: 1 });
         wal.append(&LogRecord::Commit { txn: 1 });
         wal.commit_flush().unwrap();
         assert_eq!(wal.stats().flushes, 1);
@@ -869,10 +857,10 @@ mod tests {
     fn backend_log_mirrors_and_reloads() {
         let disk = Arc::new(PageDevice::new());
         let wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
-        wal.append(&LogRecord::Begin { txn: 1 });
+        wal.append(&LogRecord::Prepare { txn: 1 });
         wal.append(&LogRecord::Commit { txn: 1 });
         wal.flush().unwrap();
-        wal.append(&LogRecord::Begin { txn: 2 }); // unflushed: not on device
+        wal.append(&LogRecord::Prepare { txn: 2 }); // unflushed: not on device
         assert_eq!(disk.log().len(), wal.stable_len());
         // A second Wal over the same device resumes the stable prefix.
         let wal2 = Wal::with_backend(Arc::clone(&disk)).unwrap();
@@ -885,7 +873,7 @@ mod tests {
     fn torn_tail_truncation_writes_through_to_device() {
         let disk = Arc::new(PageDevice::new());
         let wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
-        wal.append(&LogRecord::Begin { txn: 1 });
+        wal.append(&LogRecord::Prepare { txn: 1 });
         wal.flush().unwrap();
         wal.append(&LogRecord::Commit { txn: 1 });
         let inj =
@@ -907,7 +895,7 @@ mod tests {
     fn interior_corruption_is_a_hard_error() {
         let disk = Arc::new(PageDevice::new());
         let wal = Wal::with_backend(Arc::clone(&disk)).unwrap();
-        wal.append(&LogRecord::Begin { txn: 1 });
+        wal.append(&LogRecord::Prepare { txn: 1 });
         wal.append(&LogRecord::Commit { txn: 1 });
         wal.append(&LogRecord::Checkpoint);
         wal.flush().unwrap();

@@ -14,8 +14,10 @@
 # lock-free snapshot readers under writers, group commit; writes
 # BENCH_parallel_query.json), net_throughput --smoke (router passthrough,
 # the 1.1k-connection crowd, event-loop wakeups and executor turns per
-# request; writes BENCH_net.json) and experiments (the paper's claims
-# E1-E14 in counts; writes BENCH_experiments.json).
+# request, and the log appends, flushes and fsyncs per read-only get,
+# all 0: request_overhead.{embedded,depth1,depth8}_wal_{appends,flushes,
+# fsyncs}_per_get; writes BENCH_net.json) and experiments (the paper's
+# claims E1-E14 in counts; writes BENCH_experiments.json).
 # The benchmark package (benchmark/, its own workspace) is covered from
 # outside: its unit tests, then a smoke run of all four workloads whose
 # results its own validator checks against BENCHMARK.json.

@@ -5,7 +5,7 @@
 #[macro_use]
 mod common;
 
-use common::{count, item, run, Embedded, Medium, Workload};
+use common::{count, item, probe, run, Embedded, Medium, Workload};
 use orion_oodb::orion::{
     AttrSpec, Database, DbConfig, DbError, Domain, FaultKind, FaultPlan, IndexKind, Oid,
     PrimitiveType, Tx, Value,
@@ -367,6 +367,52 @@ fn in_doubt_objects_stay_locked_across_restart() {
         db.commit(tx).unwrap();
     }
 }
+
+/// A transaction that has only read has no entry in the engine's
+/// table: open or dropped, it lets a checkpoint through, and its commit
+/// and its rollback log, flush and sync nothing. One that writes still
+/// holds a checkpoint off until it commits.
+fn a_read_only_transaction_logs_nothing_and_blocks_no_checkpoint_on(medium: Medium) {
+    let db = medium.item_db();
+    let tx = db.begin();
+    let oid = db.create_object(&tx, "Item", item(1, 10)).unwrap();
+    db.commit(tx).unwrap();
+    let read = |tx: &Tx| assert_eq!(db.get(tx, oid, "val").unwrap(), Value::Int(10));
+
+    let open = db.begin();
+    read(&open);
+    db.checkpoint().expect("an open reader does not block a checkpoint");
+    db.commit(open).unwrap();
+    let dropped = db.begin();
+    read(&dropped);
+    drop(dropped);
+    db.checkpoint().expect("a dropped reader does not block a checkpoint");
+
+    let (log, before) = (db.engine().wal().total_len(), db.stats().wal);
+    let tx = db.begin();
+    read(&tx);
+    db.commit(tx).unwrap();
+    let tx = db.begin();
+    read(&tx);
+    db.rollback(tx).unwrap();
+    let after = db.stats().wal;
+    assert_eq!(db.engine().wal().total_len(), log, "a read-only commit or rollback logs no byte");
+    let counts = |w: orion_oodb::orion::WalStats| (w.appends, w.flushes, w.fsyncs);
+    assert_eq!(counts(after), counts(before));
+
+    let tx = db.begin();
+    db.create_object(&tx, "Item", item(2, 20)).unwrap();
+    assert!(db.checkpoint().is_err(), "a transaction that wrote holds the checkpoint off");
+    db.commit(tx).unwrap();
+    db.checkpoint().unwrap();
+    db.crash_and_recover().unwrap();
+    assert_eq!((probe(&db, 1), probe(&db, 2)), (Some(10), Some(20)));
+}
+
+on_media!(a_read_only_transaction_logs_nothing_and_blocks_no_checkpoint_on;
+    a_read_only_transaction_logs_nothing_and_blocks_no_checkpoint: Memory,
+    a_read_only_transaction_logs_nothing_and_blocks_no_checkpoint_filedisk: Files,
+);
 
 /// How the writer racing a checkpoint ends its transactions: `Rollback`
 /// rolls every other one back; `Prepare` prepares each and commits it

@@ -15,6 +15,7 @@ use orion_net::frame::{append_frame, FrameDecoder, MAX_FRAME};
 use orion_net::{Request, Response};
 use orion_schema::{AttrSpec, Catalog};
 use orion_shard::{Decision, DecisionLog, DecisionLogSpec};
+use orion_storage::frame::put_frame;
 use orion_storage::wal::ClrAction;
 use orion_storage::{LogRecord, PageDevice, PageId, Rid, Wal};
 use orion_types::codec::{decode_value, skip_value, ObjectRecord};
@@ -126,7 +127,6 @@ fn catalog() -> Catalog {
 fn wal_records() -> Vec<LogRecord> {
     let rid = Rid { page: PageId(2), slot: 3 };
     vec![
-        LogRecord::Begin { txn: 1 },
         LogRecord::Insert { txn: 1, rid, bytes: b"abc".to_vec() },
         LogRecord::Update { txn: 1, rid, before: b"abc".to_vec(), after: b"defg".to_vec() },
         LogRecord::Clr {
@@ -317,6 +317,21 @@ fn every_prefix_of_every_encoding_decodes_or_fails_cleanly() {
         let opened = open_decision_log(&file[..cut]).expect("a torn decision log opens");
         assert!(decisions().starts_with(&opened), "decision log cut at {cut}");
     }
+}
+
+/// Tag 1 once marked a transaction's start; the log no longer has such
+/// a record. A frame carrying it does not decode, so one before a valid
+/// record is interior damage, and one at the end is a torn tail.
+#[test]
+fn the_retired_tag_1_decodes_as_an_error() {
+    let mut retired = Vec::new();
+    put_frame(&mut retired, &[1, 1, 0, 0, 0, 0, 0, 0, 0]);
+    let interior = scan_wal(&[&retired[..], &wal_log()[..]].concat());
+    assert!(matches!(interior, Err(DbError::Corruption(_))), "{interior:?}");
+    let tail = [&wal_log()[..], &retired[..]].concat();
+    let records: Vec<LogRecord> = scan_wal(&tail).unwrap().into_iter().map(|(_, r)| r).collect();
+    assert_eq!(records[..wal_records().len()], wal_records()[..]);
+    assert!(records[wal_records().len()..].iter().all(|r| *r == LogRecord::Pad));
 }
 
 proptest! {

@@ -743,6 +743,17 @@ impl Twins {
         a
     }
 
+    /// Commit both twins' transactions, or roll both back.
+    fn end(&self, (a, b): (orion_oodb::orion::Tx, orion_oodb::orion::Tx), commit: bool) {
+        if commit {
+            self.indexed.commit(a).unwrap();
+            self.plain.commit(b).unwrap();
+        } else {
+            self.indexed.rollback(a).unwrap();
+            self.plain.rollback(b).unwrap();
+        }
+    }
+
     /// One random write, in lockstep.
     fn write(&mut self, rng: &mut Rng, txs: &(orion_oodb::orion::Tx, orion_oodb::orion::Tx)) {
         let pick = |rng: &mut Rng, v: &[Oid]| v[rng.below(v.len() as u64) as usize];
@@ -837,7 +848,7 @@ fn index_assisted_answers_match_a_twin_without_indexes() {
         for _ in 0..240 {
             twins.write(&mut rng, &load);
         }
-        twins.both(&load, |db, tx| db.commit(tx.clone()).unwrap());
+        twins.end(load, true);
 
         for _round in 0..25 {
             let writer = (twins.indexed.begin(), twins.plain.begin());
@@ -847,38 +858,37 @@ fn index_assisted_answers_match_a_twin_without_indexes() {
             for _ in 0..6 {
                 let text = oracle_query(&mut rng);
                 let from_writer = rng.below(3) == 0;
-                let (tx_a, tx_b) = if from_writer {
-                    writer.clone()
-                } else {
-                    (twins.indexed.begin(), twins.plain.begin())
+                let readers = (!from_writer).then(|| (twins.indexed.begin(), twins.plain.begin()));
+                let (tx_a, tx_b) = match &readers {
+                    Some((a, b)) => (a, b),
+                    None => (&writer.0, &writer.1),
                 };
-                let plan = twins.indexed.explain(&tx_a, &text).unwrap();
+                let plan = twins.indexed.explain(tx_a, &text).unwrap();
                 if plan.access == AccessPath::Scan {
                     continue;
                 }
                 assisted += 1;
                 intersected += usize::from(!plan.intersect.is_empty());
-                let got = twins.indexed.query(&tx_a, &text).unwrap().rows;
-                let want = twins.plain.query(&tx_b, &text).unwrap().rows;
+                let got = twins.indexed.query(tx_a, &text).unwrap().rows;
+                let want = twins.plain.query(tx_b, &text).unwrap().rows;
                 assert_eq!(
                     canonical(got),
                     canonical(want),
                     "seed {seed}: {text} ({plan}) from {}",
                     if from_writer { "the writer" } else { "a reader" }
                 );
-                if !from_writer {
-                    twins.indexed.commit(tx_a).unwrap();
-                    twins.plain.commit(tx_b).unwrap();
+                if let Some(readers) = readers {
+                    twins.end(readers, true);
                 }
             }
             match rng.below(3) {
-                0 => twins.both(&writer, |db, tx| db.rollback(tx.clone()).unwrap()),
-                1 => twins.both(&writer, |db, tx| db.commit(tx.clone()).unwrap()),
+                0 => twins.end(writer, false),
+                1 => twins.end(writer, true),
                 _ => {
                     // Commit under a held snapshot, then query at it: the
                     // index already files the commit's keys.
                     let text = oracle_query(&mut rng);
-                    let twin_txs = [(&twins.indexed, &writer.0), (&twins.plain, &writer.1)];
+                    let twin_txs = [(&twins.indexed, writer.0), (&twins.plain, writer.1)];
                     let answers: Vec<Vec<Vec<Value>>> = twin_txs
                         .into_iter()
                         .map(|(db, tx)| {
@@ -886,7 +896,7 @@ fn index_assisted_answers_match_a_twin_without_indexes() {
                             let planned = db.prepare_query(&reader, &text).unwrap();
                             db.commit(reader).unwrap();
                             db.with_snapshot(None, |catalog, source| {
-                                db.commit(tx.clone()).unwrap();
+                                db.commit(tx).unwrap();
                                 let opts = ExecOptions::default();
                                 execute_with(catalog, source, &planned, &opts).unwrap().rows
                             })
