@@ -8,7 +8,9 @@
 //!    Then *work per candidate row* on data four times the buffer pool:
 //!    object fetches and snapshot reads per row scanned, pool misses
 //!    per query against heap pages, and the degree the executor chose
-//!    (gated as counts; the two timings are for the record).
+//!    (gated as counts; the two timings are for the record), and what
+//!    one page miss costs: a checked page read off a memory device and
+//!    a buffer-pool miss at capacity (gated in ns, best of 5).
 //! 2. *Mixed read/write scaling*: a fixed budget of write transactions
 //!    split across 1, 2, then 4 writer threads on *disjoint classes*,
 //!    running concurrently with reader threads — the decomposed-runtime
@@ -30,6 +32,8 @@
 use orion_bench::{fleet, Cmp, Gates};
 use orion_core::{AttrSpec, Database, DbConfig, DbStats, Domain, Oid, PrimitiveType, Value};
 use orion_query::{execute_with, ExecMetrics, ExecOptions};
+use orion_storage::{BufferPool, PageDevice, PageId, PAGE_SIZE};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -171,6 +175,44 @@ fn main() {
     gates.check("work.snapshot_reads_per_row", snapshot_reads_per_row, Cmp::AtMost, 1.1);
     let misses_per_page = misses_per_query / heap_pages as f64;
     gates.check("work.pool_misses_per_heap_page", misses_per_page, Cmp::AtMost, 1.25);
+
+    // What one of those misses costs, single-threaded, best of 5 passes:
+    // a checked page read off a memory device, and a pool miss at
+    // capacity, where a cyclic pass over more pages than frames makes
+    // every access miss. Each budget is a few times the cost of a
+    // 4 KiB copy; a table-driven checksum (about 3 µs a page) breaks
+    // both.
+    const MISS_PAGES: u32 = 1_100;
+    const MISS_FRAMES: usize = 256;
+    let device = Arc::new(PageDevice::new());
+    let mut page = [0u8; PAGE_SIZE];
+    for i in 0..MISS_PAGES {
+        page.fill(i as u8);
+        device.write(device.allocate().expect("allocate"), &page).expect("write");
+    }
+    let ns_per_page = |d: Duration| d.as_nanos() as f64 / f64::from(MISS_PAGES);
+    let (read_pass, _) = best_of(5, || {
+        for i in 0..MISS_PAGES {
+            device.read(PageId(i), &mut page).expect("read");
+        }
+        black_box(&page)[0] as usize
+    });
+    let pool = BufferPool::new(Arc::clone(&device), MISS_FRAMES, None);
+    let pass = || {
+        (0..MISS_PAGES).map(|i| pool.with_page(PageId(i), |p| p[0]).expect("page") as usize).sum()
+    };
+    pass(); // fill the pool
+    let misses_before = pool.stats().misses;
+    let (miss_pass, _) = best_of(5, pass);
+    let misses = pool.stats().misses - misses_before;
+    assert_eq!(misses, 5 * u64::from(MISS_PAGES), "every access misses");
+    let (page_read_ns, pool_miss_ns) = (ns_per_page(read_pass), ns_per_page(miss_pass));
+    println!(
+        "page miss ({MISS_PAGES} pages, {MISS_FRAMES}-frame pool, best of 5): \
+         page read {page_read_ns:.0} ns, pool miss {pool_miss_ns:.0} ns"
+    );
+    gates.check("work.page_read_ns", page_read_ns, Cmp::AtMost, 1_000.0);
+    gates.check("work.pool_miss_ns", pool_miss_ns, Cmp::AtMost, 1_500.0);
 
     // --- 2. Mixed read/write scaling on disjoint classes --------------
     // A fixed budget of write transactions is split across 1, 2, then 4
@@ -474,6 +516,8 @@ fn main() {
          \"pool_misses_per_query\": {misses_per_query:.1},\n    \
          \"degree\": {degree},\n    \"auto_degree_ms\": {:.3},\n    \
          \"one_worker_ms\": {:.3}\n  }},\n  \
+         \"page_miss\": {{\n    \"pages\": {MISS_PAGES},\n    \"pool_frames\": {MISS_FRAMES},\n    \
+         \"page_read_ns\": {page_read_ns:.0},\n    \"pool_miss_ns\": {pool_miss_ns:.0}\n  }},\n  \
          \"mixed_read_write\": {{\n    \"write_txns_total\": {WRITE_TXNS_TOTAL},\n    \
          \"readers\": {MIX_READERS},\n    \
          \"queries_per_reader\": {MIX_QUERIES_PER_READER},\n    \

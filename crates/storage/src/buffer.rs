@@ -36,14 +36,67 @@ struct Frame {
     pid: PageId,
     data: Box<[u8; PAGE_SIZE]>,
     dirty: bool,
-    last_used: u64,
+    /// The next less recently used frame.
+    older: Option<usize>,
+    /// The next more recently used frame.
+    newer: Option<usize>,
 }
 
-#[derive(Default)]
+/// The frames, the page table, and the recency list threaded through
+/// the frames: exact LRU, with the victim at the list's old end.
 struct PoolInner {
     frames: Vec<Frame>,
     map: HashMap<PageId, usize>,
-    tick: u64,
+    /// The least recently used frame: the next victim.
+    oldest: Option<usize>,
+    /// The most recently used frame.
+    newest: Option<usize>,
+    /// The page a miss at capacity reads into; swapped with the
+    /// victim's buffer once the read succeeds, so such a miss
+    /// allocates nothing.
+    spare: Box<[u8; PAGE_SIZE]>,
+}
+
+impl PoolInner {
+    fn new() -> Self {
+        PoolInner {
+            frames: Vec::new(),
+            map: HashMap::new(),
+            oldest: None,
+            newest: None,
+            spare: Box::new([0; PAGE_SIZE]),
+        }
+    }
+
+    fn unlink(&mut self, idx: usize) {
+        let Frame { older, newer, .. } = self.frames[idx];
+        match older {
+            Some(o) => self.frames[o].newer = newer,
+            None => self.oldest = newer,
+        }
+        match newer {
+            Some(n) => self.frames[n].older = older,
+            None => self.newest = older,
+        }
+    }
+
+    fn push_newest(&mut self, idx: usize) {
+        let frame = &mut self.frames[idx];
+        (frame.older, frame.newer) = (self.newest, None);
+        match self.newest {
+            Some(n) => self.frames[n].newer = Some(idx),
+            None => self.oldest = Some(idx),
+        }
+        self.newest = Some(idx);
+    }
+
+    /// Mark a resident frame the most recently used.
+    fn touch(&mut self, idx: usize) {
+        if self.newest != Some(idx) {
+            self.unlink(idx);
+            self.push_newest(idx);
+        }
+    }
 }
 
 /// An LRU buffer pool over a [`PageDevice`].
@@ -61,7 +114,7 @@ impl BufferPool {
     pub fn new(disk: Arc<PageDevice>, capacity: usize, wal: Option<Arc<Wal>>) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
-            inner: Mutex::new(PoolInner::default()),
+            inner: Mutex::new(PoolInner::new()),
             disk,
             capacity,
             wal,
@@ -86,37 +139,43 @@ impl BufferPool {
     /// Locate `pid` in the pool, loading (and possibly evicting) as
     /// needed. Returns the frame index. Caller holds the inner lock.
     fn ensure_loaded(&self, inner: &mut PoolInner, pid: PageId) -> DbResult<usize> {
-        inner.tick += 1;
-        let tick = inner.tick;
         if let Some(&idx) = inner.map.get(&pid) {
-            inner.frames[idx].last_used = tick;
+            inner.touch(idx);
             self.metrics.hits.inc();
             return Ok(idx);
         }
         self.metrics.misses.inc();
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        self.disk.read(pid, &mut data)?;
+        // A failed read leaves the frames, the map and the list as they were.
+        self.disk.read(pid, &mut inner.spare)?;
+        self.install(inner, pid, false)
+    }
+
+    /// Make the page in `inner.spare` resident as `pid`, the most
+    /// recently used, and return its frame. At capacity the least
+    /// recently used frame is evicted (written back first if dirty, and
+    /// left in place if that fails) and its buffer becomes the spare;
+    /// below it the frame is new and so is the spare.
+    fn install(&self, inner: &mut PoolInner, pid: PageId, dirty: bool) -> DbResult<usize> {
         let idx = if inner.frames.len() < self.capacity {
-            inner.frames.push(Frame { pid, data, dirty: false, last_used: tick });
+            let data = std::mem::replace(&mut inner.spare, Box::new([0; PAGE_SIZE]));
+            inner.frames.push(Frame { pid, data, dirty, older: None, newer: None });
             inner.frames.len() - 1
         } else {
-            // Evict the least recently used frame.
-            let victim = inner
-                .frames
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(i, _)| i)
-                .ok_or_else(|| DbError::Internal("empty pool at capacity".into()))?;
+            let victim =
+                inner.oldest.ok_or_else(|| DbError::Internal("empty pool at capacity".into()))?;
             let old = &inner.frames[victim];
             if old.dirty {
                 self.write_back(old)?;
             }
             inner.map.remove(&old.pid);
             self.metrics.evictions.inc();
-            inner.frames[victim] = Frame { pid, data, dirty: false, last_used: tick };
+            inner.unlink(victim);
+            let frame = &mut inner.frames[victim];
+            std::mem::swap(&mut frame.data, &mut inner.spare);
+            (frame.pid, frame.dirty) = (pid, dirty);
             victim
         };
+        inner.push_newest(idx);
         inner.map.insert(pid, idx);
         Ok(idx)
     }
@@ -155,35 +214,19 @@ impl BufferPool {
     /// the log holds for it and rebuilds its contents from history.
     pub fn repair_page(&self, pid: PageId) -> DbResult<()> {
         let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        slotted::init(&mut data[..]);
-        if let Some(&idx) = inner.map.get(&pid) {
-            inner.frames[idx] = Frame { pid, data, dirty: true, last_used: tick };
-            return Ok(());
-        }
-        if inner.frames.len() >= self.capacity {
-            let victim = inner
-                .frames
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, f)| f.last_used)
-                .map(|(i, _)| i)
-                .ok_or_else(|| DbError::Internal("empty pool at capacity".into()))?;
-            let old = &inner.frames[victim];
-            if old.dirty {
-                self.write_back(old)?;
+        let inner = &mut *inner;
+        inner.spare.fill(0);
+        slotted::init(&mut inner.spare[..]);
+        match inner.map.get(&pid) {
+            Some(&idx) => {
+                let frame = &mut inner.frames[idx];
+                std::mem::swap(&mut frame.data, &mut inner.spare);
+                frame.dirty = true;
+                inner.touch(idx);
             }
-            let old_pid = old.pid;
-            inner.map.remove(&old_pid);
-            self.metrics.evictions.inc();
-            inner.frames[victim] = Frame { pid, data, dirty: true, last_used: tick };
-            inner.map.insert(pid, victim);
-        } else {
-            inner.frames.push(Frame { pid, data, dirty: true, last_used: tick });
-            let idx = inner.frames.len() - 1;
-            inner.map.insert(pid, idx);
+            None => {
+                self.install(inner, pid, true)?;
+            }
         }
         Ok(())
     }
@@ -191,15 +234,9 @@ impl BufferPool {
     /// Write every dirty frame back to disk (checkpoint step).
     pub fn flush_all(&self) -> DbResult<()> {
         let mut inner = self.inner.lock();
-        for frame in inner.frames.iter_mut() {
-            if frame.dirty {
-                if let Some(wal) = &self.wal {
-                    wal.flush_to(Lsn(slotted::page_lsn(&frame.data[..])))?;
-                }
-                self.disk.write(frame.pid, &frame.data)?;
-                self.metrics.writebacks.inc();
-                frame.dirty = false;
-            }
+        for frame in inner.frames.iter_mut().filter(|f| f.dirty) {
+            self.write_back(frame)?;
+            frame.dirty = false;
         }
         Ok(())
     }
@@ -210,6 +247,7 @@ impl BufferPool {
         let mut inner = self.inner.lock();
         inner.frames.clear();
         inner.map.clear();
+        (inner.oldest, inner.newest) = (None, None);
     }
 
     /// Snapshot the counters.
@@ -235,6 +273,74 @@ mod tests {
         let disk = Arc::new(PageDevice::new());
         let pool = BufferPool::new(Arc::clone(&disk), cap, None);
         (disk, pool)
+    }
+
+    /// The resident pages from least to most recently used, with their
+    /// dirty flags, once the list is checked to thread every frame
+    /// exactly once in both directions and to agree with the map.
+    fn residents(pool: &BufferPool) -> Vec<(PageId, bool)> {
+        let inner = pool.inner.lock();
+        let (mut order, mut at, mut prev) = (Vec::new(), inner.oldest, None);
+        while let Some(idx) = at {
+            let frame = &inner.frames[idx];
+            assert_eq!(frame.older, prev, "frame {idx} links back to its predecessor");
+            assert_eq!(inner.map.get(&frame.pid), Some(&idx), "the map finds frame {idx}");
+            order.push((frame.pid, frame.dirty));
+            assert!(order.len() <= inner.frames.len(), "the list has a cycle");
+            (prev, at) = (Some(idx), frame.newer);
+        }
+        assert_eq!(inner.newest, prev, "the list ends at the newest frame");
+        assert_eq!((order.len(), inner.map.len()), (inner.frames.len(), inner.frames.len()));
+        order
+    }
+
+    #[test]
+    fn a_failed_miss_at_capacity_leaves_the_pool_as_it_was() {
+        use crate::fault::{FaultInjector, FaultKind, FaultPlan};
+        for kind in [FaultKind::ReadError, FaultKind::BitFlip] {
+            let (disk, pool) = pool(3);
+            let p: Vec<PageId> = (0..5).map(|_| pool.allocate_slotted().unwrap()).collect();
+            pool.flush_all().unwrap();
+            let slot = pool.with_page_mut(p[3], |pg| slotted::insert(pg, b"kept").unwrap());
+            pool.with_page(p[2], |_| ()).unwrap();
+            let before = residents(&pool);
+            assert_eq!(before, [(p[4], false), (p[3], true), (p[2], false)]);
+            let counts = pool.stats();
+            let plan = FaultPlan::new(9).fail_nth(kind, 1);
+            disk.set_fault_injector(Some(Arc::new(FaultInjector::new(plan))));
+            assert!(pool.with_page(p[0], |_| ()).is_err(), "{kind:?} fails the miss");
+            disk.set_fault_injector(None);
+            assert_eq!(residents(&pool), before, "{kind:?} moved nothing");
+            assert_eq!(pool.stats().evictions, counts.evictions);
+            pool.with_page(p[1], |_| ()).unwrap();
+            assert_eq!(residents(&pool), [(p[3], true), (p[2], false), (p[1], false)]);
+            let kept =
+                pool.with_page(p[3], |pg| slotted::get(pg, slot.unwrap()).map(<[u8]>::to_vec));
+            assert_eq!(kept.unwrap().as_deref(), Some(&b"kept"[..]), "the page kept its bytes");
+            let s = pool.stats();
+            assert_eq!((s.evictions, s.writebacks), (counts.evictions + 1, counts.writebacks));
+        }
+    }
+
+    #[test]
+    fn repair_then_crash_then_misses_keep_the_list_whole() {
+        let (_disk, pool) = pool(2);
+        let p: Vec<PageId> = (0..4).map(|_| pool.allocate_slotted().unwrap()).collect();
+        pool.flush_all().unwrap();
+        pool.repair_page(p[3]).unwrap(); // resident: repaired in place
+        assert_eq!(residents(&pool), [(p[2], false), (p[3], true)]);
+        pool.repair_page(p[0]).unwrap(); // evicts the clean p2
+        assert_eq!(residents(&pool), [(p[3], true), (p[0], true)]);
+        pool.crash();
+        assert_eq!(residents(&pool), []);
+        let before = pool.stats();
+        for &pid in p.iter().chain(&p) {
+            pool.with_page(pid, |_| ()).unwrap();
+            assert_eq!(residents(&pool).last(), Some(&(pid, false)));
+        }
+        assert_eq!(residents(&pool), [(p[2], false), (p[3], false)]);
+        let s = pool.stats();
+        assert_eq!((s.misses - before.misses, s.hits - before.hits), (8, 0));
     }
 
     #[test]

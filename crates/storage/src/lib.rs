@@ -19,9 +19,12 @@
 //!   real `fsync` (the device over a directory, [`FileDisk::open`], so
 //!   a database survives process exit).
 //! * [`slotted`] — the slotted-page record layout with per-page LSNs.
-//! * [`BufferPool`] — an LRU buffer cache with dirty tracking, a
-//!   write-ahead hook (no page leaves the pool before its log does), and
-//!   hit/miss/eviction counters (experiment E10 reads these).
+//! * [`BufferPool`] — an exact-LRU buffer cache (the victim found in
+//!   O(1) through a recency list over its frames; a miss at capacity
+//!   reads into a spare page the pool owns and allocates nothing) with
+//!   dirty tracking, a write-ahead hook (no page leaves the pool before
+//!   its log does), and hit/miss/eviction counters (experiment E10
+//!   reads these).
 //! * [`HeapFile`] — record storage with free-space tracking and
 //!   placement hints for composite-object clustering.
 //! * [`frame`] — the checksummed `len | crc32 | body` frame of every
@@ -32,8 +35,10 @@
 //!   test hook that drops all volatile state (experiment E13).
 //! * [`fault`] — a deterministic, seeded fault-injection subsystem
 //!   (I/O errors, torn writes, bit flips, partial WAL flushes) wired
-//!   into the disk and the log, plus the CRC32 used for page checksums
-//!   and WAL record framing. Recovery is hardened against everything
+//!   into the disk and the log, plus the CRC-32 used for page checksums
+//!   and WAL record framing (a carry-less-multiply kernel where the CPU
+//!   has `pclmulqdq`, slice-by-8 elsewhere; the same checksums either
+//!   way). Recovery is hardened against everything
 //!   the injector can produce.
 
 pub mod buffer;

@@ -177,6 +177,18 @@ impl ByteStore for MemStore {
     }
 }
 
+/// `len` bytes of `stack`, or of `heap` grown to them when `stack` is
+/// too short.
+fn buffer<'a>(stack: &'a mut [u8; BLOCK], heap: &'a mut Vec<u8>, len: usize) -> &'a mut [u8] {
+    match stack.get_mut(..len) {
+        Some(bytes) => bytes,
+        None => {
+            heap.resize(len, 0);
+            heap
+        }
+    }
+}
+
 /// A file, read and written with positioned I/O: every call is one
 /// syscall, and readers never wait for one another.
 pub struct FileStore {
@@ -212,9 +224,12 @@ impl FileStore {
 impl ByteStore for FileStore {
     fn read_at(&self, at: u64, len: usize, f: &mut dyn FnMut(&[u8])) -> DbResult<()> {
         check(at, len, self.len(), "read")?;
-        let mut bytes = vec![0; len];
-        self.file.read_exact_at(&mut bytes, at).map_err(|e| self.err("reading", e))?;
-        f(&bytes);
+        // One positioned read into a buffer on the stack (on the heap
+        // past a page block).
+        let (mut stack, mut heap) = ([0; BLOCK], Vec::new());
+        let bytes = buffer(&mut stack, &mut heap, len);
+        self.file.read_exact_at(bytes, at).map_err(|e| self.err("reading", e))?;
+        f(bytes);
         Ok(())
     }
 
@@ -223,13 +238,7 @@ impl ByteStore for FileStore {
         // One positioned write from a buffer on the stack (on the heap
         // past a page block).
         let (mut stack, mut heap) = ([0; BLOCK], Vec::new());
-        let bytes = match stack.get_mut(..len) {
-            Some(bytes) => bytes,
-            None => {
-                heap.resize(len, 0);
-                &mut heap[..]
-            }
-        };
+        let bytes = buffer(&mut stack, &mut heap, len);
         f(bytes);
         self.file.write_all_at(bytes, at).map_err(|e| self.err("writing", e))
     }

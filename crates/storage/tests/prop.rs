@@ -38,8 +38,8 @@ fn arb_page_ops() -> impl Strategy<Value = Vec<PageOp>> {
     )
 }
 
-/// The byte-at-a-time CRC-32 loop (bitwise, no table) that the sliced
-/// implementation must equal.
+/// The byte-at-a-time CRC-32 loop (bitwise, no table) that `crc32`
+/// must equal on either of its paths.
 fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
@@ -52,9 +52,12 @@ fn crc32_bytewise(bytes: &[u8]) -> u32 {
 }
 
 proptest! {
-    /// Slice-by-8 `crc32` equals the bytewise loop at every length and
-    /// alignment: `tail` pins the remainder length (0..7 all occur),
-    /// `skip` the alignment of the first 8-byte word.
+    /// `crc32` equals the bytewise loop at every length and alignment:
+    /// `tail` pins the remainder length (0..7 all occur), `skip` the
+    /// alignment of the first word. Inputs below the carry-less-multiply
+    /// kernel's 64-byte threshold exercise slice-by-8; above it, on a
+    /// host with `pclmulqdq`, they exercise the kernel and its
+    /// slice-by-8 tail.
     #[test]
     fn crc32_sliced_equals_bytewise(
         data in proptest::collection::vec(any::<u8>(), 0..=8_200),

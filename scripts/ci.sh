@@ -11,13 +11,16 @@
 # grep denies in scripts/lint.sh), and the three bench binaries.
 # Each bench binary checks its own gates in process, prints every one,
 # and exits nonzero on a breach: parallel_query (work per scanned row,
-# lock-free snapshot readers under writers, group commit; writes
-# BENCH_parallel_query.json), net_throughput --smoke (router passthrough,
-# the 1.1k-connection crowd, event-loop wakeups and executor turns per
-# request, and the log appends, flushes and fsyncs per read-only get,
-# all 0: request_overhead.{embedded,depth1,depth8}_wal_{appends,flushes,
-# fsyncs}_per_get; writes BENCH_net.json) and experiments (the paper's
-# claims E1-E14 in counts; writes BENCH_experiments.json).
+# the single-thread cost of one page miss in ns: work.page_read_ns for
+# a checked memory page read and work.pool_miss_ns for a buffer-pool
+# miss at capacity; lock-free snapshot readers under writers, group
+# commit; writes BENCH_parallel_query.json), net_throughput --smoke
+# (router passthrough, the 1.1k-connection crowd, event-loop wakeups
+# and executor turns per request, and the log appends, flushes and
+# fsyncs per read-only get, all 0: request_overhead.{embedded,depth1,
+# depth8}_wal_{appends,flushes,fsyncs}_per_get; writes BENCH_net.json)
+# and experiments (the paper's claims E1-E14 in counts; writes
+# BENCH_experiments.json).
 # The benchmark package (benchmark/, its own workspace) is covered from
 # outside: its unit tests, then a smoke run of all four workloads whose
 # results its own validator checks against BENCHMARK.json.
