@@ -29,9 +29,9 @@
 //!
 //! The binary checks every gate itself and exits nonzero on a breach.
 
-use orion_bench::{fleet, Cmp, Gates};
+use orion_bench::{fleet, pinned, Cmp, Gates};
 use orion_core::{AttrSpec, Database, DbConfig, DbStats, Domain, Oid, PrimitiveType, Value};
-use orion_query::{execute_with, ExecMetrics, ExecOptions};
+use orion_query::{execute_with, DataSource, ExecMetrics, ExecOptions};
 use orion_storage::{BufferPool, PageDevice, PageId, PAGE_SIZE};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -43,6 +43,8 @@ const QUERY: &str = "select v from Vehicle* v \
      where v.weight > 2000 and v.manufacturer.location = \"Detroit\"";
 /// Workers of the parallel arm of section 1.
 const THREADS: usize = 4;
+/// Budget of `work.fetch_ns_per_object`.
+const FETCH_NS_BUDGET: f64 = 800.0;
 
 fn best_of(rounds: usize, mut f: impl FnMut() -> usize) -> (Duration, usize) {
     let mut best = Duration::MAX;
@@ -58,6 +60,11 @@ fn best_of(rounds: usize, mut f: impl FnMut() -> usize) -> (Duration, usize) {
 fn median(mut samples: Vec<Duration>) -> Duration {
     samples.sort();
     samples[samples.len() / 2]
+}
+
+/// A pinned CPU as JSON (`null` where the loop ran unpinned).
+fn json_cpu(cpu: Option<usize>) -> String {
+    cpu.map_or("null".to_owned(), |c| c.to_string())
 }
 
 fn cpus() -> usize {
@@ -145,6 +152,7 @@ fn main() {
     let per_row = |count: u64| count as f64 / d(|s| s.exec.rows_scanned) as f64;
     let fetches_per_row = per_row(d(|s| s.fetches));
     let snapshot_reads_per_row = per_row(d(|s| s.mvcc.snapshot_reads));
+    let directory_probes_per_row = per_row(d(|s| s.directory.probes));
     let misses_per_query = d(|s| s.pool.misses) as f64 / WORK_QUERIES as f64;
     let degree = work.exec.last_parallelism;
     // The chosen degree must not lose to one worker: same plan, same
@@ -166,13 +174,17 @@ fn main() {
     println!(
         "work per row ({heap_pages} heap pages, {WORK_POOL_PAGES}-page pool): \
          {fetches_per_row:.3} fetches/row, {snapshot_reads_per_row:.3} snapshot reads/row, \
+         {directory_probes_per_row:.3} directory probes/row, \
          {misses_per_query:.0} pool misses/query, degree {degree} \
          (auto {auto_degree:?} vs one worker {one_worker:?})"
     );
     // Each candidate is decoded and resolved once however many paths
-    // the residual has, and each heap page is read about once per query.
+    // the residual has, located once (the storage-order walk finds its
+    // record id, and the batch read reuses it), and each heap page is
+    // read about once per query.
     gates.check("work.fetches_per_row", fetches_per_row, Cmp::AtMost, 1.1);
     gates.check("work.snapshot_reads_per_row", snapshot_reads_per_row, Cmp::AtMost, 1.1);
+    gates.check("work.directory_probes_per_row", directory_probes_per_row, Cmp::AtMost, 1.05);
     let misses_per_page = misses_per_query / heap_pages as f64;
     gates.check("work.pool_misses_per_heap_page", misses_per_page, Cmp::AtMost, 1.25);
 
@@ -181,7 +193,8 @@ fn main() {
     // capacity, where a cyclic pass over more pages than frames makes
     // every access miss. Each budget is a few times the cost of a
     // 4 KiB copy; a table-driven checksum (about 3 µs a page) breaks
-    // both.
+    // both. The loops run pinned to one CPU, so no pass is split
+    // across cores by a migration.
     const MISS_PAGES: u32 = 1_100;
     const MISS_FRAMES: usize = 256;
     let device = Arc::new(PageDevice::new());
@@ -191,28 +204,61 @@ fn main() {
         device.write(device.allocate().expect("allocate"), &page).expect("write");
     }
     let ns_per_page = |d: Duration| d.as_nanos() as f64 / f64::from(MISS_PAGES);
-    let (read_pass, _) = best_of(5, || {
-        for i in 0..MISS_PAGES {
-            device.read(PageId(i), &mut page).expect("read");
-        }
-        black_box(&page)[0] as usize
-    });
     let pool = BufferPool::new(Arc::clone(&device), MISS_FRAMES, None);
     let pass = || {
         (0..MISS_PAGES).map(|i| pool.with_page(PageId(i), |p| p[0]).expect("page") as usize).sum()
     };
     pass(); // fill the pool
     let misses_before = pool.stats().misses;
-    let (miss_pass, _) = best_of(5, pass);
+    let ((read_pass, miss_pass), pinned_cpu) = pinned(|| {
+        let (read_pass, _) = best_of(5, || {
+            for i in 0..MISS_PAGES {
+                device.read(PageId(i), &mut page).expect("read");
+            }
+            black_box(&page)[0] as usize
+        });
+        (read_pass, best_of(5, pass).0)
+    });
     let misses = pool.stats().misses - misses_before;
     assert_eq!(misses, 5 * u64::from(MISS_PAGES), "every access misses");
     let (page_read_ns, pool_miss_ns) = (ns_per_page(read_pass), ns_per_page(miss_pass));
+    let cpu = pinned_cpu.map_or("unpinned".to_owned(), |c| format!("CPU {c}"));
     println!(
-        "page miss ({MISS_PAGES} pages, {MISS_FRAMES}-frame pool, best of 5): \
+        "page miss ({MISS_PAGES} pages, {MISS_FRAMES}-frame pool, best of 5, {cpu}): \
          page read {page_read_ns:.0} ns, pool miss {pool_miss_ns:.0} ns"
     );
     gates.check("work.page_read_ns", page_read_ns, Cmp::AtMost, 1_000.0);
     gates.check("work.pool_miss_ns", pool_miss_ns, Cmp::AtMost, 1_500.0);
+
+    // What the record source spends per object on a warm batch read
+    // without a walk: MVCC resolution, a cache peek, a directory probe
+    // and a page read for each non-resident object, and the decode of
+    // one attribute. A thousand OIDs spread over the extent, a tenth of
+    // them resident; best of 5 passes of 10 fetches, pinned.
+    const FETCH_OIDS: usize = 1_000;
+    const FETCHES_PER_PASS: usize = 10;
+    let (fetch_pass, fetch_cpu) = db.with_snapshot(None, |catalog, source| {
+        let vehicle = catalog.class_id("Vehicle").expect("Vehicle");
+        let weight = catalog.resolve(vehicle).expect("resolve").attr("weight").expect("weight").id;
+        let mut all = Vec::new();
+        for &class in catalog.subtree(vehicle).expect("subtree").iter() {
+            all.extend(source.scan_class(class).expect("scan"));
+        }
+        let oids: Vec<Oid> = all.iter().step_by(all.len() / FETCH_OIDS).take(FETCH_OIDS).copied().collect();
+        assert_eq!(oids.len(), FETCH_OIDS);
+        let fetch = || {
+            let records = source.fetch(&oids, None, &[weight]).expect("fetch");
+            records.iter().filter(|r| r.is_some()).count()
+        };
+        assert_eq!(fetch(), FETCH_OIDS, "every object read"); // warm
+        pinned(|| best_of(5, || (0..FETCHES_PER_PASS).map(|_| fetch()).sum()).0)
+    });
+    let fetch_ns_per_object = fetch_pass.as_nanos() as f64 / (FETCH_OIDS * FETCHES_PER_PASS) as f64;
+    println!(
+        "batch fetch ({FETCH_OIDS} OIDs, best of 5, {}): {fetch_ns_per_object:.0} ns/object",
+        fetch_cpu.map_or("unpinned".to_owned(), |c| format!("CPU {c}"))
+    );
+    gates.check("work.fetch_ns_per_object", fetch_ns_per_object, Cmp::AtMost, FETCH_NS_BUDGET);
 
     // --- 2. Mixed read/write scaling on disjoint classes --------------
     // A fixed budget of write transactions is split across 1, 2, then 4
@@ -513,11 +559,15 @@ fn main() {
          \"heap_pages\": {heap_pages},\n    \"queries\": {WORK_QUERIES},\n    \
          \"fetches_per_row\": {fetches_per_row:.4},\n    \
          \"snapshot_reads_per_row\": {snapshot_reads_per_row:.4},\n    \
+         \"directory_probes_per_row\": {directory_probes_per_row:.4},\n    \
          \"pool_misses_per_query\": {misses_per_query:.1},\n    \
          \"degree\": {degree},\n    \"auto_degree_ms\": {:.3},\n    \
          \"one_worker_ms\": {:.3}\n  }},\n  \
          \"page_miss\": {{\n    \"pages\": {MISS_PAGES},\n    \"pool_frames\": {MISS_FRAMES},\n    \
-         \"page_read_ns\": {page_read_ns:.0},\n    \"pool_miss_ns\": {pool_miss_ns:.0}\n  }},\n  \
+         \"page_read_ns\": {page_read_ns:.0},\n    \"pool_miss_ns\": {pool_miss_ns:.0},\n    \
+         \"pinned_cpu\": {}\n  }},\n  \
+         \"batch_fetch\": {{\n    \"oids\": {FETCH_OIDS},\n    \
+         \"fetch_ns_per_object\": {fetch_ns_per_object:.0},\n    \"pinned_cpu\": {}\n  }},\n  \
          \"mixed_read_write\": {{\n    \"write_txns_total\": {WRITE_TXNS_TOTAL},\n    \
          \"readers\": {MIX_READERS},\n    \
          \"queries_per_reader\": {MIX_QUERIES_PER_READER},\n    \
@@ -547,6 +597,8 @@ fn main() {
         speedup,
         auto_degree.as_secs_f64() * 1e3,
         one_worker.as_secs_f64() * 1e3,
+        json_cpu(pinned_cpu),
+        json_cpu(fetch_cpu),
         pure_locks,
         pure_s_locks,
         pure_snapshots,

@@ -20,6 +20,67 @@ pub fn time_per<R>(n: usize, mut f: impl FnMut() -> R) -> Duration {
     start.elapsed() / n as u32
 }
 
+/// Run `f` with the calling thread pinned to the CPU it is on, and put
+/// its CPU set back afterwards; also returns that CPU (`None` where the
+/// thread could not be pinned, and `f` ran unpinned). A single-thread
+/// timing loop pinned this way is not migrated between cores mid-pass.
+pub fn pinned<R>(f: impl FnOnce() -> R) -> (R, Option<usize>) {
+    match affinity::pin_here() {
+        Some((cpu, saved)) => {
+            let r = f();
+            affinity::restore(&saved);
+            (r, Some(cpu))
+        }
+        None => (f(), None),
+    }
+}
+
+/// `sched_setaffinity(2)` on the calling thread, declared directly: the
+/// standard library already links libc.
+#[cfg(target_os = "linux")]
+mod affinity {
+    use std::os::raw::c_int;
+
+    /// A `cpu_set_t`: 1 024 CPUs, one bit each.
+    pub type CpuSet = [u64; 16];
+
+    extern "C" {
+        fn sched_getcpu() -> c_int;
+        fn sched_getaffinity(pid: c_int, size: usize, mask: *mut CpuSet) -> c_int;
+        fn sched_setaffinity(pid: c_int, size: usize, mask: *const CpuSet) -> c_int;
+    }
+
+    /// Pin the calling thread (pid 0) to its current CPU; returns that
+    /// CPU and the set it was allowed before.
+    pub fn pin_here() -> Option<(usize, CpuSet)> {
+        let mut saved: CpuSet = [0; 16];
+        // SAFETY: `saved` is a writable `cpu_set_t`-sized buffer.
+        if unsafe { sched_getaffinity(0, size_of::<CpuSet>(), &mut saved) } != 0 {
+            return None;
+        }
+        // SAFETY: no arguments; reads the calling thread's CPU.
+        let cpu = usize::try_from(unsafe { sched_getcpu() }).ok().filter(|&c| c < 1_024)?;
+        let mut one: CpuSet = [0; 16];
+        one[cpu / 64] = 1 << (cpu % 64);
+        // SAFETY: `one` is a readable `cpu_set_t`-sized buffer.
+        (unsafe { sched_setaffinity(0, size_of::<CpuSet>(), &one) } == 0).then_some((cpu, saved))
+    }
+
+    pub fn restore(saved: &CpuSet) {
+        // SAFETY: `saved` is the set `sched_getaffinity` filled in.
+        unsafe { sched_setaffinity(0, size_of::<CpuSet>(), saved) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    pub type CpuSet = ();
+    pub fn pin_here() -> Option<(usize, CpuSet)> {
+        None
+    }
+    pub fn restore(_: &CpuSet) {}
+}
+
 /// Render a duration compactly.
 pub fn fmt_dur(d: Duration) -> String {
     let nanos = d.as_nanos();

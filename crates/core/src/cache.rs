@@ -26,7 +26,7 @@
 //! true leaves in the system lock order (`crate::runtime` docs).
 
 use orion_types::codec::ObjectRecord;
-use orion_types::Oid;
+use orion_types::{Oid, OidHashMap};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -86,7 +86,7 @@ pub struct Resident {
 #[derive(Debug)]
 pub struct ObjectCache {
     slab: Vec<Option<Resident>>,
-    by_oid: HashMap<Oid, usize>,
+    by_oid: OidHashMap<usize>,
     free: Vec<usize>,
     capacity: usize,
     tick: u64,
@@ -100,7 +100,7 @@ impl ObjectCache {
         assert!(capacity > 0, "object cache needs capacity");
         ObjectCache {
             slab: Vec::new(),
-            by_oid: HashMap::new(),
+            by_oid: OidHashMap::default(),
             free: Vec::new(),
             capacity,
             tick: 0,
@@ -344,7 +344,7 @@ pub struct ShardedCache {
 /// tiny capacity sixteen ways would distort per-shard LRU behavior that
 /// experiments (E3/E10) deliberately provoke.
 const SINGLE_SHARD_BELOW: usize = 256;
-const CACHE_SHARDS: usize = 16;
+const CACHE_SHARDS: usize = crate::runtime::OID_SHARDS;
 
 impl ShardedCache {
     /// A sharded cache holding at most `capacity` residents in total.
@@ -387,15 +387,13 @@ impl ShardedCache {
         wanted: impl Fn(usize) -> bool,
         out: &mut [Option<Arc<ObjectRecord>>],
     ) {
-        let groups = crate::runtime::group_by_shard(oids.len(), self.shards.len(), |i| {
-            self.shard_idx(oids[i])
-        });
-        for (shard, group) in self.shards.iter().zip(&groups).filter(|(_, g)| !g.is_empty()) {
-            let cache = shard.lock();
+        let shard_of = |i: usize| self.shard_idx(oids[i]);
+        crate::runtime::for_each_shard(oids.len(), shard_of, |shard, group| {
+            let cache = self.shards[shard].lock();
             for i in group.iter().map(|&i| i as usize).filter(|&i| wanted(i)) {
                 out[i] = cache.peek(oids[i]).cloned();
             }
-        }
+        });
     }
 
     /// Is `oid` resident? (No side effects.)

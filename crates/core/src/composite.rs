@@ -19,8 +19,7 @@
 //!   between a shared database and private databases").
 
 use crate::database::{Database, Tx};
-use orion_types::{DbError, DbResult, Oid, Value};
-use std::collections::HashMap;
+use orion_types::{DbError, DbResult, Oid, OidHashMap, Value};
 
 impl Database {
     /// Create an object as a part of `parent` under the composite
@@ -135,11 +134,11 @@ impl Database {
     /// application can edit offline (a private database in the paper's
     /// terms). The composite stays locked in the shared database until
     /// checkin or rollback.
-    pub fn checkout(&self, tx: &Tx, root: Oid) -> DbResult<HashMap<Oid, Vec<(String, Value)>>> {
+    pub fn checkout(&self, tx: &Tx, root: Oid) -> DbResult<OidHashMap<Vec<(String, Value)>>> {
         self.lock_composite(tx, root)?;
         let members = self.composite_members(root);
         let catalog = self.catalog.read();
-        let mut workspace = HashMap::new();
+        let mut workspace = OidHashMap::default();
         let rt = self.rt_read();
         for member in members {
             let record = self.load_record(&rt, &catalog, member)?;
@@ -161,7 +160,7 @@ impl Database {
     pub fn checkin(
         &self,
         tx: &Tx,
-        workspace: HashMap<Oid, Vec<(String, Value)>>,
+        workspace: OidHashMap<Vec<(String, Value)>>,
     ) -> DbResult<()> {
         for (oid, attrs) in workspace {
             for (name, value) in attrs {

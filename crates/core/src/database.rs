@@ -21,6 +21,7 @@
 
 use crate::authz::{AuthAction, AuthTarget, AuthzManager};
 use crate::cache::Hop;
+use crate::catalog_lock::CatalogLock;
 use crate::derived::refs;
 use crate::methods::MethodRegistry;
 use crate::multidb::ForeignAdapter;
@@ -32,7 +33,7 @@ use orion_schema::Catalog;
 use orion_storage::{PageDevice, StorageEngine, TxnId};
 use orion_tx::LockManager;
 use orion_types::codec::ObjectRecord;
-use orion_types::{ClassId, DbError, DbResult, Oid, OidAllocator, Value};
+use orion_types::{ClassId, DbError, DbResult, Oid, OidAllocator, OidHashMap, Value};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -236,7 +237,7 @@ impl Tx {
 
 /// The orion object-oriented database.
 pub struct Database {
-    pub(crate) catalog: RwLock<Catalog>,
+    pub(crate) catalog: CatalogLock,
     pub(crate) engine: StorageEngine,
     pub(crate) locks: LockManager,
     /// The maintenance gate around the decomposed [`Runtime`]: shared
@@ -321,7 +322,7 @@ impl Database {
         let engine = StorageEngine::with_backend(device, config.buffer_pages)?;
         engine.wal().set_group_commit_window(config.group_commit_window);
         let db = Database {
-            catalog: RwLock::new(Catalog::new()),
+            catalog: CatalogLock::new(Catalog::new()),
             engine,
             locks: LockManager::with_timeout(config.lock_timeout),
             rt: RwLock::new(Runtime::new(&config)),
@@ -407,13 +408,14 @@ impl Database {
     /// guard (never the exclusive gate, never the 2PL lock manager), so
     /// `stats()` can never deadlock against writers or rollback.
     pub fn stats(&self) -> DbStats {
-        let (cache, fetches) = {
+        let (cache, directory, fetches) = {
             let rt = self.rt_read();
-            (rt.cache.stats(), rt.fetches.load(Ordering::Relaxed))
+            (rt.cache.stats(), rt.directory.metrics.snapshot(), rt.fetches.load(Ordering::Relaxed))
         };
         self.metrics.twopc.prepared.set(self.engine.prepared_txns().len() as u64);
         DbStats {
             cache,
+            directory,
             pool: self.engine.pool().stats(),
             disk: self.engine.disk().stats(),
             wal: self.engine.wal().stats(),
@@ -576,7 +578,7 @@ impl Database {
     pub(crate) fn reinstate_in_doubt(&self) {
         for txn in self.engine.prepared_txns() {
             let (before, after) = self.engine.prepared_records(txn);
-            let mut writes: HashMap<Oid, [Option<Arc<ObjectRecord>>; 2]> = HashMap::new();
+            let mut writes: OidHashMap<[Option<Arc<ObjectRecord>>; 2]> = OidHashMap::default();
             for (side, records) in [before, after].into_iter().enumerate() {
                 for record in records.iter().filter_map(|(_, b)| ObjectRecord::decode(b).ok()) {
                     let oid = record.oid;

@@ -30,8 +30,8 @@ use orion_index::{IndexDef, IndexImpl, IndexInstance, IndexKind};
 use orion_schema::{Catalog, ResolvedClass};
 use orion_storage::{PageId, Records, Rid};
 use orion_types::codec::ObjectRecord;
-use orion_types::{ClassId, DbError, DbResult, Oid, Value};
-use std::collections::{hash_map::Entry, HashMap, HashSet};
+use orion_types::{ClassId, DbError, DbResult, Oid, OidHashMap, OidHashSet, Value};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// Scalar key values contributed by an attribute value (sets flatten,
@@ -84,7 +84,7 @@ fn rekey(imp: &mut IndexImpl, oid: Oid, old: &[Value], new: &[Value]) {
 
 /// Snapshot taken before a change: for each nested index, the key set
 /// of every affected root.
-pub(crate) type NestedSnapshot = Vec<(usize, HashMap<Oid, Vec<Value>>)>;
+pub(crate) type NestedSnapshot = Vec<(usize, OidHashMap<Vec<Value>>)>;
 
 impl Database {
     /// Does `def` index instances of `class` (as roots, for a nested
@@ -262,7 +262,7 @@ impl Database {
             // changes under them; storage is restored even if this fails.
             let nested = self.nested_snapshot(&rt, &catalog, &oids);
             let Some(restored) = abort()? else { return Ok(false) };
-            let rids: HashMap<Oid, Rid> = restored
+            let rids: OidHashMap<Rid> = restored
                 .iter()
                 .filter_map(|(rid, bytes)| Some((ObjectRecord::decode(bytes).ok()?.oid, *rid)))
                 .collect();
@@ -442,13 +442,13 @@ impl Database {
         def_target: ClassId,
         path: &[u32],
         oid: Oid,
-    ) -> HashSet<Oid> {
-        let mut roots = HashSet::new();
+    ) -> OidHashSet {
+        let mut roots = OidHashSet::default();
         for depth in 0..path.len() {
             // Objects at `depth` steps from a root; climb `depth` edges.
-            let mut frontier: HashSet<Oid> = HashSet::from([oid]);
+            let mut frontier = OidHashSet::from_iter([oid]);
             for k in (0..depth).rev() {
-                let mut up = HashSet::new();
+                let mut up = OidHashSet::default();
                 for o in &frontier {
                     rt.reverse.with(*o, |edges| {
                         if let Some(edges) = edges {
@@ -507,7 +507,7 @@ impl Database {
             .collect();
         let mut snapshot = Vec::new();
         for (i, def) in nested {
-            let mut keyed = HashMap::new();
+            let mut keyed = OidHashMap::default();
             for &oid in oids {
                 for root in self.nested_roots(rt, catalog, def.target, &def.path, oid) {
                     if let Entry::Vacant(slot) = keyed.entry(root) {
@@ -585,7 +585,7 @@ impl Database {
             rt.composite_owner.read().iter().map(|(part, (parent, _))| (*parent, *part)).collect();
         let mut order = Vec::new();
         let mut stack = vec![root];
-        let mut seen = HashSet::new();
+        let mut seen = OidHashSet::default();
         while let Some(cur) = stack.pop() {
             if !seen.insert(cur) {
                 continue;

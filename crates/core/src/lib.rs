@@ -17,6 +17,7 @@
 
 pub mod authz;
 pub mod cache;
+pub(crate) mod catalog_lock;
 pub mod composite;
 pub mod database;
 pub mod ddl;
@@ -37,7 +38,7 @@ pub mod versions;
 pub use authz::{AuthAction, AuthTarget};
 pub use cache::{CacheStats, ObjectCache};
 pub use database::{Database, DbConfig, DbConfigBuilder, LockingStrategy, StorageSpec, Tx};
-pub use stats::{DbStats, GateStats, NetMetrics, NetStats, RestartStats, TwoPcStats};
+pub use stats::{DbStats, DirectoryStats, GateStats, NetMetrics, NetStats, RestartStats, TwoPcStats};
 pub use ddl::Migration;
 pub use methods::MethodBody;
 pub use multidb::{ForeignAdapter, ForeignClass, ForeignObject};

@@ -43,7 +43,7 @@
 use crate::runtime::shard_of;
 use orion_tx::{CommitClock, MvccMetrics, MvccStats, SnapshotRegistry};
 use orion_types::codec::ObjectRecord;
-use orion_types::{ClassId, Oid};
+use orion_types::{ClassId, Oid, OidHashMap};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{hash_map::Entry, BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,7 +66,7 @@ const PENDING: u64 = u64::MAX;
 type VersionEntry = (u64, Option<Arc<ObjectRecord>>);
 
 /// One transaction's staged after-images (`None` = staged delete).
-type StagedSet = HashMap<Oid, Option<Arc<ObjectRecord>>>;
+type StagedSet = OidHashMap<Option<Arc<ObjectRecord>>>;
 
 /// One object a discarded transaction wrote: its staged after-image and
 /// its committed pre-image (`None` = absent).
@@ -105,7 +105,7 @@ pub(crate) struct VersionStore {
     pub clock: CommitClock,
     pub registry: SnapshotRegistry,
     pub metrics: MvccMetrics,
-    shards: Box<[RwLock<HashMap<Oid, VersionChain>>]>,
+    shards: Box<[RwLock<OidHashMap<VersionChain>>]>,
     /// Live chain count — the quiescent fast path: zero means every
     /// object is current and scans/reads skip all resolution.
     overlay: AtomicU64,
@@ -125,7 +125,7 @@ impl VersionStore {
             clock: CommitClock::new(),
             registry: SnapshotRegistry::new(),
             metrics: MvccMetrics::default(),
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| RwLock::new(OidHashMap::default())).collect(),
             overlay: AtomicU64::new(0),
             staged: Mutex::new(HashMap::new()),
             deleted: RwLock::new(HashMap::new()),

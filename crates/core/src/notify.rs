@@ -7,8 +7,7 @@
 //! calling back into application code — is the other half of \[CHOU88\];
 //! a poll API is what a library can honestly offer.)
 
-use orion_types::Oid;
-use std::collections::{HashMap, HashSet};
+use orion_types::{Oid, OidHashMap, OidHashSet};
 
 /// Why a notification fired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,8 +36,8 @@ pub struct Notification {
 /// Subscription registry + pending notification queues.
 #[derive(Debug, Default)]
 pub struct NotifyCenter {
-    subscribed: HashSet<Oid>,
-    pending: HashMap<Oid, Vec<Notification>>,
+    subscribed: OidHashSet,
+    pending: OidHashMap<Vec<Notification>>,
 }
 
 impl NotifyCenter {

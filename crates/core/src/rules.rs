@@ -179,7 +179,7 @@ impl Database {
             let resolved = catalog.resolve(*class_id)?;
             // Resolved attributes are kept in ascending id order.
             let attr_ids: Vec<u32> = resolved.attrs.iter().map(|a| a.id).collect();
-            let records = source.fetch(&oids, &attr_ids)?;
+            let records = source.fetch(&oids, None, &attr_ids)?;
             for (oid, record) in oids.into_iter().zip(records) {
                 // Unary class predicates, subclass-aware: the instance
                 // belongs to its class and every ancestor.

@@ -71,19 +71,21 @@
 
 use crate::cache::ShardedCache;
 use crate::database::DbConfig;
+use crate::stats::DirectoryMetrics;
 use orion_index::IndexInstance;
 use orion_storage::heap::Rid;
 use orion_types::codec::ObjectRecord;
-use orion_types::{ClassId, Oid};
+use orion_types::{ClassId, Oid, OidHashMap};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, AtomicU64};
 use std::sync::Arc;
 
-/// Shard count for OID-keyed maps. A small power of two: enough to keep
-/// disjoint writers off each other's cache lines, small enough that
-/// whole-map operations (rebuild, iteration) stay cheap.
-const OID_SHARDS: usize = 16;
+/// Shard count for OID-keyed maps, and the most shards any OID-sharded
+/// structure has. A small power of two: enough to keep disjoint writers
+/// off each other's cache lines, small enough that whole-map operations
+/// (rebuild, iteration) stay cheap.
+pub(crate) const OID_SHARDS: usize = 16;
 
 /// The one OID-to-shard function, for every OID-sharded structure (the
 /// maps here, the object cache, the version store): which of `shards`
@@ -99,19 +101,39 @@ pub(crate) fn shard_of(oid: Oid, shards: usize) -> usize {
     ((mixed * shards as u64) >> 32) as usize
 }
 
-/// The indices `0..n` grouped by the shard `shard_of` assigns each — so
-/// a batch operation on a sharded structure locks each shard once.
-pub(crate) fn group_by_shard(
+/// Call `visit(shard, indices)` once for every shard that `shard_of`
+/// gives some of the indices `0..n`, with those indices ascending — so
+/// a batch operation on a sharded structure locks each shard once. One
+/// index goes straight through without allocating; a batch is counting-
+/// sorted into one buffer. `shard_of` answers below [`OID_SHARDS`].
+pub(crate) fn for_each_shard(
     n: usize,
-    shards: usize,
     shard_of: impl Fn(usize) -> usize,
-) -> Vec<Vec<u32>> {
-    let mut groups: Vec<Vec<u32>> =
-        (0..shards).map(|_| Vec::with_capacity(2 * n / shards + 1)).collect();
-    for i in 0..n {
-        groups[shard_of(i)].push(i as u32);
+    mut visit: impl FnMut(usize, &[u32]),
+) {
+    if n == 1 {
+        return visit(shard_of(0), &[0]);
     }
-    groups
+    let mut start = [0u32; OID_SHARDS + 1];
+    for i in 0..n {
+        start[shard_of(i) + 1] += 1;
+    }
+    for s in 0..OID_SHARDS {
+        start[s + 1] += start[s];
+    }
+    let mut next = start;
+    let mut order = vec![0u32; n];
+    for i in 0..n {
+        let slot = &mut next[shard_of(i)];
+        order[*slot as usize] = i as u32;
+        *slot += 1;
+    }
+    for s in 0..OID_SHARDS {
+        let group = &order[start[s] as usize..start[s + 1] as usize];
+        if !group.is_empty() {
+            visit(s, group);
+        }
+    }
 }
 
 /// An OID-sharded hash map: one `RwLock`ed shard per hash slice, so
@@ -119,18 +141,18 @@ pub(crate) fn group_by_shard(
 /// behind a structural mutex.
 #[derive(Debug)]
 pub(crate) struct OidMap<V> {
-    shards: Box<[RwLock<HashMap<Oid, V>>]>,
+    shards: Box<[RwLock<OidHashMap<V>>]>,
 }
 
 impl<V> OidMap<V> {
     pub fn new() -> Self {
         OidMap {
-            shards: (0..OID_SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..OID_SHARDS).map(|_| RwLock::new(OidHashMap::default())).collect(),
         }
     }
 
     #[inline]
-    fn shard(&self, oid: Oid) -> &RwLock<HashMap<Oid, V>> {
+    fn shard(&self, oid: Oid) -> &RwLock<OidHashMap<V>> {
         &self.shards[shard_of(oid, OID_SHARDS)]
     }
 
@@ -163,7 +185,7 @@ impl<V> OidMap<V> {
 
     /// Mutate the shard holding `oid` under its write lock (entry-style
     /// updates that need more than insert/remove).
-    pub fn update<R>(&self, oid: Oid, f: impl FnOnce(&mut HashMap<Oid, V>) -> R) -> R {
+    pub fn update<R>(&self, oid: Oid, f: impl FnOnce(&mut OidHashMap<V>) -> R) -> R {
         f(&mut self.shard(oid).write())
     }
 }
@@ -174,18 +196,76 @@ impl<V: Copy> OidMap<V> {
     }
 
     /// [`OidMap::get`] for a batch: calls `found(i, value)` for every
-    /// present `oids[i]`, locking each shard once instead of once per
-    /// object.
-    pub fn get_batch(&self, oids: &[Oid], mut found: impl FnMut(usize, V)) {
-        let groups = group_by_shard(oids.len(), OID_SHARDS, |i| shard_of(oids[i], OID_SHARDS));
-        for (shard, group) in self.shards.iter().zip(&groups).filter(|(_, g)| !g.is_empty()) {
-            let map = shard.read();
-            for &i in group {
-                if let Some(value) = map.get(&oids[i as usize]) {
-                    found(i as usize, *value);
+    /// `oids[i]` that `want(i)` selects and the map holds, locking each
+    /// shard once instead of once per object. Returns how many OIDs it
+    /// looked up.
+    pub fn get_batch(
+        &self,
+        oids: &[Oid],
+        want: impl Fn(usize) -> bool,
+        mut found: impl FnMut(usize, V),
+    ) -> u64 {
+        let mut probes = 0;
+        for_each_shard(oids.len(), |i| shard_of(oids[i], OID_SHARDS), |shard, group| {
+            let map = self.shards[shard].read();
+            for i in group.iter().map(|&i| i as usize).filter(|&i| want(i)) {
+                probes += 1;
+                if let Some(value) = map.get(&oids[i]) {
+                    found(i, *value);
                 }
             }
-        }
+        });
+        probes
+    }
+}
+
+/// OID → record id ("object directory management", §4.2), counting
+/// every lookup.
+#[derive(Debug)]
+pub(crate) struct Directory {
+    map: OidMap<Rid>,
+    pub metrics: DirectoryMetrics,
+}
+
+impl Directory {
+    fn new() -> Self {
+        Directory { map: OidMap::new(), metrics: DirectoryMetrics::default() }
+    }
+
+    pub fn get(&self, oid: Oid) -> Option<Rid> {
+        self.metrics.probes.inc();
+        self.map.get(oid)
+    }
+
+    pub fn contains(&self, oid: Oid) -> bool {
+        self.metrics.probes.inc();
+        self.map.contains(oid)
+    }
+
+    /// [`OidMap::get_batch`], counted.
+    pub fn get_batch(
+        &self,
+        oids: &[Oid],
+        want: impl Fn(usize) -> bool,
+        found: impl FnMut(usize, Rid),
+    ) {
+        self.metrics.probes.add(self.map.get_batch(oids, want, found));
+    }
+
+    pub fn insert(&self, oid: Oid, rid: Rid) -> Option<Rid> {
+        self.map.insert(oid, rid)
+    }
+
+    pub fn remove(&self, oid: Oid) -> Option<Rid> {
+        self.map.remove(oid)
+    }
+
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub fn clear(&self) {
+        self.map.clear();
     }
 }
 
@@ -253,7 +333,7 @@ impl Extents {
 #[derive(Debug)]
 pub(crate) struct Runtime {
     /// OID → record id ("object directory management", §4.2).
-    pub directory: OidMap<Rid>,
+    pub directory: Directory,
     /// Class → its own instances (not subclasses).
     pub extents: Extents,
     /// The memory-resident object cache, sharded by OID.
@@ -269,11 +349,11 @@ pub(crate) struct Runtime {
     /// part → (parent, composite attr) exclusive ownership. One lock:
     /// closure computation walks the whole map, so sharding buys
     /// nothing here.
-    pub composite_owner: RwLock<HashMap<Oid, (Oid, u32)>>,
+    pub composite_owner: RwLock<OidHashMap<(Oid, u32)>>,
     /// Foreign class → adapter name (extents served by the federation).
     pub foreign_classes: RwLock<HashMap<ClassId, String>>,
     /// Materialized foreign records (refreshed on scan).
-    pub foreign_store: RwLock<HashMap<Oid, Arc<ObjectRecord>>>,
+    pub foreign_store: RwLock<OidHashMap<Arc<ObjectRecord>>>,
     /// Record id of the persisted system-state record, if written.
     pub system_rid: Mutex<Option<Rid>>,
     /// Objects fetched from storage (experiment accounting).
@@ -283,15 +363,15 @@ pub(crate) struct Runtime {
 impl Runtime {
     pub(crate) fn new(config: &DbConfig) -> Self {
         Runtime {
-            directory: OidMap::new(),
+            directory: Directory::new(),
             extents: Extents::new(),
             cache: ShardedCache::new(config.cache_objects, config.swizzling),
             indexes: RwLock::new(Vec::new()),
             next_index_id: AtomicU32::new(1),
             reverse: OidMap::new(),
-            composite_owner: RwLock::new(HashMap::new()),
+            composite_owner: RwLock::new(OidHashMap::default()),
             foreign_classes: RwLock::new(HashMap::new()),
-            foreign_store: RwLock::new(HashMap::new()),
+            foreign_store: RwLock::new(OidHashMap::default()),
             system_rid: Mutex::new(None),
             fetches: AtomicU64::new(0),
         }
@@ -330,6 +410,63 @@ mod tests {
         m.update(o, |shard| shard.entry(o).or_default().push(5));
         m.update(o, |shard| shard.entry(o).or_default().push(6));
         assert_eq!(m.with(o, |v| v.map(|v| v.len())), Some(2));
+    }
+
+    #[test]
+    fn for_each_shard_visits_every_index_once_by_shard() {
+        let oids: Vec<Oid> = (0..1_000).map(|s| oid(4, s * 7)).collect();
+        let mut seen = vec![0; oids.len()];
+        let mut shards = Vec::new();
+        for_each_shard(oids.len(), |i| shard_of(oids[i], OID_SHARDS), |shard, group| {
+            shards.push(shard);
+            assert!(group.is_sorted(), "indices ascend within a shard");
+            for &i in group {
+                assert_eq!(shard_of(oids[i as usize], OID_SHARDS), shard);
+                seen[i as usize] += 1;
+            }
+        });
+        assert!(seen.iter().all(|&n| n == 1), "every index exactly once");
+        assert!(shards.is_sorted() && shards.len() == OID_SHARDS, "each shard once: {shards:?}");
+        let mut one = Vec::new();
+        for_each_shard(1, |_| 5, |shard, group| one.push((shard, group.to_vec())));
+        assert_eq!(one, [(5, vec![0])]);
+        for_each_shard(0, |_| unreachable!(), |_, _| unreachable!());
+    }
+
+    #[test]
+    fn directory_counts_every_oid_it_looks_up() {
+        let dir = Directory::new();
+        let rid = |slot| Rid { page: orion_storage::PageId(1), slot };
+        for s in 0..10 {
+            dir.insert(oid(1, s), rid(s as u16));
+        }
+        assert_eq!(dir.get(oid(1, 3)), Some(rid(3)));
+        assert!(!dir.contains(oid(1, 99)));
+        let oids: Vec<Oid> = (0..10).map(|s| oid(1, s)).collect();
+        let mut found = Vec::new();
+        dir.get_batch(&oids, |i| i % 2 == 0, |i, r| found.push((i, r)));
+        found.sort_unstable();
+        assert_eq!(found, (0..10).step_by(2).map(|i| (i, rid(i as u16))).collect::<Vec<_>>());
+        assert_eq!(dir.metrics.snapshot().probes, 2 + 5, "unwanted OIDs are not looked up");
+    }
+
+    /// hashbrown keeps the top seven bits of a key's hash as its tag;
+    /// the OIDs that `shard_of` puts in one shard must not share them,
+    /// or every probe in a shard would compare against false matches.
+    #[test]
+    fn one_shards_oids_spread_over_the_hash_tags() {
+        use std::hash::BuildHasher;
+        for stride in [1, 40] {
+            let mut tags = HashSet::new();
+            let shard_mates = (0..100_000u64)
+                .map(|s| oid(7, s * stride))
+                .filter(|&o| shard_of(o, OID_SHARDS) == 0)
+                .take(5_000);
+            for o in shard_mates {
+                tags.insert(orion_types::OidBuildHasher::default().hash_one(o) >> 57);
+            }
+            assert!(tags.len() >= 120, "stride {stride}: {} of 128 tags", tags.len());
+        }
     }
 
     #[test]

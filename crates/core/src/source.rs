@@ -6,9 +6,9 @@ use crate::mvcc::{Resolution, SnapshotGuard, NO_READER};
 use crate::runtime::Runtime;
 use crate::sysattr;
 use orion_index::{IndexDef, IndexKind};
-use orion_query::{intersect, AccessPath, DataSource, Probed};
+use orion_query::{intersect, AccessPath, DataSource, Location, Probed, Walk};
 use orion_schema::Catalog;
-use orion_storage::{Rid, SlotRead};
+use orion_storage::{PageId, Rid, SlotRead};
 use orion_types::codec::ObjectRecord;
 use orion_types::{ClassId, DbError, DbResult, Oid, Value};
 use std::sync::atomic::Ordering;
@@ -84,7 +84,8 @@ impl<'a> SourceView<'a> {
     }
 
     /// The records of `oids` at the snapshot (`None`: dangling,
-    /// invisible, or unreadable).
+    /// invisible, or unreadable), reading in place at `located` where a
+    /// walk gave it.
     ///
     /// Per object: the newest version visible at the snapshot. An
     /// object with a version chain is served from it;
@@ -92,14 +93,17 @@ impl<'a> SourceView<'a> {
     /// subtlety: a writer may stage a chain between the resolution and
     /// the in-place read, so every such read is confirmed by checking
     /// for a chain afterwards (stage-before-mutate makes a second
-    /// resolution see the pre-image the snapshot needs). The in-place
-    /// reads of a batch are done together, page by page; the protocol
-    /// stays per object, and an object that lost the race is simply
-    /// read again on its own.
+    /// resolution see the pre-image the snapshot needs). The same check
+    /// covers a stale location: an object that moved or went since the
+    /// walk was staged first, and its chain cannot settle while the
+    /// snapshot is registered. The in-place reads of a batch are done
+    /// together, page by page; the protocol stays per object, and an
+    /// object that lost the race is simply read again on its own.
     fn read_batch(
         &self,
         rt: &Runtime,
         oids: &[Oid],
+        located: Option<&[Location]>,
         attrs: &[u32],
     ) -> Vec<Option<Arc<ObjectRecord>>> {
         let mut out = vec![None; oids.len()];
@@ -119,13 +123,14 @@ impl<'a> SourceView<'a> {
                 };
             }
         }
-        self.read_in_place(rt, oids, |i| pending[i] != Pending::Settled, attrs, &mut out);
+        let unsettled = |i: usize| pending[i] != Pending::Settled;
+        self.read_in_place(rt, oids, located, &unsettled, attrs, &mut out);
         for (i, oid) in oids.iter().enumerate() {
             if pending[i] == Pending::Confirm && mvcc.has_chain(*oid) {
                 // Lost the race with a writer's staging (the read may
                 // have failed outright if the record moved); the chain
                 // is authoritative now — resolve again.
-                out[i] = self.read_batch(rt, &[*oid], attrs).pop().flatten();
+                out[i] = self.read_batch(rt, &[*oid], None, attrs).pop().flatten();
             }
         }
         out
@@ -135,18 +140,23 @@ impl<'a> SourceView<'a> {
     /// `wanted` selects, without touching cache recency or admission
     /// (the read path must not perturb eviction order). Cache residents
     /// and foreign objects are served as shared handles; the rest are
-    /// resolved to record ids, grouped by page, and each page is read
-    /// once. Only `attrs` and the system attributes are decoded.
-    /// Dangling OIDs and unreadable records stay `None`.
+    /// read where `located` says (a walk's locations, one per OID), or
+    /// else where the directory says, grouped by page, and each page is
+    /// read once. Only `attrs` and the system attributes are decoded.
+    /// A row its location did not serve (the object moved or went since
+    /// the walk, or another object took its slot) is looked up in the
+    /// directory after all. Dangling OIDs and unreadable records stay
+    /// `None`.
     fn read_in_place(
         &self,
         rt: &Runtime,
         oids: &[Oid],
-        wanted: impl Fn(usize) -> bool,
+        located: Option<&[Location]>,
+        wanted: &dyn Fn(usize) -> bool,
         attrs: &[u32],
         out: &mut [Option<Arc<ObjectRecord>>],
     ) {
-        rt.cache.peek_batch(oids, &wanted, out);
+        rt.cache.peek_batch(oids, wanted, out);
         {
             let foreign = rt.foreign_store.read();
             if !foreign.is_empty() {
@@ -157,13 +167,20 @@ impl<'a> SourceView<'a> {
                 }
             }
         }
-        let mut located: Vec<(Rid, usize)> = Vec::new();
-        rt.directory.get_batch(oids, |i, rid| {
-            if wanted(i) && out[i].is_none() {
-                located.push((rid, i));
-            }
-        });
-        located.sort_unstable();
+        let mut rows: Vec<(Rid, usize)> = Vec::new();
+        let unread = |i: usize| wanted(i) && out[i].is_none();
+        match located {
+            Some(located) => rows.extend(
+                (0..oids.len())
+                    .filter(|&i| unread(i))
+                    .filter_map(|i| Some((rid_at(located[i])?, i))),
+            ),
+            None => rt.directory.get_batch(oids, unread, |i, rid| rows.push((rid, i))),
+        }
+        // A walked batch arrives in heap order already.
+        if !rows.is_sorted() {
+            rows.sort_unstable();
+        }
 
         let keep = |id: u32| sysattr::is_reserved(id) || attrs.binary_search(&id).is_ok();
         let engine = &self.db.engine;
@@ -171,7 +188,7 @@ impl<'a> SourceView<'a> {
         let mut classes: Vec<(ClassId, Option<Arc<orion_schema::ResolvedClass>>)> = Vec::new();
         let (mut buf, mut cells, mut slots) = (Vec::new(), Vec::new(), Vec::new());
         let mut fetched = 0;
-        for page in located.chunk_by(|a, b| a.0.page == b.0.page) {
+        for page in rows.chunk_by(|a, b| a.0.page == b.0.page) {
             slots.clear();
             slots.extend(page.iter().map(|(rid, _)| rid.slot));
             buf.clear();
@@ -190,6 +207,10 @@ impl<'a> SourceView<'a> {
                     SlotRead::Absent => continue,
                 };
                 let Ok(mut record) = decoded else { continue };
+                if record.oid != oids[i] {
+                    // A slot reused by another object since the walk.
+                    continue;
+                }
                 fetched += 1;
                 let class = record.oid.class();
                 let known = classes.iter().position(|(c, _)| *c == class).unwrap_or_else(|| {
@@ -204,7 +225,27 @@ impl<'a> SourceView<'a> {
             }
         }
         rt.fetches.fetch_add(fetched, Ordering::Relaxed);
+        if located.is_some() {
+            let missed: Vec<usize> =
+                (0..oids.len()).filter(|&i| wanted(i) && out[i].is_none()).collect();
+            if !missed.is_empty() {
+                let missed = |i: usize| missed.binary_search(&i).is_ok();
+                self.read_in_place(rt, oids, None, &missed, attrs, out);
+            }
+        }
     }
+}
+
+/// The location a walk records for `rid`: its page above its slot, so
+/// that locations order as record ids do.
+fn location(rid: Rid) -> Location {
+    Location(u64::from(rid.page.0) << 16 | u64::from(rid.slot))
+}
+
+/// The record id a walk's location names (`None` for [`Location::NONE`]).
+fn rid_at(location: Location) -> Option<Rid> {
+    (location != Location::NONE)
+        .then_some(Rid { page: PageId((location.0 >> 16) as u32), slot: location.0 as u16 })
 }
 
 impl DataSource for SourceView<'_> {
@@ -236,10 +277,18 @@ impl DataSource for SourceView<'_> {
         self.db.rt_read().extents.len_of(class)
     }
 
-    fn fetch(&self, oids: &[Oid], attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
+    fn fetch(
+        &self,
+        oids: &[Oid],
+        located: Option<&[Location]>,
+        attrs: &[u32],
+    ) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
         // One shared gate guard and one counter update per batch.
         let rt = self.db.rt_read();
-        let mut out = self.read_batch(&rt, oids, attrs);
+        if let Some(located) = located {
+            assert_eq!(located.len(), oids.len(), "one location per OID");
+        }
+        let mut out = self.read_batch(&rt, oids, located, attrs);
         let mut reads = oids.len() as u64;
         // Generic objects answer through their default version.
         for slot in &mut out {
@@ -247,21 +296,23 @@ impl DataSource for SourceView<'_> {
                 Some(Value::Ref(default)) => *default,
                 _ => continue,
             };
-            *slot = self.read_batch(&rt, &[default], attrs).pop().flatten();
+            *slot = self.read_batch(&rt, &[default], None, attrs).pop().flatten();
             reads += 1;
         }
         self.db.mvcc.metrics.snapshot_reads.add(reads);
         Ok(out)
     }
 
-    fn fetch_order(&self, oids: &[Oid]) -> Option<Vec<u32>> {
+    fn walk(&self, oids: &[Oid]) -> Option<Walk> {
         // Heap address order; objects with no stored record (foreign,
         // or deleted since the snapshot) go last.
-        let mut rids: Vec<Option<Rid>> = vec![None; oids.len()];
-        self.db.rt_read().directory.get_batch(oids, |i, rid| rids[i] = Some(rid));
-        let mut order: Vec<u32> = (0..oids.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| (rids[i as usize].is_none(), rids[i as usize], i));
-        Some(order)
+        let mut keyed: Vec<(Location, u32)> =
+            (0..oids.len() as u32).map(|i| (Location::NONE, i)).collect();
+        let rt = self.db.rt_read();
+        rt.directory.get_batch(oids, |_| true, |i, rid| keyed[i].0 = location(rid));
+        keyed.sort_unstable();
+        let (located, order) = keyed.into_iter().unzip();
+        Some(Walk { order, located })
     }
 
     fn indexes(&self) -> Vec<IndexDef> {

@@ -145,6 +145,18 @@ orion_obs::metrics! {
 }
 
 orion_obs::metrics! {
+    /// Object-directory counters, as captured by [`Database::stats`].
+    ///
+    /// [`Database::stats`]: crate::Database::stats
+    pub struct DirectoryStats;
+    /// The object directory's sinks.
+    pub(crate) struct DirectoryMetrics;
+    /// OIDs looked up in the directory: a scanned row that costs more
+    /// than one was located twice.
+    probes: counter("orion_directory_probes_total", "OIDs looked up in the object directory"),
+}
+
+orion_obs::metrics! {
     /// The two counters [`DbStats`] carries at its top level.
     struct ObjectCounts;
     /// Objects fetched (decoded) from storage.
@@ -161,6 +173,8 @@ orion_obs::metrics! {
 pub struct DbStats {
     /// Object-cache counters (hits, misses, swizzle traversals).
     pub cache: CacheStats,
+    /// Object-directory counters (OIDs looked up).
+    pub directory: DirectoryStats,
     /// Buffer-pool counters (hits, misses, evictions, writebacks).
     pub pool: PoolStats,
     /// Simulated-disk I/O counters.
@@ -197,6 +211,7 @@ impl DbStats {
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         self.cache.render(&mut out);
+        self.directory.render(&mut out);
         self.pool.render(&mut out);
         self.disk.render(&mut out);
         self.wal.render(&mut out);

@@ -294,7 +294,8 @@ fn no_counter_or_histogram_series_ever_goes_down() {
 /// Pinned from the hand-written rendering the `metrics!` declarations
 /// replaced; `orion_disk_allocations_total` and the two
 /// `orion_recovery_records_*` series are the snapshot fields that had
-/// no series before.
+/// no series before, and `orion_directory_probes_total` came later with
+/// the object directory's lookup count.
 const SERIES: &[(&str, &str, &str)] = &[
     ("orion_cache_hits_total", "counter", "Object-cache lookups answered by a resident object"),
     ("orion_cache_misses_total", "counter", "Object-cache lookups that faulted in from storage"),
@@ -313,6 +314,7 @@ const SERIES: &[(&str, &str, &str)] = &[
         "counter",
         "Ref traversals that resolved via the OID map",
     ),
+    ("orion_directory_probes_total", "counter", "OIDs looked up in the object directory"),
     ("orion_pool_hits_total", "counter", "Buffer-pool page requests satisfied without disk I/O"),
     ("orion_pool_misses_total", "counter", "Buffer-pool page requests that read from disk"),
     ("orion_pool_evictions_total", "counter", "Buffer-pool frames evicted to make room"),

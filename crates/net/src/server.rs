@@ -1308,8 +1308,7 @@ fn dispatch(shared: &Shared, session: &mut SessionState, request: Request) -> Re
         }
         Request::Checkin { workspace } => {
             let result = with_tx(shared, session, |db, tx| {
-                let ws: HashMap<_, _> = workspace.iter().cloned().collect();
-                db.checkin(tx, ws)
+                db.checkin(tx, workspace.iter().cloned().collect())
             });
             match result {
                 Ok(()) => Response::Ok,

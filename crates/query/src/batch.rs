@@ -14,11 +14,10 @@
 use crate::ast::{CmpOp, Expr, Path, Query, SelectItem};
 use crate::exec::cmp_holds;
 use crate::plan::{literal_value, AccessPath};
-use crate::source::DataSource;
+use crate::source::{DataSource, Walk};
 use orion_schema::Catalog;
 use orion_types::codec::ObjectRecord;
-use orion_types::{ClassId, DbResult, Oid, Value};
-use std::collections::HashMap;
+use orion_types::{ClassId, DbResult, Oid, OidHashMap, Value};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -213,7 +212,7 @@ struct Worker<'a> {
     /// each of `program.names` resolves to through that class.
     classes: Vec<Option<Box<[Option<StepAttr>]>>>,
     /// Objects reached through reference steps.
-    refs: HashMap<Oid, Option<Arc<ObjectRecord>>>,
+    refs: OidHashMap<Option<Arc<ObjectRecord>>>,
     ref_hits: u64,
     ref_lookups: u64,
 }
@@ -225,7 +224,7 @@ impl<'a> Worker<'a> {
             source,
             program,
             classes: Vec::new(),
-            refs: HashMap::new(),
+            refs: OidHashMap::default(),
             ref_hits: 0,
             ref_lookups: 0,
         }
@@ -262,7 +261,7 @@ impl<'a> Worker<'a> {
             self.ref_hits += 1;
             return Ok(hit.clone());
         }
-        let record = self.source.fetch(&[oid], &self.program.attrs)?.pop().flatten();
+        let record = self.source.fetch(&[oid], None, &self.program.attrs)?.pop().flatten();
         if self.refs.len() >= REF_CACHE_MAX {
             self.refs.clear();
         }
@@ -386,24 +385,25 @@ impl<'a> Worker<'a> {
 
     /// Fetch and evaluate `walk[range]` (or `range` itself without a
     /// walk) of `oids`, appending an outcome per surviving or failing
-    /// object. A failed batch fetch is retried object by object, so an
-    /// error lands on exactly the candidates that cause it — which
-    /// error a query reports must not depend on the batch size.
+    /// object; a walked batch hands its locations to the fetch. A failed
+    /// batch fetch is retried object by object, so an error lands on
+    /// exactly the candidates that cause it — which error a query
+    /// reports must not depend on the batch size.
     fn run_batch(
         &mut self,
         pass: Pass,
         oids: &[Oid],
-        walk: Option<&[u32]>,
+        walk: Option<&Walk>,
         range: Range<usize>,
         out: &mut Vec<Outcome>,
     ) {
         let gathered: Vec<Oid>;
-        let batch = match walk {
+        let (batch, located) = match walk {
             Some(walk) => {
-                gathered = walk[range.clone()].iter().map(|&p| oids[p as usize]).collect();
-                &gathered[..]
+                gathered = walk.order[range.clone()].iter().map(|&p| oids[p as usize]).collect();
+                (&gathered[..], Some(&walk.located[range.clone()]))
             }
-            None => &oids[range.clone()],
+            None => (&oids[range.clone()], None),
         };
         let (source, attrs, recheck) = (self.source, &self.program.attrs, pass.recheck);
         // A pass that reads no attribute fetches only what a re-check
@@ -411,14 +411,16 @@ impl<'a> Worker<'a> {
         let reads = self.program.reads_records(pass);
         let wanted = |oid: &Oid| reads || pass.filter && recheck.binary_search(oid).is_ok();
         let fetched: Vec<Oid> = batch.iter().copied().filter(wanted).collect();
+        // The locations line up with the batch only if nothing was left out.
+        let located = located.filter(|_| fetched.len() == batch.len());
         let records: Vec<DbResult<_>> = if fetched.is_empty() {
             Vec::new()
         } else {
-            match source.fetch(&fetched, attrs) {
+            match source.fetch(&fetched, located, attrs) {
                 Ok(records) => records.into_iter().map(Ok).collect(),
                 Err(_) => fetched
                     .iter()
-                    .map(|oid| Ok(source.fetch(&[*oid], attrs)?.pop().flatten()))
+                    .map(|oid| Ok(source.fetch(&[*oid], None, attrs)?.pop().flatten()))
                     .collect(),
             }
         };
@@ -426,7 +428,7 @@ impl<'a> Worker<'a> {
         for (i, oid) in batch.iter().enumerate() {
             let record = if wanted(oid) { records.next().expect("fetched") } else { Ok(None) };
             let scored = record.and_then(|r| self.score(pass, *oid, r.as_deref()));
-            let pos = walk.map_or(range.start + i, |w| w[range.start + i] as usize) as u32;
+            let pos = walk.map_or(range.start + i, |w| w.order[range.start + i] as usize) as u32;
             match scored {
                 Ok(None) => {}
                 Ok(Some(hit)) => out.push((pos, Ok(hit))),
@@ -441,7 +443,7 @@ impl<'a> Worker<'a> {
         &mut self,
         pass: Pass,
         oids: &[Oid],
-        walk: Option<&[u32]>,
+        walk: Option<&Walk>,
         range: Range<usize>,
         batch: usize,
         stop_after: Option<usize>,
@@ -469,7 +471,8 @@ pub(crate) struct PassResult {
 }
 
 /// Evaluate `pass` over `oids` in `walk` order (a permutation of the
-/// positions; `None` walks them as they come) on `threads` workers.
+/// positions, with each one's location; `None` walks them as they come)
+/// on `threads` workers.
 /// Each worker takes one contiguous stretch of the walk and cuts it
 /// into batches of `batch`, so workers touch disjoint storage and share
 /// nothing per row; their outcomes are concatenated in walk order.
@@ -480,7 +483,7 @@ pub(crate) fn run_pass(
     program: &Program,
     pass: Pass,
     oids: &[Oid],
-    walk: Option<&[u32]>,
+    walk: Option<&Walk>,
     threads: usize,
     batch: usize,
     stop_after: Option<usize>,

@@ -13,11 +13,12 @@
 //! walked in contiguous batches, the source serves each batch's records
 //! in one [`DataSource::fetch`] call, and the residual, order key and
 //! projection are evaluated against that one record per candidate. The
-//! walk follows [`DataSource::fetch_order`] (storage order, so a scan
-//! reads each page once) but every outcome is keyed by its candidate
-//! position and merged back in candidate order — so the result is
-//! byte-identical whatever the walk order, batch size or worker count,
-//! including `order by` tie handling.
+//! walk follows [`DataSource::walk`] (storage order, so a scan reads
+//! each page once; each batch hands the walk's locations back to
+//! `fetch`, so a scanned row is located once) but every outcome is
+//! keyed by its candidate position and merged back in candidate order —
+//! so the result is byte-identical whatever the walk order, batch size
+//! or worker count, including `order by` tie handling.
 
 use crate::ast::{CmpOp, Expr, Path, Query, SelectItem};
 use crate::batch::{run_pass, Hit, Pass, Program, BATCH};
@@ -162,7 +163,7 @@ pub fn path_values(
             let Value::Ref(o) = v else { continue };
             let Ok(resolved) = catalog.resolve(o.class()) else { continue };
             let Some(attr) = resolved.attr(step) else { continue };
-            let record = source.fetch(&[*o], &[attr.id])?.pop().flatten();
+            let record = source.fetch(&[*o], None, &[attr.id])?.pop().flatten();
             let mut value = record.and_then(|r| r.get(attr.id).cloned()).unwrap_or(Value::Null);
             if value.is_null() && !attr.default.is_null() {
                 value = attr.default.clone();
@@ -473,7 +474,7 @@ impl Run<'_> {
         // on walking in sequence.
         let reads = self.program.reads_records(pass);
         let walk = if reads && stop_after.is_none() && oids.len() > self.batch {
-            self.source.fetch_order(oids)
+            self.source.walk(oids)
         } else {
             None
         };
@@ -484,7 +485,7 @@ impl Run<'_> {
             self.program,
             pass,
             oids,
-            walk.as_deref(),
+            walk.as_ref(),
             threads,
             self.batch,
             stop_after,

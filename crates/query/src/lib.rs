@@ -33,7 +33,7 @@ pub use exec::{
 };
 pub use plan::{plan, AccessPath, ExplainReport, PlannedQuery, RunStats, INTERSECT_RATIO};
 pub use parser::parse;
-pub use source::{intersect, DataSource, MemSource, Probed};
+pub use source::{intersect, DataSource, Location, MemSource, Probed, Walk};
 
 use orion_schema::Catalog;
 use orion_types::DbResult;
@@ -121,7 +121,7 @@ mod tests {
 
     /// One stored attribute value (index population in these tests).
     fn stored(src: &MemSource, oid: Oid, attr: u32) -> Value {
-        let record = src.fetch(&[oid], &[attr]).unwrap().pop().flatten().unwrap();
+        let record = src.fetch(&[oid], None, &[attr]).unwrap().pop().flatten().unwrap();
         record.get(attr).cloned().unwrap()
     }
 

@@ -1,7 +1,8 @@
 //! The `DataSource` abstraction the planner and executor run against.
 //!
 //! Query processing needs four capabilities — extent scans, batched
-//! record access, index metadata, and index lookups — and nothing else. Keeping
+//! record access (optionally walked in storage order), index metadata,
+//! and index lookups — and nothing else. Keeping
 //! them behind a trait decouples this crate from the object manager
 //! (`orion-core` implements it over the buffer pool, object cache, and
 //! lock manager; tests and benches implement it in memory).
@@ -9,8 +10,30 @@
 use crate::plan::AccessPath;
 use orion_index::IndexDef;
 use orion_types::codec::ObjectRecord;
-use orion_types::{ClassId, DbResult, Oid, Value};
+use orion_types::{ClassId, DbResult, Oid, OidHashMap, Value};
 use std::sync::Arc;
+
+/// Where a source stores one object, as its [`DataSource::walk`] found
+/// it: an opaque word the executor only hands back to the same source's
+/// [`DataSource::fetch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Location(pub u64);
+
+impl Location {
+    /// The walk found no stored record for the object.
+    pub const NONE: Location = Location(u64::MAX);
+}
+
+/// A storage-order walk over a candidate vector (see
+/// [`DataSource::walk`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Walk {
+    /// A permutation of the candidate positions.
+    pub order: Vec<u32>,
+    /// `located[k]`: where the candidate at position `order[k]` is
+    /// stored.
+    pub located: Vec<Location>,
+}
 
 /// What the query processor requires from the layers below.
 ///
@@ -32,6 +55,12 @@ pub trait DataSource: Sync {
     /// its default version's record, so a record's own `oid` field need
     /// not equal the OID it was asked for.
     ///
+    /// `located`, when given, holds one [`Location`] per OID: where this
+    /// source's [`DataSource::walk`] found each object. The source may
+    /// read a record there instead of locating the object again. A
+    /// location may be stale (the object moved or went since the walk):
+    /// the answer must be the same as without it.
+    ///
     /// `attrs` (ascending attribute ids) is everything the caller will
     /// read: an implementation may leave any other attribute out of the
     /// records it returns.
@@ -39,14 +68,21 @@ pub trait DataSource: Sync {
     /// This is the only way the executor touches object state, once per
     /// batch of candidates, so it is also where fetch accounting and
     /// per-call synchronisation happen.
-    fn fetch(&self, oids: &[Oid], attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>>;
+    fn fetch(
+        &self,
+        oids: &[Oid],
+        located: Option<&[Location]>,
+        attrs: &[u32],
+    ) -> DbResult<Vec<Option<Arc<ObjectRecord>>>>;
 
-    /// A permutation of `0..oids.len()` visiting `oids` in the order
-    /// the source stores them, so that consecutive [`DataSource::fetch`]
-    /// batches touch neighbouring storage and each page is read once
-    /// per scan. `None` when order makes no difference to the source.
-    /// Only the walk follows it — results keep candidate order.
-    fn fetch_order(&self, oids: &[Oid]) -> Option<Vec<u32>> {
+    /// A walk over `oids` in the order the source stores them, so that
+    /// consecutive [`DataSource::fetch`] batches touch neighbouring
+    /// storage and each page is read once per scan; each walked object
+    /// comes with where it was found, which the executor hands back to
+    /// `fetch` so that a scanned row is located once. `None` when order
+    /// makes no difference to the source. Only the walk follows it —
+    /// results keep candidate order.
+    fn walk(&self, oids: &[Oid]) -> Option<Walk> {
         let _ = oids;
         None
     }
@@ -128,7 +164,7 @@ pub fn intersect(probed: Vec<Probed>, visible: impl Fn(Oid) -> bool) -> (Vec<Oid
 /// A simple in-memory [`DataSource`] for tests, benches, and examples.
 #[derive(Debug, Default)]
 pub struct MemSource {
-    objects: std::collections::HashMap<Oid, Arc<ObjectRecord>>,
+    objects: OidHashMap<Arc<ObjectRecord>>,
     extents: std::collections::HashMap<ClassId, Vec<Oid>>,
     indexes: Vec<orion_index::IndexInstance>,
     /// `(index id, object)`: the overlays [`MemSource::index_overlay`] named.
@@ -184,7 +220,12 @@ impl DataSource for MemSource {
         self.extents.get(&class).map_or(0, |v| v.len())
     }
 
-    fn fetch(&self, oids: &[Oid], _attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
+    fn fetch(
+        &self,
+        oids: &[Oid],
+        _located: Option<&[Location]>,
+        _attrs: &[u32],
+    ) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
         Ok(oids.iter().map(|oid| self.objects.get(oid).cloned()).collect())
     }
 

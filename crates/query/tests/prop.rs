@@ -7,8 +7,8 @@ use orion_index::{IndexDef, IndexKind};
 use orion_query::ast::{CmpOp, Expr, Literal, Path, Query, SelectItem};
 use orion_query::exec::{execute_with, ExecOptions};
 use orion_query::{
-    eval_expr, execute, path_values, plan, AccessPath, DataSource, MemSource, PlannedQuery,
-    QueryResult,
+    eval_expr, execute, path_values, plan, AccessPath, DataSource, Location, MemSource,
+    PlannedQuery, QueryResult, Walk,
 };
 use orion_schema::{AttrSpec, Catalog};
 use orion_types::codec::ObjectRecord;
@@ -182,7 +182,9 @@ fn to_expr(shape: &PredShape) -> Expr {
 
 /// A source whose fetches fail for poisoned objects and which asks to
 /// be walked back to front: errors and walk order are the two things a
-/// plain `MemSource` never exercises.
+/// plain `MemSource` never exercises. Its walk locates each object at
+/// its raw OID, and every located fetch checks that each location came
+/// back beside its own object.
 struct Shaky<'a> {
     inner: &'a MemSource,
     poisoned: HashSet<Oid>,
@@ -196,14 +198,26 @@ impl DataSource for Shaky<'_> {
     fn extent_size(&self, class: ClassId) -> usize {
         self.inner.extent_size(class)
     }
-    fn fetch(&self, oids: &[Oid], attrs: &[u32]) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
+    fn fetch(
+        &self,
+        oids: &[Oid],
+        located: Option<&[Location]>,
+        attrs: &[u32],
+    ) -> DbResult<Vec<Option<Arc<ObjectRecord>>>> {
+        if let Some(located) = located {
+            let expected: Vec<Location> = oids.iter().map(|o| Location(o.to_raw())).collect();
+            assert_eq!(located, expected, "a location came back beside another object");
+        }
         match oids.iter().find(|o| self.poisoned.contains(o)) {
             Some(bad) => Err(DbError::Storage(format!("poisoned {bad}"))),
-            None => self.inner.fetch(oids, attrs),
+            None => self.inner.fetch(oids, located, attrs),
         }
     }
-    fn fetch_order(&self, oids: &[Oid]) -> Option<Vec<u32>> {
-        self.backwards.then(|| (0..oids.len() as u32).rev().collect())
+    fn walk(&self, oids: &[Oid]) -> Option<Walk> {
+        self.backwards.then(|| Walk {
+            order: (0..oids.len() as u32).rev().collect(),
+            located: oids.iter().rev().map(|o| Location(o.to_raw())).collect(),
+        })
     }
     fn indexes(&self) -> Vec<IndexDef> {
         self.inner.indexes()
@@ -361,7 +375,7 @@ fn reference(catalog: &Catalog, source: &dyn DataSource, q: &Query) -> DbResult<
                 break 'scan;
             }
             if reads {
-                source.fetch(&[oid], &[])?;
+                source.fetch(&[oid], None, &[])?;
             }
             if let Some(pred) = &q.predicate {
                 if !eval_expr(catalog, source, oid, pred)? {

@@ -2,7 +2,7 @@
 //! subclass closures, and late-binding method resolution.
 
 use crate::class::{AttrSpec, Attribute, Class, MethodSig};
-use orion_types::{ClassId, DbError, DbResult, Domain, Oid, Value};
+use orion_types::{ClassId, DbError, DbResult, Domain, Oid, OidHashMap, Value};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +68,7 @@ impl DispatchStats {
 
 /// Referenced object → the `(class, attribute id)` pairs whose default
 /// names it.
-type DefaultRefs = HashMap<Oid, Vec<(ClassId, u32)>>;
+type DefaultRefs = OidHashMap<Vec<(ClassId, u32)>>;
 
 /// The schema catalog.
 ///
@@ -358,7 +358,7 @@ impl Catalog {
     /// the map is built on first use after a schema change.
     pub fn defaults_naming(&self, oid: Oid) -> &[(ClassId, u32)] {
         let map = self.default_refs.get_or_init(|| {
-            let mut map = DefaultRefs::new();
+            let mut map = DefaultRefs::default();
             for class in self.classes() {
                 let Ok(resolved) = self.resolve(class.id) else { continue };
                 for attr in &resolved.attrs {

@@ -28,5 +28,5 @@ pub mod wire;
 
 pub use domain::{Domain, PrimitiveType};
 pub use error::{DbError, DbResult};
-pub use oid::{ClassId, Oid, OidAllocator};
+pub use oid::{ClassId, Oid, OidAllocator, OidBuildHasher, OidHashMap, OidHashSet, OidHasher};
 pub use value::Value;

@@ -8,7 +8,9 @@
 //! fetching it. The OID is logical — it says nothing about where the
 //! object is stored; the object directory maps OIDs to record ids.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a class in the schema catalog.
@@ -97,6 +99,58 @@ impl fmt::Display for Oid {
     }
 }
 
+/// The hasher of every OID-keyed map: a 64×64→128-bit multiply by an
+/// odd constant, its two halves folded by XOR — one multiply per key,
+/// where std's default SipHash-1-3 runs a dozen rounds. An [`Oid`]
+/// hashes as the one word it is.
+///
+/// Both ends of the result depend on every input bit: hashbrown picks
+/// a bucket from the low bits and keeps the top seven as each slot's
+/// tag. The constant is deliberately not the 2^64/φ multiplier that
+/// sharded structures use to pick a shard from the product's top bits:
+/// with the same product, every OID of one shard would share the top
+/// bits of its tag.
+///
+/// The hash is unkeyed, so it offers no defence against keys chosen to
+/// collide. OIDs are allocated by the server, never chosen by clients.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct OidHasher(u64);
+
+/// The folding multiplier: odd, with its set bits spread over all
+/// eight bytes (the constant of wyhash's final mix).
+const OID_HASH_MUL: u64 = 0xA076_1D64_78BD_642F;
+
+impl Hasher for OidHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(OID_HASH_MUL);
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds an [`OidHasher`] for each map.
+pub type OidBuildHasher = BuildHasherDefault<OidHasher>;
+
+/// A hash map keyed by [`Oid`], hashed by [`OidHasher`] (make one with
+/// `OidHashMap::default()`).
+pub type OidHashMap<V> = HashMap<Oid, V, OidBuildHasher>;
+
+/// A hash set of [`Oid`]s, hashed by [`OidHasher`].
+pub type OidHashSet = HashSet<Oid, OidBuildHasher>;
+
 /// Thread-safe allocator of per-class serial numbers.
 ///
 /// The allocator is a single monotone counter shared by all classes; this
@@ -171,6 +225,30 @@ mod tests {
     #[should_panic(expected = "serial overflow")]
     fn oid_serial_overflow_panics() {
         let _ = Oid::new(ClassId(0), 1 << 48);
+    }
+
+    #[test]
+    fn oid_hasher_is_one_multiply_per_word() {
+        use std::hash::{BuildHasher, Hash};
+        let hash = |oid: Oid| {
+            let mut h = OidHasher::default();
+            oid.hash(&mut h);
+            h.finish()
+        };
+        let oid = Oid::new(ClassId(3), 77);
+        let product = u128::from(oid.to_raw()) * u128::from(OID_HASH_MUL);
+        assert_eq!(hash(oid), (product as u64) ^ ((product >> 64) as u64));
+        assert_eq!(OidBuildHasher::default().hash_one(oid), hash(oid), "no per-map key");
+        // Neighbouring serials land in different buckets of a small table.
+        let low = |serial| hash(Oid::new(ClassId(1), serial)) & 63;
+        let buckets: HashSet<u64> = (0..64).map(low).collect();
+        assert!(buckets.len() > 32, "{} of 64 buckets", buckets.len());
+        let mut map: OidHashMap<u64> = OidHashMap::default();
+        for serial in 0..1_000 {
+            map.insert(Oid::new(ClassId(2), serial), serial);
+        }
+        assert_eq!(map.get(&Oid::new(ClassId(2), 999)), Some(&999));
+        assert_eq!(map.len(), 1_000);
     }
 
     #[test]

@@ -5,10 +5,12 @@
 # fan-out fidelity tests, the fixed-seed chaos smoke, and the device
 # conformance and durability suites over memory and file stores),
 # a release-mode concurrency stress run (the #[ignore]d elevated-thread-
-# count test in tests/concurrency.rs), the #[ignore]d multi-seed chaos
-# hammer and the #[ignore]d checkpoint race sweeps in tests/durability.rs
-# in release mode, lint (clippy with warnings-as-errors, plus the
-# grep denies in scripts/lint.sh), and the three bench binaries.
+# count test in tests/concurrency.rs, and the scan-beside-DDL test,
+# whose scanner outruns a class creator only at release speed), the
+# #[ignore]d multi-seed chaos hammer and the #[ignore]d checkpoint race
+# sweeps in tests/durability.rs in release mode, lint (clippy with
+# warnings-as-errors, plus the grep denies in scripts/lint.sh), and the
+# three bench binaries.
 # Each bench binary checks its own gates in process, prints every one,
 # and exits nonzero on a breach: parallel_query (work per scanned row,
 # the single-thread cost of one page miss in ns: work.page_read_ns for
@@ -45,6 +47,7 @@ step 300 cargo build --release
 # --workspace only the root package's tests would run.
 step 300 cargo test -q --workspace
 step 60 cargo test -q --release --test concurrency -- --ignored
+step 60 cargo test -q --release --test concurrency -- --exact scans_and_class_creation_overlap_without_deadlock
 step 60 cargo test -q --release --test chaos -- --ignored
 step 60 cargo test -q --release --test durability -- --ignored
 step 300 scripts/lint.sh

@@ -131,6 +131,16 @@ if [ -n "$strays" ]; then
   exit 1
 fi
 
+# OID-keyed maps hash with orion_types::OidHasher, one multiply per key,
+# through the OidHashMap / OidHashSet aliases; std's default SipHash
+# costs a dozen rounds on every directory, cache and version-chain probe.
+# Test files may use whatever map they like.
+if grep -rnE '\bHash(Map|Set)<Oid\b' crates --include='*.rs' \
+    | grep -vE '^crates/[a-z_]+/tests/' | grep -v 'OidBuildHasher'; then
+  echo "FAIL: a HashMap/HashSet keyed by Oid with the default hasher under crates/ — use orion_types::OidHashMap / OidHashSet" >&2
+  exit 1
+fi
+
 # Scoped threads are std::thread::scope; the crossbeam shim is gone.
 if grep -n 'crossbeam' Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml; then
   echo "FAIL: crossbeam in a manifest — use std::thread::scope" >&2

@@ -8,6 +8,7 @@
 use orion_oodb::orion::{
     AttrSpec, Database, DbConfig, DbStats, Domain, Oid, PrimitiveType, Value,
 };
+use orion_query::{Location, Walk};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -527,6 +528,127 @@ fn snapshot_scan_survives_records_moving_vanishing_and_reappearing() {
     let r = db.query(&tx, &format!("select count(*) from Doc d where d.round = {ROUNDS}")).unwrap();
     assert_eq!(r.rows[0][0], Value::Int(DOCS as i64));
     db.commit(tx).unwrap();
+}
+
+/// A walk's locations go stale: records move (a body that outgrows its
+/// slot), go (a delete) and are replaced (a create, which may take a
+/// freed slot) while a snapshot still reads where its walk found them.
+/// Inside one `with_snapshot`, the walk of more than a batch of
+/// candidates is fetched batch by batch with its locations while a
+/// writer commits such rounds, and again once a round has committed
+/// since the walk; every record must equal the one the snapshot read
+/// before. A row resolved before the writer staged its chain, then
+/// read at a location the writer emptied or changed, is caught only by
+/// the confirm that follows the in-place read.
+#[test]
+fn stale_walk_locations_still_read_the_snapshot() {
+    use orion_query::DataSource;
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicU64;
+    const DOCS: usize = 2_500;
+    const SNAPSHOTS: usize = 12;
+    /// Stops the writer however the reader leaves.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let config = DbConfig::builder().cache_objects(64).build().unwrap();
+    let db = Arc::new(Database::try_with_config(config).unwrap());
+    db.create_class(
+        "Doc",
+        &[],
+        vec![
+            AttrSpec::new("round", Domain::Primitive(PrimitiveType::Int)),
+            AttrSpec::new("body", Domain::Primitive(PrimitiveType::Str)),
+        ],
+    )
+    .unwrap();
+    fn new_doc(db: &Database, tx: &orion_oodb::orion::Tx, round: usize) -> Oid {
+        let attrs = vec![("round", Value::Int(round as i64)), ("body", Value::Str("a".into()))];
+        db.create_object(tx, "Doc", attrs).unwrap()
+    }
+    let tx = db.begin();
+    let mut docs: Vec<Oid> = (0..DOCS).map(|_| new_doc(&db, &tx, 0)).collect();
+    db.commit(tx).unwrap();
+
+    let stop = AtomicBool::new(false);
+    let rounds = AtomicU64::new(0);
+    // Per snapshot: each walked object's location, and the extent and
+    // locations once the snapshot is gone.
+    let mut walked: Vec<HashMap<Oid, Location>> = Vec::new();
+    let mut later: Vec<HashMap<Oid, Location>> = Vec::new();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut round = 0;
+            while !stop.load(Ordering::SeqCst) {
+                round += 1;
+                // Bodies grow round after round (moving their records),
+                // then start short again.
+                let body = Value::Str("b".repeat(40 + (round % 24) * 60));
+                let tx = db.begin();
+                db.delete_object(&tx, docs.swap_remove(round * 7 % DOCS)).unwrap();
+                for doc in docs.iter().skip(round % 3).step_by(3) {
+                    db.set(&tx, *doc, "body", body.clone()).unwrap();
+                    db.set(&tx, *doc, "round", Value::Int(round as i64)).unwrap();
+                }
+                docs.push(new_doc(&db, &tx, round));
+                db.commit(tx).unwrap();
+                rounds.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        let _stop = Stop(&stop);
+        let locations = |walk: &Walk, oids: &[Oid]| -> HashMap<Oid, Location> {
+            walk.order.iter().zip(&walk.located).map(|(&p, l)| (oids[p as usize], *l)).collect()
+        };
+        for snapshot in 0..SNAPSHOTS {
+            db.with_snapshot(None, |catalog, source| {
+                let class = catalog.class_id("Doc").unwrap();
+                let mut attrs: Vec<u32> =
+                    catalog.resolve(class).unwrap().attrs.iter().map(|a| a.id).collect();
+                attrs.sort_unstable();
+                let oids = source.scan_class(class).unwrap();
+                assert_eq!(oids.len(), DOCS, "snapshot {snapshot}: the extent at the snapshot");
+                let before = source.fetch(&oids, None, &attrs).unwrap();
+                let walk = source.walk(&oids).expect("the heap walks in storage order");
+                let committed = rounds.load(Ordering::SeqCst);
+                let read_walked = |pass: &str| {
+                    for start in (0..oids.len()).step_by(1_024) {
+                        let range = start..(start + 1_024).min(oids.len());
+                        let batch: Vec<Oid> =
+                            walk.order[range.clone()].iter().map(|&p| oids[p as usize]).collect();
+                        let got = source.fetch(&batch, Some(&walk.located[range]), &attrs).unwrap();
+                        for (k, record) in got.into_iter().enumerate() {
+                            let pos = walk.order[start + k] as usize;
+                            let at = format!("snapshot {snapshot}, {pass}: {}", oids[pos]);
+                            assert!(record.is_some(), "{at} unread");
+                            assert_eq!(record, before[pos], "{at}");
+                        }
+                    }
+                };
+                read_walked("while a round commits");
+                while rounds.load(Ordering::SeqCst) == committed {
+                    std::thread::yield_now();
+                }
+                read_walked("after a round committed");
+                walked.push(locations(&walk, &oids));
+            });
+            db.with_snapshot(None, |catalog, source| {
+                let oids = source.scan_class(catalog.class_id("Doc").unwrap()).unwrap();
+                later.push(locations(&source.walk(&oids).unwrap(), &oids));
+            });
+        }
+    });
+    // The writer did move records, and put others where they had been,
+    // under the walks.
+    let (mut moved, mut taken) = (0, 0);
+    for (then, now) in walked.iter().zip(&later) {
+        moved += then.iter().filter(|(oid, l)| now.get(oid).is_some_and(|n| n != *l)).count();
+        let held: HashMap<&Location, &Oid> = then.iter().map(|(oid, l)| (l, oid)).collect();
+        taken += now.iter().filter(|(oid, l)| held.get(l).is_some_and(|o| o != oid)).count();
+    }
+    assert!(moved > 0 && taken > 0, "{moved} records moved, {taken} taken a slot another had");
 }
 
 /// `Item(k)` with a class-hierarchy index on `k`: `hot` items at
